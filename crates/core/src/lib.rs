@@ -40,6 +40,7 @@
 
 mod config;
 mod machine;
+mod pool;
 mod triage;
 
 pub use config::{OsCosts, SpeculationConfig, SystemConfig};

@@ -19,6 +19,7 @@ use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use ccsvm_vm::{GuestHeap, OsLite, PteWrite, VirtAddr, PAGE_BYTES};
 
 use crate::config::SpeculationConfig;
+use crate::pool::WorkerPool;
 use crate::SystemConfig;
 
 const KIND_SHIFT: u32 = 60;
@@ -68,101 +69,6 @@ enum MemberState {
     RolledBack,
 }
 
-type PoolJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent pool of host worker threads for core-batch rounds.
-///
-/// The zoned and epoch executors run *thousands* of small fork-join rounds
-/// per simulated run; spawning OS threads per round (`std::thread::scope`)
-/// costs tens of microseconds each and dominated the parallel phase
-/// wall-clock, so the pool spawns its workers once per machine and a round
-/// becomes a channel send plus a completion barrier. The worker count is
-/// `exec_threads - 1` — `sim_threads` clamped to the host's available
-/// parallelism — because on a host with fewer CPUs than `sim_threads` the
-/// extra workers would only time-slice; with zero workers a round runs
-/// entirely inline on the calling thread and the pool is pure bookkeeping.
-///
-/// [`WorkerPool::round`] provides scoped-execution semantics over
-/// `'static` channels by erasing job lifetimes; it is sound because it
-/// never returns (or unwinds) before every dispatched job has signalled
-/// completion, so no job outlives the borrows it captures.
-struct WorkerPool {
-    txs: Vec<std::sync::mpsc::Sender<PoolJob>>,
-    done_rx: std::sync::mpsc::Receiver<std::thread::Result<()>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(workers: usize) -> WorkerPool {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = std::sync::mpsc::channel::<PoolJob>();
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                for job in rx {
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    if done.send(r).is_err() {
-                        break;
-                    }
-                }
-            }));
-            txs.push(tx);
-        }
-        WorkerPool {
-            txs,
-            done_rx,
-            handles,
-        }
-    }
-
-    /// Runs each of `jobs` on a distinct worker and `own` on the calling
-    /// thread, returning only after all of them finish. A panic from any
-    /// job (or from `own`) is re-raised here — after the barrier, so
-    /// borrowed data is never freed under a still-running job.
-    fn round<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>, own: impl FnOnce()) {
-        assert!(jobs.len() <= self.txs.len(), "more jobs than pool workers");
-        let mut sent = 0;
-        for (i, job) in jobs.into_iter().enumerate() {
-            // SAFETY: lifetime erasure only — layout is identical. The
-            // completion barrier below keeps every borrow captured by `job`
-            // alive until the job has finished running; a job whose send
-            // fails (dead worker) is dropped immediately, never run.
-            let job: PoolJob = unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, PoolJob>(job)
-            };
-            if self.txs[i].send(job).is_ok() {
-                sent += 1;
-            }
-        }
-        let own_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(own));
-        let mut worker_panic = None;
-        for _ in 0..sent {
-            match self.done_rx.recv().expect("pool worker died without reporting") {
-                Ok(()) => {}
-                Err(p) => worker_panic = Some(p),
-            }
-        }
-        // Barrier reached: all borrows are dead; now surface any panic.
-        if let Err(p) = own_result {
-            std::panic::resume_unwind(p);
-        }
-        if let Some(p) = worker_panic {
-            std::panic::resume_unwind(p);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.txs.clear(); // closes the job channels; workers drain and exit
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Host wall-clock phase indices for the `prof_phase` accumulator.
 const PH_CORE: usize = 0;
 const PH_UNCORE: usize = 1;
@@ -180,7 +86,11 @@ pub struct HostPhases {
     /// Uncore event handling (coherence hops, banks, DRAM) — inherently
     /// serial: it mutates the shared `MemorySystem`.
     pub uncore_ms: f64,
-    /// Ordered merge of buffered core actions into the uncore (serial).
+    /// Ordered merge of buffered core actions into the uncore, plus the
+    /// epoch executor's bookkeeping around each round: formation
+    /// (`claim_members`), opening the L1 undo journals (`spec_begin`), and
+    /// commit or rollback of each member. All serial. (The core-side
+    /// `spec_save` runs inside the member's task: core execution.)
     pub merge_ms: f64,
     /// Everything else (OS services, MIFD, shootdowns, watchdog).
     pub other_ms: f64,
@@ -1336,75 +1246,69 @@ impl Machine {
             .collect()
     }
 
-    /// Opens undo journals for every speculating member of `round` (the
-    /// head, if present, runs journal-free — it never rolls back) and
-    /// executes all of them concurrently over disjoint `CorePort`s. Cores
-    /// within a round are distinct by construction (`mask`), so each task
-    /// owns its `MttopCore` + L1 port exclusively.
+    /// Opens undo journals for every speculating member of `round` (a head
+    /// runs journal-free — it never rolls back) and executes all members
+    /// concurrently over disjoint `CorePort`s, leaving each member's
+    /// `outcome` filled. Cores within a round are distinct by construction,
+    /// so each task owns its `MttopCore` + L1 port exclusively; the pool
+    /// hands tasks out by dynamic claiming, and determinism does not depend
+    /// on who runs what — all shared state waits for the ordered merge.
     fn launch_round(&mut self, round: &mut [EpochMember], profile: bool) {
         let spec = self.cfg.speculation;
         let n_cpus = self.cfg.n_cpus;
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.exec_threads.saturating_sub(1)));
-        }
+        let t0 = profile.then(Instant::now);
         for m in round.iter() {
             if matches!(m.state, MemberState::Spec) {
-                let port = PortId(n_cpus + m.core);
-                self.mem.spec_begin(port, spec.undo_sets);
-                self.mttops[m.core].spec_save(&mut self.spec_undo[m.core]);
+                self.mem.spec_begin(PortId(n_cpus + m.core), spec.undo_sets);
             }
         }
-
-        let t0 = profile.then(Instant::now);
-        {
-            struct EpochTask<'a> {
-                at: Time,
-                mc: &'a mut MttopCore,
-                port: CorePort<'a>,
-                outcome: Option<BatchOutcome>,
-            }
-            let prog = &self.prog;
-            let pool = self.pool.as_ref().expect("pool created above");
-            let mut ports: Vec<Option<CorePort<'_>>> = self
-                .mem
-                .core_ports(&mut self.port_logs)
-                .into_iter()
-                .map(Some)
-                .collect();
-            let mut mcs: Vec<Option<&mut MttopCore>> = self.mttops.iter_mut().map(Some).collect();
-            let mut tasks: Vec<EpochTask<'_>> = round
-                .iter()
-                .map(|m| EpochTask {
-                    at: m.time,
-                    mc: mcs[m.core].take().expect("epoch cores are distinct"),
-                    port: ports[n_cpus + m.core].take().expect("epoch ports are distinct"),
+        let t1 = profile.then(Instant::now);
+        struct Task<'a> {
+            member: usize,
+            at: Time,
+            mc: &'a mut MttopCore,
+            /// Where a speculating member saves its core's pre-image.
+            undo: Option<&'a mut SpecUndo>,
+            port: CorePort<'a>,
+            outcome: Option<BatchOutcome>,
+        }
+        // Only the members' ports and cores are borrowed, in core order.
+        let mut tasks: Vec<Task<'_>> = self
+            .mem
+            .core_ports(&mut self.port_logs)
+            .skip(n_cpus)
+            .zip(&mut self.mttops)
+            .zip(&mut self.spec_undo)
+            .enumerate()
+            .filter_map(|(core, ((port, mc), undo))| {
+                let member = round.iter().position(|m| m.core == core)?;
+                Some(Task {
+                    member,
+                    at: round[member].time,
+                    mc,
+                    undo: matches!(round[member].state, MemberState::Spec).then_some(undo),
+                    port,
                     outcome: None,
                 })
-                .collect();
-            let workers = self.exec_threads.min(tasks.len());
-            let chunk = tasks.len().div_ceil(workers);
-            let mut chunks = tasks.chunks_mut(chunk);
-            let own = chunks.next();
-            let step = |task: &mut EpochTask<'_>| {
-                task.outcome = Some(task.mc.run_batch(task.at, prog, &mut task.port));
-            };
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-                .map(|rest| {
-                    Box::new(move || rest.iter_mut().for_each(step))
-                        as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.round(jobs, || {
-                if let Some(own) = own {
-                    own.iter_mut().for_each(step);
+            })
+            .collect();
+        debug_assert_eq!(tasks.len(), round.len(), "round cores are distinct");
+        let prog = &self.prog;
+        let workers = self.exec_threads - 1;
+        self.pool
+            .get_or_insert_with(|| WorkerPool::new(workers))
+            .round(&mut tasks, |t| {
+                if let Some(undo) = t.undo.as_deref_mut() {
+                    t.mc.spec_save(undo);
                 }
+                t.outcome = Some(t.mc.run_batch(t.at, prog, &mut t.port));
             });
-            for (m, task) in round.iter_mut().zip(tasks) {
-                m.outcome = Some(task.outcome.expect("epoch task ran"));
-            }
+        for t in tasks {
+            round[t.member].outcome = t.outcome;
         }
-        if let Some(t) = t0 {
-            self.prof_phase[PH_CORE] += t.elapsed();
+        if let (Some(t0), Some(t1)) = (t0, t1) {
+            self.prof_phase[PH_MERGE] += t1 - t0;
+            self.prof_phase[PH_CORE] += t1.elapsed();
         }
     }
 
@@ -1449,7 +1353,11 @@ impl Machine {
         // ---- formation --------------------------------------------------
         let mut mask: u128 = 1u128 << core0;
         let mut left = spec.max_epoch.saturating_sub(1);
+        let t0 = profile.then(Instant::now);
         let fresh = self.claim_members(horizon, &mut mask, &mut left);
+        if let Some(t) = t0 {
+            self.prof_phase[PH_MERGE] += t.elapsed();
+        }
         if fresh.is_empty() {
             self.run_mttop_batch(core0);
             return;
@@ -1504,17 +1412,14 @@ impl Machine {
             } else {
                 match m.state {
                     MemberState::Head | MemberState::Spec => {
+                        let t1 = profile.then(Instant::now);
                         if matches!(m.state, MemberState::Spec) {
                             self.mem.spec_commit(PortId(n_cpus + core));
                         }
                         self.spec_stats.committed += 1;
                         self.spec_stats.batches_total += 1;
                         let outcome = m.outcome.take().expect("epoch member executed");
-                        let t1 = profile.then(Instant::now);
-                        let mut log = std::mem::take(&mut self.port_logs[n_cpus + core]);
-                        self.replay_log(&mut log);
-                        self.port_logs[n_cpus + core] = log;
-                        self.apply_mttop_outcome(core, outcome);
+                        self.merge_mttop_batch(core, outcome);
                         if let Some(t) = t1 {
                             self.prof_phase[PH_MERGE] += t.elapsed();
                         }
@@ -1667,10 +1572,14 @@ impl Machine {
     /// commit slot.
     fn rollback_member(&mut self, m: &mut EpochMember) {
         debug_assert!(matches!(m.state, MemberState::Spec));
+        let t0 = self.cfg.host_profile.then(Instant::now);
         let port = PortId(self.cfg.n_cpus + m.core);
         let overflowed = self.mem.spec_rollback(port);
         self.port_logs[port.0].clear();
         self.mttops[m.core].spec_restore(&self.spec_undo[m.core]);
+        if let Some(t) = t0 {
+            self.prof_phase[PH_MERGE] += t.elapsed();
+        }
         m.state = MemberState::RolledBack;
         m.outcome = None;
         self.spec_stats.rolled_back += 1;
@@ -2378,13 +2287,22 @@ impl Machine {
         if let Some(t) = t0 {
             self.prof_phase[PH_CORE] += t.elapsed();
         }
-        let t1 = profile.then(Instant::now);
-        self.replay_log(&mut log);
         self.port_logs[port.0] = log;
-        self.apply_mttop_outcome(core, outcome);
+        let t1 = profile.then(Instant::now);
+        self.merge_mttop_batch(core, outcome);
         if let Some(t) = t1 {
             self.prof_phase[PH_MERGE] += t.elapsed();
         }
+    }
+
+    /// The serial half of an MTTOP batch: replays the sends its core
+    /// buffered in its port log into the uncore, then applies its outcome.
+    fn merge_mttop_batch(&mut self, core: usize, outcome: BatchOutcome) {
+        let port = self.cfg.n_cpus + core;
+        let mut log = std::mem::take(&mut self.port_logs[port]);
+        self.replay_log(&mut log);
+        self.port_logs[port] = log;
+        self.apply_mttop_outcome(core, outcome);
     }
 
     fn apply_mttop_outcome(&mut self, core: usize, outcome: BatchOutcome) {
@@ -2411,76 +2329,26 @@ impl Machine {
         }
     }
 
-    /// Steps a zone of same-timestamp live MTTOP batches concurrently, then
-    /// merges their buffered effects serially in pop order. Workers get
-    /// contiguous task chunks; chunk 0 runs on this thread. Determinism does
-    /// not depend on the chunking — each task touches only its own core and
-    /// port, and all shared state waits for the merge.
+    /// Steps a zone of same-timestamp live MTTOP batches concurrently (as a
+    /// round of journal-free members), then merges their buffered effects
+    /// serially in pop order.
     fn run_mttop_zone(&mut self, cores: &[usize]) {
         let profile = self.cfg.host_profile;
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.exec_threads.saturating_sub(1)));
-        }
-        let t0 = profile.then(Instant::now);
-        let now = self.now;
-        let n_cpus = self.cfg.n_cpus;
-        let prog = &self.prog;
-        let mut results: Vec<(usize, BatchOutcome)> = Vec::with_capacity(cores.len());
-        {
-            struct ZoneTask<'a> {
-                core: usize,
-                mc: &'a mut MttopCore,
-                port: CorePort<'a>,
-                outcome: Option<BatchOutcome>,
-            }
-            let pool = self.pool.as_ref().expect("pool created above");
-            let mut ports: Vec<Option<CorePort<'_>>> = self
-                .mem
-                .core_ports(&mut self.port_logs)
-                .into_iter()
-                .map(Some)
-                .collect();
-            let mut mcs: Vec<Option<&mut MttopCore>> = self.mttops.iter_mut().map(Some).collect();
-            let mut tasks: Vec<ZoneTask<'_>> = cores
-                .iter()
-                .map(|&c| ZoneTask {
-                    core: c,
-                    mc: mcs[c].take().expect("zone cores are distinct"),
-                    port: ports[n_cpus + c].take().expect("zone ports are distinct"),
-                    outcome: None,
-                })
-                .collect();
-            let workers = self.exec_threads.min(tasks.len());
-            let chunk = tasks.len().div_ceil(workers);
-            let mut chunks = tasks.chunks_mut(chunk);
-            let own = chunks.next();
-            let step = |task: &mut ZoneTask<'_>| {
-                task.outcome = Some(task.mc.run_batch(now, prog, &mut task.port));
-            };
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-                .map(|rest| {
-                    Box::new(move || rest.iter_mut().for_each(step))
-                        as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.round(jobs, || {
-                if let Some(own) = own {
-                    own.iter_mut().for_each(step);
-                }
-            });
-            for task in tasks {
-                results.push((task.core, task.outcome.expect("zone task ran")));
-            }
-        }
-        if let Some(t) = t0 {
-            self.prof_phase[PH_CORE] += t.elapsed();
-        }
+        let mut round: Vec<EpochMember> = cores
+            .iter()
+            .map(|&core| EpochMember {
+                core,
+                time: self.now,
+                qseq: 0,
+                bseq: self.mttop_seq[core],
+                state: MemberState::Head,
+                outcome: None,
+            })
+            .collect();
+        self.launch_round(&mut round, profile);
         let t1 = profile.then(Instant::now);
-        for (core, outcome) in results {
-            let mut log = std::mem::take(&mut self.port_logs[n_cpus + core]);
-            self.replay_log(&mut log);
-            self.port_logs[n_cpus + core] = log;
-            self.apply_mttop_outcome(core, outcome);
+        for m in round {
+            self.merge_mttop_batch(m.core, m.outcome.expect("zone member executed"));
             // Zones form only with no poison in the system, so no member can
             // abort the run mid-merge (serial would have executed them all).
             debug_assert!(self.failure.is_none(), "zone member aborted mid-merge");

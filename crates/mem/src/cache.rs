@@ -88,7 +88,7 @@ pub struct CacheArray<M> {
 /// Pre-image of one cache set, captured by [`CacheArray::snapshot_set`] and
 /// reinstated by [`CacheArray::restore_set`] when a speculative epoch member
 /// rolls back.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SetImage<M> {
     set: u64,
     tags: Vec<u64>,
@@ -487,19 +487,22 @@ impl<M> CacheArray<M> {
 
     /// Pre-image of set `set` — everything an access can mutate in that set
     /// (tags, LRU stamps, metadata, data) — for the speculative undo journal
-    /// (DESIGN §12). Captured at first speculative touch of the set.
-    pub fn snapshot_set(&self, set: u64) -> SetImage<M>
+    /// (DESIGN §12). Captured at first speculative touch of the set, into
+    /// `img`, whose storage is reused.
+    pub fn snapshot_set(&self, set: u64, img: &mut SetImage<M>)
     where
         M: Clone,
     {
         let r = set as usize * self.config.ways..(set as usize + 1) * self.config.ways;
-        SetImage {
-            set,
-            tags: self.tags[r.clone()].to_vec(),
-            lru: self.lru[r.clone()].to_vec(),
-            metas: self.metas[r.clone()].to_vec(),
-            data: self.data[r].to_vec(),
-        }
+        img.set = set;
+        img.tags.clear();
+        img.tags.extend_from_slice(&self.tags[r.clone()]);
+        img.lru.clear();
+        img.lru.extend_from_slice(&self.lru[r.clone()]);
+        img.metas.clear();
+        img.metas.extend_from_slice(&self.metas[r.clone()]);
+        img.data.clear();
+        img.data.extend_from_slice(&self.data[r]);
     }
 
     /// Restores a set captured by [`CacheArray::snapshot_set`], byte-exactly.
@@ -669,7 +672,8 @@ mod tests {
         c.insert(b[1], 2, [2; 64]);
         let set = c.set_of(b[0]);
         let tick0 = c.tick();
-        let img = c.snapshot_set(set);
+        let mut img = SetImage::default();
+        c.snapshot_set(set, &mut img);
 
         c.insert(b[2], 3, [3; 64]); // evicts LRU
         c.write(b[2], 0, &[9]);

@@ -69,6 +69,10 @@ pub struct Dram {
     reads: u64,
     writes: u64,
     faults: Option<DramFaults>,
+    /// `CCSVM_DRAM_TRACE` sampled once at construction: the check sits on
+    /// every timed read, and `std::env::var` takes a lock plus an allocation
+    /// per call.
+    trace: bool,
 }
 
 impl Dram {
@@ -82,6 +86,7 @@ impl Dram {
             reads: 0,
             writes: 0,
             faults: None,
+            trace: std::env::var("CCSVM_DRAM_TRACE").is_ok(),
         }
     }
 
@@ -138,7 +143,7 @@ impl Dram {
         channel_key: usize,
         block: u64,
     ) -> (Time, BlockData, bool) {
-        if std::env::var("CCSVM_DRAM_TRACE").is_ok() {
+        if self.trace {
             eprintln!("DRAMRD {block}");
         }
         self.reads += 1;

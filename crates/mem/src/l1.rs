@@ -81,7 +81,7 @@ struct Mshr {
     waiters: Vec<Waiter>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct EvictEntry {
     data: BlockData,
     dirty: bool,
@@ -90,27 +90,33 @@ struct EvictEntry {
 /// Undo journal for one speculative epoch member (DESIGN §12).
 ///
 /// Captured at `spec_begin` and discarded at `spec_commit`: begin-time copies
-/// of the LRU tick, the access counters and the three miss-tracking maps,
-/// plus set-granular first-touch pre-images of the cache array, capped at
-/// `budget` sets. When the cap is exceeded the journal falls back to the
-/// snapshot machinery: `full` holds a whole-L1 snapshot taken at overflow
-/// time, and rollback loads it *then* re-applies the pre-overflow images on
-/// top (the journaled sets are mid-speculation in that snapshot; the images
-/// rewind them the rest of the way; every other set was still untouched when
-/// the snapshot was taken).
+/// of the LRU tick, the access counters and the eviction and reservation
+/// maps, the open MSHRs' waiter counts, plus set-granular first-touch
+/// pre-images of the cache array, capped at `budget` sets. Opening a journal
+/// and capturing an image reuse the previous journal's storage. When the cap
+/// is exceeded the journal falls back to the snapshot machinery: `full`
+/// holds a whole-L1 snapshot taken at overflow time, and rollback loads it
+/// *then* re-applies the pre-overflow images on top (the journaled sets are
+/// mid-speculation in that snapshot; the images rewind them the rest of the
+/// way; every other set was still untouched when the snapshot was taken).
 ///
 /// No directory message is ever delivered to a speculating L1 — the epoch
 /// scheduler rolls the member back first — so the maps and counters can only
 /// change under the member's own core-side accesses, and restoring the
-/// begin-time copies wholesale is exact.
+/// begin-time copies wholesale is exact. For the MSHR table those accesses
+/// can only open an MSHR or append a waiter to one (fills, which retire
+/// MSHRs, are directory deliveries), so its pre-image is the list of open
+/// blocks with their waiter counts rather than a deep copy.
 #[derive(Debug, Default)]
 struct SpecState {
     /// Sets with a captured pre-image (or, past the budget, sets that
     /// tripped the overflow path).
     touched: FxHashSet<u64>,
-    /// First-touch pre-images, in capture order (restore order is
-    /// irrelevant: one image per set).
+    /// First-touch pre-images: `images[..n_images]`, in capture order
+    /// (restore order is irrelevant: one image per set). The tail is spare
+    /// storage from earlier journals.
     images: Vec<SetImage<Line>>,
+    n_images: usize,
     /// Maximum images before overflow.
     budget: usize,
     overflowed: bool,
@@ -118,7 +124,8 @@ struct SpecState {
     full: Vec<u8>,
     tick0: u64,
     counters0: [u64; 11],
-    mshrs0: FxHashMap<u64, Mshr>,
+    /// `(block, waiters)` of every MSHR open at begin.
+    mshrs0: Vec<(u64, usize)>,
     evict0: FxHashMap<u64, EvictEntry>,
     reserved0: FxHashMap<u64, usize>,
 }
@@ -267,13 +274,15 @@ impl L1 {
         debug_assert!(self.spec.is_none(), "nested speculation on {:?}", self.id);
         let mut spec = self.spec_free.pop().unwrap_or_default();
         spec.touched.clear();
-        spec.images.clear();
+        spec.n_images = 0;
         spec.full.clear();
         spec.budget = budget.max(1);
         spec.overflowed = false;
         spec.tick0 = self.array.tick();
         spec.counters0 = self.counters();
-        spec.mshrs0.clone_from(&self.mshrs);
+        spec.mshrs0.clear();
+        spec.mshrs0
+            .extend(self.mshrs.iter().map(|(&b, m)| (b, m.waiters.len())));
         spec.evict0.clone_from(&self.evict_buf);
         spec.reserved0.clone_from(&self.reserved);
         self.spec = Some(spec);
@@ -308,12 +317,25 @@ impl L1 {
             ccsvm_snap::Snapshot::load(self, &mut r)
                 .expect("overflow snapshot was written by this L1");
         }
-        for img in &spec.images {
+        for img in &spec.images[..spec.n_images] {
             self.array.restore_set(img);
         }
         self.array.set_tick(spec.tick0);
         self.set_counters(spec.counters0);
-        std::mem::swap(&mut self.mshrs, &mut spec.mshrs0);
+        self.mshrs.retain(
+            |block, mshr| match spec.mshrs0.iter().find(|(b, _)| b == block) {
+                Some(&(_, waiters)) => {
+                    mshr.waiters.truncate(waiters);
+                    true
+                }
+                None => false,
+            },
+        );
+        debug_assert_eq!(
+            self.mshrs.len(),
+            spec.mshrs0.len(),
+            "an MSHR retired mid-journal"
+        );
         std::mem::swap(&mut self.evict_buf, &mut spec.evict0);
         std::mem::swap(&mut self.reserved, &mut spec.reserved0);
         self.spec_free.push(spec);
@@ -328,8 +350,13 @@ impl L1 {
         };
         let set = self.array.set_of(block);
         if spec.touched.insert(set) {
-            if spec.images.len() < spec.budget {
-                spec.images.push(self.array.snapshot_set(set));
+            if spec.n_images < spec.budget {
+                if spec.n_images == spec.images.len() {
+                    spec.images.push(SetImage::default());
+                }
+                self.array
+                    .snapshot_set(set, &mut spec.images[spec.n_images]);
+                spec.n_images += 1;
             } else if !spec.overflowed {
                 spec.overflowed = true;
                 let mut w = ccsvm_snap::SnapWriter::new();

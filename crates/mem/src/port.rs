@@ -76,9 +76,9 @@ impl PortLog {
 
 /// A single core's private view of the memory system: mutable access to its
 /// own L1, shared access to routing configuration, and a [`PortLog`] that
-/// buffers uncore effects. Distinct ports borrow disjoint L1s, so a
-/// `Vec<CorePort>` from [`MemorySystem::core_ports`](crate::MemorySystem::core_ports)
-/// can be moved to worker threads.
+/// buffers uncore effects. Distinct ports borrow disjoint L1s, so the ports
+/// of [`MemorySystem::core_ports`](crate::MemorySystem::core_ports) can be
+/// moved to worker threads.
 #[derive(Debug)]
 pub struct CorePort<'a> {
     l1: &'a mut L1,

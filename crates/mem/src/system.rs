@@ -279,12 +279,17 @@ impl MemorySystem {
 
     /// Splits the system into one [`CorePort`] per L1 (in `PortId` order),
     /// each paired with the same-index entry of `logs`. The ports borrow
-    /// disjoint L1s and are `Send`, so they can be stepped concurrently.
+    /// disjoint L1s and are `Send`, so they can be stepped concurrently. A
+    /// lazy iterator: fork-join rounds run thousands of times a run and keep
+    /// only the few ports whose cores take part.
     ///
     /// # Panics
     ///
     /// Panics if `logs.len() != self.ports()`.
-    pub fn core_ports<'a>(&'a mut self, logs: &'a mut [PortLog]) -> Vec<CorePort<'a>> {
+    pub fn core_ports<'a>(
+        &'a mut self,
+        logs: &'a mut [PortLog],
+    ) -> impl Iterator<Item = CorePort<'a>> + 'a {
         assert_eq!(logs.len(), self.l1s.len(), "one log per port required");
         let poisoned: &BTreeSet<u64> = &self.poisoned;
         let banks: &[BankConfig] = &self.bank_cfg;
@@ -292,8 +297,7 @@ impl MemorySystem {
         self.l1s
             .iter_mut()
             .zip(logs.iter_mut())
-            .map(|(l1, log)| CorePort::new(l1, poisoned, banks, ctrl, data, log))
-            .collect()
+            .map(move |(l1, log)| CorePort::new(l1, poisoned, banks, ctrl, data, log))
     }
 
     /// Whether any block is currently poisoned by an uncorrectable ECC error.

@@ -61,8 +61,6 @@
 //! reports them and the machine forwards them through the [`Mifd`] to a CPU
 //! core (§3.2.1).
 
-use std::collections::VecDeque;
-
 use ccsvm_engine::{stat_id, Clock, FxHashMap, Stats, Time};
 use ccsvm_isa::{
     abi, decodable, AmoKind, Instr, MicroOp, Operand, Program, Reg, SbCache, SbRef, SbStats,
@@ -208,6 +206,22 @@ struct Lane {
     regs: [u64; 32],
     pc: usize,
     live: bool,
+    /// This lane's share of its warp's memory instruction in progress.
+    /// Meaningful only while a [`Plan::lanes`] or [`Flight::lanes`] set names
+    /// the lane: plans, coalesced groups and flights are lane *sets* over
+    /// these slots, so none of them owns (or allocates) op storage.
+    op: LaneOp,
+}
+
+/// The lanes selected by `set`, in ascending order.
+fn lanes_of(mut set: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let li = set.trailing_zeros() as usize;
+            set &= set - 1;
+            li
+        })
+    })
 }
 
 /// Executes `op` on the lanes selected by `mask`, advancing each lane's PC
@@ -269,8 +283,8 @@ fn sprint_masked(ops: &[MicroOp], lanes: &mut [Lane], mask: u8, full: u8) {
 /// The timed access a coalesced group issues: the lead lane's operation.
 /// Shared by the real issue path and the doomed-retry short circuit so the
 /// two can never disagree about what a group's access looks like.
-fn group_access(group: &[LaneOp]) -> Access {
-    let lead = group[0];
+fn group_access(lanes: &[Lane], group: u8) -> Access {
+    let lead = lanes[group.trailing_zeros() as usize].op;
     match lead.kind {
         LaneKind::Ld { size, .. } => Access::Read {
             paddr: lead.paddr.expect("t"),
@@ -331,34 +345,67 @@ enum LaneKind {
 
 #[derive(Clone, Copy, Debug)]
 struct LaneOp {
-    lane: usize,
     va: VirtAddr,
     paddr: Option<PhysAddr>,
     kind: LaneKind,
 }
 
-/// A warp memory instruction in progress.
-#[derive(Clone, Debug)]
+impl LaneOp {
+    /// Content of a [`Lane::op`] slot no lane set names.
+    const IDLE: LaneOp = LaneOp {
+        va: VirtAddr(0),
+        paddr: None,
+        kind: LaneKind::Ld {
+            rd: Reg(0),
+            size: 0,
+        },
+    };
+}
+
+/// A warp memory instruction in progress. `Copy`: the epoch executor saves
+/// every Ready warp's plan before each speculative batch.
+#[derive(Clone, Copy, Debug)]
 struct Plan {
-    ops: Vec<LaneOp>,
-    /// Index of the next op needing translation.
+    /// Participating lanes; their ops are translated in lane order.
+    lanes: u8,
+    /// How many of `lanes` are translated so far.
     next_translate: usize,
     /// The instruction's PC (for the advance at the end).
     pc: usize,
     /// Coalesced groups awaiting issue (built after translation).
-    groups: Option<std::collections::VecDeque<Vec<LaneOp>>>,
+    groups: Option<Groups>,
     /// Groups issued so far (each extra group costs an L1-port cycle).
     issued: usize,
     /// Latest inline-hit completion time.
     finish: Time,
 }
 
-/// One in-flight (timed) access and the lanes it serves. An empty `ops`
-/// marks a walker PTE read.
-#[derive(Clone, Debug)]
+/// FIFO of coalesced groups, each a lane set whose lowest lane leads (its
+/// op is the timed access). At most one group per lane, and `lanes <= 8`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Groups {
+    sets: [u8; 8],
+    head: u8,
+    len: u8,
+}
+
+impl Groups {
+    fn waiting(&self) -> &[u8] {
+        &self.sets[self.head as usize..self.len as usize]
+    }
+
+    fn push(&mut self, group: u8) {
+        self.sets[self.len as usize] = group;
+        self.len += 1;
+    }
+}
+
+/// One in-flight (timed) access and the lanes of `warp` it serves. An empty
+/// set marks a walker PTE read.
+#[derive(Clone, Copy, Debug)]
 struct Flight {
     warp: usize,
-    ops: Vec<LaneOp>,
+    lanes: u8,
     issued_at: Time,
 }
 
@@ -553,7 +600,8 @@ impl MttopCore {
                         Lane {
                             regs: [0; 32],
                             pc: 0,
-                            live: false
+                            live: false,
+                            op: LaneOp::IDLE,
                         };
                         config.lanes
                     ],
@@ -772,10 +820,13 @@ impl MttopCore {
         self.batch_epoch += 1;
         let mut faults = Vec::new();
 
-        let arrived = std::mem::take(&mut self.arrived);
-        for (token, value) in arrived {
+        // Completions arrive only between batches (`on_completion`), so the
+        // buffer can be handed back, capacity kept, once it is applied.
+        let mut arrived = std::mem::take(&mut self.arrived);
+        for (token, value) in arrived.drain(..) {
             self.apply_completion(token, value, port, &mut faults);
         }
+        self.arrived = arrived;
 
         let deadline = self.local_time + self.config.clock.cycles(self.config.quantum_cycles);
         let per_cycle = if self.config.lockstep {
@@ -1024,8 +1075,8 @@ impl MttopCore {
             if self.retry_epoch[wi] == self.batch_epoch {
                 let plan = self.warps[wi].plan.as_ref().expect("plan");
                 let issued = plan.issued;
-                let access =
-                    group_access(plan.groups.as_ref().expect("groups").front().expect("retried"));
+                let retried = plan.groups.as_ref().expect("groups").waiting()[0];
+                let access = group_access(&self.warps[wi].lanes, retried);
                 let on_bank_boundary = if self.l1_bank_mask != u64::MAX {
                     issued as u64 & self.l1_bank_mask == 0
                 } else {
@@ -1280,19 +1331,19 @@ impl MttopCore {
                 if np == 1 && self.mem_single(wi, lane_buf[0], pc, instr, port) {
                     return;
                 }
-                let mut ops = Vec::with_capacity(participating.len());
+                let mut lanes = 0u8;
                 for &li in participating {
-                    let lane = &self.warps[wi].lanes[li];
+                    let lane = &mut self.warps[wi].lanes[li];
                     let (va, kind) = lane_mem_op(lane, instr);
-                    ops.push(LaneOp {
-                        lane: li,
+                    lane.op = LaneOp {
                         va: VirtAddr(va),
                         paddr: None,
                         kind,
-                    });
+                    };
+                    lanes |= 1 << li;
                 }
                 self.warps[wi].plan = Some(Plan {
-                    ops,
+                    lanes,
                     next_translate: 0,
                     pc,
                     groups: None,
@@ -1308,8 +1359,8 @@ impl MttopCore {
 
     /// Fast path for a memory instruction with exactly one participating
     /// lane: one lane op is one coalesced group of one, so on a TLB-present
-    /// translation the access can issue immediately without building the
-    /// `Plan`'s per-instruction allocations (ops `Vec` + groups `VecDeque`).
+    /// translation the access can issue immediately without staging a
+    /// `Plan` (an inline hit leaves no trace of one).
     /// Every state transition, counter, token draw, TLB LRU touch, and time
     /// charge replicates the generic `continue_plan`/`issue_accesses` path
     /// exactly, and on Pending/Retry/Poisoned the warp is parked with the
@@ -1335,11 +1386,11 @@ impl MttopCore {
         };
         let paddr = frame_plus_offset(frame, va);
         let op = LaneOp {
-            lane: li,
             va,
             paddr: Some(paddr),
             kind,
         };
+        let only = 1u8 << li;
         // `issue_accesses` would build exactly one group here.
         self.coalesced_accesses += 1;
         let start = self.local_time; // the plan's `finish` baseline
@@ -1372,55 +1423,45 @@ impl MttopCore {
                 self.set_state(wi, WarpState::Ready);
                 self.ready_at[wi] = start.max(finish).max(self.local_time);
             }
-            AccessResult::Pending => {
-                self.flights.insert(
-                    token,
-                    Flight {
-                        warp: wi,
-                        ops: vec![op],
-                        issued_at: self.local_time,
-                    },
-                );
-                self.warps[wi].plan = Some(Plan {
-                    ops: vec![op],
-                    next_translate: 1,
-                    pc,
-                    groups: Some(VecDeque::new()),
-                    issued: 1,
-                    finish: start,
-                });
-                self.warps[wi].outstanding = 1;
-                self.set_state(wi, WarpState::Mem);
-            }
-            AccessResult::Retry => {
-                let mut groups = VecDeque::with_capacity(1);
-                groups.push_back(vec![op]);
-                self.warps[wi].plan = Some(Plan {
-                    ops: vec![op],
+            result => {
+                // Park the warp on the plan the generic path would have
+                // left: the one group issued (Pending) or still waiting.
+                let pending = matches!(result, AccessResult::Pending);
+                let mut groups = Groups::default();
+                if pending {
+                    self.flights.insert(
+                        token,
+                        Flight {
+                            warp: wi,
+                            lanes: only,
+                            issued_at: self.local_time,
+                        },
+                    );
+                } else {
+                    groups.push(only);
+                }
+                let warp = &mut self.warps[wi];
+                warp.lanes[li].op = op;
+                warp.plan = Some(Plan {
+                    lanes: only,
                     next_translate: 1,
                     pc,
                     groups: Some(groups),
-                    issued: 0,
+                    issued: pending as usize,
                     finish: start,
                 });
-                self.warps[wi].outstanding = 0;
-                self.set_state(wi, WarpState::Ready);
-                self.ready_at[wi] = self.local_time + self.config.clock.cycles(8);
-            }
-            AccessResult::Poisoned => {
-                let mut groups = VecDeque::with_capacity(1);
-                groups.push_back(vec![op]);
-                self.warps[wi].plan = Some(Plan {
-                    ops: vec![op],
-                    next_translate: 1,
-                    pc,
-                    groups: Some(groups),
-                    issued: 0,
-                    finish: start,
-                });
-                self.warps[wi].outstanding = 0;
-                self.poisoned = true;
-                self.set_state(wi, WarpState::Mem);
+                warp.outstanding = pending as usize;
+                match result {
+                    AccessResult::Retry => {
+                        self.set_state(wi, WarpState::Ready);
+                        self.ready_at[wi] = self.local_time + self.config.clock.cycles(8);
+                    }
+                    AccessResult::Poisoned => {
+                        self.poisoned = true;
+                        self.set_state(wi, WarpState::Mem);
+                    }
+                    _ => self.set_state(wi, WarpState::Mem),
+                }
             }
         }
         true
@@ -1435,14 +1476,15 @@ impl MttopCore {
         faults: &mut Vec<PageFaultReq>,
     ) {
         loop {
-            let plan = self.warps[wi].plan.as_ref().expect("plan");
-            let Some(op) = plan.ops.get(plan.next_translate).copied() else {
+            let warp = &mut self.warps[wi];
+            let plan = warp.plan.as_mut().expect("plan");
+            let Some(li) = lanes_of(plan.lanes).nth(plan.next_translate) else {
                 break;
             };
+            let op = &mut warp.lanes[li].op;
             match self.tlb.lookup(op.va) {
                 Some(frame) => {
-                    let plan = self.warps[wi].plan.as_mut().expect("plan");
-                    plan.ops[plan.next_translate].paddr = Some(frame_plus_offset(frame, op.va));
+                    op.paddr = Some(frame_plus_offset(frame, op.va));
                     plan.next_translate += 1;
                 }
                 None => {
@@ -1508,7 +1550,7 @@ impl MttopCore {
                         token,
                         Flight {
                             warp: wi,
-                            ops: Vec::new(),
+                            lanes: 0,
                             issued_at: self.local_time,
                         },
                     );
@@ -1533,35 +1575,37 @@ impl MttopCore {
     /// groups. On MSHR exhaustion the warp yields with the remaining groups
     /// parked in its plan; the retry re-enters here.
     fn issue_accesses(&mut self, wi: usize, port: &mut CorePort<'_>) {
-        if self.warps[wi].plan.as_ref().expect("plan").groups.is_none() {
-            let plan = self.warps[wi].plan.as_mut().expect("plan");
-            let mut groups: Vec<Vec<LaneOp>> = Vec::new();
-            for &op in &plan.ops {
-                let paddr = op.paddr.expect("translated");
-                if !matches!(op.kind, LaneKind::Amo { .. }) {
-                    if let Some(g) = groups.iter_mut().find(|g| {
-                        !matches!(g[0].kind, LaneKind::Amo { .. })
-                            && same_kind(&g[0].kind, &op.kind)
-                            && ccsvm_mem::block_of(g[0].paddr.expect("t"))
-                                == ccsvm_mem::block_of(paddr)
-                    }) {
-                        g.push(op);
-                        continue;
-                    }
+        let warp = &mut self.warps[wi];
+        let plan = warp.plan.as_mut().expect("plan");
+        if plan.groups.is_none() {
+            let mut groups = Groups::default();
+            for li in lanes_of(plan.lanes) {
+                let op = warp.lanes[li].op;
+                let block = ccsvm_mem::block_of(op.paddr.expect("translated"));
+                let joined = if matches!(op.kind, LaneKind::Amo { .. }) {
+                    None
+                } else {
+                    groups.sets[..groups.len as usize].iter_mut().find(|g| {
+                        let lead = &warp.lanes[g.trailing_zeros() as usize].op;
+                        same_kind(&lead.kind, &op.kind)
+                            && ccsvm_mem::block_of(lead.paddr.expect("t")) == block
+                    })
+                };
+                match joined {
+                    Some(g) => *g |= 1 << li,
+                    None => groups.push(1 << li),
                 }
-                groups.push(vec![op]);
             }
-            self.coalesced_accesses += groups.len() as u64;
-            plan.groups = Some(groups.into());
+            self.coalesced_accesses += groups.len as u64;
+            plan.groups = Some(groups);
             plan.finish = self.local_time;
         }
 
         loop {
-            // Pop the group up front (re-parking it on Retry/Poisoned)
-            // instead of cloning it: groups move through here once per
-            // issued access, and the Vec clone showed up in profiles.
-            let plan = self.warps[wi].plan.as_mut().expect("plan");
-            let Some(group) = plan.groups.as_mut().expect("groups").pop_front() else {
+            // The head group leaves the queue only once it has issued, so a
+            // Retry or Poisoned attempt leaves it parked for the re-entry.
+            let plan = self.warps[wi].plan.as_ref().expect("plan");
+            let Some(&group) = plan.groups.as_ref().expect("groups").waiting().first() else {
                 break;
             };
             let on_bank_boundary = if self.l1_bank_mask != u64::MAX {
@@ -1573,32 +1617,30 @@ impl MttopCore {
                 // A cycle per `l1_banks` groups: banked L1 ports.
                 self.local_time += self.config.clock.period();
             }
-            match self.issue_group(wi, &group, port) {
+            let result = self.issue_group(wi, group, port);
+            let plan = self.warps[wi].plan.as_mut().expect("plan");
+            match result {
                 AccessResult::Hit { finish: f, value } => {
-                    let plan = self.warps[wi].plan.as_mut().expect("plan");
                     plan.finish = plan.finish.max(f);
                     plan.issued += 1;
-                    self.apply_group(wi, &group, value, port);
+                    plan.groups.as_mut().expect("groups").head += 1;
+                    self.apply_group(wi, group, value, port);
                 }
                 AccessResult::Pending => {
-                    self.warps[wi].outstanding += 1;
-                    let plan = self.warps[wi].plan.as_mut().expect("plan");
                     plan.issued += 1;
+                    plan.groups.as_mut().expect("groups").head += 1;
+                    self.warps[wi].outstanding += 1;
                 }
                 AccessResult::Retry => {
                     // Yield: let the event loop drain MSHR completions. Until
                     // then, re-attempts of this head group are doomed — mark
                     // the batch so `issue` can short-circuit them.
-                    let plan = self.warps[wi].plan.as_mut().expect("plan");
-                    plan.groups.as_mut().expect("groups").push_front(group);
                     self.retry_epoch[wi] = self.batch_epoch;
                     self.set_state(wi, WarpState::Ready);
                     self.ready_at[wi] = self.local_time + self.config.clock.cycles(8);
                     return;
                 }
                 AccessResult::Poisoned => {
-                    let plan = self.warps[wi].plan.as_mut().expect("plan");
-                    plan.groups.as_mut().expect("groups").push_front(group);
                     self.poisoned = true;
                     return;
                 }
@@ -1613,13 +1655,8 @@ impl MttopCore {
         }
     }
 
-    fn issue_group(
-        &mut self,
-        wi: usize,
-        group: &[LaneOp],
-        port: &mut CorePort<'_>,
-    ) -> AccessResult {
-        let access = group_access(group);
+    fn issue_group(&mut self, wi: usize, group: u8, port: &mut CorePort<'_>) -> AccessResult {
+        let access = group_access(&self.warps[wi].lanes, group);
         let token = self.token();
         let result = port.access(self.local_time, token, access);
         if matches!(result, AccessResult::Pending) {
@@ -1627,7 +1664,7 @@ impl MttopCore {
                 token,
                 Flight {
                     warp: wi,
-                    ops: group.to_vec(),
+                    lanes: group,
                     issued_at: self.local_time,
                 },
             );
@@ -1639,25 +1676,23 @@ impl MttopCore {
     /// lanes peek/poke the now-resident block. If permission slipped away
     /// between completion and application, the lane's access is re-issued as
     /// its own timed flight.
-    fn apply_group(&mut self, wi: usize, group: &[LaneOp], value: u64, port: &mut CorePort<'_>) {
-        for (i, op) in group.iter().enumerate() {
+    fn apply_group(&mut self, wi: usize, group: u8, value: u64, port: &mut CorePort<'_>) {
+        let lead = group.trailing_zeros() as usize;
+        for li in lanes_of(group) {
+            let op = self.warps[wi].lanes[li].op;
             let paddr = op.paddr.expect("translated");
             match op.kind {
                 LaneKind::Ld { rd, size } => {
-                    let v = if i == 0 {
+                    let v = if li == lead {
                         Some(value)
                     } else {
                         port.peek(paddr, size as usize)
                     };
                     match v {
-                        Some(v) => {
-                            let lane = &mut self.warps[wi].lanes[op.lane];
-                            lane_set(lane, rd, v);
-                        }
-                        None => match self.issue_group(wi, std::slice::from_ref(op), port) {
+                        Some(v) => lane_set(&mut self.warps[wi].lanes[li], rd, v),
+                        None => match self.issue_group(wi, 1 << li, port) {
                             AccessResult::Hit { value, .. } => {
-                                let lane = &mut self.warps[wi].lanes[op.lane];
-                                lane_set(lane, rd, value);
+                                lane_set(&mut self.warps[wi].lanes[li], rd, value);
                             }
                             AccessResult::Pending => self.warps[wi].outstanding += 1,
                             AccessResult::Poisoned => self.poisoned = true,
@@ -1668,8 +1703,8 @@ impl MttopCore {
                     }
                 }
                 LaneKind::St { size, value: v } => {
-                    if i != 0 && !port.poke(paddr, size as usize, v) {
-                        match self.issue_group(wi, std::slice::from_ref(op), port) {
+                    if li != lead && !port.poke(paddr, size as usize, v) {
+                        match self.issue_group(wi, 1 << li, port) {
                             AccessResult::Hit { .. } => {}
                             AccessResult::Pending => self.warps[wi].outstanding += 1,
                             AccessResult::Poisoned => self.poisoned = true,
@@ -1680,9 +1715,8 @@ impl MttopCore {
                     }
                 }
                 LaneKind::Amo { rd, .. } => {
-                    debug_assert_eq!(group.len(), 1, "atomics are not coalesced");
-                    let lane = &mut self.warps[wi].lanes[op.lane];
-                    lane_set(lane, rd, value);
+                    debug_assert_eq!(group.count_ones(), 1, "atomics are not coalesced");
+                    lane_set(&mut self.warps[wi].lanes[li], rd, value);
                 }
             }
         }
@@ -1691,8 +1725,8 @@ impl MttopCore {
     /// All groups of the warp's memory instruction are done: advance PCs.
     fn finish_mem_instr(&mut self, wi: usize, at: Time) {
         let plan = self.warps[wi].plan.take().expect("plan");
-        for op in &plan.ops {
-            self.warps[wi].lanes[op.lane].pc = plan.pc + 1;
+        for li in lanes_of(plan.lanes) {
+            self.warps[wi].lanes[li].pc = plan.pc + 1;
         }
         self.set_state(wi, WarpState::Ready);
         self.ready_at[wi] = at;
@@ -1714,23 +1748,18 @@ impl MttopCore {
         self.miss_lat_sum += lat;
         self.miss_count += 1;
         if self.miss_trace && lat > Time::from_ns(400) {
-            let b = flight
-                .ops
-                .first()
-                .and_then(|o| o.paddr)
+            let b = lanes_of(flight.lanes)
+                .next()
+                .and_then(|li| self.warps[flight.warp].lanes[li].op.paddr)
                 .map(ccsvm_mem::block_of);
             eprintln!(
                 "SLOWMISS {}ns block {:?} kind {}",
                 lat.as_ns() as u64,
                 b,
-                if flight.ops.is_empty() {
-                    "walk"
-                } else {
-                    "data"
-                }
+                if flight.lanes == 0 { "walk" } else { "data" }
             );
         }
-        if flight.ops.is_empty() {
+        if flight.lanes == 0 {
             // A walker PTE read completed.
             let (wi, walk) = self.walker.take().expect("walker busy");
             debug_assert_eq!(wi, flight.warp);
@@ -1769,13 +1798,13 @@ impl MttopCore {
         }
         let wi = flight.warp;
         self.warps[wi].outstanding -= 1;
-        self.apply_group(wi, &flight.ops, value, port);
+        self.apply_group(wi, flight.lanes, value, port);
         if self.warps[wi].outstanding == 0
             && self.states[wi] == WarpState::Mem
             && self.warps[wi]
                 .plan
                 .as_ref()
-                .is_some_and(|p| p.groups.as_ref().is_some_and(|g| g.is_empty()))
+                .is_some_and(|p| p.groups.as_ref().is_some_and(|g| g.waiting().is_empty()))
         {
             self.finish_mem_instr(wi, self.local_time);
         }
@@ -2069,7 +2098,6 @@ impl PageFaultReq {
 
 impl LaneOp {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.lane);
         w.put_u64(self.va.0);
         match self.paddr {
             Some(p) => {
@@ -2098,7 +2126,6 @@ impl LaneOp {
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<LaneOp, SnapError> {
-        let lane = r.get_usize()?;
         let va = VirtAddr(r.get_u64()?);
         let paddr = if r.get_bool()? {
             Some(PhysAddr(r.get_u64()?))
@@ -2120,42 +2147,48 @@ impl LaneOp {
             },
             t => return Err(bad_tag("LaneKind", t)),
         };
-        Ok(LaneOp {
-            lane,
-            va,
-            paddr,
-            kind,
-        })
+        Ok(LaneOp { va, paddr, kind })
     }
 }
 
-fn save_lane_ops(w: &mut SnapWriter, ops: &[LaneOp]) {
-    w.put_usize(ops.len());
-    for op in ops {
-        op.save(w);
+/// Writes the ops of the lanes in `set` as the list of (lane, op) records
+/// the image format has always held.
+fn save_lane_ops(w: &mut SnapWriter, lanes: &[Lane], set: u8) {
+    w.put_usize(set.count_ones() as usize);
+    for li in lanes_of(set) {
+        w.put_usize(li);
+        lanes[li].op.save(w);
     }
 }
 
-fn load_lane_ops(r: &mut SnapReader<'_>) -> Result<Vec<LaneOp>, SnapError> {
-    let n = r.get_count(1)?;
-    let mut ops = Vec::with_capacity(n);
-    for _ in 0..n {
-        ops.push(LaneOp::load(r)?);
+/// Reads one op list into the op slots of `lanes` and returns the lane set
+/// it named. Every list this core writes is in ascending lane order.
+fn load_lane_ops(r: &mut SnapReader<'_>, lanes: &mut [Lane]) -> Result<u8, SnapError> {
+    let mut set = 0u8;
+    for _ in 0..r.get_count(1)? {
+        let li = r.get_usize()?;
+        if li >= lanes.len() || u32::from(set) >> li != 0 {
+            return Err(SnapError::Corrupt {
+                what: format!("lane op list names lane {li} out of order or range"),
+            });
+        }
+        lanes[li].op = LaneOp::load(r)?;
+        set |= 1 << li;
     }
-    Ok(ops)
+    Ok(set)
 }
 
 impl Plan {
-    fn save(&self, w: &mut SnapWriter) {
-        save_lane_ops(w, &self.ops);
+    fn save(&self, w: &mut SnapWriter, lanes: &[Lane]) {
+        save_lane_ops(w, lanes, self.lanes);
         w.put_usize(self.next_translate);
         w.put_usize(self.pc);
         match &self.groups {
             Some(groups) => {
                 w.put_bool(true);
-                w.put_usize(groups.len());
-                for g in groups {
-                    save_lane_ops(w, g);
+                w.put_usize(groups.waiting().len());
+                for &g in groups.waiting() {
+                    save_lane_ops(w, lanes, g);
                 }
             }
             None => w.put_bool(false),
@@ -2164,22 +2197,27 @@ impl Plan {
         w.put_u64(self.finish.as_ps());
     }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<Plan, SnapError> {
-        let ops = load_lane_ops(r)?;
+    fn load(r: &mut SnapReader<'_>, lanes: &mut [Lane]) -> Result<Plan, SnapError> {
+        let set = load_lane_ops(r, lanes)?;
         let next_translate = r.get_usize()?;
         let pc = r.get_usize()?;
         let groups = if r.get_bool()? {
+            let mut groups = Groups::default();
             let n = r.get_count(1)?;
-            let mut q = std::collections::VecDeque::with_capacity(n);
-            for _ in 0..n {
-                q.push_back(load_lane_ops(r)?);
+            if n > groups.sets.len() {
+                return Err(SnapError::Corrupt {
+                    what: format!("plan holds {n} coalesced groups"),
+                });
             }
-            Some(q)
+            for _ in 0..n {
+                groups.push(load_lane_ops(r, lanes)?);
+            }
+            Some(groups)
         } else {
             None
         };
         Ok(Plan {
-            ops,
+            lanes: set,
             next_translate,
             pc,
             groups,
@@ -2231,8 +2269,7 @@ impl MttopCore {
         u.walker_queue.clear();
         u.walker_queue.extend_from_slice(&self.walker_queue);
         u.flights.clear();
-        u.flights
-            .extend(self.flights.iter().map(|(&t, f)| (t, f.clone())));
+        u.flights.extend(self.flights.iter().map(|(&t, &f)| (t, f)));
         u.arrived.clear();
         u.arrived.extend_from_slice(&self.arrived);
         u.counters = [
@@ -2298,7 +2335,7 @@ impl MttopCore {
             e.wi = wi;
             e.warp.lanes.clone_from(&src.lanes);
             e.warp.outstanding = src.outstanding;
-            e.warp.plan.clone_from(&src.plan);
+            e.warp.plan = src.plan;
             e.state = self.states[wi];
             e.ready_at = self.ready_at[wi];
             e.sb_cur = self.sb_cur[wi];
@@ -2322,8 +2359,7 @@ impl MttopCore {
         self.walker_queue.clear();
         self.walker_queue.extend_from_slice(&u.walker_queue);
         self.flights.clear();
-        self.flights
-            .extend(u.flights.iter().map(|(t, f)| (*t, f.clone())));
+        self.flights.extend(u.flights.iter().copied());
         self.arrived.clear();
         self.arrived.extend_from_slice(&u.arrived);
         [
@@ -2344,7 +2380,7 @@ impl MttopCore {
                 let w = &mut self.warps[e.wi];
                 w.lanes.clone_from(&e.warp.lanes);
                 w.outstanding = e.warp.outstanding;
-                w.plan.clone_from(&e.warp.plan);
+                w.plan = e.warp.plan;
             }
             self.ready_at[e.wi] = e.ready_at;
             self.sb_cur[e.wi] = e.sb_cur;
@@ -2380,7 +2416,7 @@ impl Snapshot for MttopCore {
             match &warp.plan {
                 Some(p) => {
                     w.put_bool(true);
-                    p.save(w);
+                    p.save(w, &warp.lanes);
                 }
                 None => w.put_bool(false),
             }
@@ -2414,7 +2450,7 @@ impl Snapshot for MttopCore {
             let f = &self.flights[&t];
             w.put_u64(t);
             w.put_usize(f.warp);
-            save_lane_ops(w, &f.ops);
+            save_lane_ops(w, &self.warps[f.warp].lanes, f.lanes);
             w.put_u64(f.issued_at.as_ps());
         }
         w.put_usize(self.arrived.len());
@@ -2478,7 +2514,7 @@ impl Snapshot for MttopCore {
             }
             warp.outstanding = r.get_usize()?;
             warp.plan = if r.get_bool()? {
-                Some(Plan::load(r)?)
+                Some(Plan::load(r, &mut warp.lanes)?)
             } else {
                 None
             };
@@ -2507,13 +2543,18 @@ impl Snapshot for MttopCore {
         for _ in 0..r.get_usize()? {
             let token = r.get_u64()?;
             let warp = r.get_usize()?;
-            let ops = load_lane_ops(r)?;
+            let Some(w) = self.warps.get_mut(warp) else {
+                return Err(SnapError::Corrupt {
+                    what: format!("flight for warp {warp} of {n}"),
+                });
+            };
+            let lanes = load_lane_ops(r, &mut w.lanes)?;
             let issued_at = Time::from_ps(r.get_u64()?);
             self.flights.insert(
                 token,
                 Flight {
                     warp,
-                    ops,
+                    lanes,
                     issued_at,
                 },
             );
@@ -2736,8 +2777,8 @@ mod tests {
         let mut core = MttopCore::new(PortId(0), MttopConfig::apu_gpu(0), 0);
         core.set_sb_cache(sb_cache);
         let mut mem = litmus_mem();
-        let mut logs = vec![PortLog::new()];
-        let mut ports = mem.core_ports(&mut logs);
+        let mut log = PortLog::new();
+        let mut port = mem.core_port(PortId(0), &mut log);
         assert!(core.start_task(
             Time::ZERO,
             TaskChunk {
@@ -2751,7 +2792,7 @@ mod tests {
         ));
         let mut now = Time::ZERO;
         for _ in 0..64 {
-            let out = core.run_batch(now, prog, &mut ports[0]);
+            let out = core.run_batch(now, prog, &mut port);
             assert!(out.faults.is_empty(), "ALU litmus cannot fault");
             match out.action {
                 MttopAction::Continue { at } => now = at,
@@ -2828,5 +2869,169 @@ mod tests {
             (div_off, wi_off, ti_off, t_off),
             "superblock fast path perturbed counters or simulated time"
         );
+    }
+    fn snap_bytes(core: &MttopCore) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        core.save(&mut w);
+        w.into_vec()
+    }
+
+    /// Sixteen threads each walk a private column four pages deep — load,
+    /// bump, store back, then a fetch-and-increment of one shared word — so
+    /// warps miss in the TLB and the L1, coalesce only partly (72-byte thread
+    /// stride) and outrun the eight MSHRs.
+    fn spec_rig_program() -> Program {
+        let (ptr, n, v, old, ctr, lim) = (Reg(5), Reg(7), Reg(8), Reg(9), Reg(10), Reg(11));
+        let alu = |op, rd, ra, rb| Instr::Alu { op, rd, ra, rb };
+        Program {
+            text: vec![
+                Instr::Li { rd: ptr, imm: 72 },
+                alu(AluOp::Mul, ptr, ptr, Operand::Reg(abi::A0)),
+                alu(AluOp::Add, ptr, ptr, Operand::Imm(0x10000)),
+                Instr::Li {
+                    rd: ctr,
+                    imm: 0x1f000,
+                },
+                Instr::Li { rd: lim, imm: 4 },
+                Instr::Ld {
+                    rd: v,
+                    base: ptr,
+                    off: 0,
+                    size: 8,
+                }, // 5: loop
+                alu(AluOp::Add, v, v, Operand::Imm(1)),
+                Instr::St {
+                    rs: v,
+                    base: ptr,
+                    off: 0,
+                    size: 8,
+                },
+                Instr::Amo {
+                    op: AmoKind::Inc,
+                    rd: old,
+                    addr: ctr,
+                    a: Reg(0),
+                    b: Reg(0),
+                },
+                alu(AluOp::Add, ptr, ptr, Operand::Imm(4096)),
+                alu(AluOp::Add, n, n, Operand::Imm(1)),
+                Instr::Br {
+                    cond: Cond::LtS,
+                    ra: n,
+                    rb: lim,
+                    target: 5,
+                },
+                Instr::Exit,
+            ],
+            symbols: Default::default(),
+            globals_size: 0,
+            data: Vec::new(),
+        }
+    }
+
+    /// At every batch boundary of a memory-bound run: `spec_save`, a
+    /// speculative `run_batch`, `spec_restore` — and the core's image must be
+    /// byte-identical to the one taken before the save; the real batch that
+    /// follows must then land exactly where the speculative one did. The L1
+    /// is journaled alongside, as the epoch executor does, so the run goes on
+    /// from the rolled-back state.
+    fn spec_save_restore_is_exact(config: MttopConfig) {
+        let prog = spec_rig_program();
+        let mut core = MttopCore::new(PortId(0), config, 0);
+        let mut mem = litmus_mem();
+        let mut net = ccsvm_noc::Network::new(
+            ccsvm_noc::Topology::torus(2, 1),
+            ccsvm_noc::NocConfig::paper_default(),
+        );
+        let mut os = ccsvm_vm::OsLite::new(0x100_0000, 0x200_0000);
+        for page in 0x10..0x20u64 {
+            for w in os.map_page(VirtAddr(page << 12)) {
+                mem.backdoor_write(w.addr, &w.value.to_le_bytes());
+            }
+        }
+        for first_tid in [0, 8] {
+            assert!(core.start_task(
+                Time::ZERO,
+                TaskChunk {
+                    entry: 0,
+                    args: 0,
+                    first_tid,
+                    last_tid: first_tid + 7,
+                    cr3: os.cr3(),
+                    ra: 0,
+                }
+            ));
+        }
+
+        let mut queue: ccsvm_engine::EventQueue<ccsvm_mem::MemEvent> = Default::default();
+        let mut log = PortLog::new();
+        let mut undo = SpecUndo::default();
+        let (mut batches, mut with_flights, mut with_plans, mut mutated) = (0, 0, 0, 0);
+        let mut next_batch = Some(Time::ZERO);
+        loop {
+            let event_first = match (queue.peek_time(), next_batch) {
+                (None, None) => break,
+                (Some(te), Some(tb)) => te < tb,
+                (te, _) => te.is_some(),
+            };
+            if event_first {
+                let (t, ev) = queue.pop().expect("peeked");
+                let mut done = Vec::new();
+                mem.handle(t, &mut net, &mut |at, e| queue.push(at, e), ev, &mut done);
+                for c in done {
+                    let at = core.on_completion(t, c.token, c.value);
+                    next_batch = Some(next_batch.map_or(at, |b| b.min(at)));
+                }
+                continue;
+            }
+            let now = next_batch.take().expect("a batch is due");
+            batches += 1;
+            with_flights += usize::from(!core.flights.is_empty());
+            with_plans +=
+                usize::from((0..core.warps.len()).any(|wi| {
+                    core.states[wi] == WarpState::Ready && core.warps[wi].plan.is_some()
+                }));
+            let before = snap_bytes(&core);
+            mem.spec_begin(PortId(0), 64);
+            core.spec_save(&mut undo);
+            core.run_batch(now, &prog, &mut mem.core_port(PortId(0), &mut log));
+            let speculated = snap_bytes(&core);
+            mutated += usize::from(speculated != before);
+            core.spec_restore(&undo);
+            mem.spec_rollback(PortId(0));
+            log.clear();
+            assert_eq!(
+                snap_bytes(&core),
+                before,
+                "batch {batches}: restore is not exact"
+            );
+
+            let out = core.run_batch(now, &prog, &mut mem.core_port(PortId(0), &mut log));
+            assert_eq!(
+                snap_bytes(&core),
+                speculated,
+                "batch {batches}: re-execution diverged"
+            );
+            assert!(out.faults.is_empty() && !out.poisoned);
+            log.replay(&mut net, &mut |at, e| queue.push(at, e));
+            if let MttopAction::Continue { at } = out.action {
+                next_batch = Some(at);
+            }
+        }
+        assert!(!core.busy(), "the program ran to completion");
+        assert_eq!(core.thread_instrs, 16 * (5 + 4 * 7 + 1));
+        // Not vacuous: the save saw flights in the air and Ready warps parked
+        // on a plan (MSHR retries), and the speculative batches did mutate.
+        assert!(with_flights > 10 && with_plans > 10 && mutated > 10, "{batches} batches: {with_flights} with flights, {with_plans} with parked plans, {mutated} mutating");
+    }
+
+    #[test]
+    fn spec_save_restore_is_exact_with_one_lane() {
+        spec_save_restore_is_exact(MttopConfig::paper_ccsvm(0));
+    }
+
+    #[test]
+    fn spec_save_restore_is_exact_with_eight_lanes() {
+        spec_save_restore_is_exact(MttopConfig::apu_gpu(0));
     }
 }

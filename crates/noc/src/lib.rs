@@ -137,9 +137,15 @@ impl Topology {
 
     fn wrap(v: usize, dir: isize, size: usize) -> usize {
         if dir > 0 {
-            (v + 1) % size
+            if v + 1 == size {
+                0
+            } else {
+                v + 1
+            }
+        } else if v == 0 {
+            size - 1
         } else {
-            (v + size - 1) % size
+            v - 1
         }
     }
 }
@@ -286,7 +292,6 @@ impl Network {
     ///
     /// Panics if either node is out of range.
     pub fn send(&mut self, now: Time, src: NodeId, dst: NodeId, bytes: usize) -> Time {
-        let route = self.topo.route(src, dst);
         let ser = self.config.serialization(bytes);
         let mut t = now + self.config.endpoint_latency;
         if let Some(f) = &mut self.faults {
@@ -307,35 +312,33 @@ impl Network {
                 f.faulted_messages += 1;
             }
         }
-        for pair in route.windows(2) {
-            let (from, to) = (pair[0], pair[1]);
-            let dir = self.direction(from, to);
-            let link = &mut self.link_free[from.0][dir];
+        // Walk the hops of [`Topology::route`] in place — X then Y, shortest
+        // wrap direction — reserving each outgoing link: direction index 0/1
+        // is +X/-X, 2/3 is +Y/-Y.
+        let (cols, rows) = (self.topo.cols, self.topo.rows);
+        let (mut x, mut y) = self.topo.coords(src);
+        let (dx, dy) = self.topo.coords(dst);
+        let (xdir, xdist) = Topology::step(x, dx, cols);
+        let (ydir, ydist) = Topology::step(y, dy, rows);
+        let hop_latency = self.config.hop_latency;
+        let mut hop = |node: usize, dir: usize| {
+            let link = &mut self.link_free[node][dir];
             let depart = t.max(*link);
             *link = depart + ser;
-            t = depart + ser + self.config.hop_latency;
+            t = depart + ser + hop_latency;
+        };
+        for _ in 0..xdist {
+            hop(y * cols + x, usize::from(xdir < 0));
+            x = Topology::wrap(x, xdir, cols);
+        }
+        for _ in 0..ydist {
+            hop(y * cols + x, 2 + usize::from(ydir < 0));
+            y = Topology::wrap(y, ydir, rows);
         }
         self.messages += 1;
         self.total_bytes += bytes as u64;
-        self.total_hops += (route.len() - 1) as u64;
+        self.total_hops += (xdist + ydist) as u64;
         t + self.config.endpoint_latency
-    }
-
-    /// Direction index of the link from `from` to its neighbour `to`.
-    fn direction(&self, from: NodeId, to: NodeId) -> usize {
-        let (fx, fy) = self.topo.coords(from);
-        let (tx, ty) = self.topo.coords(to);
-        if fy == ty {
-            if (fx + 1) % self.topo.cols() == tx {
-                0 // +X
-            } else {
-                1 // -X
-            }
-        } else if (fy + 1) % self.topo.rows() == ty {
-            2 // +Y
-        } else {
-            3 // -Y
-        }
     }
 
     /// Traffic statistics: message count, total payload bytes, total hops.
@@ -474,6 +477,56 @@ mod tests {
         let (x1, y1) = t.coords(route[1]);
         assert_eq!(y1, 0);
         assert_eq!(x1, 1);
+    }
+
+    /// `send` walks its hops in place; this is the route-list formulation it
+    /// replaced, kept as the reference: same links reserved in the same
+    /// order, same delivery time, same hop count.
+    fn send_by_route(net: &mut Network, now: Time, src: NodeId, dst: NodeId, bytes: usize) -> Time {
+        let topo = net.topo;
+        let route = topo.route(src, dst);
+        let ser = net.config.serialization(bytes);
+        let mut t = now + net.config.endpoint_latency;
+        for pair in route.windows(2) {
+            let ((fx, fy), (tx, ty)) = (topo.coords(pair[0]), topo.coords(pair[1]));
+            let dir = if fy == ty {
+                usize::from((fx + 1) % topo.cols() != tx)
+            } else {
+                2 + usize::from((fy + 1) % topo.rows() != ty)
+            };
+            let link = &mut net.link_free[pair[0].0][dir];
+            let depart = t.max(*link);
+            *link = depart + ser;
+            t = depart + ser + net.config.hop_latency;
+        }
+        net.messages += 1;
+        net.total_bytes += bytes as u64;
+        net.total_hops += (route.len() - 1) as u64;
+        t + net.config.endpoint_latency
+    }
+
+    #[test]
+    fn send_reserves_exactly_the_links_of_route() {
+        for (cols, rows) in [(4, 4), (5, 3), (2, 2), (1, 4), (2, 1), (1, 1)] {
+            let topo = Topology::torus(cols, rows);
+            let mut net = Network::new(topo, NocConfig::paper_default());
+            let mut reference = Network::new(topo, NocConfig::paper_default());
+            let mut rng = SplitMix64::new(cols as u64 * 31 + rows as u64);
+            let mut now = Time::ZERO;
+            for _ in 0..2_000 {
+                let src = NodeId(rng.next_u64() as usize % topo.len());
+                let dst = NodeId(rng.next_u64() as usize % topo.len());
+                let bytes = [8, 16, 72][rng.next_u64() as usize % 3];
+                now += Time::from_ps(rng.next_u64() % 3_000);
+                assert_eq!(
+                    net.send(now, src, dst, bytes),
+                    send_by_route(&mut reference, now, src, dst, bytes),
+                    "{cols}x{rows} {src:?}->{dst:?}"
+                );
+            }
+            assert_eq!(net.link_free, reference.link_free, "{cols}x{rows}");
+            assert_eq!(net.total_hops, reference.total_hops);
+        }
     }
 
     #[test]

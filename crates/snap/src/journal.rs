@@ -254,10 +254,17 @@ fn io_err(path: &Path, e: &std::io::Error) -> SnapError {
 mod tests {
     use super::*;
 
+    /// A path no other call returns: tests run on parallel threads of one
+    /// process, and several of them build their journal through `sample`.
     fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ccsvm-journal-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_file(&dir);
-        dir
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "ccsvm-journal-{}-{call}-{name}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     fn sample() -> Vec<u8> {

@@ -34,19 +34,20 @@ impl OsCosts {
     }
 }
 
-/// Speculative epoch executor knobs (DESIGN §12). Host-perf only, like
+/// Fork-join round formation knobs (DESIGN §7/§12). Host-perf only, like
 /// `sim_threads`: changing any of these never changes simulated behavior —
 /// `RunReport`s stay bit-identical — only how much host parallelism the
-/// fork-join executor can mine out of the event queue.
+/// event loop can mine out of the event queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpeculationConfig {
     /// Execute MTTOP batches from *different* timestamps optimistically,
     /// with undo-log rollback on conflict. Only consulted when
-    /// `sim_threads > 1`; the serial loop never speculates.
+    /// `sim_threads > 1`; the serial loop never speculates. Off — or with a
+    /// sanitizer mutation configured — rounds are same-timestamp zones.
     pub enabled: bool,
-    /// Maximum members (live MTTOP batch events) claimed into one epoch.
+    /// Maximum members (live MTTOP batch events) claimed into one round.
     pub max_epoch: usize,
-    /// Event-queue scan budget when forming an epoch: how many queued
+    /// Event-queue scan budget when forming a round: how many queued
     /// entries formation may inspect before giving up.
     pub max_scan: usize,
     /// Per-member undo-journal budget in cache sets; past this the journal
@@ -129,9 +130,10 @@ pub struct SystemConfig {
     /// violation, aborts the run with [`crate::Outcome::InvariantViolation`].
     pub sanitizer: SanitizerConfig,
     /// Host worker threads for intra-run core-batch execution. `1` (the
-    /// default) runs the serial reference event loop; `N > 1` runs the
-    /// deterministic fork-join executor, which produces bit-identical
-    /// results at every thread count (see DESIGN.md §7).
+    /// default) is the serial reference: the event loop never forms a
+    /// round. At `N > 1` the same loop groups live MTTOP batches into
+    /// deterministic fork-join rounds, which produce bit-identical results
+    /// at every thread count (see DESIGN.md §7).
     pub sim_threads: usize,
     /// Record a host wall-clock breakdown per run phase (core-exec, uncore,
     /// merge) — perf-artifact telemetry; adds two `Instant` reads per batch,

@@ -22,6 +22,8 @@ use crate::config::SpeculationConfig;
 use crate::pool::WorkerPool;
 use crate::SystemConfig;
 
+mod codec;
+
 const KIND_SHIFT: u32 = 60;
 const IDX_SHIFT: u32 = 48;
 const KIND_CPU: u64 = 1;
@@ -42,7 +44,8 @@ fn times(t: Time, k: u64) -> Time {
     Time::from_ps(ps.unwrap_or(u64::MAX))
 }
 
-/// One claimed member of a speculative epoch (DESIGN §12).
+/// One member of a fork-join round: a zone (DESIGN §7) or a speculative
+/// epoch (DESIGN §12).
 #[derive(Debug)]
 struct EpochMember {
     core: usize,
@@ -52,21 +55,33 @@ struct EpochMember {
     qseq: u64,
     /// The batch schedule sequence claimed at formation; a mismatch with the
     /// core's live sequence at commit time means the schedule was superseded
-    /// mid-epoch (stale — discarded exactly as the serial loop would).
+    /// mid-round (stale — discarded exactly as the serial loop would).
     bseq: u64,
     state: MemberState,
     outcome: Option<BatchOutcome>,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum MemberState {
-    /// The epoch head: popped from the queue front, so nothing can drain
-    /// before its slot and it commits unconditionally (no undo journal).
-    Head,
+    /// Nothing live can drain before its slot, so it commits unconditionally
+    /// (no undo journal): a round's head, popped from the queue front, and
+    /// every member of a same-timestamp zone.
+    Certain,
     /// Speculated with an open L1 undo journal + saved core snapshot.
     Spec,
     /// Conflicted and rolled back; re-executes serially at its commit slot.
     RolledBack,
+}
+
+/// Why [`Machine::drain`] returned.
+#[derive(Debug, PartialEq, Eq)]
+enum Drained {
+    /// The next event's key lies past the bound.
+    Bound,
+    /// The queue ran dry.
+    Empty,
+    /// The run is over: `main` exited or a failure was recorded.
+    Ended,
 }
 
 /// Host wall-clock phase indices for the `prof_phase` accumulator.
@@ -100,11 +115,11 @@ pub struct HostPhases {
     /// is counted unconditionally (no `host_profile` gate — the cache keeps
     /// its own counters).
     pub decode_ms: f64,
-    /// Fork-join groups executed: same-timestamp zones under the zoned
-    /// executor, cross-timestamp epochs under the speculative executor
-    /// (DESIGN §7/§12).
+    /// Fork-join rounds executed, under whichever formation policy the
+    /// configuration selects: same-timestamp zones (DESIGN §7) or
+    /// cross-timestamp speculative epochs (DESIGN §12).
     pub zones: u64,
-    /// Core batches executed inside those groups.
+    /// Core batches executed inside those rounds.
     pub zone_batches: u64,
 }
 
@@ -432,9 +447,9 @@ pub struct Machine {
     /// Host wall-clock per phase (`PH_*`); only written when
     /// `cfg.host_profile` is set.
     prof_phase: [Duration; 4],
-    /// Fork-join zones/epochs executed and batches stepped inside them
-    /// (telemetry; deliberately kept out of `Stats` so reports stay
-    /// identical across `sim_threads` values).
+    /// Fork-join rounds (zones or epochs) executed and batches stepped
+    /// inside them (telemetry; deliberately kept out of `Stats` so reports
+    /// stay identical across `sim_threads` values).
     zones: u64,
     zone_batches: u64,
     /// Speculative epoch executor telemetry (DESIGN §12). Host-side only —
@@ -447,12 +462,12 @@ pub struct Machine {
     /// [`MttopConfig::wake_grid_cycles`] converted to picoseconds once
     /// (`sched_mttop_batch` is hot); `0` disables grid alignment.
     wake_grid_ps: u64,
-    /// Lazily spawned persistent worker pool shared by the zoned and epoch
-    /// executors (host-side only; never serialized).
+    /// Lazily spawned persistent worker pool that steps fork-join rounds
+    /// (`launch_round`; host-side only, never serialized).
     pool: Option<WorkerPool>,
-    /// `sim_threads` clamped to the host's available parallelism. Execution
-    /// chunking and pool sizing use this; *semantics* (which executor runs,
-    /// epoch formation, commit order) follow `sim_threads` alone, so
+    /// `sim_threads` clamped to the host's available parallelism. Pool
+    /// sizing uses this; *semantics* (whether rounds form, their
+    /// formation, commit order) follow `sim_threads` alone, so
     /// results and speculation coverage are identical on any host.
     exec_threads: usize,
     /// Forward-progress watchdog, observed on every `Ev::WatchdogTick`. A
@@ -461,6 +476,9 @@ pub struct Machine {
     watchdog: Watchdog,
     /// Set when the run must abort; checked after every dispatched event.
     failure: Option<(Outcome, DiagnosticDump)>,
+    /// Whether `CCSVM_TRACE` was set at construction: the event loop then
+    /// prints its first 5,000 events to stderr (host-side only).
+    trace: bool,
     // Test-knob counters for the deterministic event-drop fault hooks.
     data_deliveries: u64,
     resps_seen: u64,
@@ -645,6 +663,7 @@ impl Machine {
             spec_stats: SpecStats::default(),
             watchdog: Watchdog::new(),
             failure: None,
+            trace: std::env::var("CCSVM_TRACE").is_ok(),
             data_deliveries: 0,
             resps_seen: 0,
             blackholed_block: None,
@@ -657,7 +676,7 @@ impl Machine {
         }
     }
 
-    /// Host wall-clock phase breakdown and fork-join zone telemetry. Phase
+    /// Host wall-clock phase breakdown and fork-join round telemetry. Phase
     /// times are all zero unless [`SystemConfig::host_profile`] was set.
     pub fn host_phases(&self) -> HostPhases {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
@@ -822,19 +841,7 @@ impl Machine {
         if !self.started {
             self.boot();
         }
-        let paused = if self.cfg.sim_threads > 1 {
-            // Mutation campaigns deliberately break coherence invariants, so
-            // the epoch executor's conflict rules no longer imply serial
-            // equivalence there — fall back to same-timestamp zoning.
-            if self.cfg.speculation.enabled && self.cfg.sanitizer.mutate.is_none() {
-                self.run_epochs(limit)
-            } else {
-                self.run_zoned(limit)
-            }
-        } else {
-            self.run_serial(limit)
-        };
-        if paused {
+        if self.drain((limit, u64::MAX), &mut []) == Drained::Bound {
             return None;
         }
         if !self.main_exited && self.failure.is_none() {
@@ -904,196 +911,161 @@ impl Machine {
         }
     }
 
-    /// The serial reference event loop: pop, dispatch, repeat. Returns
-    /// `true` when the loop paused because the next event lies past `limit`
-    /// (the pause happens *before* popping, so resuming replays nothing).
-    fn run_serial(&mut self, limit: Time) -> bool {
+    /// The one event loop: pops and dispatches, in key order, every queued
+    /// event whose `(time, push-seq)` key is at most `until`. The bound
+    /// check comes *before* the pop, so resuming replays nothing.
+    ///
+    /// [`Machine::run_until`] calls it with a time bound and no `members`.
+    /// That is the serial reference loop — pop, dispatch, repeat — and with
+    /// `sim_threads > 1` a live MTTOP batch popped there heads a fork-join
+    /// round ([`Machine::run_epoch`]). The round calls back in between its
+    /// member slots, bounded by the next member's queue key, with its
+    /// uncommitted `members`; events that drain there must not observe or
+    /// perturb a member that is still speculating (DESIGN §12.3):
+    ///
+    /// * a directory delivery (`DirArrive`) to a speculating member's L1
+    ///   rolls that member back *before* dispatch;
+    /// * a CPU batch executes against its own core and L1 only (coherence
+    ///   with speculating L1s flows through queued `DirArrive`s), but a
+    ///   merge action that enters the OS rolls back **all** members before
+    ///   it is applied: a syscall can backdoor-read a descriptor out of a
+    ///   speculating L1, fault handling can backdoor-patch PTEs into one,
+    ///   and an exit ends the run;
+    /// * any other OS/MIFD/fault event rolls back all members before
+    ///   dispatch (its synchronous effects can reach arbitrary cores);
+    /// * stale batch events are discarded without rollback, and a live
+    ///   MTTOP batch runs serially in place — its core is never a
+    ///   still-speculating member, whose live event formation extracted;
+    /// * ECC poison appearing rolls back all members (a poisoned block
+    ///   aborts batches, so later members must re-execute serially);
+    /// * so does the end of the run, which leaves the machine — and the
+    ///   abort's dump — exactly as the serial abort would.
+    ///
+    /// A round's horizon keeps its members within the caller's time bound
+    /// and `max_sim_time`, so between member slots neither can be exceeded.
+    fn drain(&mut self, until: (Time, u64), members: &mut [EpochMember]) -> Drained {
         let wd_cfg = self.cfg.fault.watchdog;
-        let trace = std::env::var("CCSVM_TRACE").is_ok();
         let profile = self.cfg.host_profile;
-        while let Some(next) = self.queue.peek_time() {
-            if next > limit {
-                return true;
+        let n_cpus = self.cfg.n_cpus;
+        loop {
+            match self.queue.peek_key() {
+                None => return Drained::Empty,
+                Some(key) if key > until => return Drained::Bound,
+                Some(_) => {}
             }
             let (t, ev) = self.queue.pop().expect("peeked event");
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.events += 1;
-            if trace {
-                let nev = self.events;
-                if nev < 5000 {
-                    eprintln!("[{nev}] t={t:?} {ev:?}");
-                }
-                if nev.is_multiple_of(1_000_000) {
-                    eprintln!("[{nev}] t={t:?} qlen={}", self.queue.len());
-                }
-            }
+            self.trace_ev(t, &ev);
             if t > self.cfg.max_sim_time {
                 // Re-queue the event we popped but will never dispatch so the
                 // NOC-CONSERVE audit counts it as in flight, not lost.
                 self.queue.push(t, ev);
                 let reason = format!("simulation exceeded max_sim_time {}", self.cfg.max_sim_time);
                 self.failure = Some((Outcome::Deadlock, self.dump(reason)));
-                break;
-            }
-            if let Ev::WatchdogTick = ev {
-                let stale = self.watchdog.observe(self.now, self.progress);
-                if stale >= wd_cfg.quanta {
-                    self.watchdog_abort(stale, wd_cfg.period);
-                    break;
-                }
-                self.queue.push(self.now + wd_cfg.period, Ev::WatchdogTick);
-                continue;
-            }
-            // Batch events time themselves (core-exec vs merge) inside
-            // `run_cpu_batch`/`run_mttop_batch`; everything else is timed
-            // here as uncore or other.
-            let cls = if profile && !matches!(ev, Ev::CpuBatch { .. } | Ev::MttopBatch { .. }) {
-                Some((Instant::now(), matches!(ev, Ev::Mem(_))))
-            } else {
-                None
-            };
-            self.dispatch(ev);
-            if let Some((t0, is_mem)) = cls {
-                self.prof_phase[if is_mem { PH_UNCORE } else { PH_OTHER }] += t0.elapsed();
-            }
-            if self.main_exited || self.failure.is_some() {
-                break;
-            }
-        }
-        false
-    }
-
-    /// The deterministic fork-join loop (`sim_threads > 1`): identical to
-    /// [`Machine::run_serial`] except that consecutive *live MTTOP* batch
-    /// events sharing one timestamp are drained into a zone, stepped
-    /// concurrently over disjoint `CorePort`s, and merged serially in pop
-    /// order — reproducing the serial event stream bit-for-bit (DESIGN §7).
-    ///
-    /// CPU batches never join zones: their merge actions can read other
-    /// cores' L1s synchronously (`MIFD_LAUNCH` descriptor reads) or end the
-    /// run mid-zone (`Exited`), both of which would break the equivalence
-    /// argument. Measured same-timestamp clustering is overwhelmingly MTTOP
-    /// anyway (the SIMT cores share one clock).
-    ///
-    /// Returns `true` when paused at `limit`. The pause check only fires
-    /// with no carried event in hand — a carried event always shares the
-    /// current timestamp, so it can never lie past a future `limit`.
-    fn run_zoned(&mut self, limit: Time) -> bool {
-        let wd_cfg = self.cfg.fault.watchdog;
-        let trace = std::env::var("CCSVM_TRACE").is_ok();
-        let profile = self.cfg.host_profile;
-        // A popped event that terminates zone collection can't be re-pushed
-        // (a fresh push-seq would reorder it among equal-time events), so it
-        // is carried into the next iteration instead.
-        let mut carry: Option<(Time, Ev)> = None;
-        let mut zone: Vec<usize> = Vec::new();
-        loop {
-            if carry.is_none() {
-                match self.queue.peek_time() {
-                    None => break,
-                    Some(next) if next > limit => return true,
-                    Some(_) => {}
-                }
-            }
-            let Some((t, ev)) = carry.take().or_else(|| self.queue.pop()) else {
-                break;
-            };
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.events += 1;
-            if trace {
-                let nev = self.events;
-                if nev < 5000 {
-                    eprintln!("[{nev}] t={t:?} {ev:?}");
-                }
-                if nev.is_multiple_of(1_000_000) {
-                    eprintln!("[{nev}] t={t:?} qlen={}", self.queue.len());
-                }
-            }
-            if t > self.cfg.max_sim_time {
-                // Re-queue the event we popped but will never dispatch so the
-                // NOC-CONSERVE audit counts it as in flight, not lost.
-                self.queue.push(t, ev);
-                let reason = format!("simulation exceeded max_sim_time {}", self.cfg.max_sim_time);
-                self.failure = Some((Outcome::Deadlock, self.dump(reason)));
-                break;
+                return Drained::Ended;
             }
             match ev {
                 Ev::WatchdogTick => {
                     let stale = self.watchdog.observe(self.now, self.progress);
                     if stale >= wd_cfg.quanta {
+                        // Before the dump, which reads the members' L1s.
+                        self.rollback_members(members);
                         self.watchdog_abort(stale, wd_cfg.period);
-                        break;
+                        return Drained::Ended;
                     }
                     self.queue.push(self.now + wd_cfg.period, Ev::WatchdogTick);
+                    continue;
                 }
                 Ev::MttopBatch { core, seq } => {
                     if seq != self.mttop_seq[core] {
                         continue; // stale: superseded by a later schedule
                     }
-                    // Zones form only while nothing is ECC-poisoned: then no
-                    // batch can abort the run, so every collected member is
-                    // guaranteed to execute — exactly as in serial order.
-                    if self.mem.has_poisoned() {
-                        self.run_mttop_batch(core);
+                    // Rounds form at top level, and only while nothing is
+                    // ECC-poisoned: a poisoned block can abort any batch, and
+                    // members racing to abort would make the diagnostic dump
+                    // depend on worker scheduling.
+                    if members.is_empty() && self.cfg.sim_threads > 1 && !self.mem.has_poisoned() {
+                        self.run_epoch(core, until.0);
                     } else {
-                        zone.clear();
-                        zone.push(core);
-                        let mut mask: u128 = 1 << core;
-                        while self.queue.peek_time() == Some(t) {
-                            let (t2, ev2) = self.queue.pop().expect("peeked event");
-                            match ev2 {
-                                Ev::MttopBatch { core: c, seq: s } if s != self.mttop_seq[c] => {
-                                    // Stale: serial would pop + discard here.
-                                    self.events += 1;
-                                }
-                                Ev::MttopBatch { core: c, seq: _ } if mask & (1 << c) == 0 => {
-                                    self.events += 1;
-                                    mask |= 1 << c;
-                                    zone.push(c);
-                                }
-                                other => {
-                                    carry = Some((t2, other));
-                                    break;
-                                }
-                            }
-                        }
-                        if zone.len() == 1 {
-                            self.run_mttop_batch(zone[0]);
-                        } else {
-                            self.zones += 1;
-                            self.zone_batches += zone.len() as u64;
-                            self.run_mttop_zone(&zone);
-                        }
-                    }
-                    if self.main_exited || self.failure.is_some() {
-                        break;
+                        debug_assert!(
+                            !members
+                                .iter()
+                                .any(|m| m.core == core && matches!(m.state, MemberState::Spec)),
+                            "live batch drained for a speculating member"
+                        );
+                        self.run_mttop_batch(core);
                     }
                 }
+                Ev::CpuBatch { core, seq } => {
+                    if seq != self.cpu_seq[core] {
+                        continue; // stale
+                    }
+                    let action = self.step_cpu_batch(core);
+                    if !matches!(
+                        action,
+                        CpuAction::Continue { .. } | CpuAction::Blocked | CpuAction::Idle
+                    ) {
+                        self.rollback_members(members);
+                    }
+                    let t1 = profile.then(Instant::now);
+                    self.apply_cpu_action(core, action);
+                    if let Some(t1) = t1 {
+                        self.prof_phase[PH_MERGE] += t1.elapsed();
+                    }
+                }
+                // Batches time themselves (core-exec vs merge); everything
+                // else is timed here, as uncore or other.
                 other => {
-                    let cls = if profile && !matches!(other, Ev::CpuBatch { .. }) {
-                        Some((Instant::now(), matches!(other, Ev::Mem(_))))
-                    } else {
-                        None
+                    let is_mem = match &other {
+                        Ev::Mem(me) => {
+                            if let Some(m) = me.dir_port().and_then(|port| {
+                                members.iter_mut().find(|m| {
+                                    matches!(m.state, MemberState::Spec)
+                                        && n_cpus + m.core == port.0
+                                })
+                            }) {
+                                self.rollback_member(m);
+                            }
+                            true
+                        }
+                        _ => {
+                            self.rollback_members(members);
+                            false
+                        }
                     };
+                    let t0 = profile.then(Instant::now);
                     self.dispatch(other);
-                    if let Some((t0, is_mem)) = cls {
+                    if let Some(t0) = t0 {
                         self.prof_phase[if is_mem { PH_UNCORE } else { PH_OTHER }] += t0.elapsed();
                     }
-                    if self.main_exited || self.failure.is_some() {
-                        break;
+                    if is_mem
+                        && !members.is_empty()
+                        && (self.mem.has_poisoned() || self.failure.is_some())
+                        && self.rollback_members(members)
+                    {
+                        // A failing delivery captured its dump mid-dispatch,
+                        // with the members' speculative misses in their L1s.
+                        let outstanding = self.outstanding();
+                        if let Some((_, d)) = &mut self.failure {
+                            d.outstanding = outstanding;
+                        }
                     }
                 }
             }
+            if self.main_exited || self.failure.is_some() {
+                self.rollback_members(members);
+                return Drained::Ended;
+            }
         }
-        false
     }
 
-    /// Event-loop trace line, mirrored exactly by every executor so traces
-    /// diff cleanly across `sim_threads`/speculation settings.
-    fn trace_ev(&self, enabled: bool, t: Time, ev: &Ev) {
-        if !enabled {
+    /// Event-loop trace line (`CCSVM_TRACE`): one per event [`Machine::drain`]
+    /// pops and one per member slot of a round, so traces diff cleanly
+    /// across `sim_threads`/speculation settings.
+    fn trace_ev(&self, t: Time, ev: &Ev) {
+        if !self.trace {
             return;
         }
         let nev = self.events;
@@ -1105,128 +1077,58 @@ impl Machine {
         }
     }
 
-    /// The speculative epoch loop (`sim_threads > 1` with
-    /// [`SpeculationConfig::enabled`], DESIGN §12): like
-    /// [`Machine::run_zoned`], but a live MTTOP batch at the queue head may
-    /// claim further live MTTOP batches from *later* timestamps as one
-    /// epoch. Members execute concurrently over disjoint `CorePort`s with
-    /// undo journals open, then commit strictly in queue-key order; events
-    /// ordered between members drain through the normal serial dispatch
-    /// path, rolling back any member they could affect. The result stream —
-    /// and hence the `RunReport` — is bit-identical to serial.
-    fn run_epochs(&mut self, limit: Time) -> bool {
-        let wd_cfg = self.cfg.fault.watchdog;
-        let trace = std::env::var("CCSVM_TRACE").is_ok();
-        let profile = self.cfg.host_profile;
-        loop {
-            match self.queue.peek_time() {
-                None => break,
-                Some(next) if next > limit => return true,
-                Some(_) => {}
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event");
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.events += 1;
-            self.trace_ev(trace, t, &ev);
-            if t > self.cfg.max_sim_time {
-                // Re-queue the event we popped but will never dispatch so the
-                // NOC-CONSERVE audit counts it as in flight, not lost.
-                self.queue.push(t, ev);
-                let reason = format!("simulation exceeded max_sim_time {}", self.cfg.max_sim_time);
-                self.failure = Some((Outcome::Deadlock, self.dump(reason)));
-                break;
-            }
-            match ev {
-                Ev::WatchdogTick => {
-                    let stale = self.watchdog.observe(self.now, self.progress);
-                    if stale >= wd_cfg.quanta {
-                        self.watchdog_abort(stale, wd_cfg.period);
-                        break;
-                    }
-                    self.queue.push(self.now + wd_cfg.period, Ev::WatchdogTick);
-                }
-                Ev::MttopBatch { core, seq } => {
-                    if seq != self.mttop_seq[core] {
-                        continue; // stale: superseded by a later schedule
-                    }
-                    // A poisoned block can abort any batch mid-epoch; run
-                    // the head serially until the poison resolves the run.
-                    if self.mem.has_poisoned() {
-                        self.run_mttop_batch(core);
-                    } else {
-                        self.run_epoch(core, limit, trace, profile, &wd_cfg);
-                    }
-                    if self.main_exited || self.failure.is_some() {
-                        break;
-                    }
-                }
-                other => {
-                    let cls = if profile && !matches!(other, Ev::CpuBatch { .. }) {
-                        Some((Instant::now(), matches!(other, Ev::Mem(_))))
-                    } else {
-                        None
-                    };
-                    self.dispatch(other);
-                    if let Some((t0, is_mem)) = cls {
-                        self.prof_phase[if is_mem { PH_UNCORE } else { PH_OTHER }] += t0.elapsed();
-                    }
-                    if self.main_exited || self.failure.is_some() {
-                        break;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Scans the queue in key order for up to
-    /// [`SpeculationConfig::max_scan`] entries, extracting live MTTOP batch
-    /// events for cores not already claimed in `mask`, and stopping at the
-    /// first event that could invalidate speculation (any OS/MIFD/fault
-    /// event), past the horizon, or once `left` claims are spent. Memory
-    /// events, CPU batches, watchdog ticks, and stale/duplicate batch
-    /// events are skipped — the commit-time drain handles each of those
-    /// without ending the epoch.
+    /// Round formation: scans the queue in key order for up to
+    /// [`SpeculationConfig::max_scan`] entries, extracting up to `left` live
+    /// MTTOP batch events for cores not in `mask`, and stopping past the
+    /// horizon or at the first event that could invalidate a member. For an
+    /// epoch (`speculate`) that is any OS/MIFD/fault event: memory events,
+    /// CPU batches and watchdog ticks are skipped — the drain between member
+    /// slots handles each of those without ending the round. A zone stops at
+    /// every event that is not an MTTOP batch, so only stale batch events,
+    /// which both policies skip, are left between its members.
     fn claim_members(
         &mut self,
         horizon: Time,
-        mask: &mut u128,
-        left: &mut usize,
+        speculate: bool,
+        mut mask: u128,
+        mut left: usize,
     ) -> Vec<EpochMember> {
-        let max_scan = self.cfg.speculation.max_scan;
-        let taken = {
-            let mttop_seq = &self.mttop_seq;
-            let mask = &mut *mask;
-            let left = &mut *left;
-            self.queue.scan_extract(max_scan, |t, ev| {
-                if t > horizon || *left == 0 {
+        let mttop_seq = &self.mttop_seq;
+        let taken = self
+            .queue
+            .scan_extract(self.cfg.speculation.max_scan, |t, ev| {
+                if t > horizon || left == 0 {
                     return ScanControl::Stop;
                 }
                 match *ev {
-                    // Memory events between members are handled by the
-                    // commit-time drain (rolling back exactly the members
-                    // they could touch); CPU batches execute against their
-                    // own core + L1 and only conflict through OS-entering
-                    // merge actions, which the drain detects after the fact;
-                    // watchdog ticks are progress-neutral.
-                    Ev::Mem(_) | Ev::CpuBatch { .. } | Ev::WatchdogTick => ScanControl::Skip,
                     Ev::MttopBatch { core, seq } => {
-                        if seq != mttop_seq[core] || *mask & (1u128 << core) != 0 {
+                        if seq != mttop_seq[core] || mask & (1u128 << core) != 0 {
                             // Stale (drains as a no-op later) or a core with
                             // an uncommitted member: leave it in the queue.
                             ScanControl::Skip
                         } else {
-                            *mask |= 1u128 << core;
-                            *left -= 1;
+                            mask |= 1u128 << core;
+                            left -= 1;
                             ScanControl::Take
                         }
                     }
+                    // Memory events roll back exactly the members they could
+                    // touch; CPU batches execute against their own core + L1
+                    // and only conflict through OS-entering merge actions,
+                    // which the drain detects after the fact; watchdog ticks
+                    // are progress-neutral.
+                    Ev::Mem(_) | Ev::CpuBatch { .. } | Ev::WatchdogTick if speculate => {
+                        ScanControl::Skip
+                    }
                     // Any OS/MIFD/fault event can reach arbitrary cores
-                    // synchronously — don't speculate past it.
+                    // synchronously — don't claim past it.
                     _ => ScanControl::Stop,
                 }
-            })
+            });
+        let state = if speculate {
+            MemberState::Spec
+        } else {
+            MemberState::Certain
         };
         taken
             .into_iter()
@@ -1239,23 +1141,25 @@ impl Machine {
                     time: t,
                     qseq,
                     bseq: seq,
-                    state: MemberState::Spec,
+                    state,
                     outcome: None,
                 }
             })
             .collect()
     }
 
-    /// Opens undo journals for every speculating member of `round` (a head
-    /// runs journal-free — it never rolls back) and executes all members
-    /// concurrently over disjoint `CorePort`s, leaving each member's
-    /// `outcome` filled. Cores within a round are distinct by construction,
-    /// so each task owns its `MttopCore` + L1 port exclusively; the pool
-    /// hands tasks out by dynamic claiming, and determinism does not depend
-    /// on who runs what — all shared state waits for the ordered merge.
-    fn launch_round(&mut self, round: &mut [EpochMember], profile: bool) {
+    /// Opens undo journals for every speculating member of `round` (a
+    /// certain member runs journal-free — it never rolls back) and executes
+    /// all members concurrently over disjoint `CorePort`s, leaving each
+    /// member's `outcome` filled. Cores within a round are distinct by
+    /// construction, so each task owns its `MttopCore` + L1 port exclusively;
+    /// the pool hands tasks out by dynamic claiming, and determinism does
+    /// not depend on who runs what — all shared state waits for the ordered
+    /// merge.
+    fn launch_round(&mut self, round: &mut [EpochMember]) {
         let spec = self.cfg.speculation;
         let n_cpus = self.cfg.n_cpus;
+        let profile = self.cfg.host_profile;
         let t0 = profile.then(Instant::now);
         for m in round.iter() {
             if matches!(m.state, MemberState::Spec) {
@@ -1312,49 +1216,50 @@ impl Machine {
         }
     }
 
-    /// Forms and runs one speculative epoch headed by `core0`'s live batch
+    /// Forms and runs one fork-join round headed by `core0`'s live batch
     /// (already popped at `self.now`).
     ///
-    /// *Formation* ([`claim_members`]) extracts live MTTOP batch events for
-    /// distinct cores from later timestamps. *Execution* ([`launch_round`])
-    /// journals every non-head member (L1 undo sets + architectural core
-    /// snapshot), then steps the round concurrently. *Commit* walks members
-    /// in queue-key order: the events ordered before each member drain
-    /// serially first ([`drain_epoch`]), and the member then either commits
-    /// (journal discarded, port log replayed — byte-identical to having run
-    /// serially at its slot, since nothing that drained touched its core or
-    /// L1) or, having been rolled back by a conflict, re-executes serially.
+    /// *Formation* ([`Machine::claim_members`]) extracts live MTTOP batch
+    /// events for distinct cores under one of two policies, chosen from the
+    /// configuration alone. With speculation on
+    /// ([`SpeculationConfig::enabled`]) and no sanitizer mutation configured
+    /// — a mutation deliberately breaks the coherence invariants the
+    /// conflict rules rest on — the round is an **epoch** (DESIGN §12): it
+    /// claims from later timestamps, up to the caller's `limit`, and every
+    /// member but the head is journaled. Otherwise it is a **zone** (DESIGN
+    /// §7): it claims at the head's own timestamp only and stops at the
+    /// first event that is not an MTTOP batch, so nothing live orders
+    /// between its members and all of them run journal-free like the head.
     ///
-    /// After every commit the epoch *reforms*: batch completions drained
-    /// between member slots schedule fresh batch events (MTTOP batches are
-    /// scheduled just-in-time by their last fill, so they rarely coexist in
-    /// the queue up front), and a re-scan claims them into the same epoch —
-    /// including cores whose earlier member already committed. Each claim's
-    /// speculative start state is the serial state at its claim point, and
-    /// the drain's conflict rules cover everything ordered between claim
-    /// and slot, so the serial-equivalence argument is unchanged. The epoch
-    /// thus rolls forward as a pipeline until [`SpeculationConfig::max_epoch`]
-    /// claims are spent or a barrier event stops the scan.
+    /// *Execution* ([`Machine::launch_round`]) steps the round concurrently.
+    /// *Commit* walks members in queue-key order: the events ordered before
+    /// each member drain serially first ([`Machine::drain`]), and the member
+    /// then either commits (journal discarded, port log replayed —
+    /// byte-identical to having run serially at its slot, since nothing that
+    /// drained touched its core or L1) or, having been rolled back by a
+    /// conflict, re-executes serially.
     ///
     /// The head member never rolls back: it was the queue head, so no event
     /// drains before its slot.
-    fn run_epoch(
-        &mut self,
-        core0: usize,
-        limit: Time,
-        trace: bool,
-        profile: bool,
-        wd_cfg: &ccsvm_engine::WatchdogConfig,
-    ) {
+    fn run_epoch(&mut self, core0: usize, limit: Time) {
         let spec = self.cfg.speculation;
+        let profile = self.cfg.host_profile;
         let n_cpus = self.cfg.n_cpus;
-        let horizon = limit.min(self.cfg.max_sim_time);
+        let speculate = spec.enabled && self.cfg.sanitizer.mutate.is_none();
+        let horizon = if speculate {
+            limit.min(self.cfg.max_sim_time)
+        } else {
+            self.now
+        };
 
         // ---- formation --------------------------------------------------
-        let mut mask: u128 = 1u128 << core0;
-        let mut left = spec.max_epoch.saturating_sub(1);
         let t0 = profile.then(Instant::now);
-        let fresh = self.claim_members(horizon, &mut mask, &mut left);
+        let fresh = self.claim_members(
+            horizon,
+            speculate,
+            1u128 << core0,
+            spec.max_epoch.saturating_sub(1),
+        );
         if let Some(t) = t0 {
             self.prof_phase[PH_MERGE] += t.elapsed();
         }
@@ -1363,41 +1268,42 @@ impl Machine {
             return;
         }
 
-        // ---- speculative execution --------------------------------------
+        // ---- concurrent execution ---------------------------------------
         let mut members: Vec<EpochMember> = Vec::with_capacity(1 + fresh.len());
         members.push(EpochMember {
             core: core0,
             time: self.now,
             qseq: 0,
             bseq: self.mttop_seq[core0],
-            state: MemberState::Head,
+            state: MemberState::Certain,
             outcome: None,
         });
         members.extend(fresh);
-        self.spec_stats.epochs += 1;
-        self.spec_stats.members += members.len() as u64;
+        if speculate {
+            self.spec_stats.epochs += 1;
+            self.spec_stats.members += members.len() as u64;
+        }
         self.zones += 1;
         self.zone_batches += members.len() as u64;
-        self.launch_round(&mut members, profile);
+        self.launch_round(&mut members);
 
         // ---- ordered commit ---------------------------------------------
-        let mut i = 0;
-        while i < members.len() {
+        for i in 0..members.len() {
             if i > 0 {
                 let bound = (members[i].time, members[i].qseq);
-                if !self.drain_epoch(bound, &mut members, i, trace, profile, wd_cfg) {
-                    return; // aborted; uncommitted members already rolled back
+                if self.drain(bound, &mut members[i..]) == Drained::Ended {
+                    return; // uncommitted members already rolled back
                 }
                 // The member's own queue slot (the head was popped already).
                 let (mtime, core, bseq) = (members[i].time, members[i].core, members[i].bseq);
                 self.now = mtime;
                 self.events += 1;
-                self.trace_ev(trace, mtime, &Ev::MttopBatch { core, seq: bseq });
+                self.trace_ev(mtime, &Ev::MttopBatch { core, seq: bseq });
             }
             let m = &mut members[i];
             let core = m.core;
             if m.bseq != self.mttop_seq[core] {
-                // Superseded during the epoch (a drained completion
+                // Superseded during the round (a drained completion
                 // rescheduled the core): discard, exactly as serial would. A
                 // speculating member cannot go stale — every seq-bump path
                 // rolls it back first — but close the journal defensively.
@@ -1409,160 +1315,34 @@ impl Machine {
                     self.rollback_member(m);
                 }
                 self.spec_stats.stale += 1;
-            } else {
-                match m.state {
-                    MemberState::Head | MemberState::Spec => {
-                        let t1 = profile.then(Instant::now);
-                        if matches!(m.state, MemberState::Spec) {
-                            self.mem.spec_commit(PortId(n_cpus + core));
-                        }
+                continue;
+            }
+            match m.state {
+                MemberState::Certain | MemberState::Spec => {
+                    let t1 = profile.then(Instant::now);
+                    if matches!(m.state, MemberState::Spec) {
+                        self.mem.spec_commit(PortId(n_cpus + core));
+                    }
+                    if speculate {
                         self.spec_stats.committed += 1;
-                        self.spec_stats.batches_total += 1;
-                        let outcome = m.outcome.take().expect("epoch member executed");
-                        self.merge_mttop_batch(core, outcome);
-                        if let Some(t) = t1 {
-                            self.prof_phase[PH_MERGE] += t.elapsed();
-                        }
                     }
-                    MemberState::RolledBack => self.run_mttop_batch(core),
+                    self.spec_stats.batches_total += 1;
+                    let outcome = m.outcome.take().expect("round member executed");
+                    self.merge_mttop_batch(core, outcome);
+                    if let Some(t) = t1 {
+                        self.prof_phase[PH_MERGE] += t.elapsed();
+                    }
                 }
-                if self.main_exited || self.failure.is_some() {
-                    self.rollback_from(&mut members, i + 1);
-                    return;
-                }
+                MemberState::RolledBack => self.run_mttop_batch(core),
             }
-            i += 1;
-        }
-    }
-
-    /// Serially dispatches every queued event whose key orders strictly
-    /// before `bound`, applying the epoch conflict rules to the uncommitted
-    /// members `members[from..]`:
-    ///
-    /// * a directory delivery (`DirArrive`) to a still-speculating member's
-    ///   L1 rolls that member back *before* dispatch — speculation never
-    ///   observes or perturbs a coherence delivery;
-    /// * any other core/OS event rolls back **all** uncommitted members
-    ///   before dispatch (its synchronous effects can reach arbitrary
-    ///   cores); stale batch events are discarded without rollback;
-    /// * a live MTTOP batch (one not claimed at formation) runs serially
-    ///   in place — its core is never a still-speculating member;
-    /// * ECC poison appearing rolls back all members (a poisoned block
-    ///   aborts batches, so later members must re-execute serially).
-    ///
-    /// Returns `false` when the run aborted (watchdog, failure, exit) —
-    /// uncommitted members have already been rolled back so the machine
-    /// state matches the serial abort exactly.
-    fn drain_epoch(
-        &mut self,
-        bound: (Time, u64),
-        members: &mut [EpochMember],
-        from: usize,
-        trace: bool,
-        profile: bool,
-        wd_cfg: &ccsvm_engine::WatchdogConfig,
-    ) -> bool {
-        let n_cpus = self.cfg.n_cpus;
-        while let Some(key) = self.queue.peek_key() {
-            if key >= bound {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event");
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.events += 1;
-            self.trace_ev(trace, t, &ev);
-            match ev {
-                Ev::WatchdogTick => {
-                    let stale = self.watchdog.observe(self.now, self.progress);
-                    if stale >= wd_cfg.quanta {
-                        self.rollback_from(members, from);
-                        self.watchdog_abort(stale, wd_cfg.period);
-                        return false;
-                    }
-                    self.queue.push(self.now + wd_cfg.period, Ev::WatchdogTick);
-                }
-                Ev::Mem(me) => {
-                    if let Some(port) = me.dir_port() {
-                        if let Some(j) = members[from..].iter().position(|m| {
-                            matches!(m.state, MemberState::Spec) && n_cpus + m.core == port.0
-                        }) {
-                            self.rollback_member(&mut members[from + j]);
-                        }
-                    }
-                    let t0 = profile.then(Instant::now);
-                    self.dispatch(Ev::Mem(me));
-                    if let Some(t0) = t0 {
-                        self.prof_phase[PH_UNCORE] += t0.elapsed();
-                    }
-                    if self.mem.has_poisoned() {
-                        self.rollback_from(members, from);
-                    }
-                    if self.failure.is_some() {
-                        self.rollback_from(members, from);
-                        return false;
-                    }
-                }
-                Ev::MttopBatch { core, seq } => {
-                    if seq == self.mttop_seq[core] {
-                        // Only possible for a non-member or an already
-                        // rolled-back member core (its reschedule landed
-                        // before the old slot); a speculating member's live
-                        // event was extracted at formation.
-                        debug_assert!(
-                            !members[from..]
-                                .iter()
-                                .any(|m| m.core == core && matches!(m.state, MemberState::Spec)),
-                            "live batch drained for a speculating member"
-                        );
-                        self.run_mttop_batch(core);
-                        if self.main_exited || self.failure.is_some() {
-                            self.rollback_from(members, from);
-                            return false;
-                        }
-                    }
-                }
-                Ev::CpuBatch { core, seq } => {
-                    if seq == self.cpu_seq[core] {
-                        let action = self.step_cpu_batch(core);
-                        // Execution touched only the CPU core and its own
-                        // L1 (coherence with speculating L1s flows through
-                        // queued `DirArrive`s, caught above). OS-entering
-                        // actions conflict with everything: a syscall can
-                        // backdoor-read a descriptor out of a speculating
-                        // L1, fault handling can backdoor-patch PTEs into
-                        // one, and an exit aborts the epoch.
-                        if !matches!(
-                            action,
-                            CpuAction::Continue { .. } | CpuAction::Blocked | CpuAction::Idle
-                        ) {
-                            self.rollback_from(members, from);
-                        }
-                        let t1 = profile.then(Instant::now);
-                        self.apply_cpu_action(core, action);
-                        if let Some(t1) = t1 {
-                            self.prof_phase[PH_MERGE] += t1.elapsed();
-                        }
-                        if self.main_exited || self.failure.is_some() {
-                            return false;
-                        }
-                    }
-                    // Stale CPU schedule: a pure no-op in serial too.
-                }
-                other => {
-                    self.rollback_from(members, from);
-                    let t0 = profile.then(Instant::now);
-                    self.dispatch(other);
-                    if let Some(t0) = t0 {
-                        self.prof_phase[PH_OTHER] += t0.elapsed();
-                    }
-                    if self.main_exited || self.failure.is_some() {
-                        return false;
-                    }
-                }
+            if self.main_exited || self.failure.is_some() {
+                // A zone forms only with nothing poisoned, and only stale
+                // events drain between its slots: no member can abort.
+                debug_assert!(speculate, "zone member aborted mid-merge");
+                self.rollback_members(&mut members[i + 1..]);
+                return;
             }
         }
-        true
     }
 
     /// Rolls one speculating member back to its pre-epoch state: L1 undo
@@ -1588,10 +1368,11 @@ impl Machine {
         }
     }
 
-    /// Rolls back every still-speculating member in `members[from..]`.
-    fn rollback_from(&mut self, members: &mut [EpochMember], from: usize) {
+    /// Rolls back every still-speculating member of `members`; returns
+    /// whether there was one.
+    fn rollback_members(&mut self, members: &mut [EpochMember]) -> bool {
         let mut any = false;
-        for m in &mut members[from..] {
+        for m in members {
             if matches!(m.state, MemberState::Spec) {
                 self.rollback_member(m);
                 any = true;
@@ -1600,6 +1381,7 @@ impl Machine {
         if any {
             self.spec_stats.rollback_all += 1;
         }
+        any
     }
 
     /// Records a watchdog abort. The dump's `at` is the simulated time of
@@ -1617,17 +1399,21 @@ impl Machine {
         self.failure = Some((Outcome::Deadlock, d));
     }
 
+    /// Outstanding miss blocks per L1 port, for the abort diagnostics.
+    fn outstanding(&self) -> Vec<(usize, Vec<u64>)> {
+        self.mem
+            .outstanding()
+            .into_iter()
+            .map(|(p, blocks)| (p.0, blocks))
+            .collect()
+    }
+
     /// Captures the structured abort diagnostics: who is stuck where.
     fn dump(&self, reason: String) -> DiagnosticDump {
         DiagnosticDump {
             reason,
             at: self.now,
-            outstanding: self
-                .mem
-                .outstanding()
-                .into_iter()
-                .map(|(p, blocks)| (p.0, blocks))
-                .collect(),
+            outstanding: self.outstanding(),
             dir_active: self
                 .mem
                 .dir_active()
@@ -1901,7 +1687,7 @@ impl Machine {
     /// ([`MttopConfig::wake_grid_cycles`]): completions landing within one
     /// grid tick coalesce into a single batch event, exactly as a clocked
     /// scheduler samples runnable warps at tick edges. Part of the timing
-    /// model — every executor (serial, zoned, epochs) observes the same
+    /// model — the serial loop and both round policies observe the same
     /// grid, so results stay bit-identical across `sim_threads`.
     fn sched_mttop_batch(&mut self, core: usize, at: Time) {
         self.mttop_seq[core] += 1;
@@ -1975,18 +1761,6 @@ impl Machine {
                     self.route_completion(c);
                 }
                 self.completions_buf = completions;
-            }
-            Ev::CpuBatch { core, seq } => {
-                if seq != self.cpu_seq[core] {
-                    return;
-                }
-                self.run_cpu_batch(core);
-            }
-            Ev::MttopBatch { core, seq } => {
-                if seq != self.mttop_seq[core] {
-                    return;
-                }
-                self.run_mttop_batch(core);
             }
             Ev::MifdLaunch { cpu, desc } => self.mifd_launch(cpu, desc),
             Ev::ChunkArrive { core, chunk } => {
@@ -2097,7 +1871,9 @@ impl Machine {
                     }
                 }
             }
-            Ev::WatchdogTick => unreachable!("handled in the run loop"),
+            Ev::CpuBatch { .. } | Ev::MttopBatch { .. } | Ev::WatchdogTick => {
+                unreachable!("handled in the run loop")
+            }
         }
     }
 
@@ -2214,7 +1990,7 @@ impl Machine {
 
     /// Steps one CPU batch (core execution + uncore replay) and returns the
     /// merge action *unapplied*: execution touches only the CPU core and its
-    /// own L1, while the action may enter the OS — the epoch drain uses the
+    /// own L1, while the action may enter the OS — the event loop uses the
     /// split to roll back speculation before OS-entering actions only
     /// (DESIGN §12).
     fn step_cpu_batch(&mut self, core: usize) -> CpuAction {
@@ -2236,15 +2012,6 @@ impl Machine {
             self.prof_phase[PH_MERGE] += t.elapsed();
         }
         action
-    }
-
-    fn run_cpu_batch(&mut self, core: usize) {
-        let action = self.step_cpu_batch(core);
-        let t1 = self.cfg.host_profile.then(Instant::now);
-        self.apply_cpu_action(core, action);
-        if let Some(t) = t1 {
-            self.prof_phase[PH_MERGE] += t.elapsed();
-        }
     }
 
     fn apply_cpu_action(&mut self, core: usize, action: CpuAction) {
@@ -2326,35 +2093,6 @@ impl Machine {
                 self.sched_mttop_batch(core, at);
             }
             MttopAction::Blocked | MttopAction::Idle => {}
-        }
-    }
-
-    /// Steps a zone of same-timestamp live MTTOP batches concurrently (as a
-    /// round of journal-free members), then merges their buffered effects
-    /// serially in pop order.
-    fn run_mttop_zone(&mut self, cores: &[usize]) {
-        let profile = self.cfg.host_profile;
-        let mut round: Vec<EpochMember> = cores
-            .iter()
-            .map(|&core| EpochMember {
-                core,
-                time: self.now,
-                qseq: 0,
-                bseq: self.mttop_seq[core],
-                state: MemberState::Head,
-                outcome: None,
-            })
-            .collect();
-        self.launch_round(&mut round, profile);
-        let t1 = profile.then(Instant::now);
-        for m in round {
-            self.merge_mttop_batch(m.core, m.outcome.expect("zone member executed"));
-            // Zones form only with no poison in the system, so no member can
-            // abort the run mid-merge (serial would have executed them all).
-            debug_assert!(self.failure.is_none(), "zone member aborted mid-merge");
-        }
-        if let Some(t) = t1 {
-            self.prof_phase[PH_MERGE] += t.elapsed();
         }
     }
 
@@ -2644,16 +2382,6 @@ impl Machine {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot codecs. Any change below is a snapshot schema change (bump
-// `ccsvm_snap::SCHEMA_VERSION` and document it in DESIGN.md §8).
-
-fn bad_tag(what: &'static str, tag: u8) -> SnapError {
-    SnapError::Corrupt {
-        what: format!("unknown {what} tag {tag}"),
-    }
-}
-
 /// Fingerprint of a `SystemConfig`, normalized so host-only execution knobs
 /// don't partition snapshots: a checkpoint taken at one `sim_threads` /
 /// `host_profile` setting restores at any other (the executors are
@@ -2678,728 +2406,6 @@ pub fn config_hash(cfg: &SystemConfig) -> u64 {
     // setting (DESIGN §12): checkpoints cross speculation configs freely.
     c.speculation = SpeculationConfig::default();
     ccsvm_snap::fnv1a(format!("{c:?}").as_bytes())
-}
-
-impl Outcome {
-    pub(crate) fn snap_tag(self) -> u8 {
-        match self {
-            Outcome::Completed => 0,
-            Outcome::Deadlock => 1,
-            Outcome::Poisoned => 2,
-            Outcome::RetryBudgetExhausted => 3,
-            Outcome::InvariantViolation => 4,
-        }
-    }
-
-    pub(crate) fn from_snap_tag(tag: u8) -> Result<Outcome, SnapError> {
-        Ok(match tag {
-            0 => Outcome::Completed,
-            1 => Outcome::Deadlock,
-            2 => Outcome::Poisoned,
-            3 => Outcome::RetryBudgetExhausted,
-            4 => Outcome::InvariantViolation,
-            other => return Err(bad_tag("Outcome", other)),
-        })
-    }
-}
-
-impl DiagnosticDump {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_str(&self.reason);
-        w.put_u64(self.at.as_ps());
-        w.put_usize(self.outstanding.len());
-        for (port, blocks) in &self.outstanding {
-            w.put_usize(*port);
-            w.put_usize(blocks.len());
-            for b in blocks {
-                w.put_u64(*b);
-            }
-        }
-        w.put_usize(self.dir_active.len());
-        for (bank, txs) in &self.dir_active {
-            w.put_usize(*bank);
-            w.put_usize(txs.len());
-            for (block, phase) in txs {
-                w.put_u64(*block);
-                w.put_str(phase);
-            }
-        }
-        w.put_usize(self.poisoned_blocks.len());
-        for b in &self.poisoned_blocks {
-            w.put_u64(*b);
-        }
-        w.put_usize(self.noc_busy_links);
-        w.put_u64(self.noc_max_backlog.as_ps());
-        match &self.violation {
-            None => w.put_bool(false),
-            Some(v) => {
-                w.put_bool(true);
-                v.save(w);
-            }
-        }
-    }
-
-    fn load_snap(r: &mut SnapReader<'_>) -> Result<DiagnosticDump, SnapError> {
-        let reason = r.get_str()?.to_string();
-        let at = Time::from_ps(r.get_u64()?);
-        let mut outstanding = Vec::new();
-        for _ in 0..r.get_usize()? {
-            let port = r.get_usize()?;
-            let mut blocks = Vec::new();
-            for _ in 0..r.get_usize()? {
-                blocks.push(r.get_u64()?);
-            }
-            outstanding.push((port, blocks));
-        }
-        let mut dir_active = Vec::new();
-        for _ in 0..r.get_usize()? {
-            let bank = r.get_usize()?;
-            let mut txs = Vec::new();
-            for _ in 0..r.get_usize()? {
-                let block = r.get_u64()?;
-                txs.push((block, r.get_str()?.to_string()));
-            }
-            dir_active.push((bank, txs));
-        }
-        let mut poisoned_blocks = Vec::new();
-        for _ in 0..r.get_usize()? {
-            poisoned_blocks.push(r.get_u64()?);
-        }
-        let noc_busy_links = r.get_usize()?;
-        let noc_max_backlog = Time::from_ps(r.get_u64()?);
-        let violation = if r.get_bool()? {
-            let mut v = Violation::default();
-            v.load(r)?;
-            Some(v)
-        } else {
-            None
-        };
-        Ok(DiagnosticDump {
-            reason,
-            at,
-            outstanding,
-            dir_active,
-            poisoned_blocks,
-            noc_busy_links,
-            noc_max_backlog,
-            violation,
-        })
-    }
-}
-
-impl Job {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Job::Local { va } => {
-                w.put_u8(0);
-                w.put_u64(va.0);
-            }
-            Job::Remote { mcore, warp, va } => {
-                w.put_u8(1);
-                w.put_usize(*mcore);
-                w.put_usize(*warp);
-                w.put_u64(va.0);
-            }
-            Job::Unmap { va } => {
-                w.put_u8(2);
-                w.put_u64(va.0);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Job, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => Job::Local {
-                va: VirtAddr(r.get_u64()?),
-            },
-            1 => Job::Remote {
-                mcore: r.get_usize()?,
-                warp: r.get_usize()?,
-                va: VirtAddr(r.get_u64()?),
-            },
-            2 => Job::Unmap {
-                va: VirtAddr(r.get_u64()?),
-            },
-            other => return Err(bad_tag("Job", other)),
-        })
-    }
-}
-
-impl Active {
-    fn save(&self, w: &mut SnapWriter) {
-        self.job.save(w);
-        w.put_usize(self.writes.len());
-        for pw in &self.writes {
-            w.put_u64(pw.addr.0);
-            w.put_u64(pw.value);
-        }
-        w.put_usize(self.next);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Active, SnapError> {
-        let job = Job::load(r)?;
-        let mut writes = Vec::new();
-        for _ in 0..r.get_usize()? {
-            let addr = ccsvm_mem::PhysAddr(r.get_u64()?);
-            writes.push(PteWrite {
-                addr,
-                value: r.get_u64()?,
-            });
-        }
-        Ok(Active {
-            job,
-            writes,
-            next: r.get_usize()?,
-        })
-    }
-}
-
-impl Handler {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.queue.len());
-        for job in &self.queue {
-            job.save(w);
-        }
-        match &self.active {
-            None => w.put_bool(false),
-            Some(a) => {
-                w.put_bool(true);
-                a.save(w);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Handler, SnapError> {
-        let mut queue = VecDeque::new();
-        for _ in 0..r.get_usize()? {
-            queue.push_back(Job::load(r)?);
-        }
-        let active = if r.get_bool()? {
-            Some(Active::load(r)?)
-        } else {
-            None
-        };
-        Ok(Handler { queue, active })
-    }
-}
-
-impl Ev {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Ev::Mem(me) => {
-                w.put_u8(0);
-                me.save(w);
-            }
-            Ev::CpuBatch { core, seq } => {
-                w.put_u8(1);
-                w.put_usize(*core);
-                w.put_u64(*seq);
-            }
-            Ev::MttopBatch { core, seq } => {
-                w.put_u8(2);
-                w.put_usize(*core);
-                w.put_u64(*seq);
-            }
-            Ev::MifdLaunch { cpu, desc } => {
-                w.put_u8(3);
-                w.put_usize(*cpu);
-                for d in desc {
-                    w.put_u64(*d);
-                }
-            }
-            Ev::ChunkArrive { core, chunk } => {
-                w.put_u8(4);
-                w.put_usize(*core);
-                chunk.save(w);
-            }
-            Ev::ResumeSyscall { cpu, ret } => {
-                w.put_u8(5);
-                w.put_usize(*cpu);
-                w.put_u64(*ret);
-            }
-            Ev::FaultToCpu { req, mcore } => {
-                w.put_u8(6);
-                req.save(w);
-                w.put_usize(*mcore);
-            }
-            Ev::FaultAckAtMttop { mcore, warp } => {
-                w.put_u8(7);
-                w.put_usize(*mcore);
-                w.put_usize(*warp);
-            }
-            Ev::IpiArrive {
-                target,
-                va,
-                initiator,
-            } => {
-                w.put_u8(8);
-                w.put_usize(*target);
-                w.put_u64(va.0);
-                w.put_usize(*initiator);
-            }
-            Ev::FlushArrive {
-                target,
-                va,
-                initiator,
-            } => {
-                w.put_u8(9);
-                w.put_usize(*target);
-                w.put_u64(va.0);
-                w.put_usize(*initiator);
-            }
-            Ev::ShootAck { initiator } => {
-                w.put_u8(10);
-                w.put_usize(*initiator);
-            }
-            Ev::HandlerRetry { cpu } => {
-                w.put_u8(11);
-                w.put_usize(*cpu);
-            }
-            Ev::WatchdogTick => w.put_u8(12),
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Ev, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => Ev::Mem(MemEvent::load(r)?),
-            1 => Ev::CpuBatch {
-                core: r.get_usize()?,
-                seq: r.get_u64()?,
-            },
-            2 => Ev::MttopBatch {
-                core: r.get_usize()?,
-                seq: r.get_u64()?,
-            },
-            3 => {
-                let cpu = r.get_usize()?;
-                let mut desc = [0u64; 4];
-                for d in &mut desc {
-                    *d = r.get_u64()?;
-                }
-                Ev::MifdLaunch { cpu, desc }
-            }
-            4 => Ev::ChunkArrive {
-                core: r.get_usize()?,
-                chunk: TaskChunk::load(r)?,
-            },
-            5 => Ev::ResumeSyscall {
-                cpu: r.get_usize()?,
-                ret: r.get_u64()?,
-            },
-            6 => Ev::FaultToCpu {
-                req: PageFaultReq::load(r)?,
-                mcore: r.get_usize()?,
-            },
-            7 => Ev::FaultAckAtMttop {
-                mcore: r.get_usize()?,
-                warp: r.get_usize()?,
-            },
-            8 => Ev::IpiArrive {
-                target: r.get_usize()?,
-                va: VirtAddr(r.get_u64()?),
-                initiator: r.get_usize()?,
-            },
-            9 => Ev::FlushArrive {
-                target: r.get_usize()?,
-                va: VirtAddr(r.get_u64()?),
-                initiator: r.get_usize()?,
-            },
-            10 => Ev::ShootAck {
-                initiator: r.get_usize()?,
-            },
-            11 => Ev::HandlerRetry {
-                cpu: r.get_usize()?,
-            },
-            12 => Ev::WatchdogTick,
-            other => return Err(bad_tag("Ev", other)),
-        })
-    }
-}
-
-/// Reads a sequence that must have exactly `dst.len()` `u64` entries
-/// (config-derived length; a mismatch means the wrong config).
-fn load_exact_u64s(r: &mut SnapReader<'_>, dst: &mut [u64], what: &str) -> Result<(), SnapError> {
-    let n = r.get_usize()?;
-    if n != dst.len() {
-        return Err(SnapError::Corrupt {
-            what: format!("snapshot has {n} {what} entries, machine has {}", dst.len()),
-        });
-    }
-    for v in dst {
-        *v = r.get_u64()?;
-    }
-    Ok(())
-}
-
-/// As [`load_exact_u64s`] for `usize` slices.
-fn load_exact_usizes(
-    r: &mut SnapReader<'_>,
-    dst: &mut [usize],
-    what: &str,
-) -> Result<(), SnapError> {
-    let n = r.get_usize()?;
-    if n != dst.len() {
-        return Err(SnapError::Corrupt {
-            what: format!("snapshot has {n} {what} entries, machine has {}", dst.len()),
-        });
-    }
-    for v in dst {
-        *v = r.get_usize()?;
-    }
-    Ok(())
-}
-
-impl Snapshot for Machine {
-    fn save(&self, w: &mut SnapWriter) {
-        // Not serialized, and why:
-        //  * `cfg`, `prog`, node placement, `kexit` — the restoring caller
-        //    supplies the same config + program; `Machine::new` re-derives
-        //    them (the header's config hash guards the "same config" part).
-        //  * `completions_buf`, `port_logs`, `mem` scratch — drained between
-        //    dispatched events; checkpoints only happen at such boundaries.
-        //  * `prof_phase`, `zones`, `zone_batches` — host-side profiling
-        //    telemetry, not simulated state (DESIGN.md §8); excluding them
-        //    keeps snapshot bytes identical across `sim_threads` settings.
-        //  * `san_ring` — triage telemetry, not simulated state; excluding
-        //    it keeps snapshot bytes identical across sanitizer settings.
-        let s = w.begin_section("machine");
-        w.put_u64(self.now.as_ps());
-        w.put_bool(self.started);
-        w.put_bool(self.main_exited);
-        w.put_u64(self.exit_code);
-        w.put_u64(self.progress);
-        w.put_u64(self.events);
-        w.put_usize(self.printed.len());
-        for i in 0..self.printed.len() {
-            w.put_str(&self.printed[i]);
-            w.put_u64(self.printed_at[i].as_ps());
-            w.put_u64(self.dram_at_print[i]);
-        }
-        self.watchdog.save(w);
-        match &self.failure {
-            None => w.put_bool(false),
-            Some((outcome, dump)) => {
-                w.put_bool(true);
-                w.put_u8(outcome.snap_tag());
-                dump.save(w);
-            }
-        }
-        w.put_u64(self.data_deliveries);
-        w.put_u64(self.resps_seen);
-        match self.blackholed_block {
-            None => w.put_bool(false),
-            Some(b) => {
-                w.put_bool(true);
-                w.put_u64(b);
-            }
-        }
-        w.put_u64(self.mut_count);
-        w.put_bool(self.mut_done);
-        // Probe/ack-loss fault streams (schema v4): presence mirrors the
-        // config, but the stream *position* is run state and must survive a
-        // checkpoint taken mid-plan.
-        for rng in [&self.snoop_probe_rng, &self.upd_ack_rng] {
-            match rng {
-                Some(s) => {
-                    w.put_bool(true);
-                    w.put_u64(s.state());
-                }
-                None => w.put_bool(false),
-            }
-        }
-        w.put_u64(self.snoop_probe_drops);
-        w.put_u64(self.upd_ack_drops);
-        w.put_usize(self.cpu_seq.len());
-        for v in &self.cpu_seq {
-            w.put_u64(*v);
-        }
-        w.put_usize(self.mttop_seq.len());
-        for v in &self.mttop_seq {
-            w.put_u64(*v);
-        }
-        w.put_usize(self.shoot_pending.len());
-        for v in &self.shoot_pending {
-            w.put_usize(*v);
-        }
-        w.put_usize(self.reserved.len());
-        for v in &self.reserved {
-            w.put_usize(*v);
-        }
-        w.put_usize(self.handlers.len());
-        for h in &self.handlers {
-            h.save(w);
-        }
-        w.end_section(s);
-
-        // The event queue, in dispatch order. Restore re-pushes in that
-        // order into a fresh queue: push-seqs renumber, but the relative
-        // FIFO order among equal-time events — the part that determines
-        // behaviour — is preserved exactly.
-        let s = w.begin_section("queue");
-        let entries = self.queue.ordered_entries();
-        w.put_usize(entries.len());
-        for (t, ev) in entries {
-            w.put_u64(t.as_ps());
-            ev.save(w);
-        }
-        w.end_section(s);
-
-        let s = w.begin_section("cpus");
-        w.put_usize(self.cpus.len());
-        for c in &self.cpus {
-            c.save(w);
-        }
-        w.end_section(s);
-
-        let s = w.begin_section("mttops");
-        w.put_usize(self.mttops.len());
-        for m in &self.mttops {
-            m.save(w);
-        }
-        w.end_section(s);
-
-        let s = w.begin_section("mifd");
-        self.mifd.save(w);
-        w.end_section(s);
-
-        let s = w.begin_section("mem");
-        self.mem.save(w);
-        w.end_section(s);
-
-        let s = w.begin_section("net");
-        self.net.save(w);
-        w.end_section(s);
-
-        let s = w.begin_section("os");
-        self.os.save(w);
-        w.end_section(s);
-
-        let s = w.begin_section("heap");
-        self.heap.save(w);
-        w.end_section(s);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let end = r.begin_section("machine")?;
-        self.now = Time::from_ps(r.get_u64()?);
-        self.started = r.get_bool()?;
-        self.main_exited = r.get_bool()?;
-        self.exit_code = r.get_u64()?;
-        self.progress = r.get_u64()?;
-        self.events = r.get_u64()?;
-        self.printed.clear();
-        self.printed_at.clear();
-        self.dram_at_print.clear();
-        for _ in 0..r.get_usize()? {
-            self.printed.push(r.get_str()?.to_string());
-            self.printed_at.push(Time::from_ps(r.get_u64()?));
-            self.dram_at_print.push(r.get_u64()?);
-        }
-        self.watchdog.load(r)?;
-        self.failure = if r.get_bool()? {
-            let outcome = Outcome::from_snap_tag(r.get_u8()?)?;
-            Some((outcome, DiagnosticDump::load_snap(r)?))
-        } else {
-            None
-        };
-        self.data_deliveries = r.get_u64()?;
-        self.resps_seen = r.get_u64()?;
-        self.blackholed_block = if r.get_bool()? {
-            Some(r.get_u64()?)
-        } else {
-            None
-        };
-        self.mut_count = r.get_u64()?;
-        self.mut_done = r.get_bool()?;
-        for rng in [&mut self.snoop_probe_rng, &mut self.upd_ack_rng] {
-            if r.get_bool()? {
-                match rng {
-                    Some(s) => s.set_state(r.get_u64()?),
-                    None => {
-                        return Err(SnapError::Corrupt {
-                            what: "snapshot carries a probe-loss fault stream the \
-                                   config does not arm"
-                                .to_string(),
-                        })
-                    }
-                }
-            } else if rng.is_some() {
-                return Err(SnapError::Corrupt {
-                    what: "config arms a probe-loss fault stream the snapshot lacks".to_string(),
-                });
-            }
-        }
-        self.snoop_probe_drops = r.get_u64()?;
-        self.upd_ack_drops = r.get_u64()?;
-        load_exact_u64s(r, &mut self.cpu_seq, "cpu_seq")?;
-        load_exact_u64s(r, &mut self.mttop_seq, "mttop_seq")?;
-        load_exact_usizes(r, &mut self.shoot_pending, "shoot_pending")?;
-        load_exact_usizes(r, &mut self.reserved, "reserved")?;
-        let n = r.get_usize()?;
-        if n != self.handlers.len() {
-            return Err(SnapError::Corrupt {
-                what: format!(
-                    "snapshot has {n} OS handlers, machine has {}",
-                    self.handlers.len()
-                ),
-            });
-        }
-        for h in &mut self.handlers {
-            *h = Handler::load(r)?;
-        }
-        r.end_section(end)?;
-
-        let end = r.begin_section("queue")?;
-        let mut queue = EventQueue::new();
-        for _ in 0..r.get_usize()? {
-            let t = Time::from_ps(r.get_u64()?);
-            queue.push(t, Ev::load(r)?);
-        }
-        self.queue = queue;
-        r.end_section(end)?;
-
-        let end = r.begin_section("cpus")?;
-        let n = r.get_usize()?;
-        if n != self.cpus.len() {
-            return Err(SnapError::Corrupt {
-                what: format!("snapshot has {n} CPUs, machine has {}", self.cpus.len()),
-            });
-        }
-        for c in &mut self.cpus {
-            c.load(r)?;
-        }
-        r.end_section(end)?;
-
-        let end = r.begin_section("mttops")?;
-        let n = r.get_usize()?;
-        if n != self.mttops.len() {
-            return Err(SnapError::Corrupt {
-                what: format!("snapshot has {n} MTTOPs, machine has {}", self.mttops.len()),
-            });
-        }
-        for m in &mut self.mttops {
-            m.load(r)?;
-        }
-        r.end_section(end)?;
-
-        let end = r.begin_section("mifd")?;
-        self.mifd.load(r)?;
-        r.end_section(end)?;
-
-        let end = r.begin_section("mem")?;
-        self.mem.load(r)?;
-        r.end_section(end)?;
-
-        let end = r.begin_section("net")?;
-        self.net.load(r)?;
-        r.end_section(end)?;
-
-        let end = r.begin_section("os")?;
-        self.os.load(r)?;
-        r.end_section(end)?;
-
-        let end = r.begin_section("heap")?;
-        self.heap.load(r)?;
-        r.end_section(end)?;
-        Ok(())
-    }
-}
-
-impl Machine {
-    /// Serializes the machine's full run-state to an in-memory snapshot
-    /// image (header + every component, see DESIGN.md §8).
-    ///
-    /// Valid whenever the machine sits at an inter-event boundary: before
-    /// [`Machine::run`], or after [`Machine::run_until`] returned `None`.
-    /// The image is byte-identical regardless of `sim_threads` — host
-    /// execution knobs are neither hashed nor serialized.
-    pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.put_header(config_hash(&self.cfg));
-        // The protocol name rides right after the header (schema v3) so a
-        // restore into a machine running a different coherence protocol can
-        // report *why* the config hashes differ instead of a bare mismatch.
-        w.put_str(self.cfg.protocol.as_str());
-        self.save(&mut w);
-        w.into_vec()
-    }
-
-    /// Writes [`Machine::checkpoint_bytes`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError::Io`] when the file cannot be written.
-    pub fn checkpoint(&self, path: &std::path::Path) -> Result<(), SnapError> {
-        ccsvm_snap::write_file(path, &self.checkpoint_bytes())
-    }
-
-    /// Rebuilds a machine from an in-memory snapshot image. `cfg` and
-    /// `prog` must be the ones the checkpointed machine was built with —
-    /// the header's config hash enforces the config part.
-    ///
-    /// The restored machine resumes with [`Machine::run`] (or
-    /// `run_until`) and produces results bit-identical to the
-    /// uninterrupted original, at any `sim_threads` setting.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`SnapError`] — never a corrupted machine — when the
-    /// image has the wrong magic, schema version, or config hash, or is
-    /// truncated or internally inconsistent.
-    pub fn restore_bytes(
-        cfg: SystemConfig,
-        prog: Program,
-        bytes: &[u8],
-    ) -> Result<Machine, SnapError> {
-        let mut r = SnapReader::new(bytes);
-        if let Err(e) = r.check_header(config_hash(&cfg)) {
-            if matches!(e, SnapError::ConfigMismatch { .. }) {
-                // The reader sits right after the header even on a hash
-                // mismatch, so the protocol tag is readable: turn a
-                // cross-protocol restore into its typed error.
-                if let Ok(found) = r.get_str() {
-                    if found != cfg.protocol.as_str() {
-                        return Err(SnapError::ProtocolMismatch {
-                            found: found.to_string(),
-                            expected: cfg.protocol.as_str().to_string(),
-                        });
-                    }
-                }
-            }
-            return Err(e);
-        }
-        let tag = r.get_str()?;
-        if tag != cfg.protocol.as_str() {
-            // Unreachable while the protocol participates in the config
-            // hash; kept as a hard check so the tag never drifts silently.
-            return Err(SnapError::ProtocolMismatch {
-                found: tag.to_string(),
-                expected: cfg.protocol.as_str().to_string(),
-            });
-        }
-        let mut m = Machine::new(cfg, prog);
-        m.load(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(SnapError::Corrupt {
-                what: format!("{} trailing bytes after machine state", r.remaining()),
-            });
-        }
-        Ok(m)
-    }
-
-    /// Reads a snapshot file and [`Machine::restore_bytes`] from it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Machine::restore_bytes`], plus [`SnapError::Io`] on read failure.
-    pub fn restore(
-        cfg: SystemConfig,
-        prog: Program,
-        path: &std::path::Path,
-    ) -> Result<Machine, SnapError> {
-        let bytes = ccsvm_snap::read_file(path)?;
-        Machine::restore_bytes(cfg, prog, &bytes)
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
-//! Spin-then-park ticket rounds: the fork-join primitive under the zoned
-//! and epoch executors (DESIGN §7/§12).
+//! Spin-then-park ticket rounds: the fork-join primitive under the event
+//! loop's zones and speculative epochs (DESIGN §7/§12).
 //!
-//! Those executors run *thousands* of small rounds per simulated run — a
+//! A `sim_threads > 1` run forms *thousands* of small rounds — a
 //! handful of core batches of a few tens of microseconds each — so the
 //! hand-off, not the work, sets the round's cost. A round here costs the
 //! caller three atomic stores and no system call while the workers are

@@ -87,26 +87,43 @@ fn paper_default_offload_is_identical_across_sim_threads() {
 
 #[test]
 fn zones_actually_form_under_offload() {
-    // Guard against the fork-join path being vacuous: the full-size machine
-    // running a real offload must execute at least one multi-batch zone.
+    // Guard against either formation policy being vacuous: the full-size
+    // machine running a real offload must execute multi-batch rounds both as
+    // same-timestamp zones (speculation off: no journal is ever opened) and
+    // as speculative epochs (the default).
     let src = ccsvm_workloads::matmul::xthreads_source(
         &ccsvm_workloads::matmul::MatmulParams::new(16, 42),
     );
-    let mut cfg = SystemConfig::paper_default();
-    cfg.sim_threads = 4;
     let prog = ccsvm_xthreads::build(&src).unwrap_or_else(|e| panic!("compile: {e}"));
-    let mut m = Machine::new(cfg, prog);
-    let r = m.run();
-    assert_eq!(r.outcome, Outcome::Completed);
-    let ph = m.host_phases();
-    assert!(
-        ph.zones > 0,
-        "no fork-join zones formed — executor never forked"
-    );
-    assert!(
-        ph.zone_batches >= 2 * ph.zones,
-        "zones must hold ≥2 batches"
-    );
+    let mut reports = Vec::new();
+    for speculate in [false, true] {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.sim_threads = 4;
+        cfg.speculation.enabled = speculate;
+        let mut m = Machine::new(cfg, prog.clone());
+        let r = m.run();
+        assert_eq!(r.outcome, Outcome::Completed);
+        let ph = m.host_phases();
+        assert!(
+            ph.zones > 0,
+            "speculation {speculate}: no fork-join rounds formed — executor never forked"
+        );
+        assert!(
+            ph.zone_batches >= 2 * ph.zones,
+            "speculation {speculate}: rounds must hold ≥2 batches"
+        );
+        let s = m.spec_stats();
+        if speculate {
+            assert!(s.committed > 0, "no epoch member committed: {s:?}");
+        } else {
+            assert!(
+                s.epochs == 0 && s.members == 0 && s.rolled_back == 0 && s.overflows == 0,
+                "zones must not journal: {s:?}"
+            );
+        }
+        reports.push(r);
+    }
+    assert_eq!(reports[0], reports[1], "zone and epoch formation diverged");
 }
 
 #[test]

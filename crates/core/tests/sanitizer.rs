@@ -288,6 +288,47 @@ fn mutations_replay_deterministically() {
 // with the invariant that protocol's mask still enforces.
 // ---------------------------------------------------------------------------
 
+/// Mutation campaigns at `sim_threads > 1` (DESIGN §7): a configured
+/// mutation breaks the invariants speculation's conflict rules rest on, so
+/// rounds form as journal-free same-timestamp zones — and the abort, caught
+/// mid-offload, is the serial one: same invariant, cycle and dump.
+#[test]
+fn mutations_abort_identically_across_sim_threads_through_zones() {
+    for (kind, protocol, invariant) in [
+        (
+            MutationKind::CorruptFillData,
+            ProtocolKind::Directory,
+            InvariantId::MemDataValue,
+        ),
+        (
+            MutationKind::CorruptSnoopShared,
+            ProtocolKind::MesiSnoop,
+            InvariantId::MemSwmr,
+        ),
+    ] {
+        let prog = ccsvm_xthreads::build(&vecadd_src(64)).unwrap_or_else(|e| panic!("{e}"));
+        let run_at = |sim_threads: usize| {
+            // The 40th target lands after the launch, while MTTOP batches run.
+            let mut cfg = mutated_cfg_proto(kind, 40, protocol);
+            cfg.sim_threads = sim_threads;
+            let mut m = Machine::new(cfg, prog.clone());
+            let r = m.run();
+            (r, m.host_phases().zones, m.spec_stats())
+        };
+        let (serial, _, _) = run_at(1);
+        assert_eq!(violation(&serial).invariant, invariant, "{kind:?}");
+        for sim_threads in [2, 4] {
+            let (r, zones, spec) = run_at(sim_threads);
+            assert_eq!(serial, r, "{kind:?}: sim_threads={sim_threads} diverged");
+            assert!(zones > 0, "{kind:?}: no zone formed before the abort");
+            assert!(
+                spec.members == 0 && spec.rolled_back == 0,
+                "{kind:?}: a mutation run must not speculate: {spec:?}"
+            );
+        }
+    }
+}
+
 /// Message-passing shape: main's plain stores hit a line the spinning
 /// worker holds shared, so Dragon emits `BusUpd` probes and the snooping
 /// protocols emit invalidating snoops.

@@ -94,7 +94,8 @@ fn roundtrip_is_bit_identical_fault_free() {
     let src = vecadd_src(32);
     let uninterrupted = reference(&cfg, &src);
     assert_eq!(uninterrupted.outcome, Outcome::Completed);
-    // {early, mid-offload} checkpoint cycles x {serial, zoned} restores.
+    // {early, mid-offload} checkpoint cycles x {serial, epoch-forming}
+    // restores (speculation is on by default, so `threads = 4` forms epochs).
     for (num, den) in [(1, 16), (1, 2)] {
         for threads in [1, 4] {
             let at = fraction_of(uninterrupted.time, num, den);
@@ -178,8 +179,8 @@ fn roundtrip_is_bit_identical_under_active_fault_plan() {
 
 #[test]
 fn snapshot_bytes_are_identical_across_sim_threads() {
-    // Pausing serial and zoned runs at the same cycle must produce the same
-    // machine state — and because host-side telemetry is excluded from the
+    // Pausing serial and round-forming runs at the same cycle must produce
+    // the same machine state — and because host-side telemetry is excluded from the
     // image, the *snapshot bytes* must match too. This is what makes images
     // portable across `--sim-threads` settings.
     let src = vecadd_src(32);

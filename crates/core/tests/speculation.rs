@@ -220,3 +220,20 @@ fn poison_abort_under_speculation_is_identical() {
     assert_eq!(r.outcome, Outcome::Poisoned);
     assert!(!r.diagnostic.expect("dump").poisoned_blocks.is_empty());
 }
+
+#[test]
+fn retry_budget_abort_mid_epoch_dumps_the_serial_state() {
+    // A blackholed responder exhausts the directory's retry budget while a
+    // memory event drains between two member slots. The abort's dump is
+    // captured inside that dispatch, with later members still speculating:
+    // their speculative misses must not show up as outstanding.
+    let src = matmul_n16();
+    for nth in [16, 76, 118] {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.fault.dir.timeout = Some(Time::from_us(5));
+        cfg.fault.dir.retry_budget = 0;
+        cfg.fault.blackhole_resp = Some(nth);
+        let r = differential(&cfg, &src, &format!("blackhole_resp {nth}"));
+        assert_eq!(r.outcome, Outcome::RetryBudgetExhausted, "nth {nth}");
+    }
+}

@@ -1,18 +1,19 @@
 //! Deterministic timestamped event queue.
 //!
-//! Two implementations share one contract (pop in non-decreasing time order,
-//! FIFO among equal timestamps):
+//! The contract: pop in non-decreasing time order, FIFO among equal
+//! timestamps.
 //!
-//! * [`EventQueue`] — the production two-level calendar queue: a ring of
-//!   per-tick FIFO buckets for the near future plus an overflow heap for the
-//!   far future. Pushes into the active window are O(1); pops scan one small
-//!   bucket. Discrete-event simulators schedule almost everything within a
-//!   few hundred nanoseconds of "now" (cache hits, NoC hops, DRAM bursts),
-//!   so nearly all traffic stays in the ring and never pays a heap sift.
-//! * [`ReferenceEventQueue`] — the original `BinaryHeap` with an explicit
-//!   (time, seq) ordering. It is kept as the executable specification: the
-//!   differential tests below drive both queues with identical operation
-//!   sequences and assert identical drain order.
+//! [`EventQueue`] is a two-level calendar queue: a ring of per-tick FIFO
+//! buckets for the near future plus an overflow heap for the far future.
+//! Pushes into the active window are O(1); pops scan one small bucket.
+//! Discrete-event simulators schedule almost everything within a few hundred
+//! nanoseconds of "now" (cache hits, NoC hops, DRAM bursts), so nearly all
+//! traffic stays in the ring and never pays a heap sift.
+//!
+//! The original `BinaryHeap` with an explicit (time, seq) ordering survives
+//! in this file's tests as `ReferenceEventQueue`, the executable
+//! specification: the differential tests drive both queues with identical
+//! operation sequences and assert identical drain order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -378,26 +379,26 @@ impl<E> Default for EventQueue<E> {
 }
 
 /// The original `BinaryHeap`-backed deterministic queue, retained as the
-/// executable specification for differential tests and as a benchmark
-/// reference. Semantics are identical to [`EventQueue`]; only the cost
-/// model differs (O(log n) sift per push/pop, no windowing).
+/// executable specification the calendar queue is checked against.
+/// Semantics are identical to [`EventQueue`]; only the cost model differs
+/// (O(log n) sift per push/pop, no windowing).
+#[cfg(test)]
 #[derive(Debug)]
-pub struct ReferenceEventQueue<E> {
+struct ReferenceEventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
 }
 
+#[cfg(test)]
 impl<E> ReferenceEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> ReferenceEventQueue<E> {
+    fn new() -> ReferenceEventQueue<E> {
         ReferenceEventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
         }
     }
 
-    /// Schedules `event` to fire at absolute time `at`.
-    pub fn push(&mut self, at: Time, event: E) {
+    fn push(&mut self, at: Time, event: E) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Entry {
@@ -407,30 +408,16 @@ impl<E> ReferenceEventQueue<E> {
         });
     }
 
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
+    fn pop(&mut self) -> Option<(Time, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Time> {
+    fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> Default for ReferenceEventQueue<E> {
-    fn default() -> Self {
-        ReferenceEventQueue::new()
     }
 }
 

@@ -42,7 +42,7 @@ mod stats;
 mod time;
 
 pub use campaign::{CampaignDomain, PlanSpec};
-pub use event::{EventQueue, ReferenceEventQueue, ScanControl};
+pub use event::{EventQueue, ScanControl};
 pub use spec::SpecStats;
 pub use fault::{
     DirTimeoutConfig, DramFaultConfig, FaultConfig, FaultDomain, FaultPlan, NocFaultConfig,

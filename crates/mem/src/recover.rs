@@ -61,7 +61,7 @@ impl RetryRound {
         Some(self.epoch)
     }
 
-    /// Serialises in the legacy `Tx` field order: epoch then resend count.
+    /// Field order: epoch, then resend count.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.epoch);
         w.put_u32(self.nacks);

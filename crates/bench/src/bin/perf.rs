@@ -106,7 +106,7 @@ struct Measure {
     host_ms: f64,
     sim_ms: f64,
     phases: HostPhases,
-    /// Superblock-cache counters from the profiled run (host telemetry;
+    /// Decoded-image counters from the profiled run (host telemetry;
     /// identical work across the timed runs).
     sb: SbStats,
     /// Speculative-epoch counters from the profiled run (DESIGN §12).
@@ -379,7 +379,7 @@ fn usage_exit(error: &str) -> ! {
          \x20                   DIR/perf-<name>.ccsnap when present; warm captures\n\
          \x20                   measure restore + the resumed tail and are not\n\
          \x20                   comparable to cold ones\n\
-         \x20 --no-sb-cache     disable the decoded-superblock cache (host-perf\n\
+         \x20 --no-sb-cache     disable the decoded-superblock fast path (host-perf\n\
          \x20                   ablation; simulated results are bit-identical)\n\
          \x20 --no-speculation  disable the speculative epoch executor (host-perf\n\
          \x20                   ablation; simulated results are bit-identical)\n\
@@ -471,7 +471,7 @@ fn run() -> Result<(), BenchError> {
         "core/uncore/merge ms"
     );
     if !sb_cache {
-        println!("(superblock cache DISABLED: --no-sb-cache ablation)");
+        println!("(superblock fast path DISABLED: --no-sb-cache ablation)");
     }
     if !speculation {
         println!("(speculative epochs DISABLED: --no-speculation ablation)");
@@ -497,7 +497,7 @@ fn run() -> Result<(), BenchError> {
         let ph = &m.phases;
         println!(
             "{:<18} | {:>12} | {:>9.2} | {:>9.4} | {:>12.0} | {:>14.1} | {:>6.1}/{:>6.1}/{:>6.1} \
-             | sb {}h/{}m/{}e len {:.1} | epochs {} cov {:.0}%",
+             | sb {}h/{}m len {:.1} | epochs {} cov {:.0}%",
             m.name,
             m.events,
             m.host_ms,
@@ -509,7 +509,6 @@ fn run() -> Result<(), BenchError> {
             ph.merge_ms,
             m.sb.hits,
             m.sb.misses,
-            m.sb.evictions,
             m.sb.mean_decoded_len(),
             m.spec.epochs,
             m.spec.coverage() * 100.0,
@@ -522,8 +521,7 @@ fn run() -> Result<(), BenchError> {
              \"phases\": {{\"core_exec_ms\": {:.3}, \"uncore_ms\": {:.3}, \
              \"merge_ms\": {:.3}, \"other_ms\": {:.3}, \"decode_ms\": {:.3}, \"zones\": {}, \
              \"zone_batches\": {}}}, \
-             \"sb\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"mean_decoded_len\": {:.2}}}, \
+             \"sb\": {{\"hits\": {}, \"misses\": {}, \"mean_decoded_len\": {:.2}}}, \
              \"spec\": {{\"epochs\": {}, \"members\": {}, \"committed\": {}, \
              \"rolled_back\": {}, \"stale\": {}, \"overflows\": {}, \"rollback_all\": {}, \
              \"batches_total\": {}, \"coverage\": {:.4}, \"commit_rate\": {:.4}}}}},\n",
@@ -542,7 +540,6 @@ fn run() -> Result<(), BenchError> {
             ph.zone_batches,
             m.sb.hits,
             m.sb.misses,
-            m.sb.evictions,
             m.sb.mean_decoded_len(),
             m.spec.epochs,
             m.spec.members,
@@ -582,7 +579,7 @@ fn run() -> Result<(), BenchError> {
     };
 
     let json = format!(
-        "{{\n  \"schema\": \"ccsvm-hotpath-perf-v5\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"schema\": \"ccsvm-hotpath-perf-v6\",\n  \"mode\": \"{mode}\",\n  \
          \"threads\": {threads},\n  \"sim_threads\": {sim_threads},\n  \
          \"sb_cache\": {sb_cache},\n  \"speculation\": {speculation},\n  \
          \"workloads\": [\n{rows}\n  ],\n  \

@@ -210,8 +210,8 @@ pub struct Opts {
     /// Results-file override (`--out FILE`); binaries with a default results
     /// path still write it when this is unset.
     pub out: Option<PathBuf>,
-    /// Decoded-superblock cache ablation (`--no-sb-cache` clears it). Pure
-    /// host-perf knob: simulated tables are bit-identical either way
+    /// Decoded-superblock fast-path ablation (`--no-sb-cache` clears it).
+    /// Pure host-perf knob: simulated tables are bit-identical either way
     /// (DESIGN §11).
     pub sb_cache: bool,
     /// Coherence protocol for every simulated point (`--protocol`, default
@@ -242,7 +242,7 @@ fn usage_exit(binary: &str, error: &str) -> ! {
          \x20 --out FILE        also write the table to FILE (atomic\n\
          \x20                   temp-file + rename; overrides the binary's\n\
          \x20                   default results path)\n\
-         \x20 --no-sb-cache     disable the decoded-superblock cache on CCSVM\n\
+         \x20 --no-sb-cache     disable the decoded-superblock fast path on CCSVM\n\
          \x20                   cores (host-perf ablation; simulated tables\n\
          \x20                   are bit-identical either way)\n\
          \x20 --protocol NAME   coherence protocol: directory (default),\n\

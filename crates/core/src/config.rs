@@ -139,7 +139,7 @@ pub struct SystemConfig {
     /// merge) — perf-artifact telemetry; adds two `Instant` reads per batch,
     /// so it's off by default and benchmarks enable it on a separate run.
     pub host_profile: bool,
-    /// Decoded-superblock cache on CPU and MTTOP cores (DESIGN §11). Pure
+    /// Decoded-superblock fast path on CPU and MTTOP cores (DESIGN §11). Pure
     /// host-perf knob, like `sim_threads`: disabling it (`--no-sb-cache`)
     /// never changes simulated behavior — `RunReport`s stay bit-identical —
     /// it only ablates the host-side decoded-dispatch fast path.

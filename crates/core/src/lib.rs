@@ -63,11 +63,11 @@ pub use ccsvm_engine::{
 // Snapshot error type and schema version, re-exported so harnesses can
 // handle checkpoint/restore failures without depending on the snap crate.
 pub use ccsvm_snap::{SnapError, SCHEMA_VERSION as SNAP_SCHEMA_VERSION};
-// Coherence-protocol identity and catalogue (DESIGN §13), re-exported so
+// Coherence-protocol identity (DESIGN §13), re-exported so
 // harnesses can set `SystemConfig::protocol` and query per-protocol
 // invariant masks without depending on the mem crate directly.
-pub use ccsvm_mem::{protocol, CoherenceProtocol, ProtocolKind};
-// Decoded-superblock cache counters (DESIGN §11), re-exported so perf
+pub use ccsvm_mem::ProtocolKind;
+// Decoded-image counters (DESIGN §11), re-exported so perf
 // harnesses can report [`Machine::sb_stats`] without an isa dependency.
 pub use ccsvm_isa::SbStats;
 // Speculative epoch executor counters (DESIGN §12), re-exported so perf

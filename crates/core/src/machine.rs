@@ -5,10 +5,10 @@ use std::time::{Duration, Instant};
 
 use ccsvm_cpu::{CpuAction, CpuCore};
 use ccsvm_engine::{
-    sanitizer::check_conservation, stat_id, EvRecord, EvRing, EventQueue, FaultDomain, FaultPlan,
+    sanitizer::check_conservation, EvRecord, EvRing, EventQueue, FaultDomain, FaultPlan,
     MutationKind, ScanControl, SpecStats, SplitMix64, Stats, Time, Violation, Watchdog,
 };
-use ccsvm_isa::{sys, Program};
+use ccsvm_isa::{sys, DecodedImage, Program};
 use ccsvm_mem::{
     Access, AccessResult, BankConfig, Completion, CorePort, L1Config, MemConfig, MemEvent,
     MemorySystem, PortId, PortLog,
@@ -109,11 +109,10 @@ pub struct HostPhases {
     pub merge_ms: f64,
     /// Everything else (OS services, MIFD, shootdowns, watchdog).
     pub other_ms: f64,
-    /// Host time spent decoding superblocks (DESIGN §11). Decoding happens
-    /// inline during core batch execution, so this is a *subset* of
-    /// `core_exec_ms`, not an additional phase. Unlike the other fields it
-    /// is counted unconditionally (no `host_profile` gate — the cache keeps
-    /// its own counters).
+    /// Host time [`Machine::new`] spent building the decoded image
+    /// (DESIGN §11). That is before `run`, so it belongs to none of the
+    /// phases above, and it is counted unconditionally (no `host_profile`
+    /// gate).
     pub decode_ms: f64,
     /// Fork-join rounds executed, under whichever formation policy the
     /// configuration selects: same-timestamp zones (DESIGN §7) or
@@ -318,8 +317,8 @@ impl RunReport {
     /// that persist reports, like the sweep orchestrator's result cache,
     /// add their own magic/version/config-hash envelope). The encoding is
     /// canonical: two bit-identical reports always serialize to identical
-    /// bytes, even across processes (stats are written as their sorted
-    /// logical view, not by process-local interning order).
+    /// bytes, even across processes (stats are written as sorted
+    /// name/value pairs).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_u64(self.time.as_ps());
@@ -408,6 +407,8 @@ impl RunReport {
 pub struct Machine {
     cfg: SystemConfig,
     prog: Program,
+    /// `prog.text` decoded once; every core reads it by shared reference.
+    image: DecodedImage,
     mem: MemorySystem,
     net: Network,
     queue: EventQueue<Ev>,
@@ -634,6 +635,7 @@ impl Machine {
                 0
             }),
             cfg,
+            image: DecodedImage::build(&prog.text),
             prog,
             mem,
             net,
@@ -705,19 +707,17 @@ impl Machine {
         self.spec_stats
     }
 
-    /// Aggregated decoded-superblock cache counters over every CPU and MTTOP
-    /// core (DESIGN §11). Host-side telemetry only — never part of
-    /// [`ccsvm_engine::Stats`] or the `RunReport`, so enabling/disabling the
-    /// cache cannot perturb simulated results.
+    /// Decoded-image counters (DESIGN §11): what the one build decoded, and
+    /// the runs every CPU and MTTOP core entered through it. Host-side
+    /// telemetry only — never part of [`ccsvm_engine::Stats`] or the
+    /// `RunReport`, so the `sb_cache` knob cannot perturb simulated results.
     pub fn sb_stats(&self) -> ccsvm_isa::SbStats {
-        let mut total = ccsvm_isa::SbStats::default();
-        for c in &self.cpus {
-            total.merge(&c.sb_stats());
+        let cpu_hits: u64 = self.cpus.iter().map(CpuCore::sb_hits).sum();
+        let mttop_hits: u64 = self.mttops.iter().map(MttopCore::sb_hits).sum();
+        ccsvm_isa::SbStats {
+            hits: cpu_hits + mttop_hits,
+            ..self.image.build_stats()
         }
-        for m in &self.mttops {
-            total.merge(&m.sb_stats());
-        }
-        total
     }
 
     /// Current simulated time (the timestamp of the last dispatched event).
@@ -1197,7 +1197,7 @@ impl Machine {
             })
             .collect();
         debug_assert_eq!(tasks.len(), round.len(), "round cores are distinct");
-        let prog = &self.prog;
+        let (prog, image) = (&self.prog, &self.image);
         let workers = self.exec_threads - 1;
         self.pool
             .get_or_insert_with(|| WorkerPool::new(workers))
@@ -1205,7 +1205,7 @@ impl Machine {
                 if let Some(undo) = t.undo.as_deref_mut() {
                     t.mc.spec_save(undo);
                 }
-                t.outcome = Some(t.mc.run_batch(t.at, prog, &mut t.port));
+                t.outcome = Some(t.mc.run_batch(t.at, prog, image, &mut t.port));
             });
         for t in tasks {
             round[t.member].outcome = t.outcome;
@@ -1622,38 +1622,30 @@ impl Machine {
 
     fn report(&self) -> RunReport {
         let mut stats = Stats::new();
+        let mut instructions = 0.0;
         for (i, c) in self.cpus.iter().enumerate() {
-            stats.merge_prefixed(&format!("cpu.{i}"), &c.stats());
+            let s = c.stats();
+            instructions += s.get("instructions");
+            stats.merge_prefixed(&format!("cpu.{i}"), &s);
         }
         for (i, m) in self.mttops.iter().enumerate() {
-            stats.merge_prefixed(&format!("mttop.{i}"), &m.stats());
+            let s = m.stats();
+            instructions += s.get("thread_instructions");
+            stats.merge_prefixed(&format!("mttop.{i}"), &s);
         }
         stats.merge_prefixed("mem", &self.mem.stats());
         stats.merge_prefixed("noc", &self.net.stats());
         stats.merge_prefixed("mifd", &self.mifd.stats());
-        stats.set_id(stat_id("os.page_faults"), self.os.faults_handled() as f64);
-        stats.set_id(stat_id("heap.live_bytes"), self.heap.live_bytes() as f64);
+        stats.set("os.page_faults", self.os.faults_handled() as f64);
+        stats.set("heap.live_bytes", self.heap.live_bytes() as f64);
         // Only present when the domain is armed, so fault-free reports stay
         // bit-identical to pre-fault builds.
         if self.snoop_probe_rng.is_some() {
-            stats.set_id(
-                stat_id("fault.snoop_probe_drops"),
-                self.snoop_probe_drops as f64,
-            );
+            stats.set("fault.snoop_probe_drops", self.snoop_probe_drops as f64);
         }
         if self.upd_ack_rng.is_some() {
-            stats.set_id(stat_id("fault.upd_ack_drops"), self.upd_ack_drops as f64);
+            stats.set("fault.upd_ack_drops", self.upd_ack_drops as f64);
         }
-        let instructions = self
-            .cpus
-            .iter()
-            .map(|c| c.stats().get("instructions"))
-            .sum::<f64>()
-            + self
-                .mttops
-                .iter()
-                .map(|m| m.stats().get("thread_instructions"))
-                .sum::<f64>();
         let (outcome, diagnostic) = match &self.failure {
             Some((o, d)) => (*o, Some(d.clone())),
             None => (Outcome::Completed, None),
@@ -2000,6 +1992,7 @@ impl Machine {
         let action = self.cpus[core].run_batch(
             self.now,
             &self.prog,
+            &self.image,
             &mut self.mem.core_port(PortId(core), &mut log),
         );
         if let Some(t) = t0 {
@@ -2049,6 +2042,7 @@ impl Machine {
         let outcome = self.mttops[core].run_batch(
             self.now,
             &self.prog,
+            &self.image,
             &mut self.mem.core_port(port, &mut log),
         );
         if let Some(t) = t0 {
@@ -2398,9 +2392,9 @@ pub fn config_hash(cfg: &SystemConfig) -> u64 {
     // changes simulated behavior.
     c.sanitizer.enabled = false;
     c.sanitizer.ring_capacity = 0;
-    // The decoded-superblock cache is a pure host-perf knob (bit-identical
-    // on/off, DESIGN §11): a cache-off checkpoint restores into a cache-on
-    // run and vice versa.
+    // The decoded-superblock fast path is a pure host-perf knob
+    // (bit-identical on/off, DESIGN §11): a checkpoint taken with it off
+    // restores into a run with it on and vice versa.
     c.sb_cache = true;
     // The speculative epoch executor is bit-identical on/off at every
     // setting (DESIGN §12): checkpoints cross speculation configs freely.

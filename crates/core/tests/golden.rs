@@ -3,7 +3,7 @@
 //! checked-in snapshot.
 //!
 //! These goldens were blessed *before* the hot-path data-structure swaps
-//! (calendar event queue, FxHash block maps, interned stats) and guard the
+//! (calendar event queue, FxHash block maps) and guard the
 //! bit-for-bit determinism claim: an internal container may change, but the
 //! simulated machine must not. To re-bless after an intentional model
 //! change, run:

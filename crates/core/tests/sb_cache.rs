@@ -1,11 +1,12 @@
-//! Differential suite for the decoded-superblock cache (DESIGN §11): the
-//! cache is host-side memoization only, so every observable of a run —
-//! outcome, exit code, stats, simulated timings, printed output, event
-//! count, even the snapshot image bytes — must be bit-identical with the
-//! cache enabled and disabled, at every `sim_threads` value, fault-free and
-//! under an active fault plan, and across checkpoint/restore in either
-//! direction (checkpoint with the cache on, restore with it off, and vice
-//! versa — images are portable across the host knob).
+//! Differential suite for the decoded-superblock fast path (DESIGN §11,
+//! the `SystemConfig::sb_cache` knob): the decoded image is a host-side
+//! function of the text only, so every observable of a run — outcome, exit
+//! code, stats, simulated timings, printed output, event count, even the
+//! snapshot image bytes — must be bit-identical with the knob on and off,
+//! at every `sim_threads` value, fault-free and under an active fault plan,
+//! and across checkpoint/restore in either direction (checkpoint with it
+//! on, restore with it off, and vice versa — snapshots are portable across
+//! the host knob).
 
 use ccsvm::{Machine, Outcome, RunReport, SystemConfig, Time};
 use ccsvm_isa::Program;
@@ -130,6 +131,38 @@ fn cache_actually_hits_in_the_compared_runs() {
     let mut m = Machine::new(cfg, compile(&vecadd_src(64)));
     m.run();
     assert_eq!(m.sb_stats().hits, 0, "--no-sb-cache still served hits");
+}
+
+/// The text is decoded once per machine, not once per core: what the build
+/// reports cannot depend on how many cores read the image or on how many
+/// host threads run them, while the run entries do come from the cores.
+#[test]
+fn decode_happens_once_per_machine() {
+    let mut tiny_4_threads = SystemConfig::tiny();
+    tiny_4_threads.sim_threads = 4;
+    let prog = compile(&vecadd_src(64));
+    let mut built = Vec::new();
+    for cfg in [
+        SystemConfig::tiny(),
+        tiny_4_threads,
+        SystemConfig::paper_default(),
+    ] {
+        for sb_cache in [true, false] {
+            let mut cfg = cfg.clone();
+            cfg.sb_cache = sb_cache;
+            let label = format!(
+                "{}+{} cores, sim_threads {}, sb_cache {sb_cache}",
+                cfg.n_cpus, cfg.n_mttops, cfg.sim_threads
+            );
+            let mut m = Machine::new(cfg, prog.clone());
+            assert_eq!(m.run().outcome, Outcome::Completed, "{label}");
+            let sb = m.sb_stats();
+            assert_eq!(sb.hits > 0, sb_cache, "{label}: {} run entries", sb.hits);
+            built.push((sb.misses, sb.decoded_ops));
+        }
+    }
+    assert!(built[0].0 > 0 && built[0].1 > built[0].0, "{:?}", built[0]);
+    assert!(built.iter().all(|b| *b == built[0]), "{built:?}");
 }
 
 /// Pause a fresh machine (cache set per `checkpoint_on`) at simulated time

@@ -14,8 +14,8 @@
 //! event queue, so inter-core interactions are event-accurate at quantum
 //! granularity (the gem5 approach).
 
-use ccsvm_engine::{stat_id, Clock, SplitMix64, Stats, Time, TlbFaultConfig};
-use ccsvm_isa::{abi, decodable, AmoKind, Instr, Operand, Program, Reg, SbCache, SbStats};
+use ccsvm_engine::{Clock, SplitMix64, Stats, Time, TlbFaultConfig};
+use ccsvm_isa::{abi, AmoKind, DecodedImage, Instr, Operand, Program, Reg};
 use ccsvm_mem::{Access, AccessResult, AtomicOp, CorePort, PhysAddr, PortId};
 use ccsvm_vm::{frame_plus_offset, Tlb, VirtAddr, Walk, WalkResult};
 
@@ -166,9 +166,11 @@ pub struct CpuCore {
     faults: u64,
     busy_time: Time,
     tlb_faults: Option<TlbFaults>,
-    /// Decoded-superblock cache: host-side memoization only, never
-    /// serialized (rebuilt on demand after a snapshot restore).
-    sb: SbCache,
+    /// Whether `run_batch` takes straight-line runs from the decoded image
+    /// (the `SystemConfig::sb_cache` knob). Host-side, never serialized.
+    sb_on: bool,
+    /// Runs entered through the image (host-side, never serialized).
+    sb_hits: u64,
 }
 
 impl CpuCore {
@@ -199,7 +201,8 @@ impl CpuCore {
             faults: 0,
             busy_time: Time::ZERO,
             tlb_faults: None,
-            sb: SbCache::new(SbCache::DEFAULT_CAPACITY),
+            sb_on: true,
+            sb_hits: 0,
         }
     }
 
@@ -207,12 +210,13 @@ impl CpuCore {
     /// `SystemConfig::sb_cache` ablation knob). Pure host-perf toggle: the
     /// executed instruction stream, timing and stats are identical either way.
     pub fn set_sb_cache(&mut self, enabled: bool) {
-        self.sb.set_enabled(enabled);
+        self.sb_on = enabled;
     }
 
-    /// Superblock-cache counters (host-side; not part of [`CpuCore::stats`]).
-    pub fn sb_stats(&self) -> SbStats {
-        *self.sb.stats()
+    /// Runs entered through the decoded image (host-side; not part of
+    /// [`CpuCore::stats`]).
+    pub fn sb_hits(&self) -> u64 {
+        self.sb_hits
     }
 
     /// Installs seeded transient TLB-walk fault injection: each completed
@@ -381,7 +385,15 @@ impl CpuCore {
     /// [`CorePort`]: the step mutates only this core and its own L1, so
     /// batches of distinct cores may run concurrently and their buffered
     /// [`ccsvm_mem::PortLog`]s be replayed afterwards in canonical order.
-    pub fn run_batch(&mut self, now: Time, prog: &Program, port: &mut CorePort<'_>) -> CpuAction {
+    /// `image` must be [`DecodedImage::build`] of `prog.text`; it is only
+    /// read, so concurrent batches share one.
+    pub fn run_batch(
+        &mut self,
+        now: Time,
+        prog: &Program,
+        image: &DecodedImage,
+        port: &mut CorePort<'_>,
+    ) -> CpuAction {
         if !self.running {
             return CpuAction::Idle;
         }
@@ -429,9 +441,10 @@ impl CpuCore {
             // then the time charge, then the register write — and the same
             // quantum-deadline check between instructions, so timing and
             // stats are bit-identical to the one-`match`-per-instruction path.
-            if decodable(&instr) {
-                if let Some(r) = self.sb.entry(prog, self.pc) {
-                    let ops = self.sb.ops_at(r).expect("fresh superblock ref");
+            if self.sb_on {
+                let ops = image.run_at(self.pc);
+                if !ops.is_empty() {
+                    self.sb_hits += 1;
                     let mut k = 0;
                     while k < ops.len() {
                         self.icount += 1;
@@ -707,13 +720,13 @@ impl CpuCore {
     /// TLB statistics.
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        s.set_id(stat_id("instructions"), self.icount as f64);
-        s.set_id(stat_id("mem_ops"), self.mem_ops as f64);
-        s.set_id(stat_id("tlb_walks"), self.walks as f64);
-        s.set_id(stat_id("page_faults"), self.faults as f64);
-        s.set_id(stat_id("busy_us"), self.busy_time.as_us());
+        s.set("instructions", self.icount as f64);
+        s.set("mem_ops", self.mem_ops as f64);
+        s.set("tlb_walks", self.walks as f64);
+        s.set("page_faults", self.faults as f64);
+        s.set("busy_us", self.busy_time.as_us());
         if let Some(f) = &self.tlb_faults {
-            s.set_id(stat_id("tlb_transients"), f.transients as f64);
+            s.set("tlb_transients", f.transients as f64);
         }
         s.merge_prefixed("tlb", &self.tlb.stats());
         s

@@ -3,7 +3,7 @@
 
 use ccsvm_cpu::{CpuAction, CpuConfig, CpuCore};
 use ccsvm_engine::{EventQueue, Time};
-use ccsvm_isa::{abi, assemble, Program};
+use ccsvm_isa::{abi, assemble, DecodedImage, Program};
 use ccsvm_mem::{
     BankConfig, CacheConfig, DramConfig, L1Config, MemConfig, MemEvent, MemorySystem, PortId,
     PortLog, WritePolicy,
@@ -18,6 +18,7 @@ struct Rig {
     queue: EventQueue<MemEvent>,
     os: OsLite,
     prog: Program,
+    image: DecodedImage,
     now: Time,
 }
 
@@ -42,13 +43,15 @@ impl Rig {
             data_bytes: 72,
             protocol: ccsvm_mem::ProtocolKind::Directory,
         });
+        let prog = assemble(src).expect("assembles");
         let mut rig = Rig {
             core: CpuCore::new(PortId(0), config, 1 << 60),
             mem,
             net: Network::new(topo, NocConfig::paper_default()),
             queue: EventQueue::new(),
             os: OsLite::new(0x10_0000, 0x1000_0000),
-            prog: assemble(src).expect("assembles"),
+            image: DecodedImage::build(&prog.text),
+            prog,
             now: Time::ZERO,
         };
         // Pre-map the stack and one scratch data page the tests use.
@@ -74,6 +77,7 @@ impl Rig {
                 let a = self.core.run_batch(
                     self.now,
                     &self.prog,
+                    &self.image,
                     &mut self.mem.core_port(PortId(0), &mut log),
                 );
                 let q = &mut self.queue;

@@ -54,5 +54,5 @@ pub use sanitizer::{
     EvRecord, EvRing, InvariantId, InvariantMask, Mutation, MutationKind, SanitizerConfig,
     Violation,
 };
-pub use stats::{stat_id, StatId, Stats};
+pub use stats::Stats;
 pub use time::{Clock, Time};

@@ -1,78 +1,11 @@
 //! Ordered name → value statistics tables for run reports.
 //!
-//! Statistic names fall in two tiers:
-//!
-//! * **Interned** ([`StatId`], [`stat_id`]): component counters with
-//!   `&'static str` names register once in a process-wide table and are
-//!   recorded by dense index — [`Stats::add_id`]/[`Stats::set_id`] never
-//!   allocate or hash strings.
-//! * **Strings**: dynamically built names (`"l1.3.misses"`) live in an
-//!   ordered map. The string API ([`Stats::set`], [`Stats::add`],
-//!   [`Stats::get`]) is a compat layer: when a name happens to be
-//!   registered it routes to the interned slot, so both APIs observe the
-//!   same value.
-//!
-//! All read-side views (iteration, `Display`, equality) present the union
-//! of both tiers sorted by name, so a table reads identically no matter
-//! which API recorded it.
+//! Components keep their counters in plain fields and build a [`Stats`]
+//! table when a report is asked for, so nothing here sits on a hot path: the
+//! table is one ordered map from name to value.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
-
-use crate::fxmap::FxHashMap;
-
-/// Handle to an interned statistic name (see [`stat_id`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct StatId(u32);
-
-impl StatId {
-    /// The interned name.
-    pub fn name(self) -> &'static str {
-        registry().lock().expect("stat registry").names[self.0 as usize]
-    }
-}
-
-struct Registry {
-    names: Vec<&'static str>,
-    by_name: FxHashMap<&'static str, u32>,
-}
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        Mutex::new(Registry {
-            names: Vec::new(),
-            by_name: FxHashMap::default(),
-        })
-    })
-}
-
-/// Interns `name`, returning its process-wide [`StatId`]. Idempotent: the
-/// same name always yields the same id. Register ids once (in a
-/// constructor or at first use) and record through them on hot paths;
-/// recording by id neither allocates nor hashes.
-pub fn stat_id(name: &'static str) -> StatId {
-    let mut reg = registry().lock().expect("stat registry");
-    if let Some(&id) = reg.by_name.get(name) {
-        return StatId(id);
-    }
-    let id = u32::try_from(reg.names.len()).expect("stat id overflow");
-    reg.names.push(name);
-    reg.by_name.insert(name, id);
-    StatId(id)
-}
-
-/// Looks up a registered id by name without interning; `None` if `name`
-/// was never registered.
-fn lookup_id(name: &str) -> Option<StatId> {
-    registry()
-        .lock()
-        .expect("stat registry")
-        .by_name
-        .get(name)
-        .map(|&id| StatId(id))
-}
 
 /// An ordered table of named statistics.
 ///
@@ -83,24 +16,16 @@ fn lookup_id(name: &str) -> Option<StatId> {
 /// # Examples
 ///
 /// ```
-/// use ccsvm_engine::{stat_id, Stats};
+/// use ccsvm_engine::Stats;
 /// let mut s = Stats::new();
 /// s.add("dram.reads", 3.0);
 /// s.add("dram.reads", 2.0);
 /// assert_eq!(s.get("dram.reads"), 5.0);
 /// assert_eq!(s.get("dram.writes"), 0.0);
-///
-/// // Interned ids: allocation-free recording, same view.
-/// let id = stat_id("dram.refreshes");
-/// s.add_id(id, 1.0);
-/// assert_eq!(s.get("dram.refreshes"), 1.0);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Stats {
-    /// Dynamically named entries.
     values: BTreeMap<String, f64>,
-    /// Interned entries, indexed by [`StatId`]; `None` = never recorded.
-    dense: Vec<Option<f64>>,
 }
 
 impl Stats {
@@ -109,52 +34,15 @@ impl Stats {
         Stats::default()
     }
 
-    fn dense_slot(&mut self, id: StatId) -> &mut Option<f64> {
-        let idx = id.0 as usize;
-        if idx >= self.dense.len() {
-            self.dense.resize(idx + 1, None);
-        }
-        &mut self.dense[idx]
-    }
-
-    /// Sets the interned stat `id` to `value`. Never allocates once the
-    /// dense table covers `id`.
-    pub fn set_id(&mut self, id: StatId, value: f64) {
-        *self.dense_slot(id) = Some(value);
-    }
-
-    /// Adds `value` to the interned stat `id` (missing entries start at
-    /// zero). Never allocates once the dense table covers `id`.
-    pub fn add_id(&mut self, id: StatId, value: f64) {
-        let slot = self.dense_slot(id);
-        *slot = Some(slot.unwrap_or(0.0) + value);
-    }
-
-    /// The value recorded for interned stat `id`, or `0.0` if absent.
-    pub fn get_id(&self, id: StatId) -> f64 {
-        self.dense
-            .get(id.0 as usize)
-            .copied()
-            .flatten()
-            .unwrap_or(0.0)
-    }
-
-    /// Sets `key` to `value`, replacing any previous value. Routes to the
-    /// interned slot when `key` is a registered stat name.
-    pub fn set(&mut self, key: impl Into<String> + AsRef<str>, value: f64) {
-        if let Some(id) = lookup_id(key.as_ref()) {
-            self.set_id(id, value);
-        } else {
-            self.values.insert(key.into(), value);
-        }
+    /// Sets `key` to `value`, replacing any previous value.
+    pub fn set(&mut self, key: impl Into<String>, value: f64) {
+        self.values.insert(key.into(), value);
     }
 
     /// Adds `value` to `key` (missing keys start at zero). Allocates only
-    /// when inserting a new dynamically named key.
+    /// when inserting a new key.
     pub fn add(&mut self, key: impl Into<String> + AsRef<str>, value: f64) {
-        if let Some(id) = lookup_id(key.as_ref()) {
-            self.add_id(id, value);
-        } else if let Some(v) = self.values.get_mut(key.as_ref()) {
+        if let Some(v) = self.values.get_mut(key.as_ref()) {
             *v += value;
         } else {
             self.values.insert(key.into(), value);
@@ -163,111 +51,57 @@ impl Stats {
 
     /// The value for `key`, or `0.0` if absent.
     pub fn get(&self, key: &str) -> f64 {
-        if let Some(v) = self.values.get(key) {
-            return *v;
-        }
-        lookup_id(key).map_or(0.0, |id| self.get_id(id))
+        self.values.get(key).copied().unwrap_or(0.0)
     }
 
     /// Whether `key` has been recorded.
     pub fn contains(&self, key: &str) -> bool {
         self.values.contains_key(key)
-            || lookup_id(key)
-                .and_then(|id| self.dense.get(id.0 as usize).copied().flatten())
-                .is_some()
     }
 
     /// Merges every entry of `other` into `self` with a `prefix.` prepended,
-    /// adding to any existing values. One reused name buffer; per-key heap
-    /// traffic only when a prefixed key is new to `self`.
+    /// adding to any existing values.
     pub fn merge_prefixed(&mut self, prefix: &str, other: &Stats) {
-        let mut buf = String::with_capacity(prefix.len() + 24);
-        let mut merge = |this: &mut Stats, name: &str, v: f64| {
-            buf.clear();
-            buf.push_str(prefix);
-            buf.push('.');
-            buf.push_str(name);
-            if let Some(slot) = this.values.get_mut(buf.as_str()) {
-                *slot += v;
-            } else if let Some(id) = lookup_id(buf.as_str()) {
-                this.add_id(id, v);
-            } else {
-                this.values.insert(buf.clone(), v);
-            }
-        };
-        for (k, v) in &other.values {
-            merge(self, k, *v);
-        }
-        for (idx, v) in other.dense.iter().enumerate() {
-            if let Some(v) = *v {
-                merge(self, StatId(idx as u32).name(), v);
-            }
+        for (k, v) in other {
+            self.add(format!("{prefix}.{k}"), v);
         }
     }
 
     /// Sum of all values whose key starts with `prefix`.
     pub fn sum_prefix(&self, prefix: &str) -> f64 {
-        self.entries()
-            .into_iter()
+        self.iter()
             .filter(|(k, _)| k.starts_with(prefix))
             .map(|(_, v)| v)
             .sum()
     }
 
-    /// The union of both tiers, sorted by name. Entries recorded under the
-    /// same name through both APIs (possible when a name is registered
-    /// after a string write) are folded by addition.
-    fn entries(&self) -> Vec<(&str, f64)> {
-        let mut out: Vec<(&str, f64)> = Vec::with_capacity(self.values.len() + self.dense.len());
-        out.extend(self.values.iter().map(|(k, v)| (k.as_str(), *v)));
-        for (idx, v) in self.dense.iter().enumerate() {
-            if let Some(v) = *v {
-                out.push((StatId(idx as u32).name(), v));
-            }
-        }
-        out.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        out.dedup_by(|dup, keep| {
-            let same = dup.0 == keep.0;
-            if same {
-                keep.1 += dup.1;
-            }
-            same
-        });
-        out
-    }
-
     /// Iterates entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.entries().into_iter()
+        self.into_iter()
     }
 
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
-        self.entries().len()
+        self.values.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty() && self.dense.iter().all(|v| v.is_none())
+        self.values.is_empty()
     }
 }
 
-/// Snapshots serialize the logical view — sorted `(name, value)` pairs —
-/// because interned [`StatId`] indices depend on process-global
-/// registration order and are not stable across binaries. Loading routes
-/// each pair through [`Stats::set`], which re-interns registered names.
+/// Snapshots serialize the sorted `(name, value)` pairs.
 impl ccsvm_snap::Snapshot for Stats {
     fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        let entries = self.entries();
-        w.put_usize(entries.len());
-        for (name, value) in entries {
+        w.put_usize(self.len());
+        for (name, value) in self {
             w.put_str(name);
             w.put_f64(value);
         }
     }
     fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
         self.values.clear();
-        self.dense.clear();
         let n = r.get_usize()?;
         for _ in 0..n {
             let name = r.get_str()?.to_string();
@@ -278,19 +112,10 @@ impl ccsvm_snap::Snapshot for Stats {
     }
 }
 
-/// Logical equality: same named entries with the same values, regardless
-/// of which tier recorded them.
-impl PartialEq for Stats {
-    fn eq(&self, other: &Stats) -> bool {
-        self.entries() == other.entries()
-    }
-}
-
 impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let entries = self.entries();
-        let width = entries.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-        for (k, v) in entries {
+        let width = self.values.keys().map(String::len).max().unwrap_or(0);
+        for (k, v) in self {
             if v.fract() == 0.0 && v.abs() < 1e15 {
                 writeln!(f, "{k:width$}  {}", v as i64)?;
             } else {
@@ -301,11 +126,13 @@ impl fmt::Display for Stats {
     }
 }
 
+type Entry<'a> = (&'a String, &'a f64);
+
 impl<'a> IntoIterator for &'a Stats {
     type Item = (&'a str, f64);
-    type IntoIter = std::vec::IntoIter<(&'a str, f64)>;
+    type IntoIter = std::iter::Map<btree_map::Iter<'a, String, f64>, fn(Entry<'a>) -> Self::Item>;
     fn into_iter(self) -> Self::IntoIter {
-        self.entries().into_iter()
+        self.values.iter().map(|(k, v)| (k.as_str(), *v))
     }
 }
 
@@ -375,78 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn interned_ids_are_stable_and_allocation_free_on_repeat() {
-        let a = stat_id("test.interned.alpha");
-        let b = stat_id("test.interned.beta");
-        assert_ne!(a, b);
-        assert_eq!(a, stat_id("test.interned.alpha"));
-        assert_eq!(a.name(), "test.interned.alpha");
-        let mut s = Stats::new();
-        s.add_id(a, 1.0);
-        s.add_id(a, 2.0);
-        s.set_id(b, 9.0);
-        assert_eq!(s.get_id(a), 3.0);
-        assert_eq!(s.get_id(b), 9.0);
-        assert_eq!(s.get("test.interned.alpha"), 3.0);
-    }
-
-    #[test]
-    fn string_api_routes_to_interned_slot() {
-        let id = stat_id("test.routed.hits");
-        let mut s = Stats::new();
-        s.add("test.routed.hits", 5.0);
-        assert_eq!(s.get_id(id), 5.0);
-        s.set("test.routed.hits", 2.0);
-        assert_eq!(s.get_id(id), 2.0);
-        assert!(s.contains("test.routed.hits"));
-        assert!(
-            s.values.is_empty(),
-            "registered names must not hit the string map"
-        );
-    }
-
-    #[test]
-    fn views_union_both_tiers_sorted() {
-        let id = stat_id("test.union.m");
-        let mut s = Stats::new();
-        s.add_id(id, 7.0);
-        s.set("test.union.a", 1.0);
-        s.set("test.union.z", 2.0);
-        let v: Vec<_> = s.iter().collect();
-        assert_eq!(
-            v,
-            vec![
-                ("test.union.a", 1.0),
-                ("test.union.m", 7.0),
-                ("test.union.z", 2.0)
-            ]
-        );
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
-        assert_eq!(s.sum_prefix("test.union."), 10.0);
-        let text = s.to_string();
-        assert!(text.contains("test.union.m"));
-    }
-
-    #[test]
-    fn merge_prefixed_carries_interned_entries() {
-        let id = stat_id("test.carry.count");
-        let mut inner = Stats::new();
-        inner.add_id(id, 4.0);
-        inner.set("dynamic", 1.0);
-        let mut outer = Stats::new();
-        outer.merge_prefixed("core0", &inner);
-        assert_eq!(outer.get("core0.test.carry.count"), 4.0);
-        assert_eq!(outer.get("core0.dynamic"), 1.0);
-    }
-
-    #[test]
-    fn snapshot_round_trips_both_tiers_by_name() {
+    fn snapshot_round_trips_by_name() {
         use ccsvm_snap::{SnapReader, SnapWriter, Snapshot};
-        let id = stat_id("test.snap.interned");
         let mut s = Stats::new();
-        s.add_id(id, 6.0);
-        s.set("test.snap.dynamic", 2.5);
+        s.add("test.snap.z", 6.0);
+        s.set("test.snap.a", 2.5);
         let mut w = SnapWriter::new();
         s.save(&mut w);
         let bytes = w.into_vec();
@@ -454,18 +214,5 @@ mod tests {
         restored.set("stale", 1.0); // load must clear pre-existing entries
         restored.load(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(restored, s);
-        assert_eq!(restored.get_id(id), 6.0, "registered names re-intern");
-    }
-
-    #[test]
-    fn logical_equality_across_tiers() {
-        let id = stat_id("test.eq.k");
-        let mut by_id = Stats::new();
-        by_id.add_id(id, 2.0);
-        let mut by_str = Stats::new();
-        by_str.add("test.eq.k", 2.0);
-        assert_eq!(by_id, by_str);
-        by_str.add("other", 1.0);
-        assert_ne!(by_id, by_str);
     }
 }

@@ -1,11 +1,14 @@
-//! Decoded-HIR superblocks: pre-resolved micro-ops and a per-core cache.
+//! Decoded-HIR superblocks: pre-resolved micro-ops and the program-wide
+//! decoded image.
 //!
 //! Matching the [`Instr`] enum (and re-resolving its [`Operand`]s) per
 //! instruction per lane dominates host time on compute-bound workloads. This
 //! module decodes **straight-line runs** of timing-free instructions — from an
 //! entry PC up to, but not including, the next control-flow or memory-timing
-//! boundary — into a flat buffer of [`MicroOp`]s that a core can execute with
-//! one bounds check and no enum re-matching per retired instruction.
+//! boundary — into [`MicroOp`]s that a core can execute with one bounds check
+//! and no enum re-matching per retired instruction. The text section is
+//! immutable and shared by every core, so it is decoded once, into a
+//! [`DecodedImage`], and the cores read that by shared reference.
 //!
 //! # Superblock boundaries
 //!
@@ -20,12 +23,12 @@
 //!
 //! # Determinism
 //!
-//! The cache is pure host-side memoization. Micro-ops are derived from the
-//! program text alone, cores still charge time and retire counters per
-//! instruction exactly as before, and no decoded state is ever serialized into
-//! snapshots (it is rebuilt on demand after restore). Cache statistics live in
+//! The image is a pure host-side function of the program text. Cores still
+//! charge time and retire counters per instruction exactly as on the
+//! per-instruction path, and no decoded state is ever serialized into
+//! snapshots (a restored machine builds its own image). Its counters live in
 //! [`SbStats`], outside the architectural `Stats`, so `RunReport`s are
-//! bit-identical with the cache on or off.
+//! bit-identical with the fast path on or off.
 //!
 //! # The `r0` invariant
 //!
@@ -39,7 +42,6 @@
 use std::time::Instant;
 
 use crate::instr::{AluOp, Instr, Operand};
-use crate::Program;
 
 /// A pre-resolved micro-op. `Instr` operands (`Reg` wrappers, `Operand`
 /// register/immediate split) are flattened at decode time so execution is a
@@ -126,16 +128,8 @@ impl MicroOp {
     }
 }
 
-/// Whether `instr` may appear inside a superblock (no memory timing, no
-/// control flow, no traps).
-#[inline]
-pub fn decodable(instr: &Instr) -> bool {
-    matches!(
-        instr,
-        Instr::Alu { .. } | Instr::Li { .. } | Instr::Fence | Instr::Nop
-    )
-}
-
+/// The micro-op for `instr`, or `None` if it may not appear inside a
+/// superblock (memory timing, control flow, traps).
 fn decode_one(instr: &Instr) -> Option<MicroOp> {
     Some(match *instr {
         Instr::Alu { op, rd, ra, rb } => {
@@ -188,32 +182,21 @@ pub fn decode_run(text: &[Instr], entry: usize) -> Vec<MicroOp> {
     ops
 }
 
-/// Host-side superblock-cache counters (never part of `Stats`/`RunReport`).
+/// Host-side decoded-image counters (never part of `Stats`/`RunReport`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SbStats {
-    /// Entry lookups served from an already-decoded slot.
+    /// Straight-line runs the cores entered through the image.
     pub hits: u64,
-    /// Entry lookups that had to decode (equals blocks decoded).
+    /// Maximal straight-line runs the image build decoded.
     pub misses: u64,
-    /// Slots recycled by the LRU policy.
-    pub evictions: u64,
-    /// Total micro-ops produced by all decodes.
+    /// Micro-ops the image build produced.
     pub decoded_ops: u64,
-    /// Host nanoseconds spent decoding.
+    /// Host nanoseconds the image build took.
     pub decode_ns: u64,
 }
 
 impl SbStats {
-    /// Accumulates `other` into `self` (for aggregating across cores).
-    pub fn merge(&mut self, other: &SbStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.decoded_ops += other.decoded_ops;
-        self.decode_ns += other.decode_ns;
-    }
-
-    /// Mean micro-ops per decoded superblock (0.0 if nothing was decoded).
+    /// Mean micro-ops per maximal run (0.0 if nothing was decoded).
     pub fn mean_decoded_len(&self) -> f64 {
         if self.misses == 0 {
             0.0
@@ -223,169 +206,59 @@ impl SbStats {
     }
 }
 
-/// A validated reference to a cached superblock. Holders must revalidate
-/// through [`SbCache::ops_at`] (the generation check) before every use, so a
-/// stale reference after an eviction is harmless.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SbRef {
-    /// Slot index.
-    pub slot: u32,
-    /// Slot generation at lookup time.
-    pub gen: u32,
-}
-
+/// A whole text section, decoded once: `ops` is parallel to the text and
+/// `run[pc]` is the length of the straight-line run that starts at `pc` (0 at
+/// a boundary instruction). The superblock entered at *any* PC is therefore
+/// the slice `ops[pc..pc + run[pc]]` — a mid-run entry (a quantum deadline or
+/// a branch target inside a longer run) is a suffix of the same storage.
 #[derive(Debug)]
-struct Slot {
-    entry: u32,
-    gen: u32,
-    last_use: u64,
-    ops: Box<[MicroOp]>,
+pub struct DecodedImage {
+    /// One slot per instruction; boundary slots hold an unreachable filler.
+    ops: Vec<MicroOp>,
+    run: Vec<u32>,
+    built: SbStats,
 }
 
-/// Per-core decoded-superblock cache: entry PC → micro-op buffer, bounded to
-/// `capacity` blocks with strict least-recently-used eviction (the LRU clock
-/// is a monotonic lookup counter, so eviction order is a pure function of the
-/// lookup sequence — deterministic across runs and hosts).
-///
-/// The cache binds to one program at a time, keyed by the identity of its
-/// text section; looking up against a different program flushes everything
-/// (invalidate-on-swap). Within a `Machine` the program never changes, so in
-/// practice this fires once at first use.
-#[derive(Debug)]
-pub struct SbCache {
-    enabled: bool,
-    capacity: usize,
-    /// Entry PC → slot index + 1 (0 = not cached). Sized to the bound text.
-    index: Vec<u32>,
-    slots: Vec<Slot>,
-    tick: u64,
-    /// Identity of the bound text: (address, length).
-    prog_key: (usize, usize),
-    stats: SbStats,
-}
-
-impl SbCache {
-    /// Default capacity in superblocks; far above any hot working set in the
-    /// paper's workloads, so evictions only occur on pathological programs.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// An enabled cache holding at most `capacity` decoded blocks.
-    pub fn new(capacity: usize) -> SbCache {
-        SbCache {
-            enabled: true,
-            capacity: capacity.max(1),
-            index: Vec::new(),
-            slots: Vec::new(),
-            tick: 0,
-            prog_key: (0, 0),
-            stats: SbStats::default(),
-        }
-    }
-
-    /// Enables or disables the cache (the `SystemConfig::sb_cache` ablation
-    /// knob). Disabled, every lookup returns `None` and cores use their
-    /// ordinary decode-per-instruction path.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether lookups can succeed.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> &SbStats {
-        &self.stats
-    }
-
-    /// Drops all decoded blocks (bumping generations so outstanding
-    /// [`SbRef`]s go stale) but keeps counters and the program binding.
-    pub fn flush(&mut self) {
-        for slot in &mut self.slots {
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.ops = Box::new([]);
-        }
-        self.slots.clear();
-        self.index.iter_mut().for_each(|e| *e = 0);
-    }
-
-    fn bind(&mut self, prog: &Program) {
-        let key = (prog.text.as_ptr() as usize, prog.text.len());
-        if self.prog_key != key {
-            self.flush();
-            self.index = vec![0; prog.text.len()];
-            self.prog_key = key;
-        }
-    }
-
-    /// Looks up (decoding on miss) the superblock entered at `pc`. Returns
-    /// `None` when disabled, when `pc` is out of range, or when the entry
-    /// instruction is a boundary (nothing to decode).
-    pub fn entry(&mut self, prog: &Program, pc: usize) -> Option<SbRef> {
-        if !self.enabled {
-            return None;
-        }
-        self.bind(prog);
-        let idx = *self.index.get(pc)?;
-        self.tick += 1;
-        if idx != 0 {
-            let slot = &mut self.slots[(idx - 1) as usize];
-            slot.last_use = self.tick;
-            self.stats.hits += 1;
-            return Some(SbRef {
-                slot: idx - 1,
-                gen: slot.gen,
-            });
-        }
-        if !decodable(&prog.text[pc]) {
-            return None;
-        }
+impl DecodedImage {
+    /// Decodes `text` in one backward pass: a decodable instruction extends
+    /// the run that starts right after it, a boundary resets it.
+    pub fn build(text: &[Instr]) -> DecodedImage {
         let t0 = Instant::now();
-        let ops = decode_run(&prog.text, pc).into_boxed_slice();
-        self.stats.decode_ns += t0.elapsed().as_nanos() as u64;
-        self.stats.misses += 1;
-        self.stats.decoded_ops += ops.len() as u64;
-        let si = if self.slots.len() < self.capacity {
-            self.slots.push(Slot {
-                entry: pc as u32,
-                gen: 0,
-                last_use: self.tick,
-                ops,
-            });
-            self.slots.len() - 1
-        } else {
-            // Strict LRU: recycle the slot with the oldest last_use (ties
-            // impossible — the clock is strictly monotonic).
-            let si = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_use)
-                .map(|(i, _)| i)
-                .expect("capacity >= 1");
-            let slot = &mut self.slots[si];
-            self.index[slot.entry as usize] = 0;
-            slot.entry = pc as u32;
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.last_use = self.tick;
-            slot.ops = ops;
-            self.stats.evictions += 1;
-            si
-        };
-        self.index[pc] = si as u32 + 1;
-        Some(SbRef {
-            slot: si as u32,
-            gen: self.slots[si].gen,
-        })
+        assert!(u32::try_from(text.len()).is_ok(), "text exceeds u32 PCs");
+        let mut ops = vec![MicroOp::Skip; text.len()];
+        let mut run = vec![0u32; text.len()];
+        let mut built = SbStats::default();
+        let mut len = 0;
+        for (pc, instr) in text.iter().enumerate().rev() {
+            len = match decode_one(instr) {
+                Some(op) => {
+                    ops[pc] = op;
+                    built.misses += u64::from(len == 0);
+                    built.decoded_ops += 1;
+                    len + 1
+                }
+                None => 0,
+            };
+            run[pc] = len;
+        }
+        built.decode_ns = t0.elapsed().as_nanos() as u64;
+        DecodedImage { ops, run, built }
     }
 
-    /// The micro-ops behind `r`, or `None` if the slot was since evicted
-    /// (generation mismatch) — the revalidation step for held cursors.
+    /// The superblock entered at `pc`: empty iff `pc` is a boundary
+    /// instruction or outside the text.
     #[inline]
-    pub fn ops_at(&self, r: SbRef) -> Option<&[MicroOp]> {
-        let slot = self.slots.get(r.slot as usize)?;
-        (slot.gen == r.gen).then_some(&slot.ops[..])
+    pub fn run_at(&self, pc: usize) -> &[MicroOp] {
+        match self.run.get(pc) {
+            Some(&len) => &self.ops[pc..pc + len as usize],
+            None => &[],
+        }
+    }
+
+    /// What the build decoded and how long it took (`hits` is zero: run
+    /// entries are counted by whoever executes them).
+    pub fn build_stats(&self) -> SbStats {
+        self.built
     }
 }
 
@@ -394,7 +267,7 @@ mod tests {
     use super::*;
     use crate::assemble;
 
-    fn prog(src: &str) -> Program {
+    fn prog(src: &str) -> crate::Program {
         assemble(src).unwrap()
     }
 
@@ -415,6 +288,35 @@ mod tests {
         assert_eq!(ops[3], MicroOp::Skip);
         assert_eq!(decode_run(&p.text, 4).len(), 0, "entry on a boundary");
         assert_eq!(decode_run(&p.text, 99).len(), 0, "entry out of range");
+    }
+
+    #[test]
+    fn image_slices_runs_at_any_pc() {
+        let p = prog(
+            "main:
+                li r1, 6
+                mul r1, r1, 7
+                fence
+                st8 r1, 0(r2)
+                li r3, 1
+                exit",
+        );
+        let image = DecodedImage::build(&p.text);
+        for pc in 0..p.text.len() + 2 {
+            assert_eq!(image.run_at(pc), &decode_run(&p.text, pc)[..], "pc {pc}");
+        }
+        assert_eq!(image.run_at(0).len(), 3);
+        assert_eq!(image.run_at(2), &[MicroOp::Skip], "a suffix of run 0");
+        for pc in [3, 5, 6, usize::MAX] {
+            assert!(image.run_at(pc).is_empty(), "boundary or outside: {pc}");
+        }
+        let built = image.build_stats();
+        assert_eq!((built.hits, built.misses, built.decoded_ops), (0, 2, 4));
+        assert!((built.mean_decoded_len() - 2.0).abs() < 1e-9);
+
+        let empty = DecodedImage::build(&[]);
+        assert!(empty.run_at(0).is_empty());
+        assert_eq!(empty.build_stats().decoded_ops, 0);
     }
 
     #[test]
@@ -468,66 +370,6 @@ mod tests {
         }
         interp.run(&p, &mut mem, &mut os, 1000).unwrap();
         assert_eq!(regs, interp.regs);
-    }
-
-    #[test]
-    fn cache_hits_misses_and_program_swap() {
-        let p = prog("main:\n li r1, 1\n add r1, r1, 1\n exit\n");
-        let mut c = SbCache::new(16);
-        let r1 = c.entry(&p, 0).unwrap();
-        assert_eq!((c.stats().hits, c.stats().misses), (0, 1));
-        assert_eq!(c.ops_at(r1).unwrap().len(), 2);
-        let r2 = c.entry(&p, 0).unwrap();
-        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
-        assert_eq!(r1, r2);
-        assert_eq!(c.stats().decoded_ops, 2);
-        assert!((c.stats().mean_decoded_len() - 2.0).abs() < 1e-9);
-        // Boundary entry: no block.
-        assert!(c.entry(&p, 2).is_none());
-
-        // A different program invalidates everything.
-        let q = prog("main:\n li r2, 9\n exit\n");
-        let r3 = c.entry(&q, 0).unwrap();
-        assert_eq!(c.ops_at(r3).unwrap(), &[MicroOp::Li { rd: 2, imm: 9 }]);
-        assert!(
-            c.ops_at(r1).is_none() || c.ops_at(r1).unwrap() == c.ops_at(r3).unwrap(),
-            "stale refs must not resolve to the old program's ops"
-        );
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        // Capacity 2; touch pattern makes pc=0 most recent, pc=2 LRU.
-        let p = prog("main:
-                li r1, 1
-                exit
-                li r2, 2
-                exit
-                li r3, 3
-                exit");
-        let mut c = SbCache::new(2);
-        let r0 = c.entry(&p, 0).unwrap();
-        let r2 = c.entry(&p, 2).unwrap();
-        c.entry(&p, 0).unwrap(); // touch 0 → 2 becomes LRU
-        let r4 = c.entry(&p, 4).unwrap(); // must evict pc=2
-        assert_eq!(c.stats().evictions, 1);
-        assert!(c.ops_at(r2).is_none(), "evicted ref revalidation fails");
-        assert!(c.ops_at(r0).is_some());
-        assert_eq!(c.ops_at(r4).unwrap(), &[MicroOp::Li { rd: 3, imm: 3 }]);
-        // Re-entering the evicted block decodes again (miss), evicting the
-        // new LRU (pc=0).
-        c.entry(&p, 2).unwrap();
-        assert_eq!(c.stats().evictions, 2);
-        assert_eq!(c.stats().misses, 4);
-    }
-
-    #[test]
-    fn disabled_cache_never_resolves() {
-        let p = prog("main:\n li r1, 1\n exit\n");
-        let mut c = SbCache::new(16);
-        c.set_enabled(false);
-        assert!(c.entry(&p, 0).is_none());
-        assert_eq!(c.stats().misses, 0);
     }
 
     #[test]

@@ -238,8 +238,8 @@ impl Interp {
     /// ([`crate::decode`]) — the same fast path the timing cores use — while
     /// every boundary instruction (branch, memory, syscall, exit) goes
     /// through [`Interp::step`], which remains the per-instruction semantic
-    /// oracle. The superblock cache is local to one `run` call, so handing
-    /// the same `Interp` a different program later can never observe stale
+    /// oracle. The decoded image is built per `run` call, so handing the
+    /// same `Interp` a different program later can never observe stale
     /// decoded state.
     ///
     /// # Errors
@@ -253,11 +253,11 @@ impl Interp {
         os: &mut dyn Syscalls,
         max_steps: u64,
     ) -> Result<(), TrapKind> {
-        let mut sb = crate::decode::SbCache::new(crate::decode::SbCache::DEFAULT_CAPACITY);
+        let image = crate::DecodedImage::build(&prog.text);
         let mut gas = max_steps;
         while gas > 0 {
-            let ops = sb.entry(prog, self.pc).and_then(|r| sb.ops_at(r));
-            if let Some(ops) = ops {
+            let ops = image.run_at(self.pc);
+            if !ops.is_empty() {
                 // Budget-capped tail of the superblock; each micro-op is one
                 // retired instruction, exactly as if stepped individually.
                 let n = (ops.len() as u64).min(gas) as usize;

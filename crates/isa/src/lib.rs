@@ -38,7 +38,7 @@ pub mod decode;
 pub mod sys;
 
 pub use asm::{assemble, AsmError};
-pub use decode::{decodable, decode_run, MicroOp, SbCache, SbRef, SbStats};
+pub use decode::{decode_run, DecodedImage, MicroOp, SbStats};
 pub use instr::{AluOp, AmoKind, Cond, Instr, Operand, Reg};
 pub use interp::{FlatMem, FuncOs, Interp, StepOutcome, Syscalls, TrapKind};
 pub use program::Program;

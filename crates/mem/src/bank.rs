@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use ccsvm_engine::{fx_map_with_capacity, stat_id, FxHashMap, Stats};
+use ccsvm_engine::{fx_map_with_capacity, FxHashMap, Stats};
 
 use crate::cache::{CacheArray, CacheConfig};
 use crate::msg::{BankId, BlockData, DirToL1, Grant, L1ToDir, ReqKind, Request, SnoopKind};
@@ -1280,16 +1280,16 @@ impl Bank {
 
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        s.set_id(stat_id("gets"), self.gets as f64);
-        s.set_id(stat_id("getm"), self.getm as f64);
-        s.set_id(stat_id("puts"), self.puts as f64);
-        s.set_id(stat_id("hits"), self.hits as f64);
-        s.set_id(stat_id("misses"), self.misses as f64);
-        s.set_id(stat_id("recalls"), self.recalls as f64);
+        s.set("gets", self.gets as f64);
+        s.set("getm", self.getm as f64);
+        s.set("puts", self.puts as f64);
+        s.set("hits", self.hits as f64);
+        s.set("misses", self.misses as f64);
+        s.set("recalls", self.recalls as f64);
         if self.lenient {
-            s.set_id(stat_id("dir_timeouts"), self.timeouts as f64);
-            s.set_id(stat_id("dir_nacks"), self.nack_resends as f64);
-            s.set_id(stat_id("stale_resps"), self.stale_resps as f64);
+            s.set("dir_timeouts", self.timeouts as f64);
+            s.set("dir_nacks", self.nack_resends as f64);
+            s.set("stale_resps", self.stale_resps as f64);
         }
         s
     }

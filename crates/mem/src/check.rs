@@ -26,7 +26,6 @@ use ccsvm_engine::{InvariantId, Time, Violation};
 
 use crate::l1::L1State;
 use crate::msg::{BlockData, MemEvent, MemEventKind};
-use crate::protocol::protocol;
 use crate::system::{MemorySystem, PortId};
 
 fn violation(id: InvariantId, at: Time, detail: String) -> Option<Violation> {
@@ -67,8 +66,8 @@ impl MemorySystem {
 
     /// Checks SWMR, directory agreement, and the data-value invariant for
     /// one block — each gated on whether the configured protocol *defines*
-    /// it (see [`crate::protocol::CoherenceProtocol::invariants`]). Skips
-    /// blocks with an active transaction at the home bank.
+    /// it (see [`crate::ProtocolKind::invariants`]). Skips blocks with an
+    /// active transaction at the home bank.
     pub fn check_block(&self, at: Time, block: u64) -> Option<Violation> {
         let home = self.home(block);
         if self.banks[home].busy_on(block) {
@@ -87,7 +86,7 @@ impl MemorySystem {
             // marks it mid-round.
             return None;
         }
-        let mask = protocol(self.protocol).invariants();
+        let mask = self.protocol.invariants();
         // Gather every valid L1 copy.
         let mut copies: Vec<(PortId, L1State, Option<BlockData>)> = Vec::new();
         for (i, l1) in self.l1s.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! Off-chip DRAM model: sparse backing store + fixed latency + channel
 //! bandwidth, with the access counters behind the paper's Figure 9.
 
-use ccsvm_engine::{stat_id, DramFaultConfig, FxHashMap, SplitMix64, Stats, Time};
+use ccsvm_engine::{DramFaultConfig, FxHashMap, SplitMix64, Stats, Time};
 
 use crate::addr::{offset_in_block, PhysAddr, BLOCK_BYTES};
 use crate::msg::BlockData;
@@ -221,12 +221,12 @@ impl Dram {
     /// is installed, keeping healthy-run reports unchanged.
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        s.set_id(stat_id("reads"), self.reads as f64);
-        s.set_id(stat_id("writes"), self.writes as f64);
-        s.set_id(stat_id("accesses"), self.accesses() as f64);
+        s.set("reads", self.reads as f64);
+        s.set("writes", self.writes as f64);
+        s.set("accesses", self.accesses() as f64);
         if let Some(f) = &self.faults {
-            s.set_id(stat_id("ecc_corrected"), f.corrected as f64);
-            s.set_id(stat_id("ecc_poisoned"), f.poisoned_events as f64);
+            s.set("ecc_corrected", f.corrected as f64);
+            s.set("ecc_poisoned", f.poisoned_events as f64);
         }
         s
     }

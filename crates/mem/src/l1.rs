@@ -6,7 +6,7 @@
 //! cores"). Write-back, write-allocate; atomics acquire M and execute in the
 //! L1 (§3.2.4). A write-through mode exists solely for the §6.1 ablation.
 
-use ccsvm_engine::{fx_map_with_capacity, stat_id, FxHashMap, FxHashSet, Stats, Time};
+use ccsvm_engine::{fx_map_with_capacity, FxHashMap, FxHashSet, Stats, Time};
 use ccsvm_noc::NodeId;
 
 use crate::addr::{block_of, offset_in_block, PhysAddr};
@@ -1061,18 +1061,18 @@ impl L1 {
 
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        s.set_id(stat_id("loads"), self.loads as f64);
-        s.set_id(stat_id("stores"), self.stores as f64);
-        s.set_id(stat_id("atomics"), self.atomics as f64);
-        s.set_id(stat_id("hits"), self.hits as f64);
-        s.set_id(stat_id("misses"), self.misses as f64);
-        s.set_id(stat_id("merged_misses"), self.merged_misses as f64);
-        s.set_id(stat_id("retries"), self.retries as f64);
-        s.set_id(stat_id("writebacks"), self.writebacks as f64);
-        s.set_id(stat_id("invalidations"), self.invalidations as f64);
-        s.set_id(stat_id("fetches"), self.fetches as f64);
+        s.set("loads", self.loads as f64);
+        s.set("stores", self.stores as f64);
+        s.set("atomics", self.atomics as f64);
+        s.set("hits", self.hits as f64);
+        s.set("misses", self.misses as f64);
+        s.set("merged_misses", self.merged_misses as f64);
+        s.set("retries", self.retries as f64);
+        s.set("writebacks", self.writebacks as f64);
+        s.set("invalidations", self.invalidations as f64);
+        s.set("fetches", self.fetches as f64);
         if self.lenient {
-            s.set_id(stat_id("spurious_fetches"), self.spurious_fetches as f64);
+            s.set("spurious_fetches", self.spurious_fetches as f64);
         }
         s
     }

@@ -42,5 +42,5 @@ pub use dram::{Dram, DramConfig};
 pub use l1::{L1Config, WritePolicy};
 pub use msg::{ring_kind_name, AtomicOp, BankId, MemEvent};
 pub use port::{CorePort, PortLog};
-pub use protocol::{protocol, CoherenceProtocol, ProtocolKind};
+pub use protocol::ProtocolKind;
 pub use system::{Access, AccessResult, BankConfig, Completion, MemConfig, MemorySystem, PortId};

@@ -22,14 +22,15 @@
 //!   (updates cannot serialize an atomic's read-modify-write against racing
 //!   updates, so exclusivity is acquired instead).
 //!
-//! [`CoherenceProtocol`] carries what the rest of the stack needs to know
-//! about a protocol without seeing its state machine: its identity/CLI
-//! naming, its message vocabulary (for docs and diagnostics), and — the part
+//! [`ProtocolKind`] is what the rest of the stack knows about a protocol
+//! without seeing its state machine: its identity/CLI naming and — the part
 //! the sanitizer consumes — which DESIGN §9 invariants are *defined* under
-//! it. SWMR is deliberately not an invariant under Dragon (multiple dirty
-//! copies are the protocol working as designed), and the directory-agreement
-//! invariant only exists where there is a directory; the sanitizer gates on
-//! [`CoherenceProtocol::invariants`] rather than being silently disabled.
+//! it ([`ProtocolKind::invariants`]). SWMR is deliberately not an invariant
+//! under Dragon (multiple dirty copies are the protocol working as
+//! designed), and the directory-agreement invariant only exists where there
+//! is a directory; the sanitizer gates on the mask rather than being
+//! silently disabled. DESIGN §13.1 catalogues each protocol's states and
+//! messages.
 //!
 //! The state machines themselves live next to the structures they drive:
 //! the directory protocol in `bank.rs`/`l1.rs` (unchanged), the snooping
@@ -84,132 +85,28 @@ impl ProtocolKind {
     pub fn uses_directory(self) -> bool {
         matches!(self, ProtocolKind::Directory)
     }
+
+    /// The DESIGN §9 invariants that are *defined* for this protocol. The
+    /// sanitizer checks exactly this set — an invariant absent here is not
+    /// an invariant of the protocol (not a disabled check).
+    pub fn invariants(self) -> InvariantMask {
+        match self {
+            ProtocolKind::Directory => InvariantMask::all(),
+            // No directory ⇒ nothing for the L2 record to agree with.
+            ProtocolKind::MesiSnoop => InvariantMask::all().without(InvariantId::MemDirAgree),
+            // No directory, and SWMR is *not* a Dragon invariant: an update
+            // round leaves the writer in Sm with other readable copies alive
+            // — that is the protocol's whole point, not a bug.
+            ProtocolKind::Dragon => InvariantMask::all()
+                .without(InvariantId::MemDirAgree)
+                .without(InvariantId::MemSwmr),
+        }
+    }
 }
 
 impl std::fmt::Display for ProtocolKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// What the rest of the simulator may know about a coherence protocol:
-/// identity, vocabulary, and which sanitizer invariants are defined under
-/// it. Obtain one with [`protocol`].
-pub trait CoherenceProtocol {
-    /// The protocol's configuration identity.
-    fn kind(&self) -> ProtocolKind;
-
-    /// Human-readable name (matches [`ProtocolKind::as_str`]).
-    fn name(&self) -> &'static str {
-        self.kind().as_str()
-    }
-
-    /// The DESIGN §9 invariants that are *defined* for this protocol. The
-    /// sanitizer checks exactly this set — an invariant absent here is not
-    /// an invariant of the protocol (not a disabled check).
-    fn invariants(&self) -> InvariantMask;
-
-    /// The L1 stable states, in the protocol's own naming.
-    fn l1_states(&self) -> &'static [&'static str];
-
-    /// The protocol's message vocabulary (requests, probes, responses), for
-    /// diagnostics and the DESIGN §13 catalogue.
-    fn messages(&self) -> &'static [&'static str];
-}
-
-/// The paper's blocking directory MOESI.
-struct DirectoryMoesi;
-
-impl CoherenceProtocol for DirectoryMoesi {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Directory
-    }
-
-    fn invariants(&self) -> InvariantMask {
-        InvariantMask::all()
-    }
-
-    fn l1_states(&self) -> &'static [&'static str] {
-        &["I", "S", "E", "O", "M"]
-    }
-
-    fn messages(&self) -> &'static [&'static str] {
-        &[
-            "GetS", "GetM", "PutDirty", "PutClean", "Data", "AckM", "Inv", "Fetch", "FetchInv",
-            "PutAck", "InvResp", "FetchResp",
-        ]
-    }
-}
-
-/// Snooping MESI over the NoC, bank-ordered.
-struct MesiSnoop;
-
-impl CoherenceProtocol for MesiSnoop {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::MesiSnoop
-    }
-
-    fn invariants(&self) -> InvariantMask {
-        // No directory ⇒ nothing for the L2 record to agree with.
-        InvariantMask::all().without(InvariantId::MemDirAgree)
-    }
-
-    fn l1_states(&self) -> &'static [&'static str] {
-        &["I", "S", "E", "M"]
-    }
-
-    fn messages(&self) -> &'static [&'static str] {
-        &[
-            "BusRd", "BusRdX", "PutDirty", "Snoop(Rd)", "Snoop(RdX)", "SnoopResp", "Data",
-            "PutAck",
-        ]
-    }
-}
-
-/// Dragon write-update.
-struct DragonUpdate;
-
-impl CoherenceProtocol for DragonUpdate {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Dragon
-    }
-
-    fn invariants(&self) -> InvariantMask {
-        // No directory, and SWMR is *not* a Dragon invariant: an update
-        // round leaves the writer in Sm with other readable copies alive —
-        // that is the protocol's whole point, not a bug.
-        InvariantMask::all()
-            .without(InvariantId::MemDirAgree)
-            .without(InvariantId::MemSwmr)
-    }
-
-    fn l1_states(&self) -> &'static [&'static str] {
-        &["I", "Sc", "Sm", "E", "M"]
-    }
-
-    fn messages(&self) -> &'static [&'static str] {
-        &[
-            "BusRd",
-            "BusRdX",
-            "BusUpd",
-            "PutDirty",
-            "Snoop(Rd)",
-            "Snoop(RdX)",
-            "Snoop(Upd)",
-            "SnoopResp",
-            "UpdDone",
-            "Data",
-            "PutAck",
-        ]
-    }
-}
-
-/// Returns the protocol descriptor for `kind`.
-pub fn protocol(kind: ProtocolKind) -> &'static dyn CoherenceProtocol {
-    match kind {
-        ProtocolKind::Directory => &DirectoryMoesi,
-        ProtocolKind::MesiSnoop => &MesiSnoop,
-        ProtocolKind::Dragon => &DragonUpdate,
     }
 }
 
@@ -221,17 +118,16 @@ mod tests {
     fn names_round_trip() {
         for kind in ProtocolKind::ALL {
             assert_eq!(ProtocolKind::parse(kind.as_str()), Some(kind));
-            assert_eq!(protocol(kind).name(), kind.as_str());
-            assert_eq!(protocol(kind).kind(), kind);
+            assert_eq!(kind.to_string(), kind.as_str());
         }
         assert_eq!(ProtocolKind::parse("moesi"), None);
     }
 
     #[test]
     fn invariant_masks_differ_where_the_protocols_do() {
-        let dir = protocol(ProtocolKind::Directory).invariants();
-        let snoop = protocol(ProtocolKind::MesiSnoop).invariants();
-        let dragon = protocol(ProtocolKind::Dragon).invariants();
+        let dir = ProtocolKind::Directory.invariants();
+        let snoop = ProtocolKind::MesiSnoop.invariants();
+        let dragon = ProtocolKind::Dragon.invariants();
         assert_eq!(dir, InvariantMask::all());
         assert!(snoop.contains(InvariantId::MemSwmr));
         assert!(!snoop.contains(InvariantId::MemDirAgree));
@@ -245,5 +141,4 @@ mod tests {
             assert!(m.contains(InvariantId::VmStaleShoot));
         }
     }
-
 }

@@ -61,10 +61,8 @@
 //! reports them and the machine forwards them through the [`Mifd`] to a CPU
 //! core (§3.2.1).
 
-use ccsvm_engine::{stat_id, Clock, FxHashMap, Stats, Time};
-use ccsvm_isa::{
-    abi, decodable, AmoKind, Instr, MicroOp, Operand, Program, Reg, SbCache, SbRef, SbStats,
-};
+use ccsvm_engine::{Clock, FxHashMap, Stats, Time};
+use ccsvm_isa::{abi, AmoKind, DecodedImage, Instr, MicroOp, Operand, Program, Reg};
 use ccsvm_mem::{Access, AccessResult, AtomicOp, CorePort, PhysAddr, PortId};
 use ccsvm_vm::{frame_plus_offset, Tlb, VirtAddr, Walk, WalkResult};
 
@@ -409,23 +407,22 @@ struct Flight {
     issued_at: Time,
 }
 
-/// Per-warp cursor into a decoded superblock (`ccsvm_isa::decode`). While
-/// valid (`rem > 0`), [`MttopCore::issue`] retires one micro-op per issue
-/// slot for the cached participating-lane set without recomputing the min-PC
-/// set or re-matching the `Instr` enum. Strictly host-side: never serialized,
-/// cleared on snapshot load and task assignment, and revalidated (slot
-/// generation + expected PC) before every use, so a stale cursor is harmless.
+/// Per-warp cursor into a straight-line run of the decoded image
+/// (`ccsvm_isa::decode`). While valid (`rem > 0`), [`MttopCore::issue`]
+/// retires one micro-op per issue slot for the cached participating-lane set
+/// without recomputing the min-PC set or re-matching the `Instr` enum.
+/// Strictly host-side: never serialized, cleared on snapshot load and task
+/// assignment, and revalidated (expected PC) before every use, so a stale
+/// cursor is harmless.
 #[derive(Clone, Copy, Debug)]
 struct SbCursor {
-    sb: SbRef,
-    /// Index of the next micro-op to execute.
-    off: u32,
-    /// Micro-ops this warp may still execute from the block; `0` = invalid.
+    /// Micro-ops this warp may still execute from the run; `0` = invalid.
     /// Capped at entry so the run ends exactly where a lagging live lane's
     /// PC forces the min-PC participating set to be recomputed
     /// (reconvergence — see the module docs).
     rem: u32,
-    /// Expected participating-lane PC at the next issue (validation).
+    /// Expected participating-lane PC at the next issue (validation); it
+    /// also indexes the image.
     pc: u32,
     /// Participating lane set (bit per lane; `lanes <= 8`).
     mask: u8,
@@ -439,8 +436,6 @@ struct SbCursor {
 
 impl SbCursor {
     const INVALID: SbCursor = SbCursor {
-        sb: SbRef { slot: 0, gen: 0 },
-        off: 0,
         rem: 0,
         pc: 0,
         mask: 0,
@@ -464,11 +459,6 @@ impl SbCursor {
 /// instead of O(thread contexts); serializing a full 128-context core per
 /// claim dominated the epoch executor's host cost. All buffers are reused
 /// across claims.
-///
-/// The decoded-superblock cache is deliberately *not* captured: it is
-/// host-side memoization of the immutable text section and cannot change
-/// simulated behaviour (warps re-enter through their `sb_cur` cursors,
-/// which are restored).
 #[derive(Debug, Default)]
 pub struct SpecUndo {
     /// Pre-images of touched warps; `n_warps` entries are live, the tail is
@@ -557,10 +547,12 @@ pub struct MttopCore {
     /// Set (sticky) when any access observed ECC poison; surfaced through
     /// [`BatchOutcome::poisoned`] so the machine can abort gracefully.
     poisoned: bool,
-    /// Decoded-superblock cache (`ccsvm_isa::decode`). Host-side memoization
-    /// of the immutable text section — never serialized, and draining or
-    /// disabling it cannot change simulated behaviour.
-    sb: SbCache,
+    /// Whether `issue` takes straight-line runs from the decoded image (the
+    /// `SystemConfig::sb_cache` knob). Host-side, never serialized; cannot
+    /// change simulated behaviour.
+    sb_on: bool,
+    /// Runs entered through the image (host-side, never serialized).
+    sb_hits: u64,
     /// `sb_cur[wi]` = warp `wi`'s fast-path cursor (invalid when `rem == 0`).
     sb_cur: Vec<SbCursor>,
     /// Monotone batch counter for the doomed-retry short circuit; never
@@ -636,18 +628,19 @@ impl MttopCore {
             miss_lat_sum: Time::ZERO,
             miss_count: 0,
             poisoned: false,
-            sb: SbCache::new(SbCache::DEFAULT_CAPACITY),
+            sb_on: true,
+            sb_hits: 0,
             sb_cur: vec![SbCursor::INVALID; config.warps],
             batch_epoch: 0,
             retry_epoch: vec![u64::MAX; config.warps],
         }
     }
 
-    /// Enables or disables the decoded-superblock cache (the `--no-sb-cache`
-    /// ablation). Pure host-perf knob: simulated timing and results are
-    /// bit-identical either way.
+    /// Enables or disables the decoded-superblock fast path (the
+    /// `--no-sb-cache` ablation). Pure host-perf knob: simulated timing and
+    /// results are bit-identical either way.
     pub fn set_sb_cache(&mut self, enabled: bool) {
-        self.sb.set_enabled(enabled);
+        self.sb_on = enabled;
         if !enabled {
             for c in &mut self.sb_cur {
                 *c = SbCursor::INVALID;
@@ -655,9 +648,10 @@ impl MttopCore {
         }
     }
 
-    /// Superblock-cache host counters (hits/misses/evictions/decode time).
-    pub fn sb_stats(&self) -> SbStats {
-        *self.sb.stats()
+    /// Runs entered through the decoded image (host-side; not part of
+    /// [`MttopCore::stats`]).
+    pub fn sb_hits(&self) -> u64 {
+        self.sb_hits
     }
 
     /// Transitions warp `wi` to `s`, keeping the ready bitmap in sync.
@@ -809,11 +803,14 @@ impl MttopCore {
         self.token_prefix | self.token_seq
     }
 
-    /// Executes until the quantum, or until every live warp blocks.
+    /// Executes until the quantum, or until every live warp blocks. `image`
+    /// must be [`DecodedImage::build`] of `prog.text`; it is only read, so
+    /// concurrent batches share one.
     pub fn run_batch(
         &mut self,
         now: Time,
         prog: &Program,
+        image: &DecodedImage,
         port: &mut CorePort<'_>,
     ) -> BatchOutcome {
         self.local_time = self.local_time.max(now);
@@ -943,13 +940,17 @@ impl MttopCore {
             // mid-superblock, whole rounds of the per-cycle rotation are pure
             // ALU work with no port traffic, so they can be retired in
             // per-warp blocks (see `try_sprint` for the equivalence argument).
-            if self.config.lockstep && n <= 64 && chosen.len() == 1 && self.try_sprint(deadline) {
+            if self.config.lockstep
+                && n <= 64
+                && chosen.len() == 1
+                && self.try_sprint(image, deadline)
+            {
                 continue;
             }
             self.rr = (chosen[chosen.len() - 1] + 1) % n;
             let cycle_start = self.local_time;
             for &wi in &chosen {
-                self.issue(wi, prog, port, &mut faults);
+                self.issue(wi, prog, image, port, &mut faults);
             }
             if !self.config.lockstep {
                 // Fine-grained mode: the cycle itself is the charge.
@@ -989,7 +990,7 @@ impl MttopCore {
     /// * the attempt bails (returns `false`) unless EVERY eligible warp has
     ///   a valid superblock cursor, so a slow-path warp in `S` forces the
     ///   exact per-cycle interleaving instead.
-    fn try_sprint(&mut self, deadline: Time) -> bool {
+    fn try_sprint(&mut self, image: &DecodedImage, deadline: Time) -> bool {
         let n = self.warps.len();
         let t = self.local_time;
         let mask0 = self.ready_mask[0];
@@ -1006,7 +1007,6 @@ impl MttopCore {
                 if at <= t {
                     let cur = &self.sb_cur[wi];
                     if cur.rem == 0
-                        || self.sb.ops_at(cur.sb).is_none()
                         || self.warps[wi].lanes[cur.mask.trailing_zeros() as usize].pc
                             != cur.pc as usize
                     {
@@ -1036,8 +1036,7 @@ impl MttopCore {
         }
         for &wi in &s_buf[..s_len] {
             let cur = self.sb_cur[wi];
-            let ops = self.sb.ops_at(cur.sb).expect("validated above");
-            let ops = &ops[cur.off as usize..cur.off as usize + k];
+            let ops = &image.run_at(cur.pc as usize)[..k];
             let warp = &mut self.warps[wi];
             sprint_masked(ops, &mut warp.lanes, cur.mask, self.full_lane_mask);
             if cur.np < cur.live {
@@ -1047,7 +1046,6 @@ impl MttopCore {
             self.thread_instrs += k as u64 * cur.np as u64;
             let cu = &mut self.sb_cur[wi];
             cu.rem -= k as u32;
-            cu.off += k as u32;
             cu.pc += k as u32;
         }
         self.rr = (s_buf[s_len - 1] + 1) % n;
@@ -1060,6 +1058,7 @@ impl MttopCore {
         &mut self,
         wi: usize,
         prog: &Program,
+        image: &DecodedImage,
         port: &mut CorePort<'_>,
         faults: &mut Vec<PageFaultReq>,
     ) {
@@ -1103,12 +1102,8 @@ impl MttopCore {
         let cur = self.sb_cur[wi];
         if cur.rem > 0 {
             let lead = cur.mask.trailing_zeros() as usize;
-            let op = if self.warps[wi].lanes[lead].pc == cur.pc as usize {
-                self.sb.ops_at(cur.sb).map(|ops| ops[cur.off as usize])
-            } else {
-                None
-            };
-            if let Some(op) = op {
+            if self.warps[wi].lanes[lead].pc == cur.pc as usize {
+                let op = image.run_at(cur.pc as usize)[0];
                 #[cfg(debug_assertions)]
                 {
                     // The cached participating set must still be exactly the
@@ -1136,11 +1131,10 @@ impl MttopCore {
                 }
                 let c = &mut self.sb_cur[wi];
                 c.rem -= 1;
-                c.off += 1;
                 c.pc += 1;
                 return;
             }
-            // Stale cursor (snapshot load, eviction, task reuse): drop it and
+            // Stale cursor (snapshot load, task reuse): drop it and
             // re-derive everything on the slow path below.
             self.sb_cur[wi] = SbCursor::INVALID;
         }
@@ -1186,20 +1180,18 @@ impl MttopCore {
         self.warp_instrs += 1;
         self.thread_instrs += participating.len() as u64;
 
-        // First touch of a decodable run: resolve (or decode) the superblock
-        // at `pc`, execute its first micro-op in this issue slot, and park a
+        // First touch of a decodable run: take the superblock entered at
+        // `pc`, execute its first micro-op in this issue slot, and park a
         // cursor so subsequent issues take the fast path above. The cursor is
         // capped at the nearest lagging live lane's PC: when the
         // participating set would reach it, the min-PC rule must recompute
         // the set so the lagging lane rejoins (reconvergence — see the
         // module docs and `lagging_lane_reconverges_at_min_pc`).
-        if decodable(&instr) {
-            if let Some(r) = self.sb.entry(prog, pc) {
-                let (op0, len) = {
-                    let ops = self.sb.ops_at(r).expect("fresh superblock ref");
-                    (ops[0], ops.len())
-                };
-                let mut cap = len;
+        if self.sb_on {
+            let ops = image.run_at(pc);
+            if let Some(&op0) = ops.first() {
+                self.sb_hits += 1;
+                let mut cap = ops.len();
                 if np < live {
                     for l in &self.warps[wi].lanes {
                         if l.live && l.pc > pc {
@@ -1217,8 +1209,6 @@ impl MttopCore {
                 self.local_time += alu_charge;
                 self.sb_cur[wi] = if cap > 1 {
                     SbCursor {
-                        sb: r,
-                        off: 1,
                         rem: (cap - 1) as u32,
                         pc: (pc + 1) as u32,
                         mask,
@@ -1826,21 +1816,18 @@ impl MttopCore {
     /// Core counters and TLB statistics.
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        s.set_id(stat_id("warp_instructions"), self.warp_instrs as f64);
-        s.set_id(stat_id("thread_instructions"), self.thread_instrs as f64);
-        s.set_id(stat_id("mem_instructions"), self.mem_instrs as f64);
-        s.set_id(
-            stat_id("coalesced_accesses"),
-            self.coalesced_accesses as f64,
-        );
-        s.set_id(stat_id("divergent_issues"), self.divergent_issues as f64);
-        s.set_id(stat_id("tlb_walks"), self.walks as f64);
-        s.set_id(stat_id("page_faults"), self.faults as f64);
-        s.set_id(stat_id("tasks"), self.tasks as f64);
-        s.set_id(stat_id("miss_count"), self.miss_count as f64);
+        s.set("warp_instructions", self.warp_instrs as f64);
+        s.set("thread_instructions", self.thread_instrs as f64);
+        s.set("mem_instructions", self.mem_instrs as f64);
+        s.set("coalesced_accesses", self.coalesced_accesses as f64);
+        s.set("divergent_issues", self.divergent_issues as f64);
+        s.set("tlb_walks", self.walks as f64);
+        s.set("page_faults", self.faults as f64);
+        s.set("tasks", self.tasks as f64);
+        s.set("miss_count", self.miss_count as f64);
         if self.miss_count > 0 {
-            s.set_id(
-                stat_id("avg_miss_ns"),
+            s.set(
+                "avg_miss_ns",
                 self.miss_lat_sum.as_ns() / self.miss_count as f64,
             );
         }
@@ -2033,10 +2020,10 @@ impl Mifd {
     /// Device counters.
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        s.set_id(stat_id("launches"), self.launches as f64);
-        s.set_id(stat_id("chunks"), self.chunks as f64);
-        s.set_id(stat_id("rejected"), self.rejected as f64);
-        s.set_id(stat_id("faults_forwarded"), self.faults_forwarded as f64);
+        s.set("launches", self.launches as f64);
+        s.set("chunks", self.chunks as f64);
+        s.set("rejected", self.rejected as f64);
+        s.set("faults_forwarded", self.faults_forwarded as f64);
         s
     }
 }
@@ -2582,7 +2569,7 @@ impl Snapshot for MttopCore {
         self.miss_count = r.get_u64()?;
         self.poisoned = r.get_bool()?;
         // Superblock cursors and retry epochs are host-side memoization of
-        // restored state, never part of the image; drop them so the next
+        // restored state, never part of a snapshot; drop them so the next
         // issue re-derives the participating set from the loaded lanes and
         // the first post-restore retry runs the real controller.
         for c in &mut self.sb_cur {
@@ -2790,9 +2777,10 @@ mod tests {
                 ra: 0,
             }
         ));
+        let image = DecodedImage::build(&prog.text);
         let mut now = Time::ZERO;
         for _ in 0..64 {
-            let out = core.run_batch(now, prog, &mut port);
+            let out = core.run_batch(now, prog, &image, &mut port);
             assert!(out.faults.is_empty(), "ALU litmus cannot fault");
             match out.action {
                 MttopAction::Continue { at } => now = at,
@@ -2937,6 +2925,7 @@ mod tests {
     /// from the rolled-back state.
     fn spec_save_restore_is_exact(config: MttopConfig) {
         let prog = spec_rig_program();
+        let image = DecodedImage::build(&prog.text);
         let mut core = MttopCore::new(PortId(0), config, 0);
         let mut mem = litmus_mem();
         let mut net = ccsvm_noc::Network::new(
@@ -2994,7 +2983,7 @@ mod tests {
             let before = snap_bytes(&core);
             mem.spec_begin(PortId(0), 64);
             core.spec_save(&mut undo);
-            core.run_batch(now, &prog, &mut mem.core_port(PortId(0), &mut log));
+            core.run_batch(now, &prog, &image, &mut mem.core_port(PortId(0), &mut log));
             let speculated = snap_bytes(&core);
             mutated += usize::from(speculated != before);
             core.spec_restore(&undo);
@@ -3006,7 +2995,7 @@ mod tests {
                 "batch {batches}: restore is not exact"
             );
 
-            let out = core.run_batch(now, &prog, &mut mem.core_port(PortId(0), &mut log));
+            let out = core.run_batch(now, &prog, &image, &mut mem.core_port(PortId(0), &mut log));
             assert_eq!(
                 snap_bytes(&core),
                 speculated,

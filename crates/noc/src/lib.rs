@@ -31,7 +31,7 @@
 //! assert!(arrive > Time::ZERO);
 //! ```
 
-use ccsvm_engine::{stat_id, NocFaultConfig, SplitMix64, Stats, Time};
+use ccsvm_engine::{NocFaultConfig, SplitMix64, Stats, Time};
 
 /// Identifies a node (router) on the torus.
 ///
@@ -346,12 +346,12 @@ impl Network {
     /// healthy-run reports identical to a build without the fault layer.
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        s.set_id(stat_id("messages"), self.messages as f64);
-        s.set_id(stat_id("bytes"), self.total_bytes as f64);
-        s.set_id(stat_id("hops"), self.total_hops as f64);
+        s.set("messages", self.messages as f64);
+        s.set("bytes", self.total_bytes as f64);
+        s.set("hops", self.total_hops as f64);
         if let Some(f) = &self.faults {
-            s.set_id(stat_id("retransmissions"), f.retransmissions as f64);
-            s.set_id(stat_id("faulted_messages"), f.faulted_messages as f64);
+            s.set("retransmissions", f.retransmissions as f64);
+            s.set("faulted_messages", f.faulted_messages as f64);
         }
         s
     }

@@ -1,6 +1,6 @@
 //! Fully-associative translation lookaside buffer.
 
-use ccsvm_engine::{stat_id, Stats};
+use ccsvm_engine::Stats;
 use ccsvm_mem::PhysAddr;
 
 use crate::walk::VirtAddr;
@@ -232,11 +232,11 @@ impl Tlb {
     /// Hit/miss/flush counters.
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        s.set_id(stat_id("hits"), self.hits as f64);
-        s.set_id(stat_id("misses"), self.misses as f64);
-        s.set_id(stat_id("flushes"), self.flushes as f64);
-        s.set_id(
-            stat_id("shootdown_invalidations"),
+        s.set("hits", self.hits as f64);
+        s.set("misses", self.misses as f64);
+        s.set("flushes", self.flushes as f64);
+        s.set(
+            "shootdown_invalidations",
             self.shootdown_invalidations as f64,
         );
         s

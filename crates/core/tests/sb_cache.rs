@@ -10,6 +10,7 @@
 
 use ccsvm::{Machine, Outcome, RunReport, SystemConfig, Time};
 use ccsvm_isa::Program;
+use ccsvm_mttop::MttopConfig;
 
 fn compile(src: &str) -> Program {
     ccsvm_xthreads::build(src).unwrap_or_else(|e| panic!("compile: {e}"))
@@ -89,15 +90,69 @@ fn cache_toggle_is_invisible_across_sim_threads() {
     assert_eq!(r.exit_code, (0..64).map(|i| i * 3 * 5 + (i + 7) * 3 + i).sum::<u64>());
 }
 
+fn matmul_n16() -> String {
+    ccsvm_workloads::matmul::xthreads_source(&ccsvm_workloads::matmul::MatmulParams::new(16, 42))
+}
+
 #[test]
 fn cache_toggle_is_invisible_on_paper_default_machine() {
-    // Full-size machine (10 MTTOP cores): the configuration where warps run
-    // lockstep and the batched-sprint fast path actually fires.
-    let src = ccsvm_workloads::matmul::xthreads_source(
-        &ccsvm_workloads::matmul::MatmulParams::new(16, 42),
-    );
-    let r = differential(&SystemConfig::paper_default(), &src, "matmul_n16");
+    // Full-size machine (10 MTTOP cores of 128 single-lane, fine-grained
+    // contexts): every MTTOP issue with the knob on goes through the
+    // single-lane step.
+    let r = differential(&SystemConfig::paper_default(), &matmul_n16(), "matmul_n16");
     assert_eq!(r.outcome, Outcome::Completed);
+}
+
+#[test]
+fn cache_toggle_is_invisible_on_lockstep_warps() {
+    // The APU baseline's 8-lane lockstep warps on the full-size machine: the
+    // warp path with min-PC reconvergence, the cursor's lagging-lane cap and
+    // the ALU sprint (`try_sprint` requires lockstep).
+    let mut cfg = SystemConfig::paper_default();
+    cfg.mttop = MttopConfig::apu_gpu(0);
+    let r = differential(&cfg, &matmul_n16(), "matmul_n16 lockstep");
+    assert_eq!(r.outcome, Outcome::Completed);
+}
+
+#[test]
+fn fine_grained_control_flow_is_invisible() {
+    // The single-lane step executes branches, calls, returns and memory
+    // instructions in place. Barrier spinning (apsp) and recursive tree
+    // traversal (barnes_hut's force phase) lean on exactly those.
+    use ccsvm_workloads::{apsp, barnes_hut};
+    let cfg = SystemConfig::paper_default();
+    let ap = apsp::ApspParams::new(16, 42);
+    let bh = barnes_hut::BhParams::new(32, 42);
+    let apsp_src = apsp::xthreads_source(&ap);
+    let bh_src = barnes_hut::xthreads_source(&bh);
+    let cases = [
+        (&apsp_src, "apsp_n16", apsp::reference_checksum(&ap)),
+        (&bh_src, "bh_b32", barnes_hut::oracle_checksum(&bh)),
+    ];
+    let references: Vec<RunReport> = cases
+        .iter()
+        .map(|(src, label, expected)| {
+            let r = differential(&cfg, src, label);
+            assert_eq!(r.outcome, Outcome::Completed, "{label}");
+            assert_eq!(r.exit_code, *expected, "{label}");
+            let mut on = cfg.clone();
+            on.sb_cache = true;
+            let mut m = Machine::new(on, compile(src));
+            m.run();
+            assert!(m.sb_stats().hits > 0, "{label}: no run entered");
+            r
+        })
+        .collect();
+    let uninterrupted = &references[0];
+    let at = Time::from_ps(uninterrupted.time.as_ps() / 2);
+    for checkpoint_on in [false, true] {
+        let resumed = checkpoint_cross_restore(&cfg, &apsp_src, at, checkpoint_on);
+        assert_eq!(
+            &resumed, uninterrupted,
+            "apsp_n16: checkpoint at {at} with sb_cache={checkpoint_on} restored with \
+             the opposite setting diverged"
+        );
+    }
 }
 
 #[test]

@@ -255,6 +255,16 @@ impl DecodedImage {
         }
     }
 
+    /// The micro-op at `pc`, or `None` if `pc` is a boundary instruction or
+    /// outside the text: `run_at(pc).first()` without building the slice.
+    #[inline]
+    pub fn op_at(&self, pc: usize) -> Option<MicroOp> {
+        match self.run.get(pc) {
+            Some(&len) if len > 0 => Some(self.ops[pc]),
+            _ => None,
+        }
+    }
+
     /// What the build decoded and how long it took (`hits` is zero: run
     /// entries are counted by whoever executes them).
     pub fn build_stats(&self) -> SbStats {
@@ -304,6 +314,8 @@ mod tests {
         let image = DecodedImage::build(&p.text);
         for pc in 0..p.text.len() + 2 {
             assert_eq!(image.run_at(pc), &decode_run(&p.text, pc)[..], "pc {pc}");
+            let first = image.run_at(pc).first().copied();
+            assert_eq!(image.op_at(pc), first, "pc {pc}");
         }
         assert_eq!(image.run_at(0).len(), 3);
         assert_eq!(image.run_at(2), &[MicroOp::Skip], "a suffix of run 0");

@@ -176,18 +176,25 @@ impl<'a> CorePort<'a> {
     /// Issues `access` on this port, buffering any miss traffic in the log.
     /// Mirrors [`MemorySystem::access`](crate::MemorySystem::access) exactly.
     pub fn access(&mut self, now: Time, token: u64, access: Access) -> AccessResult {
-        // Borrow the log's scratch buffer for the duration of the L1 step;
-        // `flush` drains it, so it goes back empty.
-        let mut out = std::mem::take(&mut self.log.scratch);
-        out.clear();
-        let result = self.l1.access(access, token, &mut out);
-        debug_assert!(out.completions.is_empty(), "access cannot complete others");
+        // The L1 writes into the log's scratch buffer in place. A hit emits
+        // nothing, so only a step that produced traffic pays for `flush`,
+        // which drains the buffer and leaves it empty for the next access.
+        let scratch = &mut self.log.scratch;
+        debug_assert!(scratch.requests.is_empty() && scratch.responses.is_empty());
+        let result = self.l1.access(access, token, scratch);
+        debug_assert!(
+            scratch.completions.is_empty(),
+            "access cannot complete others"
+        );
         // The miss leaves the L1 after the tag lookup (one hit time).
         let hit_time = self.l1.config.hit_time;
-        let mut no_completions = Vec::new();
-        self.flush(now + hit_time, &mut out, &mut no_completions);
-        debug_assert!(no_completions.is_empty());
-        self.log.scratch = out;
+        if !scratch.requests.is_empty() || !scratch.responses.is_empty() {
+            let mut out = std::mem::take(&mut self.log.scratch);
+            let mut no_completions = Vec::new();
+            self.flush(now + hit_time, &mut out, &mut no_completions);
+            debug_assert!(no_completions.is_empty());
+            self.log.scratch = out;
+        }
         match result {
             L1Access::Hit { value } => {
                 if !self.poisoned.is_empty() && self.poisoned.contains(&block_of(access.addr())) {

@@ -53,9 +53,9 @@
 //! Timing quirk, kept deliberately: `CallReg` charges
 //! `clock.period()` in **both** modes (fine-grained included), unlike `Call`
 //! which charges the mode-dependent `full_charge` (zero in fine-grained
-//! mode). Golden `RunReport`s bake this in, so the fast path must *not*
-//! "fix" it; it is harmless because indirect calls are a superblock boundary
-//! and always take the slow path.
+//! mode). Golden `RunReport`s bake this in, so no fast path may "fix" it:
+//! the warp loop and the single-lane step both take the charge from
+//! `control_charge`.
 //!
 //! Page faults cannot trap to an OS here (MTTOPs don't run the OS): the core
 //! reports them and the machine forwards them through the [`Mifd`] to a CPU
@@ -947,7 +947,9 @@ impl MttopCore {
             {
                 continue;
             }
-            self.rr = (chosen[chosen.len() - 1] + 1) % n;
+            // Warp indices are below `n`: wrap with a compare, not a divide.
+            let next = chosen[chosen.len() - 1] + 1;
+            self.rr = if next == n { 0 } else { next };
             let cycle_start = self.local_time;
             for &wi in &chosen {
                 self.issue(wi, prog, image, port, &mut faults);
@@ -1093,6 +1095,10 @@ impl MttopCore {
             self.continue_plan(wi, port, faults);
             return;
         }
+        if self.config.lanes == 1 && self.sb_on && self.issue_single(wi, prog, image, port, faults)
+        {
+            return;
+        }
         // Superblock fast path: a valid cursor means this warp is mid-run in
         // a decoded straight-line block. Retire exactly ONE micro-op for the
         // cached participating set — cycle-exact: counters, charges, and the
@@ -1103,7 +1109,9 @@ impl MttopCore {
         if cur.rem > 0 {
             let lead = cur.mask.trailing_zeros() as usize;
             if self.warps[wi].lanes[lead].pc == cur.pc as usize {
-                let op = image.run_at(cur.pc as usize)[0];
+                let op = image
+                    .op_at(cur.pc as usize)
+                    .expect("a cursor never leaves its run");
                 #[cfg(debug_assertions)]
                 {
                     // The cached participating set must still be exactly the
@@ -1149,36 +1157,24 @@ impl MttopCore {
             return;
         };
         // Lane sets are at most 8 wide (asserted in `new`), so the
-        // participating set lives on the stack — this runs once per issued
+        // participating set is a bit mask — this runs once per issued
         // warp-instruction and must not allocate.
-        let mut lane_buf = [0usize; 8];
-        let mut np = 0;
+        let mut set = 0u8;
         let mut live = 0;
         for (i, l) in self.warps[wi].lanes.iter().enumerate() {
             if l.live {
                 live += 1;
                 if l.pc == pc {
-                    lane_buf[np] = i;
-                    np += 1;
+                    set |= 1 << i;
                 }
             }
         }
-        let participating = &lane_buf[..np];
-        if participating.len() < live {
+        let np = set.count_ones() as usize;
+        if np < live {
             self.divergent_issues += 1;
         }
-        let lockstep = self.config.lockstep;
-        let alu_charge = if lockstep { self.alu_cost } else { Time::ZERO };
-        let full_charge = if lockstep {
-            self.config.clock.period()
-        } else {
-            Time::ZERO
-        };
-        let Some(&instr) = prog.text.get(pc) else {
-            panic!("MTTOP pc {pc} outside text");
-        };
         self.warp_instrs += 1;
-        self.thread_instrs += participating.len() as u64;
+        self.thread_instrs += np as u64;
 
         // First touch of a decodable run: take the superblock entered at
         // `pc`, execute its first micro-op in this issue slot, and park a
@@ -1199,19 +1195,13 @@ impl MttopCore {
                         }
                     }
                 }
-                let mut mask = 0u8;
-                for &li in participating {
-                    let lane = &mut self.warps[wi].lanes[li];
-                    op0.exec(&mut lane.regs);
-                    lane.pc += 1;
-                    mask |= 1 << li;
-                }
-                self.local_time += alu_charge;
+                exec_masked(op0, &mut self.warps[wi].lanes, set, self.full_lane_mask, 1);
+                self.local_time += self.alu_charge();
                 self.sb_cur[wi] = if cap > 1 {
                     SbCursor {
                         rem: (cap - 1) as u32,
                         pc: (pc + 1) as u32,
-                        mask,
+                        mask: set,
                         np: np as u8,
                         live: live as u8,
                     }
@@ -1222,9 +1212,12 @@ impl MttopCore {
             }
         }
 
+        let Some(&instr) = prog.text.get(pc) else {
+            panic!("MTTOP pc {pc} outside text");
+        };
         match instr {
             Instr::Alu { op, rd, ra, rb } => {
-                for &li in participating {
+                for li in lanes_of(set) {
                     let lane = &mut self.warps[wi].lanes[li];
                     let b = match rb {
                         Operand::Reg(r) => lane_get(lane, r),
@@ -1234,76 +1227,24 @@ impl MttopCore {
                     lane_set(lane, rd, v);
                     lane.pc += 1;
                 }
-                self.local_time += alu_charge;
+                self.local_time += self.alu_charge();
             }
             Instr::Li { rd, imm } => {
-                for &li in participating {
+                for li in lanes_of(set) {
                     let lane = &mut self.warps[wi].lanes[li];
                     lane_set(lane, rd, imm as u64);
                     lane.pc += 1;
                 }
-                self.local_time += alu_charge;
-            }
-            Instr::Br {
-                cond,
-                ra,
-                rb,
-                target,
-            } => {
-                for &li in participating {
-                    let lane = &mut self.warps[wi].lanes[li];
-                    lane.pc = if cond.test(lane_get(lane, ra), lane_get(lane, rb)) {
-                        target
-                    } else {
-                        lane.pc + 1
-                    };
-                }
-                self.local_time += full_charge;
-            }
-            Instr::Jmp { target } => {
-                for &li in participating {
-                    self.warps[wi].lanes[li].pc = target;
-                }
-                self.local_time += full_charge;
-            }
-            Instr::JmpReg { rs } => {
-                for &li in participating {
-                    let lane = &mut self.warps[wi].lanes[li];
-                    lane.pc = lane_get(lane, rs) as usize;
-                }
-                self.local_time += full_charge;
-            }
-            Instr::Call { target } => {
-                for &li in participating {
-                    let lane = &mut self.warps[wi].lanes[li];
-                    lane_set(lane, abi::RA, (lane.pc + 1) as u64);
-                    lane.pc = target;
-                }
-                self.local_time += full_charge;
-            }
-            Instr::CallReg { rs } => {
-                for &li in participating {
-                    let lane = &mut self.warps[wi].lanes[li];
-                    let t = lane_get(lane, rs) as usize;
-                    lane_set(lane, abi::RA, (lane.pc + 1) as u64);
-                    lane.pc = t;
-                }
-                self.local_time += self.config.clock.period();
-            }
-            Instr::Fence | Instr::Nop => {
-                for &li in participating {
-                    self.warps[wi].lanes[li].pc += 1;
-                }
-                self.local_time += alu_charge;
+                self.local_time += self.alu_charge();
             }
             Instr::Exit => {
-                for &li in participating {
+                for li in lanes_of(set) {
                     self.warps[wi].lanes[li].live = false;
                 }
                 if !self.warps[wi].live() {
                     self.set_state(wi, WarpState::Free);
                 }
-                self.local_time += full_charge;
+                self.local_time += self.full_charge();
             }
             Instr::Syscall => {
                 panic!(
@@ -1312,39 +1253,155 @@ impl MttopCore {
                 );
             }
             Instr::Ld { .. } | Instr::St { .. } | Instr::Amo { .. } => {
-                self.mem_instrs += 1;
-                self.local_time += full_charge;
-                // Single participating lane (always true in fine-grained
-                // mode): one op is one coalesced group of one, so on a
-                // TLB-present translation the access issues without the
-                // plan's per-instruction allocations.
-                if np == 1 && self.mem_single(wi, lane_buf[0], pc, instr, port) {
-                    return;
+                self.issue_mem(wi, set, pc, instr, port, faults);
+            }
+            _ => {
+                for li in lanes_of(set) {
+                    lane_control(&mut self.warps[wi].lanes[li], instr);
                 }
-                let mut lanes = 0u8;
-                for &li in participating {
-                    let lane = &mut self.warps[wi].lanes[li];
-                    let (va, kind) = lane_mem_op(lane, instr);
-                    lane.op = LaneOp {
-                        va: VirtAddr(va),
-                        paddr: None,
-                        kind,
-                    };
-                    lanes |= 1 << li;
-                }
-                self.warps[wi].plan = Some(Plan {
-                    lanes,
-                    next_translate: 0,
-                    pc,
-                    groups: None,
-                    issued: 0,
-                    finish: self.local_time,
-                });
-                self.set_state(wi, WarpState::Mem);
-                self.warps[wi].outstanding = 0;
-                self.continue_plan(wi, port, faults);
+                self.local_time += self.control_charge(instr);
             }
         }
+    }
+
+    /// The single-lane issue step (DESIGN §11.6): one issue slot for a
+    /// context of one lane while the decoded image is on. With one lane the
+    /// min-PC participating set is that lane whenever it is live, so the
+    /// step reads its PC once and dispatches on it directly: a run op from
+    /// the image, entering and counting runs exactly as the warp path does;
+    /// a control instruction in place; a memory instruction through
+    /// [`Self::issue_mem`]. Returns `false` for what only the warp path
+    /// handles — a dead lane, `exit` and `syscall` — having at most dropped
+    /// the warp's cursor, as the warp path itself would.
+    fn issue_single(
+        &mut self,
+        wi: usize,
+        prog: &Program,
+        image: &DecodedImage,
+        port: &mut CorePort<'_>,
+        faults: &mut Vec<PageFaultReq>,
+    ) -> bool {
+        let lane = &mut self.warps[wi].lanes[0];
+        if !lane.live {
+            return false;
+        }
+        let pc = lane.pc;
+        let cur = &mut self.sb_cur[wi];
+        let op = if cur.rem > 0 && cur.pc as usize == pc {
+            cur.rem -= 1;
+            cur.pc += 1;
+            image.op_at(pc)
+        } else {
+            let run = image.run_at(pc);
+            self.sb_hits += u64::from(!run.is_empty());
+            *cur = if run.len() > 1 {
+                SbCursor {
+                    rem: run.len() as u32 - 1,
+                    pc: pc as u32 + 1,
+                    mask: 1,
+                    np: 1,
+                    live: 1,
+                }
+            } else {
+                SbCursor::INVALID
+            };
+            run.first().copied()
+        };
+        if let Some(op) = op {
+            op.exec(&mut lane.regs);
+            lane.pc = pc + 1;
+            self.local_time += self.alu_charge();
+        } else {
+            let Some(&instr) = prog.text.get(pc) else {
+                panic!("MTTOP pc {pc} outside text");
+            };
+            match instr {
+                Instr::Exit | Instr::Syscall => return false,
+                Instr::Ld { .. } | Instr::St { .. } | Instr::Amo { .. } => {
+                    self.issue_mem(wi, 1, pc, instr, port, faults);
+                }
+                _ => {
+                    lane_control(lane, instr);
+                    self.local_time += self.control_charge(instr);
+                }
+            }
+        }
+        self.warp_instrs += 1;
+        self.thread_instrs += 1;
+        true
+    }
+
+    /// ALU issue charge: one VLIW slot in lockstep mode; in fine-grained
+    /// mode the cycle itself is the charge.
+    fn alu_charge(&self) -> Time {
+        if self.config.lockstep {
+            self.alu_cost
+        } else {
+            Time::ZERO
+        }
+    }
+
+    /// Whole-cycle issue charge (control, memory, `exit`): one cycle in
+    /// lockstep mode, nothing in fine-grained mode.
+    fn full_charge(&self) -> Time {
+        if self.config.lockstep {
+            self.config.clock.period()
+        } else {
+            Time::ZERO
+        }
+    }
+
+    /// Issue charge of a control instruction ([`lane_control`]). `CallReg`
+    /// charges a cycle in both modes: the timing quirk the module docs keep.
+    fn control_charge(&self, instr: Instr) -> Time {
+        match instr {
+            Instr::CallReg { .. } => self.config.clock.period(),
+            Instr::Fence | Instr::Nop => self.alu_charge(),
+            _ => self.full_charge(),
+        }
+    }
+
+    /// Issues memory instruction `instr` at `pc` for the lanes in `set` of
+    /// warp `wi`. A single lane (always the case in fine-grained mode) with
+    /// its translation in the TLB issues through [`Self::mem_single`];
+    /// otherwise the lanes' ops are staged in a [`Plan`] that
+    /// [`Self::continue_plan`] translates and issues.
+    fn issue_mem(
+        &mut self,
+        wi: usize,
+        set: u8,
+        pc: usize,
+        instr: Instr,
+        port: &mut CorePort<'_>,
+        faults: &mut Vec<PageFaultReq>,
+    ) {
+        self.mem_instrs += 1;
+        self.local_time += self.full_charge();
+        if set.is_power_of_two()
+            && self.mem_single(wi, set.trailing_zeros() as usize, pc, instr, port)
+        {
+            return;
+        }
+        for li in lanes_of(set) {
+            let lane = &mut self.warps[wi].lanes[li];
+            let (va, kind) = lane_mem_op(lane, instr);
+            lane.op = LaneOp {
+                va: VirtAddr(va),
+                paddr: None,
+                kind,
+            };
+        }
+        self.warps[wi].plan = Some(Plan {
+            lanes: set,
+            next_translate: 0,
+            pc,
+            groups: None,
+            issued: 0,
+            finish: self.local_time,
+        });
+        self.set_state(wi, WarpState::Mem);
+        self.warps[wi].outstanding = 0;
+        self.continue_plan(wi, port, faults);
     }
 
     /// Fast path for a memory instruction with exactly one participating
@@ -1855,6 +1912,45 @@ fn lane_set(lane: &mut Lane, r: Reg, v: u64) {
     if r.0 != 0 {
         lane.regs[r.0 as usize] = v;
     }
+}
+
+/// One lane's effect of a control instruction (`Br`, `Jmp`, `JmpReg`,
+/// `Call`, `CallReg`, `Fence`, `Nop`): its next PC and, for calls, the
+/// return address. Shared by the warp loop and the single-lane step; the
+/// issue charge is [`MttopCore::control_charge`].
+///
+/// # Panics
+///
+/// Panics on any other instruction.
+fn lane_control(lane: &mut Lane, instr: Instr) {
+    let next = lane.pc + 1;
+    lane.pc = match instr {
+        Instr::Br {
+            cond,
+            ra,
+            rb,
+            target,
+        } => {
+            if cond.test(lane_get(lane, ra), lane_get(lane, rb)) {
+                target
+            } else {
+                next
+            }
+        }
+        Instr::Jmp { target } => target,
+        Instr::JmpReg { rs } => lane_get(lane, rs) as usize,
+        Instr::Call { target } => {
+            lane_set(lane, abi::RA, next as u64);
+            target
+        }
+        Instr::CallReg { rs } => {
+            let target = lane_get(lane, rs) as usize;
+            lane_set(lane, abi::RA, next as u64);
+            target
+        }
+        Instr::Fence | Instr::Nop => next,
+        _ => unreachable!("lane_control on non-control instruction"),
+    };
 }
 
 /// One lane's (virtual address, lane-op kind) for a memory instruction.

@@ -162,8 +162,7 @@ fn run() -> Result<(), BenchError> {
             .iter()
             .filter(|c| c.report.is_some())
             .all(|c| {
-                c.report.as_ref().unwrap().time
-                    <= Time::from_ms(2) // tiny_campaign max_sim_time + watchdog slack
+                c.report.as_ref().unwrap().time <= Time::from_ms(2) // tiny_campaign max_sim_time + watchdog slack
             }),
         "every cell is time-bounded",
     );

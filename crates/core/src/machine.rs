@@ -1563,9 +1563,11 @@ impl Machine {
             MutationKind::DuplicateResp | MutationKind::DropResp => me.is_resp(),
             MutationKind::CorruptSnoopShared => me.is_shared_snoop_resp(),
             MutationKind::CorruptUpdValue => me.is_upd_snoop(),
-            MutationKind::CorruptResendEpoch => me.dir_timeout().is_some_and(
-                |(bank, block, epoch)| self.mem.corrupt_resend_applicable(bank, block, epoch),
-            ),
+            MutationKind::CorruptResendEpoch => {
+                me.dir_timeout().is_some_and(|(bank, block, epoch)| {
+                    self.mem.corrupt_resend_applicable(bank, block, epoch)
+                })
+            }
             // Counted at `Ev::IpiArrive` dispatch, not here.
             MutationKind::SkipTlbInvalidate => false,
         };

@@ -36,8 +36,9 @@ fn sanitize_mode() -> bool {
 /// original, never-re-blessed seed goldens.
 fn protocol_mode() -> ProtocolKind {
     match std::env::var("CCSVM_PROTOCOL") {
-        Ok(s) => ProtocolKind::parse(&s)
-            .unwrap_or_else(|| panic!("unknown CCSVM_PROTOCOL '{s}' (directory|mesi-snoop|dragon)")),
+        Ok(s) => ProtocolKind::parse(&s).unwrap_or_else(|| {
+            panic!("unknown CCSVM_PROTOCOL '{s}' (directory|mesi-snoop|dragon)")
+        }),
         Err(_) => ProtocolKind::Directory,
     }
 }

@@ -478,12 +478,7 @@ fn probe_loss_without_mutation_recovers() {
     let mut cfg = resend_mutated_cfg(ProtocolKind::MesiSnoop);
     cfg.sanitizer.mutate = None;
     let r = run(cfg, PINGPONG);
-    assert_eq!(
-        r.outcome,
-        Outcome::Completed,
-        "diag: {:?}",
-        r.diagnostic
-    );
+    assert_eq!(r.outcome, Outcome::Completed, "diag: {:?}", r.diagnostic);
     assert_eq!(r.exit_code, 5);
     assert!(
         r.stats.get("fault.snoop_probe_drops") >= 1.0,

@@ -87,7 +87,10 @@ fn differential(cfg: &SystemConfig, src: &str, label: &str) -> RunReport {
 fn cache_toggle_is_invisible_across_sim_threads() {
     let r = differential(&SystemConfig::tiny(), &vecadd_src(64), "vecadd_n64");
     assert_eq!(r.outcome, Outcome::Completed);
-    assert_eq!(r.exit_code, (0..64).map(|i| i * 3 * 5 + (i + 7) * 3 + i).sum::<u64>());
+    assert_eq!(
+        r.exit_code,
+        (0..64).map(|i| i * 3 * 5 + (i + 7) * 3 + i).sum::<u64>()
+    );
 }
 
 fn matmul_n16() -> String {
@@ -158,7 +161,11 @@ fn fine_grained_control_flow_is_invisible() {
 #[test]
 fn cache_toggle_is_invisible_under_fault_plan() {
     for seed in [3, 7] {
-        let r = differential(&faulty_cfg(seed), &vecadd_src(32), &format!("faulty seed {seed}"));
+        let r = differential(
+            &faulty_cfg(seed),
+            &vecadd_src(32),
+            &format!("faulty seed {seed}"),
+        );
         assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
         assert!(
             r.stats.get("noc.retransmissions") > 0.0,
@@ -177,7 +184,10 @@ fn cache_actually_hits_in_the_compared_runs() {
     let r = m.run();
     assert_eq!(r.outcome, Outcome::Completed);
     let sb = m.sb_stats();
-    assert!(sb.hits > 0, "no superblock hits — the fast path never engaged");
+    assert!(
+        sb.hits > 0,
+        "no superblock hits — the fast path never engaged"
+    );
     assert!(sb.decoded_ops > 0, "nothing was decoded into superblocks");
 
     // And the ablated run must report an idle cache.

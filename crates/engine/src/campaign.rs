@@ -194,10 +194,7 @@ mod tests {
             assert!(!cands.is_empty());
             for c in &cands {
                 let smaller = c.entries.len() < plan.entries.len()
-                    || c.entries
-                        .iter()
-                        .zip(&plan.entries)
-                        .any(|(a, b)| a.1 < b.1);
+                    || c.entries.iter().zip(&plan.entries).any(|(a, b)| a.1 < b.1);
                 assert!(smaller, "candidate {c:?} is not simpler than {plan:?}");
             }
             plan = cands.into_iter().next().unwrap();

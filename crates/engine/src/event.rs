@@ -621,7 +621,9 @@ mod tests {
         let got: Vec<u64> = taken.iter().map(|&(_, _, e)| e).collect();
         assert_eq!(got, vec![2, 4]);
         // Taken keys are strictly increasing and usable as drain fences.
-        assert!(taken.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        assert!(taken
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
         let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(rest, vec![5, 3, 1, 6]);
     }

@@ -43,7 +43,6 @@ mod time;
 
 pub use campaign::{CampaignDomain, PlanSpec};
 pub use event::{EventQueue, ScanControl};
-pub use spec::SpecStats;
 pub use fault::{
     DirTimeoutConfig, DramFaultConfig, FaultConfig, FaultDomain, FaultPlan, NocFaultConfig,
     ProbeLossConfig, TlbFaultConfig, Watchdog, WatchdogConfig,
@@ -54,5 +53,6 @@ pub use sanitizer::{
     EvRecord, EvRing, InvariantId, InvariantMask, Mutation, MutationKind, SanitizerConfig,
     Violation,
 };
+pub use spec::SpecStats;
 pub use stats::Stats;
 pub use time::{Clock, Time};

@@ -283,17 +283,27 @@ mod tests {
 
     #[test]
     fn decode_stops_at_boundaries() {
-        let p = prog("main:
+        let p = prog(
+            "main:
                 li r1, 6
                 mul r1, r1, 7
                 fence
                 nop
                 st8 r1, 0(r2)
-                exit");
+                exit",
+        );
         let ops = decode_run(&p.text, 0);
         assert_eq!(ops.len(), 4, "run ends before the store");
         assert_eq!(ops[0], MicroOp::Li { rd: 1, imm: 6 });
-        assert!(matches!(ops[1], MicroOp::AluRI { op: AluOp::Mul, rd: 1, ra: 1, imm: 7 }));
+        assert!(matches!(
+            ops[1],
+            MicroOp::AluRI {
+                op: AluOp::Mul,
+                rd: 1,
+                ra: 1,
+                imm: 7
+            }
+        ));
         assert_eq!(ops[2], MicroOp::Skip);
         assert_eq!(ops[3], MicroOp::Skip);
         assert_eq!(decode_run(&p.text, 4).len(), 0, "entry on a boundary");
@@ -333,10 +343,12 @@ mod tests {
 
     #[test]
     fn writes_to_r0_become_skips() {
-        let p = prog("main:
+        let p = prog(
+            "main:
                 li r0, 99
                 add r0, r1, r2
-                exit");
+                exit",
+        );
         let ops = decode_run(&p.text, 0);
         assert_eq!(ops, vec![MicroOp::Skip, MicroOp::Skip]);
         let mut regs = [0u64; 32];

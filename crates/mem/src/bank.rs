@@ -366,7 +366,13 @@ impl Bank {
                 // The writer takes ownership (Sm when live copies remain,
                 // M otherwise). Neither the L2 nor DRAM is updated — Dragon
                 // defers memory until the owner's writeback.
-                out.sends.push((from, DirToL1::UpdDone { block, sharers: had }));
+                out.sends.push((
+                    from,
+                    DirToL1::UpdDone {
+                        block,
+                        sharers: had,
+                    },
+                ));
                 self.finish(block, out);
             }
             ReqKind::BusRd => {

@@ -461,8 +461,7 @@ impl L1 {
                     let mut v = [0u8; 8];
                     v[..size].copy_from_slice(&data[off..off + size]);
                     let old = u64::from_le_bytes(v);
-                    data[off..off + size]
-                        .copy_from_slice(&op.apply(old).to_le_bytes()[..size]);
+                    data[off..off + size].copy_from_slice(&op.apply(old).to_le_bytes()[..size]);
                     old
                 }
             };
@@ -828,9 +827,7 @@ impl L1 {
                 // not apply — the writer was invalidated by that same round
                 // and will re-read before retrying its store.
                 match self.array.peek_idx(block) {
-                    Some(i)
-                        if matches!(self.array.meta_at(i).state, L1State::S | L1State::O) =>
-                    {
+                    Some(i) if matches!(self.array.meta_at(i).state, L1State::S | L1State::O) => {
                         self.array.meta_at_mut(i).state = L1State::S;
                         word.apply(self.array.data_at_mut(i));
                         (true, false, None)

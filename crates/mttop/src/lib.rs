@@ -1451,11 +1451,7 @@ impl MttopCore {
                 size: size as usize,
                 value,
             },
-            LaneKind::Amo { op, .. } => Access::Rmw {
-                paddr,
-                size: 8,
-                op,
-            },
+            LaneKind::Amo { op, .. } => Access::Rmw { paddr, size: 8, op },
         };
         let token = self.token();
         match port.access(self.local_time, token, access) {

@@ -397,7 +397,9 @@ pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, 
                         domain.name(),
                         threads
                     );
-                    cells.push(classify(label, protocol, workload, threads, plan, run, None));
+                    cells.push(classify(
+                        label, protocol, workload, threads, plan, run, None,
+                    ));
                 }
             }
         }

@@ -66,7 +66,8 @@ fn run() -> Result<(), BenchError> {
     for cores in [1usize, 2, 4, 10] {
         let mut cfg = SystemConfig::paper_default();
         cfg.n_mttops = cores;
-        let (t, _) = run_with(cfg, shoot_src);
+        let (t, r) = run_with(cfg, shoot_src);
+        check_eq(r.exit_code, 0, format!("{cores}-core shootdown exit code"))?;
         println!(
             "  {cores:2} MTTOP cores: 16 shootdowns in {t}  ({} each)",
             Time::from_ps(t.as_ps() / 16)
@@ -122,6 +123,11 @@ fn run() -> Result<(), BenchError> {
             let mut cfg = SystemConfig::paper_default();
             cfg.mttop_selective_shootdown = selective;
             let (t, r) = run_with(cfg, src);
+            check_eq(
+                r.exit_code,
+                0,
+                format!("shootdown policy (selective {selective}) exit code"),
+            )?;
             let walks: f64 = (0..10)
                 .map(|i| r.stats.get(&format!("mttop.{i}.tlb_walks")))
                 .sum();
@@ -141,7 +147,12 @@ fn run() -> Result<(), BenchError> {
         let mut cfg = SystemConfig::paper_default();
         cfg.noc.link_bytes_per_ns = gbps;
         let p = wl::matmul::MatmulParams::new(n, 7);
-        let (t, _) = run_with(cfg, &wl::matmul::xthreads_source(&p));
+        let (t, r) = run_with(cfg, &wl::matmul::xthreads_source(&p));
+        check_eq(
+            r.exit_code,
+            wl::matmul::reference_checksum(&p),
+            format!("{gbps} GB/s matmul result"),
+        )?;
         println!("  {gbps:5.1} GB/s links: region {t}");
     }
 

@@ -1,8 +1,10 @@
 //! Shared harness utilities for the per-figure benchmark binaries.
 //!
-//! Every binary accepts:
+//! Host speed is measured in one place, the `benchmark` binary and its
+//! committed ledger (`src/bin/benchmark/README.md`); the figure binaries
+//! measure the simulated machine. Every figure binary accepts:
 //!
-//! * `--quick` — smaller sweeps for smoke runs (used by `cargo bench`/CI),
+//! * `--quick` — smaller sweeps for smoke runs (used by CI),
 //! * `--sizes a,b,c` — override the swept sizes,
 //! * `--threads N` — simulate sweep points on `N` worker threads (one
 //!   independent `Machine` per point; results are reassembled in input
@@ -155,7 +157,8 @@ impl Out {
         self.buf.push('\n');
     }
 
-    /// Prints the standard table header (see [`header`]) into this sink.
+    /// Prints the standard table header (title, column names, rule) into
+    /// this sink.
     pub fn header(&mut self, title: &str, columns: &[&str]) {
         self.line(format!("== {title}"));
         self.line(columns.join(" | "));
@@ -423,35 +426,12 @@ pub fn sweep<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -
         .collect()
 }
 
-/// Runs an xthreads program on the CCSVM chip; returns (measured region,
-/// DRAM accesses, exit code).
-///
-/// `sim_threads` selects the intra-run executor (1 = serial reference); the
-/// returned numbers are identical at every value.
-///
-/// # Panics
-///
-/// Panics on compile errors or guest misbehaviour.
-pub fn run_ccsvm(src: &str, sim_threads: usize) -> (Time, u64, u64) {
-    region_numbers(&run_ccsvm_report(src, sim_threads))
-}
-
 /// The standard benchmark configuration (paper defaults, 60 s cap).
 pub fn bench_cfg(sim_threads: usize) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default();
     cfg.max_sim_time = Time::from_ms(60_000);
     cfg.sim_threads = sim_threads;
     cfg
-}
-
-/// A fresh machine under the standard benchmark configuration.
-pub fn bench_machine(src: &str, sim_threads: usize) -> Machine {
-    Machine::new(bench_cfg(sim_threads), wl::build(src))
-}
-
-/// Like [`run_ccsvm`] but returns the full report.
-pub fn run_ccsvm_report(src: &str, sim_threads: usize) -> RunReport {
-    bench_machine(src, sim_threads).run()
 }
 
 /// Extracts the (measured region, DRAM accesses, exit code) triple a figure
@@ -462,12 +442,13 @@ pub fn region_numbers(r: &RunReport) -> (Time, u64, u64) {
     (t, d, r.exit_code)
 }
 
-/// Like [`run_ccsvm`], honouring the harness's `--checkpoint-at` /
-/// `--restore-from` options. `label` names this sweep point's snapshot
-/// image, `<dir>/<label>.ccsnap`; the simulated results are identical to a
-/// cold [`run_ccsvm`] in every mode (checkpointing continues the run,
-/// restoring replays it bit-for-bit), so tables never change — only
-/// wall-time does.
+/// Runs an xthreads program on the CCSVM chip under the standard benchmark
+/// configuration and returns (measured region, DRAM accesses, exit code),
+/// honouring the harness's `--checkpoint-at` / `--restore-from` options.
+/// `label` names this sweep point's snapshot image, `<dir>/<label>.ccsnap`;
+/// the simulated results are identical to a cold run in every mode
+/// (checkpointing continues the run, restoring replays it bit-for-bit), so
+/// tables never change — only wall-time does.
 pub fn run_ccsvm_point(src: &str, opts: &Opts, label: &str) -> (Time, u64, u64) {
     let mut cfg = bench_cfg(opts.sim_threads);
     cfg.sb_cache = opts.sb_cache;
@@ -534,27 +515,6 @@ pub fn run_to_exit(m: &mut Machine, label: &str) -> RunReport {
     }
 }
 
-/// Advances a fresh machine until the guest prints the measured-region start
-/// marker and returns it paused there — the natural cycle to snapshot for
-/// warm-start sweeps, with all initialization (guest mallocs, input-filling
-/// loops, first-touch page faults) already simulated. Returns `None` if the
-/// program finishes without ever pausing past the marker.
-pub fn pause_at_region_start(src: &str, sim_threads: usize) -> Option<Machine> {
-    let mut m = bench_machine(src, sim_threads);
-    let start_marker = wl::MARK_START.to_string();
-    let step = Time::from_us(10);
-    let mut limit = step;
-    loop {
-        if m.run_until(limit).is_some() {
-            return None; // finished without pausing past the marker
-        }
-        if m.printed().contains(&start_marker) {
-            return Some(m);
-        }
-        limit = limit.plus(step);
-    }
-}
-
 /// Formats a time as milliseconds with 3 significant decimals.
 pub fn ms(t: Time) -> String {
     format!("{:10.4}", t.as_ms())
@@ -564,16 +524,6 @@ pub fn ms(t: Time) -> String {
 /// log-scale "runtime relative to the AMD CPU core").
 pub fn rel(t: Time, base: Time) -> String {
     format!("{:8.3}", t.as_ps() as f64 / base.as_ps() as f64)
-}
-
-/// Prints the standard table header for a figure binary.
-pub fn header(title: &str, columns: &[&str]) {
-    println!("== {title}");
-    println!("{}", columns.join(" | "));
-    println!(
-        "{}",
-        "-".repeat(columns.iter().map(|c| c.len() + 3).sum::<usize>())
-    );
 }
 
 /// Asserts a qualitative claim, printing rather than panicking so a full
@@ -614,22 +564,4 @@ impl Default for Claims {
     fn default() -> Self {
         Claims::new()
     }
-}
-
-/// Minimal wall-clock micro-benchmark harness for the `benches/` targets.
-///
-/// Criterion is deliberately not used: the workspace must build from a cold
-/// cargo cache with no network, so the bench targets run on this
-/// dependency-free loop instead. Reported numbers are a coarse regression
-/// guard (median-free mean over `iters` runs after one warmup), not a
-/// statistics suite.
-pub fn bench_loop<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
-    std::hint::black_box(f()); // warmup
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let total = start.elapsed();
-    let per = total.as_nanos() / u128::from(iters.max(1));
-    println!("{name:<40} {iters:>7} iters  {per:>12} ns/iter");
 }

@@ -258,6 +258,50 @@ fn chained_checkpoints_roundtrip() {
 }
 
 #[test]
+fn fork_at_region_start_reproduces_cold_run() {
+    // The warm-start pattern on Fig. 5's program: simulate up to the
+    // region-start marker once, snapshot, and fork runs from the image. Each
+    // fork must be the cold run, bit for bit, at any `sim_threads`.
+    use ccsvm_workloads::{matmul, region_dram, region_time, MARK_START};
+    let p = matmul::MatmulParams::new(16, 42);
+    let prog = compile(&matmul::xthreads_source(&p));
+    let cfg = SystemConfig::paper_default();
+    let cold = Machine::new(cfg.clone(), prog.clone()).run();
+    let expect = matmul::reference_checksum(&p);
+    assert_eq!(cold.exit_code, expect);
+
+    let mut m = Machine::new(cfg.clone(), prog.clone());
+    let marker = MARK_START.to_string();
+    let step = Time::from_us(10);
+    let mut limit = step;
+    while !m.printed().contains(&marker) {
+        assert!(
+            m.run_until(limit).is_none(),
+            "run finished before its region-start marker"
+        );
+        limit = limit.plus(step);
+    }
+    let image = m.checkpoint_bytes();
+    for threads in [1, 2] {
+        let mut rcfg = cfg.clone();
+        rcfg.sim_threads = threads;
+        let fork = Machine::restore_bytes(rcfg, prog.clone(), &image)
+            .expect("restore must succeed")
+            .run();
+        assert_eq!(fork, cold, "fork at sim_threads={threads} diverged");
+        assert_eq!(
+            region_time(&fork.printed, &fork.printed_at, fork.time),
+            region_time(&cold.printed, &cold.printed_at, cold.time)
+        );
+        assert_eq!(
+            region_dram(&fork.printed, &fork.dram_at_print, fork.dram_accesses),
+            region_dram(&cold.printed, &cold.dram_at_print, cold.dram_accesses)
+        );
+        assert_eq!(fork.exit_code, expect);
+    }
+}
+
+#[test]
 fn file_round_trip_via_checkpoint_and_restore() {
     let cfg = SystemConfig::tiny();
     let src = vecadd_src(16);

@@ -162,6 +162,16 @@ impl SweepSpec {
         let mut dups = Vec::new();
         for w in &self.workloads {
             for &size in &self.sizes {
+                // vecadd launches one MTTOP thread per element; the chip
+                // refuses a launch wider than its contexts and `main`
+                // returns -1, which must not be cached as a result.
+                if w == "vecadd" && size > cfg.mttop_threads() {
+                    return Err(SweepError::Spec(format!(
+                        "vecadd size {size} exceeds preset {:?}'s {} MTTOP threads",
+                        self.preset,
+                        cfg.mttop_threads()
+                    )));
+                }
                 for &seed in &self.seeds {
                     let label = format!("{w}-n{size}-s{seed}");
                     let source = source_for(w, size, seed)?;
@@ -237,6 +247,22 @@ mod tests {
         spec.workloads = vec!["vecadd".into()];
         spec.preset = "no-such".into();
         assert!(matches!(spec.expand(), Err(SweepError::Spec(_))));
+    }
+
+    #[test]
+    fn vecadd_wider_than_the_chip_is_refused() {
+        let mut spec = SweepSpec {
+            sizes: vec![64],
+            ..SweepSpec::default()
+        };
+        assert!(spec.expand().is_ok(), "tiny has 64 MTTOP threads");
+        spec.sizes = vec![65];
+        match spec.expand() {
+            Err(SweepError::Spec(msg)) => {
+                assert!(msg.contains("65") && msg.contains("64"), "{msg}");
+            }
+            other => panic!("expected a spec error, got {other:?}"),
+        }
     }
 
     #[test]

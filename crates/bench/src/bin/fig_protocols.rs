@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use ccsvm::{Machine, Outcome, ProtocolKind, RunReport};
-use ccsvm_bench::{bench_cfg, check_eq, exit_with, ms, rel, BenchError, Claims, Opts, Out};
+use ccsvm_bench::{check_eq, exit_with, ms, print_trace, rel, BenchError, Claims, Opts, Out};
 use ccsvm_workloads as wl;
 
 fn stat(r: &RunReport, key: &str) -> f64 {
@@ -29,14 +29,15 @@ struct Point {
     host_secs: f64,
 }
 
-fn run_point(kind: ProtocolKind, src: &str, opts: &Opts) -> Result<Point, BenchError> {
-    let mut cfg = bench_cfg(opts.sim_threads);
-    cfg.sb_cache = opts.sb_cache;
+fn run_point(kind: ProtocolKind, src: &str, opts: &Opts, label: &str) -> Result<Point, BenchError> {
+    let mut cfg = opts.config();
     cfg.protocol = kind;
     let prog = wl::build(src);
     let started = Instant::now();
-    let report = Machine::new(cfg, prog).run();
+    let mut m = Machine::new(cfg, prog);
+    let report = m.run();
     let host_secs = started.elapsed().as_secs_f64();
+    print_trace(&m, label);
     if report.outcome != Outcome::Completed {
         return Err(BenchError::Run(format!(
             "{kind}: run aborted with {:?} (diag: {:?})",
@@ -80,7 +81,8 @@ fn run() -> Result<(), BenchError> {
     let points = ccsvm_bench::sweep(grid.len(), opts.threads, |i| -> Result<_, BenchError> {
         let (n, kind) = grid[i];
         let p = wl::matmul::MatmulParams::new(n, 42);
-        let point = run_point(kind, &wl::matmul::xthreads_source(&p), &opts)?;
+        let src = wl::matmul::xthreads_source(&p);
+        let point = run_point(kind, &src, &opts, &format!("fig_protocols/{kind}/n{n}"))?;
         check_eq(
             point.report.exit_code,
             wl::matmul::reference_checksum(&p),

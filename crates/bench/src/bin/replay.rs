@@ -8,7 +8,7 @@
 //! The bundle embeds everything the reproduction needs: the config preset
 //! name (validated against the recorded config hash), the fault plan and
 //! sanitizer settings, the guest source, the nearest pre-failure machine
-//! snapshot, the bisected first-failing cycle, and the ring of last uncore
+//! snapshot, the bisected first-failing cycle, and the trace of the last
 //! events before the abort. The replay restores the snapshot, forces the
 //! sanitizer on (full check verbosity), and re-runs to the failure.
 //!
@@ -46,22 +46,11 @@ fn run() -> Result<(), BenchError> {
         println!("violation: {v}");
     }
     println!(
-        "snapshot:  {} bytes at {} ({} ring events of {} total)",
+        "snapshot:  {} bytes at {}",
         bundle.snapshot.len(),
         bundle.snapshot_at,
-        bundle.ring.len(),
-        bundle.ring_total,
     );
-    for ev in &bundle.ring {
-        println!(
-            "  [{:>6}] {:>14} ps  {:<12} block={:#x} who={}",
-            ev.seq,
-            ev.at_ps,
-            ccsvm_mem::ring_kind_name(ev.kind),
-            ev.a,
-            ev.b
-        );
-    }
+    println!("{}", bundle.trace);
 
     let (report, reproduced) =
         replay_bundle(&bundle).map_err(|e| BenchError::Run(format!("replay setup failed: {e}")))?;

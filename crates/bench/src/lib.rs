@@ -18,7 +18,10 @@
 //! * `--restore-from DIR` — warm-start each sweep point from
 //!   `DIR/<label>.ccsnap` when that image exists (falling back to a cold
 //!   boot when it does not). Restored runs produce bit-identical reports, so
-//!   the table is again unchanged — only wall-time drops.
+//!   the table is again unchanged — only wall-time drops,
+//! * `--trace-events N` — record each simulated point's last `N` events
+//!   (`SystemConfig::trace_events`) and print them to stderr as one block
+//!   labelled with the point (the table is unchanged).
 //!
 //! Output is a fixed-width table whose rows mirror the corresponding figure
 //! in the paper; EXPERIMENTS.md records a captured run next to the paper's
@@ -221,6 +224,9 @@ pub struct Opts {
     /// directory). Unlike the host-perf knobs this changes the simulated
     /// machine, so tables differ per protocol (DESIGN §13).
     pub protocol: ProtocolKind,
+    /// Event-trace capacity per simulated point (`--trace-events N`,
+    /// default 0 = off); see [`print_trace`].
+    pub trace_events: usize,
 }
 
 /// Prints the shared usage message and exits with status 2 (CLI misuse).
@@ -250,9 +256,26 @@ fn usage_exit(binary: &str, error: &str) -> ! {
          \x20                   are bit-identical either way)\n\
          \x20 --protocol NAME   coherence protocol: directory (default),\n\
          \x20                   mesi-snoop, or dragon; changes the simulated\n\
-         \x20                   machine, so tables differ per protocol"
+         \x20                   machine, so tables differ per protocol\n\
+         \x20 --trace-events N  print each point's last N simulated events to\n\
+         \x20                   stderr (default 0 = off; tables are unchanged)"
     );
     std::process::exit(2);
+}
+
+/// The value of `flag`, an integer of at least `min`; exits with the usage
+/// message otherwise.
+fn count_arg(binary: &str, flag: &str, value: Option<String>, min: usize) -> usize {
+    let Some(v) = value else {
+        usage_exit(binary, &format!("{flag} needs a value"));
+    };
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= min => n,
+        _ => usage_exit(
+            binary,
+            &format!("bad {flag} `{v}` (want an integer >= {min})"),
+        ),
+    }
 }
 
 impl Opts {
@@ -276,6 +299,7 @@ impl Opts {
         let mut out = None;
         let mut sb_cache = true;
         let mut protocol = ProtocolKind::Directory;
+        let mut trace_events = 0usize;
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -300,30 +324,9 @@ impl Opts {
                     }
                     sizes = Some(parsed);
                 }
-                "--threads" => {
-                    let Some(v) = args.next() else {
-                        usage_exit(&binary, "--threads needs a value");
-                    };
-                    match v.trim().parse::<usize>() {
-                        Ok(n) if n > 0 => threads = n,
-                        _ => usage_exit(
-                            &binary,
-                            &format!("bad thread count `{v}` (want a positive integer)"),
-                        ),
-                    }
-                }
-                "--sim-threads" => {
-                    let Some(v) = args.next() else {
-                        usage_exit(&binary, "--sim-threads needs a value");
-                    };
-                    match v.trim().parse::<usize>() {
-                        Ok(n) if n > 0 => sim_threads = n,
-                        _ => usage_exit(
-                            &binary,
-                            &format!("bad sim-thread count `{v}` (want a positive integer)"),
-                        ),
-                    }
-                }
+                "--threads" => threads = count_arg(&binary, &a, args.next(), 1),
+                "--sim-threads" => sim_threads = count_arg(&binary, &a, args.next(), 1),
+                "--trace-events" => trace_events = count_arg(&binary, &a, args.next(), 0),
                 "--checkpoint-at" => {
                     let Some(v) = args.next() else {
                         usage_exit(&binary, "--checkpoint-at needs a value (simulated ns)");
@@ -375,7 +378,18 @@ impl Opts {
             out,
             sb_cache,
             protocol,
+            trace_events,
         }
+    }
+
+    /// [`bench_cfg`] with this run's machine knobs applied: `--sim-threads`,
+    /// `--no-sb-cache`, `--protocol` and `--trace-events`.
+    pub fn config(&self) -> SystemConfig {
+        let mut cfg = bench_cfg(self.sim_threads);
+        cfg.sb_cache = self.sb_cache;
+        cfg.protocol = self.protocol;
+        cfg.trace_events = self.trace_events;
+        cfg
     }
 
     /// The sweep to use: override > quick > full.
@@ -450,9 +464,7 @@ pub fn region_numbers(r: &RunReport) -> (Time, u64, u64) {
 /// (checkpointing continues the run, restoring replays it bit-for-bit), so
 /// tables never change — only wall-time does.
 pub fn run_ccsvm_point(src: &str, opts: &Opts, label: &str) -> (Time, u64, u64) {
-    let mut cfg = bench_cfg(opts.sim_threads);
-    cfg.sb_cache = opts.sb_cache;
-    cfg.protocol = opts.protocol;
+    let cfg = opts.config();
     if let Some(dir) = &opts.restore_from {
         let path = dir.join(format!("{label}.ccsnap"));
         if path.exists() {
@@ -469,7 +481,10 @@ pub fn run_ccsvm_point(src: &str, opts: &Opts, label: &str) -> (Time, u64, u64) 
     let report = match opts.checkpoint_at {
         Some(at) => match m.run_until(at) {
             // The point finished before the checkpoint cycle: nothing to save.
-            Some(r) => r,
+            Some(r) => {
+                print_trace(&m, label);
+                r
+            }
             None => {
                 if let Err(e) = std::fs::create_dir_all(SNAP_DIR) {
                     eprintln!("warning: cannot create {SNAP_DIR}/: {e}");
@@ -487,8 +502,17 @@ pub fn run_ccsvm_point(src: &str, opts: &Opts, label: &str) -> (Time, u64, u64) 
     region_numbers(&report)
 }
 
+/// Prints `m`'s event trace to stderr as one block headed `label`, when the
+/// machine records one (`--trace-events N`).
+pub fn print_trace(m: &Machine, label: &str) {
+    if m.config().trace_events > 0 {
+        eprintln!("== {label} {}", m.trace());
+    }
+}
+
 /// Runs a machine to completion, polling for SIGINT/SIGTERM every 1 ms of
-/// simulated time. On interruption the machine's state is flushed to
+/// simulated time, then prints its trace ([`print_trace`]). On
+/// interruption the machine's state is flushed to
 /// `snapshots/<label>.interrupted.ccsnap` — resumable via `--restore-from`
 /// after renaming — and the process exits with [`EXIT_INTERRUPTED`].
 /// Uninterrupted, the report is bit-identical to `Machine::run` (pausing
@@ -496,7 +520,10 @@ pub fn run_ccsvm_point(src: &str, opts: &Opts, label: &str) -> (Time, u64, u64) 
 pub fn run_to_exit(m: &mut Machine, label: &str) -> RunReport {
     use ccsvm_sweepd::sig;
     match m.run_with_cadence(Time::from_ms(1), |_| !sig::shutdown_requested()) {
-        Some(report) => report,
+        Some(report) => {
+            print_trace(m, label);
+            report
+        }
         None => {
             let path = std::path::Path::new(SNAP_DIR).join(format!("{label}.interrupted.ccsnap"));
             let flushed = std::fs::create_dir_all(SNAP_DIR)

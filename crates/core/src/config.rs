@@ -136,9 +136,16 @@ pub struct SystemConfig {
     /// at every thread count (see DESIGN.md §7).
     pub sim_threads: usize,
     /// Record a host wall-clock breakdown per run phase (core-exec, uncore,
-    /// merge) — perf-artifact telemetry; adds two `Instant` reads per batch,
-    /// so it's off by default and benchmarks enable it on a separate run.
+    /// merge, other) — perf-artifact telemetry; adds one `Instant` read per
+    /// phase switch, so it's off by default and benchmarks enable it on a
+    /// separate run.
     pub host_profile: bool,
+    /// Capacity of the machine's event trace ([`crate::Trace`]): the last
+    /// `trace_events` dispatched events, read with
+    /// [`crate::Machine::trace`]. 0 (the default) records nothing. Host-side
+    /// telemetry, like `sim_threads`: reports are bit-identical at any
+    /// setting, and [`crate::config_hash`] ignores it.
+    pub trace_events: usize,
     /// Decoded-superblock fast path on CPU and MTTOP cores (DESIGN §11). Pure
     /// host-perf knob, like `sim_threads`: disabling it (`--no-sb-cache`)
     /// never changes simulated behavior — `RunReport`s stay bit-identical —
@@ -180,6 +187,7 @@ impl SystemConfig {
             sanitizer: SanitizerConfig::default(),
             sim_threads: 1,
             host_profile: false,
+            trace_events: 0,
             sb_cache: true,
             speculation: SpeculationConfig::default(),
         }

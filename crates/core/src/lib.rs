@@ -41,10 +41,12 @@
 mod config;
 mod machine;
 mod pool;
+mod trace;
 mod triage;
 
 pub use config::{OsCosts, SpeculationConfig, SystemConfig};
 pub use machine::{config_hash, DiagnosticDump, HostPhases, Machine, Outcome, RunReport};
+pub use trace::{Trace, TraceEv, TraceRecord};
 pub use triage::{
     replay_bundle, run_with_triage, ReplayBundle, TriageError, TriageResult, BUNDLE_MAGIC,
     BUNDLE_VERSION,
@@ -58,7 +60,7 @@ pub use ccsvm_engine::{
 // Coherence-sanitizer configuration and violation types (DESIGN §9),
 // re-exported for harnesses and the triage/replay tooling.
 pub use ccsvm_engine::{
-    EvRecord, InvariantId, InvariantMask, Mutation, MutationKind, SanitizerConfig, Violation,
+    InvariantId, InvariantMask, Mutation, MutationKind, SanitizerConfig, Violation,
 };
 // Snapshot error type and schema version, re-exported so harnesses can
 // handle checkpoint/restore failures without depending on the snap crate.
@@ -66,7 +68,7 @@ pub use ccsvm_snap::{SnapError, SCHEMA_VERSION as SNAP_SCHEMA_VERSION};
 // Coherence-protocol identity (DESIGN §13), re-exported so
 // harnesses can set `SystemConfig::protocol` and query per-protocol
 // invariant masks without depending on the mem crate directly.
-pub use ccsvm_mem::ProtocolKind;
+pub use ccsvm_mem::{MemKind, ProtocolKind};
 // Decoded-image counters (DESIGN §11), re-exported so perf
 // harnesses can report [`Machine::sb_stats`] without an isa dependency.
 pub use ccsvm_isa::SbStats;

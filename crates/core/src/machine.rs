@@ -5,8 +5,8 @@ use std::time::{Duration, Instant};
 
 use ccsvm_cpu::{CpuAction, CpuCore};
 use ccsvm_engine::{
-    sanitizer::check_conservation, EvRecord, EvRing, EventQueue, FaultDomain, FaultPlan,
-    MutationKind, ScanControl, SpecStats, SplitMix64, Stats, Time, Violation, Watchdog,
+    sanitizer::check_conservation, EventQueue, FaultDomain, FaultPlan, MutationKind, ScanControl,
+    SpecStats, SplitMix64, Stats, Time, Violation, Watchdog,
 };
 use ccsvm_isa::{sys, DecodedImage, Program};
 use ccsvm_mem::{
@@ -20,6 +20,7 @@ use ccsvm_vm::{GuestHeap, OsLite, PteWrite, VirtAddr, PAGE_BYTES};
 
 use crate::config::SpeculationConfig;
 use crate::pool::WorkerPool;
+use crate::trace::{Trace, TraceEv};
 use crate::SystemConfig;
 
 mod codec;
@@ -84,11 +85,41 @@ enum Drained {
     Ended,
 }
 
-/// Host wall-clock phase indices for the `prof_phase` accumulator.
+/// Host wall-clock phase indices for [`PhaseClock`]; the clock idles
+/// outside [`Machine::run_until`], and that time is in no `HostPhases`.
 const PH_CORE: usize = 0;
 const PH_UNCORE: usize = 1;
 const PH_MERGE: usize = 2;
 const PH_OTHER: usize = 3;
+const PH_IDLE: usize = 4;
+
+/// The one clock behind [`HostPhases`] (when [`SystemConfig::host_profile`]
+/// is set): exactly one phase runs at a time, from entry to
+/// [`Machine::run_until`] to its return, and each switch charges the host
+/// time since the previous switch to the phase being left. A switch costs
+/// one `Instant` read; a switch to the running phase costs none.
+#[derive(Debug)]
+struct PhaseClock {
+    on: bool,
+    phase: usize,
+    since: Instant,
+    spent: [Duration; 5],
+}
+
+impl PhaseClock {
+    /// Enters phase `to`; returns the phase it left, for a caller that
+    /// resumes it.
+    fn switch(&mut self, to: usize) -> usize {
+        let from = self.phase;
+        if self.on && to != from {
+            let now = Instant::now();
+            self.spent[from] += now - self.since;
+            self.since = now;
+            self.phase = to;
+        }
+        from
+    }
+}
 
 /// Host wall-clock breakdown of a run (populated when
 /// [`SystemConfig::host_profile`] is set), exposing where host time goes —
@@ -107,7 +138,10 @@ pub struct HostPhases {
     /// commit or rollback of each member. All serial. (The core-side
     /// `spec_save` runs inside the member's task: core execution.)
     pub merge_ms: f64,
-    /// Everything else (OS services, MIFD, shootdowns, watchdog).
+    /// Everything else in `run`: the event loop itself (queue pop, trace),
+    /// OS services, MIFD, shootdowns, watchdog, the end-of-run sanitizer
+    /// sweep and building the report. The four phases sum to the host time
+    /// spent inside [`Machine::run_until`].
     pub other_ms: f64,
     /// Host time [`Machine::new`] spent building the decoded image
     /// (DESIGN §11). That is before `run`, so it belongs to none of the
@@ -181,6 +215,44 @@ enum Ev {
     },
     /// Periodic forward-progress check (self-rescheduling while armed).
     WatchdogTick,
+}
+
+impl Ev {
+    /// The event's trace record, without its payload.
+    fn trace(&self) -> TraceEv {
+        match *self {
+            Ev::Mem(ref me) => {
+                let (kind, endpoint) = me.kind();
+                let block = me.block();
+                TraceEv::Mem {
+                    kind,
+                    block,
+                    endpoint,
+                }
+            }
+            Ev::CpuBatch { core, seq } => TraceEv::CpuBatch { core, seq },
+            Ev::MttopBatch { core, seq } => TraceEv::MttopBatch { core, seq },
+            Ev::MifdLaunch {
+                cpu,
+                desc: [_, _, first, last],
+            } => TraceEv::MifdLaunch { cpu, first, last },
+            Ev::ChunkArrive { core, ref chunk } => {
+                let first = chunk.first_tid;
+                TraceEv::ChunkArrive { core, first }
+            }
+            Ev::ResumeSyscall { cpu, ret } => TraceEv::ResumeSyscall { cpu, ret },
+            Ev::FaultToCpu { ref req, mcore } => {
+                let va = req.va.0;
+                TraceEv::FaultToCpu { mcore, va }
+            }
+            Ev::FaultAckAtMttop { mcore, warp } => TraceEv::FaultAckAtMttop { mcore, warp },
+            Ev::IpiArrive { target, va, .. } => TraceEv::IpiArrive { target, va: va.0 },
+            Ev::FlushArrive { target, va, .. } => TraceEv::FlushArrive { target, va: va.0 },
+            Ev::ShootAck { initiator } => TraceEv::ShootAck { initiator },
+            Ev::HandlerRetry { cpu } => TraceEv::HandlerRetry { cpu },
+            Ev::WatchdogTick => TraceEv::WatchdogTick {},
+        }
+    }
 }
 
 /// OS handler work performed on a CPU core (page-fault service, unmap).
@@ -445,9 +517,9 @@ pub struct Machine {
     /// One uncore-effect buffer per L1 port (CPU ports first, then MTTOP),
     /// reused across batches by both the serial and fork-join paths.
     port_logs: Vec<PortLog>,
-    /// Host wall-clock per phase (`PH_*`); only written when
+    /// Host wall-clock per phase (`PH_*`); only reads the clock when
     /// `cfg.host_profile` is set.
-    prof_phase: [Duration; 4],
+    clock: PhaseClock,
     /// Fork-join rounds (zones or epochs) executed and batches stepped
     /// inside them (telemetry; deliberately kept out of `Stats` so reports
     /// stay identical across `sim_threads` values).
@@ -477,18 +549,14 @@ pub struct Machine {
     watchdog: Watchdog,
     /// Set when the run must abort; checked after every dispatched event.
     failure: Option<(Outcome, DiagnosticDump)>,
-    /// Whether `CCSVM_TRACE` was set at construction: the event loop then
-    /// prints its first 5,000 events to stderr (host-side only).
-    trace: bool,
+    /// The last [`SystemConfig::trace_events`] dispatched events. Host-side
+    /// telemetry, never serialized: snapshot images and reports stay
+    /// identical with the trace on or off.
+    trace: Trace,
     // Test-knob counters for the deterministic event-drop fault hooks.
     data_deliveries: u64,
     resps_seen: u64,
     blackholed_block: Option<u64>,
-    /// Recent-uncore-event ring for replay bundles. Recorded only while the
-    /// sanitizer is enabled and never serialized: it is triage telemetry,
-    /// not simulated state, so snapshot images stay identical across
-    /// sanitizer settings.
-    san_ring: EvRing,
     /// Occurrences of the configured mutation's target class seen so far
     /// (serialized: a restored machine must find the same nth target).
     mut_count: u64,
@@ -629,11 +697,13 @@ impl Machine {
                     .map(|n| n.get())
                     .unwrap_or(1),
             ),
-            san_ring: EvRing::new(if cfg.sanitizer.enabled {
-                cfg.sanitizer.ring_capacity
-            } else {
-                0
-            }),
+            clock: PhaseClock {
+                on: cfg.host_profile,
+                phase: PH_IDLE,
+                since: Instant::now(),
+                spent: [Duration::ZERO; 5],
+            },
+            trace: Trace::new(cfg.trace_events),
             cfg,
             image: DecodedImage::build(&prog.text),
             prog,
@@ -659,13 +729,11 @@ impl Machine {
             progress: 0,
             events: 0,
             completions_buf: Vec::new(),
-            prof_phase: [Duration::ZERO; 4],
             zones: 0,
             zone_batches: 0,
             spec_stats: SpecStats::default(),
             watchdog: Watchdog::new(),
             failure: None,
-            trace: std::env::var("CCSVM_TRACE").is_ok(),
             data_deliveries: 0,
             resps_seen: 0,
             blackholed_block: None,
@@ -682,11 +750,12 @@ impl Machine {
     /// times are all zero unless [`SystemConfig::host_profile`] was set.
     pub fn host_phases(&self) -> HostPhases {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let spent = &self.clock.spent;
         HostPhases {
-            core_exec_ms: ms(self.prof_phase[PH_CORE]),
-            uncore_ms: ms(self.prof_phase[PH_UNCORE]),
-            merge_ms: ms(self.prof_phase[PH_MERGE]),
-            other_ms: ms(self.prof_phase[PH_OTHER]),
+            core_exec_ms: ms(spent[PH_CORE]),
+            uncore_ms: ms(spent[PH_UNCORE]),
+            merge_ms: ms(spent[PH_MERGE]),
+            other_ms: ms(spent[PH_OTHER]),
             decode_ms: self.sb_stats().decode_ns as f64 / 1e6,
             zones: self.zones,
             zone_batches: self.zone_batches,
@@ -738,20 +807,10 @@ impl Machine {
         self.failure.as_ref().map(|(o, d)| (*o, d))
     }
 
-    /// The sanitizer's ring of recent uncore events (most recent last) and
-    /// the total recorded count. Empty unless the sanitizer was enabled.
-    pub fn ring_events(&self) -> (Vec<EvRecord>, u64) {
-        (self.san_ring.records(), self.san_ring.total())
-    }
-
-    /// Debug: each MTTOP core's local clock (≈ when it last executed).
-    pub fn mttop_times(&self) -> Vec<ccsvm_engine::Time> {
-        self.mttops.iter().map(|m| m.local_time()).collect()
-    }
-
-    /// Debug: per-bank L2 occupancy and resident block lists.
-    pub fn l2_occupancy(&self) -> Vec<(usize, Vec<u64>)> {
-        self.mem.l2_occupancy()
+    /// The event trace: the last [`SystemConfig::trace_events`] events
+    /// this machine dispatched, oldest first. Empty when the knob is 0.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
     }
 
     /// Allocates guest heap memory **before** the run and writes `data` into
@@ -838,18 +897,22 @@ impl Machine {
     /// simulation: a paused-and-resumed run produces a [`RunReport`]
     /// bit-identical to an uninterrupted one.
     pub fn run_until(&mut self, limit: Time) -> Option<RunReport> {
+        self.clock.switch(PH_OTHER);
         if !self.started {
             self.boot();
         }
-        if self.drain((limit, u64::MAX), &mut []) == Drained::Bound {
-            return None;
-        }
-        if !self.main_exited && self.failure.is_none() {
-            let reason = "event queue drained before main exited".to_string();
-            self.failure = Some((Outcome::Deadlock, self.dump(reason)));
-        }
-        self.final_check();
-        Some(self.report())
+        let ended = self.drain((limit, u64::MAX), &mut []) != Drained::Bound;
+        self.clock.switch(PH_OTHER);
+        let report = ended.then(|| {
+            if !self.main_exited && self.failure.is_none() {
+                let reason = "event queue drained before main exited".to_string();
+                self.failure = Some((Outcome::Deadlock, self.dump(reason)));
+            }
+            self.final_check();
+            self.report()
+        });
+        self.clock.switch(PH_IDLE);
+        report
     }
 
     /// Runs to completion, pausing every `every` of simulated time and
@@ -945,9 +1008,9 @@ impl Machine {
     /// and `max_sim_time`, so between member slots neither can be exceeded.
     fn drain(&mut self, until: (Time, u64), members: &mut [EpochMember]) -> Drained {
         let wd_cfg = self.cfg.fault.watchdog;
-        let profile = self.cfg.host_profile;
         let n_cpus = self.cfg.n_cpus;
         loop {
+            self.clock.switch(PH_OTHER);
             match self.queue.peek_key() {
                 None => return Drained::Empty,
                 Some(key) if key > until => return Drained::Bound,
@@ -957,7 +1020,7 @@ impl Machine {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.events += 1;
-            self.trace_ev(t, &ev);
+            self.trace.record(t, || ev.trace());
             if t > self.cfg.max_sim_time {
                 // Re-queue the event we popped but will never dispatch so the
                 // NOC-CONSERVE audit counts it as in flight, not lost.
@@ -1009,14 +1072,11 @@ impl Machine {
                     ) {
                         self.rollback_members(members);
                     }
-                    let t1 = profile.then(Instant::now);
                     self.apply_cpu_action(core, action);
-                    if let Some(t1) = t1 {
-                        self.prof_phase[PH_MERGE] += t1.elapsed();
-                    }
                 }
-                // Batches time themselves (core-exec vs merge); everything
-                // else is timed here, as uncore or other.
+                // Batches switch the clock themselves (core-exec, then
+                // merge); a memory event is uncore, and everything else
+                // stays in the loop's own phase, other.
                 other => {
                     let is_mem = match &other {
                         Ev::Mem(me) => {
@@ -1028,6 +1088,7 @@ impl Machine {
                             }) {
                                 self.rollback_member(m);
                             }
+                            self.clock.switch(PH_UNCORE);
                             true
                         }
                         _ => {
@@ -1035,11 +1096,7 @@ impl Machine {
                             false
                         }
                     };
-                    let t0 = profile.then(Instant::now);
                     self.dispatch(other);
-                    if let Some(t0) = t0 {
-                        self.prof_phase[if is_mem { PH_UNCORE } else { PH_OTHER }] += t0.elapsed();
-                    }
                     if is_mem
                         && !members.is_empty()
                         && (self.mem.has_poisoned() || self.failure.is_some())
@@ -1058,22 +1115,6 @@ impl Machine {
                 self.rollback_members(members);
                 return Drained::Ended;
             }
-        }
-    }
-
-    /// Event-loop trace line (`CCSVM_TRACE`): one per event [`Machine::drain`]
-    /// pops and one per member slot of a round, so traces diff cleanly
-    /// across `sim_threads`/speculation settings.
-    fn trace_ev(&self, t: Time, ev: &Ev) {
-        if !self.trace {
-            return;
-        }
-        let nev = self.events;
-        if nev < 5000 {
-            eprintln!("[{nev}] t={t:?} {ev:?}");
-        }
-        if nev.is_multiple_of(1_000_000) {
-            eprintln!("[{nev}] t={t:?} qlen={}", self.queue.len());
         }
     }
 
@@ -1159,14 +1200,12 @@ impl Machine {
     fn launch_round(&mut self, round: &mut [EpochMember]) {
         let spec = self.cfg.speculation;
         let n_cpus = self.cfg.n_cpus;
-        let profile = self.cfg.host_profile;
-        let t0 = profile.then(Instant::now);
+        self.clock.switch(PH_MERGE);
         for m in round.iter() {
             if matches!(m.state, MemberState::Spec) {
                 self.mem.spec_begin(PortId(n_cpus + m.core), spec.undo_sets);
             }
         }
-        let t1 = profile.then(Instant::now);
         struct Task<'a> {
             member: usize,
             at: Time,
@@ -1199,6 +1238,7 @@ impl Machine {
         debug_assert_eq!(tasks.len(), round.len(), "round cores are distinct");
         let (prog, image) = (&self.prog, &self.image);
         let workers = self.exec_threads - 1;
+        self.clock.switch(PH_CORE);
         self.pool
             .get_or_insert_with(|| WorkerPool::new(workers))
             .round(&mut tasks, |t| {
@@ -1209,10 +1249,6 @@ impl Machine {
             });
         for t in tasks {
             round[t.member].outcome = t.outcome;
-        }
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            self.prof_phase[PH_MERGE] += t1 - t0;
-            self.prof_phase[PH_CORE] += t1.elapsed();
         }
     }
 
@@ -1243,7 +1279,6 @@ impl Machine {
     /// drains before its slot.
     fn run_epoch(&mut self, core0: usize, limit: Time) {
         let spec = self.cfg.speculation;
-        let profile = self.cfg.host_profile;
         let n_cpus = self.cfg.n_cpus;
         let speculate = spec.enabled && self.cfg.sanitizer.mutate.is_none();
         let horizon = if speculate {
@@ -1253,16 +1288,13 @@ impl Machine {
         };
 
         // ---- formation --------------------------------------------------
-        let t0 = profile.then(Instant::now);
+        self.clock.switch(PH_MERGE);
         let fresh = self.claim_members(
             horizon,
             speculate,
             1u128 << core0,
             spec.max_epoch.saturating_sub(1),
         );
-        if let Some(t) = t0 {
-            self.prof_phase[PH_MERGE] += t.elapsed();
-        }
         if fresh.is_empty() {
             self.run_mttop_batch(core0);
             return;
@@ -1298,7 +1330,8 @@ impl Machine {
                 let (mtime, core, bseq) = (members[i].time, members[i].core, members[i].bseq);
                 self.now = mtime;
                 self.events += 1;
-                self.trace_ev(mtime, &Ev::MttopBatch { core, seq: bseq });
+                let ev = TraceEv::MttopBatch { core, seq: bseq };
+                self.trace.record(mtime, || ev);
             }
             let m = &mut members[i];
             let core = m.core;
@@ -1319,7 +1352,7 @@ impl Machine {
             }
             match m.state {
                 MemberState::Certain | MemberState::Spec => {
-                    let t1 = profile.then(Instant::now);
+                    self.clock.switch(PH_MERGE);
                     if matches!(m.state, MemberState::Spec) {
                         self.mem.spec_commit(PortId(n_cpus + core));
                     }
@@ -1329,9 +1362,6 @@ impl Machine {
                     self.spec_stats.batches_total += 1;
                     let outcome = m.outcome.take().expect("round member executed");
                     self.merge_mttop_batch(core, outcome);
-                    if let Some(t) = t1 {
-                        self.prof_phase[PH_MERGE] += t.elapsed();
-                    }
                 }
                 MemberState::RolledBack => self.run_mttop_batch(core),
             }
@@ -1352,14 +1382,12 @@ impl Machine {
     /// commit slot.
     fn rollback_member(&mut self, m: &mut EpochMember) {
         debug_assert!(matches!(m.state, MemberState::Spec));
-        let t0 = self.cfg.host_profile.then(Instant::now);
+        let resume = self.clock.switch(PH_MERGE);
         let port = PortId(self.cfg.n_cpus + m.core);
         let overflowed = self.mem.spec_rollback(port);
         self.port_logs[port.0].clear();
         self.mttops[m.core].spec_restore(&self.spec_undo[m.core]);
-        if let Some(t) = t0 {
-            self.prof_phase[PH_MERGE] += t.elapsed();
-        }
+        self.clock.switch(resume);
         m.state = MemberState::RolledBack;
         m.outcome = None;
         self.spec_stats.rolled_back += 1;
@@ -1713,8 +1741,6 @@ impl Machine {
                 let san = self.cfg.sanitizer.enabled;
                 let block = me.block();
                 if san {
-                    let (kind, a, b) = me.ring_summary();
-                    self.san_ring.record(self.now, kind, a, b);
                     if let Some(v) = self.mem.check_event(self.now, &me) {
                         // Don't deliver a message the protocol can't absorb:
                         // report the conservation violation instead of letting
@@ -1988,8 +2014,7 @@ impl Machine {
     /// split to roll back speculation before OS-entering actions only
     /// (DESIGN §12).
     fn step_cpu_batch(&mut self, core: usize) -> CpuAction {
-        let profile = self.cfg.host_profile;
-        let t0 = profile.then(Instant::now);
+        self.clock.switch(PH_CORE);
         let mut log = std::mem::take(&mut self.port_logs[core]);
         let action = self.cpus[core].run_batch(
             self.now,
@@ -1997,15 +2022,9 @@ impl Machine {
             &self.image,
             &mut self.mem.core_port(PortId(core), &mut log),
         );
-        if let Some(t) = t0 {
-            self.prof_phase[PH_CORE] += t.elapsed();
-        }
-        let t1 = profile.then(Instant::now);
+        self.clock.switch(PH_MERGE);
         self.replay_log(&mut log);
         self.port_logs[core] = log;
-        if let Some(t) = t1 {
-            self.prof_phase[PH_MERGE] += t.elapsed();
-        }
         action
     }
 
@@ -2037,8 +2056,7 @@ impl Machine {
 
     fn run_mttop_batch(&mut self, core: usize) {
         self.spec_stats.batches_total += 1;
-        let profile = self.cfg.host_profile;
-        let t0 = profile.then(Instant::now);
+        self.clock.switch(PH_CORE);
         let port = PortId(self.cfg.n_cpus + core);
         let mut log = std::mem::take(&mut self.port_logs[port.0]);
         let outcome = self.mttops[core].run_batch(
@@ -2047,15 +2065,9 @@ impl Machine {
             &self.image,
             &mut self.mem.core_port(port, &mut log),
         );
-        if let Some(t) = t0 {
-            self.prof_phase[PH_CORE] += t.elapsed();
-        }
         self.port_logs[port.0] = log;
-        let t1 = profile.then(Instant::now);
+        self.clock.switch(PH_MERGE);
         self.merge_mttop_batch(core, outcome);
-        if let Some(t) = t1 {
-            self.prof_phase[PH_MERGE] += t.elapsed();
-        }
     }
 
     /// The serial half of an MTTOP batch: replays the sends its core
@@ -2387,13 +2399,14 @@ pub fn config_hash(cfg: &SystemConfig) -> u64 {
     let mut c = cfg.clone();
     c.sim_threads = 1;
     c.host_profile = false;
-    // The sanitizer observes but never perturbs, so its enable switch and
-    // ring size don't partition snapshots either: a checkpoint from a
-    // sanitizer-off run restores into a sanitizer-on replay (the whole
-    // point of triage). A configured *mutation* stays in the hash — it
-    // changes simulated behavior.
+    // The sanitizer and the trace observe but never perturb, so neither
+    // the sanitizer's enable switch nor the trace capacity partitions
+    // snapshots: a checkpoint from a sanitizer-off, trace-off run restores
+    // into a sanitizer-on, traced replay (the whole point of triage). A
+    // configured *mutation* stays in the hash — it changes simulated
+    // behavior.
     c.sanitizer.enabled = false;
-    c.sanitizer.ring_capacity = 0;
+    c.trace_events = 0;
     // The decoded-superblock fast path is a pure host-perf knob
     // (bit-identical on/off, DESIGN §11): a checkpoint taken with it off
     // restores into a run with it on and vice versa.
@@ -2430,6 +2443,7 @@ mod tests {
         let mut threads = base.clone();
         threads.sim_threads = 8;
         threads.host_profile = true;
+        threads.trace_events = 4096;
         threads.sb_cache = false;
         threads.speculation.enabled = false;
         threads.speculation.max_epoch = 2;

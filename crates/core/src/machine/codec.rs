@@ -402,11 +402,11 @@ impl Snapshot for Machine {
         //    them (the header's config hash guards the "same config" part).
         //  * `completions_buf`, `port_logs`, `mem` scratch — drained between
         //    dispatched events; checkpoints only happen at such boundaries.
-        //  * `prof_phase`, `zones`, `zone_batches` — host-side profiling
+        //  * `clock`, `zones`, `zone_batches` — host-side profiling
         //    telemetry, not simulated state (DESIGN.md §8); excluding them
         //    keeps snapshot bytes identical across `sim_threads` settings.
-        //  * `san_ring` — triage telemetry, not simulated state; excluding
-        //    it keeps snapshot bytes identical across sanitizer settings.
+        //  * `trace` — telemetry, not simulated state; excluding it keeps
+        //    snapshot bytes identical across `trace_events` settings.
         let s = w.begin_section("machine");
         w.put_u64(self.now.as_ps());
         w.put_bool(self.started);

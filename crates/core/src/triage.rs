@@ -8,15 +8,16 @@
 //! first manifests, then packs everything needed to reproduce the failure
 //! into a self-contained [`ReplayBundle`]: config preset + fault plan +
 //! sanitizer knobs + workload source + the nearest pre-failure snapshot +
-//! the ring of recent uncore events. `bench --bin replay` feeds such a
+//! the run's trace of its last events. `bench --bin replay` feeds such a
 //! bundle to [`replay_bundle`], which re-runs it deterministically with the
 //! sanitizer forced on.
 
-use ccsvm_engine::{EvRecord, FaultConfig, SanitizerConfig, Time, Violation};
+use ccsvm_engine::{FaultConfig, SanitizerConfig, Time, Violation};
 use ccsvm_isa::Program;
 use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::machine::{config_hash, Machine, Outcome, RunReport};
+use crate::trace::Trace;
 use crate::SystemConfig;
 use ccsvm_mem::ProtocolKind;
 
@@ -26,7 +27,13 @@ pub const BUNDLE_MAGIC: [u8; 8] = *b"CCSVBNDL";
 /// Bundle format version (independent of the snapshot schema version; the
 /// embedded snapshot carries its own). v2: `FaultConfig` grew the
 /// probe/ack-loss knobs, which flow into the bundle's serialized config.
-pub const BUNDLE_VERSION: u32 = 2;
+/// v3: the untyped uncore-event ring became the typed [`Trace`], and
+/// `SanitizerConfig` lost its ring capacity.
+pub const BUNDLE_VERSION: u32 = 3;
+
+/// Trace capacity [`run_with_triage`] records with when the caller's
+/// config has the trace off.
+const BUNDLE_TRACE_EVENTS: usize = 256;
 
 /// A triage failure (distinct from in-simulation outcomes: these mean the
 /// triage/replay *machinery* could not do its job).
@@ -85,10 +92,8 @@ pub struct ReplayBundle {
     pub outcome: Outcome,
     /// The sanitizer violation, when one was identified.
     pub violation: Option<Violation>,
-    /// Ring of the last uncore events before the failure (oldest first).
-    pub ring: Vec<EvRecord>,
-    /// Total uncore events the ring observed (≥ `ring.len()`).
-    pub ring_total: u64,
+    /// The failing run's last events, up to the abort.
+    pub trace: Trace,
 }
 
 impl ReplayBundle {
@@ -114,11 +119,7 @@ impl ReplayBundle {
                 v.save(&mut w);
             }
         }
-        w.put_usize(self.ring.len());
-        for rec in &self.ring {
-            rec.save(&mut w);
-        }
-        w.put_u64(self.ring_total);
+        self.trace.save(&mut w);
         w.into_vec()
     }
 
@@ -164,13 +165,8 @@ impl ReplayBundle {
         } else {
             None
         };
-        let mut ring = Vec::new();
-        for _ in 0..r.get_usize()? {
-            let mut rec = EvRecord::default();
-            rec.load(&mut r)?;
-            ring.push(rec);
-        }
-        let ring_total = r.get_u64()?;
+        let mut trace = Trace::default();
+        trace.load(&mut r)?;
         if r.remaining() != 0 {
             return Err(SnapError::Corrupt {
                 what: format!("{} trailing bytes after bundle", r.remaining()),
@@ -188,8 +184,7 @@ impl ReplayBundle {
             first_fail,
             outcome,
             violation,
-            ring,
-            ring_total,
+            trace,
         })
     }
 
@@ -223,7 +218,9 @@ pub struct TriageResult {
 
 /// Runs `source` under `cfg` with periodic checkpoints every
 /// `checkpoint_every` of simulated time. On any abnormal outcome, bisects
-/// to the first failing cycle and captures a [`ReplayBundle`].
+/// to the first failing cycle and captures a [`ReplayBundle`]. The run
+/// records its trace (at `cfg.trace_events`, or 256 events when that is 0)
+/// so the bundle can carry it.
 ///
 /// `preset` names the `cfg` baseline for the bundle (the caller's `cfg`
 /// must be `SystemConfig::by_preset(preset)` modulo `fault`/`sanitizer`
@@ -241,7 +238,11 @@ pub fn run_with_triage(
     checkpoint_every: Time,
 ) -> Result<TriageResult, TriageError> {
     let prog = ccsvm_xthreads::build(source).map_err(|e| TriageError::Compile(format!("{e}")))?;
-    let mut m = Machine::new(cfg.clone(), prog.clone());
+    let mut traced = cfg.clone();
+    if traced.trace_events == 0 {
+        traced.trace_events = BUNDLE_TRACE_EVENTS;
+    }
+    let mut m = Machine::new(traced, prog.clone());
     let mut ck = m.checkpoint_bytes();
     let mut ck_at = m.now();
     let mut limit = checkpoint_every;
@@ -262,7 +263,6 @@ pub fn run_with_triage(
         });
     }
     let first_fail = bisect(cfg, &prog, &ck, ck_at, report.time)?;
-    let (ring, ring_total) = m.ring_events();
     let violation = report.diagnostic.as_ref().and_then(|d| d.violation.clone());
     let bundle = ReplayBundle {
         preset: preset.to_string(),
@@ -276,8 +276,7 @@ pub fn run_with_triage(
         first_fail,
         outcome: report.outcome,
         violation,
-        ring,
-        ring_total,
+        trace: m.trace().clone(),
     };
     Ok(TriageResult {
         report,

@@ -5,63 +5,8 @@
 
 use ccsvm::{Machine, Outcome, ProtocolKind, RunReport, SystemConfig, Time};
 
-fn run(cfg: SystemConfig, src: &str) -> RunReport {
-    let prog = ccsvm_xthreads::build(src).unwrap_or_else(|e| panic!("compile: {e}"));
-    Machine::new(cfg, prog).run()
-}
-
-/// A small CPU+MTTOP workload with real NoC/L2/DRAM traffic.
-fn vecadd_src(n: u64) -> String {
-    format!(
-        "struct Args {{ v1: int*; v2: int*; sum: int*; done: int*; }}
-         _MTTOP_ fn add(tid: int, a: Args*) {{
-             a->sum[tid] = a->v1[tid] + a->v2[tid];
-             xt_msignal(a->done, tid);
-         }}
-         _CPU_ fn main() -> int {{
-             let n = {n};
-             let a: Args* = malloc(sizeof(Args));
-             a->v1 = malloc(n * 8);
-             a->v2 = malloc(n * 8);
-             a->sum = malloc(n * 8);
-             a->done = malloc(n * 8);
-             for (let i = 0; i < n; i = i + 1) {{
-                 a->v1[i] = i * 3;
-                 a->v2[i] = i + 7;
-                 a->done[i] = 0;
-             }}
-             let err = xt_create_mthread(add, a as int, 0, n - 1);
-             if (err != 0) {{ return -1; }}
-             xt_wait(a->done, 0, n - 1);
-             let total = 0;
-             for (let i = 0; i < n; i = i + 1) {{ total = total + a->sum[i]; }}
-             return total;
-         }}"
-    )
-}
-
-/// A two-CPU sharing workload that generates invalidation/fetch traffic.
-const PINGPONG: &str = "global results: int;
-     fn worker(arg: int) -> int {
-         atomic_add(&results, arg);
-         return 0;
-     }
-     _CPU_ fn main() -> int {
-         results = 0;
-         let t1 = spawn_cthread(worker, 5);
-         if (t1 < 0) { return -1; }
-         while (results != 5) { }
-         return results;
-     }";
-
-fn faulty_cfg(seed: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::tiny();
-    cfg.fault.seed = seed;
-    cfg.fault.noc.drop_rate = 0.02;
-    cfg.fault.dram.single_bit_rate = 0.2;
-    cfg.fault.tlb.transient_rate = 0.02;
-    cfg
-}
+mod common;
+use common::{faulty_cfg, run, vecadd_src, PINGPONG};
 
 #[test]
 fn same_seed_fault_runs_replay_bit_identical() {

@@ -4,6 +4,9 @@
 
 use ccsvm::{Machine, RunReport, SystemConfig};
 
+mod common;
+use common::vecadd_src;
+
 fn run(cfg: SystemConfig, src: &str) -> (Machine, RunReport) {
     let prog = ccsvm_xthreads::build(src).unwrap_or_else(|e| panic!("compile: {e}"));
     let mut m = Machine::new(cfg, prog);
@@ -41,32 +44,7 @@ fn vecadd_on_mttop_with_wait_signal() {
     // Figure 4's program on the timing machine: a real MIFD launch, MTTOP
     // page faults forwarded to the CPU, coherent results.
     let n = 32u64; // 4 warps on the tiny machine's 2 cores
-    let src = format!(
-        "struct Args {{ v1: int*; v2: int*; sum: int*; done: int*; }}
-         _MTTOP_ fn add(tid: int, a: Args*) {{
-             a->sum[tid] = a->v1[tid] + a->v2[tid];
-             xt_msignal(a->done, tid);
-         }}
-         _CPU_ fn main() -> int {{
-             let n = {n};
-             let a: Args* = malloc(sizeof(Args));
-             a->v1 = malloc(n * 8);
-             a->v2 = malloc(n * 8);
-             a->sum = malloc(n * 8);
-             a->done = malloc(n * 8);
-             for (let i = 0; i < n; i = i + 1) {{
-                 a->v1[i] = i * 3;
-                 a->v2[i] = i + 7;
-                 a->done[i] = 0;
-             }}
-             let err = xt_create_mthread(add, a as int, 0, n - 1);
-             if (err != 0) {{ return -1; }}
-             xt_wait(a->done, 0, n - 1);
-             let total = 0;
-             for (let i = 0; i < n; i = i + 1) {{ total = total + a->sum[i]; }}
-             return total;
-         }}"
-    );
+    let src = vecadd_src(n);
     let (_, r) = run(SystemConfig::tiny(), &src);
     let expect: u64 = (0..n).map(|i| i * 3 + i + 7).sum();
     assert_eq!(r.exit_code, expect);

@@ -5,10 +5,12 @@
 
 use ccsvm::{Machine, Outcome, RunReport, SystemConfig, Time};
 
+mod common;
+use common::{compile, faulty_cfg, matmul_n16, vecadd_src};
+
 fn run_at(mut cfg: SystemConfig, src: &str, sim_threads: usize) -> RunReport {
     cfg.sim_threads = sim_threads;
-    let prog = ccsvm_xthreads::build(src).unwrap_or_else(|e| panic!("compile: {e}"));
-    Machine::new(cfg, prog).run()
+    Machine::new(cfg, compile(src)).run()
 }
 
 /// Runs `src` serially and at `sim_threads ∈ {2, 4}`, asserting the full
@@ -25,48 +27,6 @@ fn differential(cfg: &SystemConfig, src: &str, label: &str) -> RunReport {
     serial
 }
 
-/// The same CPU+MTTOP workload as `faults.rs` (real NoC/L2/DRAM traffic and
-/// MTTOP offload, so same-timestamp MTTOP batch zones actually form).
-fn vecadd_src(n: u64) -> String {
-    format!(
-        "struct Args {{ v1: int*; v2: int*; sum: int*; done: int*; }}
-         _MTTOP_ fn add(tid: int, a: Args*) {{
-             a->sum[tid] = a->v1[tid] + a->v2[tid];
-             xt_msignal(a->done, tid);
-         }}
-         _CPU_ fn main() -> int {{
-             let n = {n};
-             let a: Args* = malloc(sizeof(Args));
-             a->v1 = malloc(n * 8);
-             a->v2 = malloc(n * 8);
-             a->sum = malloc(n * 8);
-             a->done = malloc(n * 8);
-             for (let i = 0; i < n; i = i + 1) {{
-                 a->v1[i] = i * 3;
-                 a->v2[i] = i + 7;
-                 a->done[i] = 0;
-             }}
-             let err = xt_create_mthread(add, a as int, 0, n - 1);
-             if (err != 0) {{ return -1; }}
-             xt_wait(a->done, 0, n - 1);
-             let total = 0;
-             for (let i = 0; i < n; i = i + 1) {{ total = total + a->sum[i]; }}
-             return total;
-         }}"
-    )
-}
-
-/// The fault matrix of `core/tests/faults.rs`: NoC drops + correctable DRAM
-/// ECC flips + transient TLB-walk failures, seeded.
-fn faulty_cfg(seed: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::tiny();
-    cfg.fault.seed = seed;
-    cfg.fault.noc.drop_rate = 0.02;
-    cfg.fault.dram.single_bit_rate = 0.2;
-    cfg.fault.tlb.transient_rate = 0.02;
-    cfg
-}
-
 #[test]
 fn fault_free_offload_is_identical_across_sim_threads() {
     let r = differential(&SystemConfig::tiny(), &vecadd_src(64), "vecadd_n64");
@@ -78,9 +38,7 @@ fn fault_free_offload_is_identical_across_sim_threads() {
 fn paper_default_offload_is_identical_across_sim_threads() {
     // Full-size machine (10 MTTOP cores): the configuration where zones are
     // widest and the executor actually forks.
-    let src = ccsvm_workloads::matmul::xthreads_source(
-        &ccsvm_workloads::matmul::MatmulParams::new(16, 42),
-    );
+    let src = matmul_n16();
     let r = differential(&SystemConfig::paper_default(), &src, "matmul_n16");
     assert_eq!(r.outcome, Outcome::Completed);
 }
@@ -91,10 +49,8 @@ fn zones_actually_form_under_offload() {
     // machine running a real offload must execute multi-batch rounds both as
     // same-timestamp zones (speculation off: no journal is ever opened) and
     // as speculative epochs (the default).
-    let src = ccsvm_workloads::matmul::xthreads_source(
-        &ccsvm_workloads::matmul::MatmulParams::new(16, 42),
-    );
-    let prog = ccsvm_xthreads::build(&src).unwrap_or_else(|e| panic!("compile: {e}"));
+    let src = matmul_n16();
+    let prog = compile(&src);
     let mut reports = Vec::new();
     for speculate in [false, true] {
         let mut cfg = SystemConfig::paper_default();

@@ -10,55 +10,8 @@ use ccsvm::{
     ProtocolKind, ReplayBundle, RunReport, SystemConfig, Time, Violation,
 };
 
-fn run(cfg: SystemConfig, src: &str) -> RunReport {
-    let prog = ccsvm_xthreads::build(src).unwrap_or_else(|e| panic!("compile: {e}"));
-    Machine::new(cfg, prog).run()
-}
-
-/// A small CPU+MTTOP workload with real NoC/L2/DRAM traffic.
-fn vecadd_src(n: u64) -> String {
-    format!(
-        "struct Args {{ v1: int*; v2: int*; sum: int*; done: int*; }}
-         _MTTOP_ fn add(tid: int, a: Args*) {{
-             a->sum[tid] = a->v1[tid] + a->v2[tid];
-             xt_msignal(a->done, tid);
-         }}
-         _CPU_ fn main() -> int {{
-             let n = {n};
-             let a: Args* = malloc(sizeof(Args));
-             a->v1 = malloc(n * 8);
-             a->v2 = malloc(n * 8);
-             a->sum = malloc(n * 8);
-             a->done = malloc(n * 8);
-             for (let i = 0; i < n; i = i + 1) {{
-                 a->v1[i] = i * 3;
-                 a->v2[i] = i + 7;
-                 a->done[i] = 0;
-             }}
-             let err = xt_create_mthread(add, a as int, 0, n - 1);
-             if (err != 0) {{ return -1; }}
-             xt_wait(a->done, 0, n - 1);
-             let total = 0;
-             for (let i = 0; i < n; i = i + 1) {{ total = total + a->sum[i]; }}
-             return total;
-         }}"
-    )
-}
-
-/// A two-CPU sharing workload: the S→M upgrade and invalidation traffic the
-/// grant/fill mutations need.
-const PINGPONG: &str = "global results: int;
-     fn worker(arg: int) -> int {
-         atomic_add(&results, arg);
-         return 0;
-     }
-     _CPU_ fn main() -> int {
-         results = 0;
-         let t1 = spawn_cthread(worker, 5);
-         if (t1 < 0) { return -1; }
-         while (results != 5) { }
-         return results;
-     }";
+mod common;
+use common::{faulty_cfg, run, vecadd_src, PINGPONG};
 
 /// A shootdown workload where the *remote* CPU has cached the doomed
 /// translation: the worker reads the page (filling CPU 1's TLB), then main
@@ -82,15 +35,6 @@ const SHOOTDOWN: &str = "global sync: int;
          munmap(p as int);
          return 7;
      }";
-
-fn faulty_cfg(seed: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::tiny();
-    cfg.fault.seed = seed;
-    cfg.fault.noc.drop_rate = 0.02;
-    cfg.fault.dram.single_bit_rate = 0.2;
-    cfg.fault.tlb.transient_rate = 0.02;
-    cfg
-}
 
 /// Tiny machine with the sanitizer on and one seeded mutation armed.
 fn mutated_cfg(kind: MutationKind, nth: u64) -> SystemConfig {
@@ -518,8 +462,10 @@ fn triage_bisects_and_bundle_replays() {
         Some(InvariantId::MemDataValue)
     );
     assert!(b.snapshot_at < b.first_fail);
-    assert!(b.ring_total > 0, "uncore event ring captured");
-    assert!(!b.ring.is_empty());
+    // The triage run traced every event it dispatched, up to the abort.
+    assert_eq!(b.trace.total(), t.report.events);
+    let last = b.trace.records().last().expect("trace captured");
+    assert_eq!(last.at, b.first_fail);
 
     // The bundle serializes and round-trips bit-exactly.
     let bytes = b.to_bytes();

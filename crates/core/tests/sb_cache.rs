@@ -9,12 +9,10 @@
 //! the host knob).
 
 use ccsvm::{Machine, Outcome, RunReport, SystemConfig, Time};
-use ccsvm_isa::Program;
 use ccsvm_mttop::MttopConfig;
 
-fn compile(src: &str) -> Program {
-    ccsvm_xthreads::build(src).unwrap_or_else(|e| panic!("compile: {e}"))
-}
+mod common;
+use common::{compile, faulty_cfg, matmul_n16};
 
 /// The CPU+MTTOP workload shape the fault and snapshot suites use: real
 /// NoC/L2/DRAM traffic, MTTOP offload, and straight-line ALU bodies long
@@ -48,26 +46,15 @@ fn vecadd_src(n: u64) -> String {
     )
 }
 
-/// The fault matrix of `faults.rs`: NoC drops + correctable DRAM ECC flips +
-/// transient TLB-walk failures, seeded.
-fn faulty_cfg(seed: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::tiny();
-    cfg.fault.seed = seed;
-    cfg.fault.noc.drop_rate = 0.02;
-    cfg.fault.dram.single_bit_rate = 0.2;
-    cfg.fault.tlb.transient_rate = 0.02;
-    cfg
-}
-
 fn run_with(mut cfg: SystemConfig, src: &str, sb_cache: bool, sim_threads: usize) -> RunReport {
     cfg.sb_cache = sb_cache;
     cfg.sim_threads = sim_threads;
     Machine::new(cfg, compile(src)).run()
 }
 
-/// Runs `src` with the cache on and off at `sim_threads ∈ {1, 2, 4}`,
-/// asserting every report equals the serial cache-off reference, and returns
-/// that reference.
+/// Runs `src` with the decoded image on and off at `sim_threads ∈ {1, 2,
+/// 4}`, asserting every report equals the serial image-off reference, and
+/// returns that reference.
 fn differential(cfg: &SystemConfig, src: &str, label: &str) -> RunReport {
     let reference = run_with(cfg.clone(), src, false, 1);
     for sim_threads in [1, 2, 4] {
@@ -76,7 +63,7 @@ fn differential(cfg: &SystemConfig, src: &str, label: &str) -> RunReport {
             assert_eq!(
                 reference, r,
                 "{label}: sb_cache={sb_cache} sim_threads={sim_threads} diverged \
-                 from the serial cache-off reference"
+                 from the serial decoded-image-off reference"
             );
         }
     }
@@ -91,10 +78,6 @@ fn cache_toggle_is_invisible_across_sim_threads() {
         r.exit_code,
         (0..64).map(|i| i * 3 * 5 + (i + 7) * 3 + i).sum::<u64>()
     );
-}
-
-fn matmul_n16() -> String {
-    ccsvm_workloads::matmul::xthreads_source(&ccsvm_workloads::matmul::MatmulParams::new(16, 42))
 }
 
 #[test]
@@ -176,8 +159,8 @@ fn cache_toggle_is_invisible_under_fault_plan() {
 
 #[test]
 fn cache_actually_hits_in_the_compared_runs() {
-    // Guard against the differential being vacuous: the cache-on run must
-    // decode superblocks and then serve issues from them.
+    // Guard against the differential being vacuous: with the decoded image
+    // on, the cores must enter runs of it.
     let mut cfg = SystemConfig::tiny();
     cfg.sb_cache = true;
     let mut m = Machine::new(cfg, compile(&vecadd_src(64)));
@@ -186,11 +169,11 @@ fn cache_actually_hits_in_the_compared_runs() {
     let sb = m.sb_stats();
     assert!(
         sb.hits > 0,
-        "no superblock hits — the fast path never engaged"
+        "no run entered — the decoded image never engaged"
     );
-    assert!(sb.decoded_ops > 0, "nothing was decoded into superblocks");
+    assert!(sb.decoded_ops > 0, "nothing was decoded");
 
-    // And the ablated run must report an idle cache.
+    // And with the decoded image off, no core may enter it.
     let mut cfg = SystemConfig::tiny();
     cfg.sb_cache = false;
     let mut m = Machine::new(cfg, compile(&vecadd_src(64)));
@@ -230,9 +213,9 @@ fn decode_happens_once_per_machine() {
     assert!(built.iter().all(|b| *b == built[0]), "{built:?}");
 }
 
-/// Pause a fresh machine (cache set per `checkpoint_on`) at simulated time
-/// `at`, then restore the image into a machine with the opposite setting and
-/// finish the run.
+/// Pause a fresh machine (decoded image on iff `checkpoint_on`) at
+/// simulated time `at`, then restore the snapshot into a machine with the
+/// opposite setting and finish the run.
 fn checkpoint_cross_restore(
     cfg: &SystemConfig,
     src: &str,
@@ -276,9 +259,10 @@ fn checkpoint_restore_crosses_the_cache_boundary() {
 
 #[test]
 fn snapshot_bytes_are_identical_on_vs_off() {
-    // The cache is excluded from the image entirely, so pausing cache-on and
-    // cache-off runs at the same cycle must produce byte-identical snapshots
-    // — this is what makes images portable across the `--no-sb-cache` knob.
+    // The decoded image is excluded from the snapshot entirely, so pausing
+    // runs with it on and off at the same cycle must produce byte-identical
+    // snapshots — this is what makes images portable across the
+    // `--no-sb-cache` knob.
     let cfg = SystemConfig::tiny();
     let src = vecadd_src(32);
     let done = run_with(cfg.clone(), &src, false, 1);
@@ -293,6 +277,6 @@ fn snapshot_bytes_are_identical_on_vs_off() {
     }
     assert_eq!(
         imgs[0], imgs[1],
-        "snapshot bytes differ between cache-off and cache-on runs"
+        "snapshot bytes differ between decoded-image-off and -on runs"
     );
 }

@@ -7,14 +7,13 @@
 
 use ccsvm::{Machine, Outcome, RunReport, SystemConfig, Time};
 
-fn build(src: &str) -> ccsvm_isa::Program {
-    ccsvm_xthreads::build(src).unwrap_or_else(|e| panic!("compile: {e}"))
-}
+mod common;
+use common::{compile, matmul_n16, vecadd_src};
 
 fn run_at(mut cfg: SystemConfig, src: &str, sim_threads: usize, speculation: bool) -> RunReport {
     cfg.sim_threads = sim_threads;
     cfg.speculation.enabled = speculation;
-    Machine::new(cfg, build(src)).run()
+    Machine::new(cfg, compile(src)).run()
 }
 
 /// Runs `src` serially, then at `sim_threads ∈ {2, 4}` with speculation on
@@ -35,42 +34,6 @@ fn differential(cfg: &SystemConfig, src: &str, label: &str) -> RunReport {
     serial
 }
 
-/// Offload workload with real cross-core memory traffic (same shape as
-/// `parallel.rs`), sized so MTTOP batches from different timestamps coexist
-/// in the queue and epochs actually form.
-fn vecadd_src(n: u64) -> String {
-    format!(
-        "struct Args {{ v1: int*; v2: int*; sum: int*; done: int*; }}
-         _MTTOP_ fn add(tid: int, a: Args*) {{
-             a->sum[tid] = a->v1[tid] + a->v2[tid];
-             xt_msignal(a->done, tid);
-         }}
-         _CPU_ fn main() -> int {{
-             let n = {n};
-             let a: Args* = malloc(sizeof(Args));
-             a->v1 = malloc(n * 8);
-             a->v2 = malloc(n * 8);
-             a->sum = malloc(n * 8);
-             a->done = malloc(n * 8);
-             for (let i = 0; i < n; i = i + 1) {{
-                 a->v1[i] = i * 3;
-                 a->v2[i] = i + 7;
-                 a->done[i] = 0;
-             }}
-             let err = xt_create_mthread(add, a as int, 0, n - 1);
-             if (err != 0) {{ return -1; }}
-             xt_wait(a->done, 0, n - 1);
-             let total = 0;
-             for (let i = 0; i < n; i = i + 1) {{ total = total + a->sum[i]; }}
-             return total;
-         }}"
-    )
-}
-
-fn matmul_n16() -> String {
-    ccsvm_workloads::matmul::xthreads_source(&ccsvm_workloads::matmul::MatmulParams::new(16, 42))
-}
-
 #[test]
 fn speculation_on_off_is_identical_across_sim_threads() {
     let r = differential(&SystemConfig::tiny(), &vecadd_src(64), "vecadd_n64");
@@ -89,7 +52,7 @@ fn paper_default_offload_is_identical_and_epochs_commit() {
 
     let mut cfg = SystemConfig::paper_default();
     cfg.sim_threads = 4;
-    let mut m = Machine::new(cfg, build(&src));
+    let mut m = Machine::new(cfg, compile(&src));
     assert_eq!(m.run().outcome, Outcome::Completed);
     let s = m.spec_stats();
     assert!(s.epochs > 0, "no epochs formed: {s:?}");
@@ -111,7 +74,7 @@ fn conflict_on_last_epoch_member_rolls_back_and_matches_serial() {
     cfg.speculation.max_epoch = 2;
     let serial = run_at(cfg.clone(), &src, 1, true);
     cfg.sim_threads = 4;
-    let mut m = Machine::new(cfg, build(&src));
+    let mut m = Machine::new(cfg, compile(&src));
     let par = m.run();
     assert_eq!(serial, par, "max_epoch=2 diverged from serial");
     let s = m.spec_stats();
@@ -134,7 +97,7 @@ fn undo_overflow_falls_back_to_snapshot_restore() {
     cfg.speculation.undo_sets = 1;
     let serial = run_at(cfg.clone(), &src, 1, true);
     cfg.sim_threads = 4;
-    let mut m = Machine::new(cfg, build(&src));
+    let mut m = Machine::new(cfg, compile(&src));
     let par = m.run();
     assert_eq!(serial, par, "undo_sets=1 diverged from serial");
     let s = m.spec_stats();
@@ -159,7 +122,7 @@ fn rollback_across_checkpoint_boundary_is_identical() {
     let half = Time::from_ps(uninterrupted.time.as_ps() / 2);
     let mut cfg_pause = cfg.clone();
     cfg_pause.sim_threads = 4;
-    let mut m = Machine::new(cfg_pause, build(&src));
+    let mut m = Machine::new(cfg_pause, compile(&src));
     assert!(
         m.run_until(half).is_none(),
         "run finished before the checkpoint point"
@@ -170,7 +133,7 @@ fn rollback_across_checkpoint_boundary_is_identical() {
         let mut cfg_resume = cfg.clone();
         cfg_resume.sim_threads = sim_threads;
         cfg_resume.speculation.enabled = speculation;
-        let mut fork = Machine::restore_bytes(cfg_resume, build(&src), &image)
+        let mut fork = Machine::restore_bytes(cfg_resume, compile(&src), &image)
             .unwrap_or_else(|e| panic!("restore: {e}"));
         let resumed = fork.run();
         assert_eq!(

@@ -240,13 +240,6 @@ impl CpuCore {
         self.regs[i]
     }
 
-    /// Architectural register write (machine syscall handling).
-    pub fn set_reg(&mut self, i: usize, v: u64) {
-        if i != 0 {
-            self.regs[i] = v;
-        }
-    }
-
     /// The core's local clock (never behind the last event it processed).
     pub fn local_time(&self) -> Time {
         self.local_time

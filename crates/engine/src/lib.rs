@@ -50,8 +50,7 @@ pub use fault::{
 pub use fxmap::{fx_map_with_capacity, FxHashMap, FxHashSet};
 pub use rng::SplitMix64;
 pub use sanitizer::{
-    EvRecord, EvRing, InvariantId, InvariantMask, Mutation, MutationKind, SanitizerConfig,
-    Violation,
+    InvariantId, InvariantMask, Mutation, MutationKind, SanitizerConfig, Violation,
 };
 pub use spec::SpecStats;
 pub use stats::Stats;

@@ -13,10 +13,8 @@
 //!   full catalogue, with statements and cost classes, lives in DESIGN.md §9).
 //! * [`Violation`] — one detected violation: which invariant, at which cycle,
 //!   with a human-readable detail string.
-//! * [`SanitizerConfig`] — the toggle, the uncore-event ring capacity, and
-//!   the test-only protocol [`Mutation`] used to prove the checker fires.
-//! * [`EvRing`] — a bounded ring buffer of recent uncore events, captured
-//!   into replay bundles for post-mortem triage.
+//! * [`SanitizerConfig`] — the toggle and the test-only protocol
+//!   [`Mutation`] used to prove the checker fires.
 //!
 //! Determinism contract: checks are read-only. Enabling the sanitizer must
 //! not change event order, statistics, RNG draws, or any other simulated
@@ -297,33 +295,19 @@ pub struct Mutation {
     pub nth: u64,
 }
 
-/// Sanitizer knobs. `Default` is production: checks off, no mutation, a
-/// 256-entry event ring (only populated while checks are on).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Sanitizer knobs. `Default` is production: checks off, no mutation.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SanitizerConfig {
     /// Master toggle for online invariant checks.
     pub enabled: bool,
-    /// Capacity of the recent-uncore-event ring captured into replay bundles.
-    pub ring_capacity: usize,
     /// Test-only protocol corruption. Unlike `enabled`, a mutation *changes
     /// the simulation* and therefore participates in the config hash.
     pub mutate: Option<Mutation>,
 }
 
-impl Default for SanitizerConfig {
-    fn default() -> Self {
-        SanitizerConfig {
-            enabled: false,
-            ring_capacity: 256,
-            mutate: None,
-        }
-    }
-}
-
 impl Snapshot for SanitizerConfig {
     fn save(&self, w: &mut SnapWriter) {
         w.put_bool(self.enabled);
-        w.put_usize(self.ring_capacity);
         match self.mutate {
             Some(m) => {
                 w.put_bool(true);
@@ -336,7 +320,6 @@ impl Snapshot for SanitizerConfig {
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.enabled = r.get_bool()?;
-        self.ring_capacity = r.get_usize()?;
         self.mutate = if r.get_bool()? {
             Some(Mutation {
                 kind: MutationKind::from_snap_tag(r.get_u8()?)?,
@@ -346,100 +329,6 @@ impl Snapshot for SanitizerConfig {
             None
         };
         Ok(())
-    }
-}
-
-/// One recorded uncore event: a compact, formatting-free summary. The kind
-/// byte and operand meanings are assigned by the machine layer (see
-/// `ccsvm::ring_kind_name`); the engine only stores and replays them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EvRecord {
-    /// Monotone sequence number (total events recorded so far).
-    pub seq: u64,
-    /// Simulated time of the event, in picoseconds.
-    pub at_ps: u64,
-    /// Machine-assigned kind code.
-    pub kind: u8,
-    /// First operand (usually the block or virtual address).
-    pub a: u64,
-    /// Second operand (usually the port or core index).
-    pub b: u64,
-}
-
-impl Snapshot for EvRecord {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.seq);
-        w.put_u64(self.at_ps);
-        w.put_u8(self.kind);
-        w.put_u64(self.a);
-        w.put_u64(self.b);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.seq = r.get_u64()?;
-        self.at_ps = r.get_u64()?;
-        self.kind = r.get_u8()?;
-        self.a = r.get_u64()?;
-        self.b = r.get_u64()?;
-        Ok(())
-    }
-}
-
-/// A bounded ring of the most recent [`EvRecord`]s. Recording is O(1) and
-/// allocation-free after the first wrap; the ring is deliberately *not* part
-/// of machine snapshots (triage re-runs rebuild it deterministically).
-#[derive(Clone, Debug, Default)]
-pub struct EvRing {
-    cap: usize,
-    seq: u64,
-    buf: Vec<EvRecord>,
-    /// Index of the oldest record once the buffer has wrapped.
-    head: usize,
-}
-
-impl EvRing {
-    /// A ring holding at most `cap` records (`cap == 0` disables recording).
-    pub fn new(cap: usize) -> EvRing {
-        EvRing {
-            cap,
-            seq: 0,
-            buf: Vec::new(),
-            head: 0,
-        }
-    }
-
-    /// Records one event summary.
-    pub fn record(&mut self, at: Time, kind: u8, a: u64, b: u64) {
-        if self.cap == 0 {
-            return;
-        }
-        let rec = EvRecord {
-            seq: self.seq,
-            at_ps: at.as_ps(),
-            kind,
-            a,
-            b,
-        };
-        self.seq += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.cap;
-        }
-    }
-
-    /// Total events ever recorded (not just retained).
-    pub fn total(&self) -> u64 {
-        self.seq
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> Vec<EvRecord> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
     }
 }
 
@@ -523,7 +412,6 @@ mod tests {
     fn sanitizer_config_round_trips() {
         let cfg = SanitizerConfig {
             enabled: true,
-            ring_capacity: 64,
             mutate: Some(Mutation {
                 kind: MutationKind::DuplicateResp,
                 nth: 3,
@@ -535,26 +423,6 @@ mod tests {
         let mut back = SanitizerConfig::default();
         back.load(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn ring_keeps_the_last_k_in_order() {
-        let mut ring = EvRing::new(4);
-        for i in 0..10u64 {
-            ring.record(Time::from_ns(i), 1, i, 0);
-        }
-        let recs = ring.records();
-        assert_eq!(ring.total(), 10);
-        assert_eq!(recs.len(), 4);
-        assert_eq!(
-            recs.iter().map(|r| r.seq).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
-        );
-        // Zero capacity records nothing.
-        let mut off = EvRing::new(0);
-        off.record(Time::ZERO, 1, 0, 0);
-        assert_eq!(off.total(), 0);
-        assert!(off.records().is_empty());
     }
 
     #[test]

@@ -1274,16 +1274,6 @@ impl Bank {
         }
     }
 
-    /// Number of resident blocks (debug).
-    pub fn occupancy(&self) -> usize {
-        self.array.len()
-    }
-
-    /// Resident blocks (debug).
-    pub fn resident(&self) -> Vec<u64> {
-        self.array.iter().map(|(b, _)| b).collect()
-    }
-
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
         s.set("gets", self.gets as f64);

@@ -69,10 +69,6 @@ pub struct Dram {
     reads: u64,
     writes: u64,
     faults: Option<DramFaults>,
-    /// `CCSVM_DRAM_TRACE` sampled once at construction: the check sits on
-    /// every timed read, and `std::env::var` takes a lock plus an allocation
-    /// per call.
-    trace: bool,
 }
 
 impl Dram {
@@ -86,7 +82,6 @@ impl Dram {
             reads: 0,
             writes: 0,
             faults: None,
-            trace: std::env::var("CCSVM_DRAM_TRACE").is_ok(),
         }
     }
 
@@ -143,9 +138,6 @@ impl Dram {
         channel_key: usize,
         block: u64,
     ) -> (Time, BlockData, bool) {
-        if self.trace {
-            eprintln!("DRAMRD {block}");
-        }
         self.reads += 1;
         let done = self.reserve(now, channel_key);
         let mut data = [0u8; BLOCK_BYTES as usize];

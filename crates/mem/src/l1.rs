@@ -168,10 +168,6 @@ pub(crate) struct L1 {
     /// Ways reserved per set for in-flight fills, so a fill can always
     /// install without evicting a line that itself has a pending miss.
     reserved: FxHashMap<u64, usize>,
-    /// `CCSVM_RETRY_TRACE` sampled once at construction: the check sits on
-    /// the retry path, and `std::env::var` takes a lock plus an allocation
-    /// per call.
-    retry_trace: bool,
     /// Tolerate duplicate directory messages (set when directory timeouts
     /// are enabled: a NACK-resent Fetch can arrive after the original
     /// response already gave the block away). Off by default so protocol
@@ -210,7 +206,6 @@ impl L1 {
             mshrs: fx_map_with_capacity(config.max_mshrs),
             evict_buf: fx_map_with_capacity(config.max_mshrs),
             reserved: fx_map_with_capacity(config.max_mshrs),
-            retry_trace: std::env::var("CCSVM_RETRY_TRACE").is_ok(),
             lenient: false,
             spec: None,
             spec_free: Vec::new(),
@@ -371,8 +366,8 @@ impl L1 {
     /// [`L1Access::Retry`] earlier in the same core batch. MSHRs, eviction
     /// buffers and way reservations drain only via message deliveries that
     /// happen between core batches, so within one batch the retry outcome is
-    /// invariant: the controller run can be skipped, but its counters (and
-    /// the sampled retry trace) must advance exactly as a real attempt would.
+    /// invariant: the controller run can be skipped, but its counters must
+    /// advance exactly as a real attempt would.
     pub fn count_doomed_retry(&mut self, access: Access) {
         match access {
             Access::Read { .. } => self.loads += 1,
@@ -380,26 +375,6 @@ impl L1 {
             Access::Rmw { .. } => self.atomics += 1,
         }
         self.retries += 1;
-        if self.retry_trace && self.retries.is_multiple_of(10000) {
-            // Recompute the cause for the trace line: the state the decision
-            // reads is frozen for the rest of the batch, so this matches what
-            // a real re-attempt would have printed.
-            if self.mshrs.len() >= self.config.max_mshrs {
-                eprintln!(
-                    "RETRY mshr-full port={:?} mshrs={:?}",
-                    self.id,
-                    self.mshrs.keys().collect::<Vec<_>>()
-                );
-            } else {
-                let block = block_of(access.addr());
-                eprintln!(
-                    "RETRY reserve-fail port={:?} block={block} set={} reserved={:?}",
-                    self.id,
-                    self.array.set_of(block),
-                    self.reserved
-                );
-            }
-        }
     }
 
     fn read_word(&self, addr: PhysAddr, size: usize) -> u64 {
@@ -483,29 +458,12 @@ impl L1 {
             }
             return L1Access::Pending;
         }
-        if self.mshrs.len() >= self.config.max_mshrs {
-            self.retries += 1;
-            if self.retry_trace && self.retries.is_multiple_of(10000) {
-                eprintln!(
-                    "RETRY mshr-full port={:?} mshrs={:?}",
-                    self.id,
-                    self.mshrs.keys().collect::<Vec<_>>()
-                );
-            }
-            return L1Access::Retry;
-        }
         // Upgrades (block resident in S/O) complete in the existing way; only
         // misses that will install into a new way need a reservation.
-        if state == L1State::I && !self.reserve_way(block, out) {
+        if self.mshrs.len() >= self.config.max_mshrs
+            || (state == L1State::I && !self.reserve_way(block, out))
+        {
             self.retries += 1;
-            if self.retry_trace && self.retries.is_multiple_of(10000) {
-                eprintln!(
-                    "RETRY reserve-fail port={:?} block={block} set={} reserved={:?}",
-                    self.id,
-                    self.array.set_of(block),
-                    self.reserved
-                );
-            }
             return L1Access::Retry;
         }
         self.misses += 1;
@@ -1102,10 +1060,10 @@ impl L1State {
     }
 }
 
-/// Mutable run-state only. `id`/`config` are construction-time;
-/// `retry_trace` is env-derived and `lenient` config-derived (reinstalled by
-/// the machine before `load`). Hash maps serialize sorted by block so the
-/// byte stream is independent of insertion history.
+/// Mutable run-state only. `id`/`config` are construction-time and
+/// `lenient` config-derived (reinstalled by the machine before `load`).
+/// Hash maps serialize sorted by block so the byte stream is independent of
+/// insertion history.
 impl ccsvm_snap::Snapshot for L1 {
     fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
         // Holds both for machine checkpoints (epochs fully resolve before a

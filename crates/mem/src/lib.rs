@@ -40,7 +40,7 @@ pub use addr::{block_of, offset_in_block, PhysAddr, BLOCK_BYTES};
 pub use cache::{CacheArray, CacheConfig};
 pub use dram::{Dram, DramConfig};
 pub use l1::{L1Config, WritePolicy};
-pub use msg::{ring_kind_name, AtomicOp, BankId, MemEvent};
+pub use msg::{AtomicOp, BankId, MemEvent, MemKind};
 pub use port::{CorePort, PortLog};
 pub use protocol::ProtocolKind;
 pub use system::{Access, AccessResult, BankConfig, Completion, MemConfig, MemorySystem, PortId};

@@ -295,17 +295,17 @@ impl MemEvent {
         matches!(self.0, MemEventKind::RespArrive(..))
     }
 
-    /// Compact `(kind, block, endpoint)` summary for the sanitizer's
-    /// recent-event ring. Kind codes match the snapshot tags; decode with
-    /// [`ring_kind_name`].
-    pub fn ring_summary(&self) -> (u8, u64, u64) {
+    /// The event's kind and endpoint, for the machine's trace: the
+    /// requesting port of a `ReqArrive`, the receiving port of a
+    /// `DirArrive`, and the bank of every other kind.
+    pub fn kind(&self) -> (MemKind, usize) {
         match &self.0 {
-            MemEventKind::ReqArrive(req) => (0, req.block, req.from.0 as u64),
-            MemEventKind::DirArrive(port, _) => (1, self.block(), port.0 as u64),
-            MemEventKind::RespArrive(bank, _) => (2, self.block(), bank.0 as u64),
-            MemEventKind::DramReadDone { bank, block } => (3, *block, bank.0 as u64),
-            MemEventKind::BankReady { bank, block } => (4, *block, bank.0 as u64),
-            MemEventKind::DirTimeout { bank, block, .. } => (5, *block, bank.0 as u64),
+            MemEventKind::ReqArrive(req) => (MemKind::ReqArrive, req.from.0),
+            MemEventKind::DirArrive(port, _) => (MemKind::DirArrive, port.0),
+            MemEventKind::RespArrive(bank, _) => (MemKind::RespArrive, bank.0),
+            MemEventKind::DramReadDone { bank, .. } => (MemKind::DramReadDone, bank.0),
+            MemEventKind::BankReady { bank, .. } => (MemKind::BankReady, bank.0),
+            MemEventKind::DirTimeout { bank, .. } => (MemKind::DirTimeout, bank.0),
         }
     }
 
@@ -444,17 +444,44 @@ impl MemEvent {
     }
 }
 
-/// Human-readable name for a ring-record kind code produced by
-/// [`MemEvent::ring_summary`].
-pub fn ring_kind_name(kind: u8) -> &'static str {
-    match kind {
-        0 => "ReqArrive",
-        1 => "DirArrive",
-        2 => "RespArrive",
-        3 => "DramReadDone",
-        4 => "BankReady",
-        5 => "DirTimeout",
-        _ => "?",
+/// The six kinds of [`MemEvent`], without their payloads: what the
+/// machine's trace records of a memory event. A DRAM read shows up as its
+/// `DramReadDone`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum MemKind {
+    /// A request arrived at its home bank.
+    ReqArrive,
+    /// A directory message arrived at an L1.
+    DirArrive,
+    /// An L1 response arrived back at a bank.
+    RespArrive,
+    /// A DRAM read completed at a bank.
+    DramReadDone,
+    /// A bank finished its access latency for a transaction.
+    BankReady,
+    /// A directory solicitation round timed out.
+    DirTimeout,
+}
+
+/// The inverse of `kind as u64`: a kind's codec tag is its index in
+/// declaration order. An unknown tag is the error.
+impl TryFrom<u64> for MemKind {
+    type Error = u64;
+
+    fn try_from(tag: u64) -> Result<MemKind, u64> {
+        use MemKind::*;
+        let all = [
+            ReqArrive,
+            DirArrive,
+            RespArrive,
+            DramReadDone,
+            BankReady,
+            DirTimeout,
+        ];
+        usize::try_from(tag)
+            .ok()
+            .and_then(|i| all.get(i).copied())
+            .ok_or(tag)
     }
 }
 

@@ -337,13 +337,6 @@ impl MemorySystem {
         self.l1s[port.0].spec_rollback()
     }
 
-    /// Whether `port` has any outstanding misses in flight. The epoch
-    /// scheduler skips such ports at formation time: their fills would
-    /// conflict with the speculation anyway.
-    pub fn has_outstanding(&self, port: PortId) -> bool {
-        !self.l1s[port.0].quiescent()
-    }
-
     /// Issues `access` on `port`. `token` identifies the access in a later
     /// [`Completion`] if it misses.
     ///
@@ -706,14 +699,6 @@ impl MemorySystem {
     /// Resets the DRAM counters (e.g. after input loading).
     pub fn reset_dram_counters(&mut self) {
         self.dram.reset_counters();
-    }
-
-    /// Per-bank L2 occupancy and resident blocks (debug).
-    pub fn l2_occupancy(&self) -> Vec<(usize, Vec<u64>)> {
-        self.banks
-            .iter()
-            .map(|b| (b.occupancy(), b.resident()))
-            .collect()
     }
 
     /// Aggregated statistics of every component.

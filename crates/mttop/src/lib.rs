@@ -527,9 +527,6 @@ pub struct MttopCore {
     /// Scratch for the per-cycle ready-warp scan, reused across cycles so
     /// the scheduler loop stays allocation-free.
     chosen: Vec<usize>,
-    /// `CCSVM_MISS_TRACE` sampled once at construction (`std::env::var`
-    /// takes a lock per call, and completions are hot).
-    miss_trace: bool,
     token_prefix: u64,
     token_seq: u64,
     cr3: PhysAddr,
@@ -613,7 +610,6 @@ impl MttopCore {
             flights: FxHashMap::default(),
             arrived: Vec::new(),
             chosen: Vec::with_capacity(config.issue_width.max(1)),
-            miss_trace: std::env::var("CCSVM_MISS_TRACE").is_ok(),
             token_prefix,
             token_seq: 0,
             cr3: PhysAddr(0),
@@ -678,11 +674,6 @@ impl MttopCore {
     /// Whether any warp is live.
     pub fn busy(&self) -> bool {
         self.states.iter().any(|&s| s != WarpState::Free)
-    }
-
-    /// The core's local clock.
-    pub fn local_time(&self) -> Time {
-        self.local_time
     }
 
     /// Flush the TLB (conservative MTTOP shootdown, §3.2.1).
@@ -1790,18 +1781,6 @@ impl MttopCore {
         let lat = self.local_time.saturating_sub(flight.issued_at);
         self.miss_lat_sum += lat;
         self.miss_count += 1;
-        if self.miss_trace && lat > Time::from_ns(400) {
-            let b = lanes_of(flight.lanes)
-                .next()
-                .and_then(|li| self.warps[flight.warp].lanes[li].op.paddr)
-                .map(ccsvm_mem::block_of);
-            eprintln!(
-                "SLOWMISS {}ns block {:?} kind {}",
-                lat.as_ns() as u64,
-                b,
-                if flight.lanes == 0 { "walk" } else { "data" }
-            );
-        }
         if flight.lanes == 0 {
             // A walker PTE read completed.
             let (wi, walk) = self.walker.take().expect("walker busy");
@@ -2473,8 +2452,8 @@ impl Snapshot for MttopCore {
     fn save(&self, w: &mut SnapWriter) {
         // `port`, `config`, `alu_cost` and `token_prefix` are construction
         // parameters; `chosen` is per-cycle scratch (empty between batches);
-        // `miss_trace` is a host-side env toggle; `ready_mask` is rebuilt
-        // from `states` on load. None of them are serialized.
+        // `ready_mask` is rebuilt from `states` on load. None of them are
+        // serialized.
         w.put_usize(self.warps.len());
         for warp in &self.warps {
             w.put_usize(warp.lanes.len());

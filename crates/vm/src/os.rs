@@ -41,8 +41,6 @@ pub struct PteWrite {
 pub struct OsLite {
     /// Next never-allocated frame cursor (counts allocations).
     next_frame: u64,
-    /// Start of the physical memory pool.
-    phys_base: u64,
     /// End of the physical memory pool (exclusive).
     phys_end: u64,
     /// Recycled frames.
@@ -71,7 +69,6 @@ impl OsLite {
         assert!(phys_end > phys_base, "empty physical pool");
         let mut os = OsLite {
             next_frame: phys_base,
-            phys_base,
             phys_end,
             free_frames: Vec::new(),
             mirror: FxHashMap::default(),
@@ -202,11 +199,6 @@ impl OsLite {
     pub fn faults_handled(&self) -> u64 {
         self.faults_handled
     }
-
-    /// Number of distinct frames ever allocated (including page tables).
-    pub fn frames_allocated(&self) -> u64 {
-        (self.next_frame - self.phys_base) / PAGE_BYTES
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -215,8 +207,8 @@ impl OsLite {
 
 impl ccsvm_snap::Snapshot for OsLite {
     fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        // `phys_base`/`phys_end` are construction parameters (config-derived)
-        // and not serialized. `free_frames` keeps its LIFO order; hash maps
+        // `phys_end` is a construction parameter (config-derived) and not
+        // serialized. `free_frames` keeps its LIFO order; hash maps
         // are written sorted so the byte stream is canonical.
         w.put_u64(self.next_frame);
         w.put_usize(self.free_frames.len());

@@ -132,14 +132,6 @@ pub fn cpu_source(p: &MatmulParams) -> String {
     )
 }
 
-/// The kernel-only source for the APU baseline (same `mm` kernel; the host
-/// side is modeled by the OpenCL-style runtime in `ccsvm-apu`).
-pub fn kernel_source(p: &MatmulParams) -> String {
-    // The APU model runs the same xthreads-compiled kernel on its GPU; host
-    // phases come from the OclScript. Reuse the xthreads program.
-    xthreads_source(p)
-}
-
 /// Rust reference: the expected checksum.
 pub fn reference_checksum(p: &MatmulParams) -> u64 {
     let n = p.n as usize;
@@ -163,11 +155,6 @@ pub fn reference_checksum(p: &MatmulParams) -> u64 {
         }
     }
     s as u64
-}
-
-/// Total arithmetic work (for sanity checks / rate reporting).
-pub fn flop_count(p: &MatmulParams) -> u64 {
-    2 * p.n * p.n * p.n
 }
 
 #[cfg(test)]

@@ -138,17 +138,21 @@ impl FnCtx {
     }
 
     /// Pops a scope, returning its registers to the pool and its frame slots
-    /// to the allocator.
+    /// to the allocator. Registers go back highest first, so the lowest is
+    /// reused first whatever order the scope's map iterates in: one source
+    /// always compiles to one text.
     fn pop_scope(&mut self) {
         let scope = self.scopes.pop().expect("scope");
-        let mut slots = 0;
-        for local in scope.values() {
-            match local.place {
-                Place::Reg(r) => self.reg_pool.push(r),
-                Place::Frame(_) => slots += 1,
-            }
-        }
-        self.next_slot -= slots;
+        let mut regs: Vec<u8> = scope
+            .values()
+            .filter_map(|local| match local.place {
+                Place::Reg(r) => Some(r),
+                Place::Frame(_) => None,
+            })
+            .collect();
+        regs.sort_unstable_by(|a, b| b.cmp(a));
+        self.next_slot -= (scope.len() - regs.len()) as u64;
+        self.reg_pool.extend(regs);
     }
 }
 

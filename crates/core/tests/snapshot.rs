@@ -372,3 +372,102 @@ mod proptests {
         }
     }
 }
+
+/// Every byte format the snapshot codec writes, pinned by digest: machine
+/// images of the paper's matmul (n = 16, `paper_default`) paused at three
+/// fixed times under each protocol, an image taken under a NoC + ECC fault
+/// plan, the image of an aborted run, the finished runs' `RunReport` bytes
+/// and one replay bundle. A codec change that moves any byte fails here
+/// even when every round trip still holds. To re-bless after an intended
+/// layout change (which also bumps `SCHEMA_VERSION`), run:
+///
+/// ```text
+/// CCSVM_BLESS=1 cargo test -p ccsvm --test snapshot
+/// ```
+#[test]
+fn image_report_and_bundle_bytes_match_their_digests() {
+    use ccsvm::{run_with_triage, Mutation, MutationKind};
+    use ccsvm_snap::fnv1a;
+
+    let src = common::matmul_n16();
+    let mut digests: Vec<(String, u64)> = Vec::new();
+    for kind in ProtocolKind::ALL {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.protocol = kind;
+        let mut m = Machine::new(cfg, compile(&src));
+        for us in [5, 30, 55] {
+            assert!(m.run_until(Time::from_us(us)).is_none(), "{kind} ended");
+            digests.push((format!("{kind}.image.{us}us"), fnv1a(&m.checkpoint_bytes())));
+        }
+        let r = m.run();
+        assert_eq!(r.outcome, Outcome::Completed, "{kind}");
+        digests.push((format!("{kind}.report"), fnv1a(&r.to_bytes())));
+    }
+
+    let mut cfg = SystemConfig::paper_default();
+    cfg.fault.seed = 7;
+    cfg.fault.noc.drop_rate = 0.02;
+    cfg.fault.dram.single_bit_rate = 0.2;
+    let mut m = Machine::new(cfg, compile(&src));
+    assert!(m.run_until(Time::from_us(30)).is_none(), "faulty run ended");
+    digests.push(("faulty.image.30us".into(), fnv1a(&m.checkpoint_bytes())));
+    let r = m.run();
+    assert!(
+        r.stats.get("noc.retransmissions") > 0.0,
+        "no NoC drop fired"
+    );
+    digests.push(("faulty.report".into(), fnv1a(&r.to_bytes())));
+
+    let src_abort = "_CPU_ fn main() -> int { return 41 + 1; }";
+    let mut m = Machine::new(deadlock_cfg(), compile(src_abort));
+    let r = m.run();
+    assert_eq!(r.outcome, Outcome::Deadlock);
+    digests.push(("aborted.image".into(), fnv1a(&m.checkpoint_bytes())));
+    digests.push(("aborted.report".into(), fnv1a(&r.to_bytes())));
+
+    let mut cfg = SystemConfig::tiny();
+    cfg.sanitizer.enabled = true;
+    cfg.sanitizer.mutate = Some(Mutation {
+        kind: MutationKind::CorruptFillData,
+        nth: 1,
+    });
+    let t = run_with_triage(&cfg, "tiny", &vecadd_src(16), Time::from_us(20)).unwrap();
+    let bundle = t.bundle.expect("the mutation aborts the run").to_bytes();
+    digests.push(("bundle".into(), fnv1a(&bundle)));
+
+    let schema = ccsvm::SNAP_SCHEMA_VERSION;
+    let mut got = format!("schema_version {schema}\n");
+    for (name, d) in &digests {
+        got.push_str(&format!("{name} {d:016x}\n"));
+    }
+    let path: std::path::PathBuf = [
+        env!("CARGO_MANIFEST_DIR"),
+        "tests",
+        "goldens",
+        "snapshot_digests.txt",
+    ]
+    .iter()
+    .collect();
+    if std::env::var("CCSVM_BLESS").is_ok() {
+        std::fs::write(&path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing {}: {e} (run with CCSVM_BLESS=1)", path.display()));
+    let advice = "if the layout changed, bump SCHEMA_VERSION and document it in \
+                  DESIGN §8, then re-bless with CCSVM_BLESS=1";
+    let pinned = want.lines().next().unwrap_or_default();
+    assert_eq!(
+        pinned,
+        format!("schema_version {schema}"),
+        "the digests were blessed under another SCHEMA_VERSION: {advice}"
+    );
+    for (g, w) in got.lines().zip(want.lines()).skip(1) {
+        assert_eq!(g, w, "bytes moved under SCHEMA_VERSION {schema}: {advice}");
+    }
+    assert_eq!(
+        got.lines().count(),
+        want.lines().count(),
+        "digest list length differs: {advice}"
+    );
+}

@@ -15,7 +15,7 @@ use ccsvm_mem::{
 };
 use ccsvm_mttop::{BatchOutcome, Mifd, MttopAction, MttopCore, PageFaultReq, SpecUndo, TaskChunk};
 use ccsvm_noc::{Network, NodeId, Topology};
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter};
 use ccsvm_vm::{GuestHeap, OsLite, PteWrite, VirtAddr, PAGE_BYTES};
 
 use crate::config::SpeculationConfig;
@@ -392,31 +392,22 @@ impl RunReport {
     /// bytes, even across processes (stats are written as sorted
     /// name/value pairs).
     pub fn to_bytes(&self) -> Vec<u8> {
+        // The three print arrays share the one count.
         let mut w = SnapWriter::new();
-        w.put_u64(self.time.as_ps());
-        w.put_usize(self.printed.len());
-        for s in &self.printed {
-            w.put_str(s);
-        }
-        for t in &self.printed_at {
-            w.put_u64(t.as_ps());
-        }
-        for d in &self.dram_at_print {
-            w.put_u64(*d);
-        }
-        w.put_u64(self.exit_code);
-        w.put_u64(self.dram_accesses);
-        w.put_u64(self.instructions);
-        w.put_u64(self.events);
-        w.put_u8(self.outcome.snap_tag());
-        match &self.diagnostic {
-            None => w.put_bool(false),
-            Some(d) => {
-                w.put_bool(true);
-                d.save(&mut w);
-            }
-        }
-        self.stats.save(&mut w);
+        (self.time, self.printed.len()).put(&mut w);
+        self.printed.iter().for_each(|s| s.put(&mut w));
+        self.printed_at.iter().for_each(|t| t.put(&mut w));
+        self.dram_at_print.iter().for_each(|d| d.put(&mut w));
+        [
+            self.exit_code,
+            self.dram_accesses,
+            self.instructions,
+            self.events,
+        ]
+        .put(&mut w);
+        self.outcome.put(&mut w);
+        self.diagnostic.put(&mut w);
+        self.stats.put(&mut w);
         w.into_vec()
     }
 
@@ -428,37 +419,22 @@ impl RunReport {
     /// malformed field — never a panic and never a silently wrong report.
     pub fn from_bytes(bytes: &[u8]) -> Result<RunReport, SnapError> {
         let mut r = SnapReader::new(bytes);
-        let time = Time::from_ps(r.get_u64()?);
-        let n = r.get_count(8)?;
-        let mut printed = Vec::with_capacity(n);
-        for _ in 0..n {
-            printed.push(r.get_str()?.to_string());
-        }
-        let mut printed_at = Vec::with_capacity(n);
-        for _ in 0..n {
-            printed_at.push(Time::from_ps(r.get_u64()?));
-        }
-        let mut dram_at_print = Vec::with_capacity(n);
-        for _ in 0..n {
-            dram_at_print.push(r.get_u64()?);
-        }
-        let exit_code = r.get_u64()?;
-        let dram_accesses = r.get_u64()?;
-        let instructions = r.get_u64()?;
-        let events = r.get_u64()?;
-        let outcome = Outcome::from_snap_tag(r.get_u8()?)?;
-        let diagnostic = if r.get_bool()? {
-            Some(DiagnosticDump::load_snap(&mut r)?)
-        } else {
-            None
-        };
-        let mut stats = Stats::new();
-        stats.load(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(SnapError::Corrupt {
-                what: format!("{} trailing bytes after run report", r.remaining()),
-            });
-        }
+        let time = Codec::get(&mut r)?;
+        let n = r.get_count(<(String, Time, u64)>::MIN_BYTES)?;
+        let printed = (0..n)
+            .map(|_| Codec::get(&mut r))
+            .collect::<Result<_, _>>()?;
+        let printed_at = (0..n)
+            .map(|_| Codec::get(&mut r))
+            .collect::<Result<_, _>>()?;
+        let dram_at_print = (0..n)
+            .map(|_| Codec::get(&mut r))
+            .collect::<Result<_, _>>()?;
+        let [exit_code, dram_accesses, instructions, events] = Codec::get(&mut r)?;
+        let outcome = Codec::get(&mut r)?;
+        let diagnostic = Codec::get(&mut r)?;
+        let stats = Codec::get(&mut r)?;
+        r.finish("run report")?;
         Ok(RunReport {
             time,
             printed,

@@ -13,20 +13,11 @@ use std::fmt;
 
 use ccsvm_engine::Time;
 use ccsvm_mem::MemKind;
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-
-fn corrupt(what: String) -> SnapError {
-    SnapError::Corrupt { what }
-}
-
-/// Reads one [`TraceEv`] field, which a bundle stores `as u64`.
-fn operand<T: TryFrom<u64>>(r: &mut SnapReader<'_>) -> Result<T, SnapError> {
-    let v = r.get_u64()?;
-    T::try_from(v).map_err(|_| corrupt(format!("trace operand {v} out of range")))
-}
+use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Declares [`TraceEv`] and its bundle codec from one list of tagged
-/// variants, so the two cannot drift apart.
+/// variants, so the two cannot drift apart. Every operand is a `u64`,
+/// `usize` or [`MemKind`], each of which a bundle stores as a `u64`.
 macro_rules! trace_ev {
     ($($(#[doc = $doc:literal])* $tag:literal $name:ident { $($f:ident: $t:ty),* })*) => {
         /// One dispatched machine event without its payload: a variant per
@@ -36,23 +27,7 @@ macro_rules! trace_ev {
             $($(#[doc = $doc])* $name { $($f: $t),* },)*
         }
 
-        impl TraceEv {
-            fn save(self, w: &mut SnapWriter) {
-                match self {
-                    $(TraceEv::$name { $($f),* } => {
-                        w.put_u8($tag);
-                        $(w.put_u64($f as u64);)*
-                    })*
-                }
-            }
-
-            fn load(r: &mut SnapReader<'_>) -> Result<TraceEv, SnapError> {
-                Ok(match r.get_u8()? {
-                    $($tag => TraceEv::$name { $($f: operand(r)?),* },)*
-                    t => return Err(corrupt(format!("unknown TraceEv tag {t:#04x}"))),
-                })
-            }
-        }
+        ccsvm_snap::codec!(enum TraceEv { $($tag => $name { $($f),* },)* });
     };
 }
 
@@ -166,26 +141,21 @@ impl fmt::Display for Trace {
 /// follows from the total).
 impl Snapshot for Trace {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.cap);
-        w.put_u64(self.total);
-        w.put_usize(self.records.len());
-        for r in &self.records {
-            w.put_u64(r.at.as_ps());
-            r.ev.save(w);
-        }
+        (self.cap, self.total, self.records.len()).put(w);
+        self.records.iter().for_each(|r| (r.at, r.ev).put(w));
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let (cap, total, n) = (r.get_usize()?, r.get_u64()?, r.get_count(9)?);
+        let (cap, total): (usize, u64) = Codec::get(r)?;
+        let n = r.get_count(<(Time, TraceEv)>::MIN_BYTES)?;
         if n > cap || n as u64 > total {
-            return Err(corrupt(format!(
-                "trace holds {n} records, capacity {cap}, total {total}"
-            )));
+            return Err(SnapError::Corrupt {
+                what: format!("trace holds {n} records, capacity {cap}, total {total}"),
+            });
         }
         let mut records = VecDeque::with_capacity(n);
         for seq in total - n as u64..total {
-            let at = Time::from_ps(r.get_u64()?);
-            let ev = TraceEv::load(r)?;
+            let (at, ev) = Codec::get(r)?;
             records.push_back(TraceRecord { seq, at, ev });
         }
         *self = Trace {

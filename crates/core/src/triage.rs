@@ -14,7 +14,7 @@
 
 use ccsvm_engine::{FaultConfig, SanitizerConfig, Time, Violation};
 use ccsvm_isa::Program;
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::machine::{config_hash, Machine, Outcome, RunReport};
 use crate::trace::Trace;
@@ -101,24 +101,15 @@ impl ReplayBundle {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_raw(&BUNDLE_MAGIC);
-        w.put_u32(BUNDLE_VERSION);
-        w.put_str(&self.preset);
+        BUNDLE_VERSION.put(&mut w);
+        self.preset.put(&mut w);
         w.put_str(self.protocol.as_str());
-        self.fault.save(&mut w);
-        self.sanitizer.save(&mut w);
-        w.put_str(&self.source);
-        w.put_u64(self.config_hash);
-        w.put_u64(self.snapshot_at.as_ps());
+        (self.fault, self.sanitizer).put(&mut w);
+        self.source.put(&mut w);
+        (self.config_hash, self.snapshot_at).put(&mut w);
         w.put_bytes(&self.snapshot);
-        w.put_u64(self.first_fail.as_ps());
-        w.put_u8(self.outcome.snap_tag());
-        match &self.violation {
-            None => w.put_bool(false),
-            Some(v) => {
-                w.put_bool(true);
-                v.save(&mut w);
-            }
-        }
+        (self.first_fail, self.outcome).put(&mut w);
+        self.violation.put(&mut w);
         self.trace.save(&mut w);
         w.into_vec()
     }
@@ -137,41 +128,26 @@ impl ReplayBundle {
                 what: format!("bad bundle magic {magic:02x?}"),
             });
         }
-        let version = r.get_u32()?;
+        let version = u32::get(&mut r)?;
         if version != BUNDLE_VERSION {
             return Err(SnapError::Corrupt {
                 what: format!("bundle version {version}, this build reads {BUNDLE_VERSION}"),
             });
         }
-        let preset = r.get_str()?.to_string();
-        let proto_name = r.get_str()?.to_string();
-        let protocol = ProtocolKind::parse(&proto_name).ok_or_else(|| SnapError::Corrupt {
+        let preset = Codec::get(&mut r)?;
+        let proto_name = r.get_str()?;
+        let protocol = ProtocolKind::parse(proto_name).ok_or_else(|| SnapError::Corrupt {
             what: format!("bundle names unknown coherence protocol {proto_name:?}"),
         })?;
-        let mut fault = FaultConfig::default();
-        fault.load(&mut r)?;
-        let mut sanitizer = SanitizerConfig::default();
-        sanitizer.load(&mut r)?;
-        let source = r.get_str()?.to_string();
-        let config_hash = r.get_u64()?;
-        let snapshot_at = Time::from_ps(r.get_u64()?);
+        let (fault, sanitizer) = Codec::get(&mut r)?;
+        let source = Codec::get(&mut r)?;
+        let (config_hash, snapshot_at) = Codec::get(&mut r)?;
         let snapshot = r.get_bytes()?.to_vec();
-        let first_fail = Time::from_ps(r.get_u64()?);
-        let outcome = Outcome::from_snap_tag(r.get_u8()?)?;
-        let violation = if r.get_bool()? {
-            let mut v = Violation::default();
-            v.load(&mut r)?;
-            Some(v)
-        } else {
-            None
-        };
+        let (first_fail, outcome) = Codec::get(&mut r)?;
+        let violation = Codec::get(&mut r)?;
         let mut trace = Trace::default();
         trace.load(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(SnapError::Corrupt {
-                what: format!("{} trailing bytes after bundle", r.remaining()),
-            });
-        }
+        r.finish("bundle")?;
         Ok(ReplayBundle {
             preset,
             protocol,

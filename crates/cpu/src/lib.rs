@@ -727,215 +727,89 @@ impl CpuCore {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot codecs. Tagged-union encoding (one tag byte, then the variant's
-// fields in declaration order). Any change here is a snapshot schema change
-// (bump `ccsvm_snap::SCHEMA_VERSION` and document it in DESIGN.md §8).
+// Codecs: one tag byte per variant, then its fields in the order listed.
 
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 
-fn bad_tag(what: &str, tag: u8) -> SnapError {
-    SnapError::Corrupt {
-        what: format!("unknown {what} tag {tag:#04x}"),
-    }
-}
-
-fn save_amo_kind(w: &mut SnapWriter, k: AmoKind) {
-    w.put_u8(match k {
-        AmoKind::Cas => 0,
-        AmoKind::Add => 1,
-        AmoKind::Inc => 2,
-        AmoKind::Dec => 3,
-        AmoKind::Exch => 4,
-    });
-}
-
-fn load_amo_kind(r: &mut SnapReader<'_>) -> Result<AmoKind, SnapError> {
-    Ok(match r.get_u8()? {
-        0 => AmoKind::Cas,
-        1 => AmoKind::Add,
-        2 => AmoKind::Inc,
-        3 => AmoKind::Dec,
-        4 => AmoKind::Exch,
-        t => return Err(bad_tag("AmoKind", t)),
-    })
-}
-
-impl MemOp {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.va.0);
-        match self.kind {
-            OpKind::Ld { rd, size } => {
-                w.put_u8(0);
-                w.put_u8(rd.0);
-                w.put_u8(size);
-            }
-            OpKind::St { size, value } => {
-                w.put_u8(1);
-                w.put_u8(size);
-                w.put_u64(value);
-            }
+/// Written out rather than declared: `Reg` and `AmoKind` come from the
+/// dependency-free ISA crate, so they travel as a register index and an
+/// AMO kind's declaration index.
+impl Codec for OpKind {
+    fn put(&self, w: &mut SnapWriter) {
+        match *self {
+            OpKind::Ld { rd, size } => (0u8, rd.0, size).put(w),
+            OpKind::St { size, value } => (1u8, size, value).put(w),
             OpKind::Amo { rd, op, a, b } => {
-                w.put_u8(2);
-                w.put_u8(rd.0);
-                save_amo_kind(w, op);
-                w.put_u64(a);
-                w.put_u64(b);
+                (2u8, rd.0, op as u8).put(w);
+                (a, b).put(w);
             }
         }
     }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<MemOp, SnapError> {
-        let va = VirtAddr(r.get_u64()?);
-        let kind = match r.get_u8()? {
+    fn get(r: &mut SnapReader<'_>) -> Result<OpKind, SnapError> {
+        use AmoKind::*;
+        Ok(match u8::get(r)? {
             0 => OpKind::Ld {
-                rd: Reg(r.get_u8()?),
-                size: r.get_u8()?,
+                rd: Reg(u8::get(r)?),
+                size: u8::get(r)?,
             },
             1 => OpKind::St {
-                size: r.get_u8()?,
-                value: r.get_u64()?,
+                size: u8::get(r)?,
+                value: u64::get(r)?,
             },
             2 => OpKind::Amo {
-                rd: Reg(r.get_u8()?),
-                op: load_amo_kind(r)?,
-                a: r.get_u64()?,
-                b: r.get_u64()?,
+                rd: Reg(u8::get(r)?),
+                op: match u8::get(r)? {
+                    t @ 0..=4 => [Cas, Add, Inc, Dec, Exch][usize::from(t)],
+                    t => return Err(SnapError::bad_tag("AmoKind", t)),
+                },
+                a: u64::get(r)?,
+                b: u64::get(r)?,
             },
-            t => return Err(bad_tag("OpKind", t)),
-        };
-        Ok(MemOp { va, kind })
-    }
-}
-
-impl Pending {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Pending::None => w.put_u8(0),
-            Pending::WalkRead { walk, op } => {
-                w.put_u8(1);
-                walk.save(w);
-                op.save(w);
-            }
-            Pending::WalkReady { pte, walk, op } => {
-                w.put_u8(2);
-                w.put_u64(*pte);
-                walk.save(w);
-                op.save(w);
-            }
-            Pending::Access { op } => {
-                w.put_u8(3);
-                op.save(w);
-            }
-            Pending::AccessReady { value, op } => {
-                w.put_u8(4);
-                w.put_u64(*value);
-                op.save(w);
-            }
-            Pending::Syscall => w.put_u8(5),
-            Pending::Fault { va } => {
-                w.put_u8(6);
-                w.put_u64(va.0);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Pending, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => Pending::None,
-            1 => Pending::WalkRead {
-                walk: Walk::load(r)?,
-                op: MemOp::load(r)?,
-            },
-            2 => Pending::WalkReady {
-                pte: r.get_u64()?,
-                walk: Walk::load(r)?,
-                op: MemOp::load(r)?,
-            },
-            3 => Pending::Access {
-                op: MemOp::load(r)?,
-            },
-            4 => Pending::AccessReady {
-                value: r.get_u64()?,
-                op: MemOp::load(r)?,
-            },
-            5 => Pending::Syscall,
-            6 => Pending::Fault {
-                va: VirtAddr(r.get_u64()?),
-            },
-            t => return Err(bad_tag("Pending", t)),
+            t => return Err(SnapError::bad_tag("OpKind", t)),
         })
     }
 }
+
+codec!(struct MemOp { va, kind });
+codec!(enum Pending {
+    0 => None,
+    1 => WalkRead { walk, op },
+    2 => WalkReady { pte, walk, op },
+    3 => Access { op },
+    4 => AccessReady { value, op },
+    5 => Syscall,
+    6 => Fault { va },
+});
 
 impl Snapshot for CpuCore {
     fn save(&self, w: &mut SnapWriter) {
         // `port`, `config`, `instr_cost` and `token_prefix` are construction
         // parameters (config-derived) and deliberately not serialized.
-        for &v in &self.regs {
-            w.put_u64(v);
-        }
-        w.put_usize(self.pc);
-        w.put_bool(self.running);
-        w.put_u64(self.local_time.as_ps());
-        self.pending.save(w);
+        (self.regs, self.pc, self.running).put(w);
+        (self.local_time, self.pending).put(w);
         self.tlb.save(w);
-        w.put_u64(self.cr3.0);
-        w.put_u64(self.token_seq);
-        match self.outstanding_token {
-            Some(t) => {
-                w.put_bool(true);
-                w.put_u64(t);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u64(self.icount);
-        w.put_u64(self.mem_ops);
-        w.put_u64(self.walks);
-        w.put_u64(self.faults);
-        w.put_u64(self.busy_time.as_ps());
-        match &self.tlb_faults {
-            None => w.put_bool(false),
-            Some(f) => {
-                w.put_bool(true);
-                w.put_u64(f.rng.state());
-                w.put_u64(f.transients);
-            }
+        (self.cr3, self.token_seq, self.outstanding_token).put(w);
+        [self.icount, self.mem_ops, self.walks, self.faults].put(w);
+        self.busy_time.put(w);
+        self.tlb_faults.is_some().put(w);
+        if let Some(f) = &self.tlb_faults {
+            f.rng.put(w);
+            f.transients.put(w);
         }
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for v in &mut self.regs {
-            *v = r.get_u64()?;
-        }
-        self.pc = r.get_usize()?;
-        self.running = r.get_bool()?;
-        self.local_time = Time::from_ps(r.get_u64()?);
-        self.pending = Pending::load(r)?;
+        (self.regs, self.pc, self.running) = Codec::get(r)?;
+        (self.local_time, self.pending) = Codec::get(r)?;
         self.tlb.load(r)?;
-        self.cr3 = PhysAddr(r.get_u64()?);
-        self.token_seq = r.get_u64()?;
-        self.outstanding_token = if r.get_bool()? {
-            Some(r.get_u64()?)
-        } else {
-            None
-        };
-        self.icount = r.get_u64()?;
-        self.mem_ops = r.get_u64()?;
-        self.walks = r.get_u64()?;
-        self.faults = r.get_u64()?;
-        self.busy_time = Time::from_ps(r.get_u64()?);
-        let has_faults = r.get_bool()?;
-        match (&mut self.tlb_faults, has_faults) {
-            (Some(f), true) => {
-                f.rng.set_state(r.get_u64()?);
-                f.transients = r.get_u64()?;
-            }
-            (None, false) => {}
-            _ => {
-                return Err(SnapError::Corrupt {
-                    what: "cpu tlb fault-injection presence differs from config".into(),
-                })
-            }
+        (self.cr3, self.token_seq, self.outstanding_token) = Codec::get(r)?;
+        [self.icount, self.mem_ops, self.walks, self.faults] = Codec::get(r)?;
+        self.busy_time = Codec::get(r)?;
+        r.get_armed(self.tlb_faults.is_some(), "cpu tlb fault-injection")?;
+        if let Some(f) = &mut self.tlb_faults {
+            f.rng = Codec::get(r)?;
+            f.transients = Codec::get(r)?;
         }
         Ok(())
     }

@@ -288,101 +288,21 @@ impl Default for Watchdog {
     }
 }
 
-/// Full-fidelity codec for replay bundles: a captured failure must replay
-/// under the exact fault schedule (rates, seeds, test knobs) that produced
-/// it. Not used by machine snapshots, which re-derive the config.
-impl ccsvm_snap::Snapshot for FaultConfig {
-    fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        w.put_u64(self.seed);
-        w.put_f64(self.noc.drop_rate);
-        w.put_u32(self.noc.max_retries);
-        w.put_u64(self.noc.backoff.as_ps());
-        w.put_u64(self.noc.backoff_cap.as_ps());
-        w.put_f64(self.dram.single_bit_rate);
-        w.put_f64(self.dram.double_bit_rate);
-        w.put_f64(self.tlb.transient_rate);
-        w.put_u64(self.tlb.retry_penalty.as_ps());
-        match self.dir.timeout {
-            Some(t) => {
-                w.put_bool(true);
-                w.put_u64(t.as_ps());
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u32(self.dir.retry_budget);
-        w.put_bool(self.watchdog.enabled);
-        w.put_u64(self.watchdog.period.as_ps());
-        w.put_u32(self.watchdog.quanta);
-        for knob in [
-            self.drop_data_delivery,
-            self.blackhole_resp,
-            self.drop_one_resp,
-        ] {
-            match knob {
-                Some(k) => {
-                    w.put_bool(true);
-                    w.put_u64(k);
-                }
-                None => w.put_bool(false),
-            }
-        }
-        for loss in [self.snoop_probe, self.upd_ack] {
-            w.put_f64(loss.drop_rate);
-            w.put_u64(loss.max_drops);
-        }
-    }
-
-    fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.seed = r.get_u64()?;
-        self.noc.drop_rate = r.get_f64()?;
-        self.noc.max_retries = r.get_u32()?;
-        self.noc.backoff = Time::from_ps(r.get_u64()?);
-        self.noc.backoff_cap = Time::from_ps(r.get_u64()?);
-        self.dram.single_bit_rate = r.get_f64()?;
-        self.dram.double_bit_rate = r.get_f64()?;
-        self.tlb.transient_rate = r.get_f64()?;
-        self.tlb.retry_penalty = Time::from_ps(r.get_u64()?);
-        self.dir.timeout = if r.get_bool()? {
-            Some(Time::from_ps(r.get_u64()?))
-        } else {
-            None
-        };
-        self.dir.retry_budget = r.get_u32()?;
-        self.watchdog.enabled = r.get_bool()?;
-        self.watchdog.period = Time::from_ps(r.get_u64()?);
-        self.watchdog.quanta = r.get_u32()?;
-        for knob in [
-            &mut self.drop_data_delivery,
-            &mut self.blackhole_resp,
-            &mut self.drop_one_resp,
-        ] {
-            *knob = if r.get_bool()? {
-                Some(r.get_u64()?)
-            } else {
-                None
-            };
-        }
-        for loss in [&mut self.snoop_probe, &mut self.upd_ack] {
-            loss.drop_rate = r.get_f64()?;
-            loss.max_drops = r.get_u64()?;
-        }
-        Ok(())
-    }
-}
-
-impl ccsvm_snap::Snapshot for Watchdog {
-    fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        w.put_u64(self.last_progress);
-        w.put_u64(self.last_change.as_ps());
-        w.put_u32(self.stale);
-    }
-    fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.last_progress = r.get_u64()?;
-        self.last_change = Time::from_ps(r.get_u64()?);
-        self.stale = r.get_u32()?;
-        Ok(())
-    }
-}
+// The full fault plan rides in replay bundles: a captured failure must
+// replay under the exact schedule (rates, seeds, test knobs) that produced
+// it. Machine snapshots re-derive the config instead.
+ccsvm_snap::codec!(struct NocFaultConfig { drop_rate, max_retries, backoff, backoff_cap });
+ccsvm_snap::codec!(struct DramFaultConfig { single_bit_rate, double_bit_rate });
+ccsvm_snap::codec!(struct TlbFaultConfig { transient_rate, retry_penalty });
+ccsvm_snap::codec!(struct DirTimeoutConfig { timeout, retry_budget });
+ccsvm_snap::codec!(struct WatchdogConfig { enabled, period, quanta });
+ccsvm_snap::codec!(struct ProbeLossConfig { drop_rate, max_drops });
+ccsvm_snap::codec!(struct FaultConfig {
+    seed, noc, dram, tlb, dir, watchdog,
+    drop_data_delivery, blackhole_resp, drop_one_resp,
+    snoop_probe, upd_ack,
+});
+ccsvm_snap::codec!(struct Watchdog { last_progress, last_change, stale });
 
 #[cfg(test)]
 mod tests {
@@ -446,7 +366,7 @@ mod tests {
 
     #[test]
     fn fault_config_codec_round_trips_probe_loss() {
-        use ccsvm_snap::{SnapReader, SnapWriter, Snapshot};
+        use ccsvm_snap::{Codec, SnapReader, SnapWriter};
         let mut cfg = FaultConfig {
             seed: 99,
             ..FaultConfig::default()
@@ -461,24 +381,22 @@ mod tests {
             max_drops: 0,
         };
         let mut w = SnapWriter::new();
-        cfg.save(&mut w);
+        cfg.put(&mut w);
         let bytes = w.into_vec();
-        let mut restored = FaultConfig::default();
-        restored.load(&mut SnapReader::new(&bytes)).unwrap();
+        let restored = FaultConfig::get(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(restored, cfg);
     }
 
     #[test]
     fn watchdog_snapshot_round_trips_staleness() {
-        use ccsvm_snap::{SnapReader, SnapWriter, Snapshot};
+        use ccsvm_snap::{Codec, SnapReader, SnapWriter};
         let mut wd = Watchdog::new();
         wd.observe(Time::from_ns(10), 5);
         wd.observe(Time::from_ns(20), 5);
         let mut w = SnapWriter::new();
-        wd.save(&mut w);
+        wd.put(&mut w);
         let bytes = w.into_vec();
-        let mut restored = Watchdog::new();
-        restored.load(&mut SnapReader::new(&bytes)).unwrap();
+        let mut restored = Watchdog::get(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(restored, wd);
         // Both continue identically: one more stale period, then a reset.
         assert_eq!(

@@ -64,15 +64,7 @@ impl SplitMix64 {
     }
 }
 
-impl ccsvm_snap::Snapshot for SplitMix64 {
-    fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        w.put_u64(self.state);
-    }
-    fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.state = r.get_u64()?;
-        Ok(())
-    }
-}
+ccsvm_snap::codec!(struct SplitMix64 { state });
 
 #[cfg(test)]
 mod tests {
@@ -114,16 +106,15 @@ mod tests {
 
     #[test]
     fn snapshot_resumes_exact_stream() {
-        use ccsvm_snap::{SnapReader, SnapWriter, Snapshot};
+        use ccsvm_snap::{Codec, SnapReader, SnapWriter};
         let mut a = SplitMix64::new(99);
         for _ in 0..5 {
             a.next_u64();
         }
         let mut w = SnapWriter::new();
-        a.save(&mut w);
+        a.put(&mut w);
         let bytes = w.into_vec();
-        let mut b = SplitMix64::new(0);
-        b.load(&mut SnapReader::new(&bytes)).unwrap();
+        let mut b = SplitMix64::get(&mut SnapReader::new(&bytes)).unwrap();
         for _ in 0..10 {
             assert_eq!(a.next_u64(), b.next_u64());
         }

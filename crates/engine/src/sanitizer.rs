@@ -23,8 +23,6 @@
 
 use std::fmt;
 
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-
 use crate::time::Time;
 
 /// Stable identifier of one checked invariant. The string forms (via
@@ -78,36 +76,17 @@ impl InvariantId {
             InvariantId::VmStaleShoot => "VM-STALE-SHOOT",
         }
     }
-
-    fn snap_tag(self) -> u8 {
-        match self {
-            InvariantId::MemSwmr => 0,
-            InvariantId::MemDirAgree => 1,
-            InvariantId::MemDataValue => 2,
-            InvariantId::MemMsgConserve => 3,
-            InvariantId::NocConserve => 4,
-            InvariantId::VmTlbPt => 5,
-            InvariantId::VmStaleShoot => 6,
-        }
-    }
-
-    fn from_snap_tag(tag: u8) -> Result<InvariantId, SnapError> {
-        Ok(match tag {
-            0 => InvariantId::MemSwmr,
-            1 => InvariantId::MemDirAgree,
-            2 => InvariantId::MemDataValue,
-            3 => InvariantId::MemMsgConserve,
-            4 => InvariantId::NocConserve,
-            5 => InvariantId::VmTlbPt,
-            6 => InvariantId::VmStaleShoot,
-            t => {
-                return Err(SnapError::Corrupt {
-                    what: format!("unknown InvariantId tag {t:#04x}"),
-                })
-            }
-        })
-    }
 }
+
+ccsvm_snap::codec!(enum InvariantId {
+    0 => MemSwmr,
+    1 => MemDirAgree,
+    2 => MemDataValue,
+    3 => MemMsgConserve,
+    4 => NocConserve,
+    5 => VmTlbPt,
+    6 => VmStaleShoot,
+});
 
 impl fmt::Display for InvariantId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -142,17 +121,17 @@ impl InvariantMask {
 
     /// `self` plus `id`.
     pub fn with(self, id: InvariantId) -> InvariantMask {
-        InvariantMask(self.0 | 1 << id.snap_tag())
+        InvariantMask(self.0 | 1 << id as u32)
     }
 
     /// `self` minus `id`.
     pub fn without(self, id: InvariantId) -> InvariantMask {
-        InvariantMask(self.0 & !(1 << id.snap_tag()))
+        InvariantMask(self.0 & !(1 << id as u32))
     }
 
     /// Whether `id` is in the set.
     pub fn contains(self, id: InvariantId) -> bool {
-        self.0 & 1 << id.snap_tag() != 0
+        self.0 & 1 << id as u32 != 0
     }
 
     /// The members, in catalogue order.
@@ -181,30 +160,7 @@ impl fmt::Display for Violation {
     }
 }
 
-impl Snapshot for Violation {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u8(self.invariant.snap_tag());
-        w.put_u64(self.at.as_ps());
-        w.put_str(&self.detail);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.invariant = InvariantId::from_snap_tag(r.get_u8()?)?;
-        self.at = Time::from_ps(r.get_u64()?);
-        self.detail = r.get_str()?.to_string();
-        Ok(())
-    }
-}
-
-impl Default for Violation {
-    fn default() -> Self {
-        Violation {
-            invariant: InvariantId::MemSwmr,
-            at: Time::ZERO,
-            detail: String::new(),
-        }
-    }
-}
+ccsvm_snap::codec!(struct Violation { invariant, at, detail });
 
 /// A deliberate, test-only protocol corruption. Each kind targets a specific
 /// invariant; `core/tests/sanitizer.rs` applies every kind and asserts the
@@ -248,42 +204,18 @@ pub enum MutationKind {
     CorruptResendEpoch,
 }
 
-impl MutationKind {
-    fn snap_tag(self) -> u8 {
-        match self {
-            MutationKind::CorruptDirOwner => 0,
-            MutationKind::CorruptGrant => 1,
-            MutationKind::CorruptFillData => 2,
-            MutationKind::DuplicateResp => 3,
-            MutationKind::DropResp => 4,
-            MutationKind::SkipTlbInvalidate => 5,
-            MutationKind::CorruptTlbEntry => 6,
-            MutationKind::CorruptSnoopShared => 7,
-            MutationKind::CorruptUpdValue => 8,
-            MutationKind::CorruptResendEpoch => 9,
-        }
-    }
-
-    fn from_snap_tag(tag: u8) -> Result<MutationKind, SnapError> {
-        Ok(match tag {
-            0 => MutationKind::CorruptDirOwner,
-            1 => MutationKind::CorruptGrant,
-            2 => MutationKind::CorruptFillData,
-            3 => MutationKind::DuplicateResp,
-            4 => MutationKind::DropResp,
-            5 => MutationKind::SkipTlbInvalidate,
-            6 => MutationKind::CorruptTlbEntry,
-            7 => MutationKind::CorruptSnoopShared,
-            8 => MutationKind::CorruptUpdValue,
-            9 => MutationKind::CorruptResendEpoch,
-            t => {
-                return Err(SnapError::Corrupt {
-                    what: format!("unknown MutationKind tag {t:#04x}"),
-                })
-            }
-        })
-    }
-}
+ccsvm_snap::codec!(enum MutationKind {
+    0 => CorruptDirOwner,
+    1 => CorruptGrant,
+    2 => CorruptFillData,
+    3 => DuplicateResp,
+    4 => DropResp,
+    5 => SkipTlbInvalidate,
+    6 => CorruptTlbEntry,
+    7 => CorruptSnoopShared,
+    8 => CorruptUpdValue,
+    9 => CorruptResendEpoch,
+});
 
 /// A seeded protocol corruption: apply `kind` to the `nth` (1-based)
 /// matching event.
@@ -305,32 +237,8 @@ pub struct SanitizerConfig {
     pub mutate: Option<Mutation>,
 }
 
-impl Snapshot for SanitizerConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_bool(self.enabled);
-        match self.mutate {
-            Some(m) => {
-                w.put_bool(true);
-                w.put_u8(m.kind.snap_tag());
-                w.put_u64(m.nth);
-            }
-            None => w.put_bool(false),
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.enabled = r.get_bool()?;
-        self.mutate = if r.get_bool()? {
-            Some(Mutation {
-                kind: MutationKind::from_snap_tag(r.get_u8()?)?,
-                nth: r.get_u64()?,
-            })
-        } else {
-            None
-        };
-        Ok(())
-    }
-}
+ccsvm_snap::codec!(struct Mutation { kind, nth });
+ccsvm_snap::codec!(struct SanitizerConfig { enabled, mutate });
 
 /// Uncore message-conservation verdict: given end-of-run accounting, decide
 /// whether every sent event is delivered, fault-sanctioned, or still queued.
@@ -363,16 +271,21 @@ pub fn check_conservation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccsvm_snap::{Codec, SnapReader, SnapWriter};
 
     #[test]
     fn invariant_ids_round_trip_and_are_unique() {
         let mut seen = Vec::new();
         for id in InvariantId::ALL {
-            assert_eq!(InvariantId::from_snap_tag(id.snap_tag()).unwrap(), id);
+            let mut w = SnapWriter::new();
+            id.put(&mut w);
+            let bytes = w.into_vec();
+            assert_eq!(bytes, [id as u8], "the tag is the catalogue index");
+            assert_eq!(InvariantId::get(&mut SnapReader::new(&bytes)).unwrap(), id);
             assert!(!seen.contains(&id.as_str()), "duplicate id string");
             seen.push(id.as_str());
         }
-        assert!(InvariantId::from_snap_tag(200).is_err());
+        assert!(InvariantId::get(&mut SnapReader::new(&[200])).is_err());
     }
 
     #[test]
@@ -401,11 +314,9 @@ mod tests {
             detail: "stale va 0x4000 in cpu 1".to_string(),
         };
         let mut w = SnapWriter::new();
-        v.save(&mut w);
+        v.put(&mut w);
         let bytes = w.into_vec();
-        let mut back = Violation::default();
-        back.load(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(back, v);
+        assert_eq!(Violation::get(&mut SnapReader::new(&bytes)).unwrap(), v);
     }
 
     #[test]
@@ -418,10 +329,9 @@ mod tests {
             }),
         };
         let mut w = SnapWriter::new();
-        cfg.save(&mut w);
+        cfg.put(&mut w);
         let bytes = w.into_vec();
-        let mut back = SanitizerConfig::default();
-        back.load(&mut SnapReader::new(&bytes)).unwrap();
+        let back = SanitizerConfig::get(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(back, cfg);
     }
 

@@ -91,26 +91,7 @@ impl Stats {
     }
 }
 
-/// Snapshots serialize the sorted `(name, value)` pairs.
-impl ccsvm_snap::Snapshot for Stats {
-    fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        w.put_usize(self.len());
-        for (name, value) in self {
-            w.put_str(name);
-            w.put_f64(value);
-        }
-    }
-    fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.values.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let name = r.get_str()?.to_string();
-            let value = r.get_f64()?;
-            self.set(name, value);
-        }
-        Ok(())
-    }
-}
+ccsvm_snap::codec!(struct Stats { values });
 
 impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -203,16 +184,16 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_by_name() {
-        use ccsvm_snap::{SnapReader, SnapWriter, Snapshot};
+        use ccsvm_snap::{Codec, SnapReader, SnapWriter};
         let mut s = Stats::new();
         s.add("test.snap.z", 6.0);
         s.set("test.snap.a", 2.5);
         let mut w = SnapWriter::new();
-        s.save(&mut w);
+        s.put(&mut w);
         let bytes = w.into_vec();
         let mut restored = Stats::new();
         restored.set("stale", 1.0); // load must clear pre-existing entries
-        restored.load(&mut SnapReader::new(&bytes)).unwrap();
+        restored.get_into(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(restored, s);
     }
 }

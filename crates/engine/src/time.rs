@@ -126,6 +126,8 @@ impl Time {
     }
 }
 
+ccsvm_snap::codec!(struct Time(u64));
+
 impl Add for Time {
     type Output = Time;
     /// # Panics

@@ -1292,201 +1292,40 @@ impl Bank {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot codecs. Tagged-union encoding as in `msg.rs`; any change here is a
-// snapshot schema change (bump `ccsvm_snap::SCHEMA_VERSION` and document it
-// in DESIGN.md §8).
+// Codecs: one tag byte per variant, then its fields in the order listed.
 
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::msg::bad_tag;
-
-fn save_opt_port(w: &mut SnapWriter, p: Option<PortId>) {
-    match p {
-        Some(p) => {
-            w.put_bool(true);
-            w.put_usize(p.0);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn load_opt_port(r: &mut SnapReader<'_>) -> Result<Option<PortId>, SnapError> {
-    Ok(if r.get_bool()? {
-        Some(PortId(r.get_usize()?))
-    } else {
-        None
-    })
-}
-
-impl DirState {
-    fn save(self, w: &mut SnapWriter) {
-        match self {
-            DirState::Unowned => w.put_u8(0),
-            DirState::Shared(s) => {
-                w.put_u8(1);
-                w.put_u32(s);
-            }
-            DirState::Owned { owner, sharers } => {
-                w.put_u8(2);
-                w.put_usize(owner.0);
-                w.put_u32(sharers);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<DirState, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => DirState::Unowned,
-            1 => DirState::Shared(r.get_u32()?),
-            2 => DirState::Owned {
-                owner: PortId(r.get_usize()?),
-                sharers: r.get_u32()?,
-            },
-            t => return Err(bad_tag("DirState", t)),
-        })
-    }
-}
-
-impl L2Meta {
-    fn save(&self, w: &mut SnapWriter) {
-        self.dir.save(w);
-        w.put_bool(self.dirty);
-        w.put_bool(self.fresh);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<L2Meta, SnapError> {
-        Ok(L2Meta {
-            dir: DirState::load(r)?,
-            dirty: r.get_bool()?,
-            fresh: r.get_bool()?,
-        })
-    }
-}
-
-impl Phase {
-    fn snap_tag(&self) -> u8 {
-        match self {
-            Phase::Start => 0,
-            Phase::NeedFill => 1,
-            Phase::AwaitRecall => 2,
-            Phase::AwaitDram => 3,
-            Phase::AwaitInvFetch => 4,
-            Phase::AwaitSnoop => 5,
-        }
-    }
-
-    fn from_snap_tag(tag: u8) -> Result<Phase, SnapError> {
-        Ok(match tag {
-            0 => Phase::Start,
-            1 => Phase::NeedFill,
-            2 => Phase::AwaitRecall,
-            3 => Phase::AwaitDram,
-            4 => Phase::AwaitInvFetch,
-            5 => Phase::AwaitSnoop,
-            t => return Err(bad_tag("Phase", t)),
-        })
-    }
-}
-
-impl Recall {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.victim);
-        w.put_u32(self.pending_inv);
-        save_opt_port(w, self.fetch_from);
-        w.put_bool(self.dirty);
-        w.put_raw(&self.data);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Recall, SnapError> {
-        Ok(Recall {
-            victim: r.get_u64()?,
-            pending_inv: r.get_u32()?,
-            fetch_from: load_opt_port(r)?,
-            dirty: r.get_bool()?,
-            data: r.get_array()?,
-        })
-    }
-}
-
-impl Tx {
-    fn save(&self, w: &mut SnapWriter) {
-        self.req.save(w);
-        w.put_u8(self.phase.snap_tag());
-        w.put_u32(self.pending_inv);
-        save_opt_port(w, self.fetch_from);
-        w.put_bool(self.fetch_inv);
-        w.put_bool(self.upgrade);
-        crate::msg::save_opt_data(w, &self.fill_data);
-        match &self.recall {
-            Some(rc) => {
-                w.put_bool(true);
-                rc.save(w);
-            }
-            None => w.put_bool(false),
-        }
-        self.retry.save(w);
-        w.put_u32(self.pending_snoop);
-        w.put_bool(self.snoop_had);
-        w.put_bool(self.snoop_dirty);
-        crate::msg::save_opt_data(w, &self.snoop_data);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Tx, SnapError> {
-        Ok(Tx {
-            req: Request::load(r)?,
-            phase: Phase::from_snap_tag(r.get_u8()?)?,
-            pending_inv: r.get_u32()?,
-            fetch_from: load_opt_port(r)?,
-            fetch_inv: r.get_bool()?,
-            upgrade: r.get_bool()?,
-            fill_data: crate::msg::load_opt_data(r)?,
-            recall: if r.get_bool()? {
-                Some(Recall::load(r)?)
-            } else {
-                None
-            },
-            retry: RetryRound::load(r)?,
-            pending_snoop: r.get_u32()?,
-            snoop_had: r.get_bool()?,
-            snoop_dirty: r.get_bool()?,
-            snoop_data: crate::msg::load_opt_data(r)?,
-        })
-    }
-}
+codec!(enum DirState {
+    0 => Unowned,
+    1 => Shared(sharers),
+    2 => Owned { owner, sharers },
+});
+codec!(struct L2Meta { dir, dirty, fresh });
+codec!(enum Phase {
+    0 => Start,
+    1 => NeedFill,
+    2 => AwaitRecall,
+    3 => AwaitDram,
+    4 => AwaitInvFetch,
+    5 => AwaitSnoop,
+});
+codec!(struct Recall { victim, pending_inv, fetch_from, dirty, data });
+codec!(struct Tx {
+    req, phase, pending_inv, fetch_from, fetch_inv, upgrade, fill_data, recall,
+    retry, pending_snoop, snoop_had, snoop_dirty, snoop_data,
+});
 
 impl Snapshot for Bank {
     fn save(&self, w: &mut SnapWriter) {
         // `lenient` is config-derived (reinstalled via `install_faults`
-        // before load) and deliberately not serialized. Maps are sorted by
-        // key so the byte stream is independent of insertion history;
-        // per-block wait queues keep their FIFO order.
-        self.array.save_with(w, |m, w| m.save(w));
-        let mut blocks: Vec<u64> = self.tx.keys().copied().collect();
-        blocks.sort_unstable();
-        w.put_usize(blocks.len());
-        for b in blocks {
-            w.put_u64(b);
-            self.tx[&b].save(w);
-        }
-        let mut victims: Vec<u64> = self.recall_owner.keys().copied().collect();
-        victims.sort_unstable();
-        w.put_usize(victims.len());
-        for v in victims {
-            w.put_u64(v);
-            w.put_u64(self.recall_owner[&v]);
-        }
-        let mut queued: Vec<u64> = self.waiting.keys().copied().collect();
-        queued.sort_unstable();
-        w.put_usize(queued.len());
-        for b in queued {
-            w.put_u64(b);
-            let q = &self.waiting[&b];
-            w.put_usize(q.len());
-            for req in q {
-                req.save(w);
-            }
-        }
-        for c in [
+        // before load) and deliberately not serialized. Per-block wait
+        // queues keep their FIFO order.
+        self.array.save(w);
+        self.tx.put(w);
+        self.recall_owner.put(w);
+        self.waiting.put(w);
+        [
             self.gets,
             self.getm,
             self.puts,
@@ -1496,46 +1335,26 @@ impl Snapshot for Bank {
             self.timeouts,
             self.nack_resends,
             self.stale_resps,
-        ] {
-            w.put_u64(c);
-        }
+        ]
+        .put(w);
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.array.load_with(r, L2Meta::load)?;
-        self.tx.clear();
-        for _ in 0..r.get_usize()? {
-            let block = r.get_u64()?;
-            self.tx.insert(block, Tx::load(r)?);
-        }
-        self.recall_owner.clear();
-        for _ in 0..r.get_usize()? {
-            let victim = r.get_u64()?;
-            self.recall_owner.insert(victim, r.get_u64()?);
-        }
-        self.waiting.clear();
-        for _ in 0..r.get_usize()? {
-            let block = r.get_u64()?;
-            let n = r.get_count(1)?;
-            let mut q = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                q.push_back(Request::load(r)?);
-            }
-            self.waiting.insert(block, q);
-        }
-        for c in [
-            &mut self.gets,
-            &mut self.getm,
-            &mut self.puts,
-            &mut self.hits,
-            &mut self.misses,
-            &mut self.recalls,
-            &mut self.timeouts,
-            &mut self.nack_resends,
-            &mut self.stale_resps,
-        ] {
-            *c = r.get_u64()?;
-        }
+        self.array.load(r)?;
+        self.tx.get_into(r)?;
+        self.recall_owner.get_into(r)?;
+        self.waiting.get_into(r)?;
+        [
+            self.gets,
+            self.getm,
+            self.puts,
+            self.hits,
+            self.misses,
+            self.recalls,
+            self.timeouts,
+            self.nack_resends,
+            self.stale_resps,
+        ] = Codec::get(r)?;
         Ok(())
     }
 }

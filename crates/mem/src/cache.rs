@@ -1,5 +1,7 @@
 //! Generic set-associative cache array with true LRU and real block data.
 
+use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter};
+
 use crate::addr::BLOCK_BYTES;
 
 /// Geometry of a cache array.
@@ -410,68 +412,6 @@ impl<M> CacheArray<M> {
             .map(|(&t, m)| (t, m))
     }
 
-    /// Serializes the array (tags, LRU ticks, metadata, block data) with a
-    /// caller-supplied metadata codec. Geometry is construction-time state
-    /// and is only recorded as a way count for validation.
-    pub fn save_with(
-        &self,
-        w: &mut ccsvm_snap::SnapWriter,
-        save_meta: impl Fn(&M, &mut ccsvm_snap::SnapWriter),
-    ) {
-        w.put_u64(self.tick);
-        w.put_usize(self.tags.len());
-        // Sparse: an invalid way's lru/meta/data can never influence the
-        // simulation (victim selection and lookup both filter on the tag, and
-        // `insert` overwrites the whole way), so only resident blocks are
-        // written. This keeps images proportional to the touched working set
-        // rather than to cache capacity.
-        for i in 0..self.tags.len() {
-            match self.tags[i] {
-                TAG_INVALID => w.put_bool(false),
-                b => {
-                    w.put_bool(true);
-                    w.put_u64(b);
-                    w.put_u64(self.lru[i]);
-                    save_meta(&self.metas[i], w);
-                    w.put_raw(&self.data[i]);
-                }
-            }
-        }
-    }
-
-    /// Restores state written by [`CacheArray::save_with`] into an array of
-    /// identical geometry.
-    pub fn load_with(
-        &mut self,
-        r: &mut ccsvm_snap::SnapReader<'_>,
-        load_meta: impl Fn(&mut ccsvm_snap::SnapReader<'_>) -> Result<M, ccsvm_snap::SnapError>,
-    ) -> Result<(), ccsvm_snap::SnapError>
-    where
-        M: Default,
-    {
-        self.tick = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n != self.tags.len() {
-            return Err(ccsvm_snap::SnapError::Corrupt {
-                what: format!("cache array has {n} ways, machine has {}", self.tags.len()),
-            });
-        }
-        for i in 0..n {
-            if r.get_bool()? {
-                self.tags[i] = r.get_u64()?;
-                self.lru[i] = r.get_u64()?;
-                self.metas[i] = load_meta(r)?;
-                r.get_raw(&mut self.data[i])?;
-            } else {
-                self.tags[i] = TAG_INVALID;
-                self.lru[i] = 0;
-                self.metas[i] = M::default();
-                self.data[i] = [0; BLOCK_BYTES as usize];
-            }
-        }
-        Ok(())
-    }
-
     /// Current LRU tick. Together with [`CacheArray::set_tick`] this lets a
     /// speculative executor rewind the recency clock on rollback — LRU
     /// ordering is part of snapshot bytes, so an unrewound tick would leak
@@ -525,6 +465,47 @@ impl<M> CacheArray<M> {
     /// Whether the array holds no blocks.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Tags, LRU ticks, metadata and block data. Geometry is construction-time
+/// state and is only recorded as a way count for validation.
+impl<M: Codec + Default> ccsvm_snap::Snapshot for CacheArray<M> {
+    fn save(&self, w: &mut SnapWriter) {
+        self.tick.put(w);
+        self.tags.len().put(w);
+        // Sparse: an invalid way's lru/meta/data can never influence the
+        // simulation (victim selection and lookup both filter on the tag, and
+        // `insert` overwrites the whole way), so only resident blocks are
+        // written. This keeps images proportional to the touched working set
+        // rather than to cache capacity.
+        for i in 0..self.tags.len() {
+            let resident = self.tags[i] != TAG_INVALID;
+            resident.put(w);
+            if resident {
+                self.tags[i].put(w);
+                self.lru[i].put(w);
+                self.metas[i].put(w);
+                w.put_raw(&self.data[i]);
+            }
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.tick = Codec::get(r)?;
+        r.get_len(self.tags.len(), "cache ways")?;
+        for i in 0..self.tags.len() {
+            if bool::get(r)? {
+                (self.tags[i], self.lru[i], self.metas[i]) = Codec::get(r)?;
+                r.get_raw(&mut self.data[i])?;
+            } else {
+                self.tags[i] = TAG_INVALID;
+                self.lru[i] = 0;
+                self.metas[i] = M::default();
+                self.data[i] = [0; BLOCK_BYTES as usize];
+            }
+        }
+        Ok(())
     }
 }
 

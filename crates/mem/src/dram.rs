@@ -5,6 +5,7 @@ use ccsvm_engine::{DramFaultConfig, FxHashMap, SplitMix64, Stats, Time};
 
 use crate::addr::{offset_in_block, PhysAddr, BLOCK_BYTES};
 use crate::msg::BlockData;
+use ccsvm_snap::Codec;
 
 const PAGE_BYTES: u64 = 4096;
 
@@ -230,73 +231,26 @@ impl Dram {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot codec. Any change here is a snapshot schema change (bump
-// `ccsvm_snap::SCHEMA_VERSION` and document it in DESIGN.md §8).
-
 impl ccsvm_snap::Snapshot for Dram {
     fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        // Frames sorted so the byte stream is independent of hash-map
-        // insertion history.
-        let mut frames: Vec<u64> = self.pages.keys().copied().collect();
-        frames.sort_unstable();
-        w.put_usize(frames.len());
-        for f in frames {
-            w.put_u64(f);
-            w.put_raw(&self.pages[&f][..]);
-        }
-        w.put_usize(self.channel_free.len());
-        for &t in &self.channel_free {
-            w.put_u64(t.as_ps());
-        }
-        w.put_u64(self.reads);
-        w.put_u64(self.writes);
-        match &self.faults {
-            None => w.put_bool(false),
-            Some(f) => {
-                w.put_bool(true);
-                w.put_u64(f.rng.state());
-                w.put_u64(f.corrected);
-                w.put_u64(f.poisoned_events);
-            }
+        self.pages.put(w);
+        self.channel_free.put(w);
+        (self.reads, self.writes).put(w);
+        self.faults.is_some().put(w);
+        if let Some(f) = &self.faults {
+            f.rng.put(w);
+            (f.corrected, f.poisoned_events).put(w);
         }
     }
 
     fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.pages.clear();
-        for _ in 0..r.get_usize()? {
-            let frame = r.get_u64()?;
-            let mut page = Box::new([0u8; PAGE_BYTES as usize]);
-            r.get_raw(&mut page[..])?;
-            self.pages.insert(frame, page);
-        }
-        let channels = r.get_usize()?;
-        if channels != self.channel_free.len() {
-            return Err(ccsvm_snap::SnapError::Corrupt {
-                what: format!(
-                    "snapshot has {channels} DRAM channels, config builds {}",
-                    self.channel_free.len()
-                ),
-            });
-        }
-        for t in &mut self.channel_free {
-            *t = Time::from_ps(r.get_u64()?);
-        }
-        self.reads = r.get_u64()?;
-        self.writes = r.get_u64()?;
-        let has_faults = r.get_bool()?;
-        match (&mut self.faults, has_faults) {
-            (Some(f), true) => {
-                f.rng.set_state(r.get_u64()?);
-                f.corrected = r.get_u64()?;
-                f.poisoned_events = r.get_u64()?;
-            }
-            (None, false) => {}
-            _ => {
-                return Err(ccsvm_snap::SnapError::Corrupt {
-                    what: "dram fault-injection presence differs from config".into(),
-                })
-            }
+        self.pages.get_into(r)?;
+        r.get_exact(&mut self.channel_free, "DRAM channels")?;
+        (self.reads, self.writes) = Codec::get(r)?;
+        r.get_armed(self.faults.is_some(), "dram fault-injection")?;
+        if let Some(f) = &mut self.faults {
+            f.rng = Codec::get(r)?;
+            (f.corrected, f.poisoned_events) = Codec::get(r)?;
         }
         Ok(())
     }

@@ -8,6 +8,7 @@
 
 use ccsvm_engine::{fx_map_with_capacity, FxHashMap, FxHashSet, Stats, Time};
 use ccsvm_noc::NodeId;
+use ccsvm_snap::Codec;
 
 use crate::addr::{block_of, offset_in_block, PhysAddr};
 use crate::cache::{CacheArray, CacheConfig, SetImage};
@@ -1033,79 +1034,25 @@ impl L1 {
     }
 }
 
-impl L1State {
-    fn snap_tag(self) -> u8 {
-        match self {
-            L1State::I => 0,
-            L1State::S => 1,
-            L1State::E => 2,
-            L1State::O => 3,
-            L1State::M => 4,
-        }
-    }
-
-    fn from_snap_tag(tag: u8) -> Result<L1State, ccsvm_snap::SnapError> {
-        Ok(match tag {
-            0 => L1State::I,
-            1 => L1State::S,
-            2 => L1State::E,
-            3 => L1State::O,
-            4 => L1State::M,
-            t => {
-                return Err(ccsvm_snap::SnapError::Corrupt {
-                    what: format!("unknown L1 state tag {t:#04x}"),
-                })
-            }
-        })
-    }
-}
+ccsvm_snap::codec!(enum L1State { 0 => I, 1 => S, 2 => E, 3 => O, 4 => M });
+ccsvm_snap::codec!(struct Line { state });
+ccsvm_snap::codec!(struct Waiter { token, access });
+ccsvm_snap::codec!(struct Mshr { wants_m, waiters });
+ccsvm_snap::codec!(struct EvictEntry { data, dirty });
 
 /// Mutable run-state only. `id`/`config` are construction-time and
 /// `lenient` config-derived (reinstalled by the machine before `load`).
-/// Hash maps serialize sorted by block so the byte stream is independent of
-/// insertion history.
 impl ccsvm_snap::Snapshot for L1 {
     fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
         // Holds both for machine checkpoints (epochs fully resolve before a
         // pause) and for the overflow capture in `spec_touch` (which takes
         // the journal out of `self` before saving).
         debug_assert!(self.spec.is_none(), "snapshot of a speculating L1");
-        self.array
-            .save_with(w, |line, w| w.put_u8(line.state.snap_tag()));
-
-        let mut blocks: Vec<u64> = self.mshrs.keys().copied().collect();
-        blocks.sort_unstable();
-        w.put_usize(blocks.len());
-        for b in blocks {
-            let mshr = &self.mshrs[&b];
-            w.put_u64(b);
-            w.put_bool(mshr.wants_m);
-            w.put_usize(mshr.waiters.len());
-            for waiter in &mshr.waiters {
-                w.put_u64(waiter.token);
-                waiter.access.save(w);
-            }
-        }
-
-        let mut blocks: Vec<u64> = self.evict_buf.keys().copied().collect();
-        blocks.sort_unstable();
-        w.put_usize(blocks.len());
-        for b in blocks {
-            let e = &self.evict_buf[&b];
-            w.put_u64(b);
-            w.put_raw(&e.data);
-            w.put_bool(e.dirty);
-        }
-
-        let mut sets: Vec<u64> = self.reserved.keys().copied().collect();
-        sets.sort_unstable();
-        w.put_usize(sets.len());
-        for s in sets {
-            w.put_u64(s);
-            w.put_usize(self.reserved[&s]);
-        }
-
-        for c in [
+        self.array.save(w);
+        self.mshrs.put(w);
+        self.evict_buf.put(w);
+        self.reserved.put(w);
+        [
             self.loads,
             self.stores,
             self.atomics,
@@ -1117,64 +1064,28 @@ impl ccsvm_snap::Snapshot for L1 {
             self.invalidations,
             self.fetches,
             self.spurious_fetches,
-        ] {
-            w.put_u64(c);
-        }
+        ]
+        .put(w);
     }
 
     fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.array.load_with(r, |r| {
-            Ok(Line {
-                state: L1State::from_snap_tag(r.get_u8()?)?,
-            })
-        })?;
-
-        self.mshrs.clear();
-        for _ in 0..r.get_usize()? {
-            let block = r.get_u64()?;
-            let wants_m = r.get_bool()?;
-            let n_waiters = r.get_count(1)?;
-            let mut waiters = Vec::with_capacity(n_waiters);
-            for _ in 0..n_waiters {
-                waiters.push(Waiter {
-                    token: r.get_u64()?,
-                    access: Access::load(r)?,
-                });
-            }
-            self.mshrs.insert(block, Mshr { wants_m, waiters });
-        }
-
-        self.evict_buf.clear();
-        for _ in 0..r.get_usize()? {
-            let block = r.get_u64()?;
-            let mut data = [0u8; crate::BLOCK_BYTES as usize];
-            r.get_raw(&mut data)?;
-            let dirty = r.get_bool()?;
-            self.evict_buf.insert(block, EvictEntry { data, dirty });
-        }
-
-        self.reserved.clear();
-        for _ in 0..r.get_usize()? {
-            let set = r.get_u64()?;
-            let count = r.get_usize()?;
-            self.reserved.insert(set, count);
-        }
-
-        for c in [
-            &mut self.loads,
-            &mut self.stores,
-            &mut self.atomics,
-            &mut self.hits,
-            &mut self.misses,
-            &mut self.merged_misses,
-            &mut self.retries,
-            &mut self.writebacks,
-            &mut self.invalidations,
-            &mut self.fetches,
-            &mut self.spurious_fetches,
-        ] {
-            *c = r.get_u64()?;
-        }
+        self.array.load(r)?;
+        self.mshrs.get_into(r)?;
+        self.evict_buf.get_into(r)?;
+        self.reserved.get_into(r)?;
+        [
+            self.loads,
+            self.stores,
+            self.atomics,
+            self.hits,
+            self.misses,
+            self.merged_misses,
+            self.retries,
+            self.writebacks,
+            self.invalidations,
+            self.fetches,
+            self.spurious_fetches,
+        ] = Codec::get(r)?;
         Ok(())
     }
 }

@@ -463,12 +463,21 @@ pub enum MemKind {
     DirTimeout,
 }
 
-/// The inverse of `kind as u64`: a kind's codec tag is its index in
-/// declaration order. An unknown tag is the error.
-impl TryFrom<u64> for MemKind {
-    type Error = u64;
+// ---------------------------------------------------------------------------
+// Codecs: one tag byte per variant, then its fields in the order listed.
 
-    fn try_from(tag: u64) -> Result<MemKind, u64> {
+use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
+
+/// The machine's trace stores a kind as a `u64`: its index in declaration
+/// order.
+impl Codec for MemKind {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut SnapWriter) {
+        (*self as u64).put(w);
+    }
+
+    fn get(r: &mut SnapReader<'_>) -> Result<MemKind, SnapError> {
         use MemKind::*;
         let all = [
             ReqArrive,
@@ -478,385 +487,61 @@ impl TryFrom<u64> for MemKind {
             BankReady,
             DirTimeout,
         ];
+        let tag = u64::get(r)?;
         usize::try_from(tag)
             .ok()
             .and_then(|i| all.get(i).copied())
-            .ok_or(tag)
+            .ok_or_else(|| SnapError::Corrupt {
+                what: format!("unknown MemKind tag {tag}"),
+            })
     }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot codecs. Tagged-union encoding: one tag byte, then the variant's
-// fields in declaration order. These are hand-rolled (no serde) and must
-// stay in sync with the types above; any change here is a snapshot schema
-// change (bump `ccsvm_snap::SCHEMA_VERSION`).
-
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter};
-
-pub(crate) fn bad_tag(what: &str, tag: u8) -> SnapError {
-    SnapError::Corrupt {
-        what: format!("unknown {what} tag {tag:#04x}"),
-    }
-}
-
-pub(crate) fn save_opt_data(w: &mut SnapWriter, data: &Option<BlockData>) {
-    match data {
-        Some(d) => {
-            w.put_bool(true);
-            w.put_raw(d);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-pub(crate) fn load_opt_data(r: &mut SnapReader<'_>) -> Result<Option<BlockData>, SnapError> {
-    if r.get_bool()? {
-        Ok(Some(r.get_array()?))
-    } else {
-        Ok(None)
-    }
-}
-
-impl AtomicOp {
-    /// Appends this operation to a snapshot.
-    pub fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            AtomicOp::Cas { expected, value } => {
-                w.put_u8(0);
-                w.put_u64(expected);
-                w.put_u64(value);
-            }
-            AtomicOp::Add { value } => {
-                w.put_u8(1);
-                w.put_u64(value);
-            }
-            AtomicOp::Inc => w.put_u8(2),
-            AtomicOp::Dec => w.put_u8(3),
-            AtomicOp::Exch { value } => {
-                w.put_u8(4);
-                w.put_u64(value);
-            }
-        }
-    }
-
-    /// Reads an operation written by [`AtomicOp::save`].
-    pub fn load(r: &mut SnapReader<'_>) -> Result<AtomicOp, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => AtomicOp::Cas {
-                expected: r.get_u64()?,
-                value: r.get_u64()?,
-            },
-            1 => AtomicOp::Add {
-                value: r.get_u64()?,
-            },
-            2 => AtomicOp::Inc,
-            3 => AtomicOp::Dec,
-            4 => AtomicOp::Exch {
-                value: r.get_u64()?,
-            },
-            t => return Err(bad_tag("AtomicOp", t)),
-        })
-    }
-}
-
-impl UpdWord {
-    fn save(self, w: &mut SnapWriter) {
-        w.put_u8(self.off);
-        w.put_u8(self.size);
-        w.put_u64(self.value);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<UpdWord, SnapError> {
-        Ok(UpdWord {
-            off: r.get_u8()?,
-            size: r.get_u8()?,
-            value: r.get_u64()?,
-        })
-    }
-}
-
-impl ReqKind {
-    fn save(self, w: &mut SnapWriter) {
-        match self {
-            ReqKind::GetS => w.put_u8(0),
-            ReqKind::GetM => w.put_u8(1),
-            ReqKind::PutDirty => w.put_u8(2),
-            ReqKind::PutClean => w.put_u8(3),
-            ReqKind::BusRd => w.put_u8(4),
-            ReqKind::BusRdX => w.put_u8(5),
-            ReqKind::BusUpd(word) => {
-                w.put_u8(6);
-                word.save(w);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<ReqKind, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => ReqKind::GetS,
-            1 => ReqKind::GetM,
-            2 => ReqKind::PutDirty,
-            3 => ReqKind::PutClean,
-            4 => ReqKind::BusRd,
-            5 => ReqKind::BusRdX,
-            6 => ReqKind::BusUpd(UpdWord::load(r)?),
-            t => return Err(bad_tag("ReqKind", t)),
-        })
-    }
-}
-
-impl Request {
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        self.kind.save(w);
-        w.put_usize(self.from.0);
-        w.put_u64(self.block);
-        save_opt_data(w, &self.data);
-        w.put_bool(self.retain);
-    }
-
-    pub(crate) fn load(r: &mut SnapReader<'_>) -> Result<Request, SnapError> {
-        Ok(Request {
-            kind: ReqKind::load(r)?,
-            from: PortId(r.get_usize()?),
-            block: r.get_u64()?,
-            data: load_opt_data(r)?,
-            retain: r.get_bool()?,
-        })
-    }
-}
-
-impl Grant {
-    fn save(self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Grant::S => 0,
-            Grant::E => 1,
-            Grant::M => 2,
-        });
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Grant, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => Grant::S,
-            1 => Grant::E,
-            2 => Grant::M,
-            t => return Err(bad_tag("Grant", t)),
-        })
-    }
-}
-
-impl DirToL1 {
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        match self {
-            DirToL1::Data { block, grant, data } => {
-                w.put_u8(0);
-                w.put_u64(*block);
-                grant.save(w);
-                w.put_raw(data);
-            }
-            DirToL1::AckM { block } => {
-                w.put_u8(1);
-                w.put_u64(*block);
-            }
-            DirToL1::Inv { block } => {
-                w.put_u8(2);
-                w.put_u64(*block);
-            }
-            DirToL1::Fetch { block } => {
-                w.put_u8(3);
-                w.put_u64(*block);
-            }
-            DirToL1::FetchInv { block } => {
-                w.put_u8(4);
-                w.put_u64(*block);
-            }
-            DirToL1::PutAck { block } => {
-                w.put_u8(5);
-                w.put_u64(*block);
-            }
-            DirToL1::Snoop { block, kind } => {
-                w.put_u8(6);
-                w.put_u64(*block);
-                match kind {
-                    SnoopKind::Rd => w.put_u8(0),
-                    SnoopKind::RdX => w.put_u8(1),
-                    SnoopKind::Upd(word) => {
-                        w.put_u8(2);
-                        word.save(w);
-                    }
-                }
-            }
-            DirToL1::UpdDone { block, sharers } => {
-                w.put_u8(7);
-                w.put_u64(*block);
-                w.put_bool(*sharers);
-            }
-        }
-    }
-
-    pub(crate) fn load(r: &mut SnapReader<'_>) -> Result<DirToL1, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => DirToL1::Data {
-                block: r.get_u64()?,
-                grant: Grant::load(r)?,
-                data: r.get_array()?,
-            },
-            1 => DirToL1::AckM {
-                block: r.get_u64()?,
-            },
-            2 => DirToL1::Inv {
-                block: r.get_u64()?,
-            },
-            3 => DirToL1::Fetch {
-                block: r.get_u64()?,
-            },
-            4 => DirToL1::FetchInv {
-                block: r.get_u64()?,
-            },
-            5 => DirToL1::PutAck {
-                block: r.get_u64()?,
-            },
-            6 => DirToL1::Snoop {
-                block: r.get_u64()?,
-                kind: match r.get_u8()? {
-                    0 => SnoopKind::Rd,
-                    1 => SnoopKind::RdX,
-                    2 => SnoopKind::Upd(UpdWord::load(r)?),
-                    t => return Err(bad_tag("SnoopKind", t)),
-                },
-            },
-            7 => DirToL1::UpdDone {
-                block: r.get_u64()?,
-                sharers: r.get_bool()?,
-            },
-            t => return Err(bad_tag("DirToL1", t)),
-        })
-    }
-}
-
-impl L1ToDir {
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        match self {
-            L1ToDir::InvResp { from, block, data } => {
-                w.put_u8(0);
-                w.put_usize(from.0);
-                w.put_u64(*block);
-                save_opt_data(w, data);
-            }
-            L1ToDir::FetchResp {
-                from,
-                block,
-                data,
-                dirty,
-            } => {
-                w.put_u8(1);
-                w.put_usize(from.0);
-                w.put_u64(*block);
-                w.put_raw(data);
-                w.put_bool(*dirty);
-            }
-            L1ToDir::SnoopResp {
-                from,
-                block,
-                had,
-                dirty,
-                data,
-            } => {
-                w.put_u8(2);
-                w.put_usize(from.0);
-                w.put_u64(*block);
-                w.put_bool(*had);
-                w.put_bool(*dirty);
-                save_opt_data(w, data);
-            }
-        }
-    }
-
-    pub(crate) fn load(r: &mut SnapReader<'_>) -> Result<L1ToDir, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => L1ToDir::InvResp {
-                from: PortId(r.get_usize()?),
-                block: r.get_u64()?,
-                data: load_opt_data(r)?,
-            },
-            1 => L1ToDir::FetchResp {
-                from: PortId(r.get_usize()?),
-                block: r.get_u64()?,
-                data: r.get_array()?,
-                dirty: r.get_bool()?,
-            },
-            2 => L1ToDir::SnoopResp {
-                from: PortId(r.get_usize()?),
-                block: r.get_u64()?,
-                had: r.get_bool()?,
-                dirty: r.get_bool()?,
-                data: load_opt_data(r)?,
-            },
-            t => return Err(bad_tag("L1ToDir", t)),
-        })
-    }
-}
-
-impl MemEvent {
-    /// Appends this in-flight memory event to a snapshot (the machine
-    /// serializes its pending event queue through this).
-    pub fn save(&self, w: &mut SnapWriter) {
-        match &self.0 {
-            MemEventKind::ReqArrive(req) => {
-                w.put_u8(0);
-                req.save(w);
-            }
-            MemEventKind::DirArrive(port, msg) => {
-                w.put_u8(1);
-                w.put_usize(port.0);
-                msg.save(w);
-            }
-            MemEventKind::RespArrive(bank, resp) => {
-                w.put_u8(2);
-                w.put_usize(bank.0);
-                resp.save(w);
-            }
-            MemEventKind::DramReadDone { bank, block } => {
-                w.put_u8(3);
-                w.put_usize(bank.0);
-                w.put_u64(*block);
-            }
-            MemEventKind::BankReady { bank, block } => {
-                w.put_u8(4);
-                w.put_usize(bank.0);
-                w.put_u64(*block);
-            }
-            MemEventKind::DirTimeout { bank, block, epoch } => {
-                w.put_u8(5);
-                w.put_usize(bank.0);
-                w.put_u64(*block);
-                w.put_u64(*epoch);
-            }
-        }
-    }
-
-    /// Reads an event written by [`MemEvent::save`].
-    pub fn load(r: &mut SnapReader<'_>) -> Result<MemEvent, SnapError> {
-        Ok(MemEvent(match r.get_u8()? {
-            0 => MemEventKind::ReqArrive(Request::load(r)?),
-            1 => MemEventKind::DirArrive(PortId(r.get_usize()?), DirToL1::load(r)?),
-            2 => MemEventKind::RespArrive(BankId(r.get_usize()?), L1ToDir::load(r)?),
-            3 => MemEventKind::DramReadDone {
-                bank: BankId(r.get_usize()?),
-                block: r.get_u64()?,
-            },
-            4 => MemEventKind::BankReady {
-                bank: BankId(r.get_usize()?),
-                block: r.get_u64()?,
-            },
-            5 => MemEventKind::DirTimeout {
-                bank: BankId(r.get_usize()?),
-                block: r.get_u64()?,
-                epoch: r.get_u64()?,
-            },
-            t => return Err(bad_tag("MemEvent", t)),
-        }))
-    }
-}
+codec!(struct BankId(usize));
+codec!(enum AtomicOp {
+    0 => Cas { expected, value },
+    1 => Add { value },
+    2 => Inc,
+    3 => Dec,
+    4 => Exch { value },
+});
+codec!(struct UpdWord { off, size, value });
+codec!(enum ReqKind {
+    0 => GetS,
+    1 => GetM,
+    2 => PutDirty,
+    3 => PutClean,
+    4 => BusRd,
+    5 => BusRdX,
+    6 => BusUpd(word),
+});
+codec!(struct Request { kind, from, block, data, retain });
+codec!(enum Grant { 0 => S, 1 => E, 2 => M });
+codec!(enum SnoopKind { 0 => Rd, 1 => RdX, 2 => Upd(word) });
+codec!(enum DirToL1 {
+    0 => Data { block, grant, data },
+    1 => AckM { block },
+    2 => Inv { block },
+    3 => Fetch { block },
+    4 => FetchInv { block },
+    5 => PutAck { block },
+    6 => Snoop { block, kind },
+    7 => UpdDone { block, sharers },
+});
+codec!(enum L1ToDir {
+    0 => InvResp { from, block, data },
+    1 => FetchResp { from, block, data, dirty },
+    2 => SnoopResp { from, block, had, dirty, data },
+});
+codec!(enum MemEventKind {
+    0 => ReqArrive(req),
+    1 => DirArrive(port, msg),
+    2 => RespArrive(bank, resp),
+    3 => DramReadDone { bank, block },
+    4 => BankReady { bank, block },
+    5 => DirTimeout { bank, block, epoch },
+});
+codec!(struct MemEvent(MemEventKind));
 
 #[cfg(test)]
 mod tests {
@@ -996,12 +681,12 @@ mod tests {
         ];
         let mut w = SnapWriter::new();
         for e in &events {
-            e.save(&mut w);
+            e.put(&mut w);
         }
         let bytes = w.into_vec();
         let mut r = SnapReader::new(&bytes);
         for e in &events {
-            let got = MemEvent::load(&mut r).unwrap();
+            let got = MemEvent::get(&mut r).unwrap();
             assert_eq!(format!("{got:?}"), format!("{e:?}"));
         }
         assert_eq!(r.remaining(), 0);
@@ -1011,7 +696,7 @@ mod tests {
     fn unknown_tag_is_corrupt_not_panic() {
         let mut r = SnapReader::new(&[0xFF]);
         assert!(matches!(
-            MemEvent::load(&mut r),
+            MemEvent::get(&mut r),
             Err(SnapError::Corrupt { .. })
         ));
     }

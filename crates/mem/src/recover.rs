@@ -21,8 +21,6 @@
 //!
 //! [`Outcome::RetryBudgetExhausted`]: https://docs.rs/ccsvm-core
 
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter};
-
 /// Timeout/resend bookkeeping for one in-flight transaction's current
 /// solicitation round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -60,25 +58,14 @@ impl RetryRound {
         self.epoch += 1;
         Some(self.epoch)
     }
-
-    /// Field order: epoch, then resend count.
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.epoch);
-        w.put_u32(self.nacks);
-    }
-
-    /// Counterpart of [`RetryRound::save`].
-    pub(crate) fn load(r: &mut SnapReader<'_>) -> Result<RetryRound, SnapError> {
-        Ok(RetryRound {
-            epoch: r.get_u64()?,
-            nacks: r.get_u32()?,
-        })
-    }
 }
+
+ccsvm_snap::codec!(struct RetryRound { epoch, nacks });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccsvm_snap::{Codec, SnapReader, SnapWriter};
 
     #[test]
     fn spend_bumps_epoch_until_budget_exhausted() {
@@ -101,10 +88,10 @@ mod tests {
         r.spend(10);
         r.spend(10);
         let mut w = SnapWriter::new();
-        r.save(&mut w);
+        r.put(&mut w);
         let bytes = w.into_vec();
         let mut rd = SnapReader::new(&bytes);
-        let back = RetryRound::load(&mut rd).unwrap();
+        let back = RetryRound::get(&mut rd).unwrap();
         assert_eq!(back, r);
     }
 }

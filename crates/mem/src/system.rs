@@ -716,114 +716,39 @@ impl MemorySystem {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot codecs. Any change here is a snapshot schema change (bump
-// `ccsvm_snap::SCHEMA_VERSION` and document it in DESIGN.md §8).
+// Codecs.
 
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 
-impl Access {
-    /// Appends this access to a snapshot.
-    pub fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            Access::Read { paddr, size } => {
-                w.put_u8(0);
-                w.put_u64(paddr.0);
-                w.put_usize(size);
-            }
-            Access::Write { paddr, size, value } => {
-                w.put_u8(1);
-                w.put_u64(paddr.0);
-                w.put_usize(size);
-                w.put_u64(value);
-            }
-            Access::Rmw { paddr, size, op } => {
-                w.put_u8(2);
-                w.put_u64(paddr.0);
-                w.put_usize(size);
-                op.save(w);
-            }
-        }
-    }
-
-    /// Reads an access previously written by [`Access::save`].
-    pub fn load(r: &mut SnapReader<'_>) -> Result<Access, SnapError> {
-        let tag = r.get_u8()?;
-        let paddr = PhysAddr(r.get_u64()?);
-        let size = r.get_usize()?;
-        Ok(match tag {
-            0 => Access::Read { paddr, size },
-            1 => Access::Write {
-                paddr,
-                size,
-                value: r.get_u64()?,
-            },
-            2 => Access::Rmw {
-                paddr,
-                size,
-                op: AtomicOp::load(r)?,
-            },
-            t => return Err(crate::msg::bad_tag("Access", t)),
-        })
-    }
-}
+codec!(struct PortId(usize));
+codec!(enum Access {
+    0 => Read { paddr, size },
+    1 => Write { paddr, size, value },
+    2 => Rmw { paddr, size, op },
+});
 
 impl Snapshot for MemorySystem {
     fn save(&self, w: &mut SnapWriter) {
         // The serial-path scratch log is drained after every access, so it is
         // deliberately not serialized; checkpoints happen between dispatched
         // events where it is empty.
-        w.put_usize(self.l1s.len());
-        for l1 in &self.l1s {
-            l1.save(w);
-        }
-        w.put_usize(self.banks.len());
-        for b in &self.banks {
-            b.save(w);
-        }
+        self.l1s.len().put(w);
+        self.l1s.iter().for_each(|l1| l1.save(w));
+        self.banks.len().put(w);
+        self.banks.iter().for_each(|b| b.save(w));
         self.dram.save(w);
-        w.put_usize(self.poisoned.len());
-        for &b in &self.poisoned {
-            w.put_u64(b);
-        }
-        match self.retry_exhausted {
-            None => w.put_bool(false),
-            Some((bank, block)) => {
-                w.put_bool(true);
-                w.put_usize(bank.0);
-                w.put_u64(block);
-            }
-        }
+        self.poisoned.put(w);
+        self.retry_exhausted.put(w);
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.get_usize()?;
-        if n != self.l1s.len() {
-            return Err(SnapError::Corrupt {
-                what: format!("snapshot has {n} L1s, config builds {}", self.l1s.len()),
-            });
-        }
-        for l1 in &mut self.l1s {
-            l1.load(r)?;
-        }
-        let n = r.get_usize()?;
-        if n != self.banks.len() {
-            return Err(SnapError::Corrupt {
-                what: format!("snapshot has {n} banks, config builds {}", self.banks.len()),
-            });
-        }
-        for b in &mut self.banks {
-            b.load(r)?;
-        }
+        r.get_len(self.l1s.len(), "L1s")?;
+        self.l1s.iter_mut().try_for_each(|l1| l1.load(r))?;
+        r.get_len(self.banks.len(), "banks")?;
+        self.banks.iter_mut().try_for_each(|b| b.load(r))?;
         self.dram.load(r)?;
-        self.poisoned.clear();
-        for _ in 0..r.get_usize()? {
-            self.poisoned.insert(r.get_u64()?);
-        }
-        self.retry_exhausted = if r.get_bool()? {
-            Some((BankId(r.get_usize()?), r.get_u64()?))
-        } else {
-            None
-        };
+        self.poisoned.get_into(r)?;
+        self.retry_exhausted = Codec::get(r)?;
         Ok(())
     }
 }

@@ -2100,122 +2100,58 @@ impl Mifd {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot codecs. Tagged-union encoding (one tag byte, then the variant's
-// fields in declaration order). Any change here is a snapshot schema change
-// (bump `ccsvm_snap::SCHEMA_VERSION` and document it in DESIGN.md §8).
+// Codecs: one tag byte per variant, then its fields in the order listed.
 
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 
-fn bad_tag(what: &str, tag: u8) -> SnapError {
-    SnapError::Corrupt {
-        what: format!("unknown {what} tag {tag:#04x}"),
-    }
-}
+codec!(struct TaskChunk { entry, args, first_tid, last_tid, cr3, ra });
+codec!(struct PageFaultReq { warp, va, cr3 });
+codec!(struct LaneOp { va, paddr, kind });
+codec!(enum WarpState {
+    0 => Free,
+    1 => Ready,
+    2 => Mem,
+    3 => Walk,
+    4 => WalkQueued,
+    5 => Fault,
+});
 
-impl TaskChunk {
-    /// Appends this chunk to a snapshot.
-    pub fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.entry);
-        w.put_u64(self.args);
-        w.put_u64(self.first_tid);
-        w.put_u64(self.last_tid);
-        w.put_u64(self.cr3.0);
-        w.put_usize(self.ra);
-    }
-
-    /// Reads a chunk previously written by [`TaskChunk::save`].
-    pub fn load(r: &mut SnapReader<'_>) -> Result<TaskChunk, SnapError> {
-        Ok(TaskChunk {
-            entry: r.get_usize()?,
-            args: r.get_u64()?,
-            first_tid: r.get_u64()?,
-            last_tid: r.get_u64()?,
-            cr3: PhysAddr(r.get_u64()?),
-            ra: r.get_usize()?,
-        })
-    }
-}
-
-impl PageFaultReq {
-    /// Appends this fault request to a snapshot.
-    pub fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.warp);
-        w.put_u64(self.va.0);
-        w.put_u64(self.cr3.0);
-    }
-
-    /// Reads a fault request previously written by [`PageFaultReq::save`].
-    pub fn load(r: &mut SnapReader<'_>) -> Result<PageFaultReq, SnapError> {
-        Ok(PageFaultReq {
-            warp: r.get_usize()?,
-            va: VirtAddr(r.get_u64()?),
-            cr3: PhysAddr(r.get_u64()?),
-        })
-    }
-}
-
-impl LaneOp {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.va.0);
-        match self.paddr {
-            Some(p) => {
-                w.put_bool(true);
-                w.put_u64(p.0);
-            }
-            None => w.put_bool(false),
-        }
-        match self.kind {
-            LaneKind::Ld { rd, size } => {
-                w.put_u8(0);
-                w.put_u8(rd.0);
-                w.put_u8(size);
-            }
-            LaneKind::St { size, value } => {
-                w.put_u8(1);
-                w.put_u8(size);
-                w.put_u64(value);
-            }
-            LaneKind::Amo { rd, op } => {
-                w.put_u8(2);
-                w.put_u8(rd.0);
-                op.save(w);
-            }
+/// Written out rather than declared: `Reg` comes from the dependency-free
+/// ISA crate, so a register travels as its index.
+impl Codec for LaneKind {
+    fn put(&self, w: &mut SnapWriter) {
+        match *self {
+            LaneKind::Ld { rd, size } => (0u8, rd.0, size).put(w),
+            LaneKind::St { size, value } => (1u8, size, value).put(w),
+            LaneKind::Amo { rd, op } => (2u8, rd.0, op).put(w),
         }
     }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<LaneOp, SnapError> {
-        let va = VirtAddr(r.get_u64()?);
-        let paddr = if r.get_bool()? {
-            Some(PhysAddr(r.get_u64()?))
-        } else {
-            None
-        };
-        let kind = match r.get_u8()? {
+    fn get(r: &mut SnapReader<'_>) -> Result<LaneKind, SnapError> {
+        Ok(match u8::get(r)? {
             0 => LaneKind::Ld {
-                rd: Reg(r.get_u8()?),
-                size: r.get_u8()?,
+                rd: Reg(u8::get(r)?),
+                size: u8::get(r)?,
             },
             1 => LaneKind::St {
-                size: r.get_u8()?,
-                value: r.get_u64()?,
+                size: u8::get(r)?,
+                value: u64::get(r)?,
             },
             2 => LaneKind::Amo {
-                rd: Reg(r.get_u8()?),
-                op: AtomicOp::load(r)?,
+                rd: Reg(u8::get(r)?),
+                op: AtomicOp::get(r)?,
             },
-            t => return Err(bad_tag("LaneKind", t)),
-        };
-        Ok(LaneOp { va, paddr, kind })
+            t => return Err(SnapError::bad_tag("LaneKind", t)),
+        })
     }
 }
 
 /// Writes the ops of the lanes in `set` as the list of (lane, op) records
 /// the image format has always held.
 fn save_lane_ops(w: &mut SnapWriter, lanes: &[Lane], set: u8) {
-    w.put_usize(set.count_ones() as usize);
+    (set.count_ones() as usize).put(w);
     for li in lanes_of(set) {
-        w.put_usize(li);
-        lanes[li].op.save(w);
+        (li, lanes[li].op).put(w);
     }
 }
 
@@ -2224,42 +2160,37 @@ fn save_lane_ops(w: &mut SnapWriter, lanes: &[Lane], set: u8) {
 fn load_lane_ops(r: &mut SnapReader<'_>, lanes: &mut [Lane]) -> Result<u8, SnapError> {
     let mut set = 0u8;
     for _ in 0..r.get_count(1)? {
-        let li = r.get_usize()?;
+        let li = usize::get(r)?;
         if li >= lanes.len() || u32::from(set) >> li != 0 {
             return Err(SnapError::Corrupt {
                 what: format!("lane op list names lane {li} out of order or range"),
             });
         }
-        lanes[li].op = LaneOp::load(r)?;
+        lanes[li].op = Codec::get(r)?;
         set |= 1 << li;
     }
     Ok(set)
 }
 
+/// A plan's lane ops live in its warp's lanes, so its codec takes them.
 impl Plan {
-    fn save(&self, w: &mut SnapWriter, lanes: &[Lane]) {
+    fn put_with(&self, w: &mut SnapWriter, lanes: &[Lane]) {
         save_lane_ops(w, lanes, self.lanes);
-        w.put_usize(self.next_translate);
-        w.put_usize(self.pc);
-        match &self.groups {
-            Some(groups) => {
-                w.put_bool(true);
-                w.put_usize(groups.waiting().len());
-                for &g in groups.waiting() {
-                    save_lane_ops(w, lanes, g);
-                }
+        (self.next_translate, self.pc).put(w);
+        self.groups.is_some().put(w);
+        if let Some(groups) = &self.groups {
+            groups.waiting().len().put(w);
+            for &g in groups.waiting() {
+                save_lane_ops(w, lanes, g);
             }
-            None => w.put_bool(false),
         }
-        w.put_usize(self.issued);
-        w.put_u64(self.finish.as_ps());
+        (self.issued, self.finish).put(w);
     }
 
-    fn load(r: &mut SnapReader<'_>, lanes: &mut [Lane]) -> Result<Plan, SnapError> {
+    fn get_with(r: &mut SnapReader<'_>, lanes: &mut [Lane]) -> Result<Plan, SnapError> {
         let set = load_lane_ops(r, lanes)?;
-        let next_translate = r.get_usize()?;
-        let pc = r.get_usize()?;
-        let groups = if r.get_bool()? {
+        let (next_translate, pc) = Codec::get(r)?;
+        let groups = if bool::get(r)? {
             let mut groups = Groups::default();
             let n = r.get_count(1)?;
             if n > groups.sets.len() {
@@ -2274,38 +2205,14 @@ impl Plan {
         } else {
             None
         };
+        let (issued, finish) = Codec::get(r)?;
         Ok(Plan {
             lanes: set,
             next_translate,
             pc,
             groups,
-            issued: r.get_usize()?,
-            finish: Time::from_ps(r.get_u64()?),
-        })
-    }
-}
-
-impl WarpState {
-    fn snap_tag(self) -> u8 {
-        match self {
-            WarpState::Free => 0,
-            WarpState::Ready => 1,
-            WarpState::Mem => 2,
-            WarpState::Walk => 3,
-            WarpState::WalkQueued => 4,
-            WarpState::Fault => 5,
-        }
-    }
-
-    fn from_snap_tag(tag: u8) -> Result<WarpState, SnapError> {
-        Ok(match tag {
-            0 => WarpState::Free,
-            1 => WarpState::Ready,
-            2 => WarpState::Mem,
-            3 => WarpState::Walk,
-            4 => WarpState::WalkQueued,
-            5 => WarpState::Fault,
-            t => return Err(bad_tag("WarpState", t)),
+            issued,
+            finish,
         })
     }
 }
@@ -2454,71 +2361,44 @@ impl Snapshot for MttopCore {
         // parameters; `chosen` is per-cycle scratch (empty between batches);
         // `ready_mask` is rebuilt from `states` on load. None of them are
         // serialized.
-        w.put_usize(self.warps.len());
+        self.warps.len().put(w);
         for warp in &self.warps {
-            w.put_usize(warp.lanes.len());
+            warp.lanes.len().put(w);
             // Sparse: a dead lane's registers and PC are fully reset when a
             // chunk reactivates it, so only live lanes carry state worth
             // writing. Idle cores shrink to a bitmap instead of a register
             // file per lane.
             for lane in &warp.lanes {
-                w.put_bool(lane.live);
+                lane.live.put(w);
                 if lane.live {
-                    for &v in &lane.regs {
-                        w.put_u64(v);
-                    }
-                    w.put_usize(lane.pc);
+                    (lane.regs, lane.pc).put(w);
                 }
             }
-            w.put_usize(warp.outstanding);
-            match &warp.plan {
-                Some(p) => {
-                    w.put_bool(true);
-                    p.save(w, &warp.lanes);
-                }
-                None => w.put_bool(false),
+            warp.outstanding.put(w);
+            warp.plan.is_some().put(w);
+            if let Some(p) = &warp.plan {
+                p.put_with(w, &warp.lanes);
             }
         }
-        for &s in &self.states {
-            w.put_u8(s.snap_tag());
-        }
-        for &t in &self.ready_at {
-            w.put_u64(t.as_ps());
-        }
-        w.put_usize(self.rr);
-        w.put_u64(self.local_time.as_ps());
+        self.states.iter().for_each(|s| s.put(w));
+        self.ready_at.iter().for_each(|t| t.put(w));
+        (self.rr, self.local_time).put(w);
         self.tlb.save(w);
-        match &self.walker {
-            Some((wi, walk)) => {
-                w.put_bool(true);
-                w.put_usize(*wi);
-                walk.save(w);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_usize(self.walker_queue.len());
-        for &wi in &self.walker_queue {
-            w.put_usize(wi);
-        }
+        self.walker.put(w);
+        self.walker_queue.put(w);
         // Flights sorted by token so the byte stream is canonical.
         let mut tokens: Vec<u64> = self.flights.keys().copied().collect();
         tokens.sort_unstable();
-        w.put_usize(tokens.len());
+        tokens.len().put(w);
         for t in tokens {
             let f = &self.flights[&t];
-            w.put_u64(t);
-            w.put_usize(f.warp);
+            (t, f.warp).put(w);
             save_lane_ops(w, &self.warps[f.warp].lanes, f.lanes);
-            w.put_u64(f.issued_at.as_ps());
+            f.issued_at.put(w);
         }
-        w.put_usize(self.arrived.len());
-        for &(token, value) in &self.arrived {
-            w.put_u64(token);
-            w.put_u64(value);
-        }
-        w.put_u64(self.token_seq);
-        w.put_u64(self.cr3.0);
-        for c in [
+        self.arrived.put(w);
+        (self.token_seq, self.cr3).put(w);
+        [
             self.warp_instrs,
             self.thread_instrs,
             self.mem_instrs,
@@ -2527,87 +2407,69 @@ impl Snapshot for MttopCore {
             self.walks,
             self.faults,
             self.tasks,
-        ] {
-            w.put_u64(c);
-        }
-        w.put_u64(self.miss_lat_sum.as_ps());
-        w.put_u64(self.miss_count);
-        w.put_bool(self.poisoned);
+        ]
+        .put(w);
+        (self.miss_lat_sum, self.miss_count, self.poisoned).put(w);
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.get_usize()?;
-        if n != self.warps.len() {
-            return Err(SnapError::Corrupt {
-                what: format!("snapshot has {n} warps, config builds {}", self.warps.len()),
-            });
-        }
+        let n = self.warps.len();
+        r.get_len(n, "warps")?;
         for warp in &mut self.warps {
-            let lanes = r.get_usize()?;
-            if lanes != warp.lanes.len() {
-                return Err(SnapError::Corrupt {
-                    what: format!(
-                        "snapshot has {lanes} lanes per warp, config builds {}",
-                        warp.lanes.len()
-                    ),
-                });
-            }
+            r.get_len(warp.lanes.len(), "lanes per warp")?;
             for lane in &mut warp.lanes {
-                lane.live = r.get_bool()?;
+                lane.live = Codec::get(r)?;
                 if lane.live {
-                    for v in &mut lane.regs {
-                        *v = r.get_u64()?;
-                    }
+                    (lane.regs, lane.pc) = Codec::get(r)?;
                     // `r0` reads as zero regardless of storage (`lane_get`
                     // masks it), so normalizing here changes nothing
                     // observable while re-establishing the `regs[0] == 0`
                     // invariant the decoded fast path relies on, even for a
                     // hand-corrupted image.
                     lane.regs[0] = 0;
-                    lane.pc = r.get_usize()?;
                 } else {
                     lane.regs = [0; 32];
                     lane.pc = 0;
                 }
             }
-            warp.outstanding = r.get_usize()?;
-            warp.plan = if r.get_bool()? {
-                Some(Plan::load(r, &mut warp.lanes)?)
+            warp.outstanding = Codec::get(r)?;
+            warp.plan = if bool::get(r)? {
+                Some(Plan::get_with(r, &mut warp.lanes)?)
             } else {
                 None
             };
         }
         // Route through `set_state` so `ready_mask` is rebuilt in sync.
         for wi in 0..n {
-            let s = WarpState::from_snap_tag(r.get_u8()?)?;
+            let s = Codec::get(r)?;
             self.set_state(wi, s);
         }
-        for wi in 0..n {
-            self.ready_at[wi] = Time::from_ps(r.get_u64()?);
-        }
-        self.rr = r.get_usize()?;
-        self.local_time = Time::from_ps(r.get_u64()?);
+        self.ready_at.iter_mut().try_for_each(|t| t.get_into(r))?;
+        (self.rr, self.local_time) = Codec::get(r)?;
         self.tlb.load(r)?;
-        self.walker = if r.get_bool()? {
-            Some((r.get_usize()?, Walk::load(r)?))
-        } else {
-            None
-        };
-        self.walker_queue.clear();
-        for _ in 0..r.get_usize()? {
-            self.walker_queue.push(r.get_usize()?);
+        self.walker = Codec::get(r)?;
+        self.walker_queue.get_into(r)?;
+        // The scheduler and the walker index `warps` with these.
+        let walker = self.walker.as_ref().map(|&(wi, _)| wi);
+        let named = [self.rr].into_iter().chain(walker);
+        if let Some(wi) = named
+            .chain(self.walker_queue.iter().copied())
+            .find(|&wi| wi >= n)
+        {
+            return Err(SnapError::Corrupt {
+                what: format!("warp index {wi} of {n}"),
+            });
         }
         self.flights.clear();
-        for _ in 0..r.get_usize()? {
-            let token = r.get_u64()?;
-            let warp = r.get_usize()?;
+        for _ in 0..r.get_count(1)? {
+            let (token, warp): (u64, usize) = Codec::get(r)?;
             let Some(w) = self.warps.get_mut(warp) else {
                 return Err(SnapError::Corrupt {
                     what: format!("flight for warp {warp} of {n}"),
                 });
             };
             let lanes = load_lane_ops(r, &mut w.lanes)?;
-            let issued_at = Time::from_ps(r.get_u64()?);
+            let issued_at = Codec::get(r)?;
             self.flights.insert(
                 token,
                 Flight {
@@ -2617,28 +2479,19 @@ impl Snapshot for MttopCore {
                 },
             );
         }
-        self.arrived.clear();
-        for _ in 0..r.get_usize()? {
-            let token = r.get_u64()?;
-            self.arrived.push((token, r.get_u64()?));
-        }
-        self.token_seq = r.get_u64()?;
-        self.cr3 = PhysAddr(r.get_u64()?);
-        for c in [
-            &mut self.warp_instrs,
-            &mut self.thread_instrs,
-            &mut self.mem_instrs,
-            &mut self.coalesced_accesses,
-            &mut self.divergent_issues,
-            &mut self.walks,
-            &mut self.faults,
-            &mut self.tasks,
-        ] {
-            *c = r.get_u64()?;
-        }
-        self.miss_lat_sum = Time::from_ps(r.get_u64()?);
-        self.miss_count = r.get_u64()?;
-        self.poisoned = r.get_bool()?;
+        self.arrived.get_into(r)?;
+        (self.token_seq, self.cr3) = Codec::get(r)?;
+        [
+            self.warp_instrs,
+            self.thread_instrs,
+            self.mem_instrs,
+            self.coalesced_accesses,
+            self.divergent_issues,
+            self.walks,
+            self.faults,
+            self.tasks,
+        ] = Codec::get(r)?;
+        (self.miss_lat_sum, self.miss_count, self.poisoned) = Codec::get(r)?;
         // Superblock cursors and retry epochs are host-side memoization of
         // restored state, never part of a snapshot; drop them so the next
         // issue re-derives the participating set from the loaded lanes and
@@ -2656,21 +2509,24 @@ impl Snapshot for MttopCore {
 
 impl Snapshot for Mifd {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.cursor);
-        w.put_bool(self.error_register);
-        w.put_u64(self.launches);
-        w.put_u64(self.chunks);
-        w.put_u64(self.rejected);
-        w.put_u64(self.faults_forwarded);
+        (self.cursor, self.error_register).put(w);
+        [
+            self.launches,
+            self.chunks,
+            self.rejected,
+            self.faults_forwarded,
+        ]
+        .put(w);
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cursor = r.get_usize()?;
-        self.error_register = r.get_bool()?;
-        self.launches = r.get_u64()?;
-        self.chunks = r.get_u64()?;
-        self.rejected = r.get_u64()?;
-        self.faults_forwarded = r.get_u64()?;
+        (self.cursor, self.error_register) = Codec::get(r)?;
+        [
+            self.launches,
+            self.chunks,
+            self.rejected,
+            self.faults_forwarded,
+        ] = Codec::get(r)?;
         Ok(())
     }
 }
@@ -2933,6 +2789,30 @@ mod tests {
         let mut w = SnapWriter::new();
         core.save(&mut w);
         w.into_vec()
+    }
+
+    /// A restored core indexes `warps` with its round-robin cursor, the
+    /// walker's warp and every queued walker entry, so an image naming a
+    /// warp the core does not have must not load.
+    #[test]
+    fn restore_rejects_warp_indices_past_the_core() {
+        let fresh = || MttopCore::new(PortId(0), MttopConfig::paper_ccsvm(0), 0);
+        let n = fresh().warps.len();
+        let corruptions: [fn(&mut MttopCore, usize); 3] = [
+            |c, n| c.rr = n,
+            |c, n| c.walker = Some((n, Walk::new(PhysAddr(0x1000), VirtAddr(0x4000)))),
+            |c, n| c.walker_queue.push(n),
+        ];
+        for (i, corrupt) in corruptions.iter().enumerate() {
+            let mut core = fresh();
+            corrupt(&mut core, n);
+            let bytes = snap_bytes(&core);
+            let got = fresh().load(&mut SnapReader::new(&bytes));
+            assert!(
+                matches!(got, Err(SnapError::Corrupt { .. })),
+                "corruption {i}: {got:?}"
+            );
+        }
     }
 
     /// Sixteen threads each walk a private column four pages deep — load,

@@ -32,6 +32,7 @@
 //! ```
 
 use ccsvm_engine::{NocFaultConfig, SplitMix64, Stats, Time};
+use ccsvm_snap::Codec;
 
 /// Identifies a node (router) on the torus.
 ///
@@ -385,56 +386,37 @@ impl Network {
 /// which restores only the RNG cursor and counters into them.
 impl ccsvm_snap::Snapshot for Network {
     fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        w.put_usize(self.link_free.len());
-        for dirs in &self.link_free {
-            for t in dirs {
-                w.put_u64(t.as_ps());
-            }
-        }
-        w.put_u64(self.messages);
-        w.put_u64(self.total_bytes);
-        w.put_u64(self.total_hops);
-        w.put_u64(self.audit_sent);
-        w.put_u64(self.audit_delivered);
-        w.put_u64(self.audit_sanctioned);
-        w.put_bool(self.faults.is_some());
+        self.link_free.put(w);
+        [
+            self.messages,
+            self.total_bytes,
+            self.total_hops,
+            self.audit_sent,
+            self.audit_delivered,
+            self.audit_sanctioned,
+        ]
+        .put(w);
+        self.faults.is_some().put(w);
         if let Some(f) = &self.faults {
-            w.put_u64(f.rng.state());
-            w.put_u64(f.retransmissions);
-            w.put_u64(f.faulted_messages);
+            f.rng.put(w);
+            (f.retransmissions, f.faulted_messages).put(w);
         }
     }
+
     fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        let n = r.get_usize()?;
-        if n != self.link_free.len() {
-            return Err(ccsvm_snap::SnapError::Corrupt {
-                what: format!(
-                    "noc link table has {n} nodes, machine has {}",
-                    self.link_free.len()
-                ),
-            });
-        }
-        for dirs in &mut self.link_free {
-            for t in dirs.iter_mut() {
-                *t = Time::from_ps(r.get_u64()?);
-            }
-        }
-        self.messages = r.get_u64()?;
-        self.total_bytes = r.get_u64()?;
-        self.total_hops = r.get_u64()?;
-        self.audit_sent = r.get_u64()?;
-        self.audit_delivered = r.get_u64()?;
-        self.audit_sanctioned = r.get_u64()?;
-        let has_faults = r.get_bool()?;
-        if has_faults != self.faults.is_some() {
-            return Err(ccsvm_snap::SnapError::Corrupt {
-                what: "noc fault-injection presence differs from config".to_string(),
-            });
-        }
+        r.get_exact(&mut self.link_free, "noc nodes")?;
+        [
+            self.messages,
+            self.total_bytes,
+            self.total_hops,
+            self.audit_sent,
+            self.audit_delivered,
+            self.audit_sanctioned,
+        ] = Codec::get(r)?;
+        r.get_armed(self.faults.is_some(), "noc fault-injection")?;
         if let Some(f) = &mut self.faults {
-            f.rng.set_state(r.get_u64()?);
-            f.retransmissions = r.get_u64()?;
-            f.faulted_messages = r.get_u64()?;
+            f.rng = Codec::get(r)?;
+            (f.retransmissions, f.faulted_messages) = Codec::get(r)?;
         }
         Ok(())
     }

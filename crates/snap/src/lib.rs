@@ -10,9 +10,11 @@
 //! makes "restore under a different config" a detectable error instead of
 //! silent corruption.
 //!
-//! The format is written by hand (no serde): little-endian fixed-width
+//! The format is written by hand (no serde) and its encoding rules are
+//! stated once, as the impls of [`Codec`]: little-endian fixed-width
 //! integers, `f64` as IEEE-754 bits, byte strings length-prefixed with a
-//! `u64`, and named length-prefixed sections so a reader can verify it
+//! `u64`, and so on; each struct and enum declares its field order with
+//! [`codec!`]. Named length-prefixed sections let a reader verify it
 //! consumed exactly what the writer produced. A file starts with:
 //!
 //! ```text
@@ -130,6 +132,15 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
+impl SnapError {
+    /// The error for a tag byte that names no variant of `what`.
+    pub fn bad_tag(what: &str, tag: u8) -> SnapError {
+        SnapError::Corrupt {
+            what: format!("unknown {what} tag {tag:#04x}"),
+        }
+    }
+}
+
 /// FNV-1a 64-bit hash; used to fingerprint the normalized `SystemConfig`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -152,15 +163,6 @@ impl SnapWriter {
         SnapWriter { buf: Vec::new() }
     }
 
-    /// An empty writer reusing `buf`'s allocation (cleared first). Hot
-    /// callers that snapshot repeatedly — e.g. the speculative epoch
-    /// executor's per-member undo capture — round-trip one buffer through
-    /// `reusing`/[`SnapWriter::into_vec`] instead of reallocating.
-    pub fn reusing(mut buf: Vec<u8>) -> SnapWriter {
-        buf.clear();
-        SnapWriter { buf }
-    }
-
     /// Writes the snapshot header: magic, schema version, config hash.
     pub fn put_header(&mut self, config_hash: u64) {
         self.buf.extend_from_slice(&MAGIC);
@@ -180,11 +182,6 @@ impl SnapWriter {
 
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -310,12 +307,6 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, SnapError> {
-        let b = self.take(8, "i64")?;
-        Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
     /// Reads a `usize` written with [`SnapWriter::put_usize`]; errors if the
     /// value does not fit the host's `usize`.
     pub fn get_usize(&mut self) -> Result<usize, SnapError> {
@@ -427,6 +418,47 @@ impl<'a> SnapReader<'a> {
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
+
+    /// Reads a count that must equal `expected`: a length the restoring
+    /// machine's config fixes, so a mismatch means the wrong machine.
+    pub fn get_len(&mut self, expected: usize, what: &str) -> Result<(), SnapError> {
+        let n = self.get_usize()?;
+        if n != expected {
+            return Err(SnapError::Corrupt {
+                what: format!("snapshot has {n} {what}, machine has {expected}"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Reads the presence flag of state that exists only when the config
+    /// arms it: a flag that disagrees with `armed` means the wrong machine.
+    pub fn get_armed(&mut self, armed: bool, what: &str) -> Result<(), SnapError> {
+        if self.get_bool()? != armed {
+            return Err(SnapError::Corrupt {
+                what: format!("{what} presence differs from config"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Reads a config-length sequence in place: its count, which must
+    /// equal `dst.len()` ([`SnapReader::get_len`]), then the items.
+    pub fn get_exact<T: Codec>(&mut self, dst: &mut [T], what: &str) -> Result<(), SnapError> {
+        self.get_len(dst.len(), what)?;
+        dst.iter_mut().try_for_each(|v| v.get_into(self))
+    }
+
+    /// Errors unless every byte of the input was read: `what` names the
+    /// value the input should have held exactly.
+    pub fn finish(&self, what: &str) -> Result<(), SnapError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(SnapError::Corrupt {
+                what: format!("{n} trailing bytes after {what}"),
+            }),
+        }
+    }
 }
 
 impl SnapWriter {
@@ -448,6 +480,347 @@ pub trait Snapshot {
     /// Restores this component's state from the reader. On error the
     /// component may be partially loaded and must be discarded.
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+/// A value with one wire encoding, which both directions read from one
+/// description: [`Codec::put`] appends it, [`Codec::get`] decodes it and
+/// returns a typed [`SnapError`] on malformed input, never a panic.
+///
+/// The impls below state the format's encoding rules once: fixed-width
+/// little-endian integers, `usize` as `u64`, `bool` as one strict 0/1
+/// byte, `f64` as its bits, `String` as a `u64` length plus UTF-8 bytes,
+/// arrays and tuples as their items in order, `Option` as a `bool` plus
+/// the value, `Vec`/`VecDeque`/sets as a `usize` count plus items, and
+/// maps as a count plus `(key, value)` pairs sorted by key. Structs and
+/// enums declare theirs with [`codec!`]. Components built from config
+/// implement [`Snapshot`] instead and load in place.
+///
+/// **Any change to what an impl or a `codec!` list writes is a schema
+/// change: bump [`SCHEMA_VERSION`] and document it in DESIGN.md §8.** The
+/// digest golden `crates/core/tests/goldens/snapshot_digests.txt` fails
+/// on any moved byte.
+pub trait Codec: Sized {
+    /// A lower bound on the encoded size, which collection decoders check
+    /// a count against before they allocate for it.
+    const MIN_BYTES: usize = 1;
+
+    /// Appends the value.
+    fn put(&self, w: &mut SnapWriter);
+
+    /// Decodes a value written by [`Codec::put`].
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+
+    /// Decodes into `self`. Collections override it to keep their
+    /// allocation, so a component loaded in place keeps its configured
+    /// capacity.
+    fn get_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = Self::get(r)?;
+        Ok(())
+    }
+
+    /// Appends `items` back to back; `u8` writes them as one raw run.
+    #[doc(hidden)]
+    fn put_all(items: &[Self], w: &mut SnapWriter) {
+        items.iter().for_each(|v| v.put(w));
+    }
+
+    /// Decodes `items.len()` values into `items`.
+    #[doc(hidden)]
+    fn get_all(items: &mut [Self], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        items.iter_mut().try_for_each(|v| v.get_into(r))
+    }
+}
+
+macro_rules! prim_codec {
+    ($($t:ty: $put:ident, $get:ident;)*) => {$(
+        impl Codec for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn put(&self, w: &mut SnapWriter) {
+                w.$put(*self);
+            }
+            fn get(r: &mut SnapReader<'_>) -> Result<$t, SnapError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+prim_codec! {
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    bool: put_bool, get_bool;
+}
+
+impl Codec for u8 {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u8(*self);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<u8, SnapError> {
+        r.get_u8()
+    }
+    fn put_all(items: &[u8], w: &mut SnapWriter) {
+        w.put_raw(items);
+    }
+    fn get_all(items: &mut [u8], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.get_raw(items)
+    }
+}
+
+impl Codec for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_usize(*self);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<usize, SnapError> {
+        r.get_usize()
+    }
+}
+
+impl Codec for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_f64(*self);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<f64, SnapError> {
+        r.get_f64()
+    }
+}
+
+impl Codec for String {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_str(self);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<String, SnapError> {
+        r.get_str().map(str::to_string)
+    }
+}
+
+impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn put(&self, w: &mut SnapWriter) {
+        T::put_all(self, w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<[T; N], SnapError> {
+        let mut a = [T::default(); N];
+        T::get_all(&mut a, r)?;
+        Ok(a)
+    }
+}
+
+impl<T: Codec> Codec for Box<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+    fn put(&self, w: &mut SnapWriter) {
+        (**self).put(w);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Box<T>, SnapError> {
+        T::get(r).map(Box::new)
+    }
+}
+
+macro_rules! tuple_codec {
+    ($(($($t:ident $v:ident),*))*) => {$(
+        impl<$($t: Codec),*> Codec for ($($t,)*) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)*;
+            fn put(&self, w: &mut SnapWriter) {
+                let ($($v,)*) = self;
+                $($v.put(w);)*
+            }
+            fn get(r: &mut SnapReader<'_>) -> Result<($($t,)*), SnapError> {
+                Ok(($($t::get(r)?,)*))
+            }
+        }
+    )*};
+}
+
+tuple_codec! {
+    (A a, B b)
+    (A a, B b, C c)
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Option<T>, SnapError> {
+        Ok(if r.get_bool()? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// `Vec`, `VecDeque` and sets: a `usize` count, bounded by the bytes left
+/// before anything is allocated, then the items in iteration order.
+macro_rules! seq_codec {
+    ($($seq:ident<T $(: $bound:ident)?>, $push:ident;)*) => {$(
+        impl<T: Codec $(+ $bound)?> Codec for $seq<T> {
+            const MIN_BYTES: usize = 8;
+            fn put(&self, w: &mut SnapWriter) {
+                w.put_usize(self.len());
+                self.iter().for_each(|v| v.put(w));
+            }
+            fn get(r: &mut SnapReader<'_>) -> Result<$seq<T>, SnapError> {
+                let mut s = $seq::new();
+                s.get_into(r)?;
+                Ok(s)
+            }
+            fn get_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                self.clear();
+                for _ in 0..r.get_count(T::MIN_BYTES)? {
+                    self.$push(T::get(r)?);
+                }
+                Ok(())
+            }
+        }
+    )*};
+}
+
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+
+seq_codec! {
+    Vec<T>, push;
+    VecDeque<T>, push_back;
+    BTreeSet<T: Ord>, insert;
+}
+
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_usize(self.len());
+        for (k, v) in self {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<BTreeMap<K, V>, SnapError> {
+        let mut m = BTreeMap::new();
+        m.get_into(r)?;
+        Ok(m)
+    }
+    fn get_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        for _ in 0..r.get_count(K::MIN_BYTES + V::MIN_BYTES)? {
+            let (k, v) = Codec::get(r)?;
+            self.insert(k, v);
+        }
+        Ok(())
+    }
+}
+
+/// Pairs sorted by key, so the bytes do not depend on insertion history.
+impl<K, V, S> Codec for HashMap<K, V, S>
+where
+    K: Codec + Ord + std::hash::Hash,
+    V: Codec,
+    S: std::hash::BuildHasher + Default,
+{
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut SnapWriter) {
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.put_usize(pairs.len());
+        for (k, v) in pairs {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<HashMap<K, V, S>, SnapError> {
+        let mut m = HashMap::default();
+        m.get_into(r)?;
+        Ok(m)
+    }
+    fn get_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.clear();
+        for _ in 0..r.get_count(K::MIN_BYTES + V::MIN_BYTES)? {
+            let (k, v) = Codec::get(r)?;
+            self.insert(k, v);
+        }
+        Ok(())
+    }
+}
+
+/// Declares a struct's or enum's [`Codec`] from one list.
+///
+/// A struct lists its fields in wire order; a newtype names its one
+/// field's type. An enum gives each variant an explicit tag byte, then
+/// the variant's fields in wire order:
+///
+/// ```
+/// use ccsvm_snap::{codec, Codec, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Id(u64);
+/// codec!(struct Id(u64));
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Msg { to: Id, body: Option<String> }
+/// codec!(struct Msg { to, body });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Ev { Tick, Send(Msg), Drop { to: Id } }
+/// codec!(enum Ev { 0 => Tick, 1 => Send(m), 2 => Drop { to } });
+///
+/// let ev = Ev::Send(Msg { to: Id(3), body: Some("hi".into()) });
+/// let mut w = SnapWriter::new();
+/// ev.put(&mut w);
+/// let bytes = w.into_vec();
+/// assert_eq!(bytes[0], 1, "the tag leads");
+/// assert_eq!(Ev::get(&mut SnapReader::new(&bytes)), Ok(ev));
+/// assert!(Ev::get(&mut SnapReader::new(&[7])).is_err(), "unknown tag");
+/// ```
+#[macro_export]
+macro_rules! codec {
+    (struct $name:ident { $($f:ident),* $(,)? }) => {
+        impl $crate::Codec for $name {
+            fn put(&self, w: &mut $crate::SnapWriter) {
+                $($crate::Codec::put(&self.$f, w);)*
+            }
+            fn get(r: &mut $crate::SnapReader<'_>) -> Result<$name, $crate::SnapError> {
+                Ok($name { $($f: $crate::Codec::get(r)?),* })
+            }
+        }
+    };
+    (struct $name:ident($inner:ty)) => {
+        impl $crate::Codec for $name {
+            const MIN_BYTES: usize = <$inner as $crate::Codec>::MIN_BYTES;
+            fn put(&self, w: &mut $crate::SnapWriter) {
+                $crate::Codec::put(&self.0, w);
+            }
+            fn get(r: &mut $crate::SnapReader<'_>) -> Result<$name, $crate::SnapError> {
+                <$inner as $crate::Codec>::get(r).map($name)
+            }
+        }
+    };
+    (enum $name:ident {
+        $($tag:literal => $var:ident $({ $($f:ident),* })? $(($($p:ident),*))?),* $(,)?
+    }) => {
+        impl $crate::Codec for $name {
+            fn put(&self, w: &mut $crate::SnapWriter) {
+                match self {
+                    $($name::$var $({ $($f),* })? $(($($p),*))? => {
+                        w.put_u8($tag);
+                        $($($crate::Codec::put($f, w);)*)?
+                        $($($crate::Codec::put($p, w);)*)?
+                    })*
+                }
+            }
+            fn get(r: &mut $crate::SnapReader<'_>) -> Result<$name, $crate::SnapError> {
+                Ok(match r.get_u8()? {
+                    $($tag => {
+                        $($(let $f = $crate::Codec::get(r)?;)*)?
+                        $($(let $p = $crate::Codec::get(r)?;)*)?
+                        $name::$var $({ $($f),* })? $(($($p),*))?
+                    })*
+                    t => return Err($crate::SnapError::bad_tag(stringify!($name), t)),
+                })
+            }
+        }
+    };
 }
 
 /// Writes snapshot bytes to `path` atomically: the bytes land in a
@@ -490,7 +863,6 @@ mod tests {
         w.put_u8(0xAB);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
-        w.put_i64(-42);
         w.put_usize(12345);
         w.put_f64(-0.125);
         w.put_bool(true);
@@ -504,7 +876,6 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 0xAB);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_usize().unwrap(), 12345);
         assert_eq!(r.get_f64().unwrap(), -0.125);
         assert!(r.get_bool().unwrap());
@@ -513,6 +884,60 @@ mod tests {
         assert_eq!(r.get_str().unwrap(), "héllo");
         assert_eq!(r.get_array::<4>().unwrap(), [9; 4]);
         assert_eq!(r.remaining(), 0);
+    }
+
+    fn encode<T: Codec>(v: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.put(&mut w);
+        w.into_vec()
+    }
+
+    #[test]
+    fn codec_impls_write_the_documented_bytes() {
+        assert_eq!(encode(&Some(5u32)), [1, 5, 0, 0, 0]);
+        assert_eq!(encode(&None::<u32>), [0]);
+        assert_eq!(encode(&[7u8, 8, 9]), [7, 8, 9], "arrays carry no count");
+        assert_eq!(encode(&(1u8, true)), [1, 1]);
+        assert_eq!(encode(&7usize), 7u64.to_le_bytes());
+        let mut s = SnapWriter::new();
+        s.put_str("hé");
+        assert_eq!(encode(&"hé".to_string()), s.into_vec());
+        let v: VecDeque<u8> = [4, 5].into();
+        assert_eq!(encode(&v), [2, 0, 0, 0, 0, 0, 0, 0, 4, 5]);
+        // Hash maps write their pairs sorted by key, whatever the order of
+        // insertion, and decode to an equal map.
+        let m: HashMap<u8, bool> = [(3, true), (1, false), (2, true)].into();
+        let bytes = encode(&m);
+        assert_eq!(bytes[8..], [1, 0, 2, 1, 3, 1]);
+        let back: HashMap<u8, bool> = Codec::get(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back, m);
+        let b: BTreeMap<u8, bool> = m.into_iter().collect();
+        assert_eq!(encode(&b), bytes);
+    }
+
+    #[test]
+    fn hostile_counts_and_tags_are_typed_errors() {
+        // A count no remaining bytes could satisfy fails before allocating.
+        let huge = u64::MAX.to_le_bytes();
+        assert!(matches!(
+            Vec::<u64>::get(&mut SnapReader::new(&huge)),
+            Err(SnapError::Corrupt { .. })
+        ));
+        let mut r = SnapReader::new(&[2, 0, 0, 0, 0, 0, 0, 0, 1]);
+        assert!(matches!(
+            Vec::<u8>::get(&mut r),
+            Err(SnapError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            Option::<u8>::get(&mut SnapReader::new(&[2, 0])),
+            Err(SnapError::Corrupt { .. })
+        ));
+        assert_eq!(
+            SnapError::bad_tag("Ev", 0xff),
+            SnapError::Corrupt {
+                what: "unknown Ev tag 0xff".to_string()
+            }
+        );
     }
 
     #[test]

@@ -101,11 +101,7 @@ impl ReportCache {
         let report_bytes = r.get_bytes()?.to_vec();
         let body_len = bytes.len() - r.remaining();
         let digest = r.get_u64()?;
-        if r.remaining() != 0 {
-            return Err(SnapError::Corrupt {
-                what: format!("{} trailing bytes after cache entry", r.remaining()),
-            });
-        }
+        r.finish("cache entry")?;
         if digest != fnv1a(&bytes[..body_len]) {
             return Err(SnapError::Corrupt {
                 what: "cache entry checksum mismatch".into(),

@@ -6,11 +6,11 @@
 //! are poisoned, and how many attempts each pending job has burned — the
 //! orchestrator resumes from that state instead of restarting the sweep.
 //!
-//! Encoding is the snap codec style: a one-byte discriminant followed by
-//! fixed-width little-endian fields. Unknown discriminants and short
+//! Encoding is the snap codec's: a one-byte discriminant followed by the
+//! variant's fields. Unknown discriminants, non-0/1 flags and short
 //! payloads decode to a typed [`SnapError`], never a panic.
 
-use ccsvm_snap::{SnapError, SnapReader, SnapWriter};
+use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
 
 /// How one worker attempt ended, as observed by the supervisor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,34 +30,14 @@ pub enum AttemptStatus {
     SpawnFailed,
 }
 
-impl AttemptStatus {
-    fn to_u8(self) -> u8 {
-        match self {
-            AttemptStatus::Completed => 0,
-            AttemptStatus::Abnormal => 1,
-            AttemptStatus::Killed => 2,
-            AttemptStatus::Timeout => 3,
-            AttemptStatus::Interrupted => 4,
-            AttemptStatus::SpawnFailed => 5,
-        }
-    }
-
-    fn from_u8(b: u8) -> Result<AttemptStatus, SnapError> {
-        Ok(match b {
-            0 => AttemptStatus::Completed,
-            1 => AttemptStatus::Abnormal,
-            2 => AttemptStatus::Killed,
-            3 => AttemptStatus::Timeout,
-            4 => AttemptStatus::Interrupted,
-            5 => AttemptStatus::SpawnFailed,
-            other => {
-                return Err(SnapError::Corrupt {
-                    what: format!("unknown attempt status {other}"),
-                })
-            }
-        })
-    }
-}
+codec!(enum AttemptStatus {
+    0 => Completed,
+    1 => Abnormal,
+    2 => Killed,
+    3 => Timeout,
+    4 => Interrupted,
+    5 => SpawnFailed,
+});
 
 /// One journal record. `key` is always [`crate::JobSpec::key`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,64 +107,24 @@ pub enum Record {
     },
 }
 
+codec!(enum Record {
+    1 => Planned { key, label },
+    2 => SkippedCached { key },
+    3 => SkippedDuplicate { key, label },
+    4 => AttemptStarted { key, attempt },
+    5 => AttemptEnded { key, attempt, status, resumed_at_ps },
+    6 => Done { key },
+    7 => Poisoned { key, bundled },
+    8 => Recovered { done, pending },
+    9 => Interrupted,
+    10 => SweepClosed { manifest_fnv },
+});
+
 impl Record {
     /// Encodes to the journal payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        match self {
-            Record::Planned { key, label } => {
-                w.put_u8(1);
-                w.put_u64(*key);
-                w.put_str(label);
-            }
-            Record::SkippedCached { key } => {
-                w.put_u8(2);
-                w.put_u64(*key);
-            }
-            Record::SkippedDuplicate { key, label } => {
-                w.put_u8(3);
-                w.put_u64(*key);
-                w.put_str(label);
-            }
-            Record::AttemptStarted { key, attempt } => {
-                w.put_u8(4);
-                w.put_u64(*key);
-                w.put_u32(*attempt);
-            }
-            Record::AttemptEnded {
-                key,
-                attempt,
-                status,
-                resumed_at_ps,
-            } => {
-                w.put_u8(5);
-                w.put_u64(*key);
-                w.put_u32(*attempt);
-                w.put_u8(status.to_u8());
-                w.put_u64(*resumed_at_ps);
-            }
-            Record::Done { key } => {
-                w.put_u8(6);
-                w.put_u64(*key);
-            }
-            Record::Poisoned { key, bundled } => {
-                w.put_u8(7);
-                w.put_u64(*key);
-                w.put_u8(u8::from(*bundled));
-            }
-            Record::Recovered { done, pending } => {
-                w.put_u8(8);
-                w.put_u32(*done);
-                w.put_u32(*pending);
-            }
-            Record::Interrupted => {
-                w.put_u8(9);
-            }
-            Record::SweepClosed { manifest_fnv } => {
-                w.put_u8(10);
-                w.put_u64(*manifest_fnv);
-            }
-        }
+        self.put(&mut w);
         w.into_vec()
     }
 
@@ -192,50 +132,8 @@ impl Record {
     /// fixed forms, not containers.
     pub fn decode(payload: &[u8]) -> Result<Record, SnapError> {
         let mut r = SnapReader::new(payload);
-        let rec = match r.get_u8()? {
-            1 => Record::Planned {
-                key: r.get_u64()?,
-                label: r.get_str()?.to_string(),
-            },
-            2 => Record::SkippedCached { key: r.get_u64()? },
-            3 => Record::SkippedDuplicate {
-                key: r.get_u64()?,
-                label: r.get_str()?.to_string(),
-            },
-            4 => Record::AttemptStarted {
-                key: r.get_u64()?,
-                attempt: r.get_u32()?,
-            },
-            5 => Record::AttemptEnded {
-                key: r.get_u64()?,
-                attempt: r.get_u32()?,
-                status: AttemptStatus::from_u8(r.get_u8()?)?,
-                resumed_at_ps: r.get_u64()?,
-            },
-            6 => Record::Done { key: r.get_u64()? },
-            7 => Record::Poisoned {
-                key: r.get_u64()?,
-                bundled: r.get_u8()? != 0,
-            },
-            8 => Record::Recovered {
-                done: r.get_u32()?,
-                pending: r.get_u32()?,
-            },
-            9 => Record::Interrupted,
-            10 => Record::SweepClosed {
-                manifest_fnv: r.get_u64()?,
-            },
-            other => {
-                return Err(SnapError::Corrupt {
-                    what: format!("unknown journal record kind {other}"),
-                })
-            }
-        };
-        if r.remaining() != 0 {
-            return Err(SnapError::Corrupt {
-                what: format!("{} trailing bytes after journal record", r.remaining()),
-            });
-        }
+        let rec = Record::get(&mut r)?;
+        r.finish("journal record")?;
         Ok(rec)
     }
 }
@@ -367,6 +265,17 @@ mod tests {
             Err(SnapError::Corrupt { .. })
         ));
         assert!(Record::decode(&[]).is_err());
+        // `bundled` is a strict bool like every other flag in the format.
+        let mut bytes = Record::Poisoned {
+            key: 9,
+            bundled: true,
+        }
+        .encode();
+        *bytes.last_mut().unwrap() = 2;
+        assert!(matches!(
+            Record::decode(&bytes),
+            Err(SnapError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 
 use std::collections::BTreeMap;
 
+use ccsvm_snap::Codec;
+
 use crate::walk::VirtAddr;
 
 /// First-fit guest-heap allocator over a fixed virtual range.
@@ -119,38 +121,17 @@ impl GuestHeap {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot codec. Any change here is a snapshot schema change (bump
-// `ccsvm_snap::SCHEMA_VERSION` and document it in DESIGN.md §8).
-
 impl ccsvm_snap::Snapshot for GuestHeap {
     fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
         // `base`/`len`/`align` are construction parameters (config-derived)
-        // and not serialized; BTreeMaps iterate sorted by nature.
-        w.put_usize(self.free.len());
-        for (&start, &len) in &self.free {
-            w.put_u64(start);
-            w.put_u64(len);
-        }
-        w.put_usize(self.live.len());
-        for (&start, &len) in &self.live {
-            w.put_u64(start);
-            w.put_u64(len);
-        }
+        // and not serialized.
+        self.free.put(w);
+        self.live.put(w);
     }
 
     fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.free.clear();
-        for _ in 0..r.get_usize()? {
-            let start = r.get_u64()?;
-            self.free.insert(start, r.get_u64()?);
-        }
-        self.live.clear();
-        for _ in 0..r.get_usize()? {
-            let start = r.get_u64()?;
-            self.live.insert(start, r.get_u64()?);
-        }
-        Ok(())
+        self.free.get_into(r)?;
+        self.live.get_into(r)
     }
 }
 

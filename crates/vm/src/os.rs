@@ -14,6 +14,7 @@
 
 use ccsvm_engine::FxHashMap;
 use ccsvm_mem::PhysAddr;
+use ccsvm_snap::Codec;
 
 use crate::walk::{VirtAddr, PAGE_BYTES, PTE_PRESENT};
 
@@ -201,56 +202,27 @@ impl OsLite {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot codec. Any change here is a snapshot schema change (bump
-// `ccsvm_snap::SCHEMA_VERSION` and document it in DESIGN.md §8).
+ccsvm_snap::codec!(struct PteWrite { addr, value });
 
 impl ccsvm_snap::Snapshot for OsLite {
     fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
         // `phys_end` is a construction parameter (config-derived) and not
-        // serialized. `free_frames` keeps its LIFO order; hash maps
-        // are written sorted so the byte stream is canonical.
-        w.put_u64(self.next_frame);
-        w.put_usize(self.free_frames.len());
-        for &f in &self.free_frames {
-            w.put_u64(f);
-        }
-        let mut ptes: Vec<u64> = self.mirror.keys().copied().collect();
-        ptes.sort_unstable();
-        w.put_usize(ptes.len());
-        for a in ptes {
-            w.put_u64(a);
-            w.put_u64(self.mirror[&a]);
-        }
-        w.put_u64(self.root.0);
-        let mut vpns: Vec<u64> = self.pages.keys().copied().collect();
-        vpns.sort_unstable();
-        w.put_usize(vpns.len());
-        for v in vpns {
-            w.put_u64(v);
-            w.put_u64(self.pages[&v]);
-        }
-        w.put_u64(self.faults_handled);
+        // serialized. `free_frames` keeps its LIFO order.
+        self.next_frame.put(w);
+        self.free_frames.put(w);
+        self.mirror.put(w);
+        self.root.put(w);
+        self.pages.put(w);
+        self.faults_handled.put(w);
     }
 
     fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.next_frame = r.get_u64()?;
-        self.free_frames.clear();
-        for _ in 0..r.get_usize()? {
-            self.free_frames.push(r.get_u64()?);
-        }
-        self.mirror.clear();
-        for _ in 0..r.get_usize()? {
-            let addr = r.get_u64()?;
-            self.mirror.insert(addr, r.get_u64()?);
-        }
-        self.root = PhysAddr(r.get_u64()?);
-        self.pages.clear();
-        for _ in 0..r.get_usize()? {
-            let vpn = r.get_u64()?;
-            self.pages.insert(vpn, r.get_u64()?);
-        }
-        self.faults_handled = r.get_u64()?;
+        self.next_frame = Codec::get(r)?;
+        self.free_frames.get_into(r)?;
+        self.mirror.get_into(r)?;
+        self.root = Codec::get(r)?;
+        self.pages.get_into(r)?;
+        self.faults_handled = Codec::get(r)?;
         Ok(())
     }
 }

@@ -2,6 +2,7 @@
 
 use ccsvm_engine::Stats;
 use ccsvm_mem::PhysAddr;
+use ccsvm_snap::Codec;
 
 use crate::walk::VirtAddr;
 
@@ -243,30 +244,26 @@ impl Tlb {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot codec. Any change here is a snapshot schema change (bump
-// `ccsvm_snap::SCHEMA_VERSION` and document it in DESIGN.md §8).
+ccsvm_snap::codec!(struct Entry { vpn, frame, lru });
 
 impl ccsvm_snap::Snapshot for Tlb {
     fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
         // Entry order matters (swap_remove eviction makes the Vec layout part
         // of future behaviour), so entries are serialized in place.
-        w.put_usize(self.capacity);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.vpn);
-            w.put_u64(e.frame.0);
-            w.put_u64(e.lru);
-        }
-        w.put_u64(self.tick);
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
-        w.put_u64(self.flushes);
-        w.put_u64(self.shootdown_invalidations);
+        self.capacity.put(w);
+        self.entries.put(w);
+        [
+            self.tick,
+            self.hits,
+            self.misses,
+            self.flushes,
+            self.shootdown_invalidations,
+        ]
+        .put(w);
     }
 
     fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        let capacity = r.get_usize()?;
+        let capacity = usize::get(r)?;
         if capacity != self.capacity {
             return Err(ccsvm_snap::SnapError::Corrupt {
                 what: format!(
@@ -275,25 +272,22 @@ impl ccsvm_snap::Snapshot for Tlb {
                 ),
             });
         }
-        let n = r.get_usize()?;
-        if n > capacity {
+        self.entries.get_into(r)?;
+        if self.entries.len() > capacity {
             return Err(ccsvm_snap::SnapError::Corrupt {
-                what: format!("snapshot TLB holds {n} entries, capacity {capacity}"),
+                what: format!(
+                    "snapshot TLB holds {} entries, capacity {capacity}",
+                    self.entries.len()
+                ),
             });
         }
-        self.entries.clear();
-        for _ in 0..n {
-            self.entries.push(Entry {
-                vpn: r.get_u64()?,
-                frame: PhysAddr(r.get_u64()?),
-                lru: r.get_u64()?,
-            });
-        }
-        self.tick = r.get_u64()?;
-        self.hits = r.get_u64()?;
-        self.misses = r.get_u64()?;
-        self.flushes = r.get_u64()?;
-        self.shootdown_invalidations = r.get_u64()?;
+        [
+            self.tick,
+            self.hits,
+            self.misses,
+            self.flushes,
+            self.shootdown_invalidations,
+        ] = Codec::get(r)?;
         Ok(())
     }
 }

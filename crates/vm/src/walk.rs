@@ -1,6 +1,7 @@
 //! Virtual addresses and the 4-level hardware page-table walk.
 
 use ccsvm_mem::PhysAddr;
+use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
 /// Page size (x86 4 KiB pages).
@@ -164,32 +165,22 @@ pub fn frame_plus_offset(frame: PhysAddr, va: VirtAddr) -> PhysAddr {
     PhysAddr(frame.0 + va.page_offset())
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot codec. Any change here is a snapshot schema change (bump
-// `ccsvm_snap::SCHEMA_VERSION` and document it in DESIGN.md §8).
+ccsvm_snap::codec!(struct VirtAddr(u64));
 
-impl Walk {
-    /// Appends this in-flight walk to a snapshot.
-    pub fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        w.put_u64(self.va.0);
-        w.put_u8(self.level);
-        w.put_u64(self.table.0);
+/// An in-flight walk; a level outside the page table is corrupt.
+impl Codec for Walk {
+    fn put(&self, w: &mut SnapWriter) {
+        (self.va, self.level, self.table).put(w);
     }
 
-    /// Reads a walk previously written by [`Walk::save`].
-    pub fn load(r: &mut ccsvm_snap::SnapReader<'_>) -> Result<Walk, ccsvm_snap::SnapError> {
-        let va = VirtAddr(r.get_u64()?);
-        let level = r.get_u8()?;
+    fn get(r: &mut SnapReader<'_>) -> Result<Walk, SnapError> {
+        let (va, level, table) = Codec::get(r)?;
         if level >= LEVELS {
-            return Err(ccsvm_snap::SnapError::Corrupt {
+            return Err(SnapError::Corrupt {
                 what: format!("walk level {level} out of range"),
             });
         }
-        Ok(Walk {
-            va,
-            level,
-            table: PhysAddr(r.get_u64()?),
-        })
+        Ok(Walk { va, level, table })
     }
 }
 

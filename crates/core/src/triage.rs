@@ -122,7 +122,7 @@ impl ReplayBundle {
     /// any malformed field — never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayBundle, SnapError> {
         let mut r = SnapReader::new(bytes);
-        let magic: [u8; 8] = r.get_array()?;
+        let magic: [u8; 8] = Codec::get(&mut r)?;
         if magic != BUNDLE_MAGIC {
             return Err(SnapError::Corrupt {
                 what: format!("bad bundle magic {magic:02x?}"),

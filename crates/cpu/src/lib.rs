@@ -727,7 +727,7 @@ impl CpuCore {
 }
 
 // ---------------------------------------------------------------------------
-// Codecs: one tag byte per variant, then its fields in the order listed.
+// Snapshot codecs.
 
 use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 

@@ -1292,7 +1292,7 @@ impl Bank {
 }
 
 // ---------------------------------------------------------------------------
-// Codecs: one tag byte per variant, then its fields in the order listed.
+// Snapshot codecs.
 
 use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 

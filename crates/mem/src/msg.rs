@@ -464,7 +464,7 @@ pub enum MemKind {
 }
 
 // ---------------------------------------------------------------------------
-// Codecs: one tag byte per variant, then its fields in the order listed.
+// Snapshot codecs.
 
 use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
 

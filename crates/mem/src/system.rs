@@ -716,7 +716,7 @@ impl MemorySystem {
 }
 
 // ---------------------------------------------------------------------------
-// Codecs.
+// Snapshot codecs.
 
 use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 

@@ -2100,7 +2100,7 @@ impl Mifd {
 }
 
 // ---------------------------------------------------------------------------
-// Codecs: one tag byte per variant, then its fields in the order listed.
+// Snapshot codecs.
 
 use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 

@@ -372,12 +372,6 @@ impl<'a> SnapReader<'a> {
         })
     }
 
-    /// Reads a fixed-size byte array.
-    pub fn get_array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
-        let b = self.take(N, "byte array")?;
-        Ok(b.try_into().expect("length checked"))
-    }
-
     /// Copies a fixed-size run of raw bytes (written via `put_raw`).
     pub fn get_raw(&mut self, out: &mut [u8]) -> Result<(), SnapError> {
         let b = self.take(out.len(), "raw bytes")?;
@@ -463,7 +457,7 @@ impl<'a> SnapReader<'a> {
 
 impl SnapWriter {
     /// Appends raw bytes with no length prefix (pair with
-    /// [`SnapReader::get_raw`] / [`SnapReader::get_array`]).
+    /// [`SnapReader::get_raw`]).
     pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
@@ -531,10 +525,12 @@ pub trait Codec: Sized {
     }
 }
 
+/// Fixed-width values: `MIN_BYTES` is the exact width (a `usize` is
+/// written as a `u64`).
 macro_rules! prim_codec {
-    ($($t:ty: $put:ident, $get:ident;)*) => {$(
+    ($($t:ty = $bytes:literal: $put:ident, $get:ident;)*) => {$(
         impl Codec for $t {
-            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            const MIN_BYTES: usize = $bytes;
             fn put(&self, w: &mut SnapWriter) {
                 w.$put(*self);
             }
@@ -546,9 +542,11 @@ macro_rules! prim_codec {
 }
 
 prim_codec! {
-    u32: put_u32, get_u32;
-    u64: put_u64, get_u64;
-    bool: put_bool, get_bool;
+    u32 = 4: put_u32, get_u32;
+    u64 = 8: put_u64, get_u64;
+    usize = 8: put_usize, get_usize;
+    f64 = 8: put_f64, get_f64;
+    bool = 1: put_bool, get_bool;
 }
 
 impl Codec for u8 {
@@ -563,26 +561,6 @@ impl Codec for u8 {
     }
     fn get_all(items: &mut [u8], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.get_raw(items)
-    }
-}
-
-impl Codec for usize {
-    const MIN_BYTES: usize = 8;
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_usize(*self);
-    }
-    fn get(r: &mut SnapReader<'_>) -> Result<usize, SnapError> {
-        r.get_usize()
-    }
-}
-
-impl Codec for f64 {
-    const MIN_BYTES: usize = 8;
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_f64(*self);
-    }
-    fn get(r: &mut SnapReader<'_>) -> Result<f64, SnapError> {
-        r.get_f64()
     }
 }
 
@@ -882,7 +860,7 @@ mod tests {
         assert!(!r.get_bool().unwrap());
         assert_eq!(r.get_bytes().unwrap(), &[1, 2, 3]);
         assert_eq!(r.get_str().unwrap(), "héllo");
-        assert_eq!(r.get_array::<4>().unwrap(), [9; 4]);
+        assert_eq!(<[u8; 4]>::get(&mut r).unwrap(), [9; 4]);
         assert_eq!(r.remaining(), 0);
     }
 

@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 
 use ccsvm::RunReport;
-use ccsvm_snap::{fnv1a, read_file, write_file, SnapError, SnapReader, SnapWriter};
+use ccsvm_snap::{fnv1a, read_file, write_file, Codec, SnapError, SnapReader, SnapWriter};
 
 /// Cache entry magic.
 pub const CACHE_MAGIC: [u8; 8] = *b"CCSVRPRT";
@@ -74,7 +74,7 @@ impl ReportCache {
         }
         let bytes = read_file(&path)?;
         let mut r = SnapReader::new(&bytes);
-        let magic = r.get_array::<8>()?;
+        let magic: [u8; 8] = Codec::get(&mut r)?;
         if magic != CACHE_MAGIC {
             return Err(SnapError::BadMagic);
         }

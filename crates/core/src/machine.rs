@@ -951,8 +951,8 @@ impl Machine {
     }
 
     /// The one event loop: pops and dispatches, in key order, every queued
-    /// event whose `(time, push-seq)` key is at most `until`. The bound
-    /// check comes *before* the pop, so resuming replays nothing.
+    /// event whose `(time, push-seq)` key is at most `until`. An event past
+    /// the bound stays queued, so resuming replays nothing.
     ///
     /// [`Machine::run_until`] calls it with a time bound and no `members`.
     /// That is the serial reference loop — pop, dispatch, repeat — and with
@@ -987,12 +987,13 @@ impl Machine {
         let n_cpus = self.cfg.n_cpus;
         loop {
             self.clock.switch(PH_OTHER);
-            match self.queue.peek_key() {
-                None => return Drained::Empty,
-                Some(key) if key > until => return Drained::Bound,
-                Some(_) => {}
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event");
+            let Some((t, ev)) = self.queue.pop_until(until) else {
+                return if self.queue.is_empty() {
+                    Drained::Empty
+                } else {
+                    Drained::Bound
+                };
+            };
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.events += 1;

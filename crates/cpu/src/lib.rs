@@ -395,26 +395,26 @@ impl CpuCore {
         let start = self.local_time;
 
         loop {
-            // Resolve whatever the last event left us.
-            match std::mem::replace(&mut self.pending, Pending::None) {
-                Pending::None => {}
-                Pending::WalkReady { pte, walk, op } => {
-                    let action = self.walk_feed(pte, walk, op, port);
-                    match action {
-                        None => {}
-                        Some(a) => return self.charge_and(a, start),
+            // Resolve whatever the last event left us (usually nothing).
+            if !matches!(self.pending, Pending::None) {
+                match std::mem::replace(&mut self.pending, Pending::None) {
+                    Pending::None => {}
+                    Pending::WalkReady { pte, walk, op } => {
+                        if let Some(a) = self.walk_feed(pte, walk, op, port) {
+                            return self.charge_and(a, start);
+                        }
                     }
-                }
-                Pending::AccessReady { value, op } => {
-                    self.apply_op(value, op);
-                }
-                p @ (Pending::WalkRead { .. }
-                | Pending::Access { .. }
-                | Pending::Syscall
-                | Pending::Fault { .. }) => {
-                    // Spurious batch while blocked: put it back, do nothing.
-                    self.pending = p;
-                    return CpuAction::Blocked;
+                    Pending::AccessReady { value, op } => {
+                        self.apply_op(value, op);
+                    }
+                    p @ (Pending::WalkRead { .. }
+                    | Pending::Access { .. }
+                    | Pending::Syscall
+                    | Pending::Fault { .. }) => {
+                        // Spurious batch while blocked: put it back, do nothing.
+                        self.pending = p;
+                        return CpuAction::Blocked;
+                    }
                 }
             }
 
@@ -423,10 +423,6 @@ impl CpuCore {
                 self.busy_time += at - start;
                 return CpuAction::Continue { at };
             }
-
-            let Some(&instr) = prog.text.get(self.pc) else {
-                panic!("CPU pc {} outside text (len {})", self.pc, prog.text.len());
-            };
 
             // Decoded-superblock fast path (`ccsvm_isa::decode`): execute the
             // straight-line run from here in a tight loop. Each micro-op
@@ -452,6 +448,12 @@ impl CpuCore {
                     continue;
                 }
             }
+
+            // `run_at` is empty outside the text, so this still catches a
+            // runaway pc on the decoded path.
+            let Some(&instr) = prog.text.get(self.pc) else {
+                panic!("CPU pc {} outside text (len {})", self.pc, prog.text.len());
+            };
 
             self.icount += 1;
             self.local_time += self.instr_cost;

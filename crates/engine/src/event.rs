@@ -171,8 +171,18 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, E)> {
+        self.pop_until((Time::MAX, u64::MAX))
+    }
+
+    /// Removes and returns the earliest event if its (time, push-seq) key is
+    /// at most `bound` (see [`EventQueue::peek_key`]). When the queue is
+    /// empty or its head lies past `bound`, returns `None` and leaves the
+    /// queue exactly as it was; [`EventQueue::is_empty`] tells the two apart.
+    /// The head is found with one scan of its bucket.
+    pub fn pop_until(&mut self, bound: (Time, u64)) -> Option<(Time, E)> {
         if self.ring_len == 0 {
-            if self.overflow.is_empty() {
+            let head = self.overflow.peek()?;
+            if (head.time, head.seq) > bound {
                 return None;
             }
             self.refill_from_overflow();
@@ -180,8 +190,25 @@ impl<E> EventQueue<E> {
         let idx = self
             .first_occupied()
             .expect("ring_len > 0 implies an occupied bucket");
+        let best = self.head_of(idx);
+        let (t, s, _) = self.buckets[idx][best];
+        if (t, s) > bound {
+            return None;
+        }
         self.cursor = idx;
         let bucket = &mut self.buckets[idx];
+        let (t, _, event) = bucket.swap_remove(best);
+        if bucket.is_empty() {
+            self.occupied[idx / 64] &= !(1 << (idx % 64));
+        }
+        self.ring_len -= 1;
+        Some((t, event))
+    }
+
+    /// Position of the earliest (time, seq) entry in the non-empty bucket
+    /// `idx`.
+    fn head_of(&self, idx: usize) -> usize {
+        let bucket = &self.buckets[idx];
         let mut best = 0;
         for i in 1..bucket.len() {
             let (bt, bs, _) = bucket[best];
@@ -190,12 +217,7 @@ impl<E> EventQueue<E> {
                 best = i;
             }
         }
-        let (t, _, event) = bucket.swap_remove(best);
-        if bucket.is_empty() {
-            self.occupied[idx / 64] &= !(1 << (idx % 64));
-        }
-        self.ring_len -= 1;
-        Some((t, event))
+        best
     }
 
     /// The timestamp of the earliest pending event.
@@ -215,7 +237,8 @@ impl<E> EventQueue<E> {
         let idx = self
             .first_occupied()
             .expect("ring_len > 0 implies an occupied bucket");
-        self.buckets[idx].iter().map(|&(t, s, _)| (t, s)).min()
+        let (t, s, _) = self.buckets[idx][self.head_of(idx)];
+        Some((t, s))
     }
 
     /// Number of pending events.
@@ -410,6 +433,14 @@ impl<E> ReferenceEventQueue<E> {
 
     fn pop(&mut self) -> Option<(Time, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
+    }
+
+    fn pop_until(&mut self, bound: (Time, u64)) -> Option<(Time, E)> {
+        let head = self.heap.peek()?;
+        if (head.time, head.seq) > bound {
+            return None;
+        }
+        self.pop()
     }
 
     fn peek_time(&self) -> Option<Time> {
@@ -692,7 +723,9 @@ mod tests {
 
     /// Satellite: differential test — identical operation sequences on the
     /// calendar queue and the reference heap drain identically, including
-    /// heavy same-timestamp bursts and interleaved push/pop.
+    /// heavy same-timestamp bursts, interleaved push/pop, and bounded pops
+    /// whose bound falls between equal-time entries, before or after the
+    /// head, or past the ring while the overflow heap holds events.
     #[test]
     fn differential_vs_reference_heap() {
         let mut cal = EventQueue::new();
@@ -704,6 +737,25 @@ mod tests {
             if pending > 0 && r.is_multiple_of(3) {
                 assert_eq!(cal.pop(), reference.pop(), "step {step}");
                 pending -= 1;
+            } else if r % 7 == 1 {
+                let b = rng.next_u64();
+                let bound = match b % 4 {
+                    // A burst tick, cutting its FIFO run at a random seq.
+                    0 => (Time::from_ps((b >> 8) % 4 * 1000), (b >> 16) % (step + 1)),
+                    // Anywhere in or past the window, seq unbounded.
+                    1 => (Time::from_ps((b >> 8) % (100 * SPAN)), u64::MAX),
+                    // Just before or exactly at the head's key.
+                    _ => match reference.heap.peek() {
+                        Some(h) => (h.time, h.seq.saturating_sub((b >> 8) % 2)),
+                        None => (Time::ZERO, 0),
+                    },
+                };
+                let got = cal.pop_until(bound);
+                assert_eq!(got, reference.pop_until(bound), "step {step}");
+                if got.is_some() {
+                    pending -= 1;
+                }
+                assert_eq!(cal.is_empty(), pending == 0, "step {step}");
             } else {
                 let t = match r % 10 {
                     // Heavy same-timestamp bursts at a handful of ticks.

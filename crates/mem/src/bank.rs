@@ -130,8 +130,20 @@ pub(crate) struct BankOut {
     pub retry: Option<u64>,
     /// `(demand block, epoch)` pairs whose transaction entered (or re-entered)
     /// a response-waiting phase; the system arms a `DirTimeout` for each when
-    /// directory timeouts are enabled, and ignores them otherwise.
+    /// directory timeouts are enabled, and discards them otherwise.
     pub arm: Vec<(u64, u64)>,
+}
+
+impl BankOut {
+    /// Whether the output holds no side effect.
+    pub fn is_empty(&self) -> bool {
+        self.sends.is_empty()
+            && self.dram_read.is_none()
+            && self.dram_writes.is_empty()
+            && self.finished.is_empty()
+            && self.retry.is_none()
+            && self.arm.is_empty()
+    }
 }
 
 /// What a fired directory timeout did.
@@ -721,12 +733,7 @@ impl Bank {
             return;
         }
         // Need to evict: pick the LRU non-busy victim.
-        let victim = self
-            .array
-            .victims_lru(block)
-            .into_iter()
-            .find(|v| !self.busy(*v));
-        let Some(victim) = victim else {
+        let Some(victim) = self.array.victim_lru(block, |v| !self.busy(v)) else {
             out.retry = Some(block);
             return;
         };
@@ -832,12 +839,7 @@ impl Bank {
     /// uncached.
     fn snoop_install(&mut self, block: u64, data: BlockData, out: &mut BankOut) {
         if !self.array.has_free_way(block) {
-            let victim = self
-                .array
-                .victims_lru(block)
-                .into_iter()
-                .find(|v| !self.busy(*v));
-            let Some(victim) = victim else {
+            let Some(victim) = self.array.victim_lru(block, |v| !self.busy(v)) else {
                 return;
             };
             self.recalls += 1;

@@ -303,17 +303,26 @@ impl<M> CacheArray<M> {
         victim.map(|(_, b)| b)
     }
 
-    /// All resident blocks in `block`'s set, least-recently-used first.
-    /// Callers that can't evict a particular victim (e.g. a directory bank
-    /// whose victim has an active transaction) walk this list in order.
-    pub fn victims_lru(&self, block: u64) -> Vec<u64> {
-        let mut v: Vec<(u64, u64)> = self
-            .set_range(block)
-            .filter(|&i| self.tags[i] != TAG_INVALID)
-            .map(|i| (self.lru[i], self.tags[i]))
-            .collect();
-        v.sort();
-        v.into_iter().map(|(_, b)| b).collect()
+    /// The least-recently-used resident block in `block`'s set that
+    /// `evictable` accepts, if any. Callers that can't evict a particular
+    /// victim (e.g. a directory bank whose victim has an active transaction)
+    /// pass that as the predicate. Candidates are offered in `(lru, tag)`
+    /// order, each found by a scan of the set, so the usual case (the LRU
+    /// way is evictable) asks the predicate once and allocates nothing.
+    pub fn victim_lru(&self, block: u64, mut evictable: impl FnMut(u64) -> bool) -> Option<u64> {
+        let mut floor: Option<(u64, u64)> = None;
+        loop {
+            let next = self
+                .set_range(block)
+                .filter(|&i| self.tags[i] != TAG_INVALID)
+                .map(|i| (self.lru[i], self.tags[i]))
+                .filter(|&k| floor.is_none_or(|f| k > f))
+                .min()?;
+            if evictable(next.1) {
+                return Some(next.1);
+            }
+            floor = Some(next);
+        }
     }
 
     /// Whether `block`'s set has an invalid (free) way.
@@ -672,6 +681,51 @@ mod tests {
         assert_eq!(c.data(b[1]), [2; 64]);
         // LRU order is restored too: b0 (older) is the eviction victim again.
         assert_eq!(c.would_evict(b[2]), Some(b[0]));
+    }
+
+    /// `victim_lru` picks the first evictable block of the set in
+    /// `(lru, tag)` order, asking the predicate about exactly the blocks
+    /// before it in that order, over random fills, touches, removals and
+    /// predicates (including ones that accept nothing).
+    #[test]
+    fn victim_lru_is_first_evictable_in_lru_order() {
+        let mut c: CacheArray<()> = CacheArray::new(cfg(4, 8));
+        let mut rng = ccsvm_engine::SplitMix64::new(0x71C7);
+        for step in 0..20_000u64 {
+            let r = rng.next_u64();
+            let block = (r >> 8) % 96;
+            match r % 4 {
+                0 | 1 => {
+                    c.insert(block, (), [0; 64]);
+                }
+                2 => {
+                    c.lookup(block);
+                }
+                _ => {
+                    c.remove(block);
+                }
+            }
+            let keep = rng.next_u64();
+            let modulus = 1 + keep % 4; // 1 accepts nothing
+            let evictable = |v: u64| !(v ^ keep).is_multiple_of(modulus);
+            let mut order: Vec<(u64, u64)> = c
+                .set_range(block)
+                .filter(|&i| c.tags[i] != TAG_INVALID)
+                .map(|i| (c.lru[i], c.tags[i]))
+                .collect();
+            order.sort();
+            let (mut want_asked, mut asked) = (Vec::new(), Vec::new());
+            let want = order.into_iter().map(|(_, b)| b).find(|&b| {
+                want_asked.push(b);
+                evictable(b)
+            });
+            let got = c.victim_lru(block, |b| {
+                asked.push(b);
+                evictable(b)
+            });
+            assert_eq!(got, want, "step {step}");
+            assert_eq!(asked, want_asked, "step {step}: predicate order");
+        }
     }
 
     #[test]

@@ -108,21 +108,33 @@ impl Dram {
     }
 
     /// Functional (untimed) byte read; unallocated memory reads as zero.
-    pub fn read_bytes(&self, addr: PhysAddr, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            let a = addr.0 + i as u64;
-            *b = self
-                .pages
-                .get(&(a / PAGE_BYTES))
-                .map_or(0, |p| p[(a % PAGE_BYTES) as usize]);
+    /// One page lookup per page-contiguous span.
+    pub fn read_bytes(&self, addr: PhysAddr, mut buf: &mut [u8]) {
+        let mut a = addr.0;
+        while !buf.is_empty() {
+            let off = (a % PAGE_BYTES) as usize;
+            let n = (PAGE_BYTES as usize - off).min(buf.len());
+            let (span, rest) = std::mem::take(&mut buf).split_at_mut(n);
+            match self.pages.get(&(a / PAGE_BYTES)) {
+                Some(p) => span.copy_from_slice(&p[off..off + n]),
+                None => span.fill(0),
+            }
+            a += n as u64;
+            buf = rest;
         }
     }
 
-    /// Functional (untimed) byte write.
-    pub fn write_bytes(&mut self, addr: PhysAddr, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            let a = addr.0 + i as u64;
-            self.page_mut(a / PAGE_BYTES)[(a % PAGE_BYTES) as usize] = b;
+    /// Functional (untimed) byte write. Allocates exactly the pages the
+    /// bytes land in.
+    pub fn write_bytes(&mut self, addr: PhysAddr, mut bytes: &[u8]) {
+        let mut a = addr.0;
+        while !bytes.is_empty() {
+            let off = (a % PAGE_BYTES) as usize;
+            let n = (PAGE_BYTES as usize - off).min(bytes.len());
+            let (span, rest) = bytes.split_at(n);
+            self.page_mut(a / PAGE_BYTES)[off..off + n].copy_from_slice(span);
+            a += n as u64;
+            bytes = rest;
         }
     }
 
@@ -289,6 +301,65 @@ mod tests {
         let mut two = [0u8; 2];
         d.read_bytes(PhysAddr(0xFFF), &mut two);
         assert_eq!(two, [1, 2]);
+    }
+
+    /// Span copies against a byte-map reference: seeded reads and writes
+    /// that straddle one or more pages, reads of never-written pages, block
+    /// reads, and the set of pages writes allocate.
+    #[test]
+    fn spans_match_byte_map_reference() {
+        let mut d = Dram::new(DramConfig::paper_default());
+        let mut bytes: std::collections::HashMap<u64, u8> = Default::default();
+        let mut rng = SplitMix64::new(0xD4A3);
+        let expect = |bytes: &std::collections::HashMap<u64, u8>, a: u64, n: usize| {
+            (a..a + n as u64)
+                .map(|x| bytes.get(&x).copied().unwrap_or(0))
+                .collect::<Vec<u8>>()
+        };
+        for step in 0..3_000u64 {
+            let r = rng.next_u64();
+            let len = match (r >> 2) % 4 {
+                0 => (r >> 8) % 9,
+                1 => (r >> 8) % 130,
+                2 => (r >> 8) % (2 * PAGE_BYTES + 130),
+                _ => BLOCK_BYTES,
+            } as usize;
+            // Sixteen pages, a few bytes either side of page boundaries half
+            // the time; writes only reach the first ten.
+            let page = (r >> 24) % 16;
+            let off = if r & 2 == 0 {
+                (r >> 32) % PAGE_BYTES
+            } else {
+                (PAGE_BYTES - 8 + (r >> 32) % 16) % PAGE_BYTES
+            };
+            let addr = page * PAGE_BYTES + off;
+            if r.is_multiple_of(2) && page < 10 {
+                let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                d.write_bytes(PhysAddr(addr), &data);
+                for (i, &b) in data.iter().enumerate() {
+                    bytes.insert(addr + i as u64, b);
+                }
+            } else {
+                let mut buf = vec![0xEE; len];
+                d.read_bytes(PhysAddr(addr), &mut buf);
+                assert_eq!(buf, expect(&bytes, addr, len), "step {step}");
+            }
+            let block = (r >> 40) % (16 * PAGE_BYTES / BLOCK_BYTES);
+            let (_, data, _) = d.timed_read_block(Time::ZERO, 0, block);
+            let mut via_bytes = [0u8; BLOCK_BYTES as usize];
+            d.read_bytes(crate::addr::base_of_block(block), &mut via_bytes);
+            assert_eq!(data, via_bytes, "step {step}");
+            assert_eq!(
+                data.to_vec(),
+                expect(&bytes, block * BLOCK_BYTES, BLOCK_BYTES as usize)
+            );
+        }
+        let mut allocated: Vec<u64> = d.pages.keys().copied().collect();
+        allocated.sort_unstable();
+        let mut written: Vec<u64> = bytes.keys().map(|a| a / PAGE_BYTES).collect();
+        written.sort_unstable();
+        written.dedup();
+        assert_eq!(allocated, written, "writes allocate exactly their pages");
     }
 
     #[test]

@@ -537,12 +537,10 @@ impl L1 {
             *reserved += 1;
             return true;
         }
-        let victim = self
+        let Some(victim) = self
             .array
-            .victims_lru(block)
-            .into_iter()
-            .find(|v| !self.mshrs.contains_key(v));
-        let Some(victim) = victim else {
+            .victim_lru(block, |v| !self.mshrs.contains_key(&v))
+        else {
             return false;
         };
         *self.reserved.get_mut(&set).expect("entry") += 1;

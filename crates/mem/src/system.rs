@@ -163,6 +163,9 @@ pub struct MemorySystem {
     /// Reusable L1 output buffer for directory-message delivery, so the hot
     /// `DirArrive` path allocates nothing.
     scratch_out: L1Out,
+    /// Reusable bank output buffer, emptied by every
+    /// [`MemorySystem::apply_bank_out`], so bank steps allocate nothing.
+    bank_out: BankOut,
 }
 
 impl MemorySystem {
@@ -211,6 +214,7 @@ impl MemorySystem {
             corrupt_next_resend: false,
             scratch: PortLog::new(),
             scratch_out: L1Out::default(),
+            bank_out: BankOut::default(),
         }
     }
 
@@ -388,22 +392,18 @@ impl MemorySystem {
                 }
             }
             MemEventKind::BankReady { bank, block } => {
-                let mut out = BankOut::default();
-                self.banks[bank.0].ready(block, &mut out);
-                self.apply_bank_out(now, bank.0, out, net, sched);
+                self.bank_step(now, bank.0, net, sched, |b, out| b.ready(block, out));
             }
             MemEventKind::DramReadDone { bank, block } => {
                 let mut data = [0u8; crate::BLOCK_BYTES as usize];
                 self.dram
                     .read_bytes(crate::addr::base_of_block(block), &mut data);
-                let mut out = BankOut::default();
-                self.banks[bank.0].dram_done(block, data, &mut out);
-                self.apply_bank_out(now, bank.0, out, net, sched);
+                self.bank_step(now, bank.0, net, sched, |b, out| {
+                    b.dram_done(block, data, out)
+                });
             }
             MemEventKind::RespArrive(bank, resp) => {
-                let mut out = BankOut::default();
-                self.banks[bank.0].resp_arrive(resp, &mut out);
-                self.apply_bank_out(now, bank.0, out, net, sched);
+                self.bank_step(now, bank.0, net, sched, |b, out| b.resp_arrive(resp, out));
             }
             MemEventKind::DirArrive(port, msg) => {
                 let mut out = std::mem::take(&mut self.scratch_out);
@@ -415,13 +415,12 @@ impl MemorySystem {
             MemEventKind::DirTimeout { bank, block, epoch } => {
                 let budget = self.dir_budget;
                 let corrupt = std::mem::take(&mut self.corrupt_next_resend);
-                let mut out = BankOut::default();
-                if let TimeoutAction::Exhausted =
-                    self.banks[bank.0].timeout_fired(block, epoch, budget, corrupt, &mut out)
-                {
+                let action = self.bank_step(now, bank.0, net, sched, |b, out| {
+                    b.timeout_fired(block, epoch, budget, corrupt, out)
+                });
+                if let TimeoutAction::Exhausted = action {
                     self.retry_exhausted = Some((bank, block));
                 }
-                self.apply_bank_out(now, bank.0, out, net, sched);
             }
         }
     }
@@ -441,21 +440,41 @@ impl MemorySystem {
         self.scratch = log;
     }
 
+    /// Runs one step of bank `bank` into the reusable output buffer and
+    /// applies its side effects.
+    fn bank_step<R>(
+        &mut self,
+        now: Time,
+        bank: usize,
+        net: &mut Network,
+        sched: &mut dyn FnMut(Time, MemEvent),
+        step: impl FnOnce(&mut Bank, &mut BankOut) -> R,
+    ) -> R {
+        let mut out = std::mem::take(&mut self.bank_out);
+        debug_assert!(out.is_empty(), "bank step starts with a leftover output");
+        let r = step(&mut self.banks[bank], &mut out);
+        self.apply_bank_out(now, bank, &mut out, net, sched);
+        self.bank_out = out;
+        r
+    }
+
+    /// Applies a bank step's side effects, leaving every field of `out`
+    /// empty.
     fn apply_bank_out(
         &mut self,
         now: Time,
         bank: usize,
-        out: BankOut,
+        out: &mut BankOut,
         net: &mut Network,
         sched: &mut dyn FnMut(Time, MemEvent),
     ) {
         let bank_node = self.bank_cfg[bank].node;
-        for (port, msg) in out.sends {
+        for (port, msg) in out.sends.drain(..) {
             let bytes = self.dir_msg_bytes(&msg);
             let t = net.send(now, bank_node, self.l1s[port.0].config.node, bytes);
             sched(t, MemEvent(MemEventKind::DirArrive(port, msg)));
         }
-        if let Some(block) = out.dram_read {
+        if let Some(block) = out.dram_read.take() {
             let (done, _, poisoned) = self.dram.timed_read_block(now, bank, block);
             if poisoned {
                 self.poisoned.insert(block);
@@ -468,11 +487,11 @@ impl MemorySystem {
                 }),
             );
         }
-        for (block, data) in out.dram_writes {
+        for (block, data) in out.dram_writes.drain(..) {
             // Posted writeback: nothing waits on it.
             self.dram.timed_write_block(now, bank, block, &data);
         }
-        for block in out.finished {
+        for block in out.finished.drain(..) {
             if let Some(req) = self.banks[bank].pop_waiting(block) {
                 let accepted = self.banks[bank].req_arrive(req);
                 debug_assert!(accepted, "drained request immediately re-queued");
@@ -486,7 +505,7 @@ impl MemorySystem {
                 );
             }
         }
-        if let Some(block) = out.retry {
+        if let Some(block) = out.retry.take() {
             let ready = now + self.bank_cfg[bank].latency;
             sched(
                 ready,
@@ -497,7 +516,7 @@ impl MemorySystem {
             );
         }
         if let Some(timeout) = self.dir_timeout {
-            for (block, epoch) in out.arm {
+            for &(block, epoch) in &out.arm {
                 sched(
                     now + timeout,
                     MemEvent(MemEventKind::DirTimeout {
@@ -508,6 +527,7 @@ impl MemorySystem {
                 );
             }
         }
+        out.arm.clear();
     }
 
     /// Untimed read of a word through `port`'s L1, if the block is resident
@@ -560,18 +580,19 @@ impl MemorySystem {
     /// block — use regular stores during simulation instead.
     pub fn backdoor_write(&mut self, addr: PhysAddr, bytes: &[u8]) {
         #[cfg(debug_assertions)]
-        for i in (0..bytes.len()).step_by(crate::BLOCK_BYTES as usize) {
-            let block = block_of(PhysAddr(addr.0 + i as u64));
-            for l1 in &self.l1s {
+        if let Some(last) = (bytes.len() as u64).checked_sub(1) {
+            for block in block_of(addr)..=block_of(PhysAddr(addr.0 + last)) {
+                for l1 in &self.l1s {
+                    debug_assert!(
+                        matches!(l1.probe(block).0, L1State::I),
+                        "backdoor_write to cached block {block}"
+                    );
+                }
                 debug_assert!(
-                    matches!(l1.probe(block).0, L1State::I),
-                    "backdoor_write to cached block {block}"
+                    self.banks[self.home(block)].probe(block).is_none(),
+                    "backdoor_write to L2-cached block {block}"
                 );
             }
-            debug_assert!(
-                self.banks[self.home(block)].probe(block).is_none(),
-                "backdoor_write to L2-cached block {block}"
-            );
         }
         self.dram.write_bytes(addr, bytes);
     }

@@ -341,6 +341,17 @@ fn backdoor_write_then_coherent_read() {
     assert_eq!(h.read(1, 0x1000), 123);
 }
 
+/// An unaligned write that spills into a cached block is caught, however
+/// few bytes land there: 8 bytes at offset 60 of block 1 reach block 2.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "backdoor_write to cached block 2")]
+fn backdoor_write_guard_checks_the_tail_block() {
+    let mut h = Harness::tiny(2, 2);
+    h.read(0, 2 * 64);
+    h.mem.backdoor_write(PhysAddr(64 + 60), &[0xAA; 8]);
+}
+
 #[test]
 fn peek_and_poke_follow_permissions() {
     let mut h = Harness::tiny(2, 2);

@@ -30,7 +30,7 @@ struct Entry {
 pub struct Tlb {
     entries: Vec<Entry>,
     capacity: usize,
-    /// Direct-mapped position hints: `memo[vpn % 64]` is the index in
+    /// Direct-mapped position hints: `memo[memo_slot(vpn)]` is the index in
     /// `entries` where that page was last found. Purely a host-side lookup
     /// accelerator: every hint is validated against the entry's `vpn` before
     /// use, so stale hints (after `swap_remove`, flushes, or snapshot load)
@@ -43,7 +43,19 @@ pub struct Tlb {
     shootdown_invalidations: u64,
 }
 
-const MEMO_SLOTS: usize = 64;
+const MEMO_BITS: u32 = 6;
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
+
+/// The memo slot of `vpn`: its page number XOR-folded to `MEMO_BITS` bits.
+/// `vpn % 64` puts pages a multiple of 64 apart in one slot: streams over
+/// arrays 384 pages apart, or the 16-page-strided tops of per-thread stacks.
+/// The fold spreads those and still gives any 64 aligned consecutive pages
+/// distinct slots.
+#[inline]
+fn memo_slot(vpn: u64) -> usize {
+    let w = MEMO_BITS;
+    ((vpn ^ (vpn >> w) ^ (vpn >> (2 * w)) ^ (vpn >> (3 * w))) as usize) % MEMO_SLOTS
+}
 
 impl Clone for Tlb {
     fn clone(&self) -> Tlb {
@@ -101,7 +113,7 @@ impl Tlb {
     /// refreshing the hint on a scan hit. Does not touch LRU or counters.
     #[inline]
     fn find(&mut self, vpn: u64) -> Option<usize> {
-        let slot = (vpn as usize) % MEMO_SLOTS;
+        let slot = memo_slot(vpn);
         let hint = self.memo[slot] as usize;
         if let Some(e) = self.entries.get(hint) {
             if e.vpn == vpn {
@@ -167,7 +179,7 @@ impl Tlb {
                 .expect("nonempty");
             self.entries.swap_remove(idx);
         }
-        self.memo[(vpn as usize) % MEMO_SLOTS] = self.entries.len() as u32;
+        self.memo[memo_slot(vpn)] = self.entries.len() as u32;
         self.entries.push(Entry {
             vpn,
             frame,
@@ -325,6 +337,81 @@ mod tests {
         t.insert(VirtAddr(0x1000), PhysAddr(0xB000));
         assert_eq!(t.len(), 1);
         assert_eq!(t.lookup(VirtAddr(0x1000)), Some(PhysAddr(0xB000)));
+    }
+
+    /// Fully-associative true-LRU reference: most recent at the back.
+    struct ReferenceTlb {
+        pages: std::collections::VecDeque<(u64, PhysAddr)>,
+        capacity: usize,
+    }
+
+    impl ReferenceTlb {
+        fn lookup(&mut self, vpn: u64) -> Option<PhysAddr> {
+            let i = self.pages.iter().position(|&(v, _)| v == vpn)?;
+            let e = self.pages.remove(i).expect("found");
+            self.pages.push_back(e);
+            Some(e.1)
+        }
+
+        fn insert(&mut self, vpn: u64, frame: PhysAddr) {
+            if self.lookup(vpn).is_some() {
+                self.pages.back_mut().expect("just touched").1 = frame;
+                return;
+            }
+            if self.pages.len() == self.capacity {
+                self.pages.pop_front();
+            }
+            self.pages.push_back((vpn, frame));
+        }
+    }
+
+    /// Page streams that share a `vpn % 64` memo slot — three arrays 384
+    /// pages apart, walked a page at a time as a streaming vector add does,
+    /// then the stack-top pages of 64 KiB per-thread stacks (16 pages apart)
+    /// across more threads than the TLB holds — translate, count and evict
+    /// exactly like a reference fully-associative LRU TLB.
+    #[test]
+    fn conflicting_streams_match_reference_lru() {
+        const PAGE: u64 = 4096;
+        let mut t = Tlb::new(64);
+        let mut r = ReferenceTlb {
+            pages: Default::default(),
+            capacity: 64,
+        };
+        let (mut hits, mut misses) = (0.0, 0.0);
+        let mut touch = |t: &mut Tlb, r: &mut ReferenceTlb, vpn: u64, off: u64| {
+            let frame = PhysAddr((vpn * 7 + 3) * PAGE);
+            let got = t.lookup(VirtAddr(vpn * PAGE + off));
+            assert_eq!(got, r.lookup(vpn), "vpn {vpn}");
+            if got.is_some() {
+                hits += 1.0;
+            } else {
+                misses += 1.0;
+                t.insert(VirtAddr(vpn * PAGE), frame);
+                r.insert(vpn, frame);
+            }
+            let mut held: Vec<u64> = t.entries().iter().map(|&(v, _)| v).collect();
+            let mut want: Vec<u64> = r.pages.iter().map(|&(v, _)| v).collect();
+            held.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(held, want, "same resident set after vpn {vpn}");
+            assert_eq!(t.stats().get("hits"), hits);
+            assert_eq!(t.stats().get("misses"), misses);
+        };
+        let (a, b, c) = (0x1000, 0x1000 + 384, 0x1000 + 2 * 384);
+        for page in 0..200 {
+            for off in (0..PAGE).step_by(512) {
+                for base in [a, b, c] {
+                    touch(&mut t, &mut r, base + page, off);
+                }
+            }
+        }
+        for round in 0..6 {
+            for ctx in 0..80 {
+                let top = 0x7000_0000 + (ctx + 1) * 0x1_0000 - 16;
+                touch(&mut t, &mut r, top / PAGE, top % PAGE - round * 8);
+            }
+        }
     }
 
     #[test]

@@ -34,31 +34,27 @@ impl OsCosts {
     }
 }
 
-/// Fork-join round formation knobs (DESIGN §7/§12). Host-perf only, like
-/// `sim_threads`: changing any of these never changes simulated behavior —
-/// `RunReport`s stay bit-identical — only how much host parallelism the
-/// event loop can mine out of the event queue.
+/// Zone formation bounds (DESIGN §7), consulted only when
+/// `sim_threads > 1`. Host-perf only, like `sim_threads`: changing any of
+/// these never changes simulated behavior — `RunReport`s stay bit-identical
+/// — only how many batches one zone can step at once. Nothing speculates;
+/// the name and `undo_sets` remain for the ledger's probes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpeculationConfig {
-    /// Execute MTTOP batches from *different* timestamps optimistically,
-    /// with undo-log rollback on conflict. Only consulted when
-    /// `sim_threads > 1`; the serial loop never speculates. Off — or with a
-    /// sanitizer mutation configured — rounds are same-timestamp zones.
-    pub enabled: bool,
-    /// Maximum members (live MTTOP batch events) claimed into one round.
+    /// Maximum members (live MTTOP batch events) claimed into one zone.
     pub max_epoch: usize,
-    /// Event-queue scan budget when forming a round: how many queued
+    /// Event-queue scan budget when forming a zone: how many queued
     /// entries formation may inspect before giving up.
     pub max_scan: usize,
-    /// Per-member undo-journal budget in cache sets; past this the journal
-    /// falls back to a full L1 snapshot (the PR-4 machinery).
+    /// L1 undo-journal budget in cache sets, past which the journal falls
+    /// back to a full set snapshot. Read only by the ledger's
+    /// `mem.spec_*` probes; removed with them.
     pub undo_sets: usize,
 }
 
 impl Default for SpeculationConfig {
     fn default() -> SpeculationConfig {
         SpeculationConfig {
-            enabled: true,
             max_epoch: 16,
             max_scan: 64,
             undo_sets: 24,
@@ -151,8 +147,8 @@ pub struct SystemConfig {
     /// never changes simulated behavior — `RunReport`s stay bit-identical —
     /// it only ablates the host-side decoded-dispatch fast path.
     pub sb_cache: bool,
-    /// Cross-timestamp speculative epoch executor (DESIGN §12). Host-perf
-    /// knobs; never change simulated results.
+    /// Zone formation bounds (DESIGN §7). Host-perf knobs; never change
+    /// simulated results.
     pub speculation: SpeculationConfig,
 }
 

@@ -72,6 +72,6 @@ pub use ccsvm_mem::{MemKind, ProtocolKind};
 // Decoded-image counters (DESIGN §11), re-exported so perf
 // harnesses can report [`Machine::sb_stats`] without an isa dependency.
 pub use ccsvm_isa::SbStats;
-// Speculative epoch executor counters (DESIGN §12), re-exported so perf
-// harnesses can report [`Machine::spec_stats`] alongside the phases.
+// Batch counters in the ledger's `core.spec_*` shape, re-exported so perf
+// harnesses can report [`Machine::spec_stats`]; removed with those metrics.
 pub use ccsvm_engine::SpecStats;

@@ -13,7 +13,7 @@ use ccsvm_mem::{
     Access, AccessResult, BankConfig, Completion, CorePort, L1Config, MemConfig, MemEvent,
     MemorySystem, PortId, PortLog,
 };
-use ccsvm_mttop::{BatchOutcome, Mifd, MttopAction, MttopCore, PageFaultReq, SpecUndo, TaskChunk};
+use ccsvm_mttop::{BatchOutcome, Mifd, MttopAction, MttopCore, PageFaultReq, TaskChunk};
 use ccsvm_noc::{Network, NodeId, Topology};
 use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter};
 use ccsvm_vm::{GuestHeap, OsLite, PteWrite, VirtAddr, PAGE_BYTES};
@@ -45,10 +45,11 @@ fn times(t: Time, k: u64) -> Time {
     Time::from_ps(ps.unwrap_or(u64::MAX))
 }
 
-/// One member of a fork-join round: a zone (DESIGN §7) or a speculative
-/// epoch (DESIGN §12).
+/// One member of a same-timestamp zone (DESIGN §7): a live MTTOP batch
+/// event claimed at the head's timestamp. Nothing live orders between
+/// members, so every member commits unconditionally at its slot.
 #[derive(Debug)]
-struct EpochMember {
+struct ZoneMember {
     core: usize,
     /// Queue key of the member's batch event: the member commits only after
     /// every event ordered strictly before `(time, qseq)` has drained.
@@ -58,20 +59,7 @@ struct EpochMember {
     /// core's live sequence at commit time means the schedule was superseded
     /// mid-round (stale — discarded exactly as the serial loop would).
     bseq: u64,
-    state: MemberState,
     outcome: Option<BatchOutcome>,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum MemberState {
-    /// Nothing live can drain before its slot, so it commits unconditionally
-    /// (no undo journal): a round's head, popped from the queue front, and
-    /// every member of a same-timestamp zone.
-    Certain,
-    /// Speculated with an open L1 undo journal + saved core snapshot.
-    Spec,
-    /// Conflicted and rolled back; re-executes serially at its commit slot.
-    RolledBack,
 }
 
 /// Why [`Machine::drain`] returned.
@@ -132,11 +120,9 @@ pub struct HostPhases {
     /// Uncore event handling (coherence hops, banks, DRAM) — inherently
     /// serial: it mutates the shared `MemorySystem`.
     pub uncore_ms: f64,
-    /// Ordered merge of buffered core actions into the uncore, plus the
-    /// epoch executor's bookkeeping around each round: formation
-    /// (`claim_members`), opening the L1 undo journals (`spec_begin`), and
-    /// commit or rollback of each member. All serial. (The core-side
-    /// `spec_save` runs inside the member's task: core execution.)
+    /// Ordered merge of buffered core actions into the uncore (port-log
+    /// replay, then the batch's outcome), plus a zone's formation
+    /// (`claim_members`). All serial.
     pub merge_ms: f64,
     /// Everything else in `run`: the event loop itself (queue pop, trace),
     /// OS services, MIFD, shootdowns, watchdog, the end-of-run sanitizer
@@ -148,9 +134,8 @@ pub struct HostPhases {
     /// phases above, and it is counted unconditionally (no `host_profile`
     /// gate).
     pub decode_ms: f64,
-    /// Fork-join rounds executed, under whichever formation policy the
-    /// configuration selects: same-timestamp zones (DESIGN §7) or
-    /// cross-timestamp speculative epochs (DESIGN §12).
+    /// Same-timestamp zones (DESIGN §7) executed: fork-join rounds of two
+    /// or more MTTOP batches. Always 0 at `sim_threads` 1.
     pub zones: u64,
     /// Core batches executed inside those rounds.
     pub zone_batches: u64,
@@ -496,18 +481,15 @@ pub struct Machine {
     /// Host wall-clock per phase (`PH_*`); only reads the clock when
     /// `cfg.host_profile` is set.
     clock: PhaseClock,
-    /// Fork-join rounds (zones or epochs) executed and batches stepped
-    /// inside them (telemetry; deliberately kept out of `Stats` so reports
-    /// stay identical across `sim_threads` values).
+    /// Zones executed and batches stepped inside them (telemetry;
+    /// deliberately kept out of `Stats` so reports stay identical across
+    /// `sim_threads` values).
     zones: u64,
     zone_batches: u64,
-    /// Speculative epoch executor telemetry (DESIGN §12). Host-side only —
-    /// never serialized, never part of a `RunReport`.
+    /// Live and stale MTTOP batch counts, the only [`SpecStats`] fields
+    /// still written. Host-side only — never serialized, never part of a
+    /// `RunReport`.
     spec_stats: SpecStats,
-    /// Reusable per-MTTOP-core undo records for epoch members' architectural
-    /// state, captured at `spec_begin` time ([`ccsvm_mttop::SpecUndo`]:
-    /// touched warps + scalar scheduler state, not a full-core snapshot).
-    spec_undo: Vec<SpecUndo>,
     /// [`MttopConfig::wake_grid_cycles`] converted to picoseconds once
     /// (`sched_mttop_batch` is hot); `0` disables grid alignment.
     wake_grid_ps: u64,
@@ -515,9 +497,9 @@ pub struct Machine {
     /// (`launch_round`; host-side only, never serialized).
     pool: Option<WorkerPool>,
     /// `sim_threads` clamped to the host's available parallelism. Pool
-    /// sizing uses this; *semantics* (whether rounds form, their
-    /// formation, commit order) follow `sim_threads` alone, so
-    /// results and speculation coverage are identical on any host.
+    /// sizing uses this; *semantics* (whether zones form, their members,
+    /// commit order) follow `sim_threads` alone, so results and zone
+    /// counts are identical on any host.
     exec_threads: usize,
     /// Forward-progress watchdog, observed on every `Ev::WatchdogTick`. A
     /// `Machine` field (not a run-loop local) so its memory of the last
@@ -665,7 +647,6 @@ impl Machine {
             port_logs: (0..cfg.n_cpus + cfg.n_mttops)
                 .map(|_| PortLog::new())
                 .collect(),
-            spec_undo: (0..cfg.n_mttops).map(|_| SpecUndo::default()).collect(),
             wake_grid_ps: cfg.mttop.clock.cycles(cfg.mttop.wake_grid_cycles).as_ps(),
             pool: None,
             exec_threads: cfg.sim_threads.max(1).min(
@@ -743,11 +724,11 @@ impl Machine {
         &self.cfg
     }
 
-    /// Speculative epoch executor telemetry (DESIGN §12): epochs formed,
-    /// members committed/rolled back/stale, undo-journal overflows, and the
-    /// live-batch denominator for epoch coverage. Host-side only — never part
-    /// of [`ccsvm_engine::Stats`] or the `RunReport`, so speculation settings
-    /// cannot perturb simulated results.
+    /// Batch telemetry in the shape the ledger's `core.spec_*` metrics read:
+    /// `batches_total` (live MTTOP batches) and `stale` (zone members
+    /// superseded before their slot) count; every other field reads 0, as
+    /// nothing speculates. Host-side only — never part of
+    /// [`ccsvm_engine::Stats`] or the `RunReport`. Removed with those metrics.
     pub fn spec_stats(&self) -> SpecStats {
         self.spec_stats
     }
@@ -877,7 +858,7 @@ impl Machine {
         if !self.started {
             self.boot();
         }
-        let ended = self.drain((limit, u64::MAX), &mut []) != Drained::Bound;
+        let ended = self.drain((limit, u64::MAX)) != Drained::Bound;
         self.clock.switch(PH_OTHER);
         let report = ended.then(|| {
             if !self.main_exited && self.failure.is_none() {
@@ -954,37 +935,14 @@ impl Machine {
     /// event whose `(time, push-seq)` key is at most `until`. An event past
     /// the bound stays queued, so resuming replays nothing.
     ///
-    /// [`Machine::run_until`] calls it with a time bound and no `members`.
-    /// That is the serial reference loop — pop, dispatch, repeat — and with
-    /// `sim_threads > 1` a live MTTOP batch popped there heads a fork-join
-    /// round ([`Machine::run_epoch`]). The round calls back in between its
-    /// member slots, bounded by the next member's queue key, with its
-    /// uncommitted `members`; events that drain there must not observe or
-    /// perturb a member that is still speculating (DESIGN §12.3):
-    ///
-    /// * a directory delivery (`DirArrive`) to a speculating member's L1
-    ///   rolls that member back *before* dispatch;
-    /// * a CPU batch executes against its own core and L1 only (coherence
-    ///   with speculating L1s flows through queued `DirArrive`s), but a
-    ///   merge action that enters the OS rolls back **all** members before
-    ///   it is applied: a syscall can backdoor-read a descriptor out of a
-    ///   speculating L1, fault handling can backdoor-patch PTEs into one,
-    ///   and an exit ends the run;
-    /// * any other OS/MIFD/fault event rolls back all members before
-    ///   dispatch (its synchronous effects can reach arbitrary cores);
-    /// * stale batch events are discarded without rollback, and a live
-    ///   MTTOP batch runs serially in place — its core is never a
-    ///   still-speculating member, whose live event formation extracted;
-    /// * ECC poison appearing rolls back all members (a poisoned block
-    ///   aborts batches, so later members must re-execute serially);
-    /// * so does the end of the run, which leaves the machine — and the
-    ///   abort's dump — exactly as the serial abort would.
-    ///
-    /// A round's horizon keeps its members within the caller's time bound
-    /// and `max_sim_time`, so between member slots neither can be exceeded.
-    fn drain(&mut self, until: (Time, u64), members: &mut [EpochMember]) -> Drained {
+    /// [`Machine::run_until`] calls it with a time bound. That is the
+    /// serial reference loop — pop, dispatch, repeat — and with
+    /// `sim_threads > 1` a live MTTOP batch popped there heads a zone
+    /// ([`Machine::run_zone`]). The zone calls back in between its member
+    /// slots, bounded by the next member's queue key; formation left only
+    /// stale batch events there, so those calls discard and never dispatch.
+    fn drain(&mut self, until: (Time, u64)) -> Drained {
         let wd_cfg = self.cfg.fault.watchdog;
-        let n_cpus = self.cfg.n_cpus;
         loop {
             self.clock.switch(PH_OTHER);
             let Some((t, ev)) = self.queue.pop_until(until) else {
@@ -1010,8 +968,6 @@ impl Machine {
                 Ev::WatchdogTick => {
                     let stale = self.watchdog.observe(self.now, self.progress);
                     if stale >= wd_cfg.quanta {
-                        // Before the dump, which reads the members' L1s.
-                        self.rollback_members(members);
                         self.watchdog_abort(stale, wd_cfg.period);
                         return Drained::Ended;
                     }
@@ -1022,19 +978,13 @@ impl Machine {
                     if seq != self.mttop_seq[core] {
                         continue; // stale: superseded by a later schedule
                     }
-                    // Rounds form at top level, and only while nothing is
-                    // ECC-poisoned: a poisoned block can abort any batch, and
-                    // members racing to abort would make the diagnostic dump
-                    // depend on worker scheduling.
-                    if members.is_empty() && self.cfg.sim_threads > 1 && !self.mem.has_poisoned() {
-                        self.run_epoch(core, until.0);
+                    // Zones form only while nothing is ECC-poisoned: a
+                    // poisoned block can abort any batch, and members racing
+                    // to abort would make the diagnostic dump depend on
+                    // worker scheduling.
+                    if self.cfg.sim_threads > 1 && !self.mem.has_poisoned() {
+                        self.run_zone(core);
                     } else {
-                        debug_assert!(
-                            !members
-                                .iter()
-                                .any(|m| m.core == core && matches!(m.state, MemberState::Spec)),
-                            "live batch drained for a speculating member"
-                        );
                         self.run_mttop_batch(core);
                     }
                 }
@@ -1042,153 +992,80 @@ impl Machine {
                     if seq != self.cpu_seq[core] {
                         continue; // stale
                     }
-                    let action = self.step_cpu_batch(core);
-                    if !matches!(
-                        action,
-                        CpuAction::Continue { .. } | CpuAction::Blocked | CpuAction::Idle
-                    ) {
-                        self.rollback_members(members);
-                    }
-                    self.apply_cpu_action(core, action);
+                    self.run_cpu_batch(core);
                 }
                 // Batches switch the clock themselves (core-exec, then
                 // merge); a memory event is uncore, and everything else
                 // stays in the loop's own phase, other.
                 other => {
-                    let is_mem = match &other {
-                        Ev::Mem(me) => {
-                            if let Some(m) = me.dir_port().and_then(|port| {
-                                members.iter_mut().find(|m| {
-                                    matches!(m.state, MemberState::Spec)
-                                        && n_cpus + m.core == port.0
-                                })
-                            }) {
-                                self.rollback_member(m);
-                            }
-                            self.clock.switch(PH_UNCORE);
-                            true
-                        }
-                        _ => {
-                            self.rollback_members(members);
-                            false
-                        }
-                    };
-                    self.dispatch(other);
-                    if is_mem
-                        && !members.is_empty()
-                        && (self.mem.has_poisoned() || self.failure.is_some())
-                        && self.rollback_members(members)
-                    {
-                        // A failing delivery captured its dump mid-dispatch,
-                        // with the members' speculative misses in their L1s.
-                        let outstanding = self.outstanding();
-                        if let Some((_, d)) = &mut self.failure {
-                            d.outstanding = outstanding;
-                        }
+                    if matches!(other, Ev::Mem(_)) {
+                        self.clock.switch(PH_UNCORE);
                     }
+                    self.dispatch(other);
                 }
             }
             if self.main_exited || self.failure.is_some() {
-                self.rollback_members(members);
                 return Drained::Ended;
             }
         }
     }
 
-    /// Round formation: scans the queue in key order for up to
+    /// Zone formation: scans the queue in key order for up to
     /// [`SpeculationConfig::max_scan`] entries, extracting up to `left` live
-    /// MTTOP batch events for cores not in `mask`, and stopping past the
-    /// horizon or at the first event that could invalidate a member. For an
-    /// epoch (`speculate`) that is any OS/MIFD/fault event: memory events,
-    /// CPU batches and watchdog ticks are skipped — the drain between member
-    /// slots handles each of those without ending the round. A zone stops at
-    /// every event that is not an MTTOP batch, so only stale batch events,
-    /// which both policies skip, are left between its members.
-    fn claim_members(
-        &mut self,
-        horizon: Time,
-        speculate: bool,
-        mut mask: u128,
-        mut left: usize,
-    ) -> Vec<EpochMember> {
-        let mttop_seq = &self.mttop_seq;
+    /// MTTOP batch events at the head's timestamp (`self.now`). It stops at
+    /// the first later timestamp and at the first event that is not an MTTOP
+    /// batch, so only stale batch events are left ordered between its
+    /// members. A core has at most one live batch event and the head's was
+    /// popped, so the members' cores are distinct.
+    fn claim_members(&mut self, mut left: usize) -> Vec<ZoneMember> {
+        let (now, mttop_seq) = (self.now, &self.mttop_seq);
         let taken = self
             .queue
             .scan_extract(self.cfg.speculation.max_scan, |t, ev| {
-                if t > horizon || left == 0 {
+                if t > now || left == 0 {
                     return ScanControl::Stop;
                 }
                 match *ev {
                     Ev::MttopBatch { core, seq } => {
-                        if seq != mttop_seq[core] || mask & (1u128 << core) != 0 {
-                            // Stale (drains as a no-op later) or a core with
-                            // an uncommitted member: leave it in the queue.
-                            ScanControl::Skip
+                        if seq != mttop_seq[core] {
+                            ScanControl::Skip // stale: drains as a no-op later
                         } else {
-                            mask |= 1u128 << core;
                             left -= 1;
                             ScanControl::Take
                         }
                     }
-                    // Memory events roll back exactly the members they could
-                    // touch; CPU batches execute against their own core + L1
-                    // and only conflict through OS-entering merge actions,
-                    // which the drain detects after the fact; watchdog ticks
-                    // are progress-neutral.
-                    Ev::Mem(_) | Ev::CpuBatch { .. } | Ev::WatchdogTick if speculate => {
-                        ScanControl::Skip
-                    }
-                    // Any OS/MIFD/fault event can reach arbitrary cores
-                    // synchronously — don't claim past it.
                     _ => ScanControl::Stop,
                 }
             });
-        let state = if speculate {
-            MemberState::Spec
-        } else {
-            MemberState::Certain
-        };
         taken
             .into_iter()
             .map(|(t, qseq, ev)| {
                 let Ev::MttopBatch { core, seq } = ev else {
                     unreachable!("formation takes only MTTOP batch events");
                 };
-                EpochMember {
+                ZoneMember {
                     core,
                     time: t,
                     qseq,
                     bseq: seq,
-                    state,
                     outcome: None,
                 }
             })
             .collect()
     }
 
-    /// Opens undo journals for every speculating member of `round` (a
-    /// certain member runs journal-free — it never rolls back) and executes
-    /// all members concurrently over disjoint `CorePort`s, leaving each
-    /// member's `outcome` filled. Cores within a round are distinct by
-    /// construction, so each task owns its `MttopCore` + L1 port exclusively;
-    /// the pool hands tasks out by dynamic claiming, and determinism does
-    /// not depend on who runs what — all shared state waits for the ordered
-    /// merge.
-    fn launch_round(&mut self, round: &mut [EpochMember]) {
-        let spec = self.cfg.speculation;
+    /// Executes every member of `zone` concurrently over disjoint
+    /// `CorePort`s, leaving each member's `outcome` filled. Cores within a
+    /// zone are distinct by construction, so each task owns its `MttopCore`
+    /// and L1 port exclusively; the pool hands tasks out by dynamic
+    /// claiming, and determinism does not depend on who runs what — all
+    /// shared state waits for the ordered merge.
+    fn launch_round(&mut self, zone: &mut [ZoneMember]) {
         let n_cpus = self.cfg.n_cpus;
-        self.clock.switch(PH_MERGE);
-        for m in round.iter() {
-            if matches!(m.state, MemberState::Spec) {
-                self.mem.spec_begin(PortId(n_cpus + m.core), spec.undo_sets);
-            }
-        }
         struct Task<'a> {
             member: usize,
             at: Time,
             mc: &'a mut MttopCore,
-            /// Where a speculating member saves its core's pre-image.
-            undo: Option<&'a mut SpecUndo>,
             port: CorePort<'a>,
             outcome: Option<BatchOutcome>,
         }
@@ -1198,195 +1075,98 @@ impl Machine {
             .core_ports(&mut self.port_logs)
             .skip(n_cpus)
             .zip(&mut self.mttops)
-            .zip(&mut self.spec_undo)
             .enumerate()
-            .filter_map(|(core, ((port, mc), undo))| {
-                let member = round.iter().position(|m| m.core == core)?;
+            .filter_map(|(core, (port, mc))| {
+                let member = zone.iter().position(|m| m.core == core)?;
                 Some(Task {
                     member,
-                    at: round[member].time,
+                    at: zone[member].time,
                     mc,
-                    undo: matches!(round[member].state, MemberState::Spec).then_some(undo),
                     port,
                     outcome: None,
                 })
             })
             .collect();
-        debug_assert_eq!(tasks.len(), round.len(), "round cores are distinct");
+        debug_assert_eq!(tasks.len(), zone.len(), "zone cores are distinct");
         let (prog, image) = (&self.prog, &self.image);
         let workers = self.exec_threads - 1;
         self.clock.switch(PH_CORE);
         self.pool
             .get_or_insert_with(|| WorkerPool::new(workers))
             .round(&mut tasks, |t| {
-                if let Some(undo) = t.undo.as_deref_mut() {
-                    t.mc.spec_save(undo);
-                }
                 t.outcome = Some(t.mc.run_batch(t.at, prog, image, &mut t.port));
             });
         for t in tasks {
-            round[t.member].outcome = t.outcome;
+            zone[t.member].outcome = t.outcome;
         }
     }
 
-    /// Forms and runs one fork-join round headed by `core0`'s live batch
-    /// (already popped at `self.now`).
+    /// Forms and runs one same-timestamp zone (DESIGN §7) headed by
+    /// `core0`'s live batch (already popped at `self.now`).
     ///
     /// *Formation* ([`Machine::claim_members`]) extracts live MTTOP batch
-    /// events for distinct cores under one of two policies, chosen from the
-    /// configuration alone. With speculation on
-    /// ([`SpeculationConfig::enabled`]) and no sanitizer mutation configured
-    /// — a mutation deliberately breaks the coherence invariants the
-    /// conflict rules rest on — the round is an **epoch** (DESIGN §12): it
-    /// claims from later timestamps, up to the caller's `limit`, and every
-    /// member but the head is journaled. Otherwise it is a **zone** (DESIGN
-    /// §7): it claims at the head's own timestamp only and stops at the
-    /// first event that is not an MTTOP batch, so nothing live orders
-    /// between its members and all of them run journal-free like the head.
-    ///
-    /// *Execution* ([`Machine::launch_round`]) steps the round concurrently.
-    /// *Commit* walks members in queue-key order: the events ordered before
-    /// each member drain serially first ([`Machine::drain`]), and the member
-    /// then either commits (journal discarded, port log replayed —
-    /// byte-identical to having run serially at its slot, since nothing that
-    /// drained touched its core or L1) or, having been rolled back by a
-    /// conflict, re-executes serially.
-    ///
-    /// The head member never rolls back: it was the queue head, so no event
-    /// drains before its slot.
-    fn run_epoch(&mut self, core0: usize, limit: Time) {
-        let spec = self.cfg.speculation;
-        let n_cpus = self.cfg.n_cpus;
-        let speculate = spec.enabled && self.cfg.sanitizer.mutate.is_none();
-        let horizon = if speculate {
-            limit.min(self.cfg.max_sim_time)
-        } else {
-            self.now
-        };
-
-        // ---- formation --------------------------------------------------
+    /// events for distinct cores at the head's own timestamp. *Execution*
+    /// ([`Machine::launch_round`]) steps the zone concurrently. *Commit*
+    /// walks members in queue-key order: the stale batch events ordered
+    /// before each member drain first ([`Machine::drain`]), then the
+    /// member's port log is replayed and its outcome applied —
+    /// byte-identical to having run serially at its slot, since nothing
+    /// live ordered before it touched its core or L1.
+    fn run_zone(&mut self, core0: usize) {
         self.clock.switch(PH_MERGE);
-        let fresh = self.claim_members(
-            horizon,
-            speculate,
-            1u128 << core0,
-            spec.max_epoch.saturating_sub(1),
-        );
+        let fresh = self.claim_members(self.cfg.speculation.max_epoch.saturating_sub(1));
         if fresh.is_empty() {
             self.run_mttop_batch(core0);
             return;
         }
 
-        // ---- concurrent execution ---------------------------------------
-        let mut members: Vec<EpochMember> = Vec::with_capacity(1 + fresh.len());
-        members.push(EpochMember {
+        let mut members: Vec<ZoneMember> = Vec::with_capacity(1 + fresh.len());
+        members.push(ZoneMember {
             core: core0,
             time: self.now,
             qseq: 0,
             bseq: self.mttop_seq[core0],
-            state: MemberState::Certain,
             outcome: None,
         });
         members.extend(fresh);
-        if speculate {
-            self.spec_stats.epochs += 1;
-            self.spec_stats.members += members.len() as u64;
-        }
         self.zones += 1;
         self.zone_batches += members.len() as u64;
         self.launch_round(&mut members);
 
-        // ---- ordered commit ---------------------------------------------
-        for i in 0..members.len() {
+        for (i, m) in members.iter_mut().enumerate() {
             if i > 0 {
-                let bound = (members[i].time, members[i].qseq);
-                if self.drain(bound, &mut members[i..]) == Drained::Ended {
-                    return; // uncommitted members already rolled back
-                }
-                // The member's own queue slot (the head was popped already).
-                let (mtime, core, bseq) = (members[i].time, members[i].core, members[i].bseq);
-                self.now = mtime;
-                self.events += 1;
-                let ev = TraceEv::MttopBatch { core, seq: bseq };
-                self.trace.record(mtime, || ev);
-            }
-            let m = &mut members[i];
-            let core = m.core;
-            if m.bseq != self.mttop_seq[core] {
-                // Superseded during the round (a drained completion
-                // rescheduled the core): discard, exactly as serial would. A
-                // speculating member cannot go stale — every seq-bump path
-                // rolls it back first — but close the journal defensively.
-                debug_assert!(
-                    !matches!(m.state, MemberState::Spec),
-                    "a speculating member went stale without a rollback"
+                let drained = self.drain((m.time, m.qseq));
+                debug_assert_ne!(
+                    drained,
+                    Drained::Ended,
+                    "a live event drained inside a zone"
                 );
-                if matches!(m.state, MemberState::Spec) {
-                    self.rollback_member(m);
-                }
+                // The member's own queue slot (the head was popped already).
+                self.now = m.time;
+                self.events += 1;
+                let ev = TraceEv::MttopBatch {
+                    core: m.core,
+                    seq: m.bseq,
+                };
+                self.trace.record(m.time, || ev);
+            }
+            if m.bseq != self.mttop_seq[m.core] {
+                // Superseded during the zone (an earlier member's merge
+                // rescheduled the core): discard, exactly as serial would.
                 self.spec_stats.stale += 1;
                 continue;
             }
-            match m.state {
-                MemberState::Certain | MemberState::Spec => {
-                    self.clock.switch(PH_MERGE);
-                    if matches!(m.state, MemberState::Spec) {
-                        self.mem.spec_commit(PortId(n_cpus + core));
-                    }
-                    if speculate {
-                        self.spec_stats.committed += 1;
-                    }
-                    self.spec_stats.batches_total += 1;
-                    let outcome = m.outcome.take().expect("round member executed");
-                    self.merge_mttop_batch(core, outcome);
-                }
-                MemberState::RolledBack => self.run_mttop_batch(core),
-            }
-            if self.main_exited || self.failure.is_some() {
-                // A zone forms only with nothing poisoned, and only stale
-                // events drain between its slots: no member can abort.
-                debug_assert!(speculate, "zone member aborted mid-merge");
-                self.rollback_members(&mut members[i + 1..]);
-                return;
-            }
+            self.clock.switch(PH_MERGE);
+            self.spec_stats.batches_total += 1;
+            let outcome = m.outcome.take().expect("zone member executed");
+            self.merge_mttop_batch(m.core, outcome);
+            // A zone forms only with nothing poisoned, and only stale events
+            // drain between its slots: no member can abort.
+            debug_assert!(
+                !self.main_exited && self.failure.is_none(),
+                "zone member aborted mid-merge"
+            );
         }
-    }
-
-    /// Rolls one speculating member back to its pre-epoch state: L1 undo
-    /// journal (or full snapshot on overflow), buffered port log dropped
-    /// (its requests were never sent), architectural core state restored
-    /// from the undo record. The member then re-executes serially at its
-    /// commit slot.
-    fn rollback_member(&mut self, m: &mut EpochMember) {
-        debug_assert!(matches!(m.state, MemberState::Spec));
-        let resume = self.clock.switch(PH_MERGE);
-        let port = PortId(self.cfg.n_cpus + m.core);
-        let overflowed = self.mem.spec_rollback(port);
-        self.port_logs[port.0].clear();
-        self.mttops[m.core].spec_restore(&self.spec_undo[m.core]);
-        self.clock.switch(resume);
-        m.state = MemberState::RolledBack;
-        m.outcome = None;
-        self.spec_stats.rolled_back += 1;
-        if overflowed {
-            self.spec_stats.overflows += 1;
-        }
-    }
-
-    /// Rolls back every still-speculating member of `members`; returns
-    /// whether there was one.
-    fn rollback_members(&mut self, members: &mut [EpochMember]) -> bool {
-        let mut any = false;
-        for m in members {
-            if matches!(m.state, MemberState::Spec) {
-                self.rollback_member(m);
-                any = true;
-            }
-        }
-        if any {
-            self.spec_stats.rollback_all += 1;
-        }
-        any
     }
 
     /// Records a watchdog abort. The dump's `at` is the simulated time of
@@ -1985,12 +1765,9 @@ impl Machine {
         self.net.note_sent(sent);
     }
 
-    /// Steps one CPU batch (core execution + uncore replay) and returns the
-    /// merge action *unapplied*: execution touches only the CPU core and its
-    /// own L1, while the action may enter the OS — the event loop uses the
-    /// split to roll back speculation before OS-entering actions only
-    /// (DESIGN §12).
-    fn step_cpu_batch(&mut self, core: usize) -> CpuAction {
+    /// Steps one CPU batch: core execution, then the merge (uncore replay
+    /// and the batch's action).
+    fn run_cpu_batch(&mut self, core: usize) {
         self.clock.switch(PH_CORE);
         let mut log = std::mem::take(&mut self.port_logs[core]);
         let action = self.cpus[core].run_batch(
@@ -2002,10 +1779,6 @@ impl Machine {
         self.clock.switch(PH_MERGE);
         self.replay_log(&mut log);
         self.port_logs[core] = log;
-        action
-    }
-
-    fn apply_cpu_action(&mut self, core: usize, action: CpuAction) {
         match action {
             CpuAction::Continue { at } => {
                 self.progress += 1;
@@ -2388,8 +2161,7 @@ pub fn config_hash(cfg: &SystemConfig) -> u64 {
     // (bit-identical on/off, DESIGN §11): a checkpoint taken with it off
     // restores into a run with it on and vice versa.
     c.sb_cache = true;
-    // The speculative epoch executor is bit-identical on/off at every
-    // setting (DESIGN §12): checkpoints cross speculation configs freely.
+    // Zone formation bounds are host-perf only, like `sim_threads`.
     c.speculation = SpeculationConfig::default();
     ccsvm_snap::fnv1a(format!("{c:?}").as_bytes())
 }
@@ -2422,7 +2194,6 @@ mod tests {
         threads.host_profile = true;
         threads.trace_events = 4096;
         threads.sb_cache = false;
-        threads.speculation.enabled = false;
         threads.speculation.max_epoch = 2;
         threads.speculation.max_scan = 7;
         threads.speculation.undo_sets = 1;

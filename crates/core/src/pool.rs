@@ -1,5 +1,5 @@
 //! Spin-then-park ticket rounds: the fork-join primitive under the event
-//! loop's zones and speculative epochs (DESIGN §7/§12).
+//! loop's same-timestamp zones (DESIGN §7).
 //!
 //! A `sim_threads > 1` run forms *thousands* of small rounds — a
 //! handful of core batches of a few tens of microseconds each — so the

@@ -4,8 +4,8 @@
 //! [`SystemConfig::trace_events`](crate::SystemConfig::trace_events) is the
 //! capacity; 0 records nothing. The machine records at its two serial
 //! points — each event `Machine::drain` pops and each member slot a
-//! fork-join round commits — so the ring is identical at every
-//! `sim_threads` and speculation setting. Snapshots leave it out; replay
+//! zone commits — so the ring is identical at every `sim_threads`
+//! setting. Snapshots leave it out; replay
 //! bundles carry it.
 
 use std::collections::VecDeque;

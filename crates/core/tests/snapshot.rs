@@ -51,8 +51,8 @@ fn roundtrip_is_bit_identical_fault_free() {
     let src = vecadd_src(32);
     let uninterrupted = reference(&cfg, &src);
     assert_eq!(uninterrupted.outcome, Outcome::Completed);
-    // {early, mid-offload} checkpoint cycles x {serial, epoch-forming}
-    // restores (speculation is on by default, so `threads = 4` forms epochs).
+    // {early, mid-offload} checkpoint cycles x {serial, zone-forming}
+    // restores (`threads = 4` forms same-timestamp zones).
     for (num, den) in [(1, 16), (1, 2)] {
         for threads in [1, 4] {
             let at = fraction_of(uninterrupted.time, num, den);

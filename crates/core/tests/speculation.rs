@@ -1,33 +1,47 @@
-//! Differential tests for the speculative epoch executor (DESIGN §12):
-//! cross-timestamp MTTOP batches execute optimistically with undo-log
-//! rollback, and every observable — `RunReport`, stats, diagnostics,
-//! printed output — must stay bit-identical to the serial reference loop
-//! with speculation on or off, at every `sim_threads` value, under fault
-//! plans, and with the coherence sanitizer observing.
+//! Differential tests for the zone bounds in `SystemConfig::speculation`
+//! (DESIGN §7). `sim_threads > 1` runs same-timestamp MTTOP batches as
+//! fork-join zones; nothing executes across timestamps or rolls back.
+//! `max_epoch` caps a zone's members (1 forms no zone at all) and
+//! `max_scan` caps how far formation looks. Both are host knobs only: every
+//! `RunReport` must equal the serial reference loop at every bound and
+//! every `sim_threads` value, also under fault plans, with the coherence
+//! sanitizer observing, and on an abort. `parallel.rs` holds the same
+//! differential at the default bounds only.
 
-use ccsvm::{Machine, Outcome, RunReport, SystemConfig, Time};
+use ccsvm::{Machine, Outcome, RunReport, SystemConfig};
 
 mod common;
-use common::{compile, matmul_n16, vecadd_src};
+use common::{compile, faulty_cfg, matmul_n16, vecadd_src};
 
-fn run_at(mut cfg: SystemConfig, src: &str, sim_threads: usize, speculation: bool) -> RunReport {
+/// `(max_epoch, max_scan)`: zones off, the tightest zones that still form,
+/// and the defaults.
+const BOUNDS: [(usize, usize); 3] = [(1, 64), (2, 4), (16, 64)];
+
+/// Runs `src` to the end and returns the report with the machine, whose
+/// host counters the tests read.
+fn run_at(
+    mut cfg: SystemConfig,
+    src: &str,
+    sim_threads: usize,
+    bounds: (usize, usize),
+) -> (RunReport, Machine) {
     cfg.sim_threads = sim_threads;
-    cfg.speculation.enabled = speculation;
-    Machine::new(cfg, compile(src)).run()
+    (cfg.speculation.max_epoch, cfg.speculation.max_scan) = bounds;
+    let mut m = Machine::new(cfg, compile(src));
+    (m.run(), m)
 }
 
-/// Runs `src` serially, then at `sim_threads ∈ {2, 4}` with speculation on
-/// and off, asserting every report matches the serial reference. Returns
-/// the serial report.
+/// Runs `src` serially, then at `sim_threads ∈ {2, 4}` under every entry of
+/// [`BOUNDS`], asserting every report matches the serial reference.
+/// Returns the serial report.
 fn differential(cfg: &SystemConfig, src: &str, label: &str) -> RunReport {
-    let serial = run_at(cfg.clone(), src, 1, true);
+    let serial = Machine::new(cfg.clone(), compile(src)).run();
     for sim_threads in [2, 4] {
-        for speculation in [true, false] {
-            let par = run_at(cfg.clone(), src, sim_threads, speculation);
+        for bounds in BOUNDS {
+            let (par, _) = run_at(cfg.clone(), src, sim_threads, bounds);
             assert_eq!(
                 serial, par,
-                "{label}: sim_threads={sim_threads} speculation={speculation} \
-                 diverged from serial"
+                "{label}: sim_threads={sim_threads} bounds={bounds:?} diverged from serial"
             );
         }
     }
@@ -36,127 +50,69 @@ fn differential(cfg: &SystemConfig, src: &str, label: &str) -> RunReport {
 
 #[test]
 fn speculation_on_off_is_identical_across_sim_threads() {
-    let r = differential(&SystemConfig::tiny(), &vecadd_src(64), "vecadd_n64");
+    let src = vecadd_src(64);
+    let r = differential(&SystemConfig::tiny(), &src, "vecadd_n64");
     assert_eq!(r.outcome, Outcome::Completed);
     assert_eq!(r.exit_code, (0..64).map(|i| i * 3 + i + 7).sum::<u64>());
+
+    // `max_epoch = 1` is the off switch: the head batch runs alone.
+    let (_, off) = run_at(SystemConfig::tiny(), &src, 4, BOUNDS[0]);
+    assert_eq!(off.host_phases().zones, 0, "max_epoch = 1 formed a zone");
+    let (_, on) = run_at(SystemConfig::tiny(), &src, 4, BOUNDS[2]);
+    assert!(
+        on.host_phases().zones > 0,
+        "the default bounds formed no zone"
+    );
 }
 
 #[test]
 fn paper_default_offload_is_identical_and_epochs_commit() {
-    // Full-size machine (10 MTTOP cores), the configuration where epochs
-    // are widest. Also guards against the speculative path being vacuous:
-    // the run must form epochs and commit speculated members.
-    let src = matmul_n16();
-    let r = differential(&SystemConfig::paper_default(), &src, "matmul_n16");
-    assert_eq!(r.outcome, Outcome::Completed);
-
-    let mut cfg = SystemConfig::paper_default();
-    cfg.sim_threads = 4;
-    let mut m = Machine::new(cfg, compile(&src));
-    assert_eq!(m.run().outcome, Outcome::Completed);
-    let s = m.spec_stats();
-    assert!(s.epochs > 0, "no epochs formed: {s:?}");
-    assert!(
-        s.committed > s.epochs,
-        "epochs never committed a speculated member (only heads): {s:?}"
-    );
-}
-
-#[test]
-fn conflict_on_last_epoch_member_rolls_back_and_matches_serial() {
-    // `max_epoch = 2` makes every epoch a head plus exactly one speculated
-    // member, so any conflict-driven rollback is necessarily on the *last*
-    // member of its epoch — the boundary where commit-order bookkeeping is
-    // easiest to get wrong. The run must both exercise that path and stay
-    // bit-identical to serial.
-    let src = matmul_n16();
-    let mut cfg = SystemConfig::paper_default();
-    cfg.speculation.max_epoch = 2;
-    let serial = run_at(cfg.clone(), &src, 1, true);
-    cfg.sim_threads = 4;
-    let mut m = Machine::new(cfg, compile(&src));
-    let par = m.run();
-    assert_eq!(serial, par, "max_epoch=2 diverged from serial");
-    let s = m.spec_stats();
-    assert!(s.epochs > 0, "no epochs formed: {s:?}");
-    assert!(
-        s.rolled_back > 0,
-        "no last-member rollback exercised — workload or conflict rules \
-         changed shape: {s:?}"
-    );
-}
-
-#[test]
-fn undo_overflow_falls_back_to_snapshot_restore() {
-    // A one-set undo budget overflows on essentially every speculative
-    // member that touches the L1, forcing the journal's full-snapshot
-    // fallback. Rollback correctness must not depend on which mechanism
-    // restored the cache.
-    let src = matmul_n16();
-    let mut cfg = SystemConfig::paper_default();
-    cfg.speculation.undo_sets = 1;
-    let serial = run_at(cfg.clone(), &src, 1, true);
-    cfg.sim_threads = 4;
-    let mut m = Machine::new(cfg, compile(&src));
-    let par = m.run();
-    assert_eq!(serial, par, "undo_sets=1 diverged from serial");
-    let s = m.spec_stats();
-    assert!(s.rolled_back > 0, "no rollbacks exercised: {s:?}");
-    assert!(
-        s.overflows > 0,
-        "undo journal never overflowed with a 1-set budget: {s:?}"
-    );
-}
-
-#[test]
-fn rollback_across_checkpoint_boundary_is_identical() {
-    // Pause mid-offload, checkpoint, restore, and finish under the
-    // speculative executor: the stitched run must equal the uninterrupted
-    // serial run exactly, even though epochs (and their rollbacks) straddle
-    // state that crossed a serialization boundary.
+    // Full-size machine (10 MTTOP cores), where zones are widest. Every
+    // live batch a zone claims commits exactly once, so the batch count
+    // equals the serial loop's; the speculation counters the ledger still
+    // reads stay 0.
     let src = matmul_n16();
     let cfg = SystemConfig::paper_default();
-    let uninterrupted = run_at(cfg.clone(), &src, 1, true);
-    assert_eq!(uninterrupted.outcome, Outcome::Completed);
+    let r = differential(&cfg, &src, "matmul_n16");
+    assert_eq!(r.outcome, Outcome::Completed);
 
-    let half = Time::from_ps(uninterrupted.time.as_ps() / 2);
-    let mut cfg_pause = cfg.clone();
-    cfg_pause.sim_threads = 4;
-    let mut m = Machine::new(cfg_pause, compile(&src));
-    assert!(
-        m.run_until(half).is_none(),
-        "run finished before the checkpoint point"
-    );
-    let image = m.checkpoint_bytes();
-
-    for (sim_threads, speculation) in [(4, true), (1, true), (4, false)] {
-        let mut cfg_resume = cfg.clone();
-        cfg_resume.sim_threads = sim_threads;
-        cfg_resume.speculation.enabled = speculation;
-        let mut fork = Machine::restore_bytes(cfg_resume, compile(&src), &image)
-            .unwrap_or_else(|e| panic!("restore: {e}"));
-        let resumed = fork.run();
+    let serial = run_at(cfg.clone(), &src, 1, BOUNDS[2]).1.spec_stats();
+    for bounds in &BOUNDS[1..] {
+        let (_, m) = run_at(cfg.clone(), &src, 4, *bounds);
+        let ph = m.host_phases();
+        assert!(ph.zones > 0, "bounds {bounds:?}: no zone formed");
+        assert!(
+            ph.zone_batches >= 2 * ph.zones,
+            "bounds {bounds:?}: zones must hold ≥2 batches"
+        );
+        let s = m.spec_stats();
         assert_eq!(
-            uninterrupted, resumed,
-            "resumed run (sim_threads={sim_threads}, speculation={speculation}) \
-             diverged from the uninterrupted serial run"
+            s.batches_total, serial.batches_total,
+            "bounds {bounds:?}: zones committed a different number of batches"
+        );
+        assert_eq!(
+            (
+                s.epochs,
+                s.members,
+                s.committed,
+                s.rolled_back,
+                s.overflows,
+                s.rollback_all
+            ),
+            (0, 0, 0, 0, 0, 0),
+            "bounds {bounds:?}: nothing speculates: {s:?}"
         );
     }
 }
 
 #[test]
 fn fault_plan_and_sanitizer_matrix_is_identical() {
-    // The `faults.rs` fault plan (NoC drops + correctable DRAM ECC flips +
-    // transient TLB-walk failures), with and without the coherence
-    // sanitizer observing: speculation must neither change results nor
-    // trip an invariant, whichever executor runs.
+    // NoC drops, correctable DRAM ECC flips and transient TLB-walk
+    // failures, with and without the coherence sanitizer observing: no zone
+    // bound may change results or trip an invariant.
     for seed in [3, 7] {
         for sanitize in [false, true] {
-            let mut cfg = SystemConfig::tiny();
-            cfg.fault.seed = seed;
-            cfg.fault.noc.drop_rate = 0.02;
-            cfg.fault.dram.single_bit_rate = 0.2;
-            cfg.fault.tlb.transient_rate = 0.02;
+            let mut cfg = faulty_cfg(seed);
             cfg.sanitizer.enabled = sanitize;
             let r = differential(
                 &cfg,
@@ -174,29 +130,17 @@ fn fault_plan_and_sanitizer_matrix_is_identical() {
 
 #[test]
 fn poison_abort_under_speculation_is_identical() {
-    // ECC poison rolls back every uncommitted member and the head runs
-    // serially from then on; the abort must stay bit-identical,
-    // diagnostics included.
+    // ECC poison appears mid-offload, after zones have formed; from then
+    // on no zone forms. The abort must stay bit-identical, diagnostics
+    // included, at every bound.
     let mut cfg = SystemConfig::tiny();
     cfg.fault.dram.double_bit_rate = 0.02;
     let r = differential(&cfg, &vecadd_src(32), "poison offload");
     assert_eq!(r.outcome, Outcome::Poisoned);
+    let (_, m) = run_at(cfg, &vecadd_src(32), 4, BOUNDS[2]);
+    assert!(
+        m.host_phases().zones > 0,
+        "poison struck before any zone formed"
+    );
     assert!(!r.diagnostic.expect("dump").poisoned_blocks.is_empty());
-}
-
-#[test]
-fn retry_budget_abort_mid_epoch_dumps_the_serial_state() {
-    // A blackholed responder exhausts the directory's retry budget while a
-    // memory event drains between two member slots. The abort's dump is
-    // captured inside that dispatch, with later members still speculating:
-    // their speculative misses must not show up as outstanding.
-    let src = matmul_n16();
-    for nth in [16, 76, 118] {
-        let mut cfg = SystemConfig::paper_default();
-        cfg.fault.dir.timeout = Some(Time::from_us(5));
-        cfg.fault.dir.retry_budget = 0;
-        cfg.fault.blackhole_resp = Some(nth);
-        let r = differential(&cfg, &src, &format!("blackhole_resp {nth}"));
-        assert_eq!(r.outcome, Outcome::RetryBudgetExhausted, "nth {nth}");
-    }
 }

@@ -53,7 +53,7 @@ fn report_is_identical_with_the_trace_on_or_off() {
 }
 
 #[test]
-fn trace_is_identical_across_sim_threads_and_speculation() {
+fn trace_is_identical_across_sim_threads() {
     let src = matmul_n16();
     let mut cfg = SystemConfig::paper_default();
     cfg.trace_events = 1 << 20;
@@ -61,20 +61,14 @@ fn trace_is_identical_across_sim_threads_and_speculation() {
     assert_eq!(reference.total(), serial.events);
     assert_eq!(reference.records().len() as u64, serial.events, "all kept");
     for sim_threads in [2, 4] {
-        for speculate in [false, true] {
-            let mut c = cfg.clone();
-            c.sim_threads = sim_threads;
-            c.speculation.enabled = speculate;
-            let (r, trace) = run(c, &src);
-            assert_eq!(
-                r, serial,
-                "sim_threads={sim_threads} speculation={speculate}"
-            );
-            assert!(
-                trace == reference,
-                "sim_threads={sim_threads} speculation={speculate}: the trace differs"
-            );
-        }
+        let mut c = cfg.clone();
+        c.sim_threads = sim_threads;
+        let (r, trace) = run(c, &src);
+        assert_eq!(r, serial, "sim_threads={sim_threads}");
+        assert!(
+            trace == reference,
+            "sim_threads={sim_threads}: the trace differs"
+        );
     }
 }
 

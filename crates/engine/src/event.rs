@@ -228,7 +228,7 @@ impl<E> EventQueue<E> {
     /// The full (time, push-seq) key of the earliest pending event. Sequence
     /// numbers are monotone over pushes, so `peek_key() < k` is exactly the
     /// "serial execution would dispatch the head before the event with key
-    /// `k`" test the speculative commit drain needs (events extracted by
+    /// `k`" test a zone's commit drain needs (events extracted by
     /// [`EventQueue::scan_extract`] keep their original keys).
     pub fn peek_key(&self) -> Option<(Time, u64)> {
         if self.ring_len == 0 {
@@ -276,7 +276,7 @@ impl<E> EventQueue<E> {
     /// scan ([`ScanControl::Stop`]). Taken events are returned with their
     /// original (time, seq) keys, in drain order. At most `max_scan` entries
     /// are visited; the scan also ends at the ring/overflow boundary
-    /// (overflow holds only far-future timers, beyond any epoch horizon).
+    /// (overflow holds only far-future timers, beyond any zone's timestamp).
     ///
     /// Drain-order correctness rests on two invariants of the ring: buckets
     /// at indices ≥ `cursor` are strictly time-ordered *between* buckets
@@ -705,9 +705,7 @@ mod tests {
             });
             // Survivors must drain in nondecreasing (time, key-order); the
             // taken set re-pushed at its original times must land after
-            // every pending earlier-keyed event of equal time (fresh seqs),
-            // which is exactly what serial re-execution of a rolled-back
-            // epoch member does.
+            // every pending earlier-keyed event of equal time (fresh seqs).
             for (t, _, e) in taken {
                 q.push(t, e);
             }

@@ -1,42 +1,38 @@
-//! Speculative epoch executor telemetry (DESIGN §12).
+//! Batch counters in the shape of the ledger's `core.spec_*` metrics.
 //!
-//! Host-side counters describing how the cross-timestamp epoch pipeline
-//! behaved: how many epochs formed, how many members committed clean versus
-//! rolled back and re-executed serially, and how often the bounded undo
-//! journal overflowed into a full pre-image snapshot. Deliberately a plain
-//! struct outside [`Stats`](crate::Stats) — speculation must never perturb
-//! simulated results, so its telemetry must never enter a `RunReport`.
+//! Host-side telemetry, a plain struct outside [`Stats`](crate::Stats) so
+//! it never enters a `RunReport`. Nothing speculates: the machine
+//! writes only `batches_total` and `stale`, and every other field reads 0.
+//! The struct stays only because the ledger still reads it, and is removed
+//! with those metrics.
 
-/// Counters for the speculative epoch executor. All host-side telemetry:
-/// never serialized into snapshots and never part of a run report.
+/// Counters read by the ledger's `core.spec_*` metrics. All host-side
+/// telemetry: never serialized into snapshots and never part of a run
+/// report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpecStats {
-    /// Multi-member epochs executed speculatively.
+    /// Speculative epochs executed. Always 0.
     pub epochs: u64,
-    /// Members claimed into those epochs (each one live MTTOP batch event).
+    /// Members claimed into those epochs. Always 0.
     pub members: u64,
-    /// Members whose speculative execution committed unchanged.
+    /// Members whose speculative execution committed. Always 0.
     pub committed: u64,
-    /// Members rolled back (footprint conflict or ordering hazard) and
-    /// re-executed serially at their original key.
+    /// Members rolled back. Always 0.
     pub rolled_back: u64,
-    /// Members extracted into an epoch but already stale (superseded batch
-    /// schedule) by their commit slot — discarded exactly as serial would.
+    /// Zone members already stale (superseded batch schedule) by their
+    /// commit slot — discarded exactly as serial would.
     pub stale: u64,
-    /// Rollbacks that took the snapshot-restore slow path because the
-    /// bounded undo journal overflowed mid-speculation.
+    /// Undo-journal overflows. Always 0.
     pub overflows: u64,
-    /// Epoch-wide rollbacks forced by a non-memory event (or a poison/abort
-    /// transition) draining before the last member committed.
+    /// Epoch-wide rollbacks. Always 0.
     pub rollback_all: u64,
-    /// Live MTTOP batch events dispatched in total (epoch members or not);
-    /// the denominator for epoch coverage.
+    /// Live MTTOP batch events dispatched in total, in zones or not.
     pub batches_total: u64,
 }
 
 impl SpecStats {
     /// Fraction of live MTTOP batches that committed speculatively, in
-    /// [0, 1]. The headline "epoch coverage" number in the perf artifact.
+    /// [0, 1]; always 0, as nothing speculates.
     pub fn coverage(&self) -> f64 {
         if self.batches_total == 0 {
             0.0
@@ -46,7 +42,7 @@ impl SpecStats {
     }
 
     /// Fraction of claimed members that committed (vs rolled back/stale),
-    /// in [0, 1]; 1.0 when no epoch ever formed.
+    /// in [0, 1]; always 1.0, as no epoch forms.
     pub fn commit_rate(&self) -> f64 {
         if self.members == 0 {
             1.0

@@ -88,8 +88,8 @@ pub struct CacheArray<M> {
 }
 
 /// Pre-image of one cache set, captured by [`CacheArray::snapshot_set`] and
-/// reinstated by [`CacheArray::restore_set`] when a speculative epoch member
-/// rolls back.
+/// reinstated by [`CacheArray::restore_set`] when the L1 undo journal rolls
+/// back.
 #[derive(Clone, Debug, Default)]
 pub struct SetImage<M> {
     set: u64,
@@ -421,23 +421,23 @@ impl<M> CacheArray<M> {
             .map(|(&t, m)| (t, m))
     }
 
-    /// Current LRU tick. Together with [`CacheArray::set_tick`] this lets a
-    /// speculative executor rewind the recency clock on rollback — LRU
-    /// ordering is part of snapshot bytes, so an unrewound tick would leak
-    /// speculation into later eviction decisions.
+    /// Current LRU tick. Together with [`CacheArray::set_tick`] this lets the
+    /// L1 undo journal rewind the recency clock on rollback — LRU ordering is
+    /// part of snapshot bytes, so an unrewound tick would leak rolled-back
+    /// accesses into later eviction decisions.
     pub fn tick(&self) -> u64 {
         self.tick
     }
 
-    /// Restores the LRU tick (rollback of speculative touches).
+    /// Restores the LRU tick (rollback of journaled touches).
     pub fn set_tick(&mut self, tick: u64) {
         self.tick = tick;
     }
 
     /// Pre-image of set `set` — everything an access can mutate in that set
-    /// (tags, LRU stamps, metadata, data) — for the speculative undo journal
-    /// (DESIGN §12). Captured at first speculative touch of the set, into
-    /// `img`, whose storage is reused.
+    /// (tags, LRU stamps, metadata, data) — for the L1 undo journal, which
+    /// only the ledger's `mem.spec_*` probes open. Captured at the set's
+    /// first journaled touch, into `img`, whose storage is reused.
     pub fn snapshot_set(&self, set: u64, img: &mut SetImage<M>)
     where
         M: Clone,

@@ -88,7 +88,8 @@ struct EvictEntry {
     dirty: bool,
 }
 
-/// Undo journal for one speculative epoch member (DESIGN §12).
+/// L1 undo journal. Nothing in the machine speculates: it is read only by
+/// the ledger's `mem.spec_*` probes, and is removed with them.
 ///
 /// Captured at `spec_begin` and discarded at `spec_commit`: begin-time copies
 /// of the LRU tick, the access counters and the eviction and reservation
@@ -101,13 +102,13 @@ struct EvictEntry {
 /// mid-speculation in that snapshot; the images rewind them the rest of the
 /// way; every other set was still untouched when the snapshot was taken).
 ///
-/// No directory message is ever delivered to a speculating L1 — the epoch
-/// scheduler rolls the member back first — so the maps and counters can only
-/// change under the member's own core-side accesses, and restoring the
-/// begin-time copies wholesale is exact. For the MSHR table those accesses
-/// can only open an MSHR or append a waiter to one (fills, which retire
-/// MSHRs, are directory deliveries), so its pre-image is the list of open
-/// blocks with their waiter counts rather than a deep copy.
+/// A caller must deliver no directory message to a journaling L1, so the
+/// maps and counters can only change under its own core-side accesses,
+/// and restoring the begin-time copies wholesale is exact. For the MSHR
+/// table those accesses can only open an MSHR or append a waiter to one
+/// (fills, which retire MSHRs, are directory deliveries), so its pre-image
+/// is the list of open blocks with their waiter counts rather than a deep
+/// copy.
 #[derive(Debug, Default)]
 struct SpecState {
     /// Sets with a captured pre-image (or, past the budget, sets that
@@ -174,11 +175,11 @@ pub(crate) struct L1 {
     /// response already gave the block away). Off by default so protocol
     /// bugs still trip the strict assertions.
     lenient: bool,
-    /// Active undo journal while this L1 executes a speculative epoch
-    /// member; `None` during committed execution.
+    /// The open undo journal, if any (only the ledger's `mem.spec_*`
+    /// probes open one); `None` otherwise.
     spec: Option<Box<SpecState>>,
-    /// Retired journals kept for reuse so `spec_begin` on the hot epoch
-    /// path does not allocate. Boxed on purpose: journals shuttle between
+    /// Retired journals kept for reuse so a repeated `spec_begin` does not
+    /// allocate. Boxed on purpose: journals shuttle between
     /// here and `spec` as the same allocation, never re-boxed.
     #[allow(clippy::vec_box)]
     spec_free: Vec<Box<SpecState>>,
@@ -282,11 +283,6 @@ impl L1 {
         spec.evict0.clone_from(&self.evict_buf);
         spec.reserved0.clone_from(&self.reserved);
         self.spec = Some(spec);
-    }
-
-    /// Whether an undo journal is currently open.
-    pub fn spec_active(&self) -> bool {
-        self.spec.is_some()
     }
 
     /// Whether the open journal has overflowed into the snapshot path.
@@ -641,8 +637,8 @@ impl L1 {
     pub fn on_dir_msg(&mut self, msg: DirToL1, out: &mut L1Out) {
         debug_assert!(
             self.spec.is_none(),
-            "directory message delivered to speculating L1 {:?}: the epoch \
-             scheduler must roll the member back before dispatching",
+            "directory message delivered to journaling L1 {:?}: close the \
+             journal before dispatching",
             self.id
         );
         match msg {
@@ -1042,8 +1038,8 @@ ccsvm_snap::codec!(struct EvictEntry { data, dirty });
 /// `lenient` config-derived (reinstalled by the machine before `load`).
 impl ccsvm_snap::Snapshot for L1 {
     fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        // Holds both for machine checkpoints (epochs fully resolve before a
-        // pause) and for the overflow capture in `spec_touch` (which takes
+        // Holds both for machine checkpoints (the machine never opens a
+        // journal) and for the overflow capture in `spec_touch` (which takes
         // the journal out of `self` before saving).
         debug_assert!(self.spec.is_none(), "snapshot of a speculating L1");
         self.array.save(w);

@@ -240,19 +240,6 @@ impl MemEvent {
         matches!(self.0, MemEventKind::DirArrive(_, DirToL1::Data { .. }))
     }
 
-    /// The L1 port this event targets, if it is a directory→L1 delivery.
-    /// The epoch scheduler's conflict check: delivering *any* directory
-    /// message to a speculating L1 would mutate state outside its undo
-    /// journal (fills drain waiters into the core; even "read-only" probes
-    /// bump counters and LRU-adjacent maps), so a `DirArrive` whose target
-    /// holds an open journal forces that member's rollback first.
-    pub fn dir_port(&self) -> Option<PortId> {
-        match &self.0 {
-            MemEventKind::DirArrive(port, _) => Some(*port),
-            _ => None,
-        }
-    }
-
     /// The block of an L1→directory response event, if this is one. Exposed
     /// for fault-injection test knobs that black-hole a responder.
     pub fn resp_block(&self) -> Option<u64> {

@@ -57,13 +57,6 @@ impl PortLog {
         self.entries.is_empty()
     }
 
-    /// Discards the buffered sends without replaying them (capacity kept).
-    /// Rollback of a speculative epoch member: its requests were never
-    /// visible to the uncore, so dropping them is exact.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Drains the buffered sends in order: each is injected into `net` and its
     /// arrival event handed to `sched`. The log is left empty (capacity kept).
     pub fn replay(&mut self, net: &mut Network, sched: &mut dyn FnMut(Time, MemEvent)) {

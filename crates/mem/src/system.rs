@@ -309,27 +309,21 @@ impl MemorySystem {
         !self.poisoned.is_empty()
     }
 
-    // --- speculative epoch support (DESIGN §12) ---------------------------
+    // --- L1 undo journal ---------------------------------------------------
     //
-    // The epoch executor runs several MTTOP batches from *different*
-    // timestamps optimistically. Each member's L1 opens an undo journal; the
-    // scheduler guarantees no directory message is ever delivered to a
-    // journaling L1 (it rolls the member back first), so commit/rollback are
-    // purely local to the port.
+    // Nothing in the machine speculates. The journal is read only by the
+    // ledger's `mem.spec_*` probes, and is removed with them. A caller must
+    // not deliver a directory message to a journaling L1, so commit and
+    // rollback are purely local to the port.
 
-    /// Opens an undo journal on `port`'s L1 (see [`crate::MemorySystem`] spec
-    /// notes). `budget` caps the set-granular pre-images before the journal
-    /// falls back to a full L1 snapshot.
+    /// Opens an undo journal on `port`'s L1. `budget` caps the set-granular
+    /// pre-images before the journal falls back to a full L1 snapshot.
     pub fn spec_begin(&mut self, port: PortId, budget: usize) {
         self.l1s[port.0].spec_begin(budget);
     }
 
-    /// Whether `port`'s L1 currently has an open undo journal.
-    pub fn spec_active(&self, port: PortId) -> bool {
-        self.l1s[port.0].spec_active()
-    }
-
-    /// Commits `port`'s speculative execution, discarding the journal.
+    /// Keeps everything `port`'s L1 did since `spec_begin`, discarding the
+    /// journal.
     pub fn spec_commit(&mut self, port: PortId) {
         self.l1s[port.0].spec_commit();
     }

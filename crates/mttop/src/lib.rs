@@ -360,8 +360,7 @@ impl LaneOp {
     };
 }
 
-/// A warp memory instruction in progress. `Copy`: the epoch executor saves
-/// every Ready warp's plan before each speculative batch.
+/// A warp memory instruction in progress.
 #[derive(Clone, Copy, Debug)]
 struct Plan {
     /// Participating lanes; their ops are translated in lane order.
@@ -442,55 +441,6 @@ impl SbCursor {
         np: 0,
         live: 0,
     };
-}
-
-/// In-memory pre-image of the state one [`MttopCore::run_batch`] call can
-/// mutate, captured by [`MttopCore::spec_save`] and reapplied by
-/// [`MttopCore::spec_restore`] when a speculative epoch member rolls back
-/// (DESIGN §12).
-///
-/// Between the save and a rollback the machine delivers no external
-/// mutation to the core — a directory response destined for a speculating
-/// member rolls it back *before* `on_completion`, and OS/MIFD actions roll
-/// the whole epoch back before dispatch — so only `run_batch`'s own
-/// footprint needs undo: the warps that could issue (the Ready set), wake
-/// (arrived completions, the walker pipeline), plus the scalar scheduler
-/// state, TLB, and flight table. That makes a claim O(touched warps)
-/// instead of O(thread contexts); serializing a full 128-context core per
-/// claim dominated the epoch executor's host cost. All buffers are reused
-/// across claims.
-#[derive(Debug, Default)]
-pub struct SpecUndo {
-    /// Pre-images of touched warps; `n_warps` entries are live, the tail is
-    /// kept as an allocation pool.
-    warps: Vec<WarpUndo>,
-    n_warps: usize,
-    /// Dedup bitmap for the touched-warp scan (bit per warp).
-    seen: Vec<u64>,
-    rr: usize,
-    local_time: Time,
-    batch_epoch: u64,
-    token_seq: u64,
-    tlb: Option<Tlb>,
-    walker: Option<(usize, Walk)>,
-    walker_queue: Vec<usize>,
-    flights: Vec<(u64, Flight)>,
-    arrived: Vec<(u64, u64)>,
-    counters: [u64; 8],
-    miss_lat_sum: Time,
-    miss_count: u64,
-    poisoned: bool,
-}
-
-/// One touched warp's pre-image inside a [`SpecUndo`].
-#[derive(Debug)]
-struct WarpUndo {
-    wi: usize,
-    warp: Warp,
-    state: WarpState,
-    ready_at: Time,
-    sb_cur: SbCursor,
-    retry_epoch: u64,
 }
 
 /// One SIMT MTTOP core.
@@ -2217,144 +2167,6 @@ impl Plan {
     }
 }
 
-impl MttopCore {
-    /// Captures into `u` (reusing its buffers) the pre-image of everything
-    /// the next [`Self::run_batch`] call can mutate. See [`SpecUndo`] for
-    /// why this bounded footprint suffices.
-    pub fn spec_save(&self, u: &mut SpecUndo) {
-        u.rr = self.rr;
-        u.local_time = self.local_time;
-        u.batch_epoch = self.batch_epoch;
-        u.token_seq = self.token_seq;
-        match &mut u.tlb {
-            Some(t) => t.clone_from(&self.tlb),
-            None => u.tlb = Some(self.tlb.clone()),
-        }
-        u.walker = self.walker;
-        u.walker_queue.clear();
-        u.walker_queue.extend_from_slice(&self.walker_queue);
-        u.flights.clear();
-        u.flights.extend(self.flights.iter().map(|(&t, &f)| (t, f)));
-        u.arrived.clear();
-        u.arrived.extend_from_slice(&self.arrived);
-        u.counters = [
-            self.warp_instrs,
-            self.thread_instrs,
-            self.mem_instrs,
-            self.coalesced_accesses,
-            self.divergent_issues,
-            self.walks,
-            self.faults,
-            self.tasks,
-        ];
-        u.miss_lat_sum = self.miss_lat_sum;
-        u.miss_count = self.miss_count;
-        u.poisoned = self.poisoned;
-        // Touched warps: the Ready set (can issue), warps with an arrived
-        // completion (will wake), and the walker pipeline (can advance or
-        // start the queued walk). Everything else is Free, Fault, or Mem
-        // with nothing arrived — `run_batch` cannot reach it.
-        u.n_warps = 0;
-        u.seen.clear();
-        u.seen.resize(self.warps.len().div_ceil(64), 0);
-        for (word, &bits) in self.ready_mask.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let wi = (word << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.undo_warp(u, wi);
-            }
-        }
-        for &(token, _) in &self.arrived {
-            if let Some(f) = self.flights.get(&token) {
-                self.undo_warp(u, f.warp);
-            }
-        }
-        if let Some((wi, _)) = self.walker {
-            self.undo_warp(u, wi);
-        }
-        for &wi in &self.walker_queue {
-            self.undo_warp(u, wi);
-        }
-    }
-
-    /// Appends warp `wi`'s pre-image to `u` unless already captured.
-    fn undo_warp(&self, u: &mut SpecUndo, wi: usize) {
-        let bit = 1u64 << (wi & 63);
-        if u.seen[wi >> 6] & bit != 0 {
-            return;
-        }
-        u.seen[wi >> 6] |= bit;
-        if u.n_warps == u.warps.len() {
-            u.warps.push(WarpUndo {
-                wi,
-                warp: self.warps[wi].clone(),
-                state: self.states[wi],
-                ready_at: self.ready_at[wi],
-                sb_cur: self.sb_cur[wi],
-                retry_epoch: self.retry_epoch[wi],
-            });
-        } else {
-            let e = &mut u.warps[u.n_warps];
-            let src = &self.warps[wi];
-            e.wi = wi;
-            e.warp.lanes.clone_from(&src.lanes);
-            e.warp.outstanding = src.outstanding;
-            e.warp.plan = src.plan;
-            e.state = self.states[wi];
-            e.ready_at = self.ready_at[wi];
-            e.sb_cur = self.sb_cur[wi];
-            e.retry_epoch = self.retry_epoch[wi];
-        }
-        u.n_warps += 1;
-    }
-
-    /// Reapplies the pre-image captured by [`Self::spec_save`], erasing the
-    /// speculative `run_batch`'s every effect on the core. The ready bitmap
-    /// is rebuilt per restored warp through [`Self::set_state`]; untouched
-    /// warps kept their states, so their bits are already correct.
-    pub fn spec_restore(&mut self, u: &SpecUndo) {
-        self.rr = u.rr;
-        self.local_time = u.local_time;
-        self.batch_epoch = u.batch_epoch;
-        self.token_seq = u.token_seq;
-        self.tlb
-            .clone_from(u.tlb.as_ref().expect("spec_save captured a TLB"));
-        self.walker = u.walker;
-        self.walker_queue.clear();
-        self.walker_queue.extend_from_slice(&u.walker_queue);
-        self.flights.clear();
-        self.flights.extend(u.flights.iter().copied());
-        self.arrived.clear();
-        self.arrived.extend_from_slice(&u.arrived);
-        [
-            self.warp_instrs,
-            self.thread_instrs,
-            self.mem_instrs,
-            self.coalesced_accesses,
-            self.divergent_issues,
-            self.walks,
-            self.faults,
-            self.tasks,
-        ] = u.counters;
-        self.miss_lat_sum = u.miss_lat_sum;
-        self.miss_count = u.miss_count;
-        self.poisoned = u.poisoned;
-        for e in &u.warps[..u.n_warps] {
-            {
-                let w = &mut self.warps[e.wi];
-                w.lanes.clone_from(&e.warp.lanes);
-                w.outstanding = e.warp.outstanding;
-                w.plan = e.warp.plan;
-            }
-            self.ready_at[e.wi] = e.ready_at;
-            self.sb_cur[e.wi] = e.sb_cur;
-            self.retry_epoch[e.wi] = e.retry_epoch;
-            self.set_state(e.wi, e.state);
-        }
-    }
-}
-
 impl Snapshot for MttopCore {
     fn save(&self, w: &mut SnapWriter) {
         // `port`, `config`, `alu_cost` and `token_prefix` are construction
@@ -2813,165 +2625,5 @@ mod tests {
                 "corruption {i}: {got:?}"
             );
         }
-    }
-
-    /// Sixteen threads each walk a private column four pages deep — load,
-    /// bump, store back, then a fetch-and-increment of one shared word — so
-    /// warps miss in the TLB and the L1, coalesce only partly (72-byte thread
-    /// stride) and outrun the eight MSHRs.
-    fn spec_rig_program() -> Program {
-        let (ptr, n, v, old, ctr, lim) = (Reg(5), Reg(7), Reg(8), Reg(9), Reg(10), Reg(11));
-        let alu = |op, rd, ra, rb| Instr::Alu { op, rd, ra, rb };
-        Program {
-            text: vec![
-                Instr::Li { rd: ptr, imm: 72 },
-                alu(AluOp::Mul, ptr, ptr, Operand::Reg(abi::A0)),
-                alu(AluOp::Add, ptr, ptr, Operand::Imm(0x10000)),
-                Instr::Li {
-                    rd: ctr,
-                    imm: 0x1f000,
-                },
-                Instr::Li { rd: lim, imm: 4 },
-                Instr::Ld {
-                    rd: v,
-                    base: ptr,
-                    off: 0,
-                    size: 8,
-                }, // 5: loop
-                alu(AluOp::Add, v, v, Operand::Imm(1)),
-                Instr::St {
-                    rs: v,
-                    base: ptr,
-                    off: 0,
-                    size: 8,
-                },
-                Instr::Amo {
-                    op: AmoKind::Inc,
-                    rd: old,
-                    addr: ctr,
-                    a: Reg(0),
-                    b: Reg(0),
-                },
-                alu(AluOp::Add, ptr, ptr, Operand::Imm(4096)),
-                alu(AluOp::Add, n, n, Operand::Imm(1)),
-                Instr::Br {
-                    cond: Cond::LtS,
-                    ra: n,
-                    rb: lim,
-                    target: 5,
-                },
-                Instr::Exit,
-            ],
-            symbols: Default::default(),
-            globals_size: 0,
-            data: Vec::new(),
-        }
-    }
-
-    /// At every batch boundary of a memory-bound run: `spec_save`, a
-    /// speculative `run_batch`, `spec_restore` — and the core's image must be
-    /// byte-identical to the one taken before the save; the real batch that
-    /// follows must then land exactly where the speculative one did. The L1
-    /// is journaled alongside, as the epoch executor does, so the run goes on
-    /// from the rolled-back state.
-    fn spec_save_restore_is_exact(config: MttopConfig) {
-        let prog = spec_rig_program();
-        let image = DecodedImage::build(&prog.text);
-        let mut core = MttopCore::new(PortId(0), config, 0);
-        let mut mem = litmus_mem();
-        let mut net = ccsvm_noc::Network::new(
-            ccsvm_noc::Topology::torus(2, 1),
-            ccsvm_noc::NocConfig::paper_default(),
-        );
-        let mut os = ccsvm_vm::OsLite::new(0x100_0000, 0x200_0000);
-        for page in 0x10..0x20u64 {
-            for w in os.map_page(VirtAddr(page << 12)) {
-                mem.backdoor_write(w.addr, &w.value.to_le_bytes());
-            }
-        }
-        for first_tid in [0, 8] {
-            assert!(core.start_task(
-                Time::ZERO,
-                TaskChunk {
-                    entry: 0,
-                    args: 0,
-                    first_tid,
-                    last_tid: first_tid + 7,
-                    cr3: os.cr3(),
-                    ra: 0,
-                }
-            ));
-        }
-
-        let mut queue: ccsvm_engine::EventQueue<ccsvm_mem::MemEvent> = Default::default();
-        let mut log = PortLog::new();
-        let mut undo = SpecUndo::default();
-        let (mut batches, mut with_flights, mut with_plans, mut mutated) = (0, 0, 0, 0);
-        let mut next_batch = Some(Time::ZERO);
-        loop {
-            let event_first = match (queue.peek_time(), next_batch) {
-                (None, None) => break,
-                (Some(te), Some(tb)) => te < tb,
-                (te, _) => te.is_some(),
-            };
-            if event_first {
-                let (t, ev) = queue.pop().expect("peeked");
-                let mut done = Vec::new();
-                mem.handle(t, &mut net, &mut |at, e| queue.push(at, e), ev, &mut done);
-                for c in done {
-                    let at = core.on_completion(t, c.token, c.value);
-                    next_batch = Some(next_batch.map_or(at, |b| b.min(at)));
-                }
-                continue;
-            }
-            let now = next_batch.take().expect("a batch is due");
-            batches += 1;
-            with_flights += usize::from(!core.flights.is_empty());
-            with_plans +=
-                usize::from((0..core.warps.len()).any(|wi| {
-                    core.states[wi] == WarpState::Ready && core.warps[wi].plan.is_some()
-                }));
-            let before = snap_bytes(&core);
-            mem.spec_begin(PortId(0), 64);
-            core.spec_save(&mut undo);
-            core.run_batch(now, &prog, &image, &mut mem.core_port(PortId(0), &mut log));
-            let speculated = snap_bytes(&core);
-            mutated += usize::from(speculated != before);
-            core.spec_restore(&undo);
-            mem.spec_rollback(PortId(0));
-            log.clear();
-            assert_eq!(
-                snap_bytes(&core),
-                before,
-                "batch {batches}: restore is not exact"
-            );
-
-            let out = core.run_batch(now, &prog, &image, &mut mem.core_port(PortId(0), &mut log));
-            assert_eq!(
-                snap_bytes(&core),
-                speculated,
-                "batch {batches}: re-execution diverged"
-            );
-            assert!(out.faults.is_empty() && !out.poisoned);
-            log.replay(&mut net, &mut |at, e| queue.push(at, e));
-            if let MttopAction::Continue { at } = out.action {
-                next_batch = Some(at);
-            }
-        }
-        assert!(!core.busy(), "the program ran to completion");
-        assert_eq!(core.thread_instrs, 16 * (5 + 4 * 7 + 1));
-        // Not vacuous: the save saw flights in the air and Ready warps parked
-        // on a plan (MSHR retries), and the speculative batches did mutate.
-        assert!(with_flights > 10 && with_plans > 10 && mutated > 10, "{batches} batches: {with_flights} with flights, {with_plans} with parked plans, {mutated} mutating");
-    }
-
-    #[test]
-    fn spec_save_restore_is_exact_with_one_lane() {
-        spec_save_restore_is_exact(MttopConfig::paper_ccsvm(0));
-    }
-
-    #[test]
-    fn spec_save_restore_is_exact_with_eight_lanes() {
-        spec_save_restore_is_exact(MttopConfig::apu_gpu(0));
     }
 }

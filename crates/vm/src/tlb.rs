@@ -26,7 +26,7 @@ struct Entry {
 /// tlb.insert(VirtAddr(0x1000), PhysAddr(0x7000));
 /// assert_eq!(tlb.lookup(VirtAddr(0x1234)), Some(PhysAddr(0x7000)));
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Tlb {
     entries: Vec<Entry>,
     capacity: usize,
@@ -55,38 +55,6 @@ const MEMO_SLOTS: usize = 1 << MEMO_BITS;
 fn memo_slot(vpn: u64) -> usize {
     let w = MEMO_BITS;
     ((vpn ^ (vpn >> w) ^ (vpn >> (2 * w)) ^ (vpn >> (3 * w))) as usize) % MEMO_SLOTS
-}
-
-impl Clone for Tlb {
-    fn clone(&self) -> Tlb {
-        let mut t = Tlb::new(self.capacity);
-        t.clone_from(self);
-        t
-    }
-
-    /// Copies into the existing entry storage: the epoch executor saves a
-    /// core's TLB before every speculative batch and must not allocate.
-    fn clone_from(&mut self, src: &Tlb) {
-        // Destructured so that a new field cannot be left out.
-        let Tlb {
-            entries,
-            capacity,
-            memo,
-            tick,
-            hits,
-            misses,
-            flushes,
-            shootdown_invalidations,
-        } = src;
-        self.entries.clone_from(entries);
-        self.capacity = *capacity;
-        self.memo = *memo;
-        self.tick = *tick;
-        self.hits = *hits;
-        self.misses = *misses;
-        self.flushes = *flushes;
-        self.shootdown_invalidations = *shootdown_invalidations;
-    }
 }
 
 impl Tlb {

@@ -27,6 +27,8 @@
 //! paper's comparison needs is the overhead *structure*, which this
 //! preserves.
 
+#![forbid(unsafe_code)]
+
 use ccsvm::{Machine, SystemConfig};
 use ccsvm_engine::Time;
 use ccsvm_workload_shim::{region_dram, region_time};

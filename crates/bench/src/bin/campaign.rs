@@ -1,17 +1,19 @@
 //! `campaign` — deterministic fault-campaign engine (DESIGN §14).
 //!
-//! Sweeps fault domain × protocol × workload × `sim_threads` cells from one
-//! seed, enforcing the no-silent-wedge contract: every cell ends in a typed
-//! outcome (panics are caught and recorded, hangs are watchdog- and
-//! `max_sim_time`-bounded). Failing cells are delta-debugged down to a
+//! Sweeps fault domain × protocol × workload cells from one seed, enforcing
+//! the no-silent-wedge contract: every cell ends in a typed outcome (panics
+//! are caught and recorded, hangs are watchdog- and `max_sim_time`-bounded). Failing cells are delta-debugged down to a
 //! minimal fault plan, captured as a replay bundle, and re-verified
 //! in-process; `bench --bin replay <bundle>` reproduces them standalone.
 //!
 //! ```text
 //! campaign [--quick] [--dir results/campaign] [--seed N]
-//!          [--protocols a,b,c] [--workloads w1,w2] [--threads 1,2]
+//!          [--protocols a,b,c] [--workloads w1,w2]
 //!          [--domains d1,d2,...] [--no-mutation-cell]
 //! ```
+//!
+//! Any other argument, or a malformed value, prints the usage line and
+//! exits 2 before any cell runs.
 //!
 //! The campaign writes `<dir>/manifest.txt` (byte-stable across re-runs),
 //! `<dir>/bundles/*.ccbundle` for failing cells, and a report cache under
@@ -29,40 +31,62 @@ fn main() {
     exit_with(run());
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
+const USAGE: &str = "campaign [--quick] [--dir DIR] [--seed N] [--protocols a,b,c] \
+                     [--workloads w1,w2] [--domains d1,d2,...] [--no-mutation-cell]";
+
+/// A command-line misuse: exits 2 with the usage text.
+fn cli(problem: String) -> BenchError {
+    BenchError::Cli(format!("{USAGE}: {problem}"))
 }
 
 fn parse_list<T>(
     flag: &str,
+    raw: &str,
     parse: impl Fn(&str) -> Option<T>,
-) -> Result<Option<Vec<T>>, BenchError> {
-    let Some(raw) = arg_value(flag) else {
-        return Ok(None);
-    };
+) -> Result<Vec<T>, BenchError> {
     raw.split(',')
         .map(|s| {
             let s = s.trim();
-            parse(s).ok_or_else(|| BenchError::Run(format!("{flag}: bad element {s:?}")))
+            parse(s).ok_or_else(|| cli(format!("{flag}: bad element {s:?}")))
         })
-        .collect::<Result<Vec<T>, BenchError>>()
-        .map(Some)
+        .collect()
 }
 
-fn run() -> Result<(), BenchError> {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let dir = std::path::PathBuf::from(
-        arg_value("--dir").unwrap_or_else(|| "results/campaign".to_string()),
-    );
-
+/// Parses the command line into the campaign and its output directory.
+/// Any argument not listed in [`USAGE`] is an error, so a typo never runs
+/// a different campaign than the one asked for.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(CampaignSpec, std::path::PathBuf), BenchError> {
     let mut spec = CampaignSpec::default();
-    if quick {
+    let mut dir = std::path::PathBuf::from("results/campaign");
+    let (mut quick, mut domains) = (false, None);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| cli(format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--no-mutation-cell" => spec.mutation_cell = false,
+            "--dir" => dir = value()?.into(),
+            "--seed" => {
+                let v = value()?;
+                spec.seed = v
+                    .parse()
+                    .map_err(|_| cli(format!("--seed: bad value {v:?}")))?;
+            }
+            "--protocols" => spec.protocols = parse_list(&flag, &value()?, ProtocolKind::parse)?,
+            "--workloads" => {
+                spec.workloads = parse_list(&flag, &value()?, |s| Some(s.to_string()))?;
+            }
+            "--domains" => domains = Some(parse_list(&flag, &value()?, CampaignDomain::parse)?),
+            other => return Err(cli(format!("unknown argument `{other}`"))),
+        }
+    }
+    if let Some(domains) = domains {
+        spec.domains = domains;
+    } else if quick {
         // The CI smoke grid: every protocol, a cross-section of domains
         // (link loss, poison, probe loss, walk transients), both workloads.
         spec.domains = vec![
@@ -71,36 +95,18 @@ fn run() -> Result<(), BenchError> {
             CampaignDomain::SnoopProbe,
             CampaignDomain::TlbTransient,
         ];
-    } else {
-        spec.sim_threads = vec![1, 2];
     }
-    if let Some(seed) = arg_value("--seed") {
-        spec.seed = seed
-            .parse()
-            .map_err(|_| BenchError::Run(format!("--seed: bad value {seed:?}")))?;
-    }
-    if let Some(protocols) = parse_list("--protocols", ProtocolKind::parse)? {
-        spec.protocols = protocols;
-    }
-    if let Some(workloads) = parse_list("--workloads", |s| Some(s.to_string()))? {
-        spec.workloads = workloads;
-    }
-    if let Some(threads) = parse_list("--threads", |s| s.parse::<usize>().ok())? {
-        spec.sim_threads = threads;
-    }
-    if let Some(domains) = parse_list("--domains", CampaignDomain::parse)? {
-        spec.domains = domains;
-    }
-    if std::env::args().any(|a| a == "--no-mutation-cell") {
-        spec.mutation_cell = false;
-    }
+    Ok((spec, dir))
+}
+
+fn run() -> Result<(), BenchError> {
+    let (spec, dir) = parse_args(std::env::args().skip(1))?;
 
     println!(
-        "== Fault campaign ({} protocols x {} workloads x {} domains x {} thread counts, seed {})",
+        "== Fault campaign ({} protocols x {} workloads x {} domains, seed {})",
         spec.protocols.len(),
         spec.workloads.len(),
         spec.domains.len(),
-        spec.sim_threads.len(),
         spec.seed
     );
     let summary = run_campaign(&spec, &dir).map_err(|e| BenchError::Run(format!("{e}")))?;

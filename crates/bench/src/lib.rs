@@ -9,9 +9,6 @@
 //! * `--threads N` — simulate sweep points on `N` worker threads (one
 //!   independent `Machine` per point; results are reassembled in input
 //!   order, so the printed table is byte-identical to a serial run),
-//! * `--sim-threads N` — worker threads *inside* each `Machine` (the
-//!   deterministic fork-join executor, DESIGN.md §7; bit-identical output at
-//!   every value, composes with `--threads`),
 //! * `--checkpoint-at NS` — pause each sweep point at simulated time `NS`
 //!   nanoseconds, write a snapshot to `snapshots/<label>.ccsnap`, and
 //!   continue to completion (the printed table is unchanged),
@@ -26,6 +23,8 @@
 //! Output is a fixed-width table whose rows mirror the corresponding figure
 //! in the paper; EXPERIMENTS.md records a captured run next to the paper's
 //! reported shape.
+
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -207,8 +206,6 @@ pub struct Opts {
     pub sizes: Option<Vec<u64>>,
     /// Worker threads for the sweep driver (`--threads N`, default 1).
     pub threads: usize,
-    /// Worker threads inside each `Machine` (`--sim-threads N`, default 1).
-    pub sim_threads: usize,
     /// Simulated time at which to checkpoint each point (`--checkpoint-at`).
     pub checkpoint_at: Option<Time>,
     /// Directory of snapshot images to warm-start from (`--restore-from`).
@@ -233,15 +230,12 @@ pub struct Opts {
 fn usage_exit(binary: &str, error: &str) -> ! {
     eprintln!("error: {error}");
     eprintln!(
-        "usage: {binary} [--quick] [--sizes a,b,c] [--threads N] [--sim-threads N]\n\
+        "usage: {binary} [--quick] [--sizes a,b,c] [--threads N]\n\
          \x20                [--checkpoint-at NS] [--restore-from DIR]\n\
          \n\
          \x20 --quick           reduced sweep for smoke runs\n\
          \x20 --sizes LIST      comma-separated sweep sizes (positive integers)\n\
          \x20 --threads N       run sweep points on N worker threads (default 1)\n\
-         \x20 --sim-threads N   fork-join workers inside each simulated machine\n\
-         \x20                   (default 1 = serial reference; output is\n\
-         \x20                   bit-identical at every value)\n\
          \x20 --checkpoint-at NS  pause each point at simulated time NS ns,\n\
          \x20                   write {SNAP_DIR}/<label>.ccsnap, then continue\n\
          \x20                   (table output is unchanged)\n\
@@ -293,7 +287,6 @@ impl Opts {
         let mut quick = false;
         let mut sizes = None;
         let mut threads = 1usize;
-        let mut sim_threads = 1usize;
         let mut checkpoint_at = None;
         let mut restore_from = None;
         let mut out = None;
@@ -325,7 +318,6 @@ impl Opts {
                     sizes = Some(parsed);
                 }
                 "--threads" => threads = count_arg(&binary, &a, args.next(), 1),
-                "--sim-threads" => sim_threads = count_arg(&binary, &a, args.next(), 1),
                 "--trace-events" => trace_events = count_arg(&binary, &a, args.next(), 0),
                 "--checkpoint-at" => {
                     let Some(v) = args.next() else {
@@ -372,7 +364,6 @@ impl Opts {
             quick,
             sizes,
             threads,
-            sim_threads,
             checkpoint_at,
             restore_from,
             out,
@@ -382,10 +373,10 @@ impl Opts {
         }
     }
 
-    /// [`bench_cfg`] with this run's machine knobs applied: `--sim-threads`,
-    /// `--no-sb-cache`, `--protocol` and `--trace-events`.
+    /// [`bench_cfg`] with this run's machine knobs applied: `--no-sb-cache`,
+    /// `--protocol` and `--trace-events`.
     pub fn config(&self) -> SystemConfig {
-        let mut cfg = bench_cfg(self.sim_threads);
+        let mut cfg = bench_cfg(1);
         cfg.sb_cache = self.sb_cache;
         cfg.protocol = self.protocol;
         cfg.trace_events = self.trace_events;
@@ -441,10 +432,13 @@ pub fn sweep<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -
 }
 
 /// The standard benchmark configuration (paper defaults, 60 s cap).
-pub fn bench_cfg(sim_threads: usize) -> SystemConfig {
+///
+/// The argument is ignored: it was the host-thread count of the deleted
+/// zone executor, and stays only because the benchmark's workload table
+/// still passes one. Removed with the ledger's `matmul_epochs`.
+pub fn bench_cfg(_sim_threads: usize) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default();
     cfg.max_sim_time = Time::from_ms(60_000);
-    cfg.sim_threads = sim_threads;
     cfg
 }
 

@@ -34,31 +34,20 @@ impl OsCosts {
     }
 }
 
-/// Zone formation bounds (DESIGN §7), consulted only when
-/// `sim_threads > 1`. Host-perf only, like `sim_threads`: changing any of
-/// these never changes simulated behavior — `RunReport`s stay bit-identical
-/// — only how many batches one zone can step at once. Nothing speculates;
-/// the name and `undo_sets` remain for the ledger's probes.
+/// The L1 undo-journal budget. Nothing in the machine reads it and it never
+/// changes simulated behavior. Removed with the ledger's
+/// `matmul_epochs`/`core.zones`/`mem.spec_*`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpeculationConfig {
-    /// Maximum members (live MTTOP batch events) claimed into one zone.
-    pub max_epoch: usize,
-    /// Event-queue scan budget when forming a zone: how many queued
-    /// entries formation may inspect before giving up.
-    pub max_scan: usize,
     /// L1 undo-journal budget in cache sets, past which the journal falls
     /// back to a full set snapshot. Read only by the ledger's
-    /// `mem.spec_*` probes; removed with them.
+    /// `mem.spec_*` probes.
     pub undo_sets: usize,
 }
 
 impl Default for SpeculationConfig {
     fn default() -> SpeculationConfig {
-        SpeculationConfig {
-            max_epoch: 16,
-            max_scan: 64,
-            undo_sets: 24,
-        }
+        SpeculationConfig { undo_sets: 24 }
     }
 }
 
@@ -125,12 +114,6 @@ pub struct SystemConfig {
     /// behavior — reports stay bit-identical — it only *observes* and, on a
     /// violation, aborts the run with [`crate::Outcome::InvariantViolation`].
     pub sanitizer: SanitizerConfig,
-    /// Host worker threads for intra-run core-batch execution. `1` (the
-    /// default) is the serial reference: the event loop never forms a
-    /// round. At `N > 1` the same loop groups live MTTOP batches into
-    /// deterministic fork-join rounds, which produce bit-identical results
-    /// at every thread count (see DESIGN.md §7).
-    pub sim_threads: usize,
     /// Record a host wall-clock breakdown per run phase (core-exec, uncore,
     /// merge, other) — perf-artifact telemetry; adds one `Instant` read per
     /// phase switch, so it's off by default and benchmarks enable it on a
@@ -139,16 +122,16 @@ pub struct SystemConfig {
     /// Capacity of the machine's event trace ([`crate::Trace`]): the last
     /// `trace_events` dispatched events, read with
     /// [`crate::Machine::trace`]. 0 (the default) records nothing. Host-side
-    /// telemetry, like `sim_threads`: reports are bit-identical at any
-    /// setting, and [`crate::config_hash`] ignores it.
+    /// telemetry: reports are bit-identical at any setting, and
+    /// [`crate::config_hash`] ignores it.
     pub trace_events: usize,
     /// Decoded-superblock fast path on CPU and MTTOP cores (DESIGN §11). Pure
-    /// host-perf knob, like `sim_threads`: disabling it (`--no-sb-cache`)
+    /// host-perf knob: disabling it (`--no-sb-cache`)
     /// never changes simulated behavior — `RunReport`s stay bit-identical —
     /// it only ablates the host-side decoded-dispatch fast path.
     pub sb_cache: bool,
-    /// Zone formation bounds (DESIGN §7). Host-perf knobs; never change
-    /// simulated results.
+    /// The ledger's L1 undo-journal budget; never changes simulated
+    /// results.
     pub speculation: SpeculationConfig,
 }
 
@@ -181,7 +164,6 @@ impl SystemConfig {
             max_sim_time: Time::from_ms(30_000),
             fault: FaultConfig::default(),
             sanitizer: SanitizerConfig::default(),
-            sim_threads: 1,
             host_profile: false,
             trace_events: 0,
             sb_cache: true,

@@ -38,9 +38,10 @@
 //! assert!(report.time.as_ns() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod machine;
-mod pool;
 mod trace;
 mod triage;
 

@@ -5,21 +5,20 @@ use std::time::{Duration, Instant};
 
 use ccsvm_cpu::{CpuAction, CpuCore};
 use ccsvm_engine::{
-    sanitizer::check_conservation, EventQueue, FaultDomain, FaultPlan, MutationKind, ScanControl,
-    SpecStats, SplitMix64, Stats, Time, Violation, Watchdog,
+    sanitizer::check_conservation, EventQueue, FaultDomain, FaultPlan, MutationKind, SpecStats,
+    SplitMix64, Stats, Time, Violation, Watchdog,
 };
 use ccsvm_isa::{sys, DecodedImage, Program};
 use ccsvm_mem::{
-    Access, AccessResult, BankConfig, Completion, CorePort, L1Config, MemConfig, MemEvent,
-    MemorySystem, PortId, PortLog,
+    Access, AccessResult, BankConfig, Completion, L1Config, MemConfig, MemEvent, MemorySystem,
+    PortId, PortLog,
 };
-use ccsvm_mttop::{BatchOutcome, Mifd, MttopAction, MttopCore, PageFaultReq, TaskChunk};
+use ccsvm_mttop::{Mifd, MttopAction, MttopCore, PageFaultReq, TaskChunk};
 use ccsvm_noc::{Network, NodeId, Topology};
 use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter};
 use ccsvm_vm::{GuestHeap, OsLite, PteWrite, VirtAddr, PAGE_BYTES};
 
 use crate::config::SpeculationConfig;
-use crate::pool::WorkerPool;
 use crate::trace::{Trace, TraceEv};
 use crate::SystemConfig;
 
@@ -43,34 +42,6 @@ fn times(t: Time, k: u64) -> Time {
         t.as_ps()
     );
     Time::from_ps(ps.unwrap_or(u64::MAX))
-}
-
-/// One member of a same-timestamp zone (DESIGN §7): a live MTTOP batch
-/// event claimed at the head's timestamp. Nothing live orders between
-/// members, so every member commits unconditionally at its slot.
-#[derive(Debug)]
-struct ZoneMember {
-    core: usize,
-    /// Queue key of the member's batch event: the member commits only after
-    /// every event ordered strictly before `(time, qseq)` has drained.
-    time: Time,
-    qseq: u64,
-    /// The batch schedule sequence claimed at formation; a mismatch with the
-    /// core's live sequence at commit time means the schedule was superseded
-    /// mid-round (stale — discarded exactly as the serial loop would).
-    bseq: u64,
-    outcome: Option<BatchOutcome>,
-}
-
-/// Why [`Machine::drain`] returned.
-#[derive(Debug, PartialEq, Eq)]
-enum Drained {
-    /// The next event's key lies past the bound.
-    Bound,
-    /// The queue ran dry.
-    Empty,
-    /// The run is over: `main` exited or a failure was recorded.
-    Ended,
 }
 
 /// Host wall-clock phase indices for [`PhaseClock`]; the clock idles
@@ -110,19 +81,17 @@ impl PhaseClock {
 }
 
 /// Host wall-clock breakdown of a run (populated when
-/// [`SystemConfig::host_profile`] is set), exposing where host time goes —
-/// the parallel executor's Amdahl ceiling — in the perf artifact.
+/// [`SystemConfig::host_profile`] is set), exposing where host time goes in
+/// the perf artifact.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HostPhases {
-    /// Core batch execution (CPU + MTTOP quantum stepping). The only phase
-    /// the fork-join executor can spread over workers.
+    /// Core batch execution (CPU + MTTOP quantum stepping).
     pub core_exec_ms: f64,
     /// Uncore event handling (coherence hops, banks, DRAM) — inherently
     /// serial: it mutates the shared `MemorySystem`.
     pub uncore_ms: f64,
-    /// Ordered merge of buffered core actions into the uncore (port-log
-    /// replay, then the batch's outcome), plus a zone's formation
-    /// (`claim_members`). All serial.
+    /// Merge of a batch's buffered core actions into the uncore (port-log
+    /// replay, then the batch's outcome).
     pub merge_ms: f64,
     /// Everything else in `run`: the event loop itself (queue pop, trace),
     /// OS services, MIFD, shootdowns, watchdog, the end-of-run sanitizer
@@ -134,10 +103,10 @@ pub struct HostPhases {
     /// phases above, and it is counted unconditionally (no `host_profile`
     /// gate).
     pub decode_ms: f64,
-    /// Same-timestamp zones (DESIGN §7) executed: fork-join rounds of two
-    /// or more MTTOP batches. Always 0 at `sim_threads` 1.
+    /// Always 0: nothing forms zones any more. Removed with the ledger's
+    /// `core.zones` metric.
     pub zones: u64,
-    /// Core batches executed inside those rounds.
+    /// Always 0. Removed with the ledger's `core.zone_batches` metric.
     pub zone_batches: u64,
 }
 
@@ -476,31 +445,19 @@ pub struct Machine {
     /// per coherence hop, so a fresh `Vec` per event is measurable).
     completions_buf: Vec<ccsvm_mem::Completion>,
     /// One uncore-effect buffer per L1 port (CPU ports first, then MTTOP),
-    /// reused across batches by both the serial and fork-join paths.
+    /// reused across batches: a batch buffers its sends here and the merge
+    /// replays them (DESIGN §7).
     port_logs: Vec<PortLog>,
     /// Host wall-clock per phase (`PH_*`); only reads the clock when
     /// `cfg.host_profile` is set.
     clock: PhaseClock,
-    /// Zones executed and batches stepped inside them (telemetry;
-    /// deliberately kept out of `Stats` so reports stay identical across
-    /// `sim_threads` values).
-    zones: u64,
-    zone_batches: u64,
-    /// Live and stale MTTOP batch counts, the only [`SpecStats`] fields
-    /// still written. Host-side only — never serialized, never part of a
-    /// `RunReport`.
+    /// Live MTTOP batch count, the only [`SpecStats`] field still written.
+    /// Host-side only — never serialized, never part of a `RunReport`.
+    /// Removed with the ledger's `core.spec_*` metrics.
     spec_stats: SpecStats,
     /// [`MttopConfig::wake_grid_cycles`] converted to picoseconds once
     /// (`sched_mttop_batch` is hot); `0` disables grid alignment.
     wake_grid_ps: u64,
-    /// Lazily spawned persistent worker pool that steps fork-join rounds
-    /// (`launch_round`; host-side only, never serialized).
-    pool: Option<WorkerPool>,
-    /// `sim_threads` clamped to the host's available parallelism. Pool
-    /// sizing uses this; *semantics* (whether zones form, their members,
-    /// commit order) follow `sim_threads` alone, so results and zone
-    /// counts are identical on any host.
-    exec_threads: usize,
     /// Forward-progress watchdog, observed on every `Ev::WatchdogTick`. A
     /// `Machine` field (not a run-loop local) so its memory of the last
     /// progress survives a checkpoint/restore of a wedged run.
@@ -648,12 +605,6 @@ impl Machine {
                 .map(|_| PortLog::new())
                 .collect(),
             wake_grid_ps: cfg.mttop.clock.cycles(cfg.mttop.wake_grid_cycles).as_ps(),
-            pool: None,
-            exec_threads: cfg.sim_threads.max(1).min(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            ),
             clock: PhaseClock {
                 on: cfg.host_profile,
                 phase: PH_IDLE,
@@ -686,8 +637,6 @@ impl Machine {
             progress: 0,
             events: 0,
             completions_buf: Vec::new(),
-            zones: 0,
-            zone_batches: 0,
             spec_stats: SpecStats::default(),
             watchdog: Watchdog::new(),
             failure: None,
@@ -703,8 +652,8 @@ impl Machine {
         }
     }
 
-    /// Host wall-clock phase breakdown and fork-join round telemetry. Phase
-    /// times are all zero unless [`SystemConfig::host_profile`] was set.
+    /// Host wall-clock phase breakdown. Phase times are all zero unless
+    /// [`SystemConfig::host_profile`] was set.
     pub fn host_phases(&self) -> HostPhases {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         let spent = &self.clock.spent;
@@ -714,8 +663,8 @@ impl Machine {
             merge_ms: ms(spent[PH_MERGE]),
             other_ms: ms(spent[PH_OTHER]),
             decode_ms: self.sb_stats().decode_ns as f64 / 1e6,
-            zones: self.zones,
-            zone_batches: self.zone_batches,
+            zones: 0,
+            zone_batches: 0,
         }
     }
 
@@ -725,10 +674,10 @@ impl Machine {
     }
 
     /// Batch telemetry in the shape the ledger's `core.spec_*` metrics read:
-    /// `batches_total` (live MTTOP batches) and `stale` (zone members
-    /// superseded before their slot) count; every other field reads 0, as
-    /// nothing speculates. Host-side only — never part of
-    /// [`ccsvm_engine::Stats`] or the `RunReport`. Removed with those metrics.
+    /// `batches_total` counts live MTTOP batches; every other field reads 0,
+    /// as nothing speculates. Host-side only — never part of
+    /// [`ccsvm_engine::Stats`] or the `RunReport`. Removed with the ledger's
+    /// `matmul_epochs`/`core.zones`/`mem.spec_*`.
     pub fn spec_stats(&self) -> SpecStats {
         self.spec_stats
     }
@@ -858,7 +807,7 @@ impl Machine {
         if !self.started {
             self.boot();
         }
-        let ended = self.drain((limit, u64::MAX)) != Drained::Bound;
+        let ended = self.drain(limit);
         self.clock.switch(PH_OTHER);
         let report = ended.then(|| {
             if !self.main_exited && self.failure.is_none() {
@@ -931,26 +880,17 @@ impl Machine {
         }
     }
 
-    /// The one event loop: pops and dispatches, in key order, every queued
-    /// event whose `(time, push-seq)` key is at most `until`. An event past
-    /// the bound stays queued, so resuming replays nothing.
-    ///
-    /// [`Machine::run_until`] calls it with a time bound. That is the
-    /// serial reference loop — pop, dispatch, repeat — and with
-    /// `sim_threads > 1` a live MTTOP batch popped there heads a zone
-    /// ([`Machine::run_zone`]). The zone calls back in between its member
-    /// slots, bounded by the next member's queue key; formation left only
-    /// stale batch events there, so those calls discard and never dispatch.
-    fn drain(&mut self, until: (Time, u64)) -> Drained {
+    /// The one event loop: pops and dispatches, in (time, push-order)
+    /// order, every queued event whose timestamp is at most `until`. An
+    /// event past the bound stays queued, so resuming replays nothing.
+    /// Returns `false` when it paused there, and `true` when the run is
+    /// over: the queue ran dry, `main` exited or a failure was recorded.
+    fn drain(&mut self, until: Time) -> bool {
         let wd_cfg = self.cfg.fault.watchdog;
         loop {
             self.clock.switch(PH_OTHER);
             let Some((t, ev)) = self.queue.pop_until(until) else {
-                return if self.queue.is_empty() {
-                    Drained::Empty
-                } else {
-                    Drained::Bound
-                };
+                return self.queue.is_empty();
             };
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
@@ -962,14 +902,14 @@ impl Machine {
                 self.queue.push(t, ev);
                 let reason = format!("simulation exceeded max_sim_time {}", self.cfg.max_sim_time);
                 self.failure = Some((Outcome::Deadlock, self.dump(reason)));
-                return Drained::Ended;
+                return true;
             }
             match ev {
                 Ev::WatchdogTick => {
                     let stale = self.watchdog.observe(self.now, self.progress);
                     if stale >= wd_cfg.quanta {
                         self.watchdog_abort(stale, wd_cfg.period);
-                        return Drained::Ended;
+                        return true;
                     }
                     self.queue.push(self.now + wd_cfg.period, Ev::WatchdogTick);
                     continue;
@@ -978,15 +918,7 @@ impl Machine {
                     if seq != self.mttop_seq[core] {
                         continue; // stale: superseded by a later schedule
                     }
-                    // Zones form only while nothing is ECC-poisoned: a
-                    // poisoned block can abort any batch, and members racing
-                    // to abort would make the diagnostic dump depend on
-                    // worker scheduling.
-                    if self.cfg.sim_threads > 1 && !self.mem.has_poisoned() {
-                        self.run_zone(core);
-                    } else {
-                        self.run_mttop_batch(core);
-                    }
+                    self.run_mttop_batch(core);
                 }
                 Ev::CpuBatch { core, seq } => {
                     if seq != self.cpu_seq[core] {
@@ -1005,167 +937,8 @@ impl Machine {
                 }
             }
             if self.main_exited || self.failure.is_some() {
-                return Drained::Ended;
+                return true;
             }
-        }
-    }
-
-    /// Zone formation: scans the queue in key order for up to
-    /// [`SpeculationConfig::max_scan`] entries, extracting up to `left` live
-    /// MTTOP batch events at the head's timestamp (`self.now`). It stops at
-    /// the first later timestamp and at the first event that is not an MTTOP
-    /// batch, so only stale batch events are left ordered between its
-    /// members. A core has at most one live batch event and the head's was
-    /// popped, so the members' cores are distinct.
-    fn claim_members(&mut self, mut left: usize) -> Vec<ZoneMember> {
-        let (now, mttop_seq) = (self.now, &self.mttop_seq);
-        let taken = self
-            .queue
-            .scan_extract(self.cfg.speculation.max_scan, |t, ev| {
-                if t > now || left == 0 {
-                    return ScanControl::Stop;
-                }
-                match *ev {
-                    Ev::MttopBatch { core, seq } => {
-                        if seq != mttop_seq[core] {
-                            ScanControl::Skip // stale: drains as a no-op later
-                        } else {
-                            left -= 1;
-                            ScanControl::Take
-                        }
-                    }
-                    _ => ScanControl::Stop,
-                }
-            });
-        taken
-            .into_iter()
-            .map(|(t, qseq, ev)| {
-                let Ev::MttopBatch { core, seq } = ev else {
-                    unreachable!("formation takes only MTTOP batch events");
-                };
-                ZoneMember {
-                    core,
-                    time: t,
-                    qseq,
-                    bseq: seq,
-                    outcome: None,
-                }
-            })
-            .collect()
-    }
-
-    /// Executes every member of `zone` concurrently over disjoint
-    /// `CorePort`s, leaving each member's `outcome` filled. Cores within a
-    /// zone are distinct by construction, so each task owns its `MttopCore`
-    /// and L1 port exclusively; the pool hands tasks out by dynamic
-    /// claiming, and determinism does not depend on who runs what — all
-    /// shared state waits for the ordered merge.
-    fn launch_round(&mut self, zone: &mut [ZoneMember]) {
-        let n_cpus = self.cfg.n_cpus;
-        struct Task<'a> {
-            member: usize,
-            at: Time,
-            mc: &'a mut MttopCore,
-            port: CorePort<'a>,
-            outcome: Option<BatchOutcome>,
-        }
-        // Only the members' ports and cores are borrowed, in core order.
-        let mut tasks: Vec<Task<'_>> = self
-            .mem
-            .core_ports(&mut self.port_logs)
-            .skip(n_cpus)
-            .zip(&mut self.mttops)
-            .enumerate()
-            .filter_map(|(core, (port, mc))| {
-                let member = zone.iter().position(|m| m.core == core)?;
-                Some(Task {
-                    member,
-                    at: zone[member].time,
-                    mc,
-                    port,
-                    outcome: None,
-                })
-            })
-            .collect();
-        debug_assert_eq!(tasks.len(), zone.len(), "zone cores are distinct");
-        let (prog, image) = (&self.prog, &self.image);
-        let workers = self.exec_threads - 1;
-        self.clock.switch(PH_CORE);
-        self.pool
-            .get_or_insert_with(|| WorkerPool::new(workers))
-            .round(&mut tasks, |t| {
-                t.outcome = Some(t.mc.run_batch(t.at, prog, image, &mut t.port));
-            });
-        for t in tasks {
-            zone[t.member].outcome = t.outcome;
-        }
-    }
-
-    /// Forms and runs one same-timestamp zone (DESIGN §7) headed by
-    /// `core0`'s live batch (already popped at `self.now`).
-    ///
-    /// *Formation* ([`Machine::claim_members`]) extracts live MTTOP batch
-    /// events for distinct cores at the head's own timestamp. *Execution*
-    /// ([`Machine::launch_round`]) steps the zone concurrently. *Commit*
-    /// walks members in queue-key order: the stale batch events ordered
-    /// before each member drain first ([`Machine::drain`]), then the
-    /// member's port log is replayed and its outcome applied —
-    /// byte-identical to having run serially at its slot, since nothing
-    /// live ordered before it touched its core or L1.
-    fn run_zone(&mut self, core0: usize) {
-        self.clock.switch(PH_MERGE);
-        let fresh = self.claim_members(self.cfg.speculation.max_epoch.saturating_sub(1));
-        if fresh.is_empty() {
-            self.run_mttop_batch(core0);
-            return;
-        }
-
-        let mut members: Vec<ZoneMember> = Vec::with_capacity(1 + fresh.len());
-        members.push(ZoneMember {
-            core: core0,
-            time: self.now,
-            qseq: 0,
-            bseq: self.mttop_seq[core0],
-            outcome: None,
-        });
-        members.extend(fresh);
-        self.zones += 1;
-        self.zone_batches += members.len() as u64;
-        self.launch_round(&mut members);
-
-        for (i, m) in members.iter_mut().enumerate() {
-            if i > 0 {
-                let drained = self.drain((m.time, m.qseq));
-                debug_assert_ne!(
-                    drained,
-                    Drained::Ended,
-                    "a live event drained inside a zone"
-                );
-                // The member's own queue slot (the head was popped already).
-                self.now = m.time;
-                self.events += 1;
-                let ev = TraceEv::MttopBatch {
-                    core: m.core,
-                    seq: m.bseq,
-                };
-                self.trace.record(m.time, || ev);
-            }
-            if m.bseq != self.mttop_seq[m.core] {
-                // Superseded during the zone (an earlier member's merge
-                // rescheduled the core): discard, exactly as serial would.
-                self.spec_stats.stale += 1;
-                continue;
-            }
-            self.clock.switch(PH_MERGE);
-            self.spec_stats.batches_total += 1;
-            let outcome = m.outcome.take().expect("zone member executed");
-            self.merge_mttop_batch(m.core, outcome);
-            // A zone forms only with nothing poisoned, and only stale events
-            // drain between its slots: no member can abort.
-            debug_assert!(
-                !self.main_exited && self.failure.is_none(),
-                "zone member aborted mid-merge"
-            );
         }
     }
 
@@ -1466,8 +1239,7 @@ impl Machine {
     /// ([`MttopConfig::wake_grid_cycles`]): completions landing within one
     /// grid tick coalesce into a single batch event, exactly as a clocked
     /// scheduler samples runnable warps at tick edges. Part of the timing
-    /// model — the serial loop and both round policies observe the same
-    /// grid, so results stay bit-identical across `sim_threads`.
+    /// model (DESIGN §7), so it participates in [`config_hash`].
     fn sched_mttop_batch(&mut self, core: usize, at: Time) {
         self.mttop_seq[core] += 1;
         let seq = self.mttop_seq[core];
@@ -1659,9 +1431,8 @@ impl Machine {
     /// loss the solicitation-round timeout provably recovers from: bank→L1
     /// snoop probes (idempotent, any protocol) and L1→bank `SnoopResp`s that
     /// answer a *write-update* round (the bank ignores Upd payloads and a
-    /// resend re-solicits only still-pending ports). Mem events dispatch
-    /// serially even under fork-join execution, so the draw order — and the
-    /// run — is identical across `sim_threads`.
+    /// resend re-solicits only still-pending ports). Draws happen in event
+    /// order, so a seed fixes the whole drop schedule.
     fn seeded_drop(&mut self, me: &MemEvent) -> bool {
         if let Some(rng) = &mut self.snoop_probe_rng {
             if me.is_snoop_probe() {
@@ -1804,6 +1575,8 @@ impl Machine {
         }
     }
 
+    /// Steps one MTTOP batch: core execution, then the merge (uncore replay,
+    /// forwarded page faults and the batch's action).
     fn run_mttop_batch(&mut self, core: usize) {
         self.spec_stats.batches_total += 1;
         self.clock.switch(PH_CORE);
@@ -1815,22 +1588,9 @@ impl Machine {
             &self.image,
             &mut self.mem.core_port(port, &mut log),
         );
-        self.port_logs[port.0] = log;
         self.clock.switch(PH_MERGE);
-        self.merge_mttop_batch(core, outcome);
-    }
-
-    /// The serial half of an MTTOP batch: replays the sends its core
-    /// buffered in its port log into the uncore, then applies its outcome.
-    fn merge_mttop_batch(&mut self, core: usize, outcome: BatchOutcome) {
-        let port = self.cfg.n_cpus + core;
-        let mut log = std::mem::take(&mut self.port_logs[port]);
         self.replay_log(&mut log);
-        self.port_logs[port] = log;
-        self.apply_mttop_outcome(core, outcome);
-    }
-
-    fn apply_mttop_outcome(&mut self, core: usize, outcome: BatchOutcome) {
+        self.port_logs[port.0] = log;
         for req in outcome.faults {
             self.mifd.count_fault_forward();
             // MTTOP -> MIFD -> CPU0 interrupt chain (§3.2.1).
@@ -2140,14 +1900,12 @@ impl Machine {
     }
 }
 
-/// Fingerprint of a `SystemConfig`, normalized so host-only execution knobs
-/// don't partition snapshots: a checkpoint taken at one `sim_threads` /
-/// `host_profile` setting restores at any other (the executors are
-/// bit-identical by construction, DESIGN.md §7). Public because sweep
-/// tooling keys jobs and result-cache entries by this hash.
+/// Fingerprint of a `SystemConfig`, normalized so host-only knobs don't
+/// partition snapshots: a checkpoint taken at one `host_profile` setting
+/// restores at any other. Public because sweep tooling keys jobs and
+/// result-cache entries by this hash.
 pub fn config_hash(cfg: &SystemConfig) -> u64 {
     let mut c = cfg.clone();
-    c.sim_threads = 1;
     c.host_profile = false;
     // The sanitizer and the trace observe but never perturb, so neither
     // the sanitizer's enable switch nor the trace capacity partitions
@@ -2161,7 +1919,7 @@ pub fn config_hash(cfg: &SystemConfig) -> u64 {
     // (bit-identical on/off, DESIGN §11): a checkpoint taken with it off
     // restores into a run with it on and vice versa.
     c.sb_cache = true;
-    // Zone formation bounds are host-perf only, like `sim_threads`.
+    // The undo-journal budget is read only by the ledger's probes.
     c.speculation = SpeculationConfig::default();
     ccsvm_snap::fnv1a(format!("{c:?}").as_bytes())
 }
@@ -2189,15 +1947,12 @@ mod tests {
     #[test]
     fn config_hash_ignores_host_knobs_only() {
         let base = SystemConfig::tiny();
-        let mut threads = base.clone();
-        threads.sim_threads = 8;
-        threads.host_profile = true;
-        threads.trace_events = 4096;
-        threads.sb_cache = false;
-        threads.speculation.max_epoch = 2;
-        threads.speculation.max_scan = 7;
-        threads.speculation.undo_sets = 1;
-        assert_eq!(config_hash(&base), config_hash(&threads));
+        let mut host = base.clone();
+        host.host_profile = true;
+        host.trace_events = 4096;
+        host.sb_cache = false;
+        host.speculation.undo_sets = 1;
+        assert_eq!(config_hash(&base), config_hash(&host));
 
         let mut other = base.clone();
         other.n_cpus += 1;

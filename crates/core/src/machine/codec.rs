@@ -52,9 +52,9 @@ impl Snapshot for Machine {
         //    them (the header's config hash guards the "same config" part).
         //  * `completions_buf`, `port_logs`, `mem` scratch — drained between
         //    dispatched events; checkpoints only happen at such boundaries.
-        //  * `clock`, `zones`, `zone_batches` — host-side profiling
-        //    telemetry, not simulated state (DESIGN.md §8); excluding them
-        //    keeps snapshot bytes identical across `sim_threads` settings.
+        //  * `clock`, `spec_stats` — host-side profiling telemetry, not
+        //    simulated state (DESIGN.md §8); excluding them keeps snapshot
+        //    bytes identical across `host_profile` settings.
         //  * `trace` — telemetry, not simulated state; excluding it keeps
         //    snapshot bytes identical across `trace_events` settings.
         let s = w.begin_section("machine");
@@ -191,8 +191,8 @@ impl Machine {
     ///
     /// Valid whenever the machine sits at an inter-event boundary: before
     /// [`Machine::run`], or after [`Machine::run_until`] returned `None`.
-    /// The image is byte-identical regardless of `sim_threads` — host
-    /// execution knobs are neither hashed nor serialized.
+    /// The image is byte-identical regardless of `host_profile` and
+    /// `trace_events` — host knobs are neither hashed nor serialized.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_header(config_hash(&self.cfg));
@@ -219,7 +219,7 @@ impl Machine {
     ///
     /// The restored machine resumes with [`Machine::run`] (or
     /// `run_until`) and produces results bit-identical to the
-    /// uninterrupted original, at any `sim_threads` setting.
+    /// uninterrupted original.
     ///
     /// # Errors
     ///

@@ -2,11 +2,8 @@
 //! records, one per event the run loop dispatches.
 //!
 //! [`SystemConfig::trace_events`](crate::SystemConfig::trace_events) is the
-//! capacity; 0 records nothing. The machine records at its two serial
-//! points — each event `Machine::drain` pops and each member slot a
-//! zone commits — so the ring is identical at every `sim_threads`
-//! setting. Snapshots leave it out; replay
-//! bundles carry it.
+//! capacity; 0 records nothing. The machine records each event
+//! `Machine::drain` pops. Snapshots leave it out; replay bundles carry it.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -17,8 +17,8 @@ pub fn run(cfg: SystemConfig, src: &str) -> RunReport {
     Machine::new(cfg, compile(src)).run()
 }
 
-/// The paper's xthreads matmul at n = 16 (seed 42): on the paper machine,
-/// enough MTTOP batches for fork-join rounds to form.
+/// The paper's xthreads matmul at n = 16 (seed 42): a full offload on the
+/// paper machine, with all ten MTTOP cores busy.
 pub fn matmul_n16() -> String {
     ccsvm_workloads::matmul::xthreads_source(&ccsvm_workloads::matmul::MatmulParams::new(16, 42))
 }

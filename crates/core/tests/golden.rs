@@ -72,16 +72,15 @@ fn capture_bundle(src: &str, cfg: &SystemConfig, context: &str) {
 }
 
 /// Renders the parts of a run that must be bit-for-bit stable.
-fn snapshot_at(src: &str, sim_threads: usize) -> String {
+fn snapshot(name: &str, src: &str) -> String {
     let prog = ccsvm_xthreads::build(src).unwrap_or_else(|e| panic!("compile: {e}"));
     let mut cfg = SystemConfig::paper_default();
-    cfg.sim_threads = sim_threads;
     cfg.sanitizer.enabled = sanitize_mode();
     cfg.protocol = protocol_mode();
     let mut m = Machine::new(cfg.clone(), prog);
     let r = m.run();
     if r.outcome != Outcome::Completed && cfg.sanitizer.enabled {
-        capture_bundle(src, &cfg, &format!("t{sim_threads}"));
+        capture_bundle(src, &cfg, name.trim_end_matches(".txt"));
     }
     assert_eq!(
         r.outcome,
@@ -108,16 +107,7 @@ fn snapshot_at(src: &str, sim_threads: usize) -> String {
 }
 
 fn check(name: &str, src: &str) {
-    let got = snapshot_at(src, 1);
-    // The fork-join executor (DESIGN §7) must reproduce the serial snapshot
-    // byte-for-byte at every worker count.
-    for sim_threads in [2, 4] {
-        let par = snapshot_at(src, sim_threads);
-        assert_eq!(
-            par, got,
-            "golden {name}: sim_threads={sim_threads} diverged from serial"
-        );
-    }
+    let got = snapshot(name, src);
     let protocol = protocol_mode();
     let file = if protocol == ProtocolKind::Directory {
         name.to_string()

@@ -3,7 +3,7 @@
 //! function of the text only, so every observable of a run — outcome, exit
 //! code, stats, simulated timings, printed output, event count, even the
 //! snapshot image bytes — must be bit-identical with the knob on and off,
-//! at every `sim_threads` value, fault-free and under an active fault plan,
+//! fault-free and under an active fault plan,
 //! and across checkpoint/restore in either direction (checkpoint with it
 //! on, restore with it off, and vice versa — snapshots are portable across
 //! the host knob).
@@ -46,32 +46,25 @@ fn vecadd_src(n: u64) -> String {
     )
 }
 
-fn run_with(mut cfg: SystemConfig, src: &str, sb_cache: bool, sim_threads: usize) -> RunReport {
+fn run_with(mut cfg: SystemConfig, src: &str, sb_cache: bool) -> RunReport {
     cfg.sb_cache = sb_cache;
-    cfg.sim_threads = sim_threads;
     Machine::new(cfg, compile(src)).run()
 }
 
-/// Runs `src` with the decoded image on and off at `sim_threads ∈ {1, 2,
-/// 4}`, asserting every report equals the serial image-off reference, and
-/// returns that reference.
+/// Runs `src` with the decoded image off and on, asserting both reports
+/// are equal, and returns the image-off reference.
 fn differential(cfg: &SystemConfig, src: &str, label: &str) -> RunReport {
-    let reference = run_with(cfg.clone(), src, false, 1);
-    for sim_threads in [1, 2, 4] {
-        for sb_cache in [false, true] {
-            let r = run_with(cfg.clone(), src, sb_cache, sim_threads);
-            assert_eq!(
-                reference, r,
-                "{label}: sb_cache={sb_cache} sim_threads={sim_threads} diverged \
-                 from the serial decoded-image-off reference"
-            );
-        }
-    }
+    let reference = run_with(cfg.clone(), src, false);
+    let r = run_with(cfg.clone(), src, true);
+    assert_eq!(
+        reference, r,
+        "{label}: the decoded image diverged from the image-off reference"
+    );
     reference
 }
 
 #[test]
-fn cache_toggle_is_invisible_across_sim_threads() {
+fn cache_toggle_is_invisible_on_tiny_machine() {
     let r = differential(&SystemConfig::tiny(), &vecadd_src(64), "vecadd_n64");
     assert_eq!(r.outcome, Outcome::Completed);
     assert_eq!(
@@ -182,26 +175,17 @@ fn cache_actually_hits_in_the_compared_runs() {
 }
 
 /// The text is decoded once per machine, not once per core: what the build
-/// reports cannot depend on how many cores read the image or on how many
-/// host threads run them, while the run entries do come from the cores.
+/// reports cannot depend on how many cores read the image, while the run
+/// entries do come from the cores.
 #[test]
 fn decode_happens_once_per_machine() {
-    let mut tiny_4_threads = SystemConfig::tiny();
-    tiny_4_threads.sim_threads = 4;
     let prog = compile(&vecadd_src(64));
     let mut built = Vec::new();
-    for cfg in [
-        SystemConfig::tiny(),
-        tiny_4_threads,
-        SystemConfig::paper_default(),
-    ] {
+    for cfg in [SystemConfig::tiny(), SystemConfig::paper_default()] {
         for sb_cache in [true, false] {
             let mut cfg = cfg.clone();
             cfg.sb_cache = sb_cache;
-            let label = format!(
-                "{}+{} cores, sim_threads {}, sb_cache {sb_cache}",
-                cfg.n_cpus, cfg.n_mttops, cfg.sim_threads
-            );
+            let label = format!("{}+{} cores, sb_cache {sb_cache}", cfg.n_cpus, cfg.n_mttops);
             let mut m = Machine::new(cfg, prog.clone());
             assert_eq!(m.run().outcome, Outcome::Completed, "{label}");
             let sb = m.sb_stats();
@@ -241,7 +225,7 @@ fn checkpoint_cross_restore(
 fn checkpoint_restore_crosses_the_cache_boundary() {
     let cfg = SystemConfig::tiny();
     let src = vecadd_src(32);
-    let uninterrupted = run_with(cfg.clone(), &src, false, 1);
+    let uninterrupted = run_with(cfg.clone(), &src, false);
     assert_eq!(uninterrupted.outcome, Outcome::Completed);
     // Early and mid-offload checkpoints, in both toggle directions.
     for den in [16, 2] {
@@ -265,7 +249,7 @@ fn snapshot_bytes_are_identical_on_vs_off() {
     // `--no-sb-cache` knob.
     let cfg = SystemConfig::tiny();
     let src = vecadd_src(32);
-    let done = run_with(cfg.clone(), &src, false, 1);
+    let done = run_with(cfg.clone(), &src, false);
     let at = Time::from_ps(done.time.as_ps() / 2);
     let mut imgs = Vec::new();
     for sb_cache in [false, true] {

@@ -1,6 +1,6 @@
 //! Checkpoint/restore differential suite: the headline invariant is that a
-//! run checkpointed at any cycle T and restored — at any `sim_threads`, on
-//! any later session — finishes with a `RunReport` bit-for-bit identical to
+//! run checkpointed at any cycle T and restored, even by another process,
+//! finishes with a `RunReport` bit-for-bit identical to
 //! the uninterrupted run, including under active fault plans and for runs
 //! that are going to abort. Mismatched snapshots (wrong config, wrong schema,
 //! truncated or corrupt bytes) must surface as typed errors, never as a
@@ -26,18 +26,16 @@ fn reference(cfg: &SystemConfig, src: &str) -> RunReport {
 }
 
 /// Pause a fresh machine at simulated time `at`, checkpoint it, restore the
-/// image into a machine running with `restore_threads`, and finish.
-fn checkpoint_resume(cfg: &SystemConfig, src: &str, at: Time, restore_threads: usize) -> RunReport {
+/// image into a fresh machine, and finish.
+fn checkpoint_resume(cfg: &SystemConfig, src: &str, at: Time) -> RunReport {
     let mut m = Machine::new(cfg.clone(), compile(src));
     assert!(
         m.run_until(at).is_none(),
         "run finished before the checkpoint cycle {at} — pick an earlier one"
     );
     let bytes = m.checkpoint_bytes();
-    let mut rcfg = cfg.clone();
-    rcfg.sim_threads = restore_threads;
     let mut restored =
-        Machine::restore_bytes(rcfg, compile(src), &bytes).expect("restore must succeed");
+        Machine::restore_bytes(cfg.clone(), compile(src), &bytes).expect("restore must succeed");
     restored.run()
 }
 
@@ -51,17 +49,11 @@ fn roundtrip_is_bit_identical_fault_free() {
     let src = vecadd_src(32);
     let uninterrupted = reference(&cfg, &src);
     assert_eq!(uninterrupted.outcome, Outcome::Completed);
-    // {early, mid-offload} checkpoint cycles x {serial, zone-forming}
-    // restores (`threads = 4` forms same-timestamp zones).
+    // Early and mid-offload checkpoint cycles.
     for (num, den) in [(1, 16), (1, 2)] {
-        for threads in [1, 4] {
-            let at = fraction_of(uninterrupted.time, num, den);
-            let resumed = checkpoint_resume(&cfg, &src, at, threads);
-            assert_eq!(
-                resumed, uninterrupted,
-                "checkpoint at {at} restored with sim_threads={threads} diverged"
-            );
-        }
+        let at = fraction_of(uninterrupted.time, num, den);
+        let resumed = checkpoint_resume(&cfg, &src, at);
+        assert_eq!(resumed, uninterrupted, "checkpoint at {at} diverged");
     }
 }
 
@@ -77,14 +69,12 @@ fn roundtrip_is_bit_identical_under_every_protocol() {
         let uninterrupted = reference(&cfg, &src);
         assert_eq!(uninterrupted.outcome, Outcome::Completed, "{kind}");
         for (num, den) in [(1, 16), (1, 2)] {
-            for threads in [1, 4] {
-                let at = fraction_of(uninterrupted.time, num, den);
-                let resumed = checkpoint_resume(&cfg, &src, at, threads);
-                assert_eq!(
-                    resumed, uninterrupted,
-                    "{kind}: checkpoint at {at} restored with sim_threads={threads} diverged"
-                );
-            }
+            let at = fraction_of(uninterrupted.time, num, den);
+            let resumed = checkpoint_resume(&cfg, &src, at);
+            assert_eq!(
+                resumed, uninterrupted,
+                "{kind}: checkpoint at {at} diverged"
+            );
         }
     }
 }
@@ -123,36 +113,33 @@ fn roundtrip_is_bit_identical_under_active_fault_plan() {
         "faults really fired in the reference run"
     );
     for (num, den) in [(1, 16), (1, 2)] {
-        for threads in [1, 4] {
-            let at = fraction_of(uninterrupted.time, num, den);
-            let resumed = checkpoint_resume(&cfg, &src, at, threads);
-            assert_eq!(
-                resumed, uninterrupted,
-                "faulty checkpoint at {at} restored with sim_threads={threads} diverged"
-            );
-        }
+        let at = fraction_of(uninterrupted.time, num, den);
+        let resumed = checkpoint_resume(&cfg, &src, at);
+        assert_eq!(resumed, uninterrupted, "faulty checkpoint at {at} diverged");
     }
 }
 
 #[test]
-fn snapshot_bytes_are_identical_across_sim_threads() {
-    // Pausing serial and round-forming runs at the same cycle must produce
-    // the same machine state — and because host-side telemetry is excluded from the
-    // image, the *snapshot bytes* must match too. This is what makes images
-    // portable across `--sim-threads` settings.
+fn snapshot_bytes_are_identical_across_host_knobs() {
+    // Host-side telemetry (the phase clock, the event trace) is neither
+    // hashed nor serialized, so pausing at the same cycle with it on or off
+    // must produce the same *snapshot bytes*. This is what makes images
+    // portable across profiling and tracing settings.
     let src = vecadd_src(32);
-    let serial_ref = reference(&SystemConfig::tiny(), &src);
-    let at = fraction_of(serial_ref.time, 1, 2);
-    let mut images = Vec::new();
-    for threads in [1, 2, 4] {
-        let mut cfg = SystemConfig::tiny();
-        cfg.sim_threads = threads;
-        let mut m = Machine::new(cfg, compile(&src));
-        assert!(m.run_until(at).is_none());
-        images.push(m.checkpoint_bytes());
-    }
-    assert_eq!(images[0], images[1], "sim_threads=1 vs 2 images differ");
-    assert_eq!(images[0], images[2], "sim_threads=1 vs 4 images differ");
+    let plain = SystemConfig::tiny();
+    let at = fraction_of(reference(&plain, &src).time, 1, 2);
+    let mut observed = plain.clone();
+    observed.host_profile = true;
+    observed.trace_events = 4096;
+    let images: Vec<Vec<u8>> = [plain, observed]
+        .into_iter()
+        .map(|cfg| {
+            let mut m = Machine::new(cfg, compile(&src));
+            assert!(m.run_until(at).is_none());
+            m.checkpoint_bytes()
+        })
+        .collect();
+    assert_eq!(images[0], images[1], "host knobs moved the image");
 }
 
 #[test]
@@ -166,13 +153,8 @@ fn aborting_run_roundtrips_including_the_diagnostic_dump() {
     assert_eq!(uninterrupted.outcome, Outcome::Deadlock);
     for (num, den) in [(1, 16), (1, 2)] {
         let at = fraction_of(uninterrupted.time, num, den);
-        for threads in [1, 4] {
-            let resumed = checkpoint_resume(&cfg, src, at, threads);
-            assert_eq!(
-                resumed, uninterrupted,
-                "wedged checkpoint at {at} (sim_threads={threads}) diverged"
-            );
-        }
+        let resumed = checkpoint_resume(&cfg, src, at);
+        assert_eq!(resumed, uninterrupted, "wedged checkpoint at {at} diverged");
     }
 }
 
@@ -218,7 +200,7 @@ fn chained_checkpoints_roundtrip() {
 fn fork_at_region_start_reproduces_cold_run() {
     // The warm-start pattern on Fig. 5's program: simulate up to the
     // region-start marker once, snapshot, and fork runs from the image. Each
-    // fork must be the cold run, bit for bit, at any `sim_threads`.
+    // fork must be the cold run, bit for bit.
     use ccsvm_workloads::{matmul, region_dram, region_time, MARK_START};
     let p = matmul::MatmulParams::new(16, 42);
     let prog = compile(&matmul::xthreads_source(&p));
@@ -239,13 +221,11 @@ fn fork_at_region_start_reproduces_cold_run() {
         limit = limit.plus(step);
     }
     let image = m.checkpoint_bytes();
-    for threads in [1, 2] {
-        let mut rcfg = cfg.clone();
-        rcfg.sim_threads = threads;
-        let fork = Machine::restore_bytes(rcfg, prog.clone(), &image)
+    for i in 0..2 {
+        let fork = Machine::restore_bytes(cfg.clone(), prog.clone(), &image)
             .expect("restore must succeed")
             .run();
-        assert_eq!(fork, cold, "fork at sim_threads={threads} diverged");
+        assert_eq!(fork, cold, "fork {i} diverged");
         assert_eq!(
             region_time(&fork.printed, &fork.printed_at, fork.time),
             region_time(&cold.printed, &cold.printed_at, cold.time)
@@ -292,11 +272,11 @@ fn mismatched_config_is_a_typed_error() {
         Err(other) => panic!("expected ConfigMismatch, got {other:?}"),
         Ok(_) => panic!("expected ConfigMismatch, restore succeeded"),
     }
-    // But host-only knobs (sim_threads, host_profile) are *not* part of the
-    // machine's identity — the same image restores fine.
+    // But host-only knobs (host_profile, trace_events) are *not* part of
+    // the machine's identity — the same image restores fine.
     let mut host_knobs = cfg.clone();
-    host_knobs.sim_threads = 4;
     host_knobs.host_profile = true;
+    host_knobs.trace_events = 64;
     assert!(Machine::restore_bytes(host_knobs, compile(&src), &bytes).is_ok());
 }
 
@@ -361,13 +341,12 @@ mod proptests {
         #[test]
         fn random_checkpoint_cycle_roundtrips(
             percent in 1u64..100,
-            threads in prop_oneof![Just(1usize), Just(4usize)],
         ) {
             let cfg = faulty_cfg(7);
             let src = vecadd_src(16);
             let uninterrupted = reference(&cfg, &src);
             let at = fraction_of(uninterrupted.time, percent, 100);
-            let resumed = checkpoint_resume(&cfg, &src, at, threads);
+            let resumed = checkpoint_resume(&cfg, &src, at);
             prop_assert_eq!(resumed, uninterrupted);
         }
     }

@@ -1,7 +1,7 @@
 //! The event trace (`SystemConfig::trace_events`, DESIGN §9) is a pure
 //! observer: turning it on changes no `RunReport`, and what it records does
-//! not depend on how many host threads ran the simulation. Replay bundles
-//! carry it, and their decoder refuses every truncation with a typed error.
+//! not depend on the host-side phase clock. Replay bundles carry it, and
+//! their decoder refuses every truncation with a typed error.
 
 use ccsvm::{
     run_with_triage, Machine, Mutation, MutationKind, ProtocolKind, ReplayBundle, RunReport,
@@ -53,23 +53,17 @@ fn report_is_identical_with_the_trace_on_or_off() {
 }
 
 #[test]
-fn trace_is_identical_across_sim_threads() {
+fn trace_is_identical_with_host_profile_on_or_off() {
     let src = matmul_n16();
     let mut cfg = SystemConfig::paper_default();
     cfg.trace_events = 1 << 20;
-    let (serial, reference) = run(cfg.clone(), &src);
-    assert_eq!(reference.total(), serial.events);
-    assert_eq!(reference.records().len() as u64, serial.events, "all kept");
-    for sim_threads in [2, 4] {
-        let mut c = cfg.clone();
-        c.sim_threads = sim_threads;
-        let (r, trace) = run(c, &src);
-        assert_eq!(r, serial, "sim_threads={sim_threads}");
-        assert!(
-            trace == reference,
-            "sim_threads={sim_threads}: the trace differs"
-        );
-    }
+    let (plain, reference) = run(cfg.clone(), &src);
+    assert_eq!(reference.total(), plain.events);
+    assert_eq!(reference.records().len() as u64, plain.events, "all kept");
+    cfg.host_profile = true;
+    let (profiled, trace) = run(cfg, &src);
+    assert_eq!(profiled, plain, "the phase clock moved the report");
+    assert!(trace == reference, "the phase clock moved the trace");
 }
 
 #[test]

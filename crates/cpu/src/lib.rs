@@ -14,6 +14,8 @@
 //! event queue, so inter-core interactions are event-accurate at quantum
 //! granularity (the gem5 approach).
 
+#![forbid(unsafe_code)]
+
 use ccsvm_engine::{Clock, SplitMix64, Stats, Time, TlbFaultConfig};
 use ccsvm_isa::{abi, AmoKind, DecodedImage, Instr, Operand, Program, Reg};
 use ccsvm_mem::{Access, AccessResult, AtomicOp, CorePort, PhysAddr, PortId};
@@ -375,11 +377,10 @@ impl CpuCore {
     /// Executes until a block/quantum boundary. See the [crate docs](crate).
     ///
     /// All memory traffic goes through `port`, the core's private
-    /// [`CorePort`]: the step mutates only this core and its own L1, so
-    /// batches of distinct cores may run concurrently and their buffered
-    /// [`ccsvm_mem::PortLog`]s be replayed afterwards in canonical order.
+    /// [`CorePort`]: the step mutates only this core and its own L1, and
+    /// the machine replays its buffered [`ccsvm_mem::PortLog`] afterwards.
     /// `image` must be [`DecodedImage::build`] of `prog.text`; it is only
-    /// read, so concurrent batches share one.
+    /// read, so every core shares one.
     pub fn run_batch(
         &mut self,
         now: Time,

@@ -30,17 +30,6 @@ const NUM_BUCKETS: usize = 1024;
 /// Picoseconds covered by the ring window.
 const SPAN: u64 = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
 
-/// Per-entry verdict from the [`EventQueue::scan_extract`] callback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScanControl {
-    /// Leave the entry queued and keep scanning.
-    Skip,
-    /// Remove the entry — it is returned to the caller — and keep scanning.
-    Take,
-    /// Leave the entry queued and end the scan.
-    Stop,
-}
-
 /// A deterministic priority queue of timestamped events.
 ///
 /// Events pop in non-decreasing time order; events with equal timestamps pop
@@ -171,18 +160,17 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.pop_until((Time::MAX, u64::MAX))
+        self.pop_until(Time::MAX)
     }
 
-    /// Removes and returns the earliest event if its (time, push-seq) key is
-    /// at most `bound` (see [`EventQueue::peek_key`]). When the queue is
-    /// empty or its head lies past `bound`, returns `None` and leaves the
-    /// queue exactly as it was; [`EventQueue::is_empty`] tells the two apart.
-    /// The head is found with one scan of its bucket.
-    pub fn pop_until(&mut self, bound: (Time, u64)) -> Option<(Time, E)> {
+    /// Removes and returns the earliest event if its time is at most
+    /// `bound`. When the queue is empty or its head lies past `bound`,
+    /// returns `None` and leaves the queue exactly as it was;
+    /// [`EventQueue::is_empty`] tells the two apart. The head is found with
+    /// one scan of its bucket.
+    pub fn pop_until(&mut self, bound: Time) -> Option<(Time, E)> {
         if self.ring_len == 0 {
-            let head = self.overflow.peek()?;
-            if (head.time, head.seq) > bound {
+            if self.overflow.peek()?.time > bound {
                 return None;
             }
             self.refill_from_overflow();
@@ -191,8 +179,8 @@ impl<E> EventQueue<E> {
             .first_occupied()
             .expect("ring_len > 0 implies an occupied bucket");
         let best = self.head_of(idx);
-        let (t, s, _) = self.buckets[idx][best];
-        if (t, s) > bound {
+        let t = self.buckets[idx][best].0;
+        if t > bound {
             return None;
         }
         self.cursor = idx;
@@ -222,23 +210,13 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// The full (time, push-seq) key of the earliest pending event. Sequence
-    /// numbers are monotone over pushes, so `peek_key() < k` is exactly the
-    /// "serial execution would dispatch the head before the event with key
-    /// `k`" test a zone's commit drain needs (events extracted by
-    /// [`EventQueue::scan_extract`] keep their original keys).
-    pub fn peek_key(&self) -> Option<(Time, u64)> {
         if self.ring_len == 0 {
-            return self.overflow.peek().map(|e| (e.time, e.seq));
+            return self.overflow.peek().map(|e| e.time);
         }
         let idx = self
             .first_occupied()
             .expect("ring_len > 0 implies an occupied bucket");
-        let (t, s, _) = self.buckets[idx][self.head_of(idx)];
-        Some((t, s))
+        Some(self.buckets[idx][self.head_of(idx)].0)
     }
 
     /// Number of pending events.
@@ -270,88 +248,9 @@ impl<E> EventQueue<E> {
         v.into_iter().map(|(t, _, e)| (t, e)).collect()
     }
 
-    /// Scans pending ring events in exact drain order — earliest (time, seq)
-    /// first — handing each to `decide`, which may leave it queued
-    /// ([`ScanControl::Skip`]), remove it ([`ScanControl::Take`]), or end the
-    /// scan ([`ScanControl::Stop`]). Taken events are returned with their
-    /// original (time, seq) keys, in drain order. At most `max_scan` entries
-    /// are visited; the scan also ends at the ring/overflow boundary
-    /// (overflow holds only far-future timers, beyond any zone's timestamp).
-    ///
-    /// Drain-order correctness rests on two invariants of the ring: buckets
-    /// at indices ≥ `cursor` are strictly time-ordered *between* buckets
-    /// (clamped past-pushes only ever target the cursor bucket, and the
-    /// cursor is monotone between window jumps), so visiting buckets in
-    /// index order with a per-bucket (time, seq) sort yields the global
-    /// order; and untaken entries keep their bucket, so a later `pop` or
-    /// `scan_extract` still sees them at the right position.
-    pub fn scan_extract(
-        &mut self,
-        max_scan: usize,
-        mut decide: impl FnMut(Time, &E) -> ScanControl,
-    ) -> Vec<(Time, u64, E)> {
-        let mut out: Vec<(Time, u64, E)> = Vec::new();
-        if self.ring_len == 0 {
-            return out;
-        }
-        let mut visited = 0usize;
-        let mut order: Vec<usize> = Vec::new();
-        let mut taken: Vec<usize> = Vec::new();
-        let mut idx = self.cursor;
-        'buckets: while let Some(b) = self.first_occupied_from(idx) {
-            let bucket = &mut self.buckets[b];
-            order.clear();
-            order.extend(0..bucket.len());
-            order.sort_by_key(|&i| (bucket[i].0, bucket[i].1));
-            taken.clear();
-            let mut stop = false;
-            for &i in &order {
-                if visited == max_scan {
-                    stop = true;
-                    break;
-                }
-                visited += 1;
-                match decide(bucket[i].0, &bucket[i].2) {
-                    ScanControl::Skip => {}
-                    ScanControl::Take => taken.push(i),
-                    ScanControl::Stop => {
-                        stop = true;
-                        break;
-                    }
-                }
-            }
-            if !taken.is_empty() {
-                // swap_remove from the highest position down so earlier
-                // taken positions stay valid, then restore drain order.
-                let first = out.len();
-                taken.sort_unstable_by(|a, b| b.cmp(a));
-                for &i in &taken {
-                    out.push(bucket.swap_remove(i));
-                }
-                out[first..].sort_by_key(|&(t, s, _)| (t, s));
-                self.ring_len -= taken.len();
-                if bucket.is_empty() {
-                    self.occupied[b / 64] &= !(1 << (b % 64));
-                }
-            }
-            if stop {
-                break 'buckets;
-            }
-            idx = b + 1;
-        }
-        out
-    }
-
     /// First occupied bucket at or after the cursor, via the bitmap.
     fn first_occupied(&self) -> Option<usize> {
-        self.first_occupied_from(self.cursor)
-    }
-
-    /// First occupied bucket at or after `from`, via the bitmap.
-    fn first_occupied_from(&self, from: usize) -> Option<usize> {
-        if from >= NUM_BUCKETS {
-            return None;
-        }
+        let from = self.cursor;
         let mut word = from / 64;
         // Mask off bits below `from` in its word.
         let mut bits = self.occupied[word] & (!0u64 << (from % 64));
@@ -435,9 +334,8 @@ impl<E> ReferenceEventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    fn pop_until(&mut self, bound: (Time, u64)) -> Option<(Time, E)> {
-        let head = self.heap.peek()?;
-        if (head.time, head.seq) > bound {
+    fn pop_until(&mut self, bound: Time) -> Option<(Time, E)> {
+        if self.heap.peek()?.time > bound {
             return None;
         }
         self.pop()
@@ -596,134 +494,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn peek_key_matches_pop_order() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_ns(7), "b");
-        q.push(Time::from_ns(7), "c");
-        q.push(Time::from_ns(3), "a");
-        q.push(Time::from_ms(10), "overflow");
-        while let Some(key) = q.peek_key() {
-            let (t, _) = q.pop().expect("peeked");
-            assert_eq!(key.0, t);
-            if let Some(next) = q.peek_key() {
-                assert!(key < next, "keys must be strictly increasing");
-            }
-        }
-        assert!(q.is_empty());
-    }
-
-    /// `scan_extract` visits ring entries in exact drain order, removes only
-    /// the taken ones, and the survivors still pop in the right order —
-    /// including clamped past-pushes sharing the cursor bucket with
-    /// naturally-filed entries.
-    #[test]
-    fn scan_extract_takes_in_drain_order() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_ns(100), 0u64);
-        q.push(Time::from_ns(300), 1);
-        q.push(Time::from_ns(100), 2); // FIFO pair with 0
-        q.push(Time::from_ns(200), 3);
-        q.push(Time::from_ns(150), 4);
-        assert_eq!(q.pop().unwrap().1, 0); // advance the cursor
-        q.push(Time::from_ns(120), 5); // clamped into the cursor bucket
-        q.push(Time::from_ms(10), 6); // overflow: never scanned
-
-        let mut seen = Vec::new();
-        let taken = q.scan_extract(usize::MAX, |t, &e| {
-            seen.push((t, e));
-            if e % 2 == 0 {
-                ScanControl::Take
-            } else {
-                ScanControl::Skip
-            }
-        });
-        // Visit order is drain order over the ring.
-        assert_eq!(
-            seen,
-            vec![
-                (Time::from_ns(100), 2),
-                (Time::from_ns(120), 5),
-                (Time::from_ns(150), 4),
-                (Time::from_ns(200), 3),
-                (Time::from_ns(300), 1),
-            ]
-        );
-        let got: Vec<u64> = taken.iter().map(|&(_, _, e)| e).collect();
-        assert_eq!(got, vec![2, 4]);
-        // Taken keys are strictly increasing and usable as drain fences.
-        assert!(taken
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(rest, vec![5, 3, 1, 6]);
-    }
-
-    #[test]
-    fn scan_extract_respects_stop_and_budget() {
-        let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.push(Time::from_ns(i), i);
-        }
-        // Budget of 3: only the first three entries are visited.
-        let taken = q.scan_extract(3, |_, _| ScanControl::Take);
-        assert_eq!(taken.len(), 3);
-        assert_eq!(q.len(), 7);
-        // Stop at the first entry ≥ 6ns: 6..10 survive untouched.
-        let taken = q.scan_extract(usize::MAX, |t, _| {
-            if t >= Time::from_ns(6) {
-                ScanControl::Stop
-            } else {
-                ScanControl::Take
-            }
-        });
-        assert_eq!(taken.len(), 3);
-        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(rest, vec![6, 7, 8, 9]);
-    }
-
-    /// Differential: interleaving scan_extract with pushes and pops, then
-    /// re-pushing everything taken, must leave the calendar queue draining
-    /// exactly like the reference heap fed the same surviving schedule.
-    #[test]
-    fn scan_extract_differential_with_reinsertion() {
-        let mut rng = crate::SplitMix64::new(0xEC40);
-        for round in 0..50u64 {
-            let mut q = EventQueue::new();
-            for n in 0..60u64 {
-                let r = rng.next_u64();
-                q.push(Time::from_ps(r % 3000), n);
-                if r.is_multiple_of(5) {
-                    q.pop();
-                }
-            }
-            let sel = rng.next_u64();
-            let taken = q.scan_extract(40, |_, &e| match (e ^ sel) % 3 {
-                0 => ScanControl::Take,
-                1 => ScanControl::Skip,
-                _ => ScanControl::Skip,
-            });
-            // Survivors must drain in nondecreasing (time, key-order); the
-            // taken set re-pushed at its original times must land after
-            // every pending earlier-keyed event of equal time (fresh seqs).
-            for (t, _, e) in taken {
-                q.push(t, e);
-            }
-            let mut last = None;
-            while let Some((t, _)) = q.pop() {
-                if let Some(prev) = last {
-                    assert!(t >= prev, "round {round}: time went backwards");
-                }
-                last = Some(t);
-            }
-        }
-    }
-
     /// Satellite: differential test — identical operation sequences on the
     /// calendar queue and the reference heap drain identically, including
     /// heavy same-timestamp bursts, interleaved push/pop, and bounded pops
-    /// whose bound falls between equal-time entries, before or after the
-    /// head, or past the ring while the overflow heap holds events.
+    /// whose bound falls on a burst tick, just before or at the head, or
+    /// past the ring while the overflow heap holds events.
     #[test]
     fn differential_vs_reference_heap() {
         let mut cal = EventQueue::new();
@@ -738,14 +513,14 @@ mod tests {
             } else if r % 7 == 1 {
                 let b = rng.next_u64();
                 let bound = match b % 4 {
-                    // A burst tick, cutting its FIFO run at a random seq.
-                    0 => (Time::from_ps((b >> 8) % 4 * 1000), (b >> 16) % (step + 1)),
-                    // Anywhere in or past the window, seq unbounded.
-                    1 => (Time::from_ps((b >> 8) % (100 * SPAN)), u64::MAX),
-                    // Just before or exactly at the head's key.
+                    // A burst tick.
+                    0 => Time::from_ps((b >> 8) % 4 * 1000),
+                    // Anywhere in or past the window.
+                    1 => Time::from_ps((b >> 8) % (100 * SPAN)),
+                    // Just before or exactly at the head's time.
                     _ => match reference.heap.peek() {
-                        Some(h) => (h.time, h.seq.saturating_sub((b >> 8) % 2)),
-                        None => (Time::ZERO, 0),
+                        Some(h) => Time::from_ps(h.time.as_ps().saturating_sub((b >> 8) % 2)),
+                        None => Time::ZERO,
                     },
                 };
                 let got = cal.pop_until(bound);

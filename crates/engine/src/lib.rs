@@ -31,6 +31,8 @@
 //! assert!(q.pop().is_none());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 mod event;
 mod fault;
@@ -42,7 +44,7 @@ mod stats;
 mod time;
 
 pub use campaign::{CampaignDomain, PlanSpec};
-pub use event::{EventQueue, ScanControl};
+pub use event::EventQueue;
 pub use fault::{
     DirTimeoutConfig, DramFaultConfig, FaultConfig, FaultDomain, FaultPlan, NocFaultConfig,
     ProbeLossConfig, TlbFaultConfig, Watchdog, WatchdogConfig,

@@ -2,9 +2,9 @@
 //!
 //! Host-side telemetry, a plain struct outside [`Stats`](crate::Stats) so
 //! it never enters a `RunReport`. Nothing speculates: the machine
-//! writes only `batches_total` and `stale`, and every other field reads 0.
-//! The struct stays only because the ledger still reads it, and is removed
-//! with those metrics.
+//! writes only `batches_total`, and every other field reads 0. The struct
+//! stays only because the ledger still reads it, and is removed with the
+//! ledger's `matmul_epochs`/`core.zones`/`mem.spec_*`.
 
 /// Counters read by the ledger's `core.spec_*` metrics. All host-side
 /// telemetry: never serialized into snapshots and never part of a run
@@ -19,14 +19,11 @@ pub struct SpecStats {
     pub committed: u64,
     /// Members rolled back. Always 0.
     pub rolled_back: u64,
-    /// Zone members already stale (superseded batch schedule) by their
-    /// commit slot — discarded exactly as serial would.
-    pub stale: u64,
     /// Undo-journal overflows. Always 0.
     pub overflows: u64,
     /// Epoch-wide rollbacks. Always 0.
     pub rollback_all: u64,
-    /// Live MTTOP batch events dispatched in total, in zones or not.
+    /// Live MTTOP batch events dispatched in total.
     pub batches_total: u64,
 }
 
@@ -41,7 +38,7 @@ impl SpecStats {
         }
     }
 
-    /// Fraction of claimed members that committed (vs rolled back/stale),
+    /// Fraction of claimed members that committed (vs rolled back),
     /// in [0, 1]; always 1.0, as no epoch forms.
     pub fn commit_rate(&self) -> f64 {
         if self.members == 0 {

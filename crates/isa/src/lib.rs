@@ -28,6 +28,8 @@
 //! `r29` frame pointer, `r30` stack pointer, `r31` return address.
 //! Floating point uses the same registers (IEEE-754 bit patterns).
 
+#![forbid(unsafe_code)]
+
 mod asm;
 mod instr;
 mod interp;

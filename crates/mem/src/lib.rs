@@ -24,6 +24,8 @@
 //! The crate is machine-agnostic: both the CCSVM chip and the CPU side of the
 //! APU baseline instantiate it with different configurations.
 
+#![forbid(unsafe_code)]
+
 mod addr;
 mod bank;
 mod cache;

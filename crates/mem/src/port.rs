@@ -1,16 +1,15 @@
 //! Core-side port into the memory system with buffered uncore effects.
 //!
 //! [`CorePort`] borrows exactly the state a core quantum may touch — its own
-//! L1 plus read-only routing configuration — so a batch step is `Send`-clean
-//! and several cores can step concurrently over disjoint ports. Everything a
-//! step would normally do to the shared uncore (NoC sends whose arrival
-//! schedules a [`MemEvent`]) is appended to a [`PortLog`] instead; a serial
-//! merge section later replays the logs in canonical order, producing the
-//! exact event stream serial execution would have produced.
+//! L1 plus read-only routing configuration. Everything a step would
+//! normally do to the shared uncore (NoC sends whose arrival schedules a
+//! [`MemEvent`]) is appended to a [`PortLog`] instead; the machine replays
+//! the log when the batch ends, producing the event stream direct sends
+//! would have produced.
 //!
 //! [`MemorySystem::access`](crate::MemorySystem::access) itself is implemented
-//! on top of a `CorePort` with an immediate replay, so the serial reference
-//! path and the parallel path share one implementation of the core-side logic.
+//! on top of a `CorePort` with an immediate replay, so core batches and
+//! direct accesses share one implementation of the core-side logic.
 
 use std::collections::BTreeSet;
 
@@ -37,7 +36,9 @@ struct LogEntry {
 ///
 /// Entries replay in push order, which matches the order the same core step
 /// would have performed the sends directly — so a replay is indistinguishable
-/// (in NoC state, event times and event FIFO order) from serial execution.
+/// (in NoC state, event times and event FIFO order) from direct sends.
+/// The machine buffers every batch through one; the ledger's
+/// `mem.portlog_replay_ns` probe times the replay.
 #[derive(Debug, Default)]
 pub struct PortLog {
     entries: Vec<LogEntry>,
@@ -69,9 +70,7 @@ impl PortLog {
 
 /// A single core's private view of the memory system: mutable access to its
 /// own L1, shared access to routing configuration, and a [`PortLog`] that
-/// buffers uncore effects. Distinct ports borrow disjoint L1s, so the ports
-/// of [`MemorySystem::core_ports`](crate::MemorySystem::core_ports) can be
-/// moved to worker threads.
+/// buffers uncore effects.
 #[derive(Debug)]
 pub struct CorePort<'a> {
     l1: &'a mut L1,

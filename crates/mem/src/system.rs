@@ -281,34 +281,6 @@ impl MemorySystem {
         )
     }
 
-    /// Splits the system into one [`CorePort`] per L1 (in `PortId` order),
-    /// each paired with the same-index entry of `logs`. The ports borrow
-    /// disjoint L1s and are `Send`, so they can be stepped concurrently. A
-    /// lazy iterator: fork-join rounds run thousands of times a run and keep
-    /// only the few ports whose cores take part.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `logs.len() != self.ports()`.
-    pub fn core_ports<'a>(
-        &'a mut self,
-        logs: &'a mut [PortLog],
-    ) -> impl Iterator<Item = CorePort<'a>> + 'a {
-        assert_eq!(logs.len(), self.l1s.len(), "one log per port required");
-        let poisoned: &BTreeSet<u64> = &self.poisoned;
-        let banks: &[BankConfig] = &self.bank_cfg;
-        let (ctrl, data) = (self.ctrl_bytes, self.data_bytes);
-        self.l1s
-            .iter_mut()
-            .zip(logs.iter_mut())
-            .map(move |(l1, log)| CorePort::new(l1, poisoned, banks, ctrl, data, log))
-    }
-
-    /// Whether any block is currently poisoned by an uncorrectable ECC error.
-    pub fn has_poisoned(&self) -> bool {
-        !self.poisoned.is_empty()
-    }
-
     // --- L1 undo journal ---------------------------------------------------
     //
     // Nothing in the machine speculates. The journal is read only by the
@@ -342,8 +314,7 @@ impl MemorySystem {
     /// back to [`MemorySystem::handle`] at the given times.
     ///
     /// Implemented as a [`CorePort::access`] followed by an immediate
-    /// [`PortLog::replay`], so the serial path exercises exactly the code the
-    /// parallel executor runs.
+    /// [`PortLog::replay`], so it runs exactly the code a core batch runs.
     pub fn access(
         &mut self,
         now: Time,

@@ -61,6 +61,8 @@
 //! reports them and the machine forwards them through the [`Mifd`] to a CPU
 //! core (§3.2.1).
 
+#![forbid(unsafe_code)]
+
 use ccsvm_engine::{Clock, FxHashMap, Stats, Time};
 use ccsvm_isa::{abi, AmoKind, DecodedImage, Instr, MicroOp, Operand, Program, Reg};
 use ccsvm_mem::{Access, AccessResult, AtomicOp, CorePort, PhysAddr, PortId};
@@ -746,7 +748,7 @@ impl MttopCore {
 
     /// Executes until the quantum, or until every live warp blocks. `image`
     /// must be [`DecodedImage::build`] of `prog.text`; it is only read, so
-    /// concurrent batches share one.
+    /// every core shares one.
     pub fn run_batch(
         &mut self,
         now: Time,

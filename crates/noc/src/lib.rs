@@ -31,6 +31,8 @@
 //! assert!(arrive > Time::ZERO);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ccsvm_engine::{NocFaultConfig, SplitMix64, Stats, Time};
 use ccsvm_snap::Codec;
 

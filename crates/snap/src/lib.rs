@@ -45,6 +45,8 @@
 //! r.end_section(end).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod journal;
 
 use std::fmt;

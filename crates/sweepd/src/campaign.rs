@@ -1,7 +1,7 @@
 //! Deterministic fault-campaign engine (DESIGN §14).
 //!
-//! A campaign sweeps fault domain × protocol × workload × `sim_threads`
-//! cells from one seed and enforces the **no-silent-wedge contract**: every
+//! A campaign sweeps fault domain × protocol × workload cells from one
+//! seed and enforces the **no-silent-wedge contract**: every
 //! cell must end in a typed [`Outcome`] — never a panic (caught and recorded
 //! per cell), never a hang (the preset's watchdog and `max_sim_time` bound
 //! every run). A cell whose outcome its plan cannot justify is *failing*;
@@ -76,8 +76,6 @@ pub struct CampaignSpec {
     pub workloads: Vec<String>,
     /// Problem size for the generated workloads.
     pub size: u64,
-    /// `sim_threads` axis (host-only knob; reports must not care).
-    pub sim_threads: Vec<usize>,
     /// Fault-domain axis: each grid cell runs a single-domain plan.
     pub domains: Vec<CampaignDomain>,
     /// Intensity (per-event probability) of each grid cell's domain.
@@ -103,7 +101,6 @@ impl Default for CampaignSpec {
             protocols: ProtocolKind::ALL.to_vec(),
             workloads: vec!["vecadd".into(), "matmul".into()],
             size: 8,
-            sim_threads: vec![1],
             domains: CampaignDomain::ALL.to_vec(),
             intensity: 0.05,
             timeout: Time::from_us(5),
@@ -131,11 +128,10 @@ pub enum CellStatus {
 /// One executed campaign cell.
 #[derive(Clone, Debug)]
 pub struct CellReport {
-    /// Stable label, `{protocol}-{workload}-{domain}-t{threads}`.
+    /// Stable label, `{protocol}-{workload}-{domain}`.
     pub label: String,
     pub protocol: ProtocolKind,
     pub workload: String,
-    pub sim_threads: usize,
     /// The plan the cell ran under.
     pub plan: PlanSpec,
     /// The run report (`None` when the cell panicked).
@@ -244,19 +240,17 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl CampaignSpec {
-    /// Builds one cell's full config: preset + protocol + threads + the
-    /// plan projected onto the fault config, sanitizer always on.
+    /// Builds one cell's full config: preset + protocol + the plan
+    /// projected onto the fault config, sanitizer always on.
     fn cell_config(
         &self,
         protocol: ProtocolKind,
-        sim_threads: usize,
         plan: &PlanSpec,
         mutate: Option<Mutation>,
     ) -> Result<SystemConfig, SweepError> {
         let mut cfg = SystemConfig::by_preset(&self.preset)
             .ok_or_else(|| SweepError::Spec(format!("unknown preset {:?}", self.preset)))?;
         cfg.protocol = protocol;
-        cfg.sim_threads = sim_threads;
         cfg.sanitizer.enabled = true;
         cfg.sanitizer.mutate = mutate;
         cfg.fault.seed = self.seed;
@@ -266,14 +260,12 @@ impl CampaignSpec {
 }
 
 /// Runs one cell in-process, converting any panic into a typed [`CellRun`].
-/// Completed reports round-trip through the cache (`sim_threads` is mixed
-/// into the key by hand — `config_hash` deliberately normalizes it away).
+/// Completed reports round-trip through the cache, keyed by config hash and
+/// source.
 fn run_cell(cache: &ReportCache, cfg: &SystemConfig, source: &str) -> Result<CellRun, SweepError> {
     let hash = config_hash(cfg);
     let mut buf = hash.to_le_bytes().to_vec();
     buf.extend_from_slice(source.as_bytes());
-    buf.push(0xfa);
-    buf.extend_from_slice(&(cfg.sim_threads as u64).to_le_bytes());
     let key = fnv1a(&buf);
     match cache.lookup(key, hash) {
         Ok(Some(report)) => return Ok(CellRun::Report(Box::new(report))),
@@ -310,7 +302,7 @@ fn shrink_plan(
     loop {
         let mut advanced = false;
         for cand in current.shrink_candidates(spec.shrink_floor) {
-            let cfg = spec.cell_config(protocol, 1, &cand, mutate)?;
+            let cfg = spec.cell_config(protocol, &cand, mutate)?;
             if run_cell(cache, &cfg, source)?.signature() == signature {
                 current = cand;
                 steps += 1;
@@ -337,7 +329,7 @@ fn capture_and_replay(
     mutate: Option<Mutation>,
     minimal: &PlanSpec,
 ) -> Result<(Option<PathBuf>, Option<bool>), SweepError> {
-    let cfg = spec.cell_config(protocol, 1, minimal, mutate)?;
+    let cfg = spec.cell_config(protocol, minimal, mutate)?;
     let preset = spec.preset.clone();
     let src = source.to_string();
     let every = spec.checkpoint_every;
@@ -367,40 +359,25 @@ fn capture_and_replay(
 /// manifest. Never aborts on a failing *cell* — only on infrastructure
 /// errors (bad spec, I/O).
 pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, SweepError> {
-    if spec.protocols.is_empty()
-        || spec.workloads.is_empty()
-        || spec.domains.is_empty()
-        || spec.sim_threads.is_empty()
-    {
+    if spec.protocols.is_empty() || spec.workloads.is_empty() || spec.domains.is_empty() {
         return Err(SweepError::Spec("empty campaign axis".into()));
     }
     std::fs::create_dir_all(dir).map_err(|e| SweepError::io(dir, &e))?;
     let cache = ReportCache::new(dir.join("cache")).map_err(SweepError::Snap)?;
 
     let mut cells = Vec::new();
-    // One cell per protocol × workload × domain × sim_threads, each with a
-    // single-domain plan at the campaign intensity.
+    // One cell per protocol × workload × domain, each with a single-domain
+    // plan at the campaign intensity.
     for &protocol in &spec.protocols {
         for workload in &spec.workloads {
             let source = campaign_source(workload, spec.size, spec.seed)?;
             for &domain in &spec.domains {
-                for &threads in &spec.sim_threads {
-                    let mut plan =
-                        PlanSpec::new(vec![(domain, spec.intensity)], Some(spec.timeout));
-                    plan.retry_budget = spec.retry_budget;
-                    let cfg = spec.cell_config(protocol, threads, &plan, None)?;
-                    let run = run_cell(&cache, &cfg, &source)?;
-                    let label = format!(
-                        "{}-{}-{}-t{}",
-                        protocol.as_str(),
-                        workload,
-                        domain.name(),
-                        threads
-                    );
-                    cells.push(classify(
-                        label, protocol, workload, threads, plan, run, None,
-                    ));
-                }
+                let mut plan = PlanSpec::new(vec![(domain, spec.intensity)], Some(spec.timeout));
+                plan.retry_budget = spec.retry_budget;
+                let cfg = spec.cell_config(protocol, &plan, None)?;
+                let run = run_cell(&cache, &cfg, &source)?;
+                let label = format!("{}-{}-{}", protocol.as_str(), workload, domain.name());
+                cells.push(classify(label, protocol, workload, plan, run, None));
             }
         }
     }
@@ -423,13 +400,12 @@ pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, 
         );
         plan.retry_budget = 32;
         let source = campaign_source("pingpong", spec.size, spec.seed)?;
-        let cfg = spec.cell_config(ProtocolKind::MesiSnoop, 1, &plan, Some(mutation))?;
+        let cfg = spec.cell_config(ProtocolKind::MesiSnoop, &plan, Some(mutation))?;
         let run = run_cell(&cache, &cfg, &source)?;
         cells.push(classify(
             "mutation-corrupt-resend".into(),
             ProtocolKind::MesiSnoop,
             "pingpong",
-            1,
             plan,
             run,
             Some(mutation),
@@ -493,12 +469,10 @@ pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, 
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn classify(
     label: String,
     protocol: ProtocolKind,
     workload: &str,
-    sim_threads: usize,
     plan: PlanSpec,
     run: CellRun,
     mutate: Option<Mutation>,
@@ -521,7 +495,6 @@ fn classify(
         label,
         protocol,
         workload: workload.to_string(),
-        sim_threads,
         plan,
         report,
         panic,

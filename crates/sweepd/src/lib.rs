@@ -28,10 +28,15 @@
 //! worker SIGKILLs and orchestrator crash-restarts yields a final results
 //! manifest **byte-identical** to an uninterrupted cold run.
 
+// `sig` declares three POSIX calls itself (the workspace takes no `libc`);
+// it is the one module in the workspace allowed `unsafe` (DESIGN §10).
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod campaign;
 pub mod orchestrator;
 pub mod records;
+#[allow(unsafe_code)]
 pub mod sig;
 pub mod spec;
 pub mod worker;

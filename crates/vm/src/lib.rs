@@ -22,6 +22,8 @@
 //! * [`GuestHeap`] — the `malloc`/`free` used by the xthreads runtime
 //!   (`mttop_malloc` offloads to a CPU running this allocator, §5.3.2).
 
+#![forbid(unsafe_code)]
+
 mod heap;
 mod os;
 mod tlb;

@@ -26,6 +26,8 @@
 //! [`LCG_ADD`]) implemented identically in XC (wrapping integer multiply)
 //! and in the Rust references, so reference results match bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 pub mod apsp;
 pub mod barnes_hut;
 pub mod matmul;

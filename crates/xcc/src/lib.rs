@@ -47,6 +47,8 @@
 //! pipes it through `ccsvm_isa::assemble` and attaches the data-segment
 //! size, producing a runnable [`ccsvm_isa::Program`].
 
+#![forbid(unsafe_code)]
+
 mod ast;
 mod codegen;
 mod lexer;

@@ -28,6 +28,8 @@
 //! Use [`link`] to concatenate the library with user source, and
 //! [`build`] to produce a runnable [`ccsvm_isa::Program`].
 
+#![forbid(unsafe_code)]
+
 use ccsvm_isa::Program;
 use ccsvm_xcc::CompileError;
 

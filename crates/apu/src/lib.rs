@@ -31,35 +31,7 @@
 
 use ccsvm::{Machine, SystemConfig};
 use ccsvm_engine::Time;
-use ccsvm_workload_shim::{region_dram, region_time};
-
-/// `region_time` lives in `ccsvm-workloads`, which depends on this crate's
-/// dev targets; a tiny local copy avoids a dependency cycle.
-mod ccsvm_workload_shim {
-    use ccsvm_engine::Time;
-
-    pub fn region_time(printed: &[String], printed_at: &[Time], full: Time) -> Time {
-        const MARK_START: i64 = -7_000_001;
-        const MARK_END: i64 = -7_000_002;
-        let s = printed.iter().position(|x| x == &MARK_START.to_string());
-        let e = printed.iter().position(|x| x == &MARK_END.to_string());
-        match (s, e) {
-            (Some(s), Some(e)) if e > s => printed_at[e] - printed_at[s],
-            _ => full,
-        }
-    }
-
-    pub fn region_dram(printed: &[String], dram_at_print: &[u64], total: u64) -> u64 {
-        const MARK_START: i64 = -7_000_001;
-        const MARK_END: i64 = -7_000_002;
-        let s = printed.iter().position(|x| x == &MARK_START.to_string());
-        let e = printed.iter().position(|x| x == &MARK_END.to_string());
-        match (s, e) {
-            (Some(s), Some(e)) if e > s => dram_at_print[e] - dram_at_print[s],
-            _ => total,
-        }
-    }
-}
+use ccsvm_workloads::{region_dram, region_time};
 
 /// APU model parameters. See [`ApuConfig::paper_scaled`].
 #[derive(Clone, Debug)]

@@ -12,16 +12,15 @@
 //! 5. **Atomics contention** (paper §3.2.4) — L1-resident atomics under
 //!    increasing sharing.
 
-use ccsvm::{Machine, SystemConfig};
-use ccsvm_bench::{check_eq, exit_with, BenchError};
+use ccsvm::{RunReport, SystemConfig};
+use ccsvm_bench::{check_eq, exit_with, region_numbers, run_program, BenchError, Opts, Out};
 use ccsvm_engine::Time;
 use ccsvm_mem::WritePolicy;
 use ccsvm_workloads as wl;
 
-fn run_with(cfg: SystemConfig, src: &str) -> (Time, ccsvm::RunReport) {
-    let mut m = Machine::new(cfg, wl::build(src));
-    let r = m.run();
-    (wl::region_time(&r.printed, &r.printed_at, r.time), r)
+fn run_with(cfg: SystemConfig, src: &str) -> (Time, RunReport) {
+    let r = run_program(cfg, src, "ablations");
+    (region_numbers(&r).0, r)
 }
 
 fn main() {
@@ -29,10 +28,11 @@ fn main() {
 }
 
 fn run() -> Result<(), BenchError> {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let n = if quick { 16 } else { 48 };
+    let opts = Opts::parse(&["--quick", "--out"])?;
+    let n = if opts.quick { 16 } else { 48 };
+    let mut out = Out::new(&opts);
 
-    println!("== Ablation 1: L1 store policy (matmul n={n})");
+    out.line(format!("== Ablation 1: L1 store policy (matmul n={n})"));
     for (name, policy) in [
         ("write-back", WritePolicy::WriteBack),
         ("write-through", WritePolicy::WriteThrough),
@@ -46,14 +46,14 @@ fn run() -> Result<(), BenchError> {
             wl::matmul::reference_checksum(&p),
             format!("{name} matmul result"),
         )?;
-        println!(
+        out.line(format!(
             "  {name:13} region {t}  noc bytes {:.0}  l2 puts {:.0}",
             r.stats.get("noc.bytes"),
             r.stats.sum_prefix("mem.l2.") - r.stats.sum_prefix("mem.l2.hits"),
-        );
+        ));
     }
 
-    println!("== Ablation 2: TLB shootdown cost vs MTTOP cores");
+    out.line("== Ablation 2: TLB shootdown cost vs MTTOP cores");
     let shoot_src = "
         _CPU_ fn main() -> int {
             let p: int* = malloc(4096 * 16);
@@ -68,13 +68,13 @@ fn run() -> Result<(), BenchError> {
         cfg.n_mttops = cores;
         let (t, r) = run_with(cfg, shoot_src);
         check_eq(r.exit_code, 0, format!("{cores}-core shootdown exit code"))?;
-        println!(
+        out.line(format!(
             "  {cores:2} MTTOP cores: 16 shootdowns in {t}  ({} each)",
             Time::from_ps(t.as_ps() / 16)
-        );
+        ));
     }
 
-    println!("== Ablation 2b: shootdown policy (flush-all vs selective, paper 3.2.1)");
+    out.line("== Ablation 2b: shootdown policy (flush-all vs selective, paper 3.2.1)");
     {
         // Warm the MTTOP TLBs with a kernel, then unmap one page: flush-all
         // destroys every warm translation; selective keeps them.
@@ -131,18 +131,20 @@ fn run() -> Result<(), BenchError> {
             let walks: f64 = (0..10)
                 .map(|i| r.stats.get(&format!("mttop.{i}.tlb_walks")))
                 .sum();
-            println!(
+            out.line(format!(
                 "  {}: post-shootdown phase {t}  (mttop TLB walks {walks:.0})",
                 if selective {
                     "selective "
                 } else {
                     "flush-all "
                 },
-            );
+            ));
         }
     }
 
-    println!("== Ablation 3: torus link bandwidth (matmul n={n})");
+    out.line(format!(
+        "== Ablation 3: torus link bandwidth (matmul n={n})"
+    ));
     for gbps in [3.0, 6.0, 12.0, 24.0] {
         let mut cfg = SystemConfig::paper_default();
         cfg.noc.link_bytes_per_ns = gbps;
@@ -153,10 +155,10 @@ fn run() -> Result<(), BenchError> {
             wl::matmul::reference_checksum(&p),
             format!("{gbps} GB/s matmul result"),
         )?;
-        println!("  {gbps:5.1} GB/s links: region {t}");
+        out.line(format!("  {gbps:5.1} GB/s links: region {t}"));
     }
 
-    println!("== Ablation 4: launch-path overhead sensitivity (vecadd n=256)");
+    out.line("== Ablation 4: launch-path overhead sensitivity (vecadd n=256)");
     for mult in [1u64, 10, 100, 1000] {
         let mut cfg = SystemConfig::paper_default();
         cfg.os.mifd_chunk = Time::from_ps(cfg.os.mifd_chunk.as_ps() * mult);
@@ -168,10 +170,10 @@ fn run() -> Result<(), BenchError> {
             wl::vecadd::reference_checksum(&p),
             format!("launch x{mult} vecadd result"),
         )?;
-        println!("  launch costs x{mult:4}: region {t}");
+        out.line(format!("  launch costs x{mult:4}: region {t}"));
     }
 
-    println!("== Ablation 5: atomic contention (fetch-and-add across 1280 threads)");
+    out.line("== Ablation 5: atomic contention (fetch-and-add across 1280 threads)");
     for targets in [1u64, 8, 64, 1280] {
         let src = format!(
             "_MTTOP_ fn k(tid: int, ctrs: int*) {{
@@ -199,8 +201,8 @@ fn run() -> Result<(), BenchError> {
             1280 * 32,
             format!("{targets}-counter atomic total"),
         )?;
-        println!("  {targets:4} counters: 40960 atomics in {t}");
+        out.line(format!("  {targets:4} counters: 40960 atomics in {t}"));
     }
-    println!("[ablations] done");
-    Ok(())
+    out.line("[ablations] done");
+    out.finish()
 }

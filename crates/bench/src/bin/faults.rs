@@ -12,31 +12,14 @@
 //! 5. **Replay** — the same seed reproduces a faulty run bit-for-bit; a
 //!    different seed draws a different schedule.
 
-use ccsvm::{Machine, Outcome, ProtocolKind, SystemConfig};
-use ccsvm_bench::{exit_with, BenchError, Claims};
+use ccsvm::{Outcome, RunReport, SystemConfig};
+use ccsvm_bench::{exit_with, region_numbers, run_program, BenchError, Claims, Opts};
 use ccsvm_engine::Time;
 use ccsvm_workloads as wl;
 
-/// `--protocol <name>` (default `directory`): run the whole sweep under the
-/// named coherence protocol, so CI covers every protocol with one binary.
-fn protocol_arg() -> Result<ProtocolKind, BenchError> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--protocol" {
-            let name = args
-                .next()
-                .ok_or_else(|| BenchError::Run("--protocol needs a value".into()))?;
-            return ProtocolKind::parse(&name)
-                .ok_or_else(|| BenchError::Run(format!("unknown protocol {name:?}")));
-        }
-    }
-    Ok(ProtocolKind::Directory)
-}
-
-fn run_with(cfg: SystemConfig, src: &str) -> (Time, ccsvm::RunReport) {
-    let mut m = Machine::new(cfg, wl::build(src));
-    let r = m.run();
-    (wl::region_time(&r.printed, &r.printed_at, r.time), r)
+fn run_with(cfg: SystemConfig, src: &str) -> (Time, RunReport) {
+    let r = run_program(cfg, src, "faults");
+    (region_numbers(&r).0, r)
 }
 
 fn main() {
@@ -44,8 +27,10 @@ fn main() {
 }
 
 fn run() -> Result<(), BenchError> {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let protocol = protocol_arg()?;
+    // `--protocol` runs the whole sweep under the named coherence protocol,
+    // so CI covers every protocol with one binary.
+    let opts = Opts::parse(&["--quick", "--protocol"])?;
+    let (quick, protocol) = (opts.quick, opts.protocol);
     let base_cfg = || {
         let mut cfg = SystemConfig::paper_default();
         cfg.protocol = protocol;

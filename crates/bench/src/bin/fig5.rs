@@ -13,11 +13,11 @@ fn main() {
 }
 
 fn run() -> Result<(), BenchError> {
-    let opts = Opts::parse();
+    let opts = Opts::parse(ccsvm_bench::SWEEP_FLAGS)?;
     let sizes = opts.pick(&[8, 16, 32, 64, 128], &[8, 16]);
     let apu = ApuConfig::paper_scaled();
     let mut claims = Claims::new();
-    let mut out = Out::new(&opts, Some("results/fig5.txt"));
+    let mut out = Out::new(&opts);
 
     out.header(
         "Figure 5: matmul runtime (ms, and relative to AMD CPU core = 1.0)",

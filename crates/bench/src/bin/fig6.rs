@@ -14,11 +14,11 @@ fn main() {
 }
 
 fn run() -> Result<(), BenchError> {
-    let opts = Opts::parse();
+    let opts = Opts::parse(ccsvm_bench::FIGURE_FLAGS)?;
     let sizes = opts.pick(&[8, 16, 32, 64, 128], &[8, 16]);
     let apu = ApuConfig::paper_scaled();
     let mut claims = Claims::new();
-    let mut out = Out::new(&opts, Some("results/fig6.txt"));
+    let mut out = Out::new(&opts);
 
     out.header(
         "Figure 6: APSP runtime (ms, and relative to AMD CPU core = 1.0)",
@@ -73,7 +73,7 @@ fn run() -> Result<(), BenchError> {
             &format!("n={n}: CCSVM beats even the no-init APU"),
         );
         // With sizes scaled ~8x below the paper's sweep, the CCSVM-vs-CPU
-        // crossover lands between n=64 and n=128 (see EXPERIMENTS.md).
+        // crossover lands at about n=64, a near tie (see EXPERIMENTS.md).
         if n >= 128 {
             claims.check(
                 t_ccsvm < t_cpu,

@@ -13,12 +13,12 @@ fn main() {
 }
 
 fn run() -> Result<(), BenchError> {
-    let opts = Opts::parse();
+    let opts = Opts::parse(ccsvm_bench::FIGURE_FLAGS)?;
     let sizes = opts.pick(&[256, 512, 1024, 2048], &[128, 256]);
     let apu = ApuConfig::paper_scaled();
     let mut claims = Claims::new();
     let mut rels: Vec<f64> = Vec::new();
-    let mut out = Out::new(&opts, Some("results/fig7.txt"));
+    let mut out = Out::new(&opts);
 
     out.header(
         "Figure 7: Barnes-Hut runtime (ms, and relative to AMD CPU core = 1.0)",
@@ -80,7 +80,7 @@ fn run() -> Result<(), BenchError> {
     // The crossover against the single CPU lands around 1024 bodies at our
     // scaled sizes. The paper's stronger CCSVM-beats-pthreads headline is
     // not reproduced at any size we can simulate: from 1,024 to 16,384
-    // bodies CCSVM / pthreads×4 goes 2.18, 1.93, 1.65, 1.53, 1.52, levelling
+    // bodies CCSVM / pthreads×4 goes 2.06, 1.81, 1.65, 1.53, 1.52, levelling
     // near 1.5. The suspected cause is the sequential tree build on the
     // CCSVM chip's max-IPC-0.5 CPU (the baselines build on the APU's
     // max-IPC-4 cores), not yet tested by an ablation. Only the trend

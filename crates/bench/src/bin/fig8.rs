@@ -43,10 +43,10 @@ fn main() {
 }
 
 fn run() -> Result<(), BenchError> {
-    let opts = Opts::parse();
+    let opts = Opts::parse(ccsvm_bench::FIGURE_FLAGS)?;
     let apu = ApuConfig::paper_scaled();
     let mut claims = Claims::new();
-    let mut out = Out::new(&opts, Some("results/fig8.txt"));
+    let mut out = Out::new(&opts);
 
     out.header(
         "Figure 8 (left): sparse matmul speedup vs size at 1% density",
@@ -66,7 +66,9 @@ fn run() -> Result<(), BenchError> {
     if !opts.quick {
         claims.check(
             left.iter().all(|(s, _)| *s > 0.5),
-            "1% density: CCSVM stays within 2x of the CPU (there is almost no              compute per row at simulable sizes; the win appears as density              or size grows)",
+            "1% density: CCSVM stays within 2x of the CPU (there is almost no \
+             compute per row at simulable sizes; the win appears as density \
+             or size grows)",
         );
     }
 
@@ -104,8 +106,12 @@ fn run() -> Result<(), BenchError> {
         // per-allocation CPU round trip is the reason speedups stay ~1x
         // instead of the dense benchmarks' 2-4x. See EXPERIMENTS.md.
         out.line(format!(
-            "note: speedup-vs-density trend here: {:?} (paper shows a decline              at its much larger sizes)",
-            right.iter().map(|(s, _)| (*s * 100.0).round() / 100.0).collect::<Vec<_>>()
+            "note: speedup-vs-density trend here: {:?} (paper shows a decline \
+             at its much larger sizes)",
+            right
+                .iter()
+                .map(|(s, _)| (*s * 100.0).round() / 100.0)
+                .collect::<Vec<_>>()
         ));
     } else {
         out.line("  (quick mode: sizes too small for the paper's trend; claims skipped)");

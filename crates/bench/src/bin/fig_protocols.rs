@@ -12,17 +12,9 @@
 
 use std::time::Instant;
 
-use ccsvm::{Machine, Outcome, ProtocolKind, RunReport};
-use ccsvm_bench::{check_eq, exit_with, ms, print_trace, rel, BenchError, Claims, Opts, Out};
+use ccsvm::{Outcome, ProtocolKind, RunReport};
+use ccsvm_bench::{check_eq, exit_with, ms, rel, run_program, BenchError, Claims, Opts, Out};
 use ccsvm_workloads as wl;
-
-fn stat(r: &RunReport, key: &str) -> f64 {
-    r.stats
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| v)
-        .unwrap_or(0.0)
-}
 
 struct Point {
     report: RunReport,
@@ -32,12 +24,9 @@ struct Point {
 fn run_point(kind: ProtocolKind, src: &str, opts: &Opts, label: &str) -> Result<Point, BenchError> {
     let mut cfg = opts.config();
     cfg.protocol = kind;
-    let prog = wl::build(src);
     let started = Instant::now();
-    let mut m = Machine::new(cfg, prog);
-    let report = m.run();
+    let report = run_program(cfg, src, label);
     let host_secs = started.elapsed().as_secs_f64();
-    print_trace(&m, label);
     if report.outcome != Outcome::Completed {
         return Err(BenchError::Run(format!(
             "{kind}: run aborted with {:?} (diag: {:?})",
@@ -52,10 +41,19 @@ fn main() {
 }
 
 fn run() -> Result<(), BenchError> {
-    let opts = Opts::parse();
+    // Every point runs under each protocol in turn, so `--protocol` is not
+    // among the flags this binary honours.
+    let opts = Opts::parse(&[
+        "--quick",
+        "--sizes",
+        "--threads",
+        "--out",
+        "--no-sb-cache",
+        "--trace-events",
+    ])?;
     let sizes = opts.pick(&[8, 16, 24], &[8]);
     let mut claims = Claims::new();
-    let mut out = Out::new(&opts, Some("results/fig_protocols.txt"));
+    let mut out = Out::new(&opts);
 
     out.header(
         "Cross-protocol: matmul on CPU+MTTOP under each coherence protocol",
@@ -104,7 +102,7 @@ fn run() -> Result<(), BenchError> {
                 rel(r.time, dir.time),
                 r.events,
                 r.dram_accesses,
-                stat(r, "noc.bytes") / 1024.0,
+                r.stats.get("noc.bytes") / 1024.0,
             ));
             footer.push(format!(
                 "n={n} {kind}: {:.0} ev/s host",

@@ -2,13 +2,14 @@
 //! verified against the compiled runtime library (every function must
 //! exist, with the declared caller side enforced by the compiler).
 
-use ccsvm_bench::{exit_with, BenchError};
+use ccsvm_bench::{exit_with, BenchError, Opts, Out};
 
 fn main() {
     exit_with(run());
 }
 
 fn run() -> Result<(), BenchError> {
+    let mut out = Out::new(&Opts::parse(&["--out"])?);
     let program = ccsvm_xcc::compile_to_program(ccsvm_xthreads::XTHREADS_LIB)
         .map_err(|e| BenchError::Run(format!("runtime library failed to compile: {e}")))?;
     let rows: &[(&str, &str, &str)] = &[
@@ -59,9 +60,9 @@ fn run() -> Result<(), BenchError> {
         ),
     ];
 
-    println!("== Table 1: synopsis of basic xthreads API functions");
-    println!("{:6} | {:62} | description", "caller", "function");
-    println!("{}", "-".repeat(150));
+    out.line("== Table 1: synopsis of basic xthreads API functions");
+    out.line(format!("{:6} | {:62} | description", "caller", "function"));
+    out.line("-".repeat(150));
     let mut missing = 0;
     for (caller, sig, desc) in rows {
         let name = sig.split('(').next().unwrap_or(sig);
@@ -69,21 +70,21 @@ fn run() -> Result<(), BenchError> {
         if !present {
             missing += 1;
         }
-        println!(
+        out.line(format!(
             "{caller:6} | {sig:62} | {desc} [{}]",
             if present { "ok" } else { "MISSING" }
-        );
+        ));
     }
-    println!(
+    out.line(format!(
         "\nruntime library: {} instructions of HIR across {} symbols",
         program.text.len(),
         program.symbols.len()
-    );
+    ));
     if missing != 0 {
         return Err(BenchError::Run(format!(
             "{missing} Table 1 function(s) missing from the library"
         )));
     }
-    println!("[table1] all API functions present");
-    Ok(())
+    out.line("[table1] all API functions present");
+    out.finish()
 }

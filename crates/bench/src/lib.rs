@@ -1,41 +1,31 @@
-//! Shared harness utilities for the per-figure benchmark binaries.
+//! Shared harness for the binaries that regenerate the paper's tables and
+//! figures.
 //!
 //! Host speed is measured in one place, the `benchmark` binary and its
-//! committed ledger (`src/bin/benchmark/README.md`); the figure binaries
-//! measure the simulated machine. Every figure binary accepts:
+//! committed ledger (`src/bin/benchmark/README.md`); the table and figure
+//! binaries measure the simulated machine, one way:
 //!
-//! * `--quick` — smaller sweeps for smoke runs (used by CI),
-//! * `--sizes a,b,c` — override the swept sizes,
-//! * `--threads N` — simulate sweep points on `N` worker threads (one
-//!   independent `Machine` per point; results are reassembled in input
-//!   order, so the printed table is byte-identical to a serial run),
-//! * `--checkpoint-at NS` — pause each sweep point at simulated time `NS`
-//!   nanoseconds, write a snapshot to `snapshots/<label>.ccsnap`, and
-//!   continue to completion (the printed table is unchanged),
-//! * `--restore-from DIR` — warm-start each sweep point from
-//!   `DIR/<label>.ccsnap` when that image exists (falling back to a cold
-//!   boot when it does not). Restored runs produce bit-identical reports, so
-//!   the table is again unchanged — only wall-time drops,
-//! * `--trace-events N` — record each simulated point's last `N` events
-//!   (`SystemConfig::trace_events`) and print them to stderr as one block
-//!   labelled with the point (the table is unchanged).
+//! * [`Opts::parse`] takes the flags a binary honours (from [`FLAGS`]) and
+//!   refuses any other argument with the usage text and exit status 2;
+//! * every simulated point is one cold run through [`run_program`];
+//! * tables print through [`Out`], which writes a results file only when
+//!   `--out FILE` is given, so a `--quick`, `--sizes` or `--protocol` run
+//!   never overwrites a committed `results/` file.
 //!
 //! Output is a fixed-width table whose rows mirror the corresponding figure
 //! in the paper; EXPERIMENTS.md records a captured run next to the paper's
-//! reported shape.
+//! reported shape. A sweep that must survive being killed runs under
+//! `sweepd` instead (DESIGN §10).
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use ccsvm::{Machine, ProtocolKind, RunReport, SystemConfig};
 use ccsvm_engine::Time;
 use ccsvm_workloads as wl;
-
-/// Directory where `--checkpoint-at` writes its snapshot images.
-pub const SNAP_DIR: &str = "snapshots";
 
 /// Typed failure in a bench binary. Every binary's `main` is a thin wrapper
 /// around a `Result<(), BenchError>` body handed to [`exit_with`]: CLI
@@ -109,10 +99,6 @@ pub fn exit_with(result: Result<(), BenchError>) -> ! {
     }
 }
 
-/// Exit status for a run stopped by SIGINT/SIGTERM after flushing its
-/// final checkpoint (POSIX convention: 128 + SIGINT).
-pub const EXIT_INTERRUPTED: i32 = 130;
-
 /// Writes a results artifact atomically: same-directory temp file, fsync,
 /// rename. A crash mid-write leaves either the old artifact or none — never
 /// a torn one. Parent directories are created as needed.
@@ -120,10 +106,7 @@ pub const EXIT_INTERRUPTED: i32 = 130;
 /// # Errors
 ///
 /// [`BenchError::Io`] when the directory or file cannot be written.
-pub fn write_results_atomic(
-    path: impl AsRef<std::path::Path>,
-    contents: &str,
-) -> Result<(), BenchError> {
+pub fn write_results_atomic(path: impl AsRef<Path>, contents: &str) -> Result<(), BenchError> {
     let path = path.as_ref();
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
@@ -133,20 +116,20 @@ pub fn write_results_atomic(
     ccsvm_snap::write_file(path, contents.as_bytes()).map_err(BenchError::from)
 }
 
-/// Table sink for figure binaries: every [`Out::line`] goes to stdout
-/// immediately (so interactive runs look unchanged) *and* into a buffer
-/// that [`Out::finish`] writes atomically to the binary's results file.
+/// Table sink for the table and figure binaries: every [`Out::line`] goes
+/// to stdout immediately *and* into a buffer that [`Out::finish`] writes
+/// atomically to `--out FILE`, when one was given.
 pub struct Out {
     path: Option<PathBuf>,
     buf: String,
 }
 
 impl Out {
-    /// A sink writing to `opts.out` if given, else to `default_path`
-    /// (pass `None` to keep a binary stdout-only by default).
-    pub fn new(opts: &Opts, default_path: Option<&str>) -> Out {
+    /// A sink that writes to `opts.out` if given and to stdout only
+    /// otherwise.
+    pub fn new(opts: &Opts) -> Out {
         Out {
-            path: opts.out.clone().or_else(|| default_path.map(PathBuf::from)),
+            path: opts.out.clone(),
             buf: String::new(),
         }
     }
@@ -197,7 +180,58 @@ pub fn check_eq(actual: u64, expect: u64, what: impl std::fmt::Display) -> Resul
     }
 }
 
-/// Parsed common CLI options.
+/// Every flag [`Opts::parse`] knows, with its value and its help line.
+pub const FLAGS: &[(&str, &str)] = &[
+    ("--quick", "reduced sweep for smoke runs"),
+    (
+        "--sizes LIST",
+        "comma-separated sweep sizes (positive integers)",
+    ),
+    (
+        "--threads N",
+        "simulate sweep points on N host threads (default 1; same table)",
+    ),
+    (
+        "--out FILE",
+        "write the table to FILE (atomically); without it nothing is written",
+    ),
+    (
+        "--no-sb-cache",
+        "disable the decoded-superblock fast path on CCSVM points (same table)",
+    ),
+    (
+        "--protocol NAME",
+        "directory (default), mesi-snoop or dragon; changes the simulated machine",
+    ),
+    (
+        "--trace-events N",
+        "print each point's last N simulated events to stderr (default 0 = off)",
+    ),
+];
+
+/// The flags of a figure binary that runs its sweep points in order.
+pub const FIGURE_FLAGS: &[&str] = &[
+    "--quick",
+    "--sizes",
+    "--out",
+    "--no-sb-cache",
+    "--protocol",
+    "--trace-events",
+];
+
+/// The flags of a figure binary that simulates its sweep points in
+/// parallel under `--threads N` (through [`sweep`]).
+pub const SWEEP_FLAGS: &[&str] = &[
+    "--quick",
+    "--sizes",
+    "--threads",
+    "--out",
+    "--no-sb-cache",
+    "--protocol",
+    "--trace-events",
+];
+
+/// Parsed command-line options of a table or figure binary.
 #[derive(Clone, Debug)]
 pub struct Opts {
     /// Reduced sweep for smoke testing.
@@ -206,12 +240,7 @@ pub struct Opts {
     pub sizes: Option<Vec<u64>>,
     /// Worker threads for the sweep driver (`--threads N`, default 1).
     pub threads: usize,
-    /// Simulated time at which to checkpoint each point (`--checkpoint-at`).
-    pub checkpoint_at: Option<Time>,
-    /// Directory of snapshot images to warm-start from (`--restore-from`).
-    pub restore_from: Option<PathBuf>,
-    /// Results-file override (`--out FILE`); binaries with a default results
-    /// path still write it when this is unset.
+    /// Results file (`--out FILE`); nothing is written without it.
     pub out: Option<PathBuf>,
     /// Decoded-superblock fast-path ablation (`--no-sb-cache` clears it).
     /// Pure host-perf knob: simulated tables are bit-identical either way
@@ -222,155 +251,86 @@ pub struct Opts {
     /// machine, so tables differ per protocol (DESIGN §13).
     pub protocol: ProtocolKind,
     /// Event-trace capacity per simulated point (`--trace-events N`,
-    /// default 0 = off); see [`print_trace`].
+    /// default 0 = off); see [`run_program`].
     pub trace_events: usize,
 }
 
-/// Prints the shared usage message and exits with status 2 (CLI misuse).
-fn usage_exit(binary: &str, error: &str) -> ! {
-    eprintln!("error: {error}");
-    eprintln!(
-        "usage: {binary} [--quick] [--sizes a,b,c] [--threads N]\n\
-         \x20                [--checkpoint-at NS] [--restore-from DIR]\n\
-         \n\
-         \x20 --quick           reduced sweep for smoke runs\n\
-         \x20 --sizes LIST      comma-separated sweep sizes (positive integers)\n\
-         \x20 --threads N       run sweep points on N worker threads (default 1)\n\
-         \x20 --checkpoint-at NS  pause each point at simulated time NS ns,\n\
-         \x20                   write {SNAP_DIR}/<label>.ccsnap, then continue\n\
-         \x20                   (table output is unchanged)\n\
-         \x20 --restore-from DIR  warm-start each point from DIR/<label>.ccsnap\n\
-         \x20                   when present (cold boot otherwise); restored\n\
-         \x20                   runs are bit-identical, only wall-time drops\n\
-         \x20 --out FILE        also write the table to FILE (atomic\n\
-         \x20                   temp-file + rename; overrides the binary's\n\
-         \x20                   default results path)\n\
-         \x20 --no-sb-cache     disable the decoded-superblock fast path on CCSVM\n\
-         \x20                   cores (host-perf ablation; simulated tables\n\
-         \x20                   are bit-identical either way)\n\
-         \x20 --protocol NAME   coherence protocol: directory (default),\n\
-         \x20                   mesi-snoop, or dragon; changes the simulated\n\
-         \x20                   machine, so tables differ per protocol\n\
-         \x20 --trace-events N  print each point's last N simulated events to\n\
-         \x20                   stderr (default 0 = off; tables are unchanged)"
-    );
-    std::process::exit(2);
-}
-
-/// The value of `flag`, an integer of at least `min`; exits with the usage
-/// message otherwise.
-fn count_arg(binary: &str, flag: &str, value: Option<String>, min: usize) -> usize {
-    let Some(v) = value else {
-        usage_exit(binary, &format!("{flag} needs a value"));
-    };
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= min => n,
-        _ => usage_exit(
-            binary,
-            &format!("bad {flag} `{v}` (want an integer >= {min})"),
-        ),
-    }
-}
-
 impl Opts {
-    /// Parses `std::env::args`. On malformed or unknown arguments it prints
-    /// a usage message to stderr and exits with a nonzero status instead of
-    /// panicking.
-    pub fn parse() -> Opts {
-        // Every figure binary parses options first, so this is the one
-        // choke point to arm SIGINT/SIGTERM handling: long sweeps stop at
-        // the next checkpoint boundary instead of dying mid-run.
-        ccsvm_sweepd::sig::install_shutdown_handler();
-        let binary = std::env::args()
-            .next()
-            .unwrap_or_else(|| "bench".to_string());
-        let mut quick = false;
-        let mut sizes = None;
-        let mut threads = 1usize;
-        let mut checkpoint_at = None;
-        let mut restore_from = None;
-        let mut out = None;
-        let mut sb_cache = true;
-        let mut protocol = ProtocolKind::Directory;
-        let mut trace_events = 0usize;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--no-sb-cache" => sb_cache = false,
+    /// Parses `std::env::args` against `accepted`, the flag names (from
+    /// [`FLAGS`], without their values) this binary honours.
+    ///
+    /// # Errors
+    ///
+    /// [`BenchError::Cli`], carrying the binary's usage text, for any
+    /// other argument, a missing value or a malformed one.
+    pub fn parse(accepted: &[&str]) -> Result<Opts, BenchError> {
+        let mut args = std::env::args();
+        let binary = args.next().unwrap_or_default();
+        let binary = Path::new(&binary).file_name().unwrap_or_default();
+        let usage = |problem: String| {
+            let flags = FLAGS
+                .iter()
+                .filter(|(f, _)| accepted.iter().any(|a| f.split(' ').next() == Some(*a)));
+            let synopsis: String = flags.clone().map(|(f, _)| format!(" [{f}]")).collect();
+            let help: String = flags.map(|(f, h)| format!("\n  {f:18}{h}")).collect();
+            BenchError::Cli(format!(
+                "{}{synopsis}: {problem}{help}",
+                binary.to_string_lossy()
+            ))
+        };
+        let mut opts = Opts {
+            quick: false,
+            sizes: None,
+            threads: 1,
+            out: None,
+            sb_cache: true,
+            protocol: ProtocolKind::Directory,
+            trace_events: 0,
+        };
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| usage(format!("{flag} needs a value")))
+            };
+            let count =
+                |v: String, min: usize| {
+                    v.trim().parse().ok().filter(|&n| n >= min).ok_or_else(|| {
+                        usage(format!("bad {flag} `{v}` (want an integer >= {min})"))
+                    })
+                };
+            let known = if accepted.contains(&flag.as_str()) {
+                flag.as_str()
+            } else {
+                ""
+            };
+            match known {
+                "--quick" => opts.quick = true,
+                "--no-sb-cache" => opts.sb_cache = false,
                 "--sizes" => {
-                    let Some(list) = args.next() else {
-                        usage_exit(&binary, "--sizes needs a value");
-                    };
-                    let mut parsed = Vec::new();
-                    for s in list.split(',') {
-                        match s.trim().parse::<u64>() {
-                            Ok(v) if v > 0 => parsed.push(v),
-                            _ => usage_exit(
-                                &binary,
-                                &format!("bad size `{s}` in --sizes (want positive integers)"),
-                            ),
-                        }
-                    }
-                    if parsed.is_empty() {
-                        usage_exit(&binary, "--sizes list is empty");
-                    }
-                    sizes = Some(parsed);
+                    let list = value()?;
+                    let sizes = list
+                        .split(',')
+                        .map(|s| s.trim().parse().ok().filter(|&v| v > 0))
+                        .collect::<Option<Vec<u64>>>();
+                    opts.sizes = Some(sizes.ok_or_else(|| {
+                        usage(format!("bad --sizes `{list}` (want positive integers)"))
+                    })?);
                 }
-                "--threads" => threads = count_arg(&binary, &a, args.next(), 1),
-                "--trace-events" => trace_events = count_arg(&binary, &a, args.next(), 0),
-                "--checkpoint-at" => {
-                    let Some(v) = args.next() else {
-                        usage_exit(&binary, "--checkpoint-at needs a value (simulated ns)");
-                    };
-                    match v.trim().parse::<u64>() {
-                        Ok(ns) if ns > 0 => checkpoint_at = Some(Time::from_ns(ns)),
-                        _ => usage_exit(
-                            &binary,
-                            &format!("bad checkpoint time `{v}` (want positive nanoseconds)"),
-                        ),
-                    }
-                }
-                "--restore-from" => {
-                    let Some(v) = args.next() else {
-                        usage_exit(&binary, "--restore-from needs a directory");
-                    };
-                    restore_from = Some(PathBuf::from(v));
-                }
-                "--out" => {
-                    let Some(v) = args.next() else {
-                        usage_exit(&binary, "--out needs a file path");
-                    };
-                    out = Some(PathBuf::from(v));
-                }
+                "--threads" => opts.threads = count(value()?, 1)?,
+                "--trace-events" => opts.trace_events = count(value()?, 0)?,
+                "--out" => opts.out = Some(value()?.into()),
                 "--protocol" => {
-                    let Some(v) = args.next() else {
-                        usage_exit(&binary, "--protocol needs a value");
-                    };
-                    match ProtocolKind::parse(v.trim()) {
-                        Some(p) => protocol = p,
-                        None => usage_exit(
-                            &binary,
-                            &format!(
-                                "unknown protocol `{v}` (want directory, mesi-snoop, or dragon)"
-                            ),
-                        ),
-                    }
+                    let v = value()?;
+                    opts.protocol = ProtocolKind::parse(v.trim()).ok_or_else(|| {
+                        usage(format!(
+                            "unknown protocol `{v}` (want directory, mesi-snoop or dragon)"
+                        ))
+                    })?;
                 }
-                other => usage_exit(&binary, &format!("unknown argument `{other}`")),
+                _ => return Err(usage(format!("unknown argument `{flag}`"))),
             }
         }
-        Opts {
-            quick,
-            sizes,
-            threads,
-            checkpoint_at,
-            restore_from,
-            out,
-            sb_cache,
-            protocol,
-            trace_events,
-        }
+        Ok(opts)
     }
 
     /// [`bench_cfg`] with this run's machine knobs applied: `--no-sb-cache`,
@@ -450,90 +410,23 @@ pub fn region_numbers(r: &RunReport) -> (Time, u64, u64) {
     (t, d, r.exit_code)
 }
 
-/// Runs an xthreads program on the CCSVM chip under the standard benchmark
-/// configuration and returns (measured region, DRAM accesses, exit code),
-/// honouring the harness's `--checkpoint-at` / `--restore-from` options.
-/// `label` names this sweep point's snapshot image, `<dir>/<label>.ccsnap`;
-/// the simulated results are identical to a cold run in every mode
-/// (checkpointing continues the run, restoring replays it bit-for-bit), so
-/// tables never change — only wall-time does.
-pub fn run_ccsvm_point(src: &str, opts: &Opts, label: &str) -> (Time, u64, u64) {
-    let cfg = opts.config();
-    if let Some(dir) = &opts.restore_from {
-        let path = dir.join(format!("{label}.ccsnap"));
-        if path.exists() {
-            match Machine::restore(cfg.clone(), wl::build(src), &path) {
-                Ok(mut m) => return region_numbers(&run_to_exit(&mut m, label)),
-                Err(e) => eprintln!(
-                    "warning: {}: {e}; cold-booting `{label}` instead",
-                    path.display()
-                ),
-            }
-        }
-    }
+/// Builds `src`, runs it to completion on a fresh machine under `cfg` and
+/// returns the report. When `cfg.trace_events` is set (`--trace-events N`)
+/// the machine's event trace goes to stderr as one block headed `label`.
+pub fn run_program(cfg: SystemConfig, src: &str, label: &str) -> RunReport {
     let mut m = Machine::new(cfg, wl::build(src));
-    let report = match opts.checkpoint_at {
-        Some(at) => match m.run_until(at) {
-            // The point finished before the checkpoint cycle: nothing to save.
-            Some(r) => {
-                print_trace(&m, label);
-                r
-            }
-            None => {
-                if let Err(e) = std::fs::create_dir_all(SNAP_DIR) {
-                    eprintln!("warning: cannot create {SNAP_DIR}/: {e}");
-                } else {
-                    let path = std::path::Path::new(SNAP_DIR).join(format!("{label}.ccsnap"));
-                    if let Err(e) = m.checkpoint(&path) {
-                        eprintln!("warning: checkpoint {}: {e}", path.display());
-                    }
-                }
-                run_to_exit(&mut m, label)
-            }
-        },
-        None => run_to_exit(&mut m, label),
-    };
-    region_numbers(&report)
-}
-
-/// Prints `m`'s event trace to stderr as one block headed `label`, when the
-/// machine records one (`--trace-events N`).
-pub fn print_trace(m: &Machine, label: &str) {
+    let report = m.run();
     if m.config().trace_events > 0 {
         eprintln!("== {label} {}", m.trace());
     }
+    report
 }
 
-/// Runs a machine to completion, polling for SIGINT/SIGTERM every 1 ms of
-/// simulated time, then prints its trace ([`print_trace`]). On
-/// interruption the machine's state is flushed to
-/// `snapshots/<label>.interrupted.ccsnap` — resumable via `--restore-from`
-/// after renaming — and the process exits with [`EXIT_INTERRUPTED`].
-/// Uninterrupted, the report is bit-identical to `Machine::run` (pausing
-/// never perturbs the simulation).
-pub fn run_to_exit(m: &mut Machine, label: &str) -> RunReport {
-    use ccsvm_sweepd::sig;
-    match m.run_with_cadence(Time::from_ms(1), |_| !sig::shutdown_requested()) {
-        Some(report) => {
-            print_trace(m, label);
-            report
-        }
-        None => {
-            let path = std::path::Path::new(SNAP_DIR).join(format!("{label}.interrupted.ccsnap"));
-            let flushed = std::fs::create_dir_all(SNAP_DIR)
-                .map_err(|e| ccsvm::SnapError::Io(e.to_string()))
-                .and_then(|()| m.checkpoint(&path));
-            match flushed {
-                Ok(()) => eprintln!(
-                    "interrupted at {}; state flushed to {}",
-                    m.now(),
-                    path.display()
-                ),
-                Err(e) => eprintln!("interrupted at {}; checkpoint failed: {e}", m.now()),
-            }
-            std::process::exit(EXIT_INTERRUPTED);
-        }
-    }
+/// Runs an xthreads program on the CCSVM chip under this run's
+/// configuration ([`Opts::config`]) and returns (measured region, DRAM
+/// accesses, exit code).
+pub fn run_ccsvm_point(src: &str, opts: &Opts, label: &str) -> (Time, u64, u64) {
+    region_numbers(&run_program(opts.config(), src, label))
 }
 
 /// Formats a time as milliseconds with 3 significant decimals.

@@ -1,32 +1,106 @@
-//! The `campaign` binary refuses a command line it does not understand
-//! before it runs a single cell: a typo must not run a different campaign
-//! than the one asked for.
+//! The bench binaries refuse a command line they do not understand before
+//! they simulate or write anything: a typo must not run a different sweep
+//! than the one asked for, and only `--out` writes a results file.
 
-use std::path::Path;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
-const CAMPAIGN: &str = env!("CARGO_BIN_EXE_campaign");
+/// Runs `binary` with `args` in a fresh, empty working directory, which is
+/// returned with the output so a test can check what the run left there.
+fn run_in_fresh_dir(case: &str, binary: &str, args: &[&str]) -> (Output, PathBuf) {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("bench-cli-{case}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test directory");
+    let out = Command::new(binary)
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("spawn bench binary");
+    (out, dir)
+}
 
+fn dir_entries(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .expect("read test directory")
+        .map(|e| e.expect("directory entry").path())
+        .collect()
+}
+
+/// A "cell" is any simulated point: a campaign cell, a figure's sweep
+/// point, a fault or ablation run.
 #[test]
 fn unknown_or_malformed_arguments_exit_2_before_any_cell_runs() {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("campaign-cli");
-    let _ = std::fs::remove_dir_all(&dir);
-    for extra in [
-        &["--bogus"][..],
-        &["--threads", "1,2"],
-        &["--quick", "--protocols", "dragonn"],
-        &["--seed"],
-    ] {
-        let out = Command::new(CAMPAIGN)
-            .arg("--dir")
-            .arg(&dir)
-            .args(extra)
-            .output()
-            .expect("spawn campaign");
+    let cases: &[(&str, &str, &[&str])] = &[
+        ("campaign", env!("CARGO_BIN_EXE_campaign"), &["--bogus"]),
+        (
+            "campaign",
+            env!("CARGO_BIN_EXE_campaign"),
+            &["--threads", "1,2"],
+        ),
+        (
+            "campaign",
+            env!("CARGO_BIN_EXE_campaign"),
+            &["--quick", "--protocols", "dragonn"],
+        ),
+        ("campaign", env!("CARGO_BIN_EXE_campaign"), &["--seed"]),
+        (
+            "faults",
+            env!("CARGO_BIN_EXE_faults"),
+            &["--quick", "--protocl", "dragon"],
+        ),
+        ("ablations", env!("CARGO_BIN_EXE_ablations"), &["--quikc"]),
+        ("table1", env!("CARGO_BIN_EXE_table1"), &["--bogus"]),
+        ("table2", env!("CARGO_BIN_EXE_table2"), &["--bogus"]),
+        ("fig7", env!("CARGO_BIN_EXE_fig7"), &["--threads", "2"]),
+        (
+            "fig5",
+            env!("CARGO_BIN_EXE_fig5"),
+            &["--checkpoint-at", "5"],
+        ),
+        ("fig5", env!("CARGO_BIN_EXE_fig5"), &["--restore-from", "x"]),
+    ];
+    for (i, &(name, binary, args)) in cases.iter().enumerate() {
+        let (out, dir) = run_in_fresh_dir(&format!("refuse-{i}"), binary, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{extra:?}: stderr {stderr}");
-        assert!(stderr.contains("usage: campaign"), "{extra:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{extra:?}: printed before refusing");
-        assert!(!dir.exists(), "{extra:?}: wrote {}", dir.display());
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{name} {args:?}: stderr {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("usage: {name} [")),
+            "{name} {args:?}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{name} {args:?}: printed before refusing"
+        );
+        assert_eq!(
+            dir_entries(&dir),
+            Vec::<PathBuf>::new(),
+            "{name} {args:?}: wrote files"
+        );
     }
+}
+
+#[test]
+fn a_table_run_without_out_writes_no_results_file() {
+    let (out, dir) = run_in_fresh_dir("table1-no-out", env!("CARGO_BIN_EXE_table1"), &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("[table1] all API functions present"),
+        "{stdout}"
+    );
+    assert!(!dir.join("results").exists(), "table1 created results/");
+    assert_eq!(
+        dir_entries(&dir),
+        Vec::<PathBuf>::new(),
+        "table1 wrote files"
+    );
 }

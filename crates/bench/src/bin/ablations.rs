@@ -12,6 +12,8 @@
 //! 5. **Atomics contention** (paper §3.2.4) — L1-resident atomics under
 //!    increasing sharing.
 
+#![forbid(unsafe_code)]
+
 use ccsvm::{RunReport, SystemConfig};
 use ccsvm_bench::{check_eq, exit_with, region_numbers, run_program, BenchError, Opts, Out};
 use ccsvm_engine::Time;

@@ -2,12 +2,13 @@
 //!
 //! Sweeps fault domain × protocol × workload cells from one seed, enforcing
 //! the no-silent-wedge contract: every cell ends in a typed outcome (panics
-//! are caught and recorded, hangs are watchdog- and `max_sim_time`-bounded). Failing cells are delta-debugged down to a
-//! minimal fault plan, captured as a replay bundle, and re-verified
-//! in-process; `bench --bin replay <bundle>` reproduces them standalone.
+//! are caught and recorded, hangs are watchdog- and `max_sim_time`-bounded).
+//! Failing cells are delta-debugged down to a minimal fault plan, captured
+//! as a replay bundle, and re-verified in-process; `bench --bin replay
+//! <bundle>` reproduces them standalone.
 //!
 //! ```text
-//! campaign [--quick] [--dir results/campaign] [--seed N]
+//! campaign [--quick] [--dir target/campaign] [--seed N]
 //!          [--protocols a,b,c] [--workloads w1,w2]
 //!          [--domains d1,d2,...] [--no-mutation-cell]
 //! ```
@@ -22,8 +23,10 @@
 //! fails, shrinks to a strictly simpler plan that keeps its probe-loss
 //! carrier, and replays cycle- and invariant-exactly from its bundle.
 
+#![forbid(unsafe_code)]
+
 use ccsvm::{Outcome, ProtocolKind, Time};
-use ccsvm_bench::{exit_with, BenchError, Claims};
+use ccsvm_bench::{exit_with, parse_list, BenchError, Claims};
 use ccsvm_engine::CampaignDomain;
 use ccsvm_sweepd::campaign::{outcome_name, run_campaign, CampaignSpec, CellStatus};
 
@@ -31,25 +34,12 @@ fn main() {
     exit_with(run());
 }
 
-const USAGE: &str = "campaign [--quick] [--dir DIR] [--seed N] [--protocols a,b,c] \
+const USAGE: &str = "campaign [--quick] [--dir target/campaign] [--seed N] [--protocols a,b,c] \
                      [--workloads w1,w2] [--domains d1,d2,...] [--no-mutation-cell]";
 
 /// A command-line misuse: exits 2 with the usage text.
 fn cli(problem: String) -> BenchError {
     BenchError::Cli(format!("{USAGE}: {problem}"))
-}
-
-fn parse_list<T>(
-    flag: &str,
-    raw: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Vec<T>, BenchError> {
-    raw.split(',')
-        .map(|s| {
-            let s = s.trim();
-            parse(s).ok_or_else(|| cli(format!("{flag}: bad element {s:?}")))
-        })
-        .collect()
 }
 
 /// Parses the command line into the campaign and its output directory.
@@ -59,7 +49,7 @@ fn parse_args(
     mut args: impl Iterator<Item = String>,
 ) -> Result<(CampaignSpec, std::path::PathBuf), BenchError> {
     let mut spec = CampaignSpec::default();
-    let mut dir = std::path::PathBuf::from("results/campaign");
+    let mut dir = std::path::PathBuf::from("target/campaign");
     let (mut quick, mut domains) = (false, None);
     while let Some(flag) = args.next() {
         let mut value = || {
@@ -76,11 +66,16 @@ fn parse_args(
                     .parse()
                     .map_err(|_| cli(format!("--seed: bad value {v:?}")))?;
             }
-            "--protocols" => spec.protocols = parse_list(&flag, &value()?, ProtocolKind::parse)?,
-            "--workloads" => {
-                spec.workloads = parse_list(&flag, &value()?, |s| Some(s.to_string()))?;
+            "--protocols" => {
+                spec.protocols = parse_list(&flag, &value()?, ProtocolKind::parse).map_err(cli)?;
             }
-            "--domains" => domains = Some(parse_list(&flag, &value()?, CampaignDomain::parse)?),
+            "--workloads" => {
+                spec.workloads =
+                    parse_list(&flag, &value()?, |s| Some(s.to_string())).map_err(cli)?;
+            }
+            "--domains" => {
+                domains = Some(parse_list(&flag, &value()?, CampaignDomain::parse).map_err(cli)?);
+            }
             other => return Err(cli(format!("unknown argument `{other}`"))),
         }
     }

@@ -12,6 +12,8 @@
 //! 5. **Replay** — the same seed reproduces a faulty run bit-for-bit; a
 //!    different seed draws a different schedule.
 
+#![forbid(unsafe_code)]
+
 use ccsvm::{Outcome, RunReport, SystemConfig};
 use ccsvm_bench::{exit_with, region_numbers, run_program, BenchError, Claims, Opts};
 use ccsvm_engine::Time;

@@ -4,6 +4,8 @@
 //! winning by orders of magnitude at small sizes with the APU catching up
 //! at the largest size.
 
+#![forbid(unsafe_code)]
+
 use ccsvm_apu::{run_cpu, run_offload, ApuConfig, OffloadShape};
 use ccsvm_bench::{check_eq, exit_with, ms, rel, BenchError, Claims, Opts, Out};
 use ccsvm_workloads as wl;
@@ -36,7 +38,7 @@ fn run() -> Result<(), BenchError> {
     // Simulate every sweep point (each an independent `Machine`) up front —
     // in parallel under `--threads N` — then print and judge claims in input
     // order, so the output is byte-identical at any thread count.
-    let points = ccsvm_bench::sweep(sizes.len(), opts.threads, |i| -> Result<_, BenchError> {
+    let points = ccsvm_sweepd::sweep(sizes.len(), opts.threads, |i| -> Result<_, BenchError> {
         let n = sizes[i];
         let p = wl::matmul::MatmulParams::new(n, 42);
         let expect = wl::matmul::reference_checksum(&p);

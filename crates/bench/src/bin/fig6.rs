@@ -5,6 +5,8 @@
 //! of simply using the CPU core"), while CCSVM launches once and barriers
 //! in shared memory.
 
+#![forbid(unsafe_code)]
+
 use ccsvm_apu::{run_cpu, run_offload, ApuConfig, OffloadShape};
 use ccsvm_bench::{check_eq, exit_with, ms, rel, BenchError, Claims, Opts, Out};
 use ccsvm_workloads as wl;

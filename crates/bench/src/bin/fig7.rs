@@ -4,6 +4,8 @@
 //! pointer chasing + frequent sequential/parallel toggling only works with
 //! tight coupling).
 
+#![forbid(unsafe_code)]
+
 use ccsvm_apu::{run_cpu, ApuConfig};
 use ccsvm_bench::{check_eq, exit_with, ms, rel, BenchError, Claims, Opts, Out};
 use ccsvm_workloads as wl;

@@ -4,6 +4,8 @@
 //! densifies because `mttop_malloc` (allocation proxied through a CPU
 //! thread) becomes the bottleneck.
 
+#![forbid(unsafe_code)]
+
 use ccsvm_apu::{run_cpu, ApuConfig};
 use ccsvm_bench::{check_eq, exit_with, ms, BenchError, Claims, Opts, Out};
 use ccsvm_workloads as wl;

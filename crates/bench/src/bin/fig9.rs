@@ -3,6 +3,8 @@
 //! communication, with the single CPU's accesses growing as the working set
 //! outgrows its caches.
 
+#![forbid(unsafe_code)]
+
 use ccsvm_apu::{run_cpu, run_offload, ApuConfig, OffloadShape};
 use ccsvm_bench::{check_eq, exit_with, BenchError, Claims, Opts, Out};
 use ccsvm_workloads as wl;
@@ -25,7 +27,7 @@ fn run() -> Result<(), BenchError> {
 
     // Sweep points run up front (in parallel under `--threads N`); printing
     // and claims stay in input order so output is thread-count-invariant.
-    let points = ccsvm_bench::sweep(sizes.len(), opts.threads, |i| -> Result<_, BenchError> {
+    let points = ccsvm_sweepd::sweep(sizes.len(), opts.threads, |i| -> Result<_, BenchError> {
         let n = sizes[i];
         let p = wl::matmul::MatmulParams::new(n, 42);
         let expect = wl::matmul::reference_checksum(&p);

@@ -10,6 +10,8 @@
 //! event/traffic premium over the directory, and Dragon's in-place updates
 //! keep DRAM traffic at directory level where invalidating MESI re-fetches.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use ccsvm::{Outcome, ProtocolKind, RunReport};
@@ -76,7 +78,7 @@ fn run() -> Result<(), BenchError> {
         .iter()
         .flat_map(|&n| ProtocolKind::ALL.iter().map(move |&p| (n, p)))
         .collect();
-    let points = ccsvm_bench::sweep(grid.len(), opts.threads, |i| -> Result<_, BenchError> {
+    let points = ccsvm_sweepd::sweep(grid.len(), opts.threads, |i| -> Result<_, BenchError> {
         let (n, kind) = grid[i];
         let p = wl::matmul::MatmulParams::new(n, 42);
         let src = wl::matmul::xthreads_source(&p);

@@ -16,6 +16,8 @@
 //! matching invariant, 1 when it did not reproduce or the bundle is
 //! unusable, 2 on CLI misuse.
 
+#![forbid(unsafe_code)]
+
 use ccsvm::{replay_bundle, ReplayBundle};
 use ccsvm_bench::{exit_with, BenchError};
 

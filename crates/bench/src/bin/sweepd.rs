@@ -1,258 +1,120 @@
-//! `sweepd` — crash-recoverable sweep orchestrator front-end (DESIGN §10).
+//! `sweepd` — cached grid sweeps (DESIGN §10).
 //!
-//! Orchestrator mode expands a workload × size × seed grid into deduplicated
-//! jobs and runs them in supervised worker processes (re-invocations of this
-//! same binary with `--worker`), journaling every state transition to
-//! `<dir>/sweep.journal`. Kill it at any point — SIGKILL included — and
-//! rerunning the same command resumes from the journal + result cache,
-//! finishing with a `manifest.txt` byte-identical to an uninterrupted run.
+//! Expands a workload × size × seed grid on one preset into deduplicated
+//! jobs, simulates every job that has no report in `<dir>/cache/` on
+//! `--threads N` host threads, and writes `<dir>/manifest.txt`. Rerunning
+//! the same command on the same `--dir` simulates only the jobs still
+//! missing and writes the identical manifest, so a stopped sweep resumes at
+//! point granularity. A job that does not complete is named
+//! `status=poisoned` next to its replay bundle under `<dir>/bundles/`.
 //!
-//! `--chaos kill=P,seed=S[,crashes=K]` turns on deterministic failure
-//! injection: workers SIGKILL themselves at seeded checkpoints and the
-//! orchestrator crash-restarts itself `K` times (default 1) before running
-//! to completion. Used by CI to prove the recovery invariant.
+//! ```text
+//! sweepd [--preset NAME] [--protocol NAME] [--workloads a,b] [--sizes a,b]
+//!        [--seeds a,b] [--threads N] --dir DIR
+//! ```
 //!
-//! Exit codes: 0 = sweep complete (poisoned jobs are *named in the
-//! manifest*, not an error), 130 = interrupted by SIGINT/SIGTERM (resume by
-//! rerunning), 1 = operational failure, 2 = CLI misuse.
+//! Any other argument, or a malformed value, prints the usage text and
+//! exits 2 before anything is simulated or written. Exit status 0 means the
+//! sweep completed (poisoned jobs are named in the manifest, not an error),
+//! and 1 an operational failure.
+
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 
-use ccsvm_sweepd::orchestrator::{run_sweep, ChaosPlan, SweepOutcome};
-use ccsvm_sweepd::worker::{run_worker, WorkerJob};
-use ccsvm_sweepd::{SweepError, SweepSpec};
-
-fn usage_exit(error: &str) -> ! {
-    eprintln!("error: {error}");
-    eprintln!(
-        "usage: sweepd --dir DIR [--preset NAME] [--protocol NAME]\n\
-         \x20             [--workloads a,b] [--sizes a,b]\n\
-         \x20             [--seeds a,b] [--max-attempts N] [--timeout-ms N]\n\
-         \x20             [--inflight N] [--ckpt-us US] [--seed N]\n\
-         \x20             [--chaos kill=P,seed=S[,crashes=K]]\n\
-         \n\
-         \x20 --dir DIR         sweep directory (journal, cache, manifest)\n\
-         \x20 --preset NAME     config preset (default tiny)\n\
-         \x20 --protocol NAME   coherence protocol: directory, mesi-snoop,\n\
-         \x20                   dragon (default directory); part of the job\n\
-         \x20                   identity, so each protocol sweeps separately\n\
-         \x20 --workloads LIST  vecadd,matmul,wedge (default vecadd)\n\
-         \x20 --sizes LIST      problem sizes (default 64)\n\
-         \x20 --seeds LIST      input seeds (default 1)\n\
-         \x20 --max-attempts N  retry budget per job before poisoning (default 3)\n\
-         \x20 --timeout-ms N    per-attempt wall-clock timeout (default 120000)\n\
-         \x20 --inflight N      concurrent workers (default 2)\n\
-         \x20 --ckpt-us US      checkpoint cadence in simulated µs (default 2;\n\
-         \x20                   0 disables mid-run checkpoints)\n\
-         \x20 --seed N          orchestrator seed for backoff jitter (default 1)\n\
-         \x20 --chaos SPEC      deterministic failure injection: kill=P\n\
-         \x20                   (worker kill probability), seed=S, crashes=K\n\
-         \x20                   (orchestrator crash-restarts, default 1)\n\
-         \n\
-         Rerunning the same command on the same --dir resumes/no-ops: completed\n\
-         jobs are served from the result cache, poisoned jobs stay retired."
-    );
-    std::process::exit(2);
-}
-
-struct ChaosArgs {
-    plan: ChaosPlan,
-    crashes: u32,
-}
-
-fn parse_chaos(v: &str) -> Result<ChaosArgs, String> {
-    let mut kill = 0.0f64;
-    let mut seed = 0u64;
-    let mut crashes = 1u32;
-    for part in v.split(',') {
-        let Some((k, val)) = part.split_once('=') else {
-            return Err(format!("bad --chaos component `{part}` (want k=v)"));
-        };
-        match k.trim() {
-            "kill" => {
-                kill = val
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad kill probability `{val}`"))?;
-                if !(0.0..=1.0).contains(&kill) {
-                    return Err(format!("kill probability `{val}` outside [0, 1]"));
-                }
-            }
-            "seed" => {
-                seed = val
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad seed `{val}`"))?;
-            }
-            "crashes" => {
-                crashes = val
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad crash count `{val}`"))?;
-            }
-            other => return Err(format!("unknown --chaos key `{other}`")),
-        }
-    }
-    Ok(ChaosArgs {
-        plan: ChaosPlan {
-            kill_prob: kill,
-            seed,
-            orch_crash: false,
-        },
-        crashes,
-    })
-}
-
-fn parse_u64_list(flag: &str, v: &str) -> Vec<u64> {
-    let mut out = Vec::new();
-    for s in v.split(',') {
-        match s.trim().parse::<u64>() {
-            Ok(n) => out.push(n),
-            Err(_) => usage_exit(&format!("bad value `{s}` in {flag}")),
-        }
-    }
-    if out.is_empty() {
-        usage_exit(&format!("{flag} list is empty"));
-    }
-    out
-}
+use ccsvm::ProtocolKind;
+use ccsvm_bench::{exit_with, parse_list, BenchError};
+use ccsvm_sweepd::{run_sweep, SweepError, SweepSpec};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_with(run());
+}
 
-    // Worker mode: this same binary re-invoked by the supervisor.
-    if args.first().map(String::as_str) == Some("--worker") {
-        match WorkerJob::parse_args(&args[1..]).and_then(|job| run_worker(&job)) {
-            Ok(code) => std::process::exit(code),
-            Err(e) => {
-                eprintln!("sweepd-worker error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+const SYNOPSIS: &str = "sweepd [--preset NAME] [--protocol NAME] [--workloads a,b] \
+                        [--sizes a,b] [--seeds a,b] [--threads N] --dir DIR";
 
+const HELP: &str = "
+  --preset NAME     config preset (default tiny)
+  --protocol NAME   directory (default), mesi-snoop or dragon; part of the
+                    job identity, so each protocol sweeps separately
+  --workloads LIST  vecadd, matmul, wedge (default vecadd)
+  --sizes LIST      problem sizes (default 64)
+  --seeds LIST      input seeds (default 1)
+  --threads N       simulate jobs on N host threads (default 1; same manifest)
+  --dir DIR         sweep directory: cache/, bundles/ and manifest.txt";
+
+/// A command-line misuse: exits 2 with the usage text.
+fn cli(problem: String) -> BenchError {
+    BenchError::Cli(format!("{SYNOPSIS}: {problem}{HELP}"))
+}
+
+/// Parses the command line into the sweep and its directory. Any argument
+/// not listed in [`SYNOPSIS`] is an error, so a typo never runs a different
+/// sweep than the one asked for.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(SweepSpec, PathBuf), BenchError> {
     let mut spec = SweepSpec::default();
-    let mut dir: Option<PathBuf> = None;
-    let mut chaos: Option<ChaosArgs> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        let mut val = |flag: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
+    let mut dir = None;
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| cli(format!("{flag} needs a value")))
         };
-        match a.as_str() {
-            "--dir" => dir = Some(PathBuf::from(val("--dir"))),
-            "--preset" => spec.preset = val("--preset"),
+        match flag.as_str() {
+            "--dir" => dir = Some(PathBuf::from(value()?)),
+            "--preset" => spec.preset = value()?,
             "--protocol" => {
-                let v = val("--protocol");
-                match ccsvm::ProtocolKind::parse(&v) {
-                    Some(p) => spec.protocol = p,
-                    None => usage_exit(&format!(
-                        "unknown protocol `{v}` (want directory, mesi-snoop, or dragon)"
-                    )),
-                }
+                let v = value()?;
+                spec.protocol = ProtocolKind::parse(v.trim()).ok_or_else(|| {
+                    cli(format!(
+                        "unknown protocol `{v}` (want directory, mesi-snoop or dragon)"
+                    ))
+                })?;
             }
             "--workloads" => {
-                spec.workloads = val("--workloads")
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
+                spec.workloads =
+                    parse_list(&flag, &value()?, |s| (!s.is_empty()).then(|| s.to_string()))
+                        .map_err(cli)?;
             }
-            "--sizes" => spec.sizes = parse_u64_list("--sizes", &val("--sizes")),
-            "--seeds" => spec.seeds = parse_u64_list("--seeds", &val("--seeds")),
-            "--max-attempts" => match val("--max-attempts").parse() {
-                Ok(n) if n > 0 => spec.max_attempts = n,
-                _ => usage_exit("bad --max-attempts (want a positive integer)"),
-            },
-            "--timeout-ms" => match val("--timeout-ms").parse() {
-                Ok(n) if n > 0 => spec.timeout_ms = n,
-                _ => usage_exit("bad --timeout-ms (want positive milliseconds)"),
-            },
-            "--inflight" => match val("--inflight").parse() {
-                Ok(n) if n > 0 => spec.inflight = n,
-                _ => usage_exit("bad --inflight (want a positive integer)"),
-            },
-            "--ckpt-us" => match val("--ckpt-us").parse::<u64>() {
-                Ok(us) => spec.checkpoint_every_ps = us * 1_000_000,
-                Err(_) => usage_exit("bad --ckpt-us (want simulated microseconds)"),
-            },
-            "--seed" => match val("--seed").parse() {
-                Ok(n) => spec.seed = n,
-                Err(_) => usage_exit("bad --seed"),
-            },
-            "--chaos" => match parse_chaos(&val("--chaos")) {
-                Ok(c) => chaos = Some(c),
-                Err(e) => usage_exit(&e),
-            },
-            other => usage_exit(&format!("unknown argument `{other}`")),
+            "--sizes" => {
+                spec.sizes = parse_list(&flag, &value()?, |s| s.parse().ok()).map_err(cli)?
+            }
+            "--seeds" => {
+                spec.seeds = parse_list(&flag, &value()?, |s| s.parse().ok()).map_err(cli)?
+            }
+            "--threads" => {
+                let v = value()?;
+                spec.threads =
+                    v.trim().parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
+                        cli(format!("bad --threads `{v}` (want an integer >= 1)"))
+                    })?;
+            }
+            other => return Err(cli(format!("unknown argument `{other}`"))),
         }
     }
-    let Some(dir) = dir else {
-        usage_exit("--dir is required");
-    };
-    let worker_exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: cannot locate own executable: {e}");
-            std::process::exit(1);
-        }
-    };
+    let dir = dir.ok_or_else(|| cli("--dir is required".into()))?;
+    Ok((spec, dir))
+}
 
-    // Chaos restart loop: each armed pass ends in a simulated orchestrator
-    // crash (workers SIGKILLed, in-memory state dropped); the journal and
-    // cache carry everything across. The final pass runs crash-free, which
-    // bounds the loop and guarantees convergence.
-    let mut crashes_left = chaos.as_ref().map_or(0, |c| c.crashes);
-    let outcome = loop {
-        let plan = chaos.as_ref().map(|c| ChaosPlan {
-            orch_crash: crashes_left > 0,
-            ..c.plan
-        });
-        match run_sweep(&spec, &dir, &worker_exe, plan.as_ref()) {
-            Ok(SweepOutcome::ChaosCrashed) => {
-                crashes_left -= 1;
-                eprintln!(
-                    "sweepd: chaos crash-restart ({} left); recovering from journal",
-                    crashes_left
-                );
-            }
-            Ok(other) => break Ok(other),
-            Err(e) => break Err(e),
-        }
-    };
-
-    match outcome {
-        Ok(SweepOutcome::Completed(s)) => {
-            println!(
-                "sweep complete: {}/{} done, {} poisoned{}{}",
-                s.done,
-                s.total,
-                s.poisoned.len(),
-                if s.poisoned.is_empty() { "" } else { ": " },
-                s.poisoned.join(", "),
-            );
-            println!(
-                "manifest {} (fnv {:016x}), recoveries {}, max resumed_at {} ps",
-                s.manifest_path.display(),
-                s.manifest_fnv,
-                s.recoveries,
-                s.max_resumed_at_ps,
-            );
-            std::process::exit(0);
-        }
-        Ok(SweepOutcome::Interrupted) => {
-            eprintln!("sweepd: interrupted; rerun the same command to resume");
-            std::process::exit(130);
-        }
-        Ok(SweepOutcome::ChaosCrashed) => unreachable!("restart loop consumes crashes"),
-        Err(e @ SweepError::Spec(_)) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+fn run() -> Result<(), BenchError> {
+    let (spec, dir) = parse_args(std::env::args().skip(1))?;
+    let s = run_sweep(&spec, &dir).map_err(|e| match e {
+        SweepError::Spec(what) => cli(what),
+        other => BenchError::Run(other.to_string()),
+    })?;
+    println!(
+        "sweep complete: {}/{} done, {} poisoned{}{}",
+        s.total - s.poisoned.len(),
+        s.total,
+        s.poisoned.len(),
+        if s.poisoned.is_empty() { "" } else { ": " },
+        s.poisoned.join(", "),
+    );
+    println!(
+        "simulated {}, cached {}; manifest {} (fnv {:016x})",
+        s.simulated,
+        s.total - s.simulated,
+        s.manifest_path.display(),
+        s.manifest_fnv,
+    );
+    Ok(())
 }

@@ -2,6 +2,8 @@
 //! verified against the compiled runtime library (every function must
 //! exist, with the declared caller side enforced by the compiler).
 
+#![forbid(unsafe_code)]
+
 use ccsvm_bench::{exit_with, BenchError, Opts, Out};
 
 fn main() {

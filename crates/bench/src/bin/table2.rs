@@ -1,5 +1,7 @@
 //! Table 2: the simulated CCSVM system and the modeled APU configurations.
 
+#![forbid(unsafe_code)]
+
 use ccsvm::SystemConfig;
 use ccsvm_apu::ApuConfig;
 use ccsvm_bench::{exit_with, BenchError, Opts, Out};

@@ -14,14 +14,12 @@
 //!
 //! Output is a fixed-width table whose rows mirror the corresponding figure
 //! in the paper; EXPERIMENTS.md records a captured run next to the paper's
-//! reported shape. A sweep that must survive being killed runs under
-//! `sweepd` instead (DESIGN §10).
+//! reported shape. A grid that should resume after being stopped runs under
+//! `sweepd` instead, which caches every finished point (DESIGN §10).
 
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use ccsvm::{Machine, ProtocolKind, RunReport, SystemConfig};
 use ccsvm_engine::Time;
@@ -180,6 +178,24 @@ pub fn check_eq(actual: u64, expect: u64, what: impl std::fmt::Display) -> Resul
     }
 }
 
+/// Parses a comma-separated `flag` value element by element, trimming each.
+///
+/// # Errors
+///
+/// The problem text, naming `flag` and the first element `parse` refuses.
+pub fn parse_list<T>(
+    flag: &str,
+    raw: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    raw.split(',')
+        .map(|s| {
+            let s = s.trim();
+            parse(s).ok_or_else(|| format!("{flag}: bad element {s:?}"))
+        })
+        .collect()
+}
+
 /// Every flag [`Opts::parse`] knows, with its value and its help line.
 pub const FLAGS: &[(&str, &str)] = &[
     ("--quick", "reduced sweep for smoke runs"),
@@ -220,7 +236,7 @@ pub const FIGURE_FLAGS: &[&str] = &[
 ];
 
 /// The flags of a figure binary that simulates its sweep points in
-/// parallel under `--threads N` (through [`sweep`]).
+/// parallel under `--threads N` (through [`ccsvm_sweepd::sweep`]).
 pub const SWEEP_FLAGS: &[&str] = &[
     "--quick",
     "--sizes",
@@ -351,44 +367,6 @@ impl Opts {
             None => full.to_vec(),
         }
     }
-}
-
-/// Runs `f(0..n)` across `threads` worker threads and returns the results
-/// **in input order**.
-///
-/// Each sweep point gets its own independent `Machine`, so points are
-/// embarrassingly parallel; indices are claimed dynamically (an atomic
-/// counter) for load balance. With `threads == 1` the closure runs inline on
-/// the caller's thread. Because each point is deterministic and results are
-/// reassembled by index, the caller's printed table is byte-identical
-/// regardless of the thread count.
-pub fn sweep<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    assert!(threads >= 1, "need at least one sweep thread");
-    if threads == 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                *slots[i].lock().expect("sweep result slot") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("sweep result slot")
-                .expect("sweep point computed")
-        })
-        .collect()
 }
 
 /// The standard benchmark configuration (paper defaults, 60 s cap).

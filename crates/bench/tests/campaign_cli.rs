@@ -58,6 +58,26 @@ fn unknown_or_malformed_arguments_exit_2_before_any_cell_runs() {
             &["--checkpoint-at", "5"],
         ),
         ("fig5", env!("CARGO_BIN_EXE_fig5"), &["--restore-from", "x"]),
+        (
+            "sweepd",
+            env!("CARGO_BIN_EXE_sweepd"),
+            &["--dir", "d", "--chaos", "kill=1.0,seed=7"],
+        ),
+        (
+            "sweepd",
+            env!("CARGO_BIN_EXE_sweepd"),
+            &["--dir", "d", "--ckpt-us", "2"],
+        ),
+        (
+            "sweepd",
+            env!("CARGO_BIN_EXE_sweepd"),
+            &["--dir", "d", "--max-attempts", "2"],
+        ),
+        (
+            "sweepd",
+            env!("CARGO_BIN_EXE_sweepd"),
+            &["--dir", "d", "--inflight", "2"],
+        ),
     ];
     for (i, &(name, binary, args)) in cases.iter().enumerate() {
         let (out, dir) = run_in_fresh_dir(&format!("refuse-{i}"), binary, args);

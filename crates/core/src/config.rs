@@ -204,7 +204,7 @@ impl SystemConfig {
     /// [`SystemConfig::tiny`] with a much shorter `max_sim_time` (100 µs).
     /// Sweep jobs that wedge (spin loops, lost wakeups) hit the deadline and
     /// abort with a typed outcome in well under a host-second, which keeps
-    /// retry-then-poison flows and their tests fast. Registered as the
+    /// the sweep's poison path and its tests fast. Registered as the
     /// `tiny_brief` preset so replay bundles captured from such jobs rebuild
     /// the exact config.
     pub fn tiny_brief() -> SystemConfig {

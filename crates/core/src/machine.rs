@@ -340,7 +340,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Serializes the report with the snapshot codec (no header — callers
-    /// that persist reports, like the sweep orchestrator's result cache,
+    /// that persist reports, like the sweep's report cache,
     /// add their own magic/version/config-hash envelope). The encoding is
     /// canonical: two bit-identical reports always serialize to identical
     /// bytes, even across processes (stats are written as sorted
@@ -819,38 +819,6 @@ impl Machine {
         });
         self.clock.switch(PH_IDLE);
         report
-    }
-
-    /// Runs to completion, pausing every `every` of simulated time and
-    /// invoking `at_pause` at each inter-event boundary — the checkpoint
-    /// cadence hook: the closure typically flushes
-    /// [`Machine::checkpoint_bytes`] somewhere durable. Returning `false`
-    /// from the closure stops the run at that boundary and yields `None`
-    /// (used for cooperative shutdown on SIGTERM); otherwise the final
-    /// report is returned, bit-identical to an uninterrupted
-    /// [`Machine::run`] — pausing never perturbs the simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero (the cadence would never advance).
-    pub fn run_with_cadence(
-        &mut self,
-        every: Time,
-        mut at_pause: impl FnMut(&mut Machine) -> bool,
-    ) -> Option<RunReport> {
-        assert!(every > Time::ZERO, "checkpoint cadence must be positive");
-        let mut limit = self.now.plus(every);
-        loop {
-            match self.run_until(limit) {
-                Some(report) => return Some(report),
-                None => {
-                    if !at_pause(self) {
-                        return None;
-                    }
-                    limit = limit.plus(every);
-                }
-            }
-        }
     }
 
     /// One-time boot: address-space setup, `main` on CPU 0, watchdog arm.

@@ -807,9 +807,8 @@ macro_rules! codec {
 /// same-directory temp file which is fsynced and renamed over `path`, so a
 /// crash mid-write can never leave a torn file under the final name — a
 /// reader sees either the old complete image or the new one. (Header and
-/// section checks would *detect* a torn image, but the sweep orchestrator
-/// resumes from "the newest valid checkpoint", which must never be a
-/// half-written one.)
+/// section checks would *detect* a torn file, but a sweep's cache entry or
+/// manifest must never be a half-written one.)
 pub fn write_file(path: &std::path::Path, bytes: &[u8]) -> Result<(), SnapError> {
     use std::io::Write;
     let io = |e: &std::io::Error| SnapError::Io(format!("{}: {e}", path.display()));

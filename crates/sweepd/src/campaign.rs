@@ -21,18 +21,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use ccsvm::{
-    config_hash, replay_bundle, run_with_triage, Machine, Mutation, MutationKind, Outcome,
-    ProtocolKind, RunReport, SystemConfig, Time,
+    replay_bundle, run_with_triage, Mutation, MutationKind, Outcome, ProtocolKind, RunReport,
+    SystemConfig, Time,
 };
 use ccsvm_engine::{CampaignDomain, PlanSpec};
-use ccsvm_snap::fnv1a;
 
 use crate::cache::ReportCache;
+use crate::run::{run_job, MANIFEST_FILE};
 use crate::spec::source_for;
 use crate::SweepError;
-
-/// Campaign manifest file name (under the campaign directory).
-pub const MANIFEST_FILE: &str = "manifest.txt";
 
 /// A sharing-heavy two-CPU workload: the campaign's mutation cell needs
 /// cross-L1 solicitation rounds for the recovery-layer mutation to have a
@@ -50,13 +47,19 @@ const PINGPONG_SRC: &str = "global results: int;
          return results;
      }";
 
-/// Generates the XC source for a campaign workload: everything
-/// [`source_for`] knows, plus `pingpong` (the sharing workload above).
-pub fn campaign_source(workload: &str, size: u64, seed: u64) -> Result<String, SweepError> {
+/// Generates the XC source for a campaign workload on a chip with
+/// `mttop_threads` MTTOP contexts: everything [`source_for`] knows, plus
+/// `pingpong` (the sharing workload above).
+pub fn campaign_source(
+    workload: &str,
+    size: u64,
+    seed: u64,
+    mttop_threads: u64,
+) -> Result<String, SweepError> {
     if workload == "pingpong" {
         return Ok(PINGPONG_SRC.into());
     }
-    source_for(workload, size, seed)
+    source_for(workload, size, seed, mttop_threads)
 }
 
 /// A fault campaign: the sweep axes, the per-cell plan shape, and the
@@ -202,40 +205,20 @@ pub fn acceptable(plan: &PlanSpec, outcome: Outcome) -> bool {
     }
 }
 
-/// The result of one in-process cell execution.
-enum CellRun {
-    Report(Box<RunReport>),
-    Panic(String),
-}
-
-impl CellRun {
-    /// The failure signature shrinking preserves: the outcome name, plus
-    /// the invariant ID for sanitizer aborts, or `panic`.
-    fn signature(&self) -> String {
-        match self {
-            CellRun::Panic(_) => "panic".into(),
-            CellRun::Report(r) => {
-                let inv = r
-                    .diagnostic
-                    .as_ref()
-                    .and_then(|d| d.violation.as_ref())
-                    .map(|v| v.invariant.as_str());
-                match inv {
-                    Some(id) => format!("{}:{id}", outcome_name(r.outcome)),
-                    None => outcome_name(r.outcome).to_string(),
-                }
-            }
-        }
-    }
-}
-
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).into()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
+/// The failure signature shrinking preserves: the outcome name, plus the
+/// invariant ID for sanitizer aborts, or `panic` when there is no report.
+fn signature(report: Option<&RunReport>) -> String {
+    let Some(r) = report else {
+        return "panic".into();
+    };
+    let inv = r
+        .diagnostic
+        .as_ref()
+        .and_then(|d| d.violation.as_ref())
+        .map(|v| v.invariant.as_str());
+    match inv {
+        Some(id) => format!("{}:{id}", outcome_name(r.outcome)),
+        None => outcome_name(r.outcome).to_string(),
     }
 }
 
@@ -259,33 +242,8 @@ impl CampaignSpec {
     }
 }
 
-/// Runs one cell in-process, converting any panic into a typed [`CellRun`].
-/// Completed reports round-trip through the cache, keyed by config hash and
-/// source.
-fn run_cell(cache: &ReportCache, cfg: &SystemConfig, source: &str) -> Result<CellRun, SweepError> {
-    let hash = config_hash(cfg);
-    let mut buf = hash.to_le_bytes().to_vec();
-    buf.extend_from_slice(source.as_bytes());
-    let key = fnv1a(&buf);
-    match cache.lookup(key, hash) {
-        Ok(Some(report)) => return Ok(CellRun::Report(Box::new(report))),
-        Ok(None) => {}
-        Err(_) => cache.quarantine(key),
-    }
-    let prog = ccsvm_xthreads::build(source)
-        .map_err(|e| SweepError::Spec(format!("campaign workload failed to compile: {e}")))?;
-    let run_cfg = cfg.clone();
-    match catch_unwind(AssertUnwindSafe(move || Machine::new(run_cfg, prog).run())) {
-        Ok(report) => {
-            cache.store(key, hash, &report)?;
-            Ok(CellRun::Report(Box::new(report)))
-        }
-        Err(p) => Ok(CellRun::Panic(panic_message(p))),
-    }
-}
-
 /// Greedy delta-debugging: repeatedly replace the plan with the first
-/// strictly-simpler candidate that still reproduces `signature`, until no
+/// strictly-simpler candidate that still reproduces `target`, until no
 /// candidate does. Terminates because every candidate removes an entry or
 /// halves an intensity (with halvings below the floor becoming removals).
 fn shrink_plan(
@@ -295,7 +253,7 @@ fn shrink_plan(
     source: &str,
     mutate: Option<Mutation>,
     plan: &PlanSpec,
-    signature: &str,
+    target: &str,
 ) -> Result<(PlanSpec, u32), SweepError> {
     let mut current = plan.clone();
     let mut steps = 0u32;
@@ -303,7 +261,7 @@ fn shrink_plan(
         let mut advanced = false;
         for cand in current.shrink_candidates(spec.shrink_floor) {
             let cfg = spec.cell_config(protocol, &cand, mutate)?;
-            if run_cell(cache, &cfg, source)?.signature() == signature {
+            if signature(run_job(cache, &cfg, source)?.result.as_ref().ok()) == target {
                 current = cand;
                 steps += 1;
                 advanced = true;
@@ -364,18 +322,21 @@ pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, 
     }
     std::fs::create_dir_all(dir).map_err(|e| SweepError::io(dir, &e))?;
     let cache = ReportCache::new(dir.join("cache")).map_err(SweepError::Snap)?;
+    let chip = SystemConfig::by_preset(&spec.preset)
+        .ok_or_else(|| SweepError::Spec(format!("unknown preset {:?}", spec.preset)))?
+        .mttop_threads();
 
     let mut cells = Vec::new();
     // One cell per protocol × workload × domain, each with a single-domain
     // plan at the campaign intensity.
     for &protocol in &spec.protocols {
         for workload in &spec.workloads {
-            let source = campaign_source(workload, spec.size, spec.seed)?;
+            let source = campaign_source(workload, spec.size, spec.seed, chip)?;
             for &domain in &spec.domains {
                 let mut plan = PlanSpec::new(vec![(domain, spec.intensity)], Some(spec.timeout));
                 plan.retry_budget = spec.retry_budget;
                 let cfg = spec.cell_config(protocol, &plan, None)?;
-                let run = run_cell(&cache, &cfg, &source)?;
+                let run = run_job(&cache, &cfg, &source)?.result;
                 let label = format!("{}-{}-{}", protocol.as_str(), workload, domain.name());
                 cells.push(classify(label, protocol, workload, plan, run, None));
             }
@@ -399,9 +360,9 @@ pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, 
             Some(spec.timeout),
         );
         plan.retry_budget = 32;
-        let source = campaign_source("pingpong", spec.size, spec.seed)?;
+        let source = campaign_source("pingpong", spec.size, spec.seed, chip)?;
         let cfg = spec.cell_config(ProtocolKind::MesiSnoop, &plan, Some(mutation))?;
-        let run = run_cell(&cache, &cfg, &source)?;
+        let run = run_job(&cache, &cfg, &source)?.result;
         cells.push(classify(
             "mutation-corrupt-resend".into(),
             ProtocolKind::MesiSnoop,
@@ -416,12 +377,8 @@ pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, 
     let mut shrinks = Vec::new();
     for cell in cells.iter().filter(|c| c.status != CellStatus::Ok) {
         let mutate = (cell.label == "mutation-corrupt-resend").then_some(mutation);
-        let source = campaign_source(&cell.workload, spec.size, spec.seed)?;
-        let signature = match (&cell.report, &cell.panic) {
-            (Some(r), _) => CellRun::Report(Box::new(r.clone())).signature(),
-            (None, Some(p)) => CellRun::Panic(p.clone()).signature(),
-            (None, None) => unreachable!("cell carries a report or a panic"),
-        };
+        let source = campaign_source(&cell.workload, spec.size, spec.seed, chip)?;
+        let signature = signature(cell.report.as_ref());
         let (minimal, steps) = shrink_plan(
             spec,
             &cache,
@@ -474,21 +431,21 @@ fn classify(
     protocol: ProtocolKind,
     workload: &str,
     plan: PlanSpec,
-    run: CellRun,
+    run: Result<RunReport, String>,
     mutate: Option<Mutation>,
 ) -> CellReport {
     let (report, panic, status) = match run {
-        CellRun::Panic(msg) => (None, Some(msg), CellStatus::Panicked),
+        Err(msg) => (None, Some(msg), CellStatus::Panicked),
         // A mutated cell is *supposed* to fail: it is always routed through
         // shrinking + capture, and its contract (an invariant violation
         // whose bundle replays) is checked by the campaign's caller.
-        CellRun::Report(r) => {
+        Ok(r) => {
             let status = if mutate.is_none() && acceptable(&plan, r.outcome) {
                 CellStatus::Ok
             } else {
                 CellStatus::Failing
             };
-            (Some(*r), None, status)
+            (Some(r), None, status)
         }
     };
     CellReport {

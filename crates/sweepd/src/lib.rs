@@ -1,77 +1,58 @@
-//! `sweepd` — a crash-recoverable sweep orchestrator (DESIGN.md §10).
+//! `sweepd` — cached, in-process sweeps (DESIGN §10).
 //!
-//! The paper's evaluation is one long design-space sweep: the same machine
-//! re-run across config and workload axes (figs 5–9). This crate turns that
-//! from a one-shot CLI loop into a supervised, durable workload:
+//! The paper's evaluation (figs 5–9) is a grid of points, and each point is
+//! one deterministic run. This crate runs such grids:
 //!
 //! * a [`SweepSpec`] expands into jobs deduplicated by a key derived from
-//!   the normalized config hash + workload source ([`spec`]),
-//! * every job state transition is appended to a write-ahead journal
-//!   ([`records`] over `ccsvm_snap::journal`) — after any crash, replaying
-//!   the surviving prefix reconstructs the sweep exactly,
-//! * jobs run in child **worker processes** ([`worker`]) under a supervisor
-//!   ([`orchestrator`]) with per-job wall-clock timeouts and seeded
-//!   exponential-backoff-with-jitter retries,
-//! * workers flush a machine checkpoint at a fixed simulated-time cadence;
-//!   a retried job resumes from the newest valid image instead of cold
-//!   booting (PR-4 snapshots make the resumed result bit-identical),
-//! * completed jobs land in a [`cache::ReportCache`] keyed by job key —
-//!   corrupt or mismatched entries are a typed, logged miss, never trusted —
-//!   so re-running a finished sweep is a no-op and an interrupted one only
-//!   re-simulates unfinished tails,
-//! * a job that exhausts its retry budget is **poisoned**: the sweep
-//!   completes, exits 0, and its manifest names the casualty next to a
-//!   PR-5-style replay bundle captured on the final attempt.
+//!   the normalized config hash + workload source ([`spec`]);
+//! * [`run_job`] is the one job runner, shared with the fault campaign
+//!   ([`campaign`]): a job whose report is in the [`ReportCache`] is served
+//!   from it, any other is compiled, run under `catch_unwind` and stored;
+//! * [`sweep`] spreads independent jobs over host threads and returns the
+//!   results in input order, for [`run_sweep`] and the figure binaries;
+//! * [`run_sweep`] writes a manifest rendered only from the spec and the
+//!   reports, so a re-run — which simulates only jobs with no cache entry —
+//!   reproduces it byte for byte. A job that does not end `Completed` is
+//!   named `status=poisoned` next to a replay bundle; it does not fail the
+//!   sweep.
 //!
-//! The headline invariant, enforced by the chaos harness (`bench --bin
-//! sweepd -- --chaos kill=p,seed=s`) and its tests: any interleaving of
-//! worker SIGKILLs and orchestrator crash-restarts yields a final results
-//! manifest **byte-identical** to an uninterrupted cold run.
+//! Resume is at point granularity: a sweep stopped at any instant loses at
+//! most the points it was simulating.
 
-// `sig` declares three POSIX calls itself (the workspace takes no `libc`);
-// it is the one module in the workspace allowed `unsafe` (DESIGN §10).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod campaign;
-pub mod orchestrator;
-pub mod records;
-#[allow(unsafe_code)]
-pub mod sig;
+pub mod run;
 pub mod spec;
-pub mod worker;
 
 pub use cache::ReportCache;
 pub use campaign::{
     run_campaign, CampaignSpec, CampaignSummary, CellReport, CellStatus, ShrinkReport,
 };
-pub use orchestrator::{run_sweep, ChaosPlan, Summary, SweepOutcome};
-pub use records::{AttemptStatus, JournalState, Record};
+pub use run::{run_job, run_sweep, sweep, JobRun, Summary};
 pub use spec::{JobSpec, SweepSpec};
-pub use worker::{run_worker, WorkerJob, EXIT_ABNORMAL, EXIT_INTERRUPTED, EXIT_OK};
 
 use std::path::PathBuf;
 
 use ccsvm_snap::SnapError;
 
-/// Typed orchestrator/worker failure. These are harness-level errors (bad
-/// spec, I/O, decode); simulation-level failures are per-job outcomes that
-/// poison the job without failing the sweep.
+/// Typed sweep failure. These are harness-level errors (bad spec, I/O,
+/// decode); simulation-level failures are per-job outcomes that poison the
+/// job without failing the sweep.
 #[derive(Debug)]
 pub enum SweepError {
-    /// File or process I/O failed.
+    /// File I/O failed.
     Io {
         /// What was being touched.
         path: PathBuf,
         /// The underlying error message.
         err: String,
     },
-    /// A journal, snapshot, cache, or bundle codec operation failed.
+    /// A snapshot, cache, or bundle codec operation failed.
     Snap(SnapError),
     /// The sweep spec is unusable (unknown preset/workload, empty axes).
     Spec(String),
-    /// A worker misbehaved at the harness level (unparseable handshake).
-    Worker(String),
 }
 
 impl std::fmt::Display for SweepError {
@@ -80,7 +61,6 @@ impl std::fmt::Display for SweepError {
             SweepError::Io { path, err } => write!(f, "{}: {err}", path.display()),
             SweepError::Snap(e) => write!(f, "codec: {e}"),
             SweepError::Spec(what) => write!(f, "bad sweep spec: {what}"),
-            SweepError::Worker(what) => write!(f, "worker: {what}"),
         }
     }
 }

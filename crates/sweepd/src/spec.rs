@@ -7,17 +7,17 @@
 //! one cache entry.
 
 use ccsvm::{config_hash, ProtocolKind, SystemConfig};
-use ccsvm_engine::Time;
 use ccsvm_snap::fnv1a;
 use ccsvm_workloads::{matmul, vecadd};
 
+use crate::run::job_key;
 use crate::SweepError;
 
 /// Built-in workload generators the sweep axes can name.
 const WORKLOADS: &[&str] = &["vecadd", "matmul", "wedge"];
 
-/// A sweep: one preset, a workload × size × seed grid, and the supervision
-/// policy (retries, timeouts, checkpoint cadence).
+/// A sweep: one preset and protocol, a workload × size × seed grid, and
+/// the number of host threads that simulate its jobs.
 #[derive(Clone, Debug)]
 pub struct SweepSpec {
     /// Config preset name (`SystemConfig::by_preset`).
@@ -26,23 +26,15 @@ pub struct SweepSpec {
     /// the job identity: it feeds the config hash, so the same axes under a
     /// different protocol are different jobs with different cache entries.
     pub protocol: ProtocolKind,
-    /// Workload generator names (see [`SweepSpec::expand`] for the set).
+    /// Workload generator names (see [`source_for`] for the set).
     pub workloads: Vec<String>,
     /// Problem sizes (meaning is per-workload; `wedge` ignores it).
     pub sizes: Vec<u64>,
     /// Input seeds.
     pub seeds: Vec<u64>,
-    /// Max attempts per job before it is poisoned (>= 1).
-    pub max_attempts: u32,
-    /// Per-attempt wall-clock timeout in milliseconds.
-    pub timeout_ms: u64,
-    /// Max concurrently running workers.
-    pub inflight: usize,
-    /// Simulated-time checkpoint cadence for workers, in picoseconds.
-    /// `0` disables mid-run checkpoints (retries then cold-boot).
-    pub checkpoint_every_ps: u64,
-    /// Orchestrator seed: drives backoff jitter and the chaos schedule.
-    pub seed: u64,
+    /// Host threads simulating jobs (>= 1). Pacing only: the manifest is
+    /// the same for every count.
+    pub threads: usize,
 }
 
 impl Default for SweepSpec {
@@ -53,11 +45,7 @@ impl Default for SweepSpec {
             workloads: vec!["vecadd".into()],
             sizes: vec![64],
             seeds: vec![1],
-            max_attempts: 3,
-            timeout_ms: 120_000,
-            inflight: 2,
-            checkpoint_every_ps: Time::from_us(2).as_ps(),
-            seed: 1,
+            threads: 1,
         }
     }
 }
@@ -68,46 +56,34 @@ pub struct JobSpec {
     /// Human label, `{workload}-n{size}-s{seed}` (first axis point to map
     /// to this key, when duplicates collapse).
     pub label: String,
-    /// Identity: `fnv1a(config_hash(cfg) ‖ source)`. Journal records, cache
-    /// entries, and chaos decisions are all keyed by this.
+    /// Identity: `fnv1a(config_hash(cfg) ‖ source)`, the key its report is
+    /// cached under ([`job_key`]).
     pub key: u64,
-    /// Preset name (workers re-derive the `SystemConfig` from it).
-    pub preset: String,
-    /// Coherence protocol applied on top of the preset.
-    pub protocol: ProtocolKind,
-    /// Workload generator name (workers re-derive the source from it).
-    pub workload: String,
-    /// Problem size.
-    pub size: u64,
-    /// Input seed.
-    pub seed: u64,
     /// Full XC source for the job.
     pub source: String,
 }
 
-impl JobSpec {
-    /// Rebuilds the job's `SystemConfig` from its preset name.
-    pub fn config(&self) -> Result<SystemConfig, SweepError> {
-        let mut cfg = SystemConfig::by_preset(&self.preset)
-            .ok_or_else(|| SweepError::Spec(format!("unknown preset {:?}", self.preset)))?;
-        cfg.protocol = self.protocol;
-        Ok(cfg)
-    }
-}
-
-/// Generates the XC source for one axis point. `wedge` is a diagnostic
-/// workload that spins forever; on the `tiny_brief` preset it hits
-/// `max_sim_time` and exits with a typed `Outcome::Deadlock`, which makes it
-/// the canonical poison-path exerciser.
-pub fn source_for(workload: &str, size: u64, seed: u64) -> Result<String, SweepError> {
+/// Generates the XC source for one axis point on a chip with
+/// `mttop_threads` MTTOP contexts. `matmul` launches at most that many
+/// threads (its grid-stride loop covers any `n`), so no size is refused by
+/// the chip. `wedge` is a diagnostic workload that spins forever; on the
+/// `tiny_brief` preset it hits `max_sim_time` and exits with a typed
+/// `Outcome::Deadlock`, which makes it the canonical poison-path exerciser.
+pub fn source_for(
+    workload: &str,
+    size: u64,
+    seed: u64,
+    mttop_threads: u64,
+) -> Result<String, SweepError> {
     match workload {
         "vecadd" => Ok(vecadd::xthreads_source(&vecadd::VecaddParams {
             n: size,
             seed,
         })),
-        "matmul" => Ok(matmul::xthreads_source(&matmul::MatmulParams::new(
-            size, seed,
-        ))),
+        "matmul" => Ok(matmul::xthreads_source(&matmul::MatmulParams {
+            max_threads: mttop_threads,
+            ..matmul::MatmulParams::new(size, seed)
+        })),
         "wedge" => Ok("_CPU_ fn main() -> int {
                  let x = 0;
                  while (x < 1) { x = x * 1; }
@@ -121,10 +97,9 @@ pub fn source_for(workload: &str, size: u64, seed: u64) -> Result<String, SweepE
 }
 
 impl SweepSpec {
-    /// A tag identifying the sweep's job universe; written into the journal
-    /// header so a journal can't silently be replayed against a different
-    /// sweep. Supervision knobs (retries, timeouts, inflight) are excluded:
-    /// they change pacing, never which jobs exist or what they compute.
+    /// A tag identifying the sweep's job universe, printed in the manifest
+    /// header. `threads` is excluded: it changes pacing, never which jobs
+    /// exist or what they compute.
     pub fn tag(&self) -> u64 {
         let mut buf = Vec::new();
         buf.extend_from_slice(self.preset.as_bytes());
@@ -145,18 +120,21 @@ impl SweepSpec {
         fnv1a(&buf)
     }
 
+    /// The `SystemConfig` every job of this sweep runs under.
+    pub fn config(&self) -> Result<SystemConfig, SweepError> {
+        let mut cfg = SystemConfig::by_preset(&self.preset)
+            .ok_or_else(|| SweepError::Spec(format!("unknown preset {:?}", self.preset)))?;
+        cfg.protocol = self.protocol;
+        Ok(cfg)
+    }
+
     /// Expands the axes into deduplicated jobs (stable spec order) plus the
     /// labels of axis points that collapsed into an earlier job.
     pub fn expand(&self) -> Result<(Vec<JobSpec>, Vec<String>), SweepError> {
         if self.workloads.is_empty() || self.sizes.is_empty() || self.seeds.is_empty() {
             return Err(SweepError::Spec("empty axis".into()));
         }
-        if self.max_attempts == 0 {
-            return Err(SweepError::Spec("max_attempts must be >= 1".into()));
-        }
-        let mut cfg = SystemConfig::by_preset(&self.preset)
-            .ok_or_else(|| SweepError::Spec(format!("unknown preset {:?}", self.preset)))?;
-        cfg.protocol = self.protocol;
+        let cfg = self.config()?;
         let cfg_hash = config_hash(&cfg);
         let mut jobs: Vec<JobSpec> = Vec::new();
         let mut dups = Vec::new();
@@ -174,23 +152,12 @@ impl SweepSpec {
                 }
                 for &seed in &self.seeds {
                     let label = format!("{w}-n{size}-s{seed}");
-                    let source = source_for(w, size, seed)?;
-                    let mut buf = cfg_hash.to_le_bytes().to_vec();
-                    buf.extend_from_slice(source.as_bytes());
-                    let key = fnv1a(&buf);
+                    let source = source_for(w, size, seed, cfg.mttop_threads())?;
+                    let key = job_key(cfg_hash, &source);
                     if jobs.iter().any(|j| j.key == key) {
                         dups.push(label);
                     } else {
-                        jobs.push(JobSpec {
-                            label,
-                            key,
-                            preset: self.preset.clone(),
-                            protocol: self.protocol,
-                            workload: w.clone(),
-                            size,
-                            seed,
-                            source,
-                        });
+                        jobs.push(JobSpec { label, key, source });
                     }
                 }
             }
@@ -272,20 +239,18 @@ mod tests {
             protocol: ProtocolKind::Dragon,
             ..SweepSpec::default()
         };
-        assert_ne!(a.tag(), b.tag(), "protocol must fence the journal");
+        assert_ne!(a.tag(), b.tag(), "protocol must change the manifest tag");
         let (ja, _) = a.expand().unwrap();
         let (jb, _) = b.expand().unwrap();
         assert_ne!(ja[0].key, jb[0].key, "protocol must split the cache key");
-        assert_eq!(jb[0].config().unwrap().protocol, ProtocolKind::Dragon);
+        assert_eq!(b.config().unwrap().protocol, ProtocolKind::Dragon);
     }
 
     #[test]
     fn tag_tracks_axes_not_policy() {
         let a = SweepSpec::default();
         let mut b = SweepSpec {
-            max_attempts: 9,
-            timeout_ms: 1,
-            inflight: 7,
+            threads: 7,
             ..SweepSpec::default()
         };
         assert_eq!(a.tag(), b.tag());

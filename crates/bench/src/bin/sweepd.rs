@@ -38,7 +38,7 @@ const HELP: &str = "
   --protocol NAME   directory (default), mesi-snoop or dragon; part of the
                     job identity, so each protocol sweeps separately
   --workloads LIST  vecadd, matmul, wedge (default vecadd)
-  --sizes LIST      problem sizes (default 64)
+  --sizes LIST      problem sizes, positive integers (default 64)
   --seeds LIST      input seeds (default 1)
   --threads N       simulate jobs on N host threads (default 1; same manifest)
   --dir DIR         sweep directory: cache/, bundles/ and manifest.txt";
@@ -76,7 +76,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(SweepSpec, Path
                         .map_err(cli)?;
             }
             "--sizes" => {
-                spec.sizes = parse_list(&flag, &value()?, |s| s.parse().ok()).map_err(cli)?
+                spec.sizes = parse_list(&flag, &value()?, |s| s.parse().ok().filter(|&n| n > 0))
+                    .map_err(cli)?
             }
             "--seeds" => {
                 spec.seeds = parse_list(&flag, &value()?, |s| s.parse().ok()).map_err(cli)?

@@ -78,6 +78,11 @@ fn unknown_or_malformed_arguments_exit_2_before_any_cell_runs() {
             env!("CARGO_BIN_EXE_sweepd"),
             &["--dir", "d", "--inflight", "2"],
         ),
+        (
+            "sweepd",
+            env!("CARGO_BIN_EXE_sweepd"),
+            &["--dir", "d", "--workloads", "vecadd,matmul", "--sizes", "0"],
+        ),
     ];
     for (i, &(name, binary, args)) in cases.iter().enumerate() {
         let (out, dir) = run_in_fresh_dir(&format!("refuse-{i}"), binary, args);

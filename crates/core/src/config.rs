@@ -172,7 +172,7 @@ impl SystemConfig {
     }
 
     /// A scaled-down machine for fast unit/integration tests: 2 CPUs,
-    /// 2 MTTOPs with 4 warps each, small caches.
+    /// 2 MTTOPs with 32 single-lane contexts each, small caches.
     pub fn tiny() -> SystemConfig {
         let mut c = SystemConfig::paper_default();
         c.n_cpus = 2;

@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 
 use ccsvm_engine::{Clock, SplitMix64, Stats, Time, TlbFaultConfig};
-use ccsvm_isa::{abi, AmoKind, DecodedImage, Instr, Operand, Program, Reg};
+use ccsvm_isa::{abi, DecodedImage, Instr, MemOperand, Program};
 use ccsvm_mem::{Access, AccessResult, AtomicOp, CorePort, PhysAddr, PortId};
 use ccsvm_vm::{frame_plus_offset, Tlb, VirtAddr, Walk, WalkResult};
 
@@ -98,27 +98,9 @@ struct TlbFaults {
 
 /// An architectural memory operation awaiting translation/access.
 #[derive(Clone, Copy, Debug)]
-enum OpKind {
-    Ld {
-        rd: Reg,
-        size: u8,
-    },
-    St {
-        size: u8,
-        value: u64,
-    },
-    Amo {
-        rd: Reg,
-        op: AmoKind,
-        a: u64,
-        b: u64,
-    },
-}
-
-#[derive(Clone, Copy, Debug)]
 struct MemOp {
     va: VirtAddr,
-    kind: OpKind,
+    kind: MemOperand,
 }
 
 /// Where the core is mid-instruction.
@@ -262,11 +244,7 @@ impl CpuCore {
         ra: usize,
     ) {
         assert!(!self.running, "core already running a thread");
-        self.regs = [0; 32];
-        self.regs[abi::A0.0 as usize] = arg;
-        self.regs[abi::SP.0 as usize] = abi::stack_top(ctx);
-        self.regs[abi::FP.0 as usize] = self.regs[abi::SP.0 as usize];
-        self.regs[abi::RA.0 as usize] = ra as u64;
+        self.regs = abi::start_regs(ctx, arg, 0, ra as u64);
         self.pc = entry;
         self.cr3 = cr3;
         self.running = true;
@@ -307,20 +285,6 @@ impl CpuCore {
         let t = self.token_prefix | self.token_seq;
         self.outstanding_token = Some(t);
         t
-    }
-
-    fn get(&self, r: Reg) -> u64 {
-        if r.0 == 0 {
-            0
-        } else {
-            self.regs[r.0 as usize]
-        }
-    }
-
-    fn set(&mut self, r: Reg, v: u64) {
-        if r.0 != 0 {
-            self.regs[r.0 as usize] = v;
-        }
     }
 
     /// A memory completion for this core arrived. Returns the time at which
@@ -459,44 +423,11 @@ impl CpuCore {
             self.icount += 1;
             self.local_time += self.instr_cost;
 
+            if let Some(next) = instr.step_regs(&mut self.regs, self.pc) {
+                self.pc = next;
+                continue;
+            }
             match instr {
-                Instr::Alu { op, rd, ra, rb } => {
-                    let b = match rb {
-                        Operand::Reg(r) => self.get(r),
-                        Operand::Imm(i) => i as u64,
-                    };
-                    let v = op.apply(self.get(ra), b);
-                    self.set(rd, v);
-                    self.pc += 1;
-                }
-                Instr::Li { rd, imm } => {
-                    self.set(rd, imm as u64);
-                    self.pc += 1;
-                }
-                Instr::Br {
-                    cond,
-                    ra,
-                    rb,
-                    target,
-                } => {
-                    self.pc = if cond.test(self.get(ra), self.get(rb)) {
-                        target
-                    } else {
-                        self.pc + 1
-                    };
-                }
-                Instr::Jmp { target } => self.pc = target,
-                Instr::JmpReg { rs } => self.pc = self.get(rs) as usize,
-                Instr::Call { target } => {
-                    self.set(abi::RA, (self.pc + 1) as u64);
-                    self.pc = target;
-                }
-                Instr::CallReg { rs } => {
-                    let t = self.get(rs) as usize;
-                    self.set(abi::RA, (self.pc + 1) as u64);
-                    self.pc = t;
-                }
-                Instr::Fence | Instr::Nop => self.pc += 1,
                 Instr::Syscall => {
                     self.pending = Pending::Syscall;
                     self.busy_time += self.local_time - start;
@@ -507,50 +438,14 @@ impl CpuCore {
                     self.busy_time += self.local_time - start;
                     return CpuAction::Exited;
                 }
-                Instr::Ld {
-                    rd,
-                    base,
-                    off,
-                    size,
-                } => {
-                    let va = VirtAddr(self.get(base).wrapping_add(off as u64));
+                _ => {
+                    let (va, kind) = instr.mem_operand(&self.regs).expect("memory instruction");
                     let op = MemOp {
-                        va,
-                        kind: OpKind::Ld { rd, size },
+                        va: VirtAddr(va),
+                        kind,
                     };
                     if let Some(a) = self.issue_mem(op, port) {
                         return self.charge_and(a, start);
-                    }
-                }
-                Instr::St {
-                    rs,
-                    base,
-                    off,
-                    size,
-                } => {
-                    let va = VirtAddr(self.get(base).wrapping_add(off as u64));
-                    let value = self.get(rs);
-                    let op = MemOp {
-                        va,
-                        kind: OpKind::St { size, value },
-                    };
-                    if let Some(a) = self.issue_mem(op, port) {
-                        return self.charge_and(a, start);
-                    }
-                }
-                Instr::Amo { op, rd, addr, a, b } => {
-                    let va = VirtAddr(self.get(addr));
-                    let mop = MemOp {
-                        va,
-                        kind: OpKind::Amo {
-                            rd,
-                            op,
-                            a: self.get(a),
-                            b: self.get(b),
-                        },
-                    };
-                    if let Some(act) = self.issue_mem(mop, port) {
-                        return self.charge_and(act, start);
                     }
                 }
             }
@@ -582,32 +477,47 @@ impl CpuCore {
         op: MemOp,
         port: &mut CorePort<'_>,
     ) -> Option<CpuAction> {
-        let token = self.token();
         let access = Access::Read {
             paddr: walk.pte_addr(),
             size: 8,
         };
-        match port.access(self.local_time, token, access) {
+        match self.access(access, Pending::WalkRead { walk, op }, port) {
+            Ok(pte) => self.walk_feed(pte, walk, op, port),
+            Err(action) => Some(action),
+        }
+    }
+
+    /// Performs `access` through `port`. A hit returns its value with the
+    /// clock at its finish. Anything else returns the action that ends the
+    /// batch: a miss first parks the core in `pending`, a retry first backs
+    /// off a cycle.
+    fn access(
+        &mut self,
+        access: Access,
+        pending: Pending,
+        port: &mut CorePort<'_>,
+    ) -> Result<u64, CpuAction> {
+        let token = self.token();
+        let result = port.access(self.local_time, token, access);
+        if !matches!(result, AccessResult::Pending) {
+            self.outstanding_token = None;
+        }
+        match result {
             AccessResult::Hit { finish, value } => {
-                self.outstanding_token = None;
                 self.local_time = finish;
-                self.walk_feed(value, walk, op, port)
+                Ok(value)
             }
             AccessResult::Pending => {
-                self.pending = Pending::WalkRead { walk, op };
-                Some(CpuAction::Blocked)
+                self.pending = pending;
+                Err(CpuAction::Blocked)
             }
             AccessResult::Retry => {
-                self.outstanding_token = None;
                 self.local_time += self.config.clock.period();
-                Some(CpuAction::Continue {
+                Err(CpuAction::Continue {
                     at: self.local_time,
                 })
             }
-            AccessResult::Poisoned => {
-                self.outstanding_token = None;
-                Some(CpuAction::Poisoned)
-            }
+            AccessResult::Poisoned => Err(CpuAction::Poisoned),
         }
     }
 
@@ -653,61 +563,36 @@ impl CpuCore {
         port: &mut CorePort<'_>,
     ) -> Option<CpuAction> {
         let access = match op.kind {
-            OpKind::Ld { size, .. } => Access::Read {
+            MemOperand::Ld { size, .. } => Access::Read {
                 paddr,
                 size: size as usize,
             },
-            OpKind::St { size, value } => Access::Write {
+            MemOperand::St { size, value } => Access::Write {
                 paddr,
                 size: size as usize,
                 value,
             },
-            OpKind::Amo { op: k, a, b, .. } => Access::Rmw {
+            MemOperand::Amo { op: k, a, b, .. } => Access::Rmw {
                 paddr,
                 size: 8,
-                op: match k {
-                    AmoKind::Cas => AtomicOp::Cas {
-                        expected: a,
-                        value: b,
-                    },
-                    AmoKind::Add => AtomicOp::Add { value: a },
-                    AmoKind::Inc => AtomicOp::Inc,
-                    AmoKind::Dec => AtomicOp::Dec,
-                    AmoKind::Exch => AtomicOp::Exch { value: a },
-                },
+                op: AtomicOp::from_amo(k, a, b),
             },
         };
-        let token = self.token();
-        match port.access(self.local_time, token, access) {
-            AccessResult::Hit { finish, value } => {
-                self.outstanding_token = None;
-                self.local_time = finish;
+        match self.access(access, Pending::Access { op }, port) {
+            Ok(value) => {
                 self.apply_op(value, op);
                 None
             }
-            AccessResult::Pending => {
-                self.pending = Pending::Access { op };
-                Some(CpuAction::Blocked)
-            }
-            AccessResult::Retry => {
-                self.outstanding_token = None;
-                self.local_time += self.config.clock.period();
-                Some(CpuAction::Continue {
-                    at: self.local_time,
-                })
-            }
-            AccessResult::Poisoned => {
-                self.outstanding_token = None;
-                Some(CpuAction::Poisoned)
-            }
+            Err(action) => Some(action),
         }
     }
 
     fn apply_op(&mut self, value: u64, op: MemOp) {
         match op.kind {
-            OpKind::Ld { rd, .. } => self.set(rd, value),
-            OpKind::St { .. } => {}
-            OpKind::Amo { rd, .. } => self.set(rd, value),
+            MemOperand::Ld { rd, .. } | MemOperand::Amo { rd, .. } => {
+                rd.write(&mut self.regs, value)
+            }
+            MemOperand::St { .. } => {}
         }
         self.pc += 1;
     }
@@ -733,46 +618,6 @@ impl CpuCore {
 // Snapshot codecs.
 
 use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
-
-/// Written out rather than declared: `Reg` and `AmoKind` come from the
-/// dependency-free ISA crate, so they travel as a register index and an
-/// AMO kind's declaration index.
-impl Codec for OpKind {
-    fn put(&self, w: &mut SnapWriter) {
-        match *self {
-            OpKind::Ld { rd, size } => (0u8, rd.0, size).put(w),
-            OpKind::St { size, value } => (1u8, size, value).put(w),
-            OpKind::Amo { rd, op, a, b } => {
-                (2u8, rd.0, op as u8).put(w);
-                (a, b).put(w);
-            }
-        }
-    }
-
-    fn get(r: &mut SnapReader<'_>) -> Result<OpKind, SnapError> {
-        use AmoKind::*;
-        Ok(match u8::get(r)? {
-            0 => OpKind::Ld {
-                rd: Reg(u8::get(r)?),
-                size: u8::get(r)?,
-            },
-            1 => OpKind::St {
-                size: u8::get(r)?,
-                value: u64::get(r)?,
-            },
-            2 => OpKind::Amo {
-                rd: Reg(u8::get(r)?),
-                op: match u8::get(r)? {
-                    t @ 0..=4 => [Cas, Add, Inc, Dec, Exch][usize::from(t)],
-                    t => return Err(SnapError::bad_tag("AmoKind", t)),
-                },
-                a: u64::get(r)?,
-                b: u64::get(r)?,
-            },
-            t => return Err(SnapError::bad_tag("OpKind", t)),
-        })
-    }
-}
 
 codec!(struct MemOp { va, kind });
 codec!(enum Pending {

@@ -46,6 +46,19 @@ pub fn stack_top(ctx: u64) -> u64 {
     STACK_BASE + (ctx + 1) * STACK_BYTES - 16
 }
 
+/// The register file a thread starts with on hardware context `ctx`: `a0`
+/// and `a1` in the first two argument registers, the context's stack top in
+/// the stack and frame pointers, and `ra` as its return address.
+pub fn start_regs(ctx: u64, a0: u64, a1: u64, ra: u64) -> [u64; 32] {
+    let mut regs = [0; 32];
+    regs[A0.0 as usize] = a0;
+    regs[A1.0 as usize] = a1;
+    regs[SP.0 as usize] = stack_top(ctx);
+    regs[FP.0 as usize] = stack_top(ctx);
+    regs[RA.0 as usize] = ra;
+    regs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -107,11 +107,8 @@ pub struct Interp {
 impl Interp {
     /// A thread starting at `entry` using hardware context `ctx`'s stack.
     pub fn new(entry: usize, ctx: u64) -> Interp {
-        let mut regs = [0u64; 32];
-        regs[abi::SP.0 as usize] = abi::stack_top(ctx);
-        regs[abi::FP.0 as usize] = regs[abi::SP.0 as usize];
         Interp {
-            regs,
+            regs: abi::start_regs(ctx, 0, 0, 0),
             pc: entry,
             icount: 0,
         }

@@ -14,6 +14,9 @@
 //!   double ALU ops, 1/2/4/8-byte loads/stores, the paper's §3.2.4 atomics
 //!   (`cas`, `add`, `inc`, `dec`, `exch`), branches, direct/indirect calls,
 //!   `syscall` (CPU only), `fence`, and `exit`.
+//! * [`Instr::step_regs`], [`Instr::mem_operand`] and [`MemOperand`] — each
+//!   instruction's architectural effect, written once for the CPU and MTTOP
+//!   timing cores.
 //! * [`assemble`] — a text assembler with labels (and `Display`-based
 //!   disassembly on every instruction).
 //! * [`Program`] — the executable image: one text section holding both CPU
@@ -34,6 +37,7 @@ mod asm;
 mod instr;
 mod interp;
 mod program;
+mod semantics;
 
 pub mod abi;
 pub mod decode;
@@ -44,3 +48,4 @@ pub use decode::{decode_run, DecodedImage, MicroOp, SbStats};
 pub use instr::{AluOp, AmoKind, Cond, Instr, Operand, Reg};
 pub use interp::{FlatMem, FuncOs, Interp, StepOutcome, Syscalls, TrapKind};
 pub use program::Program;
+pub use semantics::MemOperand;

@@ -1,5 +1,7 @@
 //! Coherence protocol messages and memory-system events.
 
+use ccsvm_isa::AmoKind;
+
 use crate::addr::BLOCK_BYTES;
 use crate::system::PortId;
 
@@ -34,6 +36,22 @@ pub enum AtomicOp {
 }
 
 impl AtomicOp {
+    /// The operation an ISA atomic of kind `kind` performs, given the values
+    /// of its operand registers: `a` is the addend, exchange value or CAS
+    /// expected value, and `b` the CAS replacement.
+    pub fn from_amo(kind: AmoKind, a: u64, b: u64) -> AtomicOp {
+        match kind {
+            AmoKind::Cas => AtomicOp::Cas {
+                expected: a,
+                value: b,
+            },
+            AmoKind::Add => AtomicOp::Add { value: a },
+            AmoKind::Inc => AtomicOp::Inc,
+            AmoKind::Dec => AtomicOp::Dec,
+            AmoKind::Exch => AtomicOp::Exch { value: a },
+        }
+    }
+
     /// Applies the operation to `old`, returning the new stored value.
     pub fn apply(self, old: u64) -> u64 {
         match self {

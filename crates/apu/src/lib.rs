@@ -21,7 +21,10 @@
 //!   `vliw_ops_per_lane = 4`. Its CPU cores run at max IPC 4 (out-of-order).
 //!
 //! Kernel execution and the CPU-only baseline are **simulated** (same
-//! component library as the CCSVM chip); the driver/DMA costs are modeled
+//! component library as the CCSVM chip): a harness runs the kernel as an
+//! ordinary point on [`ApuConfig::gpu_chip`] and the CPU baselines on
+//! [`ApuConfig::cpu_chip`]. This crate runs no machine. [`ApuReport::offload`]
+//! adds the driver/DMA costs to the kernel's report; they are modeled
 //! constants, scaled for the simulable problem sizes and documented in
 //! EXPERIMENTS.md. We cannot run the authors' 2011 hardware; what the
 //! paper's comparison needs is the overhead *structure*, which this
@@ -29,7 +32,7 @@
 
 #![forbid(unsafe_code)]
 
-use ccsvm::{Machine, SystemConfig};
+use ccsvm::{RunReport, SystemConfig};
 use ccsvm_engine::Time;
 use ccsvm_workloads::{region_dram, region_time};
 
@@ -46,9 +49,11 @@ pub struct ApuConfig {
     pub dma_latency: Time,
     /// DMA staging bandwidth in bytes/ns.
     pub dma_bytes_per_ns: f64,
-    /// The APU's CPU subsystem (max IPC 4, 72 ns DRAM).
+    /// The APU's CPU subsystem (max IPC 4, 72 ns DRAM), on which the CPU
+    /// and pthreads baselines run: the "AMD CPU" denominator of Figures 5–8.
     pub cpu_chip: SystemConfig,
-    /// The APU's GPU subsystem (VLIW-4 MTTOP cores).
+    /// The APU's GPU subsystem (VLIW-4 MTTOP cores), on which an offloaded
+    /// kernel runs.
     pub gpu_chip: SystemConfig,
 }
 
@@ -119,58 +124,44 @@ pub struct ApuReport {
     pub exit_code: u64,
 }
 
-/// Runs an offloaded workload on the APU model: the xthreads program's
-/// kernel region executes on the VLIW GPU chip; DMA/driver/setup costs are
-/// added per `shape`.
-///
-/// # Panics
-///
-/// Panics if the program fails to compile or the simulation deadlocks.
-pub fn run_offload(cfg: &ApuConfig, xthreads_src: &str, shape: OffloadShape) -> ApuReport {
-    let prog = ccsvm_xthreads::build(xthreads_src)
-        .unwrap_or_else(|e| panic!("APU kernel program failed to compile: {e}"));
-    let mut m = Machine::new(cfg.gpu_chip.clone(), prog);
-    let r = m.run();
-    let kernel_time = region_time(&r.printed, &r.printed_at, r.time);
-    let kernel_dram = region_dram(&r.printed, &r.dram_at_print, r.dram_accesses);
-
-    let xfer =
-        Time::from_ps((shape.buffer_bytes as f64 * 1_000.0 / cfg.dma_bytes_per_ns).ceil() as u64);
-    let dma_time = cfg.dma_latency + xfer + cfg.dma_latency + xfer; // in + out
-    let driver_time = Time::from_ps(cfg.launch_overhead.as_ps() * shape.launches);
-    let total_no_init = kernel_time + dma_time + driver_time;
-    let total = total_no_init + cfg.init_time + cfg.compile_time;
-    // Staging writes the pinned region and the GPU reads it (and vice versa
-    // for results): 2 DRAM accesses per staged block, both directions.
-    let dma_blocks = 2 * shape.buffer_bytes.div_ceil(64) * 2;
-    ApuReport {
-        kernel_time,
-        dma_time,
-        driver_time,
-        init_time: cfg.init_time,
-        compile_time: cfg.compile_time,
-        total,
-        total_no_init,
-        dram_accesses: kernel_dram + dma_blocks,
-        exit_code: r.exit_code,
+impl ApuConfig {
+    /// Time to stage `bytes` one way at [`ApuConfig::dma_bytes_per_ns`],
+    /// excluding [`ApuConfig::dma_latency`].
+    fn dma_transfer(&self, bytes: u64) -> Time {
+        Time::from_ps((bytes as f64 * 1_000.0 / self.dma_bytes_per_ns).ceil() as u64)
     }
 }
 
-/// Runs a CPU-only program on the APU's CPU subsystem (the "AMD CPU"
-/// denominator of Figures 5–8). Returns (measured region, DRAM accesses,
-/// exit code).
-///
-/// # Panics
-///
-/// Panics if the program fails to compile or the simulation deadlocks.
-pub fn run_cpu(cfg: &ApuConfig, cpu_src: &str) -> (Time, u64, u64) {
-    let prog = ccsvm_xthreads::build(cpu_src)
-        .unwrap_or_else(|e| panic!("APU CPU program failed to compile: {e}"));
-    let mut m = Machine::new(cfg.cpu_chip.clone(), prog);
-    let r = m.run();
-    let t = region_time(&r.printed, &r.printed_at, r.time);
-    let d = region_dram(&r.printed, &r.dram_at_print, r.dram_accesses);
-    (t, d, r.exit_code)
+impl ApuReport {
+    /// The modeled APU run of an offloaded workload: the measured region of
+    /// `kernel`, the report of its xthreads program on
+    /// [`ApuConfig::gpu_chip`], plus the DMA, driver and setup costs of
+    /// `shape`.
+    pub fn offload(cfg: &ApuConfig, kernel: &RunReport, shape: OffloadShape) -> ApuReport {
+        let kernel_time = region_time(&kernel.printed, &kernel.printed_at, kernel.time);
+        let kernel_dram = region_dram(&kernel.printed, &kernel.dram_at_print, kernel.dram_accesses);
+
+        let xfer = cfg.dma_transfer(shape.buffer_bytes);
+        let dma_time = cfg.dma_latency + xfer + cfg.dma_latency + xfer; // in + out
+        let driver_time = Time::from_ps(cfg.launch_overhead.as_ps() * shape.launches);
+        let total_no_init = kernel_time + dma_time + driver_time;
+        let total = total_no_init + cfg.init_time + cfg.compile_time;
+        // Staging writes the pinned region and the GPU reads it (and vice
+        // versa for results): 2 DRAM accesses per staged block, both
+        // directions.
+        let dma_blocks = 2 * shape.buffer_bytes.div_ceil(64) * 2;
+        ApuReport {
+            kernel_time,
+            dma_time,
+            driver_time,
+            init_time: cfg.init_time,
+            compile_time: cfg.compile_time,
+            total,
+            total_no_init,
+            dram_accesses: kernel_dram + dma_blocks,
+            exit_code: kernel.exit_code,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -189,17 +180,7 @@ mod tests {
     #[test]
     fn dma_time_scales_with_bytes() {
         let cfg = ApuConfig::paper_scaled();
-        let small = OffloadShape {
-            buffer_bytes: 64,
-            launches: 1,
-        };
-        let big = OffloadShape {
-            buffer_bytes: 1 << 20,
-            launches: 1,
-        };
-        let xfer = |s: OffloadShape| {
-            Time::from_ps((s.buffer_bytes as f64 * 1000.0 / cfg.dma_bytes_per_ns).ceil() as u64)
-        };
-        assert!(xfer(big) > xfer(small));
+        assert!(cfg.dma_transfer(1 << 20) > cfg.dma_transfer(64));
+        assert_eq!(cfg.dma_transfer(0), Time::ZERO);
     }
 }

@@ -203,6 +203,5 @@ fn run() -> Result<(), BenchError> {
             }
         }
     }
-    claims.finish("campaign");
-    Ok(())
+    claims.finish("campaign")
 }

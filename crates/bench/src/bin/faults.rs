@@ -14,15 +14,9 @@
 
 #![forbid(unsafe_code)]
 
-use ccsvm::{Outcome, RunReport, SystemConfig};
-use ccsvm_bench::{exit_with, region_numbers, run_program, BenchError, Claims, Opts};
-use ccsvm_engine::Time;
+use ccsvm::{Outcome, SystemConfig};
+use ccsvm_bench::{exit_with, region_numbers, rel, run_jobs, BenchError, Claims, Opts};
 use ccsvm_workloads as wl;
-
-fn run_with(cfg: SystemConfig, src: &str) -> (Time, RunReport) {
-    let r = run_program(cfg, src, "faults");
-    (region_numbers(&r).0, r)
-}
 
 fn main() {
     exit_with(run());
@@ -31,18 +25,58 @@ fn main() {
 fn run() -> Result<(), BenchError> {
     // `--protocol` runs the whole sweep under the named coherence protocol,
     // so CI covers every protocol with one binary.
-    let opts = Opts::parse(&["--quick", "--protocol"])?;
+    let opts = Opts::parse(&["--quick", "--threads", "--protocol"])?;
     let (quick, protocol) = (opts.quick, opts.protocol);
-    let base_cfg = || {
-        let mut cfg = SystemConfig::paper_default();
-        cfg.protocol = protocol;
-        cfg
-    };
     let n = if quick { 64 } else { 256 };
     let p = wl::vecadd::VecaddParams { n, seed: 7 };
     let src = wl::vecadd::xthreads_source(&p);
     let expect = wl::vecadd::reference_checksum(&p);
     let mut claims = Claims::new();
+    // A vecadd point on the paper's chip under `--protocol`, changed by `tweak`.
+    let job = |tweak: &dyn Fn(&mut SystemConfig)| {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.protocol = protocol;
+        tweak(&mut cfg);
+        ("faults".to_string(), cfg, src.clone())
+    };
+
+    let noc_rates: &[f64] = if quick {
+        &[0.0, 1e-3, 1e-2]
+    } else {
+        &[0.0, 1e-4, 1e-3, 1e-2, 5e-2]
+    };
+    // DRAM single-bit ECC (doubles poison; swept in tests).
+    let ecc_rates: &[f64] = if quick {
+        &[1e-3, 1e-1]
+    } else {
+        &[1e-4, 1e-3, 1e-2, 1e-1]
+    };
+    let tlb_rates: &[f64] = if quick { &[1e-2] } else { &[1e-3, 1e-2, 1e-1] };
+    // Every point of the five sections below, in the order they print.
+    let mut jobs = vec![job(&|_| {}), job(&|c| c.fault.watchdog.enabled = false)];
+    for &rate in noc_rates {
+        jobs.push(job(&|c| c.fault.noc.drop_rate = rate));
+    }
+    for &rate in ecc_rates {
+        jobs.push(job(&|c| c.fault.dram.single_bit_rate = rate));
+    }
+    for &rate in tlb_rates {
+        jobs.push(job(&|c| c.fault.tlb.transient_rate = rate));
+    }
+    // Replay: seed 7 twice, then seed 8, every injector on.
+    for seed in [7, 7, 8] {
+        jobs.push(job(&|c| {
+            c.fault.seed = seed;
+            c.fault.noc.drop_rate = 1e-2;
+            c.fault.dram.single_bit_rate = 1e-2;
+            c.fault.tlb.transient_rate = 1e-2;
+        }));
+    }
+    let mut reports = run_jobs(&jobs, opts.threads)?.into_iter();
+    let mut next = || {
+        let r = reports.next().expect("one report per job");
+        (region_numbers(&r).0, r)
+    };
 
     println!(
         "== Fault sweep (vecadd n={n}, paper-default chip, protocol {})",
@@ -50,10 +84,8 @@ fn run() -> Result<(), BenchError> {
     );
 
     // 1. Disabled path: default fault config vs watchdog fully off.
-    let (t0, base) = run_with(base_cfg(), &src);
-    let mut off = base_cfg();
-    off.fault.watchdog.enabled = false;
-    let (_, no_wd) = run_with(off, &src);
+    let (t0, base) = next();
+    let (_, no_wd) = next();
     claims.check(
         base == no_wd,
         "default FaultConfig is bit-identical to watchdog-off",
@@ -68,21 +100,14 @@ fn run() -> Result<(), BenchError> {
 
     // 2. NoC message-loss sweep.
     println!("== NoC loss rate | region ms | rel | retransmissions | outcome");
-    let rates: &[f64] = if quick {
-        &[0.0, 1e-3, 1e-2]
-    } else {
-        &[0.0, 1e-4, 1e-3, 1e-2, 5e-2]
-    };
     let mut last_retx = -1.0f64;
-    for &rate in rates {
-        let mut cfg = base_cfg();
-        cfg.fault.noc.drop_rate = rate;
-        let (t, r) = run_with(cfg, &src);
+    for &rate in noc_rates {
+        let (t, r) = next();
         let retx = r.stats.get("noc.retransmissions");
         println!(
             "  {rate:12.0e} | {:9.4} | {} | {retx:15.0} | {:?}",
             t.as_ms(),
-            ccsvm_bench::rel(t, t0),
+            rel(t, t0),
             r.outcome
         );
         claims.check(
@@ -97,17 +122,10 @@ fn run() -> Result<(), BenchError> {
         last_retx = retx;
     }
 
-    // 3. DRAM single-bit ECC sweep (doubles poison; swept in tests).
+    // 3. DRAM single-bit ECC sweep.
     println!("== ECC single-bit rate | region ms | corrected | outcome");
-    let rates: &[f64] = if quick {
-        &[1e-3, 1e-1]
-    } else {
-        &[1e-4, 1e-3, 1e-2, 1e-1]
-    };
-    for &rate in rates {
-        let mut cfg = base_cfg();
-        cfg.fault.dram.single_bit_rate = rate;
-        let (t, r) = run_with(cfg, &src);
+    for &rate in ecc_rates {
+        let (t, r) = next();
         println!(
             "  {rate:18.0e} | {:9.4} | {:9.0} | {:?}",
             t.as_ms(),
@@ -126,11 +144,8 @@ fn run() -> Result<(), BenchError> {
 
     // 4. Transient TLB-walk failures.
     println!("== TLB transient rate | region ms | transients | outcome");
-    let rates: &[f64] = if quick { &[1e-2] } else { &[1e-3, 1e-2, 1e-1] };
-    for &rate in rates {
-        let mut cfg = base_cfg();
-        cfg.fault.tlb.transient_rate = rate;
-        let (t, r) = run_with(cfg, &src);
+    for &rate in tlb_rates {
+        let (t, r) = next();
         let transients: f64 = (0..4)
             .map(|i| r.stats.get(&format!("cpu.{i}.tlb_transients")))
             .sum();
@@ -151,17 +166,9 @@ fn run() -> Result<(), BenchError> {
 
     // 5. Replay: same seed, same bits; different seed, different schedule.
     println!("== Replay determinism");
-    let faulty = |seed: u64| {
-        let mut cfg = base_cfg();
-        cfg.fault.seed = seed;
-        cfg.fault.noc.drop_rate = 1e-2;
-        cfg.fault.dram.single_bit_rate = 1e-2;
-        cfg.fault.tlb.transient_rate = 1e-2;
-        cfg
-    };
-    let (_, a) = run_with(faulty(7), &src);
-    let (_, b) = run_with(faulty(7), &src);
-    let (_, c) = run_with(faulty(8), &src);
+    let (_, a) = next();
+    let (_, b) = next();
+    let (_, c) = next();
     claims.check(a == b, "same seed replays bit-for-bit");
     claims.check(a != c, "different seed draws a different fault schedule");
     claims.check(
@@ -175,6 +182,5 @@ fn run() -> Result<(), BenchError> {
         c.stats.get("noc.retransmissions"),
     );
 
-    claims.finish("faults");
-    Ok(())
+    claims.finish("faults")
 }

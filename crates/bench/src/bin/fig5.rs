@@ -6,8 +6,10 @@
 
 #![forbid(unsafe_code)]
 
-use ccsvm_apu::{run_cpu, run_offload, ApuConfig, OffloadShape};
-use ccsvm_bench::{check_eq, exit_with, ms, rel, BenchError, Claims, Opts, Out};
+use ccsvm_apu::{ApuConfig, ApuReport, OffloadShape};
+use ccsvm_bench::{
+    check_eq, exit_with, ms, region_numbers, rel, run_jobs, BenchError, Claims, Opts, Out,
+};
 use ccsvm_workloads as wl;
 
 fn main() {
@@ -15,11 +17,22 @@ fn main() {
 }
 
 fn run() -> Result<(), BenchError> {
-    let opts = Opts::parse(ccsvm_bench::SWEEP_FLAGS)?;
+    let opts = Opts::parse(ccsvm_bench::FIGURE_FLAGS)?;
     let sizes = opts.pick(&[8, 16, 32, 64, 128], &[8, 16]);
     let apu = ApuConfig::paper_scaled();
     let mut claims = Claims::new();
     let mut out = Out::new(&opts);
+
+    let params = |n| wl::matmul::MatmulParams::new(n, 42);
+    let jobs: Vec<_> = sizes
+        .iter()
+        .flat_map(|&n| {
+            let p = params(n);
+            let (cpu, kernel) = (wl::matmul::cpu_source(&p), wl::matmul::xthreads_source(&p));
+            opts.apu_jobs(&apu, &format!("fig5-n{n}"), cpu, kernel)
+        })
+        .collect();
+    let reports = run_jobs(&jobs, opts.threads)?;
 
     out.header(
         "Figure 5: matmul runtime (ms, and relative to AMD CPU core = 1.0)",
@@ -34,38 +47,22 @@ fn run() -> Result<(), BenchError> {
             "CCSVMrel",
         ],
     );
-
-    // Simulate every sweep point (each an independent `Machine`) up front —
-    // in parallel under `--threads N` — then print and judge claims in input
-    // order, so the output is byte-identical at any thread count.
-    let points = ccsvm_sweepd::sweep(sizes.len(), opts.threads, |i| -> Result<_, BenchError> {
-        let n = sizes[i];
-        let p = wl::matmul::MatmulParams::new(n, 42);
+    let mut rel_ccsvm_small = None;
+    let mut last_ratio_noinit_over_ccsvm = 0.0;
+    for (&n, r) in sizes.iter().zip(reports.chunks(3)) {
+        let p = params(n);
         let expect = wl::matmul::reference_checksum(&p);
-
-        let (t_cpu, _, cpu_code) = run_cpu(&apu, &wl::matmul::cpu_source(&p));
+        let (t_cpu, _, cpu_code) = region_numbers(&r[0]);
         check_eq(cpu_code, expect, format!("n={n}: CPU result"))?;
-
         let shape = OffloadShape {
             buffer_bytes: 3 * n * n * 8,
             launches: 1,
         };
-        let a = run_offload(&apu, &wl::matmul::xthreads_source(&p), shape);
+        let a = ApuReport::offload(&apu, &r[1], shape);
         check_eq(a.exit_code, expect, format!("n={n}: APU result"))?;
-
-        let (t_ccsvm, _, ccsvm_code) = ccsvm_bench::run_ccsvm_point(
-            &wl::matmul::xthreads_source(&p),
-            &opts,
-            &format!("fig5-n{n}"),
-        );
+        let (t_ccsvm, _, ccsvm_code) = region_numbers(&r[2]);
         check_eq(ccsvm_code, expect, format!("n={n}: CCSVM result"))?;
-        Ok((t_cpu, a, t_ccsvm))
-    });
-    let points = points.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-    let mut rel_ccsvm_small = None;
-    let mut last_ratio_noinit_over_ccsvm = 0.0;
-    for (&n, (t_cpu, a, t_ccsvm)) in sizes.iter().zip(points) {
         out.line(format!(
             "{n:4} | {} | {} | {} | {} | {} | {} | {}",
             ms(t_cpu),
@@ -100,6 +97,5 @@ fn run() -> Result<(), BenchError> {
         );
     }
     out.finish()?;
-    claims.finish("fig5");
-    Ok(())
+    claims.finish("fig5")
 }

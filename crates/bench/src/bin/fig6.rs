@@ -7,8 +7,10 @@
 
 #![forbid(unsafe_code)]
 
-use ccsvm_apu::{run_cpu, run_offload, ApuConfig, OffloadShape};
-use ccsvm_bench::{check_eq, exit_with, ms, rel, BenchError, Claims, Opts, Out};
+use ccsvm_apu::{ApuConfig, ApuReport, OffloadShape};
+use ccsvm_bench::{
+    check_eq, exit_with, ms, region_numbers, rel, run_jobs, BenchError, Claims, Opts, Out,
+};
 use ccsvm_workloads as wl;
 
 fn main() {
@@ -21,6 +23,17 @@ fn run() -> Result<(), BenchError> {
     let apu = ApuConfig::paper_scaled();
     let mut claims = Claims::new();
     let mut out = Out::new(&opts);
+
+    let params = |n| wl::apsp::ApspParams::new(n, 42);
+    let jobs: Vec<_> = sizes
+        .iter()
+        .flat_map(|&n| {
+            let p = params(n);
+            let (cpu, kernel) = (wl::apsp::cpu_source(&p), wl::apsp::xthreads_source(&p));
+            opts.apu_jobs(&apu, &format!("fig6-n{n}"), cpu, kernel)
+        })
+        .collect();
+    let reports = run_jobs(&jobs, opts.threads)?;
 
     out.header(
         "Figure 6: APSP runtime (ms, and relative to AMD CPU core = 1.0)",
@@ -35,12 +48,10 @@ fn run() -> Result<(), BenchError> {
             "CCSVMrel",
         ],
     );
-
-    for &n in &sizes {
-        let p = wl::apsp::ApspParams::new(n, 42);
+    for (&n, r) in sizes.iter().zip(reports.chunks(3)) {
+        let p = params(n);
         let expect = wl::apsp::reference_checksum(&p);
-
-        let (t_cpu, _, cpu_code) = run_cpu(&apu, &wl::apsp::cpu_source(&p));
+        let (t_cpu, _, cpu_code) = region_numbers(&r[0]);
         check_eq(cpu_code, expect, format!("n={n}: CPU result"))?;
 
         // The OpenCL port relaunches per outer iteration; the distance
@@ -49,14 +60,10 @@ fn run() -> Result<(), BenchError> {
             buffer_bytes: 2 * n * n * 8,
             launches: wl::apsp::launches_needed(&p),
         };
-        let a = run_offload(&apu, &wl::apsp::xthreads_source(&p), shape);
+        let a = ApuReport::offload(&apu, &r[1], shape);
         check_eq(a.exit_code, expect, format!("n={n}: APU result"))?;
 
-        let (t_ccsvm, _, code) = ccsvm_bench::run_ccsvm_point(
-            &wl::apsp::xthreads_source(&p),
-            &opts,
-            &format!("fig6-n{n}"),
-        );
+        let (t_ccsvm, _, code) = region_numbers(&r[2]);
         check_eq(code, expect, format!("n={n}: CCSVM result"))?;
 
         out.line(format!(
@@ -90,6 +97,5 @@ fn run() -> Result<(), BenchError> {
         }
     }
     out.finish()?;
-    claims.finish("fig6");
-    Ok(())
+    claims.finish("fig6")
 }

@@ -6,9 +6,11 @@
 
 #![forbid(unsafe_code)]
 
-use ccsvm_apu::{run_cpu, ApuConfig};
-use ccsvm_bench::{check_eq, exit_with, ms, rel, BenchError, Claims, Opts, Out};
-use ccsvm_workloads as wl;
+use ccsvm_apu::ApuConfig;
+use ccsvm_bench::{
+    check_eq, exit_with, ms, region_numbers, rel, run_jobs, BenchError, Claims, Opts, Out,
+};
+use ccsvm_workloads::barnes_hut as bh;
 
 fn main() {
     exit_with(run());
@@ -22,6 +24,26 @@ fn run() -> Result<(), BenchError> {
     let mut rels: Vec<f64> = Vec::new();
     let mut out = Out::new(&opts);
 
+    // Per size: one APU CPU core, pthreads on four of them, and CCSVM.
+    let params: Vec<_> = sizes
+        .iter()
+        .map(|&bodies| bh::BhParams {
+            bodies,
+            steps: 1,
+            max_threads: 1280,
+            seed: 42,
+        })
+        .collect();
+    let mut jobs = Vec::new();
+    for p in &params {
+        let (cpu, label) = (&apu.cpu_chip, format!("fig7-b{}", p.bodies));
+        jobs.push((format!("{label}-cpu"), cpu.clone(), bh::cpu_source(p)));
+        let pthreads = bh::pthreads_source(p, 4);
+        jobs.push((format!("{label}-pthreads"), cpu.clone(), pthreads));
+        jobs.push((label, opts.config(), bh::xthreads_source(p)));
+    }
+    let reports = run_jobs(&jobs, opts.threads)?;
+
     out.header(
         "Figure 7: Barnes-Hut runtime (ms, and relative to AMD CPU core = 1.0)",
         &[
@@ -33,27 +55,13 @@ fn run() -> Result<(), BenchError> {
             "CCSVM rel",
         ],
     );
-
-    for &nb in &sizes {
-        let p = wl::barnes_hut::BhParams {
-            bodies: nb,
-            steps: 1,
-            max_threads: 1280,
-            seed: 42,
-        };
-        let oracle = wl::barnes_hut::oracle_checksum(&p);
-
-        let (t_cpu, _, c1) = run_cpu(&apu, &wl::barnes_hut::cpu_source(&p));
+    for (p, r) in params.iter().zip(reports.chunks(3)) {
+        let (nb, oracle) = (p.bodies, bh::oracle_checksum(p));
+        let (t_cpu, _, c1) = region_numbers(&r[0]);
         check_eq(c1, oracle, format!("{nb} bodies: CPU result"))?;
-
-        let (t_pth, _, c2) = run_cpu(&apu, &wl::barnes_hut::pthreads_source(&p, 4));
+        let (t_pth, _, c2) = region_numbers(&r[1]);
         check_eq(c2, oracle, format!("{nb} bodies: pthreads result"))?;
-
-        let (t_ccsvm, _, c3) = ccsvm_bench::run_ccsvm_point(
-            &wl::barnes_hut::xthreads_source(&p),
-            &opts,
-            &format!("fig7-b{nb}"),
-        );
+        let (t_ccsvm, _, c3) = region_numbers(&r[2]);
         check_eq(c3, oracle, format!("{nb} bodies: CCSVM result"))?;
 
         out.line(format!(
@@ -98,6 +106,5 @@ fn run() -> Result<(), BenchError> {
             .collect::<Vec<_>>()
     ));
     out.finish()?;
-    claims.finish("fig7");
-    Ok(())
+    claims.finish("fig7")
 }

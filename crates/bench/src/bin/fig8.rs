@@ -6,38 +6,31 @@
 
 #![forbid(unsafe_code)]
 
-use ccsvm_apu::{run_cpu, ApuConfig};
-use ccsvm_bench::{check_eq, exit_with, ms, BenchError, Claims, Opts, Out};
-use ccsvm_workloads as wl;
+use ccsvm::RunReport;
+use ccsvm_apu::ApuConfig;
+use ccsvm_bench::{
+    check_eq, exit_with, ms, region_numbers, run_jobs, BenchError, Claims, Opts, Out,
+};
+use ccsvm_workloads::spmm;
 
-fn run_pair(
-    apu: &ApuConfig,
-    p: &wl::spmm::SpmmParams,
-    opts: &Opts,
-    out: &mut Out,
-) -> Result<(f64, u64), BenchError> {
-    let expect = wl::spmm::reference_checksum(p);
-    let (t_cpu, _, c1) = run_cpu(apu, &wl::spmm::cpu_source(p));
+/// Checks and prints one panel point from its two reports; returns the
+/// CCSVM speedup over the CPU.
+fn row(p: &spmm::SpmmParams, r: &[RunReport], out: &mut Out) -> Result<f64, BenchError> {
+    let expect = spmm::reference_checksum(p);
+    let (t_cpu, _, c1) = region_numbers(&r[0]);
     check_eq(c1, expect, format!("n={}: CPU spmm result", p.n))?;
-    let (t_ccsvm, _, c2) = ccsvm_bench::run_ccsvm_point(
-        &wl::spmm::xthreads_source(p),
-        opts,
-        &format!("fig8-n{}-d{}", p.n, p.density_tenths_pct),
-    );
+    let (t_ccsvm, _, c2) = region_numbers(&r[1]);
     check_eq(c2, expect, format!("n={}: CCSVM spmm result", p.n))?;
+    let speedup = t_cpu.as_ps() as f64 / t_ccsvm.as_ps() as f64;
     out.line(format!(
-        "  n={:4} density={:4.1}% | CPU {} | CCSVM {} | speedup {:6.2} | allocs {}",
+        "  n={:4} density={:4.1}% | CPU {} | CCSVM {} | speedup {speedup:6.2} | allocs {}",
         p.n,
         p.density_tenths_pct as f64 / 10.0,
         ms(t_cpu),
         ms(t_ccsvm),
-        t_cpu.as_ps() as f64 / t_ccsvm.as_ps() as f64,
-        wl::spmm::reference_allocations(p),
+        spmm::reference_allocations(p),
     ));
-    Ok((
-        t_cpu.as_ps() as f64 / t_ccsvm.as_ps() as f64,
-        wl::spmm::reference_allocations(p),
-    ))
+    Ok(speedup)
 }
 
 fn main() {
@@ -50,24 +43,40 @@ fn run() -> Result<(), BenchError> {
     let mut claims = Claims::new();
     let mut out = Out::new(&opts);
 
+    let params = |n, density_tenths_pct| spmm::SpmmParams {
+        n,
+        density_tenths_pct,
+        max_threads: 1280,
+        seed: 42,
+    };
+    // Left panel: 1% density, varying size; right panel: fixed size,
+    // varying density. Each point runs on the APU's CPU, then on CCSVM.
+    let sizes = opts.pick(&[64, 128, 256], &[64, 128]);
+    let n = if opts.quick { 96 } else { 128 };
+    let left: Vec<_> = sizes.iter().map(|&n| params(n, 10)).collect();
+    let right: Vec<_> = [5u64, 10, 20, 50, 100].map(|d| params(n, d)).to_vec();
+    let mut jobs = Vec::new();
+    for p in left.iter().chain(&right) {
+        let label = format!("fig8-n{}-d{}", p.n, p.density_tenths_pct);
+        let cpu = apu.cpu_chip.clone();
+        jobs.push((format!("{label}-cpu"), cpu, spmm::cpu_source(p)));
+        jobs.push((label, opts.config(), spmm::xthreads_source(p)));
+    }
+    let reports = run_jobs(&jobs, opts.threads)?;
+    let (left_reports, right_reports) = reports.split_at(2 * left.len());
+
     out.header(
         "Figure 8 (left): sparse matmul speedup vs size at 1% density",
         &["rows below"],
     );
-    let sizes = opts.pick(&[64, 128, 256], &[64, 128]);
-    let mut left = Vec::new();
-    for &n in &sizes {
-        let p = wl::spmm::SpmmParams {
-            n,
-            density_tenths_pct: 10,
-            max_threads: 1280,
-            seed: 42,
-        };
-        left.push(run_pair(&apu, &p, &opts, &mut out)?);
-    }
+    let left = left
+        .iter()
+        .zip(left_reports.chunks(2))
+        .map(|(p, r)| row(p, r, &mut out))
+        .collect::<Result<Vec<f64>, _>>()?;
     if !opts.quick {
         claims.check(
-            left.iter().all(|(s, _)| *s > 0.5),
+            left.iter().all(|&s| s > 0.5),
             "1% density: CCSVM stays within 2x of the CPU (there is almost no \
              compute per row at simulable sizes; the win appears as density \
              or size grows)",
@@ -78,19 +87,13 @@ fn run() -> Result<(), BenchError> {
         "Figure 8 (right): sparse matmul speedup vs density at fixed size",
         &["rows below"],
     );
-    let n = if opts.quick { 96 } else { 128 };
-    let mut right = Vec::new();
-    for &d in &[5u64, 10, 20, 50, 100] {
-        let p = wl::spmm::SpmmParams {
-            n,
-            density_tenths_pct: d,
-            max_threads: 1280,
-            seed: 42,
-        };
-        right.push(run_pair(&apu, &p, &opts, &mut out)?);
-    }
+    let right = right
+        .iter()
+        .zip(right_reports.chunks(2))
+        .map(|(p, r)| row(p, r, &mut out))
+        .collect::<Result<Vec<f64>, _>>()?;
     if !opts.quick {
-        let best = right.iter().map(|(s, _)| *s).fold(0.0f64, f64::max);
+        let best = right.iter().copied().fold(0.0f64, f64::max);
         claims.check(
             best > 1.0,
             "CCSVM obtains speedups on dynamically-allocated sparse matmul",
@@ -112,13 +115,12 @@ fn run() -> Result<(), BenchError> {
              at its much larger sizes)",
             right
                 .iter()
-                .map(|(s, _)| (*s * 100.0).round() / 100.0)
+                .map(|s| (s * 100.0).round() / 100.0)
                 .collect::<Vec<_>>()
         ));
     } else {
         out.line("  (quick mode: sizes too small for the paper's trend; claims skipped)");
     }
     out.finish()?;
-    claims.finish("fig8");
-    Ok(())
+    claims.finish("fig8")
 }

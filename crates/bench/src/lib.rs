@@ -7,7 +7,10 @@
 //!
 //! * [`Opts::parse`] takes the flags a binary honours (from [`FLAGS`]) and
 //!   refuses any other argument with the usage text and exit status 2;
-//! * every simulated point is one cold run through [`run_program`];
+//! * a binary lists its simulated points up front as [`Job`]s and runs them
+//!   all in one [`run_jobs`] call: each is one cold run through
+//!   [`ccsvm_sweepd::run_point`], on `--threads N` host threads, returned in
+//!   input order so the table is the same at any thread count;
 //! * tables print through [`Out`], which writes a results file only when
 //!   `--out FILE` is given, so a `--quick`, `--sizes` or `--protocol` run
 //!   never overwrites a committed `results/` file.
@@ -21,7 +24,8 @@
 
 use std::path::{Path, PathBuf};
 
-use ccsvm::{Machine, ProtocolKind, RunReport, SystemConfig};
+use ccsvm::{ProtocolKind, RunReport, SystemConfig};
+use ccsvm_apu::ApuConfig;
 use ccsvm_engine::Time;
 use ccsvm_workloads as wl;
 
@@ -41,8 +45,8 @@ pub enum BenchError {
     },
     /// A snapshot or replay-bundle operation failed.
     Snap(ccsvm::SnapError),
-    /// A simulated run misbehaved: wrong answer, abnormal outcome, or a
-    /// guest program that failed to compile.
+    /// A simulated run misbehaved (wrong answer, abnormal outcome, a guest
+    /// program that failed to compile), or a qualitative claim failed.
     Run(String),
     /// Command-line misuse.
     Cli(String),
@@ -68,14 +72,6 @@ impl From<ccsvm::SnapError> for BenchError {
 }
 
 impl BenchError {
-    /// Wraps a file I/O error with the path it concerned.
-    pub fn io(path: impl Into<PathBuf>, err: &std::io::Error) -> BenchError {
-        BenchError::Io {
-            path: path.into(),
-            err: err.to_string(),
-        }
-    }
-
     /// Process exit status for this failure class.
     pub fn exit_code(&self) -> i32 {
         match self {
@@ -95,23 +91,6 @@ pub fn exit_with(result: Result<(), BenchError>) -> ! {
             std::process::exit(e.exit_code());
         }
     }
-}
-
-/// Writes a results artifact atomically: same-directory temp file, fsync,
-/// rename. A crash mid-write leaves either the old artifact or none — never
-/// a torn one. Parent directories are created as needed.
-///
-/// # Errors
-///
-/// [`BenchError::Io`] when the directory or file cannot be written.
-pub fn write_results_atomic(path: impl AsRef<Path>, contents: &str) -> Result<(), BenchError> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| BenchError::io(dir, &e))?;
-        }
-    }
-    ccsvm_snap::write_file(path, contents.as_bytes()).map_err(BenchError::from)
 }
 
 /// Table sink for the table and figure binaries: every [`Out::line`] goes
@@ -148,16 +127,27 @@ impl Out {
         self.line("-".repeat(columns.iter().map(|c| c.len() + 3).sum::<usize>()));
     }
 
-    /// Atomically writes the captured table to the results file, if any.
+    /// Writes the captured table to the results file, if any, creating its
+    /// directory as needed. The write is atomic (same-directory temp file,
+    /// fsync, rename), so a crash leaves the old artifact or none, never a
+    /// torn one.
     ///
     /// # Errors
     ///
-    /// [`BenchError::Io`] when the artifact cannot be written.
+    /// [`BenchError::Io`] or [`BenchError::Snap`] when the artifact cannot
+    /// be written.
     pub fn finish(&self) -> Result<(), BenchError> {
-        if let Some(path) = &self.path {
-            write_results_atomic(path, &self.buf)?;
-            println!("wrote {}", path.display());
+        let Some(path) = &self.path else {
+            return Ok(());
+        };
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).map_err(|e| BenchError::Io {
+                path: dir.into(),
+                err: e.to_string(),
+            })?;
         }
+        ccsvm_snap::write_file(path, self.buf.as_bytes())?;
+        println!("wrote {}", path.display());
         Ok(())
     }
 }
@@ -225,19 +215,8 @@ pub const FLAGS: &[(&str, &str)] = &[
     ),
 ];
 
-/// The flags of a figure binary that runs its sweep points in order.
+/// The flags of a figure binary: every flag in [`FLAGS`].
 pub const FIGURE_FLAGS: &[&str] = &[
-    "--quick",
-    "--sizes",
-    "--out",
-    "--no-sb-cache",
-    "--protocol",
-    "--trace-events",
-];
-
-/// The flags of a figure binary that simulates its sweep points in
-/// parallel under `--threads N` (through [`ccsvm_sweepd::sweep`]).
-pub const SWEEP_FLAGS: &[&str] = &[
     "--quick",
     "--sizes",
     "--threads",
@@ -267,7 +246,7 @@ pub struct Opts {
     /// machine, so tables differ per protocol (DESIGN §13).
     pub protocol: ProtocolKind,
     /// Event-trace capacity per simulated point (`--trace-events N`,
-    /// default 0 = off); see [`run_program`].
+    /// default 0 = off); see [`ccsvm_sweepd::run_point`].
     pub trace_events: usize,
 }
 
@@ -359,6 +338,17 @@ impl Opts {
         cfg
     }
 
+    /// The three points of one size of an APU comparison (Figs. 5, 6 and
+    /// 9), in this order: `cpu` on the APU's CPU chip, `kernel` on its GPU
+    /// chip, and `kernel` on this run's CCSVM chip ([`Opts::config`]).
+    pub fn apu_jobs(&self, apu: &ApuConfig, label: &str, cpu: String, kernel: String) -> [Job; 3] {
+        [
+            (format!("{label}-cpu"), apu.cpu_chip.clone(), cpu),
+            (format!("{label}-apu"), apu.gpu_chip.clone(), kernel.clone()),
+            (label.into(), self.config(), kernel),
+        ]
+    }
+
     /// The sweep to use: override > quick > full.
     pub fn pick(&self, full: &[u64], quick: &[u64]) -> Vec<u64> {
         match &self.sizes {
@@ -388,23 +378,28 @@ pub fn region_numbers(r: &RunReport) -> (Time, u64, u64) {
     (t, d, r.exit_code)
 }
 
-/// Builds `src`, runs it to completion on a fresh machine under `cfg` and
-/// returns the report. When `cfg.trace_events` is set (`--trace-events N`)
-/// the machine's event trace goes to stderr as one block headed `label`.
-pub fn run_program(cfg: SystemConfig, src: &str, label: &str) -> RunReport {
-    let mut m = Machine::new(cfg, wl::build(src));
-    let report = m.run();
-    if m.config().trace_events > 0 {
-        eprintln!("== {label} {}", m.trace());
-    }
-    report
-}
+/// One simulated point: its label (which heads its `--trace-events` block),
+/// the machine it runs on, and the XC source it runs.
+pub type Job = (String, SystemConfig, String);
 
-/// Runs an xthreads program on the CCSVM chip under this run's
-/// configuration ([`Opts::config`]) and returns (measured region, DRAM
-/// accesses, exit code).
-pub fn run_ccsvm_point(src: &str, opts: &Opts, label: &str) -> (Time, u64, u64) {
-    region_numbers(&run_program(opts.config(), src, label))
+/// Runs every job through [`ccsvm_sweepd::run_point`] on `threads` host
+/// threads and returns the reports in input order.
+///
+/// # Errors
+///
+/// [`BenchError::Run`] for the first job, in input order, whose source did
+/// not compile or whose simulator panicked.
+pub fn run_jobs(jobs: &[Job], threads: usize) -> Result<Vec<RunReport>, BenchError> {
+    ccsvm_sweepd::sweep(jobs.len(), threads, |i| {
+        let (label, cfg, source) = &jobs[i];
+        match ccsvm_sweepd::run_point(label, cfg, source) {
+            Ok(Ok(report)) => Ok(report),
+            Ok(Err(panic)) => Err(BenchError::Run(format!("{label}: panicked: {panic}"))),
+            Err(e) => Err(BenchError::Run(format!("{label}: {e}"))),
+        }
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Formats a time as milliseconds with 3 significant decimals.
@@ -421,6 +416,7 @@ pub fn rel(t: Time, base: Time) -> String {
 /// Asserts a qualitative claim, printing rather than panicking so a full
 /// sweep always completes; the harness exits nonzero at the end if any
 /// claim failed.
+#[derive(Default)]
 pub struct Claims {
     failures: Vec<String>,
 }
@@ -428,9 +424,7 @@ pub struct Claims {
 impl Claims {
     /// Empty set.
     pub fn new() -> Claims {
-        Claims {
-            failures: Vec::new(),
-        }
+        Claims::default()
     }
 
     /// Records a claim.
@@ -441,19 +435,21 @@ impl Claims {
         }
     }
 
-    /// Prints a summary and exits nonzero on failures.
-    pub fn finish(self, figure: &str) {
+    /// Prints a summary line.
+    ///
+    /// # Errors
+    ///
+    /// [`BenchError::Run`] when any claim failed, so the binary exits 1.
+    pub fn finish(self, figure: &str) -> Result<(), BenchError> {
         if self.failures.is_empty() {
             println!("[{figure}] all qualitative claims hold");
+            Ok(())
         } else {
             println!("[{figure}] {} claim(s) FAILED", self.failures.len());
-            std::process::exit(1);
+            Err(BenchError::Run(format!(
+                "{figure}: {} qualitative claim(s) failed",
+                self.failures.len()
+            )))
         }
-    }
-}
-
-impl Default for Claims {
-    fn default() -> Self {
-        Claims::new()
     }
 }

@@ -1,6 +1,7 @@
 //! The bench binaries refuse a command line they do not understand before
 //! they simulate or write anything: a typo must not run a different sweep
-//! than the one asked for, and only `--out` writes a results file.
+//! than the one asked for, and only `--out` writes a results file. What a
+//! figure writes does not depend on `--threads`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -51,7 +52,7 @@ fn unknown_or_malformed_arguments_exit_2_before_any_cell_runs() {
         ("ablations", env!("CARGO_BIN_EXE_ablations"), &["--quikc"]),
         ("table1", env!("CARGO_BIN_EXE_table1"), &["--bogus"]),
         ("table2", env!("CARGO_BIN_EXE_table2"), &["--bogus"]),
-        ("fig7", env!("CARGO_BIN_EXE_fig7"), &["--threads", "2"]),
+        ("fig7", env!("CARGO_BIN_EXE_fig7"), &["--threads", "0"]),
         (
             "fig5",
             env!("CARGO_BIN_EXE_fig5"),
@@ -128,4 +129,45 @@ fn a_table_run_without_out_writes_no_results_file() {
         Vec::<PathBuf>::new(),
         "table1 wrote files"
     );
+}
+
+/// Every harness runs its points through one `sweep`, so a figure that once
+/// ran its points in a serial loop writes the same table at any thread
+/// count.
+#[test]
+fn fig6_writes_the_same_table_at_one_and_three_threads() {
+    let table = |threads: &str| {
+        let (out, dir) = run_in_fresh_dir(
+            &format!("fig6-threads-{threads}"),
+            env!("CARGO_BIN_EXE_fig6"),
+            &["--quick", "--threads", threads, "--out", "fig6.txt"],
+        );
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "fig6 --threads {threads}: stderr {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(dir.join("fig6.txt")).expect("fig6 wrote its --out file")
+    };
+    let serial = table("1");
+    assert!(!serial.is_empty());
+    assert_eq!(serial, table("3"), "fig6 --quick differs at --threads 3");
+}
+
+/// A failed qualitative claim is reported on stdout and ends the run with
+/// exit status 1 through the binary's typed error path. Listing the larger
+/// size first makes Fig. 5's "largest size" claim judge the smallest one,
+/// where the no-init APU is still far behind.
+#[test]
+fn a_failed_claim_exits_1_after_its_summary_line() {
+    let (out, _) = run_in_fresh_dir(
+        "fig5-failed-claim",
+        env!("CARGO_BIN_EXE_fig5"),
+        &["--sizes", "16,8"],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout {stdout}");
+    assert!(stdout.contains("!! claim failed: largest size"), "{stdout}");
+    assert!(stdout.ends_with("[fig5] 1 claim(s) FAILED\n"), "{stdout}");
 }

@@ -238,7 +238,7 @@ impl MemorySystem {
     }
 
     /// Test-only protocol corruption: clears the registered owner of
-    /// `block` at its home bank (see [`crate::msg`] for the companion
+    /// `block` at its home bank (see the `msg` module for the companion
     /// message-level mutations). Returns `false` if the block has no owner.
     pub fn test_corrupt_dir_owner(&mut self, block: u64) -> bool {
         let home = self.home(block);

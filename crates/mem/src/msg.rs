@@ -355,7 +355,7 @@ impl MemEvent {
     }
 
     /// Whether this event delivers a snoop response that reported a live
-    /// shared copy (the class [`MutationKind::CorruptSnoopShared`] counts).
+    /// shared copy (the class [`ccsvm_engine::MutationKind::CorruptSnoopShared`] counts).
     pub fn is_shared_snoop_resp(&self) -> bool {
         matches!(
             &self.0,
@@ -386,7 +386,7 @@ impl MemEvent {
     }
 
     /// Whether this event delivers a Dragon write-update probe (the class
-    /// [`MutationKind::CorruptUpdValue`] counts).
+    /// [`ccsvm_engine::MutationKind::CorruptUpdValue`] counts).
     pub fn is_upd_snoop(&self) -> bool {
         matches!(
             &self.0,

@@ -204,7 +204,7 @@ impl<'a> CorePort<'a> {
 
     /// Replays the counter effects of re-attempting an access that returned
     /// [`AccessResult::Retry`] earlier in the same core batch, without
-    /// re-running the controller (see [`L1::count_doomed_retry`]).
+    /// re-running the controller (see `L1::count_doomed_retry`).
     pub fn count_doomed_retry(&mut self, access: Access) {
         self.l1.count_doomed_retry(access);
     }

@@ -129,7 +129,7 @@ pub struct MemConfig {
     pub ctrl_bytes: usize,
     /// Size of a data-bearing message (64 B payload + header).
     pub data_bytes: usize,
-    /// Which coherence protocol the hierarchy runs (see [`crate::protocol`]).
+    /// Which coherence protocol the hierarchy runs (see the `protocol` module).
     pub protocol: ProtocolKind,
 }
 
@@ -640,7 +640,7 @@ impl MemorySystem {
     }
 
     /// Whether a `DirTimeout` carrying (`bank`, `block`, `epoch`) would hit a
-    /// live snoop-collection round (mutation targeting; see [`Bank`]).
+    /// live snoop-collection round (mutation targeting; see `Bank`).
     pub fn snoop_round_current(&self, bank: BankId, block: u64, epoch: u64) -> bool {
         self.banks[bank.0].snoop_round_current(block, epoch)
     }

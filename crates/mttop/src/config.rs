@@ -129,7 +129,7 @@ pub struct PageFaultReq {
     pub cr3: PhysAddr,
 }
 
-/// Result of [`MttopCore::run_batch`].
+/// Result of [`MttopCore::run_batch`](crate::MttopCore::run_batch).
 #[derive(Clone, Debug)]
 pub struct BatchOutcome {
     /// Scheduling directive.

@@ -5,11 +5,13 @@
 //!
 //! * a [`SweepSpec`] expands into jobs deduplicated by a key derived from
 //!   the normalized config hash + workload source ([`spec`]);
-//! * [`run_job`] is the one job runner, shared with the fault campaign
-//!   ([`campaign`]): a job whose report is in the [`ReportCache`] is served
-//!   from it, any other is compiled, run under `catch_unwind` and stored;
+//! * [`run_point`] is the one point runner: it compiles a source and runs
+//!   it on a fresh machine under `catch_unwind`;
+//! * [`run_job`] wraps it in the [`ReportCache`] for sweeps and the fault
+//!   campaign ([`campaign`]): a cached job is served, any other is run and
+//!   stored;
 //! * [`sweep`] spreads independent jobs over host threads and returns the
-//!   results in input order, for [`run_sweep`] and the figure binaries;
+//!   results in input order, for [`run_sweep`] and every bench harness;
 //! * [`run_sweep`] writes a manifest rendered only from the spec and the
 //!   reports, so a re-run — which simulates only jobs with no cache entry —
 //!   reproduces it byte for byte. A job that does not end `Completed` is
@@ -30,7 +32,7 @@ pub use cache::ReportCache;
 pub use campaign::{
     run_campaign, CampaignSpec, CampaignSummary, CellReport, CellStatus, ShrinkReport,
 };
-pub use run::{run_job, run_sweep, sweep, JobRun, Summary};
+pub use run::{run_job, run_point, run_sweep, sweep, JobRun, Summary};
 pub use spec::{JobSpec, SweepSpec};
 
 use std::path::PathBuf;

@@ -1,10 +1,11 @@
-//! The one job runner, the one host-thread loop, and the grid sweep.
+//! The one point runner, the one host-thread loop, and the grid sweep.
 //!
-//! Every simulated point of a sweep or a fault campaign goes through
-//! [`run_job`]: the job's report is looked up in the [`ReportCache`] under
-//! `fnv1a(config_hash ‖ source)` ([`job_key`]), and on a miss the source is
-//! compiled and run under `catch_unwind`, and the report is stored. The
-//! preset's watchdog and `max_sim_time` bound every run, so a job always
+//! Every simulated point of a figure, a sweep or a fault campaign goes
+//! through [`run_point`]: the source is compiled and run on a fresh machine
+//! under `catch_unwind`. A sweep or campaign job goes through [`run_job`],
+//! which first looks its report up in the [`ReportCache`] under
+//! `fnv1a(config_hash ‖ source)` ([`job_key`]) and stores it after a miss.
+//! The preset's watchdog and `max_sim_time` bound every run, so a job always
 //! ends in a typed `Outcome` or a caught panic; being deterministic, it is
 //! run once and never retried.
 
@@ -79,19 +80,7 @@ pub fn run_job(
             cache.quarantine(key);
         }
     }
-    let prog = ccsvm_xthreads::build(source)
-        .map_err(|e| SweepError::Spec(format!("workload failed to compile: {e}")))?;
-    let run_cfg = cfg.clone();
-    let result =
-        catch_unwind(AssertUnwindSafe(move || Machine::new(run_cfg, prog).run())).map_err(|p| {
-            if let Some(s) = p.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = p.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".into()
-            }
-        });
+    let result = run_point(&format!("{key:016x}"), cfg, source)?;
     if let Ok(report) = &result {
         cache.store(key, hash, report)?;
     }
@@ -101,8 +90,41 @@ pub fn run_job(
     })
 }
 
+/// Compiles `source` and runs it to completion on a fresh machine under
+/// `cfg`, returning the report or, when the simulator panicked, the panic
+/// message. When `cfg.trace_events` is set (`--trace-events N`) the
+/// machine's event trace goes to stderr as one block headed `label`.
+///
+/// # Errors
+///
+/// [`SweepError::Spec`] when the source does not compile.
+pub fn run_point(
+    label: &str,
+    cfg: &SystemConfig,
+    source: &str,
+) -> Result<Result<RunReport, String>, SweepError> {
+    let prog = ccsvm_xthreads::build(source)
+        .map_err(|e| SweepError::Spec(format!("workload failed to compile: {e}")))?;
+    Ok(catch_unwind(AssertUnwindSafe(|| {
+        let mut m = Machine::new(cfg.clone(), prog);
+        let report = m.run();
+        if cfg.trace_events > 0 {
+            eprintln!("== {label} {}", m.trace());
+        }
+        report
+    }))
+    .map_err(
+        |p| match (p.downcast_ref::<&str>(), p.downcast_ref::<String>()) {
+            (Some(s), _) => s.to_string(),
+            (_, Some(s)) => s.clone(),
+            _ => "non-string panic payload".into(),
+        },
+    ))
+}
+
 /// Runs `f(0..n)` across `threads` worker threads and returns the results
-/// **in input order**.
+/// **in input order**. Every multi-point harness runs its points through
+/// this one loop.
 ///
 /// Each sweep point gets its own independent `Machine`, so points are
 /// embarrassingly parallel; indices are claimed dynamically (an atomic

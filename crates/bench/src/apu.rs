@@ -2,7 +2,7 @@
 //! running OpenCL).
 //!
 //! The paper compares its simulated CCSVM chip against *real* Llano hardware.
-//! This crate models that baseline as the sum of the behaviours that make
+//! This module models that baseline as the sum of the behaviours that make
 //! loose coupling slow, per §2.3:
 //!
 //! * **Separate address spaces**: CPU and GPU communicate only through
@@ -23,14 +23,12 @@
 //! Kernel execution and the CPU-only baseline are **simulated** (same
 //! component library as the CCSVM chip): a harness runs the kernel as an
 //! ordinary point on [`ApuConfig::gpu_chip`] and the CPU baselines on
-//! [`ApuConfig::cpu_chip`]. This crate runs no machine. [`ApuReport::offload`]
+//! [`ApuConfig::cpu_chip`]. This module runs no machine. [`ApuReport::offload`]
 //! adds the driver/DMA costs to the kernel's report; they are modeled
 //! constants, scaled for the simulable problem sizes and documented in
 //! EXPERIMENTS.md. We cannot run the authors' 2011 hardware; what the
 //! paper's comparison needs is the overhead *structure*, which this
 //! preserves.
-
-#![forbid(unsafe_code)]
 
 use ccsvm::{RunReport, SystemConfig};
 use ccsvm_engine::Time;
@@ -127,7 +125,7 @@ pub struct ApuReport {
 impl ApuConfig {
     /// Time to stage `bytes` one way at [`ApuConfig::dma_bytes_per_ns`],
     /// excluding [`ApuConfig::dma_latency`].
-    fn dma_transfer(&self, bytes: u64) -> Time {
+    pub(crate) fn dma_transfer(&self, bytes: u64) -> Time {
         Time::from_ps((bytes as f64 * 1_000.0 / self.dma_bytes_per_ns).ceil() as u64)
     }
 }
@@ -161,26 +159,5 @@ impl ApuReport {
             dram_accesses: kernel_dram + dma_blocks,
             exit_code: kernel.exit_code,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_scaled_is_consistent() {
-        let c = ApuConfig::paper_scaled();
-        assert_eq!(c.cpu_chip.cpu.cycles_per_instr_den, 4, "max IPC 4");
-        assert_eq!(c.gpu_chip.mttop.vliw_ops_per_lane, 4, "VLIW 4");
-        assert_eq!(c.cpu_chip.dram.latency, Time::from_ns(72));
-        assert!(c.compile_time > c.launch_overhead);
-    }
-
-    #[test]
-    fn dma_time_scales_with_bytes() {
-        let cfg = ApuConfig::paper_scaled();
-        assert!(cfg.dma_transfer(1 << 20) > cfg.dma_transfer(64));
-        assert_eq!(cfg.dma_transfer(0), Time::ZERO);
     }
 }

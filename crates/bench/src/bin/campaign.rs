@@ -10,18 +10,20 @@
 //! ```text
 //! campaign [--quick] [--dir target/campaign] [--seed N]
 //!          [--protocols a,b,c] [--workloads w1,w2]
-//!          [--domains d1,d2,...] [--no-mutation-cell]
+//!          [--domains d1,d2,...] [--no-mutation-cell] [--threads N]
 //! ```
 //!
 //! Any other argument, or a malformed value, prints the usage line and
 //! exits 2 before any cell runs.
 //!
-//! The campaign writes `<dir>/manifest.txt` (byte-stable across re-runs),
-//! `<dir>/bundles/*.ccbundle` for failing cells, and a report cache under
-//! `<dir>/cache/`. Exit status 0 iff every claim holds: all grid cells
-//! typed-ok, and (unless `--no-mutation-cell`) the seeded-mutation cell
-//! fails, shrinks to a strictly simpler plan that keeps its probe-loss
-//! carrier, and replays cycle- and invariant-exactly from its bundle.
+//! The cells run on `--threads N` host threads (default 1). The campaign
+//! writes `<dir>/manifest.txt` (byte-stable across re-runs and thread
+//! counts), `<dir>/bundles/*.ccbundle` for failing cells, and a report
+//! cache under `<dir>/cache/`. Exit status 0 iff every claim holds: all
+//! grid cells typed-ok, and (unless `--no-mutation-cell`) the
+//! seeded-mutation cell fails, shrinks to a strictly simpler plan that
+//! keeps its probe-loss carrier, and replays cycle- and invariant-exactly
+//! from its bundle.
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +37,8 @@ fn main() {
 }
 
 const USAGE: &str = "campaign [--quick] [--dir target/campaign] [--seed N] [--protocols a,b,c] \
-                     [--workloads w1,w2] [--domains d1,d2,...] [--no-mutation-cell]";
+                     [--workloads w1,w2] [--domains d1,d2,...] [--no-mutation-cell] \
+                     [--threads N]";
 
 /// A command-line misuse: exits 2 with the usage text.
 fn cli(problem: String) -> BenchError {
@@ -60,6 +63,13 @@ fn parse_args(
             "--quick" => quick = true,
             "--no-mutation-cell" => spec.mutation_cell = false,
             "--dir" => dir = value()?.into(),
+            "--threads" => {
+                let v = value()?;
+                spec.threads =
+                    v.trim().parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
+                        cli(format!("bad --threads `{v}` (want an integer >= 1)"))
+                    })?;
+            }
             "--seed" => {
                 let v = value()?;
                 spec.seed = v

@@ -6,7 +6,7 @@
 
 #![forbid(unsafe_code)]
 
-use ccsvm_apu::{ApuConfig, ApuReport, OffloadShape};
+use ccsvm_bench::apu::{ApuConfig, ApuReport, OffloadShape};
 use ccsvm_bench::{
     check_eq, exit_with, ms, region_numbers, rel, run_jobs, BenchError, Claims, Opts, Out,
 };

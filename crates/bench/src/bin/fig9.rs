@@ -5,7 +5,7 @@
 
 #![forbid(unsafe_code)]
 
-use ccsvm_apu::{ApuConfig, ApuReport, OffloadShape};
+use ccsvm_bench::apu::{ApuConfig, ApuReport, OffloadShape};
 use ccsvm_bench::{check_eq, exit_with, region_numbers, run_jobs, BenchError, Claims, Opts, Out};
 use ccsvm_workloads as wl;
 

@@ -7,10 +7,10 @@
 //!
 //! The bundle embeds everything the reproduction needs: the config preset
 //! name (validated against the recorded config hash), the fault plan and
-//! sanitizer settings, the guest source, the nearest pre-failure machine
-//! snapshot, the bisected first-failing cycle, and the trace of the last
-//! events before the abort. The replay restores the snapshot, forces the
-//! sanitizer on (full check verbosity), and re-runs to the failure.
+//! sanitizer settings, the guest source, how and at which cycle the run
+//! failed, and the trace of the last events before the abort. The replay
+//! forces the sanitizer on (full check verbosity) and re-runs the workload
+//! from cycle 0 to the failure.
 //!
 //! Exit status: 0 when the failure reproduced at the recorded cycle with a
 //! matching invariant, 1 when it did not reproduce or the bundle is
@@ -47,11 +47,6 @@ fn run() -> Result<(), BenchError> {
     if let Some(v) = &bundle.violation {
         println!("violation: {v}");
     }
-    println!(
-        "snapshot:  {} bytes at {}",
-        bundle.snapshot.len(),
-        bundle.snapshot_at,
-    );
     println!("{}", bundle.trace);
 
     let (report, reproduced) =

@@ -3,7 +3,7 @@
 #![forbid(unsafe_code)]
 
 use ccsvm::SystemConfig;
-use ccsvm_apu::ApuConfig;
+use ccsvm_bench::apu::ApuConfig;
 use ccsvm_bench::{exit_with, BenchError, Opts, Out};
 
 fn main() {

@@ -22,16 +22,19 @@
 
 #![forbid(unsafe_code)]
 
+pub mod apu;
+
 use std::path::{Path, PathBuf};
 
 use ccsvm::{ProtocolKind, RunReport, SystemConfig};
-use ccsvm_apu::ApuConfig;
 use ccsvm_engine::Time;
 use ccsvm_workloads as wl;
 
+use crate::apu::ApuConfig;
+
 /// Typed failure in a bench binary. Every binary's `main` is a thin wrapper
 /// around a `Result<(), BenchError>` body handed to [`exit_with`]: CLI
-/// misuse exits 2, operational failures (I/O, snapshot/bundle decode, a
+/// misuse exits 2, operational failures (I/O, bundle or report decode, a
 /// simulated run producing the wrong answer or aborting) exit 1, and
 /// success exits 0 — no panicking `unwrap`/`expect` on the failure paths.
 #[derive(Debug)]
@@ -43,7 +46,7 @@ pub enum BenchError {
         /// The underlying error message.
         err: String,
     },
-    /// A snapshot or replay-bundle operation failed.
+    /// A replay-bundle, pause-image or report decode failed.
     Snap(ccsvm::SnapError),
     /// A simulated run misbehaved (wrong answer, abnormal outcome, a guest
     /// program that failed to compile), or a qualitative claim failed.
@@ -56,7 +59,7 @@ impl std::fmt::Display for BenchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BenchError::Io { path, err } => write!(f, "{}: {err}", path.display()),
-            BenchError::Snap(e) => write!(f, "snapshot: {e}"),
+            BenchError::Snap(e) => write!(f, "decode: {e}"),
             BenchError::Run(what) => write!(f, "run failed: {what}"),
             BenchError::Cli(what) => write!(f, "usage: {what}"),
         }
@@ -451,5 +454,28 @@ impl Claims {
                 self.failures.len()
             )))
         }
+    }
+}
+
+/// The APU model's unit tests.
+#[cfg(test)]
+mod tests {
+    use crate::apu::ApuConfig;
+    use ccsvm_engine::Time;
+
+    #[test]
+    fn paper_scaled_is_consistent() {
+        let c = ApuConfig::paper_scaled();
+        assert_eq!(c.cpu_chip.cpu.cycles_per_instr_den, 4, "max IPC 4");
+        assert_eq!(c.gpu_chip.mttop.vliw_ops_per_lane, 4, "VLIW 4");
+        assert_eq!(c.cpu_chip.dram.latency, Time::from_ns(72));
+        assert!(c.compile_time > c.launch_overhead);
+    }
+
+    #[test]
+    fn dma_time_scales_with_bytes() {
+        let cfg = ApuConfig::paper_scaled();
+        assert!(cfg.dma_transfer(1 << 20) > cfg.dma_transfer(64));
+        assert_eq!(cfg.dma_transfer(0), Time::ZERO);
     }
 }

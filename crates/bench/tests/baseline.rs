@@ -4,7 +4,7 @@
 //! modeled overheads to the kernel's report.
 
 use ccsvm::{Machine, RunReport, SystemConfig};
-use ccsvm_apu::{ApuConfig, ApuReport, OffloadShape};
+use ccsvm_bench::apu::{ApuConfig, ApuReport, OffloadShape};
 use ccsvm_engine::Time;
 use ccsvm_workloads as wl;
 

@@ -63,9 +63,9 @@ pub use ccsvm_engine::{
 pub use ccsvm_engine::{
     InvariantId, InvariantMask, Mutation, MutationKind, SanitizerConfig, Violation,
 };
-// Snapshot error type and schema version, re-exported so harnesses can
-// handle checkpoint/restore failures without depending on the snap crate.
-pub use ccsvm_snap::{SnapError, SCHEMA_VERSION as SNAP_SCHEMA_VERSION};
+// The decode error type, re-exported so harnesses can handle checkpoint,
+// bundle and report decode failures without depending on the snap crate.
+pub use ccsvm_snap::SnapError;
 // Coherence-protocol identity (DESIGN §13), re-exported so
 // harnesses can set `SystemConfig::protocol` and query per-protocol
 // invariant masks without depending on the mem crate directly.

@@ -15,14 +15,14 @@ use ccsvm_mem::{
 };
 use ccsvm_mttop::{Mifd, MttopAction, MttopCore, PageFaultReq, TaskChunk};
 use ccsvm_noc::{Network, NodeId, Topology};
-use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter};
+use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
 use ccsvm_vm::{GuestHeap, OsLite, PteWrite, VirtAddr, PAGE_BYTES};
 
 use crate::config::SpeculationConfig;
 use crate::trace::{Trace, TraceEv};
 use crate::SystemConfig;
 
-mod codec;
+mod checkpoint;
 
 const KIND_SHIFT: u32 = 60;
 const IDX_SHIFT: u32 = 48;
@@ -339,12 +339,11 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Serializes the report with the snapshot codec (no header — callers
-    /// that persist reports, like the sweep's report cache,
-    /// add their own magic/version/config-hash envelope). The encoding is
-    /// canonical: two bit-identical reports always serialize to identical
-    /// bytes, even across processes (stats are written as sorted
-    /// name/value pairs).
+    /// Serializes the report (no header — callers that persist reports,
+    /// like the sweep's report cache, add their own magic/version/config-hash
+    /// envelope). The encoding is canonical: two bit-identical reports always
+    /// serialize to identical bytes, even across processes (stats are
+    /// written as sorted name/value pairs).
     pub fn to_bytes(&self) -> Vec<u8> {
         // The three print arrays share the one count.
         let mut w = SnapWriter::new();
@@ -405,6 +404,18 @@ impl RunReport {
     }
 }
 
+codec!(enum Outcome {
+    0 => Completed,
+    1 => Deadlock,
+    2 => Poisoned,
+    3 => RetryBudgetExhausted,
+    4 => InvariantViolation,
+});
+codec!(struct DiagnosticDump {
+    reason, at, outstanding, dir_active, poisoned_blocks, noc_busy_links, noc_max_backlog,
+    violation,
+});
+
 /// The CCSVM chip plus OsLite. See the [crate docs](crate).
 pub struct Machine {
     cfg: SystemConfig,
@@ -452,7 +463,7 @@ pub struct Machine {
     /// `cfg.host_profile` is set.
     clock: PhaseClock,
     /// Live MTTOP batch count, the only [`SpecStats`] field still written.
-    /// Host-side only — never serialized, never part of a `RunReport`.
+    /// Host-side only — never part of a `RunReport`.
     /// Removed with the ledger's `core.spec_*` metrics.
     spec_stats: SpecStats,
     /// [`MttopConfig::wake_grid_cycles`] converted to picoseconds once
@@ -460,28 +471,26 @@ pub struct Machine {
     wake_grid_ps: u64,
     /// Forward-progress watchdog, observed on every `Ev::WatchdogTick`. A
     /// `Machine` field (not a run-loop local) so its memory of the last
-    /// progress survives a checkpoint/restore of a wedged run.
+    /// progress survives a pause in `run_until`.
     watchdog: Watchdog,
     /// Set when the run must abort; checked after every dispatched event.
     failure: Option<(Outcome, DiagnosticDump)>,
     /// The last [`SystemConfig::trace_events`] dispatched events. Host-side
-    /// telemetry, never serialized: snapshot images and reports stay
-    /// identical with the trace on or off.
+    /// telemetry: pause images and reports stay identical with the trace on
+    /// or off.
     trace: Trace,
     // Test-knob counters for the deterministic event-drop fault hooks.
     data_deliveries: u64,
     resps_seen: u64,
     blackholed_block: Option<u64>,
-    /// Occurrences of the configured mutation's target class seen so far
-    /// (serialized: a restored machine must find the same nth target).
+    /// Occurrences of the configured mutation's target class seen so far.
     mut_count: u64,
     /// Whether the configured mutation has been applied (latched: a
     /// mutation fires once, at the first applicable target at or after its
     /// nth class occurrence).
     mut_done: bool,
     /// Seeded per-delivery drop stream for bank→L1 snoop probes
-    /// (`FaultDomain::SnoopProbe`); `None` when the domain is off. Serialized
-    /// (stream position + drop tally) so a restored run draws identically.
+    /// (`FaultDomain::SnoopProbe`); `None` when the domain is off.
     snoop_probe_rng: Option<SplitMix64>,
     /// Probes dropped so far (checked against the configured cap).
     snoop_probe_drops: u64,
@@ -702,8 +711,7 @@ impl Machine {
 
     /// Everything the guest has printed so far. On a machine paused by
     /// [`Machine::run_until`] this lets a harness locate region markers when
-    /// choosing a checkpoint cycle (e.g. warm-start sweeps snapshotting at
-    /// offload-region start).
+    /// choosing where to pause (e.g. at offload-region start).
     pub fn printed(&self) -> &[String] {
         &self.printed
     }
@@ -717,39 +725,6 @@ impl Machine {
     /// this machine dispatched, oldest first. Empty when the knob is 0.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Allocates guest heap memory **before** the run and writes `data` into
-    /// it (mapping pages through the backdoor). Returns the guest VA.
-    ///
-    /// # Panics
-    ///
-    /// Panics once the simulation has started, or on heap exhaustion.
-    pub fn guest_alloc_init(&mut self, data: &[u8]) -> u64 {
-        assert!(!self.started, "pre-run input loading only");
-        let va = self
-            .heap
-            .malloc(data.len() as u64)
-            .expect("guest heap exhausted")
-            .0;
-        let first = va / PAGE_BYTES;
-        let last = (va + data.len() as u64 - 1) / PAGE_BYTES;
-        for page in first..=last {
-            for w in self.os.map_page(VirtAddr(page * PAGE_BYTES)) {
-                self.mem.backdoor_write(w.addr, &w.value.to_le_bytes());
-            }
-        }
-        // Write data page by page.
-        let mut off = 0usize;
-        while off < data.len() {
-            let a = VirtAddr(va + off as u64);
-            let in_page = (PAGE_BYTES - a.page_offset()) as usize;
-            let n = in_page.min(data.len() - off);
-            let pa = self.os.translate(a).expect("just mapped");
-            self.mem.backdoor_write(pa, &data[off..off + n]);
-            off += n;
-        }
-        va
     }
 
     /// Coherently reads guest memory (any time; used for results).
@@ -797,8 +772,9 @@ impl Machine {
     /// Simulates until process exit **or** until the next event would lie
     /// beyond `limit` (simulated time), whichever comes first. Returns
     /// `None` when the run paused at `limit` — the machine sits at an
-    /// inter-event boundary and can be [`Machine::checkpoint`]ed or resumed
-    /// with another `run_until`/[`Machine::run`] call — and `Some(report)`
+    /// inter-event boundary and can be checkpointed
+    /// ([`Machine::checkpoint_bytes`]) or resumed with another
+    /// `run_until`/[`Machine::run`] call — and `Some(report)`
     /// when the run finished (or aborted). Pausing never perturbs the
     /// simulation: a paused-and-resumed run produces a [`RunReport`]
     /// bit-identical to an uninterrupted one.
@@ -1624,8 +1600,8 @@ impl Machine {
                 self.sched_cpu_batch(core, at);
             }
             sys::MIFD_LAUNCH => {
-                // Read the 4-word descriptor from guest memory (coherent
-                // snapshot: the CPU just wrote it).
+                // Read the 4-word descriptor from guest memory (a coherent
+                // read: the CPU just wrote it).
                 let w = self.guest_read_words(a, 4);
                 let desc = [w[0], w[1], w[2], w[3]];
                 assert!(
@@ -1869,15 +1845,15 @@ impl Machine {
 }
 
 /// Fingerprint of a `SystemConfig`, normalized so host-only knobs don't
-/// partition snapshots: a checkpoint taken at one `host_profile` setting
-/// restores at any other. Public because sweep tooling keys jobs and
-/// result-cache entries by this hash.
+/// partition pause images or cached reports: a checkpoint taken at one
+/// `host_profile` setting restores at any other. Public because sweep
+/// tooling keys jobs and result-cache entries by this hash.
 pub fn config_hash(cfg: &SystemConfig) -> u64 {
     let mut c = cfg.clone();
     c.host_profile = false;
     // The sanitizer and the trace observe but never perturb, so neither
     // the sanitizer's enable switch nor the trace capacity partitions
-    // snapshots: a checkpoint from a sanitizer-off, trace-off run restores
+    // images: a checkpoint from a sanitizer-off, trace-off run restores
     // into a sanitizer-on, traced replay (the whole point of triage). A
     // configured *mutation* stays in the hash — it changes simulated
     // behavior.

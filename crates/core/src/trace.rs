@@ -3,14 +3,14 @@
 //!
 //! [`SystemConfig::trace_events`](crate::SystemConfig::trace_events) is the
 //! capacity; 0 records nothing. The machine records each event
-//! `Machine::drain` pops. Snapshots leave it out; replay bundles carry it.
+//! `Machine::drain` pops. Pause images leave it out; replay bundles carry it.
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use ccsvm_engine::Time;
 use ccsvm_mem::MemKind;
-use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter, Snapshot};
+use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter};
 
 /// Declares [`TraceEv`] and its bundle codec from one list of tagged
 /// variants, so the two cannot drift apart. Every operand is a `u64`,
@@ -136,13 +136,13 @@ impl fmt::Display for Trace {
 
 /// Capacity, total, then each retained record's time and event (its `seq`
 /// follows from the total).
-impl Snapshot for Trace {
-    fn save(&self, w: &mut SnapWriter) {
+impl Codec for Trace {
+    fn put(&self, w: &mut SnapWriter) {
         (self.cap, self.total, self.records.len()).put(w);
         self.records.iter().for_each(|r| (r.at, r.ev).put(w));
     }
 
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn get(r: &mut SnapReader<'_>) -> Result<Trace, SnapError> {
         let (cap, total): (usize, u64) = Codec::get(r)?;
         let n = r.get_count(<(Time, TraceEv)>::MIN_BYTES)?;
         if n > cap || n as u64 > total {
@@ -155,12 +155,11 @@ impl Snapshot for Trace {
             let (at, ev) = Codec::get(r)?;
             records.push_back(TraceRecord { seq, at, ev });
         }
-        *self = Trace {
+        Ok(Trace {
             cap,
             total,
             records,
-        };
-        Ok(())
+        })
     }
 }
 

@@ -1,20 +1,17 @@
-//! Automatic failure triage: periodic checkpointing, bisect-to-cycle, and
-//! replay bundles (DESIGN §9).
+//! Automatic failure triage and replay bundles (DESIGN §9.3).
 //!
-//! [`run_with_triage`] wraps a run in a checkpoint cadence. When the run
-//! aborts abnormally it binary-searches simulated time between the last
-//! healthy checkpoint and the abort — restoring the checkpoint and running
-//! to the midpoint each probe — until it has the exact cycle the failure
-//! first manifests, then packs everything needed to reproduce the failure
-//! into a self-contained [`ReplayBundle`]: config preset + fault plan +
-//! sanitizer knobs + workload source + the nearest pre-failure snapshot +
-//! the run's trace of its last events. `bench --bin replay` feeds such a
-//! bundle to [`replay_bundle`], which re-runs it deterministically with the
+//! [`run_with_triage`] runs a workload with its event trace on. When the run
+//! ends abnormally it packs everything needed to reproduce the failure into
+//! a self-contained [`ReplayBundle`]: config preset + protocol + fault plan +
+//! sanitizer knobs + workload source + how and when the run ended + the
+//! trace of its last events. A run is deterministic in its config and
+//! program, so the failing run's end time is the first cycle the failure
+//! manifests at, and a replay is a re-run from cycle 0. `bench --bin replay`
+//! feeds a bundle to [`replay_bundle`], which does that re-run with the
 //! sanitizer forced on.
 
 use ccsvm_engine::{FaultConfig, SanitizerConfig, Time, Violation};
-use ccsvm_isa::Program;
-use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter, Snapshot};
+use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter};
 
 use crate::machine::{config_hash, Machine, Outcome, RunReport};
 use crate::trace::Trace;
@@ -24,12 +21,12 @@ use ccsvm_mem::ProtocolKind;
 /// File magic identifying a ccsvm replay bundle.
 pub const BUNDLE_MAGIC: [u8; 8] = *b"CCSVBNDL";
 
-/// Bundle format version (independent of the snapshot schema version; the
-/// embedded snapshot carries its own). v2: `FaultConfig` grew the
-/// probe/ack-loss knobs, which flow into the bundle's serialized config.
-/// v3: the untyped uncore-event ring became the typed [`Trace`], and
-/// `SanitizerConfig` lost its ring capacity.
-pub const BUNDLE_VERSION: u32 = 3;
+/// Bundle format version. v2: `FaultConfig` grew the probe/ack-loss knobs,
+/// which flow into the bundle's serialized config. v3: the untyped
+/// uncore-event ring became the typed [`Trace`], and `SanitizerConfig` lost
+/// its ring capacity. v4: the embedded machine snapshot and its time are
+/// gone; a replay re-runs from cycle 0.
+pub const BUNDLE_VERSION: u32 = 4;
 
 /// Trace capacity [`run_with_triage`] records with when the caller's
 /// config has the trace off.
@@ -43,7 +40,9 @@ pub enum TriageError {
     UnknownPreset(String),
     /// The bundled workload source no longer compiles.
     Compile(String),
-    /// The bundle or its embedded snapshot failed to decode.
+    /// The bundle failed to decode, or its config hash is not the one its
+    /// preset builds today ([`SnapError::ConfigMismatch`]: the preset
+    /// drifted since the capture).
     Snap(SnapError),
 }
 
@@ -52,7 +51,7 @@ impl std::fmt::Display for TriageError {
         match self {
             TriageError::UnknownPreset(p) => write!(f, "unknown config preset {p:?}"),
             TriageError::Compile(e) => write!(f, "bundled workload failed to compile: {e}"),
-            TriageError::Snap(e) => write!(f, "bundle decode failed: {e}"),
+            TriageError::Snap(e) => write!(f, "bundle unusable: {e}"),
         }
     }
 }
@@ -71,7 +70,7 @@ pub struct ReplayBundle {
     /// Config preset name ([`SystemConfig::by_preset`]).
     pub preset: String,
     /// Coherence protocol of the failing run (applied on top of the
-    /// preset at replay time — the embedded snapshot refuses any other).
+    /// preset at replay time).
     pub protocol: ProtocolKind,
     /// The fault plan the failing run was injected with.
     pub fault: FaultConfig,
@@ -79,14 +78,10 @@ pub struct ReplayBundle {
     pub sanitizer: SanitizerConfig,
     /// The workload's XC source.
     pub source: String,
-    /// Config hash of the failing run (restore double-checks it).
+    /// Config hash of the failing run; a replay refuses a preset that no
+    /// longer builds it.
     pub config_hash: u64,
-    /// Simulated time of the embedded snapshot.
-    pub snapshot_at: Time,
-    /// The nearest pre-failure machine snapshot image.
-    pub snapshot: Vec<u8>,
-    /// Bisected first failing cycle: the earliest simulated time at which
-    /// resuming the snapshot manifests the failure.
+    /// The first failing cycle: the failing run's end time.
     pub first_fail: Time,
     /// How the captured run ended.
     pub outcome: Outcome,
@@ -100,17 +95,15 @@ impl ReplayBundle {
     /// Serializes the bundle.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.put_raw(&BUNDLE_MAGIC);
-        BUNDLE_VERSION.put(&mut w);
+        w.put_magic(&BUNDLE_MAGIC, BUNDLE_VERSION);
         self.preset.put(&mut w);
         w.put_str(self.protocol.as_str());
         (self.fault, self.sanitizer).put(&mut w);
         self.source.put(&mut w);
-        (self.config_hash, self.snapshot_at).put(&mut w);
-        w.put_bytes(&self.snapshot);
+        self.config_hash.put(&mut w);
         (self.first_fail, self.outcome).put(&mut w);
         self.violation.put(&mut w);
-        self.trace.save(&mut w);
+        self.trace.put(&mut w);
         w.into_vec()
     }
 
@@ -122,18 +115,7 @@ impl ReplayBundle {
     /// any malformed field — never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayBundle, SnapError> {
         let mut r = SnapReader::new(bytes);
-        let magic: [u8; 8] = Codec::get(&mut r)?;
-        if magic != BUNDLE_MAGIC {
-            return Err(SnapError::Corrupt {
-                what: format!("bad bundle magic {magic:02x?}"),
-            });
-        }
-        let version = u32::get(&mut r)?;
-        if version != BUNDLE_VERSION {
-            return Err(SnapError::Corrupt {
-                what: format!("bundle version {version}, this build reads {BUNDLE_VERSION}"),
-            });
-        }
+        r.expect_magic(&BUNDLE_MAGIC, BUNDLE_VERSION)?;
         let preset = Codec::get(&mut r)?;
         let proto_name = r.get_str()?;
         let protocol = ProtocolKind::parse(proto_name).ok_or_else(|| SnapError::Corrupt {
@@ -141,12 +123,10 @@ impl ReplayBundle {
         })?;
         let (fault, sanitizer) = Codec::get(&mut r)?;
         let source = Codec::get(&mut r)?;
-        let (config_hash, snapshot_at) = Codec::get(&mut r)?;
-        let snapshot = r.get_bytes()?.to_vec();
+        let config_hash = Codec::get(&mut r)?;
         let (first_fail, outcome) = Codec::get(&mut r)?;
         let violation = Codec::get(&mut r)?;
-        let mut trace = Trace::default();
-        trace.load(&mut r)?;
+        let trace = Codec::get(&mut r)?;
         r.finish("bundle")?;
         Ok(ReplayBundle {
             preset,
@@ -155,8 +135,6 @@ impl ReplayBundle {
             sanitizer,
             source,
             config_hash,
-            snapshot_at,
-            snapshot,
             first_fail,
             outcome,
             violation,
@@ -192,116 +170,55 @@ pub struct TriageResult {
     pub bundle: Option<ReplayBundle>,
 }
 
-/// Runs `source` under `cfg` with periodic checkpoints every
-/// `checkpoint_every` of simulated time. On any abnormal outcome, bisects
-/// to the first failing cycle and captures a [`ReplayBundle`]. The run
-/// records its trace (at `cfg.trace_events`, or 256 events when that is 0)
-/// so the bundle can carry it.
+/// Runs `source` under `cfg` and, on any abnormal outcome, captures a
+/// [`ReplayBundle`] whose first failing cycle is the run's end time. The
+/// run records its trace (at `cfg.trace_events`, or 256 events when that
+/// is 0) so the bundle can carry it.
 ///
-/// `preset` names the `cfg` baseline for the bundle (the caller's `cfg`
-/// must be `SystemConfig::by_preset(preset)` modulo `fault`/`sanitizer`
-/// knobs — the snapshot's config hash enforces this at replay time).
+/// `preset` names the `cfg` baseline for the bundle: the caller's `cfg`
+/// must be `SystemConfig::by_preset(preset)` modulo protocol, `fault` and
+/// `sanitizer` knobs, which the bundle's config hash enforces at replay.
 ///
 /// # Errors
 ///
-/// [`TriageError::Compile`] when `source` doesn't compile;
-/// [`TriageError::Snap`] when a self-captured checkpoint fails to restore
-/// during bisection (indicates a snapshot-layer bug).
+/// [`TriageError::Compile`] when `source` doesn't compile.
 pub fn run_with_triage(
     cfg: &SystemConfig,
     preset: &str,
     source: &str,
-    checkpoint_every: Time,
 ) -> Result<TriageResult, TriageError> {
     let prog = ccsvm_xthreads::build(source).map_err(|e| TriageError::Compile(format!("{e}")))?;
     let mut traced = cfg.clone();
     if traced.trace_events == 0 {
         traced.trace_events = BUNDLE_TRACE_EVENTS;
     }
-    let mut m = Machine::new(traced, prog.clone());
-    let mut ck = m.checkpoint_bytes();
-    let mut ck_at = m.now();
-    let mut limit = checkpoint_every;
-    let report = loop {
-        match m.run_until(limit) {
-            None => {
-                ck = m.checkpoint_bytes();
-                ck_at = m.now();
-                limit += checkpoint_every;
-            }
-            Some(r) => break r,
-        }
-    };
-    if report.outcome == Outcome::Completed {
-        return Ok(TriageResult {
-            report,
-            bundle: None,
-        });
-    }
-    let first_fail = bisect(cfg, &prog, &ck, ck_at, report.time)?;
-    let violation = report.diagnostic.as_ref().and_then(|d| d.violation.clone());
-    let bundle = ReplayBundle {
+    let mut m = Machine::new(traced, prog);
+    let report = m.run();
+    let bundle = (report.outcome != Outcome::Completed).then(|| ReplayBundle {
         preset: preset.to_string(),
         protocol: cfg.protocol,
         fault: cfg.fault,
         sanitizer: cfg.sanitizer,
         source: source.to_string(),
         config_hash: config_hash(cfg),
-        snapshot_at: ck_at,
-        snapshot: ck,
-        first_fail,
+        first_fail: report.time,
         outcome: report.outcome,
-        violation,
+        violation: report.diagnostic.as_ref().and_then(|d| d.violation.clone()),
         trace: m.trace().clone(),
-    };
-    Ok(TriageResult {
-        report,
-        bundle: Some(bundle),
-    })
+    });
+    Ok(TriageResult { report, bundle })
 }
 
-/// Binary-searches simulated time in `(lo, hi]` for the earliest cycle at
-/// which resuming `snapshot` manifests an abnormal outcome. Each probe is a
-/// full restore + deterministic re-run to the midpoint, so the result is
-/// exact: `run_until(first_fail - 1ps)` pauses healthy,
-/// `run_until(first_fail)` aborts.
-fn bisect(
-    cfg: &SystemConfig,
-    prog: &Program,
-    snapshot: &[u8],
-    lo: Time,
-    hi: Time,
-) -> Result<Time, TriageError> {
-    let manifests_by = |t: Time| -> Result<bool, TriageError> {
-        let mut m = Machine::restore_bytes(cfg.clone(), prog.clone(), snapshot)?;
-        Ok(matches!(m.run_until(t), Some(r) if r.outcome != Outcome::Completed))
-    };
-    let (mut lo, mut hi) = (lo.as_ps(), hi.as_ps());
-    debug_assert!(
-        manifests_by(Time::from_ps(hi))?,
-        "failure not reproducible from checkpoint"
-    );
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if manifests_by(Time::from_ps(mid))? {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(Time::from_ps(hi))
-}
-
-/// Re-runs a captured failure with the sanitizer forced on. Returns the
-/// replay's report and whether the original failure reproduced: abnormal
-/// outcome, at the bundled first-fail cycle, with a matching invariant ID
-/// when the bundle recorded one.
+/// Re-runs a captured failure from cycle 0 with the sanitizer forced on.
+/// Returns the replay's report and whether the original failure reproduced:
+/// the same outcome, at the bundled first-fail cycle, with a matching
+/// invariant ID when the bundle recorded one.
 ///
 /// # Errors
 ///
 /// [`TriageError`] when the preset is unknown, the source no longer
-/// compiles, or the embedded snapshot fails to restore (e.g. a config hash
-/// mismatch — the preset drifted from the captured run).
+/// compiles, or the rebuilt config's hash differs from the bundle's (the
+/// preset drifted from the captured run).
 pub fn replay_bundle(b: &ReplayBundle) -> Result<(RunReport, bool), TriageError> {
     let mut cfg = SystemConfig::by_preset(&b.preset)
         .ok_or_else(|| TriageError::UnknownPreset(b.preset.clone()))?;
@@ -309,12 +226,17 @@ pub fn replay_bundle(b: &ReplayBundle) -> Result<(RunReport, bool), TriageError>
     cfg.fault = b.fault;
     cfg.sanitizer = b.sanitizer;
     cfg.sanitizer.enabled = true; // full check verbosity, whatever was captured
+    let expected = config_hash(&cfg);
+    if b.config_hash != expected {
+        return Err(SnapError::ConfigMismatch {
+            found: b.config_hash,
+            expected,
+        }
+        .into());
+    }
     let prog =
         ccsvm_xthreads::build(&b.source).map_err(|e| TriageError::Compile(format!("{e}")))?;
-    let mut m = Machine::restore_bytes(cfg, prog, &b.snapshot)?;
-    let report = m.run();
-    let abnormal = report.outcome != Outcome::Completed;
-    let same_cycle = report.time == b.first_fail;
+    let report = Machine::new(cfg, prog).run();
     let invariant_matches = match &b.violation {
         None => true,
         Some(v) => report
@@ -323,5 +245,7 @@ pub fn replay_bundle(b: &ReplayBundle) -> Result<(RunReport, bool), TriageError>
             .and_then(|d| d.violation.as_ref())
             .is_some_and(|rv| rv.invariant == v.invariant),
     };
-    Ok((report, abnormal && same_cycle && invariant_matches))
+    let reproduced =
+        report.outcome == b.outcome && report.time == b.first_fail && invariant_matches;
+    Ok((report, reproduced))
 }

@@ -51,7 +51,7 @@ fn capture_bundle(src: &str, cfg: &SystemConfig, context: &str) {
         eprintln!("cannot create {}: {e}", out_dir.display());
         return;
     }
-    match ccsvm::run_with_triage(cfg, "paper_default", src, ccsvm::Time::from_us(100)) {
+    match ccsvm::run_with_triage(cfg, "paper_default", src) {
         Ok(t) => match t.bundle {
             Some(b) => {
                 let path = out_dir.join(format!("golden-{context}.ccbundle"));

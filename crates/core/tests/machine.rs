@@ -247,20 +247,6 @@ fn timing_matches_functional_semantics() {
 }
 
 #[test]
-fn guest_alloc_init_and_read_roundtrip() {
-    let prog = ccsvm_xthreads::build("_CPU_ fn main() -> int { return 0; }").unwrap();
-    let mut m = Machine::new(SystemConfig::tiny(), prog);
-    let data: Vec<u8> = (0..10000u32).map(|i| (i % 251) as u8).collect();
-    let va = m.guest_alloc_init(&data);
-    let mut back = vec![0u8; data.len()];
-    m.guest_read(va, &mut back);
-    assert_eq!(back, data);
-    let words = m.guest_read_words(va, 4);
-    assert_eq!(words.len(), 4);
-    m.run();
-}
-
-#[test]
 fn paper_default_machine_boots() {
     let (_, r) = run(
         SystemConfig::paper_default(),

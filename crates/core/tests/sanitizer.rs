@@ -2,12 +2,12 @@
 //! observer — enabling it changes no simulated behavior and every
 //! `RunReport` stays bit-identical — yet each seeded protocol mutation must
 //! be caught with the correct invariant ID at a definite cycle, and the
-//! triage pipeline must bisect a failure to its first failing cycle and
-//! emit a replay bundle that deterministically reproduces it.
+//! triage pipeline must emit a replay bundle whose re-run from cycle 0
+//! deterministically reproduces the failure at its recorded cycle.
 
 use ccsvm::{
     replay_bundle, run_with_triage, InvariantId, Machine, Mutation, MutationKind, Outcome,
-    ProtocolKind, ReplayBundle, RunReport, SystemConfig, Time, Violation,
+    ProtocolKind, ReplayBundle, RunReport, SnapError, SystemConfig, Time, TriageError, Violation,
 };
 
 mod common;
@@ -433,26 +433,24 @@ fn corrupt_resend_epoch_is_inert_under_directory() {
 }
 
 // ---------------------------------------------------------------------------
-// Triage: bisect-to-cycle + replay bundles.
+// Triage: replay bundles, replayed from cycle 0.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn triage_bisects_and_bundle_replays() {
+fn triage_captures_the_end_time_and_bundle_replays() {
     let cfg = mutated_cfg(MutationKind::CorruptFillData, 1);
-    let t =
-        run_with_triage(&cfg, "tiny", PINGPONG, Time::from_us(20)).expect("triage run succeeds");
+    let t = run_with_triage(&cfg, "tiny", PINGPONG).expect("triage run succeeds");
     assert_eq!(t.report.outcome, Outcome::InvariantViolation);
     let b = t.bundle.expect("abnormal outcome produces a bundle");
     assert_eq!(
         b.first_fail, t.report.time,
-        "bisection converges to the manifest cycle"
+        "a deterministic run first fails at its own end time"
     );
     assert_eq!(b.outcome, Outcome::InvariantViolation);
     assert_eq!(
         b.violation.as_ref().map(|v| v.invariant),
         Some(InvariantId::MemDataValue)
     );
-    assert!(b.snapshot_at < b.first_fail);
     // The triage run traced every event it dispatched, up to the abort.
     assert_eq!(b.trace.total(), t.report.events);
     let last = b.trace.records().last().expect("trace captured");
@@ -472,7 +470,7 @@ fn triage_bisects_and_bundle_replays() {
 #[test]
 fn triage_on_healthy_run_yields_no_bundle() {
     let cfg = SystemConfig::tiny();
-    let t = run_with_triage(&cfg, "tiny", PINGPONG, Time::from_us(50)).unwrap();
+    let t = run_with_triage(&cfg, "tiny", PINGPONG).unwrap();
     assert_eq!(t.report.outcome, Outcome::Completed);
     assert!(t.bundle.is_none());
 }
@@ -481,7 +479,7 @@ fn triage_on_healthy_run_yields_no_bundle() {
 #[test]
 fn bundle_decode_rejects_corruption() {
     let cfg = mutated_cfg(MutationKind::CorruptFillData, 1);
-    let t = run_with_triage(&cfg, "tiny", PINGPONG, Time::from_us(20)).unwrap();
+    let t = run_with_triage(&cfg, "tiny", PINGPONG).unwrap();
     let bytes = t.bundle.unwrap().to_bytes();
     assert!(ReplayBundle::from_bytes(&bytes[..bytes.len() - 1]).is_err());
     let mut flipped = bytes.clone();
@@ -490,4 +488,25 @@ fn bundle_decode_rejects_corruption() {
     let mut vflip = bytes.clone();
     vflip[8] ^= 0xff; // version word
     assert!(ReplayBundle::from_bytes(&vflip).is_err());
+}
+
+/// A bundle whose preset no longer builds its recorded config refuses to
+/// replay with a typed error instead of re-running another machine.
+#[test]
+fn replay_refuses_a_drifted_preset() {
+    let cfg = mutated_cfg(MutationKind::CorruptFillData, 1);
+    let mut b = run_with_triage(&cfg, "tiny", PINGPONG)
+        .unwrap()
+        .bundle
+        .unwrap();
+    b.config_hash ^= 1;
+    assert!(matches!(
+        replay_bundle(&b),
+        Err(TriageError::Snap(SnapError::ConfigMismatch { .. }))
+    ));
+    b.preset = "no-such-preset".into();
+    assert!(matches!(
+        replay_bundle(&b),
+        Err(TriageError::UnknownPreset(_))
+    ));
 }

@@ -243,10 +243,10 @@ fn checkpoint_restore_crosses_the_cache_boundary() {
 
 #[test]
 fn snapshot_bytes_are_identical_on_vs_off() {
-    // The decoded image is excluded from the snapshot entirely, so pausing
-    // runs with it on and off at the same cycle must produce byte-identical
-    // snapshots — this is what makes images portable across the
-    // `--no-sb-cache` knob.
+    // The knob is normalized out of the config hash, and the runs dispatch
+    // the same events, so pausing them with it on and off at the same cycle
+    // must produce byte-identical images — this is what makes images
+    // portable across the `--no-sb-cache` knob.
     let cfg = SystemConfig::tiny();
     let src = vecadd_src(32);
     let done = run_with(cfg.clone(), &src, false);
@@ -261,6 +261,6 @@ fn snapshot_bytes_are_identical_on_vs_off() {
     }
     assert_eq!(
         imgs[0], imgs[1],
-        "snapshot bytes differ between decoded-image-off and -on runs"
+        "image bytes differ between decoded-image-off and -on runs"
     );
 }

@@ -1,14 +1,13 @@
-//! Snapshot corruption hardening: a machine image truncated at *every*
-//! possible offset, or with bytes flipped throughout, must always surface a
-//! typed [`SnapError`] or restore to a fully-validated machine — never
-//! panic, never hand back a half-restored simulator. (The byte-flip sweep
-//! allows `Ok` because payload bytes — cache data, register values — are
-//! not individually checksummed; the header hash guards config identity,
-//! and structural fields are bounds-checked. What is being proven is the
-//! absence of panics and of unbounded allocations on hostile input.)
+//! Pause-image hardening. An image is 45 bytes (magic, version, config
+//! hash, program hash, booted flag, pause time, checksum), and every defect
+//! must surface as a typed [`SnapError`] before any machine is handed back:
+//! truncation at every offset, any flipped byte, trailing bytes, an image
+//! of another config, protocol, fault plan or program, and a pause time the
+//! run never reaches.
 
 use ccsvm::{Machine, Outcome, SnapError, SystemConfig, Time};
 use ccsvm_isa::Program;
+use ccsvm_snap::fnv1a;
 
 const SRC: &str = "_CPU_ fn main() -> int { return 41 + 1; }";
 
@@ -16,8 +15,7 @@ fn compile() -> Program {
     ccsvm_xthreads::build(SRC).unwrap()
 }
 
-/// A mid-run image with live uncore state (queued events, cache contents,
-/// in-flight coherence), which exercises every codec in the restore path.
+/// The image of a machine paused halfway through its run.
 fn mid_run_image(cfg: &SystemConfig) -> Vec<u8> {
     let baseline = Machine::new(cfg.clone(), compile()).run();
     assert_eq!(baseline.outcome, Outcome::Completed);
@@ -27,16 +25,28 @@ fn mid_run_image(cfg: &SystemConfig) -> Vec<u8> {
     m.checkpoint_bytes()
 }
 
+/// `image` with its booted flag and pause time replaced and its checksum
+/// recomputed: a well-formed image of `(booted, pause)`.
+fn repaused(image: &[u8], booted: bool, pause: Time) -> Vec<u8> {
+    let mut b = image[..28].to_vec();
+    b.push(u8::from(booted));
+    b.extend_from_slice(&pause.as_ps().to_le_bytes());
+    let check = fnv1a(&b);
+    b.extend_from_slice(&check.to_le_bytes());
+    b
+}
+
 #[test]
 fn truncation_at_every_offset_is_a_typed_error() {
     let cfg = SystemConfig::tiny();
     let bytes = mid_run_image(&cfg);
+    assert_eq!(bytes.len(), 45);
     // A valid image restores (sanity for the sweep below).
     Machine::restore_bytes(cfg.clone(), compile(), &bytes).expect("intact image restores");
-    let prog = compile();
     for len in 0..bytes.len() {
-        match Machine::restore_bytes(cfg.clone(), prog.clone(), &bytes[..len]) {
-            Err(_) => {} // typed error: the only acceptable outcome
+        match Machine::restore_bytes(cfg.clone(), compile(), &bytes[..len]) {
+            Err(SnapError::Truncated { .. }) => {}
+            Err(e) => panic!("truncation to {len} bytes: {e:?}"),
             Ok(_) => panic!(
                 "truncation to {len}/{} bytes restored a machine",
                 bytes.len()
@@ -49,65 +59,56 @@ fn truncation_at_every_offset_is_a_typed_error() {
 fn byte_flip_at_every_offset_never_panics_cold_boot() {
     let cfg = SystemConfig::tiny();
     let bytes = Machine::new(cfg.clone(), compile()).checkpoint_bytes();
-    let prog = compile();
-    let mut typed_errors = 0usize;
     for i in 0..bytes.len() {
         let mut corrupt = bytes.clone();
         corrupt[i] ^= 0xff;
-        // Either a typed SnapError or a fully-restored machine; the test
-        // harness turns any panic into a failure, which is the point.
-        if Machine::restore_bytes(cfg.clone(), prog.clone(), &corrupt).is_err() {
-            typed_errors += 1;
-        }
+        assert!(
+            Machine::restore_bytes(cfg.clone(), compile(), &corrupt).is_err(),
+            "flipping byte {i} of a cold image still restored"
+        );
     }
-    // Most flips land in structural fields and must be caught.
-    assert!(
-        typed_errors > bytes.len() / 4,
-        "only {typed_errors}/{} flips rejected — validation too loose?",
-        bytes.len()
-    );
 }
 
 #[test]
 fn byte_flips_throughout_a_live_image_never_panic() {
     let cfg = SystemConfig::tiny();
     let bytes = mid_run_image(&cfg);
-    let prog = compile();
-    // Strided sweep with co-prime steps so every region of the image —
-    // header, event queue, caches, directory, RNG, stats — gets hit under
-    // several different masks.
-    for (start, mask) in [(0usize, 0xffu8), (1, 0x01), (2, 0x80), (3, 0x55)] {
-        for i in (start..bytes.len()).step_by(7) {
+    for i in 0..bytes.len() {
+        for bit in 0..8 {
             let mut corrupt = bytes.clone();
-            corrupt[i] ^= mask;
-            let _ = Machine::restore_bytes(cfg.clone(), prog.clone(), &corrupt);
+            corrupt[i] ^= 1 << bit;
+            match Machine::restore_bytes(cfg.clone(), compile(), &corrupt) {
+                Err(
+                    SnapError::BadMagic
+                    | SnapError::SchemaMismatch { .. }
+                    | SnapError::Corrupt { .. },
+                ) => {}
+                Err(e) => panic!("bit {bit} of byte {i}: {e:?}"),
+                Ok(_) => panic!("bit {bit} of byte {i} flipped, image still restored"),
+            }
         }
     }
 }
 
-/// Length-prefix sabotage: set every aligned u32/u64 window to huge values.
-/// The reader must bounds-check lengths against the remaining bytes before
-/// allocating — a hostile length must produce a typed error, not an OOM.
+/// `u64::MAX` stomped over every 8-byte window — where a state dump kept
+/// its length fields — is a typed error: the image has a fixed length, and
+/// no field value, however large, makes a restore allocate or panic.
 #[test]
 fn hostile_length_fields_are_bounds_checked() {
     let cfg = SystemConfig::tiny();
-    let bytes = mid_run_image(&cfg);
-    let prog = compile();
-    for i in (20..bytes.len().saturating_sub(8)).step_by(13) {
-        let mut corrupt = bytes.clone();
+    stomp_every_window(&cfg, compile(), &mid_run_image(&cfg));
+}
+
+fn stomp_every_window(cfg: &SystemConfig, prog: Program, bytes: &[u8]) {
+    for i in 0..=bytes.len() - 8 {
+        let mut corrupt = bytes.to_vec();
         corrupt[i..i + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         match Machine::restore_bytes(cfg.clone(), prog.clone(), &corrupt) {
             Err(
-                SnapError::Truncated { .. }
-                | SnapError::Corrupt { .. }
-                | SnapError::BadMagic
-                | SnapError::SchemaMismatch { .. }
-                | SnapError::ConfigMismatch { .. },
+                SnapError::BadMagic | SnapError::SchemaMismatch { .. } | SnapError::Corrupt { .. },
             ) => {}
-            Err(other) => panic!("unexpected error variant at {i}: {other:?}"),
-            // A stomped window that happens to encode plausible small values
-            // can still parse; acceptable as long as nothing panicked.
-            Ok(_) => {}
+            Err(e) => panic!("window at {i}: {e:?}"),
+            Ok(_) => panic!("window at {i} stomped, image still restored"),
         }
     }
 }
@@ -115,21 +116,59 @@ fn hostile_length_fields_are_bounds_checked() {
 #[test]
 fn empty_and_tiny_inputs_are_typed_errors() {
     let cfg = SystemConfig::tiny();
-    let prog = compile();
     for img in [&[][..], &[0u8][..], &[0xff; 7][..], b"CCSVSNAP"] {
         assert!(
-            Machine::restore_bytes(cfg.clone(), prog.clone(), img).is_err(),
+            Machine::restore_bytes(cfg.clone(), compile(), img).is_err(),
             "{} bytes must not restore",
             img.len()
         );
     }
 }
 
-/// A live image from one coherence protocol restored into a machine
-/// configured for another is a deliberate misuse, not corruption — it must
-/// surface as the typed [`SnapError::ProtocolMismatch`] (naming both
-/// protocols, so the caller can retry with `--protocol <found>`), never as a
-/// decode panic deep in some component's `load`.
+/// Trailing bytes, another program, a pause the run never reaches, and an
+/// unbooted image that names a pause time: each a typed error even though
+/// the image's checksum holds.
+#[test]
+fn every_image_defect_is_a_typed_error() {
+    let cfg = SystemConfig::tiny();
+    let bytes = mid_run_image(&cfg);
+
+    let mut padded = bytes.clone();
+    padded.push(0);
+    assert!(matches!(
+        Machine::restore_bytes(cfg.clone(), compile(), &padded),
+        Err(SnapError::Corrupt { .. })
+    ));
+
+    let other = ccsvm_xthreads::build("_CPU_ fn main() -> int { return 7; }").unwrap();
+    assert!(matches!(
+        Machine::restore_bytes(cfg.clone(), other, &bytes),
+        Err(SnapError::ProgramMismatch { .. })
+    ));
+
+    let end = Machine::new(cfg.clone(), compile()).run().time;
+    for pause in [end, end + Time::from_ps(1), Time::MAX] {
+        match Machine::restore_bytes(cfg.clone(), compile(), &repaused(&bytes, true, pause)) {
+            Err(SnapError::PauseAfterEnd { pause_ps, end_ps }) => {
+                assert_eq!((pause_ps, end_ps), (pause.as_ps(), end.as_ps()));
+            }
+            Err(e) => panic!("pause at {pause}: {e:?}"),
+            Ok(_) => panic!("an image pausing at {pause} restored past the end {end}"),
+        }
+    }
+
+    assert!(matches!(
+        Machine::restore_bytes(cfg.clone(), compile(), &repaused(&bytes, false, end)),
+        Err(SnapError::Corrupt { .. })
+    ));
+    // Re-signing the image at its own pause time reproduces it exactly.
+    let pause = Time::from_ps(u64::from_le_bytes(bytes[29..37].try_into().unwrap()));
+    assert_eq!(repaused(&bytes, true, pause), bytes);
+}
+
+/// An image from one coherence protocol restored into a machine configured
+/// for another is a deliberate misuse, not corruption: the protocol is part
+/// of the config hash, so it surfaces as [`SnapError::ConfigMismatch`].
 #[test]
 fn cross_protocol_restore_is_typed_not_a_decode_panic() {
     use ccsvm::ProtocolKind;
@@ -143,22 +182,21 @@ fn cross_protocol_restore_is_typed_not_a_decode_panic() {
         let image = mid_run_image(&cfg);
         let mut other = cfg.clone();
         other.protocol = into;
-        match Machine::restore_bytes(other, compile(), &image) {
-            Err(SnapError::ProtocolMismatch { found, expected }) => {
-                assert_eq!(found, from.as_str());
-                assert_eq!(expected, into.as_str());
+        match Machine::restore_bytes(other.clone(), compile(), &image) {
+            Err(SnapError::ConfigMismatch { found, expected }) => {
+                assert_eq!(found, ccsvm::config_hash(&cfg));
+                assert_eq!(expected, ccsvm::config_hash(&other));
             }
-            Err(e) => panic!("expected ProtocolMismatch, got {e:?}"),
+            Err(e) => panic!("expected ConfigMismatch, got {e:?}"),
             Ok(_) => panic!("cross-protocol restore must fail"),
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Retry-state sections (schema v4): images captured under an active fault
-// plan — probe-loss streams armed, solicitation rounds and retry epochs in
-// flight — must survive the same hostile-input sweeps as clean images, and
-// an intact mid-retry image must restore and finish bit-identically.
+// Images captured under an active fault plan — probe-loss streams armed,
+// solicitation rounds and retry epochs in flight — restore and finish
+// bit-identically, and refuse a config with another plan.
 // ---------------------------------------------------------------------------
 
 /// A sharing workload that keeps solicitation rounds in flight.
@@ -175,8 +213,7 @@ const SHARED_SRC: &str = "global results: int;
          return results;
      }";
 
-/// A config with every protocol-appropriate loss stream armed, so the image
-/// carries the v4 fault-RNG state and live `RetryRound` counters.
+/// A config with every protocol-appropriate loss stream armed.
 fn faulted_cfg(protocol: ccsvm::ProtocolKind) -> SystemConfig {
     use ccsvm::ProtocolKind;
     let mut cfg = SystemConfig::tiny();
@@ -241,28 +278,12 @@ fn mid_retry_hostile_length_fields_are_bounds_checked() {
     for protocol in ccsvm::ProtocolKind::ALL {
         let cfg = faulted_cfg(protocol);
         let (bytes, _) = faulted_image(&cfg);
-        let prog = ccsvm_xthreads::build(SHARED_SRC).unwrap();
-        for i in (20..bytes.len().saturating_sub(8)).step_by(13) {
-            let mut corrupt = bytes.clone();
-            corrupt[i..i + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            match Machine::restore_bytes(cfg.clone(), prog.clone(), &corrupt) {
-                Err(
-                    SnapError::Truncated { .. }
-                    | SnapError::Corrupt { .. }
-                    | SnapError::BadMagic
-                    | SnapError::SchemaMismatch { .. }
-                    | SnapError::ConfigMismatch { .. },
-                ) => {}
-                Err(other) => panic!("{protocol:?}: unexpected variant at {i}: {other:?}"),
-                Ok(_) => {} // plausible small values may still parse; no panic is the claim
-            }
-        }
+        stomp_every_window(&cfg, ccsvm_xthreads::build(SHARED_SRC).unwrap(), &bytes);
     }
 }
 
-/// The v4 sections carry the armed loss streams; an image whose config no
-/// longer arms them (or vice versa) is a config identity violation and must
-/// be rejected before any component decode runs.
+/// The fault plan is part of the config hash: an image whose config armed
+/// a loss stream does not restore into a config that disarms it.
 #[test]
 fn fault_stream_presence_mismatch_is_a_typed_error() {
     let cfg = faulted_cfg(ccsvm::ProtocolKind::MesiSnoop);
@@ -271,7 +292,10 @@ fn fault_stream_presence_mismatch_is_a_typed_error() {
     disarmed.fault.snoop_probe.drop_rate = 0.0;
     let prog = ccsvm_xthreads::build(SHARED_SRC).unwrap();
     assert!(
-        Machine::restore_bytes(disarmed, prog, &bytes).is_err(),
+        matches!(
+            Machine::restore_bytes(disarmed, prog, &bytes),
+            Err(SnapError::ConfigMismatch { .. })
+        ),
         "image with an armed probe-loss stream restored into a disarmed config"
     );
 }

@@ -5,7 +5,7 @@
 
 use ccsvm::{
     run_with_triage, Machine, Mutation, MutationKind, ProtocolKind, ReplayBundle, RunReport,
-    SnapError, SystemConfig, Time, Trace,
+    SnapError, SystemConfig, Trace,
 };
 
 mod common;
@@ -74,14 +74,14 @@ fn bundle_round_trips_and_refuses_every_truncation() {
         kind: MutationKind::CorruptFillData,
         nth: 1,
     });
-    let t = run_with_triage(&cfg, "tiny", &vecadd_src(16), Time::from_us(20)).unwrap();
+    let t = run_with_triage(&cfg, "tiny", &vecadd_src(16)).unwrap();
     let b = t.bundle.expect("the mutation aborts the run");
     let kept = b.trace.records().len();
     assert!(kept > 0 && kept <= 256, "{kept} records");
     assert_eq!(b.trace.total(), t.report.events);
 
     let bytes = b.to_bytes();
-    assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "bundle version 3");
+    assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "bundle version 4");
     assert_eq!(ReplayBundle::from_bytes(&bytes).expect("decodes"), b);
     for cut in 0..bytes.len() {
         match ReplayBundle::from_bytes(&bytes[..cut]) {

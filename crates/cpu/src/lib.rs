@@ -613,52 +613,3 @@ impl CpuCore {
         s
     }
 }
-
-// ---------------------------------------------------------------------------
-// Snapshot codecs.
-
-use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
-
-codec!(struct MemOp { va, kind });
-codec!(enum Pending {
-    0 => None,
-    1 => WalkRead { walk, op },
-    2 => WalkReady { pte, walk, op },
-    3 => Access { op },
-    4 => AccessReady { value, op },
-    5 => Syscall,
-    6 => Fault { va },
-});
-
-impl Snapshot for CpuCore {
-    fn save(&self, w: &mut SnapWriter) {
-        // `port`, `config`, `instr_cost` and `token_prefix` are construction
-        // parameters (config-derived) and deliberately not serialized.
-        (self.regs, self.pc, self.running).put(w);
-        (self.local_time, self.pending).put(w);
-        self.tlb.save(w);
-        (self.cr3, self.token_seq, self.outstanding_token).put(w);
-        [self.icount, self.mem_ops, self.walks, self.faults].put(w);
-        self.busy_time.put(w);
-        self.tlb_faults.is_some().put(w);
-        if let Some(f) = &self.tlb_faults {
-            f.rng.put(w);
-            f.transients.put(w);
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        (self.regs, self.pc, self.running) = Codec::get(r)?;
-        (self.local_time, self.pending) = Codec::get(r)?;
-        self.tlb.load(r)?;
-        (self.cr3, self.token_seq, self.outstanding_token) = Codec::get(r)?;
-        [self.icount, self.mem_ops, self.walks, self.faults] = Codec::get(r)?;
-        self.busy_time = Codec::get(r)?;
-        r.get_armed(self.tlb_faults.is_some(), "cpu tlb fault-injection")?;
-        if let Some(f) = &mut self.tlb_faults {
-            f.rng = Codec::get(r)?;
-            f.transients = Codec::get(r)?;
-        }
-        Ok(())
-    }
-}

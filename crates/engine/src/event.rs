@@ -230,10 +230,10 @@ impl<E> EventQueue<E> {
     }
 
     /// All pending events in exact drain order — (time, seq) ascending —
-    /// without disturbing the queue. This is the snapshot view: a restore
-    /// pushes the events back in this order into a fresh queue, which
-    /// renumbers sequence tiebreaks from zero but preserves their *relative*
-    /// FIFO order, so the rebuilt queue drains identically.
+    /// without disturbing the queue. Pushing them back in this order into a
+    /// fresh queue renumbers sequence tiebreaks from zero but preserves
+    /// their *relative* FIFO order, so the rebuilt queue drains
+    /// identically.
     pub fn ordered_entries(&self) -> Vec<(Time, &E)> {
         let mut v: Vec<(Time, u64, &E)> = Vec::with_capacity(self.len());
         for bucket in &self.buckets {
@@ -465,7 +465,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 3);
     }
 
-    /// Snapshot view: `ordered_entries` must list pending events in exact
+    /// Drain-order view: `ordered_entries` must list pending events in exact
     /// drain order, and a queue rebuilt by re-pushing them must drain
     /// identically to the original — including same-timestamp FIFO runs,
     /// clamped past-pushes, and overflow-era events.
@@ -491,6 +491,29 @@ mod tests {
             if a.is_none() {
                 break;
             }
+        }
+    }
+
+    /// The queue drains in non-decreasing time order, FIFO within a time:
+    /// a stable sort of `(time, push index)`, over seeded push sequences.
+    #[test]
+    fn drain_order_is_stable_sort() {
+        let mut rng = crate::SplitMix64::new(0x5EED);
+        for _ in 0..256 {
+            let n = rng.next_below(200) as usize;
+            let times: Vec<u64> = (0..n).map(|_| rng.next_below(50)).collect();
+            let mut q = EventQueue::new();
+            for (i, &t) in times.iter().enumerate() {
+                q.push(Time::from_ps(t), i);
+            }
+            let mut expected: Vec<(u64, usize)> =
+                times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+            expected.sort();
+            let mut got = Vec::new();
+            while let Some((t, i)) = q.pop() {
+                got.push((t.as_ps(), i));
+            }
+            assert_eq!(got, expected);
         }
     }
 
@@ -551,64 +574,6 @@ mod tests {
             assert_eq!(a, b);
             if a.is_none() {
                 break;
-            }
-        }
-    }
-}
-
-#[cfg(all(test, feature = "slow-tests"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The queue drains in non-decreasing time order, FIFO within a time,
-        /// for arbitrary push sequences.
-        #[test]
-        fn drain_order_is_stable_sort(times in proptest::collection::vec(0u64..50, 0..200)) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(Time::from_ps(t), i);
-            }
-            let mut expected: Vec<(u64, usize)> =
-                times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-            expected.sort(); // stable order == (time, push index)
-            let mut got = Vec::new();
-            while let Some((t, i)) = q.pop() {
-                got.push((t.as_ps(), i));
-            }
-            prop_assert_eq!(got, expected);
-        }
-
-        /// Differential drain order vs the reference heap under arbitrary
-        /// interleavings of pushes (across eras and bursts) and pops.
-        #[test]
-        fn differential_matches_reference(
-            ops in proptest::collection::vec(
-                prop_oneof![
-                    (0u64..200_000_000).prop_map(Some), // push at t (spans many windows)
-                    Just(None),                         // pop
-                ],
-                0..400,
-            )
-        ) {
-            let mut cal = EventQueue::new();
-            let mut reference = ReferenceEventQueue::new();
-            for (i, op) in ops.iter().enumerate() {
-                match op {
-                    Some(t) => {
-                        cal.push(Time::from_ps(*t), i);
-                        reference.push(Time::from_ps(*t), i);
-                    }
-                    None => prop_assert_eq!(cal.pop(), reference.pop()),
-                }
-                prop_assert_eq!(cal.len(), reference.len());
-                prop_assert_eq!(cal.peek_time(), reference.peek_time());
-            }
-            loop {
-                let (a, b) = (cal.pop(), reference.pop());
-                prop_assert_eq!(a, b);
-                if a.is_none() { break; }
             }
         }
     }

@@ -290,7 +290,7 @@ impl Default for Watchdog {
 
 // The full fault plan rides in replay bundles: a captured failure must
 // replay under the exact schedule (rates, seeds, test knobs) that produced
-// it. Machine snapshots re-derive the config instead.
+// it.
 ccsvm_snap::codec!(struct NocFaultConfig { drop_rate, max_retries, backoff, backoff_cap });
 ccsvm_snap::codec!(struct DramFaultConfig { single_bit_rate, double_bit_rate });
 ccsvm_snap::codec!(struct TlbFaultConfig { transient_rate, retry_penalty });
@@ -302,7 +302,6 @@ ccsvm_snap::codec!(struct FaultConfig {
     drop_data_delivery, blackhole_resp, drop_one_resp,
     snoop_probe, upd_ack,
 });
-ccsvm_snap::codec!(struct Watchdog { last_progress, last_change, stale });
 
 #[cfg(test)]
 mod tests {
@@ -385,26 +384,6 @@ mod tests {
         let bytes = w.into_vec();
         let restored = FaultConfig::get(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(restored, cfg);
-    }
-
-    #[test]
-    fn watchdog_snapshot_round_trips_staleness() {
-        use ccsvm_snap::{Codec, SnapReader, SnapWriter};
-        let mut wd = Watchdog::new();
-        wd.observe(Time::from_ns(10), 5);
-        wd.observe(Time::from_ns(20), 5);
-        let mut w = SnapWriter::new();
-        wd.put(&mut w);
-        let bytes = w.into_vec();
-        let mut restored = Watchdog::get(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(restored, wd);
-        // Both continue identically: one more stale period, then a reset.
-        assert_eq!(
-            restored.observe(Time::from_ns(30), 5),
-            wd.observe(Time::from_ns(30), 5)
-        );
-        assert_eq!(restored.observe(Time::from_ns(40), 9), 0);
-        assert_eq!(restored.last_progress_at(), Time::from_ns(40));
     }
 
     #[test]

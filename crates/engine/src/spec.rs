@@ -7,8 +7,7 @@
 //! ledger's `matmul_epochs`/`core.zones`/`mem.spec_*`.
 
 /// Counters read by the ledger's `core.spec_*` metrics. All host-side
-/// telemetry: never serialized into snapshots and never part of a run
-/// report.
+/// telemetry: never part of a pause image or a run report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpecStats {
     /// Speculative epochs executed. Always 0.

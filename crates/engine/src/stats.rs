@@ -191,9 +191,7 @@ mod tests {
         let mut w = SnapWriter::new();
         s.put(&mut w);
         let bytes = w.into_vec();
-        let mut restored = Stats::new();
-        restored.set("stale", 1.0); // load must clear pre-existing entries
-        restored.get_into(&mut SnapReader::new(&bytes)).unwrap();
+        let restored: Stats = Codec::get(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(restored, s);
     }
 }

@@ -25,10 +25,9 @@
 //!
 //! The image is a pure host-side function of the program text. Cores still
 //! charge time and retire counters per instruction exactly as on the
-//! per-instruction path, and no decoded state is ever serialized into
-//! snapshots (a restored machine builds its own image). Its counters live in
-//! [`SbStats`], outside the architectural `Stats`, so `RunReport`s are
-//! bit-identical with the fast path on or off.
+//! per-instruction path, and no decoded state is ever serialized. Its
+//! counters live in [`SbStats`], outside the architectural `Stats`, so
+//! `RunReport`s are bit-identical with the fast path on or off.
 //!
 //! # The `r0` invariant
 //!

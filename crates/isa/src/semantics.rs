@@ -12,8 +12,6 @@
 //! reference that `tests/semantics.rs` compares them against, instruction by
 //! instruction.
 
-use ccsvm_snap::codec;
-
 use crate::abi;
 use crate::instr::{AmoKind, Instr, Operand, Reg};
 
@@ -161,18 +159,3 @@ impl Instr {
         })
     }
 }
-
-// A register travels as its index and an AMO kind as its declaration index.
-codec!(struct Reg(u8));
-codec!(enum AmoKind {
-    0 => Cas,
-    1 => Add,
-    2 => Inc,
-    3 => Dec,
-    4 => Exch,
-});
-codec!(enum MemOperand {
-    0 => Ld { rd, size },
-    1 => St { size, value },
-    2 => Amo { rd, op, a, b },
-});

@@ -21,8 +21,6 @@ pub const BLOCK_BYTES: u64 = 64;
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhysAddr(pub u64);
 
-ccsvm_snap::codec!(struct PhysAddr(u64));
-
 impl PhysAddr {
     /// Byte offset addition.
     pub fn offset(self, bytes: u64) -> PhysAddr {

@@ -1292,71 +1292,3 @@ impl Bank {
         s
     }
 }
-
-// ---------------------------------------------------------------------------
-// Snapshot codecs.
-
-use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
-
-codec!(enum DirState {
-    0 => Unowned,
-    1 => Shared(sharers),
-    2 => Owned { owner, sharers },
-});
-codec!(struct L2Meta { dir, dirty, fresh });
-codec!(enum Phase {
-    0 => Start,
-    1 => NeedFill,
-    2 => AwaitRecall,
-    3 => AwaitDram,
-    4 => AwaitInvFetch,
-    5 => AwaitSnoop,
-});
-codec!(struct Recall { victim, pending_inv, fetch_from, dirty, data });
-codec!(struct Tx {
-    req, phase, pending_inv, fetch_from, fetch_inv, upgrade, fill_data, recall,
-    retry, pending_snoop, snoop_had, snoop_dirty, snoop_data,
-});
-
-impl Snapshot for Bank {
-    fn save(&self, w: &mut SnapWriter) {
-        // `lenient` is config-derived (reinstalled via `install_faults`
-        // before load) and deliberately not serialized. Per-block wait
-        // queues keep their FIFO order.
-        self.array.save(w);
-        self.tx.put(w);
-        self.recall_owner.put(w);
-        self.waiting.put(w);
-        [
-            self.gets,
-            self.getm,
-            self.puts,
-            self.hits,
-            self.misses,
-            self.recalls,
-            self.timeouts,
-            self.nack_resends,
-            self.stale_resps,
-        ]
-        .put(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.array.load(r)?;
-        self.tx.get_into(r)?;
-        self.recall_owner.get_into(r)?;
-        self.waiting.get_into(r)?;
-        [
-            self.gets,
-            self.getm,
-            self.puts,
-            self.hits,
-            self.misses,
-            self.recalls,
-            self.timeouts,
-            self.nack_resends,
-            self.stale_resps,
-        ] = Codec::get(r)?;
-        Ok(())
-    }
-}

@@ -5,7 +5,6 @@ use ccsvm_engine::{DramFaultConfig, FxHashMap, SplitMix64, Stats, Time};
 
 use crate::addr::{offset_in_block, PhysAddr, BLOCK_BYTES};
 use crate::msg::BlockData;
-use ccsvm_snap::Codec;
 
 const PAGE_BYTES: u64 = 4096;
 
@@ -240,31 +239,6 @@ impl Dram {
     pub fn reset_counters(&mut self) {
         self.reads = 0;
         self.writes = 0;
-    }
-}
-
-impl ccsvm_snap::Snapshot for Dram {
-    fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        self.pages.put(w);
-        self.channel_free.put(w);
-        (self.reads, self.writes).put(w);
-        self.faults.is_some().put(w);
-        if let Some(f) = &self.faults {
-            f.rng.put(w);
-            (f.corrected, f.poisoned_events).put(w);
-        }
-    }
-
-    fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.pages.get_into(r)?;
-        r.get_exact(&mut self.channel_free, "DRAM channels")?;
-        (self.reads, self.writes) = Codec::get(r)?;
-        r.get_armed(self.faults.is_some(), "dram fault-injection")?;
-        if let Some(f) = &mut self.faults {
-            f.rng = Codec::get(r)?;
-            (f.corrected, f.poisoned_events) = Codec::get(r)?;
-        }
-        Ok(())
     }
 }
 

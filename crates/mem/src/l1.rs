@@ -8,7 +8,6 @@
 
 use ccsvm_engine::{fx_map_with_capacity, FxHashMap, FxHashSet, Stats, Time};
 use ccsvm_noc::NodeId;
-use ccsvm_snap::Codec;
 
 use crate::addr::{block_of, offset_in_block, PhysAddr};
 use crate::cache::{CacheArray, CacheConfig, SetImage};
@@ -64,25 +63,25 @@ impl L1State {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Line {
     state: L1State,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Waiter {
     token: u64,
     access: Access,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Mshr {
     /// Whether a GetM has been sent (vs only GetS).
     wants_m: bool,
     waiters: Vec<Waiter>,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct EvictEntry {
     data: BlockData,
     dirty: bool,
@@ -96,11 +95,13 @@ struct EvictEntry {
 /// maps, the open MSHRs' waiter counts, plus set-granular first-touch
 /// pre-images of the cache array, capped at `budget` sets. Opening a journal
 /// and capturing an image reuse the previous journal's storage. When the cap
-/// is exceeded the journal falls back to the snapshot machinery: `full`
-/// holds a whole-L1 snapshot taken at overflow time, and rollback loads it
-/// *then* re-applies the pre-overflow images on top (the journaled sets are
-/// mid-speculation in that snapshot; the images rewind them the rest of the
-/// way; every other set was still untouched when the snapshot was taken).
+/// is exceeded the journal falls back to a copy of the whole cache array:
+/// `full` is the array as it stood at overflow time, and rollback copies it
+/// back *then* re-applies the pre-overflow images on top (the journaled sets
+/// are mid-speculation in that copy; the images rewind them the rest of the
+/// way; every other set was still untouched when the copy was taken). The
+/// array is the only state the images and the begin-time copies do not
+/// already restore.
 ///
 /// A caller must deliver no directory message to a journaling L1, so the
 /// maps and counters can only change under its own core-side accesses,
@@ -122,8 +123,8 @@ struct SpecState {
     /// Maximum images before overflow.
     budget: usize,
     overflowed: bool,
-    /// Whole-L1 snapshot bytes, captured at the moment of overflow.
-    full: Vec<u8>,
+    /// The whole cache array, copied at the moment of overflow.
+    full: Option<CacheArray<Line>>,
     tick0: u64,
     counters0: [u64; 11],
     /// `(block, waiters)` of every MSHR open at begin.
@@ -265,14 +266,13 @@ impl L1 {
 
     /// Opens an undo journal: until `spec_commit`/`spec_rollback`, every
     /// core-side mutation is revertible. `budget` caps the number of
-    /// set-granular pre-images before the journal falls back to a full
-    /// snapshot (see [`SpecState`]).
+    /// set-granular pre-images before the journal falls back to a copy of
+    /// the whole array (see [`SpecState`]).
     pub fn spec_begin(&mut self, budget: usize) {
         debug_assert!(self.spec.is_none(), "nested speculation on {:?}", self.id);
         let mut spec = self.spec_free.pop().unwrap_or_default();
         spec.touched.clear();
         spec.n_images = 0;
-        spec.full.clear();
         spec.budget = budget.max(1);
         spec.overflowed = false;
         spec.tick0 = self.array.tick();
@@ -285,7 +285,7 @@ impl L1 {
         self.spec = Some(spec);
     }
 
-    /// Whether the open journal has overflowed into the snapshot path.
+    /// Whether the open journal has overflowed into the whole-array copy.
     #[cfg(test)]
     pub fn spec_overflowed(&self) -> bool {
         self.spec.as_ref().is_some_and(|s| s.overflowed)
@@ -298,16 +298,18 @@ impl L1 {
         self.spec_free.push(spec);
     }
 
-    /// Reverts every mutation since `spec_begin`, byte-exactly (snapshot
-    /// streams taken before and after a begin/execute/rollback cycle are
-    /// identical). Returns `true` when the overflow slow path was taken.
+    /// Reverts every mutation since `spec_begin`, exactly (the L1's state
+    /// before and after a begin/execute/rollback cycle is equal). Returns
+    /// `true` when the overflow slow path was taken.
     pub fn spec_rollback(&mut self) -> bool {
         let mut spec = self.spec.take().expect("spec_rollback without spec_begin");
         let overflowed = spec.overflowed;
         if overflowed {
-            let mut r = ccsvm_snap::SnapReader::new(&spec.full);
-            ccsvm_snap::Snapshot::load(self, &mut r)
-                .expect("overflow snapshot was written by this L1");
+            let full = spec
+                .full
+                .as_ref()
+                .expect("an overflowed journal holds its copy");
+            self.array.clone_from(full);
         }
         for img in &spec.images[..spec.n_images] {
             self.array.restore_set(img);
@@ -351,9 +353,10 @@ impl L1 {
                 spec.n_images += 1;
             } else if !spec.overflowed {
                 spec.overflowed = true;
-                let mut w = ccsvm_snap::SnapWriter::new();
-                ccsvm_snap::Snapshot::save(self, &mut w);
-                spec.full = w.into_vec();
+                match &mut spec.full {
+                    Some(full) => full.clone_from(&self.array),
+                    None => spec.full = Some(self.array.clone()),
+                }
             }
         }
         self.spec = Some(spec);
@@ -1028,62 +1031,6 @@ impl L1 {
     }
 }
 
-ccsvm_snap::codec!(enum L1State { 0 => I, 1 => S, 2 => E, 3 => O, 4 => M });
-ccsvm_snap::codec!(struct Line { state });
-ccsvm_snap::codec!(struct Waiter { token, access });
-ccsvm_snap::codec!(struct Mshr { wants_m, waiters });
-ccsvm_snap::codec!(struct EvictEntry { data, dirty });
-
-/// Mutable run-state only. `id`/`config` are construction-time and
-/// `lenient` config-derived (reinstalled by the machine before `load`).
-impl ccsvm_snap::Snapshot for L1 {
-    fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        // Holds both for machine checkpoints (the machine never opens a
-        // journal) and for the overflow capture in `spec_touch` (which takes
-        // the journal out of `self` before saving).
-        debug_assert!(self.spec.is_none(), "snapshot of a speculating L1");
-        self.array.save(w);
-        self.mshrs.put(w);
-        self.evict_buf.put(w);
-        self.reserved.put(w);
-        [
-            self.loads,
-            self.stores,
-            self.atomics,
-            self.hits,
-            self.misses,
-            self.merged_misses,
-            self.retries,
-            self.writebacks,
-            self.invalidations,
-            self.fetches,
-            self.spurious_fetches,
-        ]
-        .put(w);
-    }
-
-    fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.array.load(r)?;
-        self.mshrs.get_into(r)?;
-        self.evict_buf.get_into(r)?;
-        self.reserved.get_into(r)?;
-        [
-            self.loads,
-            self.stores,
-            self.atomics,
-            self.hits,
-            self.misses,
-            self.merged_misses,
-            self.retries,
-            self.writebacks,
-            self.invalidations,
-            self.fetches,
-            self.spurious_fetches,
-        ] = Codec::get(r)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1104,10 +1051,24 @@ mod tests {
         )
     }
 
-    fn snap_bytes(l1: &L1) -> Vec<u8> {
-        let mut w = ccsvm_snap::SnapWriter::new();
-        ccsvm_snap::Snapshot::save(l1, &mut w);
-        w.into_vec()
+    /// Everything a journal restores: the array, the MSHR, eviction and
+    /// reservation maps, and the counters.
+    type State = (
+        CacheArray<Line>,
+        FxHashMap<u64, Mshr>,
+        FxHashMap<u64, EvictEntry>,
+        FxHashMap<u64, usize>,
+        [u64; 11],
+    );
+
+    fn state(l1: &L1) -> State {
+        (
+            l1.array.clone(),
+            l1.mshrs.clone(),
+            l1.evict_buf.clone(),
+            l1.reserved.clone(),
+            l1.counters(),
+        )
     }
 
     /// Miss on `block` and deliver the fill, leaving it resident in `grant`.
@@ -1161,7 +1122,7 @@ mod tests {
         for (b, g) in [(1, Grant::M), (5, Grant::E), (3, Grant::S)] {
             install(&mut l1, b, g);
         }
-        let bytes0 = snap_bytes(&l1);
+        let state0 = state(&l1);
 
         // Journaled path: generous budget, no overflow.
         let mut out = L1Out::default();
@@ -1169,7 +1130,7 @@ mod tests {
         churn(&mut l1, &mut out);
         assert!(!l1.spec_overflowed());
         assert!(!l1.spec_rollback());
-        assert_eq!(snap_bytes(&l1), bytes0, "journaled rollback must be exact");
+        assert_eq!(state(&l1), state0, "journaled rollback must be exact");
 
         // Overflow path: budget of one image, same churn.
         let mut out = L1Out::default();
@@ -1177,7 +1138,7 @@ mod tests {
         churn(&mut l1, &mut out);
         assert!(l1.spec_overflowed());
         assert!(l1.spec_rollback());
-        assert_eq!(snap_bytes(&l1), bytes0, "overflow rollback must be exact");
+        assert_eq!(state(&l1), state0, "overflow rollback must be exact");
     }
 
     #[test]
@@ -1195,7 +1156,7 @@ mod tests {
         churn(&mut spec, &mut out_s);
         spec.spec_commit();
         churn(&mut plain, &mut out_p);
-        assert_eq!(snap_bytes(&spec), snap_bytes(&plain));
+        assert_eq!(state(&spec), state(&plain));
         assert_eq!(format!("{out_s:?}"), format!("{out_p:?}"));
     }
 }

@@ -469,9 +469,9 @@ pub enum MemKind {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot codecs.
+// Trace codec.
 
-use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
+use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter};
 
 /// The machine's trace stores a kind as a `u64`: its index in declaration
 /// order.
@@ -501,52 +501,6 @@ impl Codec for MemKind {
             })
     }
 }
-
-codec!(struct BankId(usize));
-codec!(enum AtomicOp {
-    0 => Cas { expected, value },
-    1 => Add { value },
-    2 => Inc,
-    3 => Dec,
-    4 => Exch { value },
-});
-codec!(struct UpdWord { off, size, value });
-codec!(enum ReqKind {
-    0 => GetS,
-    1 => GetM,
-    2 => PutDirty,
-    3 => PutClean,
-    4 => BusRd,
-    5 => BusRdX,
-    6 => BusUpd(word),
-});
-codec!(struct Request { kind, from, block, data, retain });
-codec!(enum Grant { 0 => S, 1 => E, 2 => M });
-codec!(enum SnoopKind { 0 => Rd, 1 => RdX, 2 => Upd(word) });
-codec!(enum DirToL1 {
-    0 => Data { block, grant, data },
-    1 => AckM { block },
-    2 => Inv { block },
-    3 => Fetch { block },
-    4 => FetchInv { block },
-    5 => PutAck { block },
-    6 => Snoop { block, kind },
-    7 => UpdDone { block, sharers },
-});
-codec!(enum L1ToDir {
-    0 => InvResp { from, block, data },
-    1 => FetchResp { from, block, data, dirty },
-    2 => SnoopResp { from, block, had, dirty, data },
-});
-codec!(enum MemEventKind {
-    0 => ReqArrive(req),
-    1 => DirArrive(port, msg),
-    2 => RespArrive(bank, resp),
-    3 => DramReadDone { bank, block },
-    4 => BankReady { bank, block },
-    5 => DirTimeout { bank, block, epoch },
-});
-codec!(struct MemEvent(MemEventKind));
 
 #[cfg(test)]
 mod tests {
@@ -579,130 +533,15 @@ mod tests {
     }
 
     #[test]
-    fn mem_event_codec_round_trips_every_variant() {
-        let events = vec![
-            MemEvent(MemEventKind::ReqArrive(Request {
-                kind: ReqKind::PutDirty,
-                from: PortId(3),
-                block: 0x40,
-                data: Some([7; 64]),
-                retain: true,
-            })),
-            MemEvent(MemEventKind::DirArrive(
-                PortId(1),
-                DirToL1::Data {
-                    block: 2,
-                    grant: Grant::E,
-                    data: [9; 64],
-                },
-            )),
-            MemEvent(MemEventKind::DirArrive(
-                PortId(0),
-                DirToL1::AckM { block: 5 },
-            )),
-            MemEvent(MemEventKind::RespArrive(
-                BankId(2),
-                L1ToDir::InvResp {
-                    from: PortId(4),
-                    block: 8,
-                    data: None,
-                },
-            )),
-            MemEvent(MemEventKind::RespArrive(
-                BankId(0),
-                L1ToDir::FetchResp {
-                    from: PortId(2),
-                    block: 1,
-                    data: [3; 64],
-                    dirty: false,
-                },
-            )),
-            MemEvent(MemEventKind::ReqArrive(Request {
-                kind: ReqKind::BusUpd(UpdWord {
-                    off: 24,
-                    size: 8,
-                    value: 0xDEAD_BEEF,
-                }),
-                from: PortId(2),
-                block: 0x80,
-                data: None,
-                retain: false,
-            })),
-            MemEvent(MemEventKind::ReqArrive(Request {
-                kind: ReqKind::BusRdX,
-                from: PortId(0),
-                block: 0xC0,
-                data: None,
-                retain: false,
-            })),
-            MemEvent(MemEventKind::DirArrive(
-                PortId(3),
-                DirToL1::Snoop {
-                    block: 7,
-                    kind: SnoopKind::Upd(UpdWord {
-                        off: 0,
-                        size: 4,
-                        value: 5,
-                    }),
-                },
-            )),
-            MemEvent(MemEventKind::DirArrive(
-                PortId(3),
-                DirToL1::Snoop {
-                    block: 7,
-                    kind: SnoopKind::RdX,
-                },
-            )),
-            MemEvent(MemEventKind::DirArrive(
-                PortId(1),
-                DirToL1::UpdDone {
-                    block: 9,
-                    sharers: true,
-                },
-            )),
-            MemEvent(MemEventKind::RespArrive(
-                BankId(1),
-                L1ToDir::SnoopResp {
-                    from: PortId(5),
-                    block: 11,
-                    had: true,
-                    dirty: true,
-                    data: Some([0xAB; 64]),
-                },
-            )),
-            MemEvent(MemEventKind::DramReadDone {
-                bank: BankId(1),
-                block: 77,
-            }),
-            MemEvent(MemEventKind::BankReady {
-                bank: BankId(3),
-                block: 88,
-            }),
-            MemEvent(MemEventKind::DirTimeout {
-                bank: BankId(0),
-                block: 99,
-                epoch: 6,
-            }),
-        ];
-        let mut w = SnapWriter::new();
-        for e in &events {
-            e.put(&mut w);
-        }
-        let bytes = w.into_vec();
-        let mut r = SnapReader::new(&bytes);
-        for e in &events {
-            let got = MemEvent::get(&mut r).unwrap();
-            assert_eq!(format!("{got:?}"), format!("{e:?}"));
-        }
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
     fn unknown_tag_is_corrupt_not_panic() {
-        let mut r = SnapReader::new(&[0xFF]);
+        let tag = 6u64.to_le_bytes();
         assert!(matches!(
-            MemEvent::get(&mut r),
+            MemKind::get(&mut SnapReader::new(&tag)),
             Err(SnapError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            MemKind::get(&mut SnapReader::new(&tag[..3])),
+            Err(SnapError::Truncated { .. })
         ));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The memory system supports three per-block coherence protocols; which one
 //! a machine runs is part of its configuration (and therefore of the config
-//! hash snapshots are keyed on):
+//! hash that cache entries, pause images and replay bundles are keyed on):
 //!
 //! * **Directory MOESI** (`directory`) — the paper's protocol: a blocking
 //!   directory embedded in the banked L2 orders transactions per block,
@@ -40,8 +40,8 @@
 use ccsvm_engine::{InvariantId, InvariantMask};
 
 /// Which coherence protocol a machine runs. Part of the memory system's
-/// configuration: it participates in the config hash, so snapshots taken
-/// under one protocol cannot silently restore into another.
+/// configuration: it participates in the config hash, so a pause image
+/// taken under one protocol cannot silently restore into another.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// Blocking directory MOESI embedded in the L2 banks (the paper's).

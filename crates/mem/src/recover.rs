@@ -15,10 +15,6 @@
 //!   turns into a typed [`Outcome::RetryBudgetExhausted`] abort rather than a
 //!   silent wedge.
 //!
-//! The snapshot byte layout (`u64` epoch + `u32` count) is exactly the layout
-//! the pre-extraction `Tx` fields used, so the machine-section format is
-//! unchanged by the refactor itself.
-//!
 //! [`Outcome::RetryBudgetExhausted`]: https://docs.rs/ccsvm-core
 
 /// Timeout/resend bookkeeping for one in-flight transaction's current
@@ -60,12 +56,9 @@ impl RetryRound {
     }
 }
 
-ccsvm_snap::codec!(struct RetryRound { epoch, nacks });
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccsvm_snap::{Codec, SnapReader, SnapWriter};
 
     #[test]
     fn spend_bumps_epoch_until_budget_exhausted() {
@@ -79,19 +72,5 @@ mod tests {
         // Exhaustion is sticky and does not advance the round.
         assert_eq!(r.spend(2), None);
         assert!(r.is_current(2));
-    }
-
-    #[test]
-    fn codec_round_trips() {
-        let mut r = RetryRound::new();
-        r.spend(10);
-        r.spend(10);
-        r.spend(10);
-        let mut w = SnapWriter::new();
-        r.put(&mut w);
-        let bytes = w.into_vec();
-        let mut rd = SnapReader::new(&bytes);
-        let back = RetryRound::get(&mut rd).unwrap();
-        assert_eq!(back, r);
     }
 }

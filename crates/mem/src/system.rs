@@ -289,7 +289,7 @@ impl MemorySystem {
     // rollback are purely local to the port.
 
     /// Opens an undo journal on `port`'s L1. `budget` caps the set-granular
-    /// pre-images before the journal falls back to a full L1 snapshot.
+    /// pre-images before the journal falls back to a copy of the whole array.
     pub fn spec_begin(&mut self, port: PortId, budget: usize) {
         self.l1s[port.0].spec_begin(budget);
     }
@@ -300,9 +300,9 @@ impl MemorySystem {
         self.l1s[port.0].spec_commit();
     }
 
-    /// Rolls `port`'s L1 back to its `spec_begin` state, byte-exactly.
-    /// Returns `true` when the journal had overflowed and the snapshot
-    /// restore slow path was taken.
+    /// Rolls `port`'s L1 back to its `spec_begin` state, exactly. Returns
+    /// `true` when the journal had overflowed and the whole-array copy was
+    /// restored.
     pub fn spec_rollback(&mut self, port: PortId) -> bool {
         self.l1s[port.0].spec_rollback()
     }
@@ -698,43 +698,5 @@ impl MemorySystem {
         }
         s.merge_prefixed("dram", &self.dram.stats());
         s
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot codecs.
-
-use ccsvm_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, Snapshot};
-
-codec!(struct PortId(usize));
-codec!(enum Access {
-    0 => Read { paddr, size },
-    1 => Write { paddr, size, value },
-    2 => Rmw { paddr, size, op },
-});
-
-impl Snapshot for MemorySystem {
-    fn save(&self, w: &mut SnapWriter) {
-        // The serial-path scratch log is drained after every access, so it is
-        // deliberately not serialized; checkpoints happen between dispatched
-        // events where it is empty.
-        self.l1s.len().put(w);
-        self.l1s.iter().for_each(|l1| l1.save(w));
-        self.banks.len().put(w);
-        self.banks.iter().for_each(|b| b.save(w));
-        self.dram.save(w);
-        self.poisoned.put(w);
-        self.retry_exhausted.put(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.get_len(self.l1s.len(), "L1s")?;
-        self.l1s.iter_mut().try_for_each(|l1| l1.load(r))?;
-        r.get_len(self.banks.len(), "banks")?;
-        self.banks.iter_mut().try_for_each(|b| b.load(r))?;
-        self.dram.load(r)?;
-        self.poisoned.get_into(r)?;
-        self.retry_exhausted = Codec::get(r)?;
-        Ok(())
     }
 }

@@ -77,14 +77,12 @@
 //! * `pipeline`: the memory pipeline (`Plan`, `Groups`, `Flight`, the
 //!   page-table walker, completions).
 //! * `mifd`: the [`Mifd`].
-//! * `codec`: the snapshot codecs.
 //!
 //! This file holds [`MttopCore`] itself: construction, task assignment, the
 //! accessors the machine calls, and the counters.
 
 #![forbid(unsafe_code)]
 
-mod codec;
 mod config;
 mod mifd;
 mod pipeline;
@@ -161,8 +159,7 @@ pub struct MttopCore {
     sb_hits: u64,
     /// `sb_cur[wi]` = warp `wi`'s fast-path cursor (invalid when `rem == 0`).
     sb_cur: Vec<SbCursor>,
-    /// Monotone batch counter for the doomed-retry short circuit; never
-    /// serialized (epochs restart after a snapshot load).
+    /// Monotone batch counter for the doomed-retry short circuit.
     batch_epoch: u64,
     /// `retry_epoch[wi]` = the batch in which warp `wi`'s head group last
     /// drew [`AccessResult::Retry`], or `u64::MAX`. While it equals
@@ -405,7 +402,6 @@ impl MttopCore {
 mod tests {
     use ccsvm_isa::{AluOp, Cond, DecodedImage, Instr, Operand, Program, Reg};
     use ccsvm_mem::{MemorySystem, PortLog};
-    use ccsvm_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
     use super::*;
 
@@ -611,35 +607,5 @@ mod tests {
             (div_off, wi_off, ti_off, t_off),
             "superblock fast path perturbed counters or simulated time"
         );
-    }
-
-    fn snap_bytes(core: &MttopCore) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        core.save(&mut w);
-        w.into_vec()
-    }
-
-    /// A restored core indexes `warps` with its round-robin cursor, the
-    /// walker's warp and every queued walker entry, so an image naming a
-    /// warp the core does not have must not load.
-    #[test]
-    fn restore_rejects_warp_indices_past_the_core() {
-        let fresh = || MttopCore::new(PortId(0), MttopConfig::paper_ccsvm(0), 0);
-        let n = fresh().warps.len();
-        let corruptions: [fn(&mut MttopCore, usize); 3] = [
-            |c, n| c.rr = n,
-            |c, n| c.walker = Some((n, Walk::new(PhysAddr(0x1000), VirtAddr(0x4000)))),
-            |c, n| c.walker_queue.push(n),
-        ];
-        for (i, corrupt) in corruptions.iter().enumerate() {
-            let mut core = fresh();
-            corrupt(&mut core, n);
-            let bytes = snap_bytes(&core);
-            let got = fresh().load(&mut SnapReader::new(&bytes));
-            assert!(
-                matches!(got, Err(SnapError::Corrupt { .. })),
-                "corruption {i}: {got:?}"
-            );
-        }
     }
 }

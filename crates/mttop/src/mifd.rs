@@ -1,7 +1,6 @@
 //! The MTTOP InterFace Device.
 
 use ccsvm_engine::Stats;
-use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// The MTTOP InterFace Device (§3.1): abstracts the number and identity of
 /// MTTOP cores behind a single device. CPU cores launch tasks at it via a
@@ -117,30 +116,6 @@ impl Mifd {
         s.set("rejected", self.rejected as f64);
         s.set("faults_forwarded", self.faults_forwarded as f64);
         s
-    }
-}
-
-impl Snapshot for Mifd {
-    fn save(&self, w: &mut SnapWriter) {
-        (self.cursor, self.error_register).put(w);
-        [
-            self.launches,
-            self.chunks,
-            self.rejected,
-            self.faults_forwarded,
-        ]
-        .put(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        (self.cursor, self.error_register) = Codec::get(r)?;
-        [
-            self.launches,
-            self.chunks,
-            self.rejected,
-            self.faults_forwarded,
-        ] = Codec::get(r)?;
-        Ok(())
     }
 }
 

@@ -155,8 +155,8 @@ impl MttopCore {
     /// Every state transition, counter, token draw, TLB LRU touch, and time
     /// charge replicates the generic `continue_plan`/`issue_accesses` path
     /// exactly, and on Pending/Retry/Poisoned the warp is parked with the
-    /// byte-identical `Plan` the generic path would have left — a snapshot
-    /// taken mid-access cannot tell the paths apart. Returns `false` (no
+    /// identical `Plan` the generic path would have left, so nothing after
+    /// the access can tell the paths apart. Returns `false` (no
     /// state touched beyond one read-only TLB probe) when the translation is
     /// absent; the caller then falls back to the generic walker path, which
     /// performs the one counted TLB miss exactly as before.

@@ -365,7 +365,7 @@ impl MttopCore {
                 c.pc += 1;
                 return;
             }
-            // Stale cursor (snapshot load, task reuse): drop it and
+            // Stale cursor (task reuse): drop it and
             // re-derive everything on the slow path below.
             self.sb_cur[wi] = SbCursor::INVALID;
         }

@@ -142,9 +142,8 @@ impl LaneOp {
 /// (`ccsvm_isa::decode`). While valid (`rem > 0`), `MttopCore::issue`
 /// retires one micro-op per issue slot for the cached participating-lane set
 /// without recomputing the min-PC set or re-matching the `Instr` enum.
-/// Strictly host-side: never serialized, cleared on snapshot load and task
-/// assignment, and revalidated (expected PC) before every use, so a stale
-/// cursor is harmless.
+/// Strictly host-side: cleared on task assignment and revalidated (expected
+/// PC) before every use, so a stale cursor is harmless.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SbCursor {
     /// Micro-ops this warp may still execute from the run; `0` = invalid.

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 use ccsvm_engine::{NocFaultConfig, SplitMix64, Stats, Time};
-use ccsvm_snap::Codec;
 
 /// Identifies a node (router) on the torus.
 ///
@@ -214,8 +213,8 @@ pub struct Network {
     /// Message-conservation audit counters (DESIGN §9, NOC-CONSERVE): uncore
     /// events the caller injected (`sent`), delivered (`delivered`), and
     /// intentionally discarded under a fault plan (`sanctioned`). Always
-    /// maintained — counting is cheap and keeps snapshot images identical
-    /// whether or not the sanitizer evaluates them.
+    /// maintained — counting is cheap and keeps runs identical whether or
+    /// not the sanitizer evaluates them.
     audit_sent: u64,
     audit_delivered: u64,
     audit_sanctioned: u64,
@@ -381,49 +380,6 @@ impl Network {
     }
 }
 
-/// Mutable run-state only: link reservations, traffic counters, and the
-/// fault stream position. Topology and timing config are construction-time
-/// and re-derived by rebuilding from the same `SystemConfig`; the fault
-/// *knobs* likewise arrive via [`Network::install_faults`] before `load`,
-/// which restores only the RNG cursor and counters into them.
-impl ccsvm_snap::Snapshot for Network {
-    fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        self.link_free.put(w);
-        [
-            self.messages,
-            self.total_bytes,
-            self.total_hops,
-            self.audit_sent,
-            self.audit_delivered,
-            self.audit_sanctioned,
-        ]
-        .put(w);
-        self.faults.is_some().put(w);
-        if let Some(f) = &self.faults {
-            f.rng.put(w);
-            (f.retransmissions, f.faulted_messages).put(w);
-        }
-    }
-
-    fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        r.get_exact(&mut self.link_free, "noc nodes")?;
-        [
-            self.messages,
-            self.total_bytes,
-            self.total_hops,
-            self.audit_sent,
-            self.audit_delivered,
-            self.audit_sanctioned,
-        ] = Codec::get(r)?;
-        r.get_armed(self.faults.is_some(), "noc fault-injection")?;
-        if let Some(f) = &mut self.faults {
-            f.rng = Codec::get(r)?;
-            (f.retransmissions, f.faulted_messages) = Codec::get(r)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,24 +539,34 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "slow-tests"))]
-mod proptests {
+/// Properties checked exhaustively over every torus up to 7 x 7 and every
+/// node pair of each.
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
 
-    proptest! {
-        /// Routes always reach the destination, have hop-count length, and
-        /// every step moves between torus neighbours.
-        #[test]
-        fn routes_are_valid(cols in 1usize..8, rows in 1usize..8,
-                            s in 0usize..64, d in 0usize..64) {
-            let t = Topology::torus(cols, rows);
-            let src = NodeId(s % t.len());
-            let dst = NodeId(d % t.len());
+    fn every_pair(mut f: impl FnMut(Topology, usize, usize, NodeId, NodeId)) {
+        for cols in 1..8 {
+            for rows in 1..8 {
+                let t = Topology::torus(cols, rows);
+                for s in 0..t.len() {
+                    for d in 0..t.len() {
+                        f(t, cols, rows, NodeId(s), NodeId(d));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Routes always reach the destination, have hop-count length, and
+    /// every step moves between torus neighbours.
+    #[test]
+    fn routes_are_valid() {
+        every_pair(|t, cols, rows, src, dst| {
             let route = t.route(src, dst);
-            prop_assert_eq!(route[0], src);
-            prop_assert_eq!(*route.last().unwrap(), dst);
-            prop_assert_eq!(route.len(), t.hops(src, dst) + 1);
+            assert_eq!(route[0], src);
+            assert_eq!(*route.last().unwrap(), dst);
+            assert_eq!(route.len(), t.hops(src, dst) + 1);
             for w in route.windows(2) {
                 let (ax, ay) = t.coords(w[0]);
                 let (bx, by) = t.coords(w[1]);
@@ -608,91 +574,32 @@ mod proptests {
                 let yd = (ay as isize - by as isize).rem_euclid(rows as isize);
                 let x_neighbour = ay == by && (xd == 1 || xd == cols as isize - 1);
                 let y_neighbour = ax == bx && (yd == 1 || yd == rows as isize - 1);
-                prop_assert!(x_neighbour || y_neighbour, "non-neighbour step");
+                assert!(x_neighbour || y_neighbour, "non-neighbour step");
             }
-        }
+        });
+    }
 
-        /// Hop count is bounded by the torus diameter and symmetric.
-        #[test]
-        fn hops_bounded_and_symmetric(cols in 1usize..8, rows in 1usize..8,
-                                      s in 0usize..64, d in 0usize..64) {
-            let t = Topology::torus(cols, rows);
-            let src = NodeId(s % t.len());
-            let dst = NodeId(d % t.len());
+    /// Hop count is bounded by the torus diameter and symmetric.
+    #[test]
+    fn hops_bounded_and_symmetric() {
+        every_pair(|t, cols, rows, src, dst| {
             let h = t.hops(src, dst);
-            prop_assert!(h <= cols / 2 + rows / 2);
-            prop_assert_eq!(h, t.hops(dst, src));
-        }
+            assert!(h <= cols / 2 + rows / 2);
+            assert_eq!(h, t.hops(dst, src));
+        });
+    }
 
-        /// Delivery time is monotone in send time on an otherwise-idle net.
-        #[test]
-        fn delivery_monotone(start in 0u64..1000) {
-            let t = Topology::torus(4, 4);
+    /// Delivery time is monotone in send time on an otherwise-idle net.
+    #[test]
+    fn delivery_monotone() {
+        let t = Topology::torus(4, 4);
+        for start in 0..1000 {
             let mut n1 = Network::new(t, NocConfig::paper_default());
             let mut n2 = Network::new(t, NocConfig::paper_default());
             let a = n1.send(Time::from_ns(start), NodeId(0), NodeId(9), 72);
             let b = n2.send(Time::from_ns(start + 1), NodeId(0), NodeId(9), 72);
-            prop_assert!(b > a);
+            assert!(b > a);
         }
-    }
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-    use ccsvm_snap::{SnapReader, SnapWriter, Snapshot};
-
-    /// Mid-run snapshot of a faulty network: the restored copy must issue
-    /// identical delivery times (same link backlogs, same RNG stream) and
-    /// identical stats from then on.
-    #[test]
-    fn network_round_trip_resumes_identically() {
-        let topo = Topology::torus(4, 4);
-        let cfg = NocFaultConfig {
-            drop_rate: 0.4,
-            ..NocFaultConfig::default()
-        };
-        let mut net = Network::new(topo, NocConfig::paper_default());
-        net.install_faults(cfg, SplitMix64::new(11));
-        for i in 0..60u64 {
-            net.send(
-                Time::from_ns(i),
-                NodeId((i % 16) as usize),
-                NodeId(((i * 7 + 1) % 16) as usize),
-                72,
-            );
-        }
-        let mut w = SnapWriter::new();
-        net.save(&mut w);
-        let bytes = w.into_vec();
-
-        let mut restored = Network::new(topo, NocConfig::paper_default());
-        restored.install_faults(cfg, SplitMix64::new(0xDEAD)); // seed overwritten by load
-        restored.load(&mut SnapReader::new(&bytes)).unwrap();
-        for i in 60..120u64 {
-            let t = Time::from_ns(i);
-            let (src, dst) = (
-                NodeId((i % 16) as usize),
-                NodeId(((i * 7 + 1) % 16) as usize),
-            );
-            assert_eq!(net.send(t, src, dst, 72), restored.send(t, src, dst, 72));
-        }
-        assert_eq!(net.stats(), restored.stats());
-    }
-
-    #[test]
-    fn fault_presence_mismatch_is_typed_error() {
-        let topo = Topology::torus(2, 2);
-        let mut net = Network::new(topo, NocConfig::paper_default());
-        net.install_faults(NocFaultConfig::default(), SplitMix64::new(1));
-        let mut w = SnapWriter::new();
-        net.save(&mut w);
-        let bytes = w.into_vec();
-        let mut plain = Network::new(topo, NocConfig::paper_default());
-        assert!(matches!(
-            plain.load(&mut SnapReader::new(&bytes)),
-            Err(ccsvm_snap::SnapError::Corrupt { .. })
-        ));
     }
 }
 

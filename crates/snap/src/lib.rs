@@ -1,30 +1,12 @@
-//! Versioned, length-prefixed binary snapshots for deterministic
-//! checkpoint/restore.
-//!
-//! Every stateful simulator component implements [`Snapshot`]: `save` appends
-//! the component's mutable state to a [`SnapWriter`], `load` reads it back
-//! from a [`SnapReader`] into an already-constructed component. Construction
-//! and configuration are *not* part of a snapshot — a restore first rebuilds
-//! the machine from the same `SystemConfig` + program, then loads only the
-//! state that evolves during a run. That split keeps the format small and
-//! makes "restore under a different config" a detectable error instead of
-//! silent corruption.
+//! The byte codec for what leaves the process: a run's `RunReport` (the
+//! sweep's `.rpt` cache), a replay bundle, and a machine's pause image.
 //!
 //! The format is written by hand (no serde) and its encoding rules are
 //! stated once, as the impls of [`Codec`]: little-endian fixed-width
 //! integers, `f64` as IEEE-754 bits, byte strings length-prefixed with a
 //! `u64`, and so on; each struct and enum declares its field order with
-//! [`codec!`]. Named length-prefixed sections let a reader verify it
-//! consumed exactly what the writer produced. A file starts with:
-//!
-//! ```text
-//! magic    [u8; 8]   b"CCSVSNAP"
-//! schema   u32       SCHEMA_VERSION at write time
-//! config   u64       FNV-1a hash of the normalized SystemConfig
-//! ```
-//!
-//! Any mismatch surfaces as a typed [`SnapError`]; `load` implementations
-//! never panic on malformed input.
+//! [`codec!`]. Decoding never panics: a short, malformed or trailing input
+//! is a typed [`SnapError`].
 //!
 //! # Examples
 //!
@@ -32,65 +14,60 @@
 //! use ccsvm_snap::{SnapReader, SnapWriter};
 //!
 //! let mut w = SnapWriter::new();
-//! let s = w.begin_section("demo");
 //! w.put_u64(7);
 //! w.put_str("hello");
-//! w.end_section(s);
 //! let bytes = w.into_vec();
 //!
 //! let mut r = SnapReader::new(&bytes);
-//! let end = r.begin_section("demo").unwrap();
 //! assert_eq!(r.get_u64().unwrap(), 7);
 //! assert_eq!(r.get_str().unwrap(), "hello");
-//! r.end_section(end).unwrap();
+//! r.finish("demo").unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod journal;
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-/// File magic: identifies a ccsvm snapshot.
-pub const MAGIC: [u8; 8] = *b"CCSVSNAP";
-
-/// Schema version of the snapshot format. Bump on ANY change to what any
-/// component serializes, and document the change in DESIGN.md §8 (CI greps
-/// for this).
-pub const SCHEMA_VERSION: u32 = 4;
-
-/// Typed snapshot failure. Restoring under a mismatched config or schema, or
-/// from a truncated/corrupt file, yields one of these — never a panic and
-/// never a silently wrong machine.
+/// Typed decode failure. Restoring under a mismatched config or program, or
+/// from a truncated/corrupt input, yields one of these — never a panic and
+/// never a silently wrong machine or report.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapError {
     /// Underlying file I/O failed (message from `std::io::Error`).
     Io(String),
-    /// The file does not start with [`MAGIC`]; not a snapshot.
+    /// The input does not start with the expected magic.
     BadMagic,
-    /// The snapshot was written by a different format version.
+    /// The input was written by a different format version.
     SchemaMismatch {
-        /// Version found in the file header.
+        /// Version found in the input.
         found: u32,
-        /// Version this binary understands ([`SCHEMA_VERSION`]).
+        /// Version this binary understands.
         expected: u32,
     },
-    /// The snapshot was taken under a different `SystemConfig`.
+    /// The input was written under a different `SystemConfig`.
     ConfigMismatch {
-        /// Config hash found in the file header.
+        /// Config hash found in the input.
         found: u64,
         /// Config hash of the machine being restored into.
         expected: u64,
     },
-    /// A [`SnapError::ConfigMismatch`] whose root cause is known: the image
-    /// was taken under a different coherence protocol than the machine it is
-    /// being restored into. Surfaced by name so the fix ("pass the matching
-    /// `--protocol`") is obvious without comparing raw hashes.
-    ProtocolMismatch {
-        /// Protocol name recorded in the image.
-        found: String,
-        /// Protocol name of the machine being restored into.
-        expected: String,
+    /// A pause image was taken of a different program.
+    ProgramMismatch {
+        /// Program hash found in the image.
+        found: u64,
+        /// Hash of the program being restored.
+        expected: u64,
+    },
+    /// A pause image names a time the run never pauses at: re-running the
+    /// config and program ends at `end_ps`, at or before `pause_ps`.
+    PauseAfterEnd {
+        /// The image's pause time, in picoseconds.
+        pause_ps: u64,
+        /// When the re-run ended, in picoseconds.
+        end_ps: u64,
     },
     /// The data ended before the expected field.
     Truncated {
@@ -108,26 +85,29 @@ impl fmt::Display for SnapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapError::Io(msg) => write!(f, "snapshot I/O error: {msg}"),
-            SnapError::BadMagic => write!(f, "not a ccsvm snapshot (bad magic)"),
+            SnapError::BadMagic => write!(f, "bad magic: not the expected ccsvm format"),
             SnapError::SchemaMismatch { found, expected } => write!(
                 f,
-                "snapshot schema v{found} does not match this binary's v{expected}"
+                "format version v{found} does not match this binary's v{expected}"
             ),
             SnapError::ConfigMismatch { found, expected } => write!(
                 f,
-                "snapshot was taken under a different SystemConfig \
+                "written under a different SystemConfig \
                  (hash {found:#018x}, machine has {expected:#018x})"
             ),
-            SnapError::ProtocolMismatch { found, expected } => write!(
+            SnapError::ProgramMismatch { found, expected } => write!(
                 f,
-                "snapshot was taken under the '{found}' coherence protocol \
-                 but this machine is configured for '{expected}' \
-                 (config hashes differ; restore with --protocol {found})"
+                "image was taken of a different program \
+                 (hash {found:#018x}, restoring {expected:#018x})"
+            ),
+            SnapError::PauseAfterEnd { pause_ps, end_ps } => write!(
+                f,
+                "image pauses at {pause_ps} ps, but the run ends at {end_ps} ps"
             ),
             SnapError::Truncated { what } => {
-                write!(f, "snapshot truncated while reading {what}")
+                write!(f, "input truncated while reading {what}")
             }
-            SnapError::Corrupt { what } => write!(f, "snapshot corrupt: {what}"),
+            SnapError::Corrupt { what } => write!(f, "input corrupt: {what}"),
         }
     }
 }
@@ -153,7 +133,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Append-only little-endian snapshot writer.
+/// Append-only little-endian writer.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -163,13 +143,6 @@ impl SnapWriter {
     /// An empty writer.
     pub fn new() -> SnapWriter {
         SnapWriter { buf: Vec::new() }
-    }
-
-    /// Writes the snapshot header: magic, schema version, config hash.
-    pub fn put_header(&mut self, config_hash: u64) {
-        self.buf.extend_from_slice(&MAGIC);
-        self.put_u32(SCHEMA_VERSION);
-        self.put_u64(config_hash);
     }
 
     /// Appends one byte.
@@ -213,40 +186,24 @@ impl SnapWriter {
         self.put_bytes(v.as_bytes());
     }
 
-    /// Opens a named, length-prefixed section; returns a marker for
-    /// [`SnapWriter::end_section`]. Sections let the reader verify it
-    /// consumed exactly the bytes the writer produced.
-    #[must_use]
-    pub fn begin_section(&mut self, name: &str) -> usize {
-        self.put_str(name);
-        let mark = self.buf.len();
-        self.put_u64(0); // placeholder, patched by end_section
-        mark
+    /// Starts a file format: its `magic`, then its `version`.
+    pub fn put_magic(&mut self, magic: &[u8; 8], version: u32) {
+        self.put_raw(magic);
+        self.put_u32(version);
     }
 
-    /// Closes the section opened at `mark`, patching its byte length.
-    pub fn end_section(&mut self, mark: usize) {
-        let len = (self.buf.len() - mark - 8) as u64;
-        self.buf[mark..mark + 8].copy_from_slice(&len.to_le_bytes());
+    /// Appends raw bytes with no length prefix.
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
     }
 
     /// The serialized bytes.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
     }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
-/// Checked little-endian snapshot reader over a byte slice.
+/// Checked little-endian reader over a byte slice.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     data: &'a [u8],
@@ -259,25 +216,18 @@ impl<'a> SnapReader<'a> {
         SnapReader { data, pos: 0 }
     }
 
-    /// Validates the header written by [`SnapWriter::put_header`] against
-    /// this binary's schema and the restoring machine's config hash.
-    pub fn check_header(&mut self, expected_config_hash: u64) -> Result<(), SnapError> {
-        let magic = self.take(8, "magic")?;
-        if magic != MAGIC {
+    /// Reads what [`SnapWriter::put_magic`] wrote, refusing another magic
+    /// ([`SnapError::BadMagic`]) or another version
+    /// ([`SnapError::SchemaMismatch`]).
+    pub fn expect_magic(&mut self, magic: &[u8; 8], version: u32) -> Result<(), SnapError> {
+        if self.take(8, "magic")? != magic {
             return Err(SnapError::BadMagic);
         }
-        let schema = self.get_u32()?;
-        if schema != SCHEMA_VERSION {
+        let found = self.get_u32()?;
+        if found != version {
             return Err(SnapError::SchemaMismatch {
-                found: schema,
-                expected: SCHEMA_VERSION,
-            });
-        }
-        let config = self.get_u64()?;
-        if config != expected_config_hash {
-            return Err(SnapError::ConfigMismatch {
-                found: config,
-                expected: expected_config_hash,
+                found,
+                expected: version,
             });
         }
         Ok(())
@@ -319,7 +269,7 @@ impl<'a> SnapReader<'a> {
 
     /// Reads an element count that will drive a pre-sized allocation.
     /// Validates the count against the bytes actually remaining in the
-    /// image (each element needs at least `min_elem_bytes` to encode), so a
+    /// input (each element needs at least `min_elem_bytes` to encode), so a
     /// corrupt length field yields [`SnapError::Corrupt`] instead of an
     /// attempt to allocate terabytes.
     ///
@@ -374,75 +324,9 @@ impl<'a> SnapReader<'a> {
         })
     }
 
-    /// Copies a fixed-size run of raw bytes (written via `put_raw`).
-    pub fn get_raw(&mut self, out: &mut [u8]) -> Result<(), SnapError> {
-        let b = self.take(out.len(), "raw bytes")?;
-        out.copy_from_slice(b);
-        Ok(())
-    }
-
-    /// Opens the named section, verifying the name matches; returns the
-    /// byte offset where the section must end.
-    pub fn begin_section(&mut self, name: &str) -> Result<usize, SnapError> {
-        let found = self.get_str()?;
-        if found != name {
-            return Err(SnapError::Corrupt {
-                what: format!("expected section `{name}`, found `{found}`"),
-            });
-        }
-        let len = self.get_usize()?;
-        let end = self.pos.checked_add(len).filter(|&e| e <= self.data.len());
-        end.ok_or(SnapError::Truncated {
-            what: "section body",
-        })
-    }
-
-    /// Closes a section, verifying the reader consumed exactly its bytes.
-    pub fn end_section(&mut self, end: usize) -> Result<(), SnapError> {
-        if self.pos != end {
-            return Err(SnapError::Corrupt {
-                what: format!(
-                    "section length mismatch: reader at byte {}, section ends at {end}",
-                    self.pos
-                ),
-            });
-        }
-        Ok(())
-    }
-
     /// Bytes left unread.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
-    }
-
-    /// Reads a count that must equal `expected`: a length the restoring
-    /// machine's config fixes, so a mismatch means the wrong machine.
-    pub fn get_len(&mut self, expected: usize, what: &str) -> Result<(), SnapError> {
-        let n = self.get_usize()?;
-        if n != expected {
-            return Err(SnapError::Corrupt {
-                what: format!("snapshot has {n} {what}, machine has {expected}"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Reads the presence flag of state that exists only when the config
-    /// arms it: a flag that disagrees with `armed` means the wrong machine.
-    pub fn get_armed(&mut self, armed: bool, what: &str) -> Result<(), SnapError> {
-        if self.get_bool()? != armed {
-            return Err(SnapError::Corrupt {
-                what: format!("{what} presence differs from config"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Reads a config-length sequence in place: its count, which must
-    /// equal `dst.len()` ([`SnapReader::get_len`]), then the items.
-    pub fn get_exact<T: Codec>(&mut self, dst: &mut [T], what: &str) -> Result<(), SnapError> {
-        self.get_len(dst.len(), what)?;
-        dst.iter_mut().try_for_each(|v| v.get_into(self))
     }
 
     /// Errors unless every byte of the input was read: `what` names the
@@ -457,27 +341,6 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-impl SnapWriter {
-    /// Appends raw bytes with no length prefix (pair with
-    /// [`SnapReader::get_raw`]).
-    pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-}
-
-/// A component whose mutable run-state can round-trip through a snapshot.
-///
-/// `save`/`load` cover only state that evolves during a run; configuration
-/// and construction-time wiring are re-derived by rebuilding the component
-/// from the same config before calling `load`.
-pub trait Snapshot {
-    /// Appends this component's state to the writer.
-    fn save(&self, w: &mut SnapWriter);
-    /// Restores this component's state from the reader. On error the
-    /// component may be partially loaded and must be discarded.
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
-}
-
 /// A value with one wire encoding, which both directions read from one
 /// description: [`Codec::put`] appends it, [`Codec::get`] decodes it and
 /// returns a typed [`SnapError`] on malformed input, never a panic.
@@ -486,15 +349,14 @@ pub trait Snapshot {
 /// little-endian integers, `usize` as `u64`, `bool` as one strict 0/1
 /// byte, `f64` as its bits, `String` as a `u64` length plus UTF-8 bytes,
 /// arrays and tuples as their items in order, `Option` as a `bool` plus
-/// the value, `Vec`/`VecDeque`/sets as a `usize` count plus items, and
-/// maps as a count plus `(key, value)` pairs sorted by key. Structs and
-/// enums declare theirs with [`codec!`]. Components built from config
-/// implement [`Snapshot`] instead and load in place.
+/// the value, `Vec` as a `usize` count plus items, and `BTreeMap` as a count
+/// plus `(key, value)` pairs in key order. Structs and enums declare theirs
+/// with [`codec!`].
 ///
-/// **Any change to what an impl or a `codec!` list writes is a schema
-/// change: bump [`SCHEMA_VERSION`] and document it in DESIGN.md §8.** The
-/// digest golden `crates/core/tests/goldens/snapshot_digests.txt` fails
-/// on any moved byte.
+/// **Any change to what an impl or a `codec!` list writes moves the bytes
+/// of the sweep's `.rpt` cache entries or of replay bundles.** The digest
+/// golden `crates/core/tests/goldens/snapshot_digests.txt` fails on any
+/// moved byte; bump the envelope's version with it.
 pub trait Codec: Sized {
     /// A lower bound on the encoded size, which collection decoders check
     /// a count against before they allocate for it.
@@ -505,26 +367,6 @@ pub trait Codec: Sized {
 
     /// Decodes a value written by [`Codec::put`].
     fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
-
-    /// Decodes into `self`. Collections override it to keep their
-    /// allocation, so a component loaded in place keeps its configured
-    /// capacity.
-    fn get_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        *self = Self::get(r)?;
-        Ok(())
-    }
-
-    /// Appends `items` back to back; `u8` writes them as one raw run.
-    #[doc(hidden)]
-    fn put_all(items: &[Self], w: &mut SnapWriter) {
-        items.iter().for_each(|v| v.put(w));
-    }
-
-    /// Decodes `items.len()` values into `items`.
-    #[doc(hidden)]
-    fn get_all(items: &mut [Self], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        items.iter_mut().try_for_each(|v| v.get_into(r))
-    }
 }
 
 /// Fixed-width values: `MIN_BYTES` is the exact width (a `usize` is
@@ -544,26 +386,12 @@ macro_rules! prim_codec {
 }
 
 prim_codec! {
+    u8 = 1: put_u8, get_u8;
     u32 = 4: put_u32, get_u32;
     u64 = 8: put_u64, get_u64;
     usize = 8: put_usize, get_usize;
     f64 = 8: put_f64, get_f64;
     bool = 1: put_bool, get_bool;
-}
-
-impl Codec for u8 {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u8(*self);
-    }
-    fn get(r: &mut SnapReader<'_>) -> Result<u8, SnapError> {
-        r.get_u8()
-    }
-    fn put_all(items: &[u8], w: &mut SnapWriter) {
-        w.put_raw(items);
-    }
-    fn get_all(items: &mut [u8], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.get_raw(items)
-    }
 }
 
 impl Codec for String {
@@ -579,22 +407,14 @@ impl Codec for String {
 impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
     const MIN_BYTES: usize = N * T::MIN_BYTES;
     fn put(&self, w: &mut SnapWriter) {
-        T::put_all(self, w);
+        self.iter().for_each(|v| v.put(w));
     }
     fn get(r: &mut SnapReader<'_>) -> Result<[T; N], SnapError> {
         let mut a = [T::default(); N];
-        T::get_all(&mut a, r)?;
+        for v in &mut a {
+            *v = T::get(r)?;
+        }
         Ok(a)
-    }
-}
-
-impl<T: Codec> Codec for Box<T> {
-    const MIN_BYTES: usize = T::MIN_BYTES;
-    fn put(&self, w: &mut SnapWriter) {
-        (**self).put(w);
-    }
-    fn get(r: &mut SnapReader<'_>) -> Result<Box<T>, SnapError> {
-        T::get(r).map(Box::new)
     }
 }
 
@@ -634,40 +454,20 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
-/// `Vec`, `VecDeque` and sets: a `usize` count, bounded by the bytes left
-/// before anything is allocated, then the items in iteration order.
-macro_rules! seq_codec {
-    ($($seq:ident<T $(: $bound:ident)?>, $push:ident;)*) => {$(
-        impl<T: Codec $(+ $bound)?> Codec for $seq<T> {
-            const MIN_BYTES: usize = 8;
-            fn put(&self, w: &mut SnapWriter) {
-                w.put_usize(self.len());
-                self.iter().for_each(|v| v.put(w));
-            }
-            fn get(r: &mut SnapReader<'_>) -> Result<$seq<T>, SnapError> {
-                let mut s = $seq::new();
-                s.get_into(r)?;
-                Ok(s)
-            }
-            fn get_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-                self.clear();
-                for _ in 0..r.get_count(T::MIN_BYTES)? {
-                    self.$push(T::get(r)?);
-                }
-                Ok(())
-            }
-        }
-    )*};
+/// A `usize` count, bounded by the bytes left before anything is
+/// allocated, then the items in order.
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_usize(self.len());
+        self.iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Vec<T>, SnapError> {
+        (0..r.get_count(T::MIN_BYTES)?).map(|_| T::get(r)).collect()
+    }
 }
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-
-seq_codec! {
-    Vec<T>, push;
-    VecDeque<T>, push_back;
-    BTreeSet<T: Ord>, insert;
-}
-
+/// A `usize` count, then the `(key, value)` pairs in key order.
 impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
     const MIN_BYTES: usize = 8;
     fn put(&self, w: &mut SnapWriter) {
@@ -678,49 +478,9 @@ impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
         }
     }
     fn get(r: &mut SnapReader<'_>) -> Result<BTreeMap<K, V>, SnapError> {
-        let mut m = BTreeMap::new();
-        m.get_into(r)?;
-        Ok(m)
-    }
-    fn get_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.clear();
-        for _ in 0..r.get_count(K::MIN_BYTES + V::MIN_BYTES)? {
-            let (k, v) = Codec::get(r)?;
-            self.insert(k, v);
-        }
-        Ok(())
-    }
-}
-
-/// Pairs sorted by key, so the bytes do not depend on insertion history.
-impl<K, V, S> Codec for HashMap<K, V, S>
-where
-    K: Codec + Ord + std::hash::Hash,
-    V: Codec,
-    S: std::hash::BuildHasher + Default,
-{
-    const MIN_BYTES: usize = 8;
-    fn put(&self, w: &mut SnapWriter) {
-        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
-        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        w.put_usize(pairs.len());
-        for (k, v) in pairs {
-            k.put(w);
-            v.put(w);
-        }
-    }
-    fn get(r: &mut SnapReader<'_>) -> Result<HashMap<K, V, S>, SnapError> {
-        let mut m = HashMap::default();
-        m.get_into(r)?;
-        Ok(m)
-    }
-    fn get_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.clear();
-        for _ in 0..r.get_count(K::MIN_BYTES + V::MIN_BYTES)? {
-            let (k, v) = Codec::get(r)?;
-            self.insert(k, v);
-        }
-        Ok(())
+        (0..r.get_count(K::MIN_BYTES + V::MIN_BYTES)?)
+            .map(|_| Codec::get(r))
+            .collect()
     }
 }
 
@@ -803,17 +563,21 @@ macro_rules! codec {
     };
 }
 
-/// Writes snapshot bytes to `path` atomically: the bytes land in a
-/// same-directory temp file which is fsynced and renamed over `path`, so a
-/// crash mid-write can never leave a torn file under the final name — a
-/// reader sees either the old complete image or the new one. (Header and
-/// section checks would *detect* a torn file, but a sweep's cache entry or
-/// manifest must never be a half-written one.)
+/// Writes `bytes` to `path` atomically: the bytes land in a same-directory
+/// temp file which is fsynced and renamed over `path`, so a crash mid-write
+/// can never leave a torn file under the final name — a reader sees either
+/// the old complete file or the new one. (Decoders would *detect* a torn
+/// file, but a sweep's cache entry or manifest must never be a half-written
+/// one.)
 pub fn write_file(path: &std::path::Path, bytes: &[u8]) -> Result<(), SnapError> {
     use std::io::Write;
+    // A temp name per write, so two threads of one process storing the
+    // same path never share a temp file.
+    static WRITES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = WRITES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let io = |e: &std::io::Error| SnapError::Io(format!("{}: {e}", path.display()));
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
+    tmp.push(format!(".tmp.{}.{n}", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp);
     let result = (|| {
         let mut f = std::fs::File::create(&tmp).map_err(|e| io(&e))?;
@@ -827,7 +591,7 @@ pub fn write_file(path: &std::path::Path, bytes: &[u8]) -> Result<(), SnapError>
     result
 }
 
-/// Reads snapshot bytes from `path`.
+/// Reads the bytes of `path`.
 pub fn read_file(path: &std::path::Path) -> Result<Vec<u8>, SnapError> {
     std::fs::read(path).map_err(|e| SnapError::Io(format!("{}: {e}", path.display())))
 }
@@ -881,17 +645,14 @@ mod tests {
         let mut s = SnapWriter::new();
         s.put_str("hé");
         assert_eq!(encode(&"hé".to_string()), s.into_vec());
-        let v: VecDeque<u8> = [4, 5].into();
-        assert_eq!(encode(&v), [2, 0, 0, 0, 0, 0, 0, 0, 4, 5]);
-        // Hash maps write their pairs sorted by key, whatever the order of
+        assert_eq!(encode(&vec![4u8, 5]), [2, 0, 0, 0, 0, 0, 0, 0, 4, 5]);
+        // Maps write their pairs in key order, whatever the order of
         // insertion, and decode to an equal map.
-        let m: HashMap<u8, bool> = [(3, true), (1, false), (2, true)].into();
+        let m: BTreeMap<u8, bool> = [(3, true), (1, false), (2, true)].into();
         let bytes = encode(&m);
         assert_eq!(bytes[8..], [1, 0, 2, 1, 3, 1]);
-        let back: HashMap<u8, bool> = Codec::get(&mut SnapReader::new(&bytes)).unwrap();
+        let back: BTreeMap<u8, bool> = Codec::get(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(back, m);
-        let b: BTreeMap<u8, bool> = m.into_iter().collect();
-        assert_eq!(encode(&b), bytes);
     }
 
     #[test]
@@ -952,67 +713,51 @@ mod tests {
     }
 
     #[test]
-    fn sections_verify_name_and_length() {
-        let mut w = SnapWriter::new();
-        let s = w.begin_section("cpu");
-        w.put_u64(3);
-        w.end_section(s);
-        let bytes = w.into_vec();
-
-        // Happy path.
-        let mut r = SnapReader::new(&bytes);
-        let end = r.begin_section("cpu").unwrap();
-        assert_eq!(r.get_u64().unwrap(), 3);
-        r.end_section(end).unwrap();
-
-        // Wrong name.
-        let mut r = SnapReader::new(&bytes);
-        assert!(matches!(
-            r.begin_section("mem"),
-            Err(SnapError::Corrupt { .. })
-        ));
-
-        // Under-consumed section.
-        let mut r = SnapReader::new(&bytes);
-        let end = r.begin_section("cpu").unwrap();
-        assert!(matches!(r.end_section(end), Err(SnapError::Corrupt { .. })));
-    }
-
-    #[test]
     fn header_mismatches_are_typed() {
+        const MAGIC: [u8; 8] = *b"CCSVTEST";
         let mut w = SnapWriter::new();
-        w.put_header(0x1234);
+        w.put_magic(&MAGIC, 3);
         let good = w.into_vec();
-        assert!(SnapReader::new(&good).check_header(0x1234).is_ok());
+        assert!(SnapReader::new(&good).expect_magic(&MAGIC, 3).is_ok());
         assert_eq!(
-            SnapReader::new(&good).check_header(0x9999),
-            Err(SnapError::ConfigMismatch {
-                found: 0x1234,
-                expected: 0x9999
+            SnapReader::new(&good).expect_magic(&MAGIC, 4),
+            Err(SnapError::SchemaMismatch {
+                found: 3,
+                expected: 4
             })
         );
-
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
         assert_eq!(
-            SnapReader::new(&bad_magic).check_header(0x1234),
+            SnapReader::new(&good).expect_magic(b"CCSVELSE", 3),
             Err(SnapError::BadMagic)
         );
-
-        let mut bad_schema = good.clone();
-        bad_schema[8..12].copy_from_slice(&(SCHEMA_VERSION + 1).to_le_bytes());
-        assert_eq!(
-            SnapReader::new(&bad_schema).check_header(0x1234),
-            Err(SnapError::SchemaMismatch {
-                found: SCHEMA_VERSION + 1,
-                expected: SCHEMA_VERSION
-            })
-        );
-
         assert!(matches!(
-            SnapReader::new(&good[..4]).check_header(0x1234),
+            SnapReader::new(&good[..4]).expect_magic(&MAGIC, 3),
             Err(SnapError::Truncated { .. })
         ));
+        assert!(matches!(
+            SnapReader::new(&good[..10]).expect_magic(&MAGIC, 3),
+            Err(SnapError::Truncated { .. })
+        ));
+    }
+
+    /// Threads of one process writing the same path never trip over each
+    /// other's temp file: every write succeeds and leaves a whole file.
+    #[test]
+    fn concurrent_writes_to_one_path_all_succeed() {
+        let path = std::env::temp_dir().join(format!("ccsvm-snap-race-{}", std::process::id()));
+        std::thread::scope(|s| {
+            for t in 0..4u8 {
+                let path = &path;
+                s.spawn(move || {
+                    for _ in 0..10 {
+                        write_file(path, &[t; 64]).expect("concurrent write");
+                    }
+                });
+            }
+        });
+        let bytes = read_file(&path).unwrap();
+        assert!(bytes.len() == 64 && bytes.iter().all(|&b| b == bytes[0]));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

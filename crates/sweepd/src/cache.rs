@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 
 use ccsvm::RunReport;
-use ccsvm_snap::{fnv1a, read_file, write_file, Codec, SnapError, SnapReader, SnapWriter};
+use ccsvm_snap::{fnv1a, read_file, write_file, SnapError, SnapReader, SnapWriter};
 
 /// Cache entry magic.
 pub const CACHE_MAGIC: [u8; 8] = *b"CCSVRPRT";
@@ -45,8 +45,7 @@ impl ReportCache {
     /// canonical report bytes with a trailing FNV-1a of everything before it.
     fn encode(key: u64, config_hash: u64, report: &RunReport) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.put_raw(&CACHE_MAGIC);
-        w.put_u32(CACHE_VERSION);
+        w.put_magic(&CACHE_MAGIC, CACHE_VERSION);
         w.put_u64(config_hash);
         w.put_u64(key);
         w.put_bytes(&report.to_bytes());
@@ -74,17 +73,7 @@ impl ReportCache {
         }
         let bytes = read_file(&path)?;
         let mut r = SnapReader::new(&bytes);
-        let magic: [u8; 8] = Codec::get(&mut r)?;
-        if magic != CACHE_MAGIC {
-            return Err(SnapError::BadMagic);
-        }
-        let version = r.get_u32()?;
-        if version != CACHE_VERSION {
-            return Err(SnapError::SchemaMismatch {
-                found: version,
-                expected: CACHE_VERSION,
-            });
-        }
+        r.expect_magic(&CACHE_MAGIC, CACHE_VERSION)?;
         let got_cfg = r.get_u64()?;
         if got_cfg != config_hash {
             return Err(SnapError::ConfigMismatch {

@@ -13,9 +13,11 @@
 //!
 //! Everything is keyed off the campaign seed: cells, shrink probes, and
 //! replays are deterministic, so the manifest written to `<dir>/manifest.txt`
-//! is byte-identical across re-runs. Completed cell reports are stored in
-//! the sweep [`ReportCache`], which also dedupes the shrink loop's repeated
-//! probes of identical candidate plans.
+//! is byte-identical across re-runs and at any `threads` count. The cells
+//! run in one [`sweep`]; shrink probes run one after another, each
+//! depending on the last. Completed cell reports are stored in the sweep
+//! [`ReportCache`], which also dedupes the shrink loop's repeated probes of
+//! identical candidate plans.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -27,7 +29,7 @@ use ccsvm::{
 use ccsvm_engine::{CampaignDomain, PlanSpec};
 
 use crate::cache::ReportCache;
-use crate::run::{run_job, MANIFEST_FILE};
+use crate::run::{run_job, sweep, MANIFEST_FILE};
 use crate::spec::source_for;
 use crate::SweepError;
 
@@ -92,8 +94,8 @@ pub struct CampaignSpec {
     pub mutation_cell: bool,
     /// Shrinking floor: halving an intensity below this removes the entry.
     pub shrink_floor: f64,
-    /// Checkpoint cadence for the triage capture of failing cells.
-    pub checkpoint_every: Time,
+    /// Host threads the cells run on (the manifest does not depend on it).
+    pub threads: usize,
 }
 
 impl Default for CampaignSpec {
@@ -110,7 +112,7 @@ impl Default for CampaignSpec {
             retry_budget: 8,
             mutation_cell: true,
             shrink_floor: 0.01,
-            checkpoint_every: Time::from_us(2),
+            threads: 1,
         }
     }
 }
@@ -290,9 +292,8 @@ fn capture_and_replay(
     let cfg = spec.cell_config(protocol, minimal, mutate)?;
     let preset = spec.preset.clone();
     let src = source.to_string();
-    let every = spec.checkpoint_every;
     let triaged = catch_unwind(AssertUnwindSafe(move || {
-        run_with_triage(&cfg, &preset, &src, every)
+        run_with_triage(&cfg, &preset, &src)
     }));
     let bundle = match triaged {
         Ok(Ok(t)) => t.bundle,
@@ -312,10 +313,21 @@ fn capture_and_replay(
     Ok((Some(path), Some(reproduced)))
 }
 
-/// Runs the whole campaign into `dir`: the grid, the optional mutation
-/// cell, shrinking + capture for every failing cell, and the deterministic
-/// manifest. Never aborts on a failing *cell* — only on infrastructure
-/// errors (bad spec, I/O).
+/// A campaign cell, built before any cell runs.
+struct PlannedCell {
+    label: String,
+    protocol: ProtocolKind,
+    workload: String,
+    cfg: SystemConfig,
+    source: String,
+    plan: PlanSpec,
+    mutate: Option<Mutation>,
+}
+
+/// Runs the whole campaign into `dir`: the grid and the optional mutation
+/// cell (one [`sweep`] on `spec.threads` host threads), shrinking + capture
+/// for every failing cell, and the deterministic manifest. Never aborts on
+/// a failing *cell* — only on infrastructure errors (bad spec, I/O).
 pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, SweepError> {
     if spec.protocols.is_empty() || spec.workloads.is_empty() || spec.domains.is_empty() {
         return Err(SweepError::Spec("empty campaign axis".into()));
@@ -326,26 +338,30 @@ pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, 
         .ok_or_else(|| SweepError::Spec(format!("unknown preset {:?}", spec.preset)))?
         .mttop_threads();
 
-    let mut cells = Vec::new();
     // One cell per protocol × workload × domain, each with a single-domain
-    // plan at the campaign intensity.
+    // plan at the campaign intensity, then the mutation cell: a known-bad
+    // recovery layer (CorruptResendEpoch) under a deliberately fat
+    // multi-domain plan, so shrinking has real work to do — the expected
+    // minimal plan is the probe-loss entry alone.
+    let mut planned = Vec::new();
     for &protocol in &spec.protocols {
         for workload in &spec.workloads {
             let source = campaign_source(workload, spec.size, spec.seed, chip)?;
             for &domain in &spec.domains {
                 let mut plan = PlanSpec::new(vec![(domain, spec.intensity)], Some(spec.timeout));
                 plan.retry_budget = spec.retry_budget;
-                let cfg = spec.cell_config(protocol, &plan, None)?;
-                let run = run_job(&cache, &cfg, &source)?.result;
-                let label = format!("{}-{}-{}", protocol.as_str(), workload, domain.name());
-                cells.push(classify(label, protocol, workload, plan, run, None));
+                planned.push(PlannedCell {
+                    label: format!("{}-{}-{}", protocol.as_str(), workload, domain.name()),
+                    protocol,
+                    workload: workload.clone(),
+                    cfg: spec.cell_config(protocol, &plan, None)?,
+                    source: source.clone(),
+                    plan,
+                    mutate: None,
+                });
             }
         }
     }
-
-    // The mutation cell: a known-bad recovery layer (CorruptResendEpoch)
-    // under a deliberately fat multi-domain plan, so shrinking has real
-    // work to do — the expected minimal plan is the probe-loss entry alone.
     let mutation = Mutation {
         kind: MutationKind::CorruptResendEpoch,
         nth: 1,
@@ -360,18 +376,25 @@ pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, 
             Some(spec.timeout),
         );
         plan.retry_budget = 32;
-        let source = campaign_source("pingpong", spec.size, spec.seed, chip)?;
-        let cfg = spec.cell_config(ProtocolKind::MesiSnoop, &plan, Some(mutation))?;
-        let run = run_job(&cache, &cfg, &source)?.result;
-        cells.push(classify(
-            "mutation-corrupt-resend".into(),
-            ProtocolKind::MesiSnoop,
-            "pingpong",
+        let protocol = ProtocolKind::MesiSnoop;
+        planned.push(PlannedCell {
+            label: "mutation-corrupt-resend".into(),
+            protocol,
+            workload: "pingpong".into(),
+            cfg: spec.cell_config(protocol, &plan, Some(mutation))?,
+            source: campaign_source("pingpong", spec.size, spec.seed, chip)?,
             plan,
-            run,
-            Some(mutation),
-        ));
+            mutate: Some(mutation),
+        });
     }
+    let runs = sweep(planned.len(), spec.threads.max(1), |i| {
+        run_job(&cache, &planned[i].cfg, &planned[i].source)
+    });
+    let cells = planned
+        .into_iter()
+        .zip(runs)
+        .map(|(cell, run)| Ok(classify(cell, run?.result)))
+        .collect::<Result<Vec<_>, SweepError>>()?;
 
     // Shrink + capture every failing cell.
     let mut shrinks = Vec::new();
@@ -426,21 +449,14 @@ pub fn run_campaign(spec: &CampaignSpec, dir: &Path) -> Result<CampaignSummary, 
     })
 }
 
-fn classify(
-    label: String,
-    protocol: ProtocolKind,
-    workload: &str,
-    plan: PlanSpec,
-    run: Result<RunReport, String>,
-    mutate: Option<Mutation>,
-) -> CellReport {
+fn classify(cell: PlannedCell, run: Result<RunReport, String>) -> CellReport {
     let (report, panic, status) = match run {
         Err(msg) => (None, Some(msg), CellStatus::Panicked),
         // A mutated cell is *supposed* to fail: it is always routed through
         // shrinking + capture, and its contract (an invariant violation
         // whose bundle replays) is checked by the campaign's caller.
         Ok(r) => {
-            let status = if mutate.is_none() && acceptable(&plan, r.outcome) {
+            let status = if cell.mutate.is_none() && acceptable(&cell.plan, r.outcome) {
                 CellStatus::Ok
             } else {
                 CellStatus::Failing
@@ -449,10 +465,10 @@ fn classify(
         }
     };
     CellReport {
-        label,
-        protocol,
-        workload: workload.to_string(),
-        plan,
+        label: cell.label,
+        protocol: cell.protocol,
+        workload: cell.workload,
+        plan: cell.plan,
         report,
         panic,
         status,
@@ -582,6 +598,12 @@ mod tests {
         // Re-running (now fully cache-hit) renders the identical manifest.
         let b = run_campaign(&spec, &dir).unwrap();
         assert_eq!(std::fs::read(&b.manifest_path).unwrap(), first);
+        // So does a cold run of the same grid on two host threads.
+        let dir2 = tmpdir("grid-threads");
+        let spec2 = CampaignSpec { threads: 2, ..spec };
+        let c = run_campaign(&spec2, &dir2).unwrap();
+        assert_eq!(std::fs::read(&c.manifest_path).unwrap(), first);
+        let _ = std::fs::remove_dir_all(&dir2);
         let text = String::from_utf8(first).unwrap();
         assert!(text.starts_with("ccsvm-campaign v1\n"));
         assert!(text.contains("total=4 ok=4 failing=0 panicked=0"));

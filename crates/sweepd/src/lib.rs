@@ -51,7 +51,7 @@ pub enum SweepError {
         /// The underlying error message.
         err: String,
     },
-    /// A snapshot, cache, or bundle codec operation failed.
+    /// A cache or bundle codec operation failed.
     Snap(SnapError),
     /// The sweep spec is unusable (unknown preset/workload, empty axes).
     Spec(String),

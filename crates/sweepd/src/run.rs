@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use ccsvm::{
-    config_hash, run_with_triage, Machine, Outcome, RunReport, SystemConfig, Time, TriageResult,
+    config_hash, run_with_triage, Machine, Outcome, RunReport, SystemConfig, TriageResult,
 };
 use ccsvm_snap::{fnv1a, write_file};
 
@@ -25,10 +25,6 @@ use crate::SweepError;
 
 /// Name of the manifest inside a sweep or campaign directory.
 pub const MANIFEST_FILE: &str = "manifest.txt";
-
-/// Checkpoint cadence of the triage run that captures a poisoned job's
-/// replay bundle (DESIGN §9.3).
-const TRIAGE_EVERY: Time = Time::from_us(2);
 
 /// The cache key of a job: FNV-1a of its config hash followed by its source.
 pub fn job_key(cfg_hash: u64, source: &str) -> u64 {
@@ -239,7 +235,7 @@ fn capture_bundle(
     }
     eprintln!("sweepd: {} did not complete; poisoned", job.label);
     let triaged = catch_unwind(AssertUnwindSafe(|| {
-        run_with_triage(cfg, preset, &job.source, TRIAGE_EVERY)
+        run_with_triage(cfg, preset, &job.source)
     }));
     match triaged {
         Ok(Ok(TriageResult {

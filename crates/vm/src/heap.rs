@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use ccsvm_snap::Codec;
-
 use crate::walk::VirtAddr;
 
 /// First-fit guest-heap allocator over a fixed virtual range.
@@ -121,20 +119,6 @@ impl GuestHeap {
     }
 }
 
-impl ccsvm_snap::Snapshot for GuestHeap {
-    fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        // `base`/`len`/`align` are construction parameters (config-derived)
-        // and not serialized.
-        self.free.put(w);
-        self.live.put(w);
-    }
-
-    fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.free.get_into(r)?;
-        self.live.get_into(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,26 +184,29 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "slow-tests"))]
-mod proptests {
+/// Seeded property runs over malloc/free sequences.
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use ccsvm_engine::SplitMix64;
 
-    proptest! {
-        /// Random malloc/free sequences never hand out overlapping regions,
-        /// and freeing everything restores full capacity.
-        #[test]
-        fn no_overlap_and_full_recovery(ops in proptest::collection::vec(1u64..200, 1..60)) {
+    /// Random malloc/free sequences never hand out overlapping regions,
+    /// and freeing everything restores full capacity.
+    #[test]
+    fn no_overlap_and_full_recovery() {
+        let mut rng = SplitMix64::new(0x4EA9);
+        for _ in 0..256 {
             let mut h = GuestHeap::new(VirtAddr(0x1000), 16 * 1024);
             let mut live: Vec<(u64, u64)> = Vec::new();
-            for (i, &sz) in ops.iter().enumerate() {
+            for i in 0..1 + rng.next_below(59) as usize {
+                let sz = 1 + rng.next_below(199);
                 if i % 3 == 2 && !live.is_empty() {
                     let (addr, _) = live.swap_remove(i % live.len());
                     h.free(VirtAddr(addr));
                 } else if let Some(a) = h.malloc(sz) {
                     let rounded = h.size_of(a).unwrap();
                     for &(s, l) in &live {
-                        prop_assert!(a.0 + rounded <= s || s + l <= a.0, "overlap");
+                        assert!(a.0 + rounded <= s || s + l <= a.0, "overlap");
                     }
                     live.push((a.0, rounded));
                 }
@@ -227,8 +214,8 @@ mod proptests {
             for (addr, _) in live.drain(..) {
                 h.free(VirtAddr(addr));
             }
-            prop_assert_eq!(h.live_bytes(), 0);
-            prop_assert!(h.malloc(16 * 1024).is_some());
+            assert_eq!(h.live_bytes(), 0);
+            assert!(h.malloc(16 * 1024).is_some());
         }
     }
 }

@@ -14,7 +14,6 @@
 
 use ccsvm_engine::FxHashMap;
 use ccsvm_mem::PhysAddr;
-use ccsvm_snap::Codec;
 
 use crate::walk::{VirtAddr, PAGE_BYTES, PTE_PRESENT};
 
@@ -199,31 +198,6 @@ impl OsLite {
     /// Number of demand-paging faults handled.
     pub fn faults_handled(&self) -> u64 {
         self.faults_handled
-    }
-}
-
-ccsvm_snap::codec!(struct PteWrite { addr, value });
-
-impl ccsvm_snap::Snapshot for OsLite {
-    fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        // `phys_end` is a construction parameter (config-derived) and not
-        // serialized. `free_frames` keeps its LIFO order.
-        self.next_frame.put(w);
-        self.free_frames.put(w);
-        self.mirror.put(w);
-        self.root.put(w);
-        self.pages.put(w);
-        self.faults_handled.put(w);
-    }
-
-    fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        self.next_frame = Codec::get(r)?;
-        self.free_frames.get_into(r)?;
-        self.mirror.get_into(r)?;
-        self.root = Codec::get(r)?;
-        self.pages.get_into(r)?;
-        self.faults_handled = Codec::get(r)?;
-        Ok(())
     }
 }
 

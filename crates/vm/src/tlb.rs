@@ -2,7 +2,6 @@
 
 use ccsvm_engine::Stats;
 use ccsvm_mem::PhysAddr;
-use ccsvm_snap::Codec;
 
 use crate::walk::VirtAddr;
 
@@ -33,8 +32,8 @@ pub struct Tlb {
     /// Direct-mapped position hints: `memo[memo_slot(vpn)]` is the index in
     /// `entries` where that page was last found. Purely a host-side lookup
     /// accelerator: every hint is validated against the entry's `vpn` before
-    /// use, so stale hints (after `swap_remove`, flushes, or snapshot load)
-    /// simply fall back to the linear scan. Never serialized.
+    /// use, so stale hints (after `swap_remove` or flushes) simply fall back
+    /// to the linear scan.
     memo: [u32; MEMO_SLOTS],
     tick: u64,
     hits: u64,
@@ -221,54 +220,6 @@ impl Tlb {
             self.shootdown_invalidations as f64,
         );
         s
-    }
-}
-
-ccsvm_snap::codec!(struct Entry { vpn, frame, lru });
-
-impl ccsvm_snap::Snapshot for Tlb {
-    fn save(&self, w: &mut ccsvm_snap::SnapWriter) {
-        // Entry order matters (swap_remove eviction makes the Vec layout part
-        // of future behaviour), so entries are serialized in place.
-        self.capacity.put(w);
-        self.entries.put(w);
-        [
-            self.tick,
-            self.hits,
-            self.misses,
-            self.flushes,
-            self.shootdown_invalidations,
-        ]
-        .put(w);
-    }
-
-    fn load(&mut self, r: &mut ccsvm_snap::SnapReader<'_>) -> Result<(), ccsvm_snap::SnapError> {
-        let capacity = usize::get(r)?;
-        if capacity != self.capacity {
-            return Err(ccsvm_snap::SnapError::Corrupt {
-                what: format!(
-                    "snapshot TLB capacity {capacity} differs from configured {}",
-                    self.capacity
-                ),
-            });
-        }
-        self.entries.get_into(r)?;
-        if self.entries.len() > capacity {
-            return Err(ccsvm_snap::SnapError::Corrupt {
-                what: format!(
-                    "snapshot TLB holds {} entries, capacity {capacity}",
-                    self.entries.len()
-                ),
-            });
-        }
-        [
-            self.tick,
-            self.hits,
-            self.misses,
-            self.flushes,
-            self.shootdown_invalidations,
-        ] = Codec::get(r)?;
-        Ok(())
     }
 }
 

@@ -1,7 +1,6 @@
 //! Virtual addresses and the 4-level hardware page-table walk.
 
 use ccsvm_mem::PhysAddr;
-use ccsvm_snap::{Codec, SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
 /// Page size (x86 4 KiB pages).
@@ -163,25 +162,6 @@ impl Walk {
 /// Combines a frame base with the page offset of `va`.
 pub fn frame_plus_offset(frame: PhysAddr, va: VirtAddr) -> PhysAddr {
     PhysAddr(frame.0 + va.page_offset())
-}
-
-ccsvm_snap::codec!(struct VirtAddr(u64));
-
-/// An in-flight walk; a level outside the page table is corrupt.
-impl Codec for Walk {
-    fn put(&self, w: &mut SnapWriter) {
-        (self.va, self.level, self.table).put(w);
-    }
-
-    fn get(r: &mut SnapReader<'_>) -> Result<Walk, SnapError> {
-        let (va, level, table) = Codec::get(r)?;
-        if level >= LEVELS {
-            return Err(SnapError::Corrupt {
-                what: format!("walk level {level} out of range"),
-            });
-        }
-        Ok(Walk { va, level, table })
-    }
 }
 
 #[cfg(test)]

@@ -1,82 +1,64 @@
-// Needs `proptest` (network fetch); gated so the workspace tests pass
-// from a cold cargo cache. Enable with `--features slow-tests`.
-#![cfg(feature = "slow-tests")]
-
-//! Differential fuzzing of the compiler: generate random integer expression
+//! Differential fuzzing of the compiler: generate seeded integer expression
 //! trees, compile them, run them on the reference interpreter, and compare
 //! against direct evaluation in Rust. Catches codegen bugs in precedence,
 //! register-window management, immediate peepholes, and branch fusion.
 
+use ccsvm_engine::SplitMix64;
 use ccsvm_isa::{FlatMem, FuncOs, Interp};
-use proptest::prelude::*;
-use proptest::strategy::ValueTree;
 
 /// A generated expression: its XC source and its Rust-evaluated value given
 /// variables a, b, c.
-#[derive(Clone, Debug)]
 struct GenExpr {
     src: String,
     eval: i64,
 }
 
-fn leaf(a: i64, b: i64, c: i64) -> impl Strategy<Value = GenExpr> {
-    prop_oneof![
-        (-100i64..100).prop_map(|v| GenExpr {
-            src: format!("{v}"),
-            eval: v
-        }),
-        Just(GenExpr {
-            src: "a".into(),
-            eval: a
-        }),
-        Just(GenExpr {
-            src: "b".into(),
-            eval: b
-        }),
-        Just(GenExpr {
-            src: "c".into(),
-            eval: c
-        }),
-    ]
+/// A value in `lo..hi`.
+fn between(rng: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
+    lo + rng.next_below((hi - lo) as u64) as i64
 }
 
-fn expr(a: i64, b: i64, c: i64) -> impl Strategy<Value = GenExpr> {
-    leaf(a, b, c).prop_recursive(4, 32, 3, |inner| {
-        (inner.clone(), inner.clone(), 0usize..12).prop_map(|(l, r, op)| {
-            let (sym, val): (&str, i64) = match op {
-                0 => ("+", l.eval.wrapping_add(r.eval)),
-                1 => ("-", l.eval.wrapping_sub(r.eval)),
-                2 => ("*", l.eval.wrapping_mul(r.eval)),
-                3 => (
-                    "/",
-                    if r.eval == 0 {
-                        0
-                    } else {
-                        l.eval.wrapping_div(r.eval)
-                    },
-                ),
-                4 => (
-                    "%",
-                    if r.eval == 0 {
-                        l.eval
-                    } else {
-                        l.eval.wrapping_rem(r.eval)
-                    },
-                ),
-                5 => ("&", l.eval & r.eval),
-                6 => ("|", l.eval | r.eval),
-                7 => ("^", l.eval ^ r.eval),
-                8 => ("<", (l.eval < r.eval) as i64),
-                9 => ("<=", (l.eval <= r.eval) as i64),
-                10 => ("==", (l.eval == r.eval) as i64),
-                _ => ("!=", (l.eval != r.eval) as i64),
-            };
-            GenExpr {
-                src: format!("({} {sym} {})", l.src, r.src),
-                eval: val,
-            }
-        })
-    })
+/// A literal in -100..100 or one of the variables.
+fn leaf(rng: &mut SplitMix64, a: i64, b: i64, c: i64) -> GenExpr {
+    let (src, eval) = match rng.next_below(4) {
+        0 => {
+            let v = between(rng, -100, 100);
+            (format!("{v}"), v)
+        }
+        1 => ("a".into(), a),
+        2 => ("b".into(), b),
+        _ => ("c".into(), c),
+    };
+    GenExpr { src, eval }
+}
+
+/// A tree at most `depth` operators deep; each level is a leaf one time in
+/// three.
+fn expr(rng: &mut SplitMix64, depth: u32, a: i64, b: i64, c: i64) -> GenExpr {
+    if depth == 0 || rng.next_below(3) == 0 {
+        return leaf(rng, a, b, c);
+    }
+    let l = expr(rng, depth - 1, a, b, c);
+    let r = expr(rng, depth - 1, a, b, c);
+    let (sym, eval): (&str, i64) = match rng.next_below(12) {
+        0 => ("+", l.eval.wrapping_add(r.eval)),
+        1 => ("-", l.eval.wrapping_sub(r.eval)),
+        2 => ("*", l.eval.wrapping_mul(r.eval)),
+        // Division by zero follows the ISA's defined semantics.
+        3 => ("/", l.eval.checked_div(r.eval).unwrap_or(0)),
+        4 => ("%", l.eval.checked_rem(r.eval).unwrap_or(l.eval)),
+        5 => ("&", l.eval & r.eval),
+        6 => ("|", l.eval | r.eval),
+        7 => ("^", l.eval ^ r.eval),
+        8 => ("<", (l.eval < r.eval) as i64),
+        9 => ("<=", (l.eval <= r.eval) as i64),
+        10 => ("==", (l.eval == r.eval) as i64),
+        _ => ("!=", (l.eval != r.eval) as i64),
+    };
+    GenExpr {
+        src: format!("({} {sym} {})", l.src, r.src),
+        eval,
+    }
 }
 
 fn run_main(src: &str) -> i64 {
@@ -90,35 +72,17 @@ fn run_main(src: &str) -> i64 {
     t.regs[1] as i64
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// Compiled arithmetic equals Rust arithmetic (division-by-zero follows
-    /// the ISA's defined semantics, which the generator mirrors).
-    #[test]
-    fn compiled_expressions_match_rust(
-        a in -50i64..50,
-        b in -50i64..50,
-        c in 1i64..50,
-        seed in any::<u64>(),
-    ) {
-        // Use the seed to pick a deterministic expression via a nested
-        // runner (proptest strategies need a test runner to sample).
-        let mut runner = proptest::test_runner::TestRunner::new_with_rng(
-            proptest::test_runner::Config::default(),
-            proptest::test_runner::TestRng::from_seed(
-                proptest::test_runner::RngAlgorithm::ChaCha,
-                &{
-                    let mut s = [0u8; 32];
-                    s[..8].copy_from_slice(&seed.to_le_bytes());
-                    s
-                },
-            ),
+/// Compiled arithmetic equals Rust arithmetic.
+#[test]
+fn compiled_expressions_match_rust() {
+    let mut rng = SplitMix64::new(0xA217);
+    for _ in 0..200 {
+        let (a, b, c) = (
+            between(&mut rng, -50, 50),
+            between(&mut rng, -50, 50),
+            between(&mut rng, 1, 50),
         );
-        let g = expr(a, b, c)
-            .new_tree(&mut runner)
-            .expect("generate")
-            .current();
+        let g = expr(&mut rng, 4, a, b, c);
         let src = format!(
             "_CPU_ fn main() -> int {{
                 let a = {a};
@@ -128,18 +92,18 @@ proptest! {
             }}",
             g.src
         );
-        prop_assert_eq!(run_main(&src), g.eval, "source:\n{}", src);
+        assert_eq!(run_main(&src), g.eval, "source:\n{src}");
     }
+}
 
-    /// The same expressions embedded in an if-condition take the right arm
-    /// (exercises branch-on-compare fusion and logical lowering).
-    #[test]
-    fn compiled_conditions_branch_correctly(
-        a in -20i64..20,
-        b in -20i64..20,
-        op in 0usize..6,
-    ) {
-        let (sym, truth) = match op {
+/// Comparisons in an if-condition take the right arm (exercises
+/// branch-on-compare fusion and logical lowering).
+#[test]
+fn compiled_conditions_branch_correctly() {
+    let mut rng = SplitMix64::new(0xB2A4);
+    for _ in 0..100 {
+        let (a, b) = (between(&mut rng, -20, 20), between(&mut rng, -20, 20));
+        let (sym, truth) = match rng.next_below(6) {
             0 => ("<", a < b),
             1 => ("<=", a <= b),
             2 => (">", a > b),
@@ -155,12 +119,16 @@ proptest! {
                 return 0;
             }}"
         );
-        prop_assert_eq!(run_main(&src), truth as i64);
+        assert_eq!(run_main(&src), truth as i64, "source:\n{src}");
     }
+}
 
-    /// Loop-carried accumulation over random bounds.
-    #[test]
-    fn compiled_loops_accumulate(n in 0i64..200, step in 1i64..7) {
+/// Loop-carried accumulation over seeded bounds.
+#[test]
+fn compiled_loops_accumulate() {
+    let mut rng = SplitMix64::new(0x100B);
+    for _ in 0..50 {
+        let (n, step) = (between(&mut rng, 0, 200), between(&mut rng, 1, 7));
         let src = format!(
             "_CPU_ fn main() -> int {{
                 let s = 0;
@@ -168,12 +136,7 @@ proptest! {
                 return s;
             }}"
         );
-        let mut expect = 0i64;
-        let mut i = 0;
-        while i < n {
-            expect += i;
-            i += step;
-        }
-        prop_assert_eq!(run_main(&src), expect);
+        let expect: i64 = (0..n).step_by(step as usize).sum();
+        assert_eq!(run_main(&src), expect, "source:\n{src}");
     }
 }

@@ -347,10 +347,73 @@ fn random_checkpoint_cycle_roundtrips() {
     }
 }
 
+/// Runs of the paper's matmul (n = 16, `paper_default`) whose solicitation
+/// rounds time out and resend (DESIGN §14.1), each with the bank counter
+/// counters that must be nonzero for the run to pin a resend: a lost response per
+/// protocol (the directory's inv/fetch round, a lost snoop probe, a lost
+/// update-round answer), a lost answer to a directory recall round (small
+/// L2 banks make the recalls), and a dead responder that spends the whole
+/// budget.
+fn recovery_reports(src: &str) -> Vec<(&'static str, RunReport, &'static [&'static str])> {
+    let recovering = |protocol: ProtocolKind| {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.protocol = protocol;
+        cfg.fault.dir.timeout = Some(Time::from_us(5));
+        cfg
+    };
+    const NACKS: &[&str] = &["dir_nacks"];
+    let mut runs = Vec::new();
+
+    let mut cfg = recovering(ProtocolKind::Directory);
+    cfg.fault.drop_one_resp = Some(16);
+    runs.push(("directory-resend", cfg, NACKS, Outcome::Completed));
+
+    let mut cfg = recovering(ProtocolKind::MesiSnoop);
+    cfg.fault.seed = 3;
+    cfg.fault.snoop_probe.drop_rate = 0.05;
+    cfg.fault.snoop_probe.max_drops = 3;
+    runs.push(("mesi-snoop-resend", cfg, NACKS, Outcome::Completed));
+
+    let mut cfg = recovering(ProtocolKind::Dragon);
+    cfg.fault.seed = 3;
+    cfg.fault.upd_ack.drop_rate = 0.2;
+    cfg.fault.upd_ack.max_drops = 3;
+    runs.push(("dragon-resend", cfg, NACKS, Outcome::Completed));
+
+    let mut cfg = recovering(ProtocolKind::Directory);
+    cfg.l2_bank = ccsvm_mem::CacheConfig::from_capacity(64 * 1024, 4);
+    cfg.fault.drop_one_resp = Some(180);
+    runs.push((
+        "recall-resend",
+        cfg,
+        &["dir_nacks", "recalls"],
+        Outcome::Completed,
+    ));
+
+    let mut cfg = recovering(ProtocolKind::Directory);
+    cfg.fault.dir.retry_budget = 2;
+    cfg.fault.blackhole_resp = Some(76);
+    runs.push((
+        "budget-exhausted",
+        cfg,
+        NACKS,
+        Outcome::RetryBudgetExhausted,
+    ));
+
+    runs.into_iter()
+        .map(|(name, cfg, counter, outcome)| {
+            let r = Machine::new(cfg, compile(src)).run();
+            assert_eq!(r.outcome, outcome, "{name}: {:?}", r.diagnostic);
+            (name, r, counter)
+        })
+        .collect()
+}
+
 /// Every byte format that leaves the process, pinned by digest: the
 /// `RunReport` bytes of the paper's matmul (n = 16, `paper_default`) paused
 /// at three fixed times and resumed under each protocol, of a run under a
-/// NoC + ECC fault plan and of an aborted run, and one replay bundle. A
+/// NoC + ECC fault plan and of an aborted run, one replay bundle, and the
+/// recovery runs of [`recovery_reports`]. A
 /// codec change that moves any byte fails here even when every round trip
 /// still holds. To re-bless after an intended layout change (which also
 /// bumps the `.rpt` cache's or the bundle's version), run:
@@ -404,6 +467,16 @@ fn image_report_and_bundle_bytes_match_their_digests() {
     let t = run_with_triage(&cfg, "tiny", &vecadd_src(16)).unwrap();
     let bundle = t.bundle.expect("the mutation aborts the run").to_bytes();
     digests.push(("bundle".into(), fnv1a(&bundle)));
+
+    for (name, r, counters) in recovery_reports(&src) {
+        for counter in counters {
+            let n: f64 = (0..4)
+                .map(|i| r.stats.get(&format!("mem.l2.{i}.{counter}")))
+                .sum();
+            assert!(n > 0.0, "{name}: no {counter}, the run pins nothing");
+        }
+        digests.push((format!("{name}.report"), fnv1a(&r.to_bytes())));
+    }
 
     let got: String = digests
         .iter()

@@ -20,7 +20,7 @@ use ccsvm_engine::{fx_map_with_capacity, FxHashMap, Stats};
 use crate::cache::{CacheArray, CacheConfig};
 use crate::msg::{BankId, BlockData, DirToL1, Grant, L1ToDir, ReqKind, Request, SnoopKind};
 use crate::protocol::ProtocolKind;
-use crate::recover::RetryRound;
+use crate::recover::{bit, Ask, RetryRound, Round};
 use crate::system::PortId;
 
 /// Directory state for one L2 block.
@@ -36,15 +36,6 @@ enum DirState {
     Owned { owner: PortId, sharers: u32 },
 }
 
-fn bit(p: PortId) -> u32 {
-    debug_assert!(p.0 < 32, "directory sharer mask supports 32 L1s");
-    1 << p.0
-}
-
-fn ports(mask: u32) -> impl Iterator<Item = PortId> {
-    (0..32).filter(move |i| mask & (1 << i) != 0).map(PortId)
-}
-
 #[derive(Clone, Copy, Debug, Default)]
 struct L2Meta {
     dir: DirState,
@@ -56,7 +47,7 @@ struct L2Meta {
     fresh: bool,
 }
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Phase {
     /// Queued for the bank's fixed access latency.
     Start,
@@ -73,15 +64,11 @@ enum Phase {
     AwaitSnoop,
 }
 
+/// The victim copy a recall collects: the L2's, replaced by any dirty copy
+/// an L1 answers with.
 #[derive(Clone, Debug)]
 struct Recall {
     victim: u64,
-    /// Ports whose `InvResp` for the victim is still outstanding. Mask-based
-    /// (not a count) so a NACK-resent invalidation racing its original
-    /// response cannot double-decrement.
-    pending_inv: u32,
-    /// The owner whose `FetchInv` response is still outstanding.
-    fetch_from: Option<PortId>,
     dirty: bool,
     data: BlockData,
 }
@@ -90,22 +77,18 @@ struct Recall {
 struct Tx {
     req: Request,
     phase: Phase,
-    /// Ports whose `InvResp` is still outstanding (mask; see [`Recall`]).
-    pending_inv: u32,
-    /// The owner whose `Fetch`/`FetchInv` response is still outstanding.
-    fetch_from: Option<PortId>,
-    /// Whether the outstanding fetch is a `FetchInv` (needed to resend it).
-    fetch_inv: bool,
     /// Requestor already holds a valid copy (upgrade ⇒ AckM instead of Data).
     upgrade: bool,
     /// Data fetched from DRAM, kept across an install-time recall.
     fill_data: Option<BlockData>,
     recall: Option<Recall>,
+    /// The open solicitation round (inv/fetch, recall or snoop probes);
+    /// between rounds it owes nothing.
+    round: Round,
     /// Protocol-generic solicitation-round recovery state: the epoch stamped
-    /// into armed timeouts and the bounded resend budget spent so far.
+    /// into armed timeouts and the bounded resend budget spent so far, one
+    /// per transaction across all its rounds.
     retry: RetryRound,
-    /// Snooping protocols: ports whose `SnoopResp` is still outstanding.
-    pending_snoop: u32,
     /// Whether any snooped L1 reported a live copy.
     snoop_had: bool,
     /// Whether the recorded supplier copy was dirty (authoritative).
@@ -251,14 +234,11 @@ impl Bank {
             Tx {
                 req,
                 phase: Phase::Start,
-                pending_inv: 0,
-                fetch_from: None,
-                fetch_inv: false,
                 upgrade: false,
                 fill_data: None,
                 recall: None,
+                round: Round::IDLE,
                 retry: RetryRound::new(),
-                pending_snoop: 0,
                 snoop_had: false,
                 snoop_dirty: false,
                 snoop_data: None,
@@ -354,17 +334,22 @@ impl Bank {
             }
         }
         let others = self.all_ports & !bit(req.from);
-        for p in ports(others) {
-            out.sends.push((p, DirToL1::Snoop { block, kind }));
-        }
-        let tx = self.tx.get_mut(&block).expect("tx");
-        tx.pending_snoop = others;
-        if others == 0 {
+        let round = Round::new(block, None, Ask::Snoop(kind), others);
+        if !self.open(block, round, Phase::AwaitSnoop, out) {
             self.complete_bus(block, out);
-        } else {
-            tx.phase = Phase::AwaitSnoop;
-            out.arm.push((block, tx.retry.epoch()));
         }
+    }
+
+    /// Opens `round` for the transaction on `block`, which waits in `phase`
+    /// while any answer is owed. Returns whether one is.
+    fn open(&mut self, block: u64, round: Round, phase: Phase, out: &mut BankOut) -> bool {
+        let tx = self.tx.get_mut(&block).expect("tx");
+        tx.round = round;
+        let owed = round.open(block, &tx.retry, out);
+        if owed {
+            tx.phase = phase;
+        }
+        owed
     }
 
     /// Every snoop response is in: source the data, grant, and finish.
@@ -464,7 +449,13 @@ impl Bank {
         } else {
             out.dram_writes.push((block, data));
         }
-        out.sends.push((req.from, DirToL1::PutAck { block }));
+        out.sends.push((
+            req.from,
+            DirToL1::PutAck {
+                block,
+                retain: req.retain,
+            },
+        ));
     }
 
     fn dispatch_gets_hit(&mut self, block: u64, from: PortId, out: &mut BankOut) {
@@ -527,19 +518,17 @@ impl Bank {
                     self.finish(block, out);
                     return;
                 }
-                out.sends.push((owner, DirToL1::Fetch { block }));
-                let tx = self.tx.get_mut(&block).expect("tx");
-                tx.fetch_from = Some(owner);
-                tx.fetch_inv = false;
-                tx.phase = Phase::AwaitInvFetch;
-                out.arm.push((block, tx.retry.epoch()));
+                let round = Round::new(block, Some((owner, Ask::Fetch)), Ask::Inv, 0);
+                self.open(block, round, Phase::AwaitInvFetch, out);
             }
         }
     }
 
     fn dispatch_getm_hit(&mut self, block: u64, from: PortId, out: &mut BankOut) {
         let meta = *self.array.peek(block).expect("hit");
-        match meta.dir {
+        // The owner to fetch from, the copies to invalidate, and whether
+        // the requestor's own copy is current.
+        let (fetch, copies, upgrade) = match meta.dir {
             DirState::Unowned => {
                 let data = self.array.data(block);
                 {
@@ -559,55 +548,23 @@ impl Bank {
                     },
                 ));
                 self.finish(block, out);
+                return;
             }
-            DirState::Shared(s) => {
-                let others = s & !bit(from);
-                let upgrade = s & bit(from) != 0;
-                for p in ports(others) {
-                    out.sends.push((p, DirToL1::Inv { block }));
-                }
-                let tx = self.tx.get_mut(&block).expect("tx");
-                tx.pending_inv = others;
-                tx.upgrade = upgrade;
-                if others == 0 {
-                    self.complete_getm(block, out);
-                } else {
-                    tx.phase = Phase::AwaitInvFetch;
-                    out.arm.push((block, tx.retry.epoch()));
-                }
-            }
-            DirState::Owned { owner, sharers } => {
-                if owner == from {
-                    // Upgrade from O: invalidate the S copies.
-                    for p in ports(sharers) {
-                        out.sends.push((p, DirToL1::Inv { block }));
-                    }
-                    let tx = self.tx.get_mut(&block).expect("tx");
-                    tx.pending_inv = sharers;
-                    tx.upgrade = true;
-                    if sharers == 0 {
-                        self.complete_getm(block, out);
-                    } else {
-                        tx.phase = Phase::AwaitInvFetch;
-                        out.arm.push((block, tx.retry.epoch()));
-                    }
-                } else {
-                    out.sends.push((owner, DirToL1::FetchInv { block }));
-                    let others = sharers & !bit(from);
-                    for p in ports(others) {
-                        out.sends.push((p, DirToL1::Inv { block }));
-                    }
-                    let tx = self.tx.get_mut(&block).expect("tx");
-                    tx.fetch_from = Some(owner);
-                    tx.fetch_inv = true;
-                    tx.pending_inv = others;
-                    // If the requestor held an S copy under an O owner its
-                    // data is current (O writes require GetM), so upgrade.
-                    tx.upgrade = sharers & bit(from) != 0;
-                    tx.phase = Phase::AwaitInvFetch;
-                    out.arm.push((block, tx.retry.epoch()));
-                }
-            }
+            DirState::Shared(s) => (None, s, s & bit(from) != 0),
+            // Upgrade from O: invalidate the S copies.
+            DirState::Owned { owner, sharers } if owner == from => (None, sharers, true),
+            // If the requestor held an S copy under an O owner its data is
+            // current (O writes require GetM), so upgrade.
+            DirState::Owned { owner, sharers } => (
+                Some((owner, Ask::FetchInv)),
+                sharers,
+                sharers & bit(from) != 0,
+            ),
+        };
+        self.tx.get_mut(&block).expect("tx").upgrade = upgrade;
+        let round = Round::new(block, fetch, Ask::Inv, copies & !bit(from));
+        if !self.open(block, round, Phase::AwaitInvFetch, out) {
+            self.complete_getm(block, out);
         }
     }
 
@@ -685,7 +642,13 @@ impl Bank {
                 }
             }
         }
-        out.sends.push((req.from, DirToL1::PutAck { block }));
+        out.sends.push((
+            req.from,
+            DirToL1::PutAck {
+                block,
+                retain: req.retain,
+            },
+        ));
     }
 
     fn handle_put_clean(&mut self, block: u64, from: PortId, out: &mut BankOut) {
@@ -715,7 +678,13 @@ impl Bank {
                 _ => {} // stale
             }
         }
-        out.sends.push((from, DirToL1::PutAck { block }));
+        out.sends.push((
+            from,
+            DirToL1::PutAck {
+                block,
+                retain: false,
+            },
+        ));
     }
 
     /// Finds a way for `block`: free way ⇒ DRAM read; evictable victim ⇒
@@ -740,38 +709,19 @@ impl Bank {
         self.recalls += 1;
         let meta = *self.array.peek(victim).expect("victim resident");
         let data = self.array.data(victim);
-        let mut recall = Recall {
+        let (fetch, copies) = match meta.dir {
+            DirState::Unowned => (None, 0),
+            DirState::Shared(s) => (None, s),
+            DirState::Owned { owner, sharers } => (Some((owner, Ask::FetchInv)), sharers),
+        };
+        self.recall_owner.insert(victim, block);
+        self.tx.get_mut(&block).expect("tx").recall = Some(Recall {
             victim,
-            pending_inv: 0,
-            fetch_from: None,
             dirty: meta.dirty,
             data,
-        };
-        match meta.dir {
-            DirState::Unowned => {}
-            DirState::Shared(s) => {
-                for p in ports(s) {
-                    out.sends.push((p, DirToL1::Inv { block: victim }));
-                }
-                recall.pending_inv = s;
-            }
-            DirState::Owned { owner, sharers } => {
-                out.sends.push((owner, DirToL1::FetchInv { block: victim }));
-                recall.fetch_from = Some(owner);
-                for p in ports(sharers) {
-                    out.sends.push((p, DirToL1::Inv { block: victim }));
-                }
-                recall.pending_inv = sharers;
-            }
-        }
-        let pending = recall.pending_inv != 0 || recall.fetch_from.is_some();
-        self.recall_owner.insert(victim, block);
-        let tx = self.tx.get_mut(&block).expect("tx");
-        tx.recall = Some(recall);
-        if pending {
-            tx.phase = Phase::AwaitRecall;
-            out.arm.push((block, tx.retry.epoch()));
-        } else {
+        });
+        let round = Round::new(victim, fetch, Ask::Inv, copies);
+        if !self.open(block, round, Phase::AwaitRecall, out) {
             self.finish_recall(block, out);
         }
     }
@@ -865,154 +815,96 @@ impl Bank {
         }
     }
 
-    /// An L1 response (InvResp / FetchResp) arrived. Responses from ports
-    /// that are no longer pending (possible only in lenient mode, when a
-    /// NACK resend raced the original response) are counted and ignored.
+    /// An L1 response arrived. One that the transaction's open round
+    /// expects is taken from the round and its data folded in by the
+    /// phase: written into the L2 line (inv/fetch), kept as the victim's
+    /// copy (recall), or weighed as a snoop supplier (the dirty copy is
+    /// authoritative; any clean one beats the L2/DRAM path). Any other
+    /// response, possible only in lenient mode where a resend can race the
+    /// original answer, is counted and ignored.
     pub fn resp_arrive(&mut self, resp: L1ToDir, out: &mut BankOut) {
-        if let L1ToDir::SnoopResp {
-            from,
-            block,
-            had,
-            dirty,
-            data,
-        } = resp
-        {
-            self.snoop_resp_arrive(block, from, had, dirty, data, out);
-            return;
-        }
-        let (rblock, from) = match &resp {
-            L1ToDir::InvResp { block, from, .. } | L1ToDir::FetchResp { block, from, .. } => {
-                (*block, *from)
-            }
-            L1ToDir::SnoopResp { .. } => unreachable!("handled above"),
-        };
-        // Route: either a recall on the victim block, or a demand transaction.
-        if let Some(&demand) = self.recall_owner.get(&rblock) {
-            let tx = self.tx.get_mut(&demand).expect("recall tx");
-            let recall = tx.recall.as_mut().expect("recall state");
-            match resp {
-                L1ToDir::InvResp { data, .. } => {
-                    if recall.pending_inv & bit(from) == 0 {
-                        debug_assert!(self.lenient, "duplicate recall InvResp from {from:?}");
-                        self.stale_resps += 1;
-                        return;
-                    }
-                    if let Some(d) = data {
-                        recall.data = d;
-                        recall.dirty = true;
-                    }
-                    recall.pending_inv &= !bit(from);
-                }
-                L1ToDir::FetchResp { data, dirty, .. } => {
-                    if recall.fetch_from != Some(from) {
-                        debug_assert!(self.lenient, "duplicate recall FetchResp from {from:?}");
-                        self.stale_resps += 1;
-                        return;
-                    }
-                    if dirty {
-                        recall.data = data;
-                        recall.dirty = true;
-                    }
-                    recall.fetch_from = None;
-                }
-                L1ToDir::SnoopResp { .. } => unreachable!("handled above"),
-            }
-            if recall.pending_inv == 0 && recall.fetch_from.is_none() {
-                self.finish_recall(demand, out);
-            }
-            return;
-        }
-        let Some(tx) = self.tx.get_mut(&rblock) else {
-            assert!(self.lenient, "response without tx");
+        let Some(block) = self.answered(&resp) else {
+            debug_assert!(self.lenient, "unexpected response {resp:?}");
             self.stale_resps += 1;
             return;
         };
-        if tx.phase != Phase::AwaitInvFetch {
-            debug_assert!(self.lenient, "response in phase {:?}", tx.phase);
-            self.stale_resps += 1;
-            return;
-        }
-        match resp {
-            L1ToDir::InvResp { data, .. } => {
-                let tx = self.tx.get_mut(&rblock).expect("tx");
-                if tx.pending_inv & bit(from) == 0 {
-                    debug_assert!(self.lenient, "duplicate InvResp from {from:?}");
-                    self.stale_resps += 1;
-                    return;
+        let tx = self.tx.get_mut(&block).expect("tx");
+        let done = tx.round.take(&resp);
+        match (tx.phase, resp) {
+            (Phase::AwaitRecall, resp) => {
+                let recall = tx.recall.as_mut().expect("recall state");
+                let dirty_copy = match resp {
+                    L1ToDir::InvResp { data, .. } => data,
+                    L1ToDir::FetchResp { data, dirty, .. } => dirty.then_some(data),
+                    L1ToDir::SnoopResp { .. } => unreachable!("snoop answer to a recall"),
+                };
+                if let Some(d) = dirty_copy {
+                    recall.data = d;
+                    recall.dirty = true;
                 }
-                tx.pending_inv &= !bit(from);
-                if let Some(d) = data {
+                if done {
+                    self.finish_recall(block, out);
+                }
+            }
+            (Phase::AwaitInvFetch, resp) => {
+                let kind = tx.req.kind;
+                match resp {
                     // A racing writeback: the invalidated copy was dirty.
-                    self.array.set_data(rblock, d);
-                    self.array.peek_mut(rblock).expect("hit").dirty = true;
-                }
-            }
-            L1ToDir::FetchResp { data, dirty, .. } => {
-                let tx = self.tx.get_mut(&rblock).expect("tx");
-                if tx.fetch_from != Some(from) {
-                    debug_assert!(self.lenient, "duplicate FetchResp from {from:?}");
-                    self.stale_resps += 1;
-                    return;
-                }
-                tx.fetch_from = None;
-                self.array.set_data(rblock, data);
-                {
-                    let meta = self.array.peek_mut(rblock).expect("hit");
-                    if dirty {
-                        meta.dirty = true;
+                    L1ToDir::InvResp { data: Some(d), .. } => {
+                        self.array.set_data(block, d);
+                        self.array.peek_mut(block).expect("hit").dirty = true;
                     }
-                    meta.fresh = true;
+                    L1ToDir::FetchResp { data, dirty, .. } => {
+                        self.array.set_data(block, data);
+                        let meta = self.array.peek_mut(block).expect("hit");
+                        meta.dirty |= dirty;
+                        meta.fresh = true;
+                    }
+                    _ => {}
+                }
+                if done {
+                    match kind {
+                        ReqKind::GetS => self.complete_gets(block, out),
+                        ReqKind::GetM => self.complete_getm(block, out),
+                        _ => unreachable!("Put awaiting acks"),
+                    }
                 }
             }
-            L1ToDir::SnoopResp { .. } => unreachable!("handled above"),
-        }
-        let tx = self.tx.get(&rblock).expect("tx");
-        if tx.pending_inv == 0 && tx.fetch_from.is_none() {
-            match tx.req.kind {
-                ReqKind::GetS => self.complete_gets(rblock, out),
-                ReqKind::GetM => self.complete_getm(rblock, out),
-                _ => unreachable!("Put awaiting acks"),
+            (
+                Phase::AwaitSnoop,
+                L1ToDir::SnoopResp {
+                    had, dirty, data, ..
+                },
+            ) => {
+                tx.snoop_had |= had;
+                if let Some(d) = data {
+                    if dirty {
+                        tx.snoop_data = Some(d);
+                        tx.snoop_dirty = true;
+                    } else if tx.snoop_data.is_none() {
+                        tx.snoop_data = Some(d);
+                    }
+                }
+                if done {
+                    self.complete_bus(block, out);
+                }
             }
+            (phase, resp) => unreachable!("{resp:?} expected in phase {phase:?}"),
         }
     }
 
-    /// A `SnoopResp` arrived: fold it into the waiting bus transaction.
-    /// The dirty supplier's copy is authoritative; any clean supplier beats
-    /// the L2/DRAM path (cache-to-cache is cheaper than a memory access).
-    fn snoop_resp_arrive(
-        &mut self,
-        block: u64,
-        from: PortId,
-        had: bool,
-        dirty: bool,
-        data: Option<BlockData>,
-        out: &mut BankOut,
-    ) {
-        let Some(tx) = self.tx.get_mut(&block) else {
-            assert!(self.lenient, "snoop response without tx");
-            self.stale_resps += 1;
-            return;
-        };
-        if tx.phase != Phase::AwaitSnoop || tx.pending_snoop & bit(from) == 0 {
-            debug_assert!(self.lenient, "unexpected snoop response from {from:?}");
-            self.stale_resps += 1;
-            return;
-        }
-        tx.pending_snoop &= !bit(from);
-        if had {
-            tx.snoop_had = true;
-        }
-        if let Some(d) = data {
-            if dirty {
-                tx.snoop_data = Some(d);
-                tx.snoop_dirty = true;
-            } else if tx.snoop_data.is_none() {
-                tx.snoop_data = Some(d);
-            }
-        }
-        if tx.pending_snoop == 0 {
-            self.complete_bus(block, out);
-        }
+    /// The block of the transaction whose open round expects `resp`, if
+    /// any: a recall's answer names the victim, which maps to the demand
+    /// transaction recalling it. The one test of "expected or stale",
+    /// shared by [`Bank::resp_arrive`] and [`Bank::expects_resp`].
+    fn answered(&self, resp: &L1ToDir) -> Option<u64> {
+        let (_, block) = resp.origin();
+        let tx_block = self.recall_owner.get(&block).copied().unwrap_or(block);
+        self.tx
+            .get(&tx_block)?
+            .round
+            .expects(resp)
+            .then_some(tx_block)
     }
 
     /// A `DirTimeout` armed at `epoch` fired for `block`: if the transaction
@@ -1038,57 +930,12 @@ impl Bank {
         let Some(tx) = self.tx.get_mut(&block) else {
             return TimeoutAction::Stale;
         };
-        if !tx.retry.is_current(epoch) {
-            return TimeoutAction::Stale;
-        }
-        let resend: Vec<(PortId, DirToL1)> = match tx.phase {
-            Phase::AwaitInvFetch => {
-                let mut v: Vec<(PortId, DirToL1)> = ports(tx.pending_inv)
-                    .map(|p| (p, DirToL1::Inv { block }))
-                    .collect();
-                if let Some(o) = tx.fetch_from {
-                    let msg = if tx.fetch_inv {
-                        DirToL1::FetchInv { block }
-                    } else {
-                        DirToL1::Fetch { block }
-                    };
-                    v.push((o, msg));
-                }
-                v
-            }
-            Phase::AwaitRecall => {
-                let recall = tx.recall.as_ref().expect("recall state");
-                let victim = recall.victim;
-                let mut v: Vec<(PortId, DirToL1)> = ports(recall.pending_inv)
-                    .map(|p| (p, DirToL1::Inv { block: victim }))
-                    .collect();
-                if let Some(o) = recall.fetch_from {
-                    v.push((o, DirToL1::FetchInv { block: victim }));
-                }
-                v
-            }
-            Phase::AwaitSnoop => {
-                let kind = match tx.req.kind {
-                    ReqKind::BusRd => SnoopKind::Rd,
-                    ReqKind::BusRdX => SnoopKind::RdX,
-                    ReqKind::BusUpd(word) => SnoopKind::Upd(word),
-                    _ => unreachable!("AwaitSnoop on a directory request"),
-                };
-                ports(tx.pending_snoop)
-                    .map(|p| (p, DirToL1::Snoop { block, kind }))
-                    .collect()
-            }
-            _ => return TimeoutAction::Stale,
-        };
-        if resend.is_empty() {
+        if !tx.retry.is_current(epoch) || tx.round.done() {
             return TimeoutAction::Stale;
         }
         self.timeouts += 1;
-        let tx = self.tx.get_mut(&block).expect("tx");
-        if corrupt && tx.phase == Phase::AwaitSnoop {
-            let lowest = tx.pending_snoop & tx.pending_snoop.wrapping_neg();
-            tx.pending_snoop &= !lowest;
-            if tx.pending_snoop == 0 {
+        if corrupt && tx.round.snoop().is_some() {
+            if tx.round.abandon_lowest_probe() {
                 self.complete_bus(block, out);
             } else {
                 out.arm.push((block, tx.retry.epoch()));
@@ -1098,8 +945,7 @@ impl Bank {
         let Some(next_epoch) = tx.retry.spend(budget) else {
             return TimeoutAction::Exhausted;
         };
-        self.nack_resends += resend.len() as u64;
-        out.sends.extend(resend);
+        self.nack_resends += tx.round.resend(&mut out.sends) as u64;
         out.arm.push((block, next_epoch));
         TimeoutAction::Resent
     }
@@ -1110,32 +956,25 @@ impl Bank {
         self.tx.get(&block).map(|t| format!("{:?}", t.phase))
     }
 
-    /// Whether `block` is mid snoop-collection round and `epoch` names the
-    /// current (live) round — i.e. a `DirTimeout` carrying this epoch would
-    /// actually resend probes rather than be dropped as stale. Used by the
-    /// `CorruptResendEpoch` mutation to count candidate timeouts.
-    pub fn snoop_round_current(&self, block: u64, epoch: u64) -> bool {
-        self.tx
-            .get(&block)
-            .is_some_and(|t| t.phase == Phase::AwaitSnoop && t.retry.is_current(epoch))
-    }
-
-    /// The port the `CorruptResendEpoch` mutation would abandon on this
-    /// round's next timeout: the lowest still-pending probe target.
-    pub fn snoop_pending_lowest(&self, block: u64) -> Option<PortId> {
+    /// The port the `CorruptResendEpoch` mutation would abandon on a
+    /// `DirTimeout` carrying `epoch` for `block`: the lowest probe still
+    /// owed to a live snoop round (`None` when the timeout would be stale
+    /// or would hit no snoop round).
+    pub fn corrupt_target(&self, block: u64, epoch: u64) -> Option<PortId> {
         let t = self.tx.get(&block)?;
-        if t.phase != Phase::AwaitSnoop || t.pending_snoop == 0 {
+        if !t.retry.is_current(epoch) {
             return None;
         }
-        Some(PortId(t.pending_snoop.trailing_zeros() as usize))
+        t.round.snoop()?;
+        t.round.lowest_probe()
     }
 
     /// Whether the active transaction on `block` is a write-update round
     /// still collecting `SnoopResp`s (the `UpdAck` fault domain's carrier).
     pub fn upd_round_active(&self, block: u64) -> bool {
-        self.tx.get(&block).is_some_and(|t| {
-            t.phase == Phase::AwaitSnoop && matches!(t.req.kind, ReqKind::BusUpd(_))
-        })
+        self.tx
+            .get(&block)
+            .is_some_and(|t| matches!(t.round.snoop(), Some(SnoopKind::Upd(_))))
     }
 
     /// Whether `block` participates in any in-flight directory activity: a
@@ -1157,42 +996,13 @@ impl Bank {
         })
     }
 
-    /// Whether the bank expects the given response right now: a recall or an
-    /// `AwaitInvFetch`/`AwaitRecall` transaction with this responder still
-    /// pending. Mirrors the routing in [`Bank::resp_arrive`] without
-    /// mutating anything; the sanitizer's pre-delivery `MEM-MSG-CONSERVE`
-    /// check uses it to flag spurious/duplicated responses in strict mode.
+    /// Whether the bank expects `resp` right now: the open round of a
+    /// transaction (its own, or the recall of its victim) still waits on
+    /// this answer. The same test [`Bank::resp_arrive`] applies; the
+    /// sanitizer's pre-delivery `MEM-MSG-CONSERVE` check uses it to flag
+    /// spurious/duplicated responses in strict mode.
     pub fn expects_resp(&self, resp: &L1ToDir) -> bool {
-        let (rblock, from, is_fetch) = match resp {
-            L1ToDir::InvResp { block, from, .. } => (*block, *from, false),
-            L1ToDir::FetchResp { block, from, .. } => (*block, *from, true),
-            L1ToDir::SnoopResp { block, from, .. } => {
-                return self.tx.get(block).is_some_and(|tx| {
-                    tx.phase == Phase::AwaitSnoop && tx.pending_snoop & bit(*from) != 0
-                });
-            }
-        };
-        if let Some(&demand) = self.recall_owner.get(&rblock) {
-            let Some(recall) = self.tx.get(&demand).and_then(|t| t.recall.as_ref()) else {
-                return false;
-            };
-            return if is_fetch {
-                recall.fetch_from == Some(from)
-            } else {
-                recall.pending_inv & bit(from) != 0
-            };
-        }
-        let Some(tx) = self.tx.get(&rblock) else {
-            return false;
-        };
-        if tx.phase != Phase::AwaitInvFetch {
-            return false;
-        }
-        if is_fetch {
-            tx.fetch_from == Some(from)
-        } else {
-            tx.pending_inv & bit(from) != 0
-        }
+        self.answered(resp).is_some()
     }
 
     /// Test-only sanitizer mutation hook: erase the directory's owner
@@ -1256,23 +1066,6 @@ impl Bank {
             true
         } else {
             false
-        }
-    }
-
-    /// Directory thinks some L1 owns `block`.
-    pub fn owner_of(&self, block: u64) -> Option<PortId> {
-        match self.array.peek(block)?.dir {
-            DirState::Owned { owner, .. } => Some(owner),
-            _ => None,
-        }
-    }
-
-    /// Sharer mask the directory records for `block` (owner excluded).
-    pub fn sharers_of(&self, block: u64) -> u32 {
-        match self.array.peek(block).map(|m| m.dir) {
-            Some(DirState::Shared(s)) => s,
-            Some(DirState::Owned { sharers, .. }) => sharers,
-            _ => 0,
         }
     }
 

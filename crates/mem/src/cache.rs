@@ -85,18 +85,6 @@ pub struct CacheArray<M> {
     fold_w: u32,
 }
 
-/// Pre-image of one cache set, captured by [`CacheArray::snapshot_set`] and
-/// reinstated by [`CacheArray::restore_set`] when the L1 undo journal rolls
-/// back.
-#[derive(Clone, Debug, Default)]
-pub struct SetImage<M> {
-    set: u64,
-    tags: Vec<u64>,
-    lru: Vec<u64>,
-    metas: Vec<M>,
-    data: Vec<[u8; BLOCK_BYTES as usize]>,
-}
-
 /// An evicted block returned by [`CacheArray::insert`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Evicted<M> {
@@ -419,50 +407,6 @@ impl<M> CacheArray<M> {
             .map(|(&t, m)| (t, m))
     }
 
-    /// Current LRU tick. Together with [`CacheArray::set_tick`] this lets the
-    /// L1 undo journal rewind the recency clock on rollback — an unrewound
-    /// tick would leak rolled-back accesses into later eviction decisions.
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// Restores the LRU tick (rollback of journaled touches).
-    pub fn set_tick(&mut self, tick: u64) {
-        self.tick = tick;
-    }
-
-    /// Pre-image of set `set` — everything an access can mutate in that set
-    /// (tags, LRU stamps, metadata, data) — for the L1 undo journal, which
-    /// only the ledger's `mem.spec_*` probes open. Captured at the set's
-    /// first journaled touch, into `img`, whose storage is reused.
-    pub fn snapshot_set(&self, set: u64, img: &mut SetImage<M>)
-    where
-        M: Clone,
-    {
-        let r = set as usize * self.config.ways..(set as usize + 1) * self.config.ways;
-        img.set = set;
-        img.tags.clear();
-        img.tags.extend_from_slice(&self.tags[r.clone()]);
-        img.lru.clear();
-        img.lru.extend_from_slice(&self.lru[r.clone()]);
-        img.metas.clear();
-        img.metas.extend_from_slice(&self.metas[r.clone()]);
-        img.data.clear();
-        img.data.extend_from_slice(&self.data[r]);
-    }
-
-    /// Restores a set captured by [`CacheArray::snapshot_set`], byte-exactly.
-    pub fn restore_set(&mut self, img: &SetImage<M>)
-    where
-        M: Clone,
-    {
-        let r = img.set as usize * self.config.ways..(img.set as usize + 1) * self.config.ways;
-        self.tags[r.clone()].clone_from_slice(&img.tags);
-        self.lru[r.clone()].clone_from_slice(&img.lru);
-        self.metas[r.clone()].clone_from_slice(&img.metas);
-        self.data[r].clone_from_slice(&img.data);
-    }
-
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
         self.tags.iter().filter(|&&t| t != TAG_INVALID).count()
@@ -604,39 +548,6 @@ mod tests {
             assert!(s < 64);
             assert_eq!(s, c.set_of(b));
         }
-    }
-
-    /// Set pre-image round trip: mutate a set every way an access can
-    /// (insert with eviction, data write, LRU touch, remove), restore, and
-    /// require the whole array — including the recency clock — back
-    /// byte-exact.
-    #[test]
-    fn set_image_restores_exactly() {
-        let mut c: CacheArray<u8> = CacheArray::new(cfg(4, 2));
-        let b = conflicting(&c, 3);
-        c.insert(b[0], 1, [1; 64]);
-        c.insert(b[1], 2, [2; 64]);
-        let set = c.set_of(b[0]);
-        let tick0 = c.tick();
-        let mut img = SetImage::default();
-        c.snapshot_set(set, &mut img);
-
-        c.insert(b[2], 3, [3; 64]); // evicts LRU
-        c.write(b[2], 0, &[9]);
-        let i = c.lookup_idx(b[1]).unwrap();
-        c.touch_at(i);
-        c.remove(b[1]);
-
-        c.restore_set(&img);
-        c.set_tick(tick0);
-        assert_eq!(c.tick(), tick0);
-        assert_eq!(c.peek(b[0]), Some(&1));
-        assert_eq!(c.peek(b[1]), Some(&2));
-        assert!(c.peek(b[2]).is_none());
-        assert_eq!(c.data(b[0]), [1; 64]);
-        assert_eq!(c.data(b[1]), [2; 64]);
-        // LRU order is restored too: b0 (older) is the eviction victim again.
-        assert_eq!(c.would_evict(b[2]), Some(b[0]));
     }
 
     /// `victim_lru` picks the first evictable block of the set in

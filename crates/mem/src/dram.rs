@@ -236,7 +236,7 @@ impl Dram {
     }
 
     /// Resets access counters (e.g. after warm-up or input loading).
-    pub fn reset_counters(&mut self) {
+    pub fn clear_counters(&mut self) {
         self.reads = 0;
         self.writes = 0;
     }
@@ -382,7 +382,7 @@ mod tests {
         let mut d = Dram::new(DramConfig::paper_default());
         d.timed_bulk(Time::ZERO, 0, 100, true);
         assert_eq!(d.stats().get("writes"), 2.0); // ceil(100/64)
-        d.reset_counters();
+        d.clear_counters();
         assert_eq!(d.accesses(), 0);
     }
 

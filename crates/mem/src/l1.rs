@@ -6,11 +6,11 @@
 //! cores"). Write-back, write-allocate; atomics acquire M and execute in the
 //! L1 (§3.2.4). A write-through mode exists solely for the §6.1 ablation.
 
-use ccsvm_engine::{fx_map_with_capacity, FxHashMap, FxHashSet, Stats, Time};
+use ccsvm_engine::{fx_map_with_capacity, FxHashMap, Stats, Time};
 use ccsvm_noc::NodeId;
 
 use crate::addr::{block_of, offset_in_block, PhysAddr};
-use crate::cache::{CacheArray, CacheConfig, SetImage};
+use crate::cache::{CacheArray, CacheConfig};
 use crate::dram::word_from_block;
 use crate::msg::{BlockData, DirToL1, Grant, L1ToDir, ReqKind, Request, SnoopKind, UpdWord};
 use crate::protocol::ProtocolKind;
@@ -87,50 +87,12 @@ struct EvictEntry {
     dirty: bool,
 }
 
-/// L1 undo journal. Nothing in the machine speculates: it is read only by
-/// the ledger's `mem.spec_*` probes, and is removed with them.
-///
-/// Captured at `spec_begin` and discarded at `spec_commit`: begin-time copies
-/// of the LRU tick, the access counters and the eviction and reservation
-/// maps, the open MSHRs' waiter counts, plus set-granular first-touch
-/// pre-images of the cache array, capped at `budget` sets. Opening a journal
-/// and capturing an image reuse the previous journal's storage. When the cap
-/// is exceeded the journal falls back to a copy of the whole cache array:
-/// `full` is the array as it stood at overflow time, and rollback copies it
-/// back *then* re-applies the pre-overflow images on top (the journaled sets
-/// are mid-speculation in that copy; the images rewind them the rest of the
-/// way; every other set was still untouched when the copy was taken). The
-/// array is the only state the images and the begin-time copies do not
-/// already restore.
-///
-/// A caller must deliver no directory message to a journaling L1, so the
-/// maps and counters can only change under its own core-side accesses,
-/// and restoring the begin-time copies wholesale is exact. For the MSHR
-/// table those accesses can only open an MSHR or append a waiter to one
-/// (fills, which retire MSHRs, are directory deliveries), so its pre-image
-/// is the list of open blocks with their waiter counts rather than a deep
-/// copy.
-#[derive(Debug, Default)]
-struct SpecState {
-    /// Sets with a captured pre-image (or, past the budget, sets that
-    /// tripped the overflow path).
-    touched: FxHashSet<u64>,
-    /// First-touch pre-images: `images[..n_images]`, in capture order
-    /// (restore order is irrelevant: one image per set). The tail is spare
-    /// storage from earlier journals.
-    images: Vec<SetImage<Line>>,
-    n_images: usize,
-    /// Maximum images before overflow.
-    budget: usize,
-    overflowed: bool,
-    /// The whole cache array, copied at the moment of overflow.
-    full: Option<CacheArray<Line>>,
-    tick0: u64,
-    counters0: [u64; 11],
-    /// `(block, waiters)` of every MSHR open at begin.
-    mshrs0: Vec<(u64, usize)>,
-    evict0: FxHashMap<u64, EvictEntry>,
-    reserved0: FxHashMap<u64, usize>,
+/// The copy a fetch or probe is answered from (see [`L1::supply`]).
+struct Supply {
+    data: BlockData,
+    dirty: bool,
+    /// Whether it was the resident line, not the eviction buffer's copy.
+    resident: bool,
 }
 
 /// Result of a core-side access attempt.
@@ -157,7 +119,7 @@ impl L1Out {
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct L1 {
     pub id: PortId,
     pub config: L1Config,
@@ -176,14 +138,10 @@ pub(crate) struct L1 {
     /// response already gave the block away). Off by default so protocol
     /// bugs still trip the strict assertions.
     lenient: bool,
-    /// The open undo journal, if any (only the ledger's `mem.spec_*`
-    /// probes open one); `None` otherwise.
-    spec: Option<Box<SpecState>>,
-    /// Retired journals kept for reuse so a repeated `spec_begin` does not
-    /// allocate. Boxed on purpose: journals shuttle between
-    /// here and `spec` as the same allocation, never re-boxed.
-    #[allow(clippy::vec_box)]
-    spec_free: Vec<Box<SpecState>>,
+    /// The copy `spec_begin` saved, while its journal is open. Nothing in
+    /// the machine opens one: only the ledger's `mem.spec_*` probes do, and
+    /// the journal is removed with them.
+    saved: Option<Box<L1>>,
     // counters
     loads: u64,
     stores: u64,
@@ -210,8 +168,7 @@ impl L1 {
             evict_buf: fx_map_with_capacity(config.max_mshrs),
             reserved: fx_map_with_capacity(config.max_mshrs),
             lenient: false,
-            spec: None,
-            spec_free: Vec::new(),
+            saved: None,
             loads: 0,
             stores: 0,
             atomics: 0,
@@ -232,134 +189,23 @@ impl L1 {
         self.lenient = true;
     }
 
-    fn counters(&self) -> [u64; 11] {
-        [
-            self.loads,
-            self.stores,
-            self.atomics,
-            self.hits,
-            self.misses,
-            self.merged_misses,
-            self.retries,
-            self.writebacks,
-            self.invalidations,
-            self.fetches,
-            self.spurious_fetches,
-        ]
+    /// Opens an undo journal: saves a copy of this L1, which
+    /// [`L1::spec_rollback`] puts back. A caller must deliver no directory
+    /// message while the journal is open.
+    pub fn spec_begin(&mut self) {
+        debug_assert!(self.saved.is_none(), "nested journal on {:?}", self.id);
+        self.saved = Some(Box::new(self.clone()));
     }
 
-    fn set_counters(&mut self, c: [u64; 11]) {
-        [
-            self.loads,
-            self.stores,
-            self.atomics,
-            self.hits,
-            self.misses,
-            self.merged_misses,
-            self.retries,
-            self.writebacks,
-            self.invalidations,
-            self.fetches,
-            self.spurious_fetches,
-        ] = c;
-    }
-
-    /// Opens an undo journal: until `spec_commit`/`spec_rollback`, every
-    /// core-side mutation is revertible. `budget` caps the number of
-    /// set-granular pre-images before the journal falls back to a copy of
-    /// the whole array (see [`SpecState`]).
-    pub fn spec_begin(&mut self, budget: usize) {
-        debug_assert!(self.spec.is_none(), "nested speculation on {:?}", self.id);
-        let mut spec = self.spec_free.pop().unwrap_or_default();
-        spec.touched.clear();
-        spec.n_images = 0;
-        spec.budget = budget.max(1);
-        spec.overflowed = false;
-        spec.tick0 = self.array.tick();
-        spec.counters0 = self.counters();
-        spec.mshrs0.clear();
-        spec.mshrs0
-            .extend(self.mshrs.iter().map(|(&b, m)| (b, m.waiters.len())));
-        spec.evict0.clone_from(&self.evict_buf);
-        spec.reserved0.clone_from(&self.reserved);
-        self.spec = Some(spec);
-    }
-
-    /// Whether the open journal has overflowed into the whole-array copy.
-    #[cfg(test)]
-    pub fn spec_overflowed(&self) -> bool {
-        self.spec.as_ref().is_some_and(|s| s.overflowed)
-    }
-
-    /// Keeps the speculative execution: the journal is discarded and the
-    /// current state becomes committed.
+    /// Keeps everything done since `spec_begin`, dropping the copy.
     pub fn spec_commit(&mut self) {
-        let spec = self.spec.take().expect("spec_commit without spec_begin");
-        self.spec_free.push(spec);
+        self.saved.take().expect("spec_commit without spec_begin");
     }
 
-    /// Reverts every mutation since `spec_begin`, exactly (the L1's state
-    /// before and after a begin/execute/rollback cycle is equal). Returns
-    /// `true` when the overflow slow path was taken.
-    pub fn spec_rollback(&mut self) -> bool {
-        let mut spec = self.spec.take().expect("spec_rollback without spec_begin");
-        let overflowed = spec.overflowed;
-        if overflowed {
-            let full = spec
-                .full
-                .as_ref()
-                .expect("an overflowed journal holds its copy");
-            self.array.clone_from(full);
-        }
-        for img in &spec.images[..spec.n_images] {
-            self.array.restore_set(img);
-        }
-        self.array.set_tick(spec.tick0);
-        self.set_counters(spec.counters0);
-        self.mshrs.retain(
-            |block, mshr| match spec.mshrs0.iter().find(|(b, _)| b == block) {
-                Some(&(_, waiters)) => {
-                    mshr.waiters.truncate(waiters);
-                    true
-                }
-                None => false,
-            },
-        );
-        debug_assert_eq!(
-            self.mshrs.len(),
-            spec.mshrs0.len(),
-            "an MSHR retired mid-journal"
-        );
-        std::mem::swap(&mut self.evict_buf, &mut spec.evict0);
-        std::mem::swap(&mut self.reserved, &mut spec.reserved0);
-        self.spec_free.push(spec);
-        overflowed
-    }
-
-    /// First-touch hook: captures a pre-image of `block`'s set before any
-    /// path below may mutate it. No-op when no journal is open.
-    fn spec_touch(&mut self, block: u64) {
-        let Some(mut spec) = self.spec.take() else {
-            return;
-        };
-        let set = self.array.set_of(block);
-        if spec.touched.insert(set) {
-            if spec.n_images < spec.budget {
-                if spec.n_images == spec.images.len() {
-                    spec.images.push(SetImage::default());
-                }
-                self.array
-                    .snapshot_set(set, &mut spec.images[spec.n_images]);
-                spec.n_images += 1;
-            } else if !spec.overflowed {
-                spec.overflowed = true;
-                match &mut spec.full {
-                    Some(full) => full.clone_from(&self.array),
-                    None => spec.full = Some(self.array.clone()),
-                }
-            }
-        }
-        self.spec = Some(spec);
+    /// Puts back the copy `spec_begin` saved, so the L1 is again exactly as
+    /// it was then.
+    pub fn spec_rollback(&mut self) {
+        *self = *self.saved.take().expect("spec_rollback without spec_begin");
     }
 
     /// Replays the counter effects of re-attempting an access that returned
@@ -402,9 +248,6 @@ impl L1 {
             Access::Rmw { .. } => self.atomics += 1,
         }
         let block = block_of(addr);
-        // Every array mutation below (LRU touch, data write, eviction,
-        // install reservation) stays within this block's set.
-        self.spec_touch(block);
         // One tag lookup resolves the way; the hit paths below reuse the
         // index instead of re-scanning the set per read/write/meta touch.
         // LRU tick behaviour is unchanged: one touch for a read hit, two for
@@ -638,12 +481,6 @@ impl L1 {
 
     /// Handles a directory → L1 message.
     pub fn on_dir_msg(&mut self, msg: DirToL1, out: &mut L1Out) {
-        debug_assert!(
-            self.spec.is_none(),
-            "directory message delivered to journaling L1 {:?}: close the \
-             journal before dispatching",
-            self.id
-        );
         match msg {
             DirToL1::Data { block, grant, data } => self.on_fill(block, grant, data, out),
             DirToL1::AckM { block } => {
@@ -656,11 +493,7 @@ impl L1 {
             }
             DirToL1::Inv { block } => {
                 self.invalidations += 1;
-                let removed = self.array.remove(block);
-                if removed.is_some() {
-                    self.claim_freed_way(block);
-                }
-                let data = match removed {
+                let data = match self.remove_line(block) {
                     Some((line, data)) if line.state.dirty() => Some(data),
                     _ => None,
                 };
@@ -670,67 +503,78 @@ impl L1 {
                     data,
                 });
             }
-            DirToL1::Fetch { block } => {
+            DirToL1::Fetch { block } | DirToL1::FetchInv { block } => {
                 self.fetches += 1;
-                if let Some(line) = self.array.peek_mut(block) {
-                    let dirty = line.state.dirty();
-                    line.state = L1State::O;
-                    let data = self.array.data(block);
+                let invalidate = matches!(msg, DirToL1::FetchInv { .. });
+                if let Some(copy) = self.supply(block, invalidate, |_| L1State::O) {
                     out.responses.push(L1ToDir::FetchResp {
                         from: self.id,
                         block,
-                        data,
-                        dirty,
-                    });
-                } else if let Some(e) = self.evict_buf.get(&block) {
-                    out.responses.push(L1ToDir::FetchResp {
-                        from: self.id,
-                        block,
-                        data: e.data,
-                        dirty: e.dirty,
+                        data: copy.data,
+                        dirty: copy.dirty,
                     });
                 } else {
-                    // Only reachable in lenient mode: a NACK-resent Fetch
+                    // Only reachable in lenient mode: a NACK-resent fetch
                     // arrived after this L1 already answered and dropped the
                     // block. Stay silent — the data cannot be resent — and
                     // let the original answer (or the retry budget) decide.
-                    assert!(
-                        self.lenient,
-                        "Fetch for block neither resident nor evicting"
-                    );
+                    assert!(self.lenient, "{msg:?}: block neither resident nor evicting");
                     self.spurious_fetches += 1;
                 }
             }
-            DirToL1::FetchInv { block } => {
-                self.fetches += 1;
-                if let Some((line, data)) = self.array.remove(block) {
-                    self.claim_freed_way(block);
-                    out.responses.push(L1ToDir::FetchResp {
-                        from: self.id,
-                        block,
-                        data,
-                        dirty: line.state.dirty(),
-                    });
-                } else if let Some(e) = self.evict_buf.get(&block) {
-                    out.responses.push(L1ToDir::FetchResp {
-                        from: self.id,
-                        block,
-                        data: e.data,
-                        dirty: e.dirty,
-                    });
-                } else {
-                    assert!(
-                        self.lenient,
-                        "FetchInv for block neither resident nor evicting"
-                    );
-                    self.spurious_fetches += 1;
+            DirToL1::PutAck { block, retain } => {
+                // A retaining (write-through) push ends no eviction: the
+                // buffered copy, if any, belongs to a later real writeback
+                // that the bank may still fetch.
+                if !retain {
+                    self.evict_buf.remove(&block);
                 }
-            }
-            DirToL1::PutAck { block } => {
-                self.evict_buf.remove(&block);
             }
             DirToL1::Snoop { block, kind } => self.on_snoop(block, kind, out),
             DirToL1::UpdDone { block, sharers } => self.on_upd_done(block, sharers, out),
+        }
+    }
+
+    /// Removes `block`'s line, if resident; a pending upgrade's MSHR claims
+    /// the freed way.
+    fn remove_line(&mut self, block: u64) -> Option<(Line, BlockData)> {
+        let removed = self.array.remove(block);
+        if removed.is_some() {
+            self.claim_freed_way(block);
+        }
+        removed
+    }
+
+    /// The copy of `block` that a fetch or probe is answered from: the
+    /// resident line, which is removed when `invalidate` and otherwise
+    /// re-stated by `keep`, else a writeback still in the eviction buffer.
+    fn supply(
+        &mut self,
+        block: u64,
+        invalidate: bool,
+        keep: impl FnOnce(L1State) -> L1State,
+    ) -> Option<Supply> {
+        let resident = if invalidate {
+            self.remove_line(block)
+                .map(|(line, data)| (line.state, data))
+        } else {
+            self.array.peek_idx(block).map(|i| {
+                let state = self.array.meta_at(i).state;
+                self.array.meta_at_mut(i).state = keep(state);
+                (state, *self.array.data_at(i))
+            })
+        };
+        match resident {
+            Some((state, data)) => Some(Supply {
+                data,
+                dirty: state.dirty(),
+                resident: true,
+            }),
+            None => self.evict_buf.get(&block).map(|e| Supply {
+                data: e.data,
+                dirty: e.dirty,
+                resident: false,
+            }),
         }
     }
 
@@ -739,41 +583,33 @@ impl L1 {
     /// dirty writeback still in the eviction buffer), and `data` rides along
     /// whenever one existed so the ordering point can source cache-to-cache.
     fn on_snoop(&mut self, block: u64, kind: SnoopKind, out: &mut L1Out) {
+        let protocol = self.protocol;
         let (had, dirty, data) = match kind {
-            SnoopKind::Rd => {
-                if let Some(i) = self.array.peek_idx(block) {
-                    self.fetches += 1;
-                    let state = self.array.meta_at(i).state;
-                    let dirty = state.dirty();
-                    // Another cache reads: demote a writable copy to shared.
-                    // MESI: M/E → S (the ordering point writes the dirty data
-                    // back, so every surviving copy is clean). Dragon: the
-                    // dirty owner keeps ownership as Sm (`O`), E → Sc (`S`) —
-                    // memory is *not* updated on cache-to-cache supply.
-                    let demoted = match (self.protocol, state) {
-                        (ProtocolKind::Dragon, L1State::M) => L1State::O,
-                        (ProtocolKind::Dragon, L1State::E) => L1State::S,
-                        (ProtocolKind::Dragon, s) => s,
-                        (_, L1State::M | L1State::E) => L1State::S,
-                        (_, s) => s,
-                    };
-                    self.array.meta_at_mut(i).state = demoted;
-                    (true, dirty, Some(self.array.data(block)))
-                } else if let Some(e) = self.evict_buf.get(&block) {
-                    (e.dirty, e.dirty, e.dirty.then_some(e.data))
-                } else {
-                    (false, false, None)
-                }
-            }
-            SnoopKind::RdX => {
-                if let Some((line, data)) = self.array.remove(block) {
-                    self.invalidations += 1;
-                    self.claim_freed_way(block);
-                    (true, line.state.dirty(), Some(data))
-                } else if let Some(e) = self.evict_buf.get(&block) {
-                    (e.dirty, e.dirty, e.dirty.then_some(e.data))
-                } else {
-                    (false, false, None)
+            SnoopKind::Rd | SnoopKind::RdX => {
+                let invalidate = kind == SnoopKind::RdX;
+                // Another cache reads: demote a writable copy to shared.
+                // MESI: M/E → S (the ordering point writes the dirty data
+                // back, so every surviving copy is clean). Dragon: the dirty
+                // owner keeps ownership as Sm (`O`), E → Sc (`S`) — memory
+                // is *not* updated on cache-to-cache supply.
+                let demote = |state| match (protocol, state) {
+                    (ProtocolKind::Dragon, L1State::M) => L1State::O,
+                    (ProtocolKind::Dragon, L1State::E) => L1State::S,
+                    (ProtocolKind::Dragon, s) => s,
+                    (_, L1State::M | L1State::E) => L1State::S,
+                    (_, s) => s,
+                };
+                match self.supply(block, invalidate, demote) {
+                    Some(copy) if copy.resident => {
+                        if invalidate {
+                            self.invalidations += 1;
+                        } else {
+                            self.fetches += 1;
+                        }
+                        (true, copy.dirty, Some(copy.data))
+                    }
+                    Some(copy) => (copy.dirty, copy.dirty, copy.dirty.then_some(copy.data)),
+                    None => (false, false, None),
                 }
             }
             SnoopKind::Upd(word) => {
@@ -944,7 +780,6 @@ impl L1 {
     /// Returns `false` when the cache lacks write permission.
     pub fn poke_word(&mut self, addr: PhysAddr, size: usize, value: u64) -> bool {
         let block = block_of(addr);
-        self.spec_touch(block);
         match self.array.peek_idx(block) {
             Some(i) if matches!(self.array.meta_at(i).state, L1State::M | L1State::E) => {
                 self.array.meta_at_mut(i).state = L1State::M;
@@ -960,7 +795,6 @@ impl L1 {
     /// Functionally overwrites bytes of a resident block (any valid state),
     /// for the machine's coherent backdoor. Returns `false` if not resident.
     pub fn backdoor_patch(&mut self, block: u64, off: usize, bytes: &[u8]) -> bool {
-        self.spec_touch(block);
         match self.array.peek(block) {
             Some(line) if line.state.readable() => {
                 self.array.write(block, off, bytes);
@@ -1051,24 +885,9 @@ mod tests {
         )
     }
 
-    /// Everything a journal restores: the array, the MSHR, eviction and
-    /// reservation maps, and the counters.
-    type State = (
-        CacheArray<Line>,
-        FxHashMap<u64, Mshr>,
-        FxHashMap<u64, EvictEntry>,
-        FxHashMap<u64, usize>,
-        [u64; 11],
-    );
-
-    fn state(l1: &L1) -> State {
-        (
-            l1.array.clone(),
-            l1.mshrs.clone(),
-            l1.evict_buf.clone(),
-            l1.reserved.clone(),
-            l1.counters(),
-        )
+    /// Everything a journal restores: the whole L1, counters included.
+    fn state(l1: &L1) -> String {
+        format!("{l1:?}")
     }
 
     /// Miss on `block` and deliver the fill, leaving it resident in `grant`.
@@ -1116,47 +935,30 @@ mod tests {
         l1.poke_word(PhysAddr(crate::BLOCK_BYTES + 16), 8, 0xCAFE);
     }
 
+    /// Rollback puts the L1 back exactly as it was at begin; commit leaves
+    /// it exactly as an unjournaled twin that did the same work.
     #[test]
-    fn spec_rollback_restores_snapshot_bytes() {
+    fn spec_rollback_restores_and_commit_matches_unjournaled_twin() {
         let mut l1 = test_l1();
-        for (b, g) in [(1, Grant::M), (5, Grant::E), (3, Grant::S)] {
-            install(&mut l1, b, g);
-        }
-        let state0 = state(&l1);
-
-        // Journaled path: generous budget, no overflow.
-        let mut out = L1Out::default();
-        l1.spec_begin(8);
-        churn(&mut l1, &mut out);
-        assert!(!l1.spec_overflowed());
-        assert!(!l1.spec_rollback());
-        assert_eq!(state(&l1), state0, "journaled rollback must be exact");
-
-        // Overflow path: budget of one image, same churn.
-        let mut out = L1Out::default();
-        l1.spec_begin(1);
-        churn(&mut l1, &mut out);
-        assert!(l1.spec_overflowed());
-        assert!(l1.spec_rollback());
-        assert_eq!(state(&l1), state0, "overflow rollback must be exact");
-    }
-
-    #[test]
-    fn spec_commit_matches_unspeculated_twin() {
-        let mut spec = test_l1();
         let mut plain = test_l1();
-        for l1 in [&mut spec, &mut plain] {
+        for l1 in [&mut l1, &mut plain] {
             for (b, g) in [(1, Grant::M), (5, Grant::E), (3, Grant::S)] {
                 install(l1, b, g);
             }
         }
-        let mut out_s = L1Out::default();
-        let mut out_p = L1Out::default();
-        spec.spec_begin(2);
-        churn(&mut spec, &mut out_s);
-        spec.spec_commit();
-        churn(&mut plain, &mut out_p);
-        assert_eq!(state(&spec), state(&plain));
-        assert_eq!(format!("{out_s:?}"), format!("{out_p:?}"));
+        let state0 = state(&l1);
+        l1.spec_begin();
+        churn(&mut l1, &mut L1Out::default());
+        l1.spec_rollback();
+        assert_eq!(state(&l1), state0, "rollback must be exact");
+
+        let mut out = L1Out::default();
+        let mut out_plain = L1Out::default();
+        l1.spec_begin();
+        churn(&mut l1, &mut out);
+        l1.spec_commit();
+        churn(&mut plain, &mut out_plain);
+        assert_eq!(state(&l1), state(&plain));
+        assert_eq!(format!("{out:?}"), format!("{out_plain:?}"));
     }
 }

@@ -155,8 +155,10 @@ pub(crate) enum DirToL1 {
     Fetch { block: u64 },
     /// Owner must send current data to the directory and invalidate.
     FetchInv { block: u64 },
-    /// A Put transaction finished (possibly as a stale no-op).
-    PutAck { block: u64 },
+    /// A Put transaction finished (possibly as a stale no-op). `retain`
+    /// echoes the `PutDirty`'s: a retaining (write-through) push's ack does
+    /// not end an eviction.
+    PutAck { block: u64, retain: bool },
     /// Snooping protocols: the ordering point probes this L1 for `block`;
     /// respond with `SnoopResp` (and react per [`SnoopKind`]).
     Snoop { block: u64, kind: SnoopKind },
@@ -220,6 +222,17 @@ pub(crate) enum L1ToDir {
     },
 }
 
+impl L1ToDir {
+    /// The responding port and the block the response names.
+    pub(crate) fn origin(&self) -> (PortId, u64) {
+        match *self {
+            L1ToDir::InvResp { from, block, .. }
+            | L1ToDir::FetchResp { from, block, .. }
+            | L1ToDir::SnoopResp { from, block, .. } => (from, block),
+        }
+    }
+}
+
 /// An internal memory-system event. The machine model wraps these in its own
 /// event type and hands them back to [`crate::MemorySystem::handle`] at the
 /// scheduled time.
@@ -262,9 +275,7 @@ impl MemEvent {
     /// for fault-injection test knobs that black-hole a responder.
     pub fn resp_block(&self) -> Option<u64> {
         match &self.0 {
-            MemEventKind::RespArrive(_, L1ToDir::InvResp { block, .. })
-            | MemEventKind::RespArrive(_, L1ToDir::FetchResp { block, .. })
-            | MemEventKind::RespArrive(_, L1ToDir::SnoopResp { block, .. }) => Some(*block),
+            MemEventKind::RespArrive(_, resp) => Some(resp.origin().1),
             _ => None,
         }
     }
@@ -280,15 +291,11 @@ impl MemEvent {
                 | DirToL1::Inv { block }
                 | DirToL1::Fetch { block }
                 | DirToL1::FetchInv { block }
-                | DirToL1::PutAck { block }
+                | DirToL1::PutAck { block, .. }
                 | DirToL1::Snoop { block, .. }
                 | DirToL1::UpdDone { block, .. } => *block,
             },
-            MemEventKind::RespArrive(_, resp) => match resp {
-                L1ToDir::InvResp { block, .. }
-                | L1ToDir::FetchResp { block, .. }
-                | L1ToDir::SnoopResp { block, .. } => *block,
-            },
+            MemEventKind::RespArrive(_, resp) => resp.origin().1,
             MemEventKind::DramReadDone { block, .. }
             | MemEventKind::BankReady { block, .. }
             | MemEventKind::DirTimeout { block, .. } => *block,

@@ -284,27 +284,30 @@ impl MemorySystem {
     // --- L1 undo journal ---------------------------------------------------
     //
     // Nothing in the machine speculates. The journal is read only by the
-    // ledger's `mem.spec_*` probes, and is removed with them. A caller must
-    // not deliver a directory message to a journaling L1, so commit and
+    // ledger's `mem.spec_*` probes, and is removed with them. It is a copy
+    // of the L1: begin saves it, rollback puts it back. A caller must not
+    // deliver a directory message to a journaling L1, so commit and
     // rollback are purely local to the port.
 
-    /// Opens an undo journal on `port`'s L1. `budget` caps the set-granular
-    /// pre-images before the journal falls back to a copy of the whole array.
-    pub fn spec_begin(&mut self, port: PortId, budget: usize) {
-        self.l1s[port.0].spec_begin(budget);
+    /// Opens an undo journal on `port`'s L1 by saving a copy of it. The
+    /// budget is unused: it is the ledger probe's argument, and goes with
+    /// the probe.
+    pub fn spec_begin(&mut self, port: PortId, _budget: usize) {
+        self.l1s[port.0].spec_begin();
     }
 
     /// Keeps everything `port`'s L1 did since `spec_begin`, discarding the
-    /// journal.
+    /// copy.
     pub fn spec_commit(&mut self, port: PortId) {
         self.l1s[port.0].spec_commit();
     }
 
-    /// Rolls `port`'s L1 back to its `spec_begin` state, exactly. Returns
-    /// `true` when the journal had overflowed and the whole-array copy was
-    /// restored.
+    /// Rolls `port`'s L1 back to its `spec_begin` state, exactly, by
+    /// putting the saved copy back. Returns `false`: a copy never overflows
+    /// (the result is the ledger probe's, and goes with it).
     pub fn spec_rollback(&mut self, port: PortId) -> bool {
-        self.l1s[port.0].spec_rollback()
+        self.l1s[port.0].spec_rollback();
+        false
     }
 
     /// Issues `access` on `port`. `token` identifies the access in a later
@@ -639,25 +642,16 @@ impl MemorySystem {
         self.corrupt_next_resend = true;
     }
 
-    /// Whether a `DirTimeout` carrying (`bank`, `block`, `epoch`) would hit a
-    /// live snoop-collection round (mutation targeting; see `Bank`).
-    pub fn snoop_round_current(&self, bank: BankId, block: u64, epoch: u64) -> bool {
-        self.banks[bank.0].snoop_round_current(block, epoch)
-    }
-
     /// Whether the `CorruptResendEpoch` mutation is *applicable* to a
-    /// `DirTimeout` carrying (`bank`, `block`, `epoch`): the round is live
-    /// and the probe it would abandon targets an L1 that actually holds the
-    /// block — so completing the round without that answer is guaranteed to
-    /// violate coherence (a surviving copy beside an exclusive grant, or an
-    /// unpatched sharer), not silently benign.
+    /// `DirTimeout` carrying (`bank`, `block`, `epoch`): the round is a live
+    /// snoop round and the probe it would abandon targets an L1 that
+    /// actually holds the block — so completing the round without that
+    /// answer is guaranteed to violate coherence (a surviving copy beside an
+    /// exclusive grant, or an unpatched sharer), not silently benign.
     pub fn corrupt_resend_applicable(&self, bank: BankId, block: u64, epoch: u64) -> bool {
-        if !self.banks[bank.0].snoop_round_current(block, epoch) {
-            return false;
-        }
         self.banks[bank.0]
-            .snoop_pending_lowest(block)
-            .is_some_and(|p| self.l1s[p.0].probe(block).0 != crate::l1::L1State::I)
+            .corrupt_target(block, epoch)
+            .is_some_and(|p| self.l1s[p.0].probe(block).0 != L1State::I)
     }
 
     /// Whether `block`'s home bank is mid write-update round — i.e. a lost
@@ -669,12 +663,14 @@ impl MemorySystem {
 
     /// Directory-reported owner of a block (tests / invariant checks).
     pub fn dir_owner(&self, block: u64) -> Option<PortId> {
-        self.banks[self.home(block)].owner_of(block)
+        self.banks[self.home(block)].dir_record(block)?.0
     }
 
     /// Directory-reported sharer mask of a block (tests / invariant checks).
     pub fn dir_sharers(&self, block: u64) -> u32 {
-        self.banks[self.home(block)].sharers_of(block)
+        self.banks[self.home(block)]
+            .dir_record(block)
+            .map_or(0, |(_, sharers)| sharers)
     }
 
     /// Total DRAM accesses so far — the paper's Figure 9 metric.
@@ -684,7 +680,7 @@ impl MemorySystem {
 
     /// Resets the DRAM counters (e.g. after input loading).
     pub fn reset_dram_counters(&mut self) {
-        self.dram.reset_counters();
+        self.dram.clear_counters();
     }
 
     /// Aggregated statistics of every component.

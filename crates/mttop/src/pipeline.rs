@@ -29,7 +29,8 @@ pub(crate) struct Plan {
 }
 
 /// FIFO of coalesced groups, each a lane set whose lowest lane leads (its
-/// op is the timed access). At most one group per lane, and `lanes <= 8`.
+/// op is the timed access). At most one waiting group per lane, and
+/// `lanes <= 8`.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Groups {
     pub(crate) sets: [u8; 8],
@@ -42,7 +43,14 @@ impl Groups {
         &self.sets[self.head as usize..self.len as usize]
     }
 
+    /// Queues `group` last. Issued groups ahead of the head make room when
+    /// the array is full.
     pub(crate) fn push(&mut self, group: u8) {
+        if self.len as usize == self.sets.len() {
+            self.sets.copy_within(self.head as usize.., 0);
+            self.len -= self.head;
+            self.head = 0;
+        }
         self.sets[self.len as usize] = group;
         self.len += 1;
     }
@@ -460,13 +468,18 @@ impl MttopCore {
     }
 
     /// Re-issues lane `li`'s access as its own timed flight. Returns the
-    /// value of an inline hit.
+    /// value of an inline hit. A `Retry` (the L1 is out of MSHRs or ways)
+    /// queues the lane as a one-lane group of the warp's plan, issued when
+    /// the plan is next re-entered.
     fn reissue_lane(&mut self, wi: usize, li: usize, port: &mut CorePort<'_>) -> Option<u64> {
         match self.issue_group(wi, 1 << li, port) {
             AccessResult::Hit { value, .. } => return Some(value),
             AccessResult::Pending => self.warps[wi].outstanding += 1,
             AccessResult::Poisoned => self.poisoned = true,
-            AccessResult::Retry => unreachable!("lane fallback with a just-freed MSHR"),
+            AccessResult::Retry => {
+                let plan = self.warps[wi].plan.as_mut().expect("plan");
+                plan.groups.as_mut().expect("groups").push(1 << li);
+            }
         }
         None
     }
@@ -537,14 +550,17 @@ impl MttopCore {
         let wi = flight.warp;
         self.warps[wi].outstanding -= 1;
         self.apply_group(wi, flight.lanes, value, port);
-        if self.warps[wi].outstanding == 0
-            && self.states[wi] == WarpState::Mem
-            && self.warps[wi]
-                .plan
-                .as_ref()
-                .is_some_and(|p| p.groups.as_ref().is_some_and(|g| g.waiting().is_empty()))
-        {
-            self.finish_mem_instr(wi, self.local_time);
+        if self.warps[wi].outstanding == 0 && self.states[wi] == WarpState::Mem {
+            let plan = self.warps[wi].plan.as_ref().expect("plan");
+            if plan.groups.as_ref().expect("groups").waiting().is_empty() {
+                self.finish_mem_instr(wi, self.local_time);
+            } else {
+                // A lane's fallback drew `Retry` and was queued: back off
+                // and re-enter the plan, as on any other `Retry`.
+                self.retry_epoch[wi] = self.batch_epoch;
+                self.set_state(wi, WarpState::Ready);
+                self.ready_at[wi] = self.local_time + self.config.clock.cycles(8);
+            }
         }
     }
 

@@ -5,15 +5,24 @@
 //! cores (`ccsvm-cpu` / `ccsvm-mttop`) must agree with it on architectural
 //! results.
 
-use std::collections::HashMap;
+use ccsvm_engine::fxmap::FxHashMap;
 
 use crate::instr::{AmoKind, Instr, Operand, Reg};
-use crate::{abi, sys, Program};
+use crate::{abi, sys, DecodedImage, Program};
 
-/// Sparse flat byte memory (4 KiB chunks on first touch).
+/// Bytes per [`FlatMem`] page.
+const PAGE: u64 = 4096;
+
+/// Sparse flat byte memory (4 KiB pages, zeroed on first touch).
+///
+/// Pages sit in a map under the deterministic Fx multiply-rotate hash
+/// (`ccsvm_engine::fxmap`; the keys are page numbers of the program being
+/// checked, not input crafted to collide), so an access within one page
+/// costs one probe and one copy. Only an access that straddles two pages
+/// goes byte by byte.
 #[derive(Clone, Debug, Default)]
 pub struct FlatMem {
-    pages: HashMap<u64, Box<[u8; 4096]>>,
+    pages: FxHashMap<u64, Box<[u8; PAGE as usize]>>,
 }
 
 impl FlatMem {
@@ -25,12 +34,20 @@ impl FlatMem {
     /// Reads `size` bytes at `addr`, zero-extended.
     pub fn read(&self, addr: u64, size: u8) -> u64 {
         let mut v = [0u8; 8];
-        for (i, b) in v.iter_mut().enumerate().take(size as usize) {
-            let a = addr + i as u64;
-            *b = self
-                .pages
-                .get(&(a / 4096))
-                .map_or(0, |p| p[(a % 4096) as usize]);
+        let n = usize::from(size).min(8);
+        let off = (addr % PAGE) as usize;
+        if off + n <= PAGE as usize {
+            if let Some(p) = self.pages.get(&(addr / PAGE)) {
+                v[..n].copy_from_slice(&p[off..off + n]);
+            }
+        } else {
+            for (i, b) in v.iter_mut().enumerate().take(n) {
+                let a = addr.wrapping_add(i as u64);
+                *b = self
+                    .pages
+                    .get(&(a / PAGE))
+                    .map_or(0, |p| p[(a % PAGE) as usize]);
+            }
         }
         u64::from_le_bytes(v)
     }
@@ -38,12 +55,23 @@ impl FlatMem {
     /// Writes the low `size` bytes of `value` at `addr`.
     pub fn write(&mut self, addr: u64, size: u8, value: u64) {
         let bytes = value.to_le_bytes();
-        for (i, &b) in bytes.iter().enumerate().take(size as usize) {
-            let a = addr + i as u64;
-            self.pages
-                .entry(a / 4096)
-                .or_insert_with(|| Box::new([0; 4096]))[(a % 4096) as usize] = b;
+        let n = usize::from(size).min(8);
+        let off = (addr % PAGE) as usize;
+        if off + n <= PAGE as usize {
+            self.page_mut(addr / PAGE)[off..off + n].copy_from_slice(&bytes[..n]);
+        } else {
+            for (i, &b) in bytes.iter().enumerate().take(n) {
+                let a = addr.wrapping_add(i as u64);
+                self.page_mut(a / PAGE)[(a % PAGE) as usize] = b;
+            }
         }
+    }
+
+    /// Page number `page`, allocated zeroed on first touch.
+    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE as usize] {
+        self.pages
+            .entry(page)
+            .or_insert_with(|| Box::new([0; PAGE as usize]))
     }
 }
 
@@ -250,7 +278,19 @@ impl Interp {
         os: &mut dyn Syscalls,
         max_steps: u64,
     ) -> Result<(), TrapKind> {
-        let image = crate::DecodedImage::build(&prog.text);
+        let image = DecodedImage::build(&prog.text);
+        self.run_decoded(prog, &image, mem, os, max_steps)
+    }
+
+    /// [`Interp::run`] over `image`, which must be `prog`'s decoded text.
+    fn run_decoded(
+        &mut self,
+        prog: &Program,
+        image: &DecodedImage,
+        mem: &mut FlatMem,
+        os: &mut dyn Syscalls,
+        max_steps: u64,
+    ) -> Result<(), TrapKind> {
         let mut gas = max_steps;
         while gas > 0 {
             let ops = image.run_at(self.pc);
@@ -333,6 +373,8 @@ impl Syscalls for FuncOs {
                 let args = mem.read(d + 8, 8);
                 let first = mem.read(d + 16, 8);
                 let last = mem.read(d + 24, 8);
+                // One decoded image for every thread of the launch.
+                let image = DecodedImage::build(&prog.text);
                 for tid in first..=last {
                     self.next_ctx += 1;
                     let mut t = Interp::new(entry, self.next_ctx);
@@ -341,7 +383,7 @@ impl Syscalls for FuncOs {
                     if let Some(kexit) = prog.lookup("__kexit") {
                         t.regs[crate::abi::RA.0 as usize] = kexit as u64;
                     }
-                    t.run(prog, mem, self, 200_000_000)?;
+                    t.run_decoded(prog, &image, mem, self, 200_000_000)?;
                 }
                 regs[1] = 0;
             }

@@ -22,7 +22,8 @@ impl ByteMem {
 
     fn write(&mut self, addr: u64, size: u8, value: u64) {
         for i in 0..u64::from(size) {
-            self.0.insert(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+            self.0
+                .insert(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
     }
 }
@@ -77,7 +78,7 @@ fn flatmem_matches_a_byte_at_a_time_reference() {
             if addr % 0x1000 + u64::from(size) > 0x1000 {
                 straddles += 1;
             }
-            if rng.next() % 3 == 0 {
+            if rng.next().is_multiple_of(3) {
                 let value = rng.next();
                 mem.write(addr, size, value);
                 model.write(addr, size, value);

@@ -130,6 +130,30 @@ fn dropped_response_recovers_via_directory_nack() {
     assert!(timeouts >= 1.0, "the dropped response forced a NACK round");
 }
 
+/// With directory timeouts on and nothing lost, no round resends: a
+/// timeout armed by a finished transaction must be stale for every later
+/// transaction on the same block, not resend into its round. Small L2 banks
+/// make the matmul reuse blocks through recalls and refills, where the
+/// epochs of successive transactions used to meet.
+#[test]
+fn no_lost_message_means_no_resend() {
+    let src = matmul_n16();
+    for (bytes, ways) in [(32 * 1024, 4), (8 * 1024, 2)] {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.fault.dir.timeout = Some(Time::from_us(5));
+        cfg.l2_bank = ccsvm_mem::CacheConfig::from_capacity(bytes, ways);
+        let r = run(cfg, &src);
+        assert_eq!(r.outcome, Outcome::Completed, "{bytes} B {ways}-way");
+        let count = |c: &str| -> f64 {
+            (0..4)
+                .map(|i| r.stats.get(&format!("mem.l2.{i}.{c}")))
+                .sum()
+        };
+        assert!(count("recalls") > 0.0, "{bytes} B {ways}-way: no recall");
+        assert_eq!(count("dir_nacks"), 0.0, "{bytes} B {ways}-way resent");
+    }
+}
+
 #[test]
 fn blackholed_responder_exhausts_retry_budget() {
     let mut cfg = SystemConfig::tiny();

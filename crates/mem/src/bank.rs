@@ -160,6 +160,10 @@ pub(crate) struct Bank {
     /// enabled: a NACK resend can race the original response). Off by
     /// default so protocol bugs still trip the strict assertions.
     lenient: bool,
+    /// Transactions opened so far. Numbers each one's epochs, so a timeout
+    /// armed by a finished transaction is stale for every later one on the
+    /// same block.
+    opened: u64,
     // counters
     gets: u64,
     getm: u64,
@@ -197,6 +201,7 @@ impl Bank {
             recall_owner: fx_map_with_capacity(64),
             waiting: fx_map_with_capacity(64),
             lenient: false,
+            opened: 0,
             gets: 0,
             getm: 0,
             puts: 0,
@@ -229,6 +234,7 @@ impl Bank {
             self.waiting.entry(block).or_default().push_back(req);
             return false;
         }
+        self.opened += 1;
         self.tx.insert(
             block,
             Tx {
@@ -238,7 +244,7 @@ impl Bank {
                 fill_data: None,
                 recall: None,
                 round: Round::IDLE,
-                retry: RetryRound::new(),
+                retry: RetryRound::new(self.opened),
                 snoop_had: false,
                 snoop_dirty: false,
                 snoop_data: None,

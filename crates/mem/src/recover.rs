@@ -186,17 +186,25 @@ impl Round {
 /// solicitation round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct RetryRound {
-    /// Current solicitation round. Bumped on every resend so a stale timeout
-    /// event (armed for a superseded round) can be recognised and dropped.
+    /// Current solicitation round: `serial << 32 | resends`, where `serial`
+    /// numbers the transaction among those its bank opened. Bumped on every
+    /// resend so a stale timeout event (armed for a superseded round, or by
+    /// an earlier transaction on the same block) can be recognised and
+    /// dropped.
     epoch: u64,
     /// Resends already spent on this transaction, across all its rounds.
     nacks: u32,
 }
 
 impl RetryRound {
-    /// Fresh state for a newly arrived transaction: round 0, no resends.
-    pub(crate) fn new() -> RetryRound {
-        RetryRound { epoch: 0, nacks: 0 }
+    /// Fresh state for the `serial`-th transaction a bank opened: no
+    /// resends, and an epoch base no other of the bank's transactions uses
+    /// (a `u32` budget keeps every resend's epoch below the next base).
+    pub(crate) fn new(serial: u64) -> RetryRound {
+        RetryRound {
+            epoch: serial << 32,
+            nacks: 0,
+        }
     }
 
     /// The round a timeout event must carry to be considered live.
@@ -227,7 +235,7 @@ mod tests {
 
     #[test]
     fn spend_bumps_epoch_until_budget_exhausted() {
-        let mut r = RetryRound::new();
+        let mut r = RetryRound::new(0);
         assert_eq!(r.epoch(), 0);
         assert!(r.is_current(0));
         assert_eq!(r.spend(2), Some(1));
@@ -237,6 +245,23 @@ mod tests {
         // Exhaustion is sticky and does not advance the round.
         assert_eq!(r.spend(2), None);
         assert!(r.is_current(2));
+    }
+
+    /// A later transaction's epochs never meet an earlier one's, even when
+    /// the earlier one spent a `u32::MAX` budget.
+    #[test]
+    fn each_transaction_starts_past_every_earlier_epoch() {
+        let mut early = RetryRound::new(1);
+        assert_eq!(early.spend(3), Some((1 << 32) + 1));
+        let mut spent = RetryRound::new(2);
+        spent.nacks = u32::MAX - 1;
+        spent.epoch = (2 << 32) + u64::from(spent.nacks);
+        assert_eq!(spent.spend(u32::MAX), Some((3 << 32) - 1));
+        assert_eq!(spent.spend(u32::MAX), None);
+        let next = RetryRound::new(3);
+        for old in [0, early.epoch(), spent.epoch()] {
+            assert!(!next.is_current(old), "epoch {old:#x} is current again");
+        }
     }
 
     /// A recall-style round: the owner's `FetchInv` goes out first and the
@@ -257,7 +282,7 @@ mod tests {
         };
         let mut round = Round::new(7, Some((PortId(2), Ask::FetchInv)), Ask::Inv, 0b1010);
         let mut out = BankOut::default();
-        assert!(round.open(3, &RetryRound::new(), &mut out));
+        assert!(round.open(3, &RetryRound::new(0), &mut out));
         assert_eq!(
             out.sends,
             [

@@ -13,8 +13,8 @@
 //!          [--domains d1,d2,...] [--no-mutation-cell] [--threads N]
 //! ```
 //!
-//! Any other argument, or a malformed value, prints the usage line and
-//! exits 2 before any cell runs.
+//! Any other argument, a malformed value, or a value listed twice on one
+//! axis prints the usage line and exits 2 before any cell runs.
 //!
 //! The cells run on `--threads N` host threads (default 1). The campaign
 //! writes `<dir>/manifest.txt` (byte-stable across re-runs and thread
@@ -76,16 +76,11 @@ fn parse_args(
                     .parse()
                     .map_err(|_| cli(format!("--seed: bad value {v:?}")))?;
             }
-            "--protocols" => {
-                spec.protocols = parse_list(&flag, &value()?, ProtocolKind::parse).map_err(cli)?;
-            }
+            "--protocols" => spec.protocols = parse_axis(&flag, &value()?, ProtocolKind::parse)?,
             "--workloads" => {
-                spec.workloads =
-                    parse_list(&flag, &value()?, |s| Some(s.to_string())).map_err(cli)?;
+                spec.workloads = parse_axis(&flag, &value()?, |s| Some(s.to_string()))?;
             }
-            "--domains" => {
-                domains = Some(parse_list(&flag, &value()?, CampaignDomain::parse).map_err(cli)?);
-            }
+            "--domains" => domains = Some(parse_axis(&flag, &value()?, CampaignDomain::parse)?),
             other => return Err(cli(format!("unknown argument `{other}`"))),
         }
     }
@@ -102,6 +97,23 @@ fn parse_args(
         ];
     }
     Ok((spec, dir))
+}
+
+/// Parses the comma-separated values of one grid axis. A value listed twice
+/// is an error: it would simulate and list every cell on it twice.
+fn parse_axis<T: PartialEq>(
+    flag: &str,
+    raw: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, BenchError> {
+    let values = parse_list(flag, raw, parse).map_err(cli)?;
+    match (1..values.len()).find(|&i| values[..i].contains(&values[i])) {
+        Some(i) => {
+            let repeated = raw.split(',').nth(i).unwrap_or_default().trim();
+            Err(cli(format!("{flag}: {repeated:?} is listed twice")))
+        }
+        None => Ok(values),
+    }
 }
 
 fn run() -> Result<(), BenchError> {

@@ -45,6 +45,29 @@ fn unknown_or_malformed_arguments_exit_2_before_any_cell_runs() {
         ),
         ("campaign", env!("CARGO_BIN_EXE_campaign"), &["--seed"]),
         (
+            "campaign",
+            env!("CARGO_BIN_EXE_campaign"),
+            &[
+                "--domains",
+                "noc-drop,noc-drop",
+                "--workloads",
+                "vecadd",
+                "--protocols",
+                "directory",
+                "--no-mutation-cell",
+            ],
+        ),
+        (
+            "campaign",
+            env!("CARGO_BIN_EXE_campaign"),
+            &["--quick", "--protocols", "directory,dragon,directory"],
+        ),
+        (
+            "campaign",
+            env!("CARGO_BIN_EXE_campaign"),
+            &["--quick", "--workloads", "vecadd, vecadd"],
+        ),
+        (
             "faults",
             env!("CARGO_BIN_EXE_faults"),
             &["--quick", "--protocl", "dragon"],

@@ -178,7 +178,13 @@ pub struct FaultConfig {
     /// directory timeouts enabled this exhausts the retry budget.
     pub blackhole_resp: Option<u64>,
     /// Test knob: swallow exactly the k-th (1-based) L1→directory response.
-    /// A single lost message; recoverable when directory timeouts are on.
+    /// With directory timeouts on, the round resends to every L1 that still
+    /// owes an answer, and an L1 answers a resent `Inv` or snoop probe again
+    /// from its current state, so a lost `InvResp` or `SnoopResp` recovers.
+    /// A lost `FetchResp` recovers only while the owner still holds the
+    /// block: an owner that answered a `FetchInv` has given up its copy,
+    /// stays silent on the resent fetch, and the round spends its whole
+    /// budget and ends `RetryBudgetExhausted`.
     pub drop_one_resp: Option<u64>,
     /// Seeded bank→L1 snoop-probe loss (snooping protocols only; probes
     /// don't exist under the directory protocol, so the domain is inert

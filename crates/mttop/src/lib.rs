@@ -117,10 +117,11 @@ pub struct MttopCore {
     /// `states[wi]` = scheduling state of warp `wi`. Kept out of [`Warp`]
     /// so the per-cycle ready scan stays within a couple of cache lines.
     states: Vec<WarpState>,
-    /// Bit `wi` set iff `states[wi] == Ready`. The scheduler scans this
-    /// with `trailing_zeros` so a cycle costs O(ready warps), not
-    /// O(total warps); all transitions go through [`Self::set_state`].
-    ready_mask: Vec<u64>,
+    /// Bit `wi` set iff `states[wi] == Ready`; one word, since a core has
+    /// at most 128 contexts. The scheduler scans this with `trailing_zeros`
+    /// so a cycle costs O(ready warps), not O(total warps); all transitions
+    /// go through [`Self::set_state`].
+    ready_mask: u128,
     /// `ready_at[wi]` = earliest issue time for a `Ready` warp.
     ready_at: Vec<Time>,
     rr: usize,
@@ -172,6 +173,10 @@ impl MttopCore {
     /// Creates an idle core. `token_prefix` must be unique per core.
     pub fn new(port: PortId, config: MttopConfig, token_prefix: u64) -> MttopCore {
         assert!(config.lanes >= 1 && config.lanes <= 8, "1..=8 lanes");
+        assert!(
+            config.warps >= 1 && config.warps <= 128,
+            "1..=128 warps (the ready set is one u128)"
+        );
         let alu_cost =
             Time::from_ps((config.clock.period().as_ps() / config.vliw_ops_per_lane).max(1));
         let l1_bank_mask = if config.l1_banks.is_power_of_two() {
@@ -206,7 +211,7 @@ impl MttopCore {
                 config.warps
             ],
             states: vec![WarpState::Free; config.warps],
-            ready_mask: vec![0; config.warps.div_ceil(64)],
+            ready_mask: 0,
             ready_at: vec![Time::ZERO; config.warps],
             rr: 0,
             local_time: Time::ZERO,
@@ -260,11 +265,11 @@ impl MttopCore {
     /// Every `states` write must go through here.
     #[inline]
     fn set_state(&mut self, wi: usize, s: WarpState) {
-        let bit = 1u64 << (wi & 63);
+        let bit = 1u128 << wi;
         if s == WarpState::Ready {
-            self.ready_mask[wi >> 6] |= bit;
+            self.ready_mask |= bit;
         } else {
-            self.ready_mask[wi >> 6] &= !bit;
+            self.ready_mask &= !bit;
         }
         self.states[wi] = s;
     }

@@ -96,73 +96,31 @@ impl MttopCore {
                 };
             }
             // Collect up to `per_cycle` distinct ready warps for this cycle,
-            // round-robin from `rr`. The bitmap scan visits only warps that
-            // are actually in `Ready` (the common case is a handful out of
-            // 128), in exactly the order the old full scan produced:
-            // rr..n, then 0..rr.
+            // round-robin from `rr`: the rr..n / 0..rr rotation is two masked
+            // views of the ready set, visiting only warps that are actually
+            // in `Ready` (the common case is a handful out of 128). Bits at
+            // or above `n` are never set, and `rr < n <= 128` keeps the
+            // shift in range.
             let n = self.warps.len();
             chosen.clear();
             let mut earliest: Option<Time> = None;
-            if n <= 64 {
-                // Single-word specialization (the APU GPU's 16 warps and
-                // `SystemConfig::tiny`'s 32; the paper's core, with 128
-                // contexts, takes the multi-word scan below): the
-                // rr..n / 0..rr rotation is two masked views of
-                // `ready_mask[0]`. Bits at or above `n` are never set, and
-                // `rr < n <= 64` keeps the shift in range.
-                let mask0 = self.ready_mask[0];
-                let hi_bits = mask0 & (!0u64 << (self.rr & 63));
-                'scan1: for mut bits in [hi_bits, mask0 ^ hi_bits] {
-                    while bits != 0 {
-                        let wi = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let at = self.ready_at[wi];
-                        if at <= self.local_time {
-                            chosen.push(wi);
-                            if chosen.len() == per_cycle {
-                                break 'scan1;
-                            }
-                        } else {
-                            earliest = Some(match earliest {
-                                Some(e) => e.min(at),
-                                None => at,
-                            });
+            let ready = self.ready_mask;
+            let from_rr = ready & (!0u128 << self.rr);
+            'scan: for mut bits in [from_rr, ready ^ from_rr] {
+                while bits != 0 {
+                    let wi = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let at = self.ready_at[wi];
+                    if at <= self.local_time {
+                        chosen.push(wi);
+                        if chosen.len() == per_cycle {
+                            break 'scan;
                         }
-                    }
-                }
-            } else {
-                'scan: for (lo, hi) in [(self.rr, n), (0, self.rr)] {
-                    if lo >= hi {
-                        continue;
-                    }
-                    let first_word = lo >> 6;
-                    let last_word = (hi + 63) >> 6; // exclusive
-                    for w in first_word..last_word {
-                        let mut bits = self.ready_mask[w];
-                        if w == first_word {
-                            bits &= !0u64 << (lo & 63);
-                        }
-                        if (w + 1) << 6 > hi {
-                            // Partial last word (only possible when `hi` is not
-                            // word-aligned, i.e. `hi & 63 != 0`).
-                            bits &= (1u64 << (hi & 63)) - 1;
-                        }
-                        while bits != 0 {
-                            let wi = (w << 6) | bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let at = self.ready_at[wi];
-                            if at <= self.local_time {
-                                chosen.push(wi);
-                                if chosen.len() == per_cycle {
-                                    break 'scan;
-                                }
-                            } else {
-                                earliest = Some(match earliest {
-                                    Some(e) => e.min(at),
-                                    None => at,
-                                });
-                            }
-                        }
+                    } else {
+                        earliest = Some(match earliest {
+                            Some(e) => e.min(at),
+                            None => at,
+                        });
                     }
                 }
             }
@@ -247,13 +205,13 @@ impl MttopCore {
     fn try_sprint(&mut self, image: &DecodedImage, deadline: Time) -> bool {
         let n = self.warps.len();
         let t = self.local_time;
-        let mask0 = self.ready_mask[0];
-        let hi = mask0 & (!0u64 << (self.rr & 63));
+        let ready = self.ready_mask;
+        let hi = ready & (!0u128 << self.rr);
         let mut s_buf = [0usize; 64];
         let mut s_len = 0usize;
         let mut min_rem = u32::MAX;
         let mut earliest_future: Option<Time> = None;
-        for mut bits in [hi, mask0 ^ hi] {
+        for mut bits in [hi, ready ^ hi] {
             while bits != 0 {
                 let wi = bits.trailing_zeros() as usize;
                 bits &= bits - 1;

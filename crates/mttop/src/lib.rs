@@ -174,8 +174,8 @@ impl MttopCore {
     pub fn new(port: PortId, config: MttopConfig, token_prefix: u64) -> MttopCore {
         assert!(config.lanes >= 1 && config.lanes <= 8, "1..=8 lanes");
         assert!(
-            config.warps >= 1 && config.warps <= 128,
-            "1..=128 warps (the ready set is one u128)"
+            config.warps <= 128,
+            "at most 128 warps: the ready set is one u128"
         );
         let alu_cost =
             Time::from_ps((config.clock.period().as_ps() / config.vliw_ops_per_lane).max(1));

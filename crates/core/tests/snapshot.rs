@@ -412,8 +412,9 @@ fn recovery_reports(src: &str) -> Vec<(&'static str, RunReport, &'static [&'stat
 /// Every byte format that leaves the process, pinned by digest: the
 /// `RunReport` bytes of the paper's matmul (n = 16, `paper_default`) paused
 /// at three fixed times and resumed under each protocol, of a run under a
-/// NoC + ECC fault plan and of an aborted run, one replay bundle, and the
-/// recovery runs of [`recovery_reports`]. A
+/// NoC + ECC fault plan and of an aborted run, one replay bundle, the
+/// recovery runs of [`recovery_reports`], and one run on the APU's lockstep
+/// 8-lane warps (`MttopConfig::apu_gpu`). A
 /// codec change that moves any byte fails here even when every round trip
 /// still holds. To re-bless after an intended layout change (which also
 /// bumps the `.rpt` cache's or the bundle's version), run:
@@ -477,6 +478,12 @@ fn image_report_and_bundle_bytes_match_their_digests() {
         }
         digests.push((format!("{name}.report"), fnv1a(&r.to_bytes())));
     }
+
+    let mut cfg = SystemConfig::paper_default();
+    cfg.mttop = ccsvm_mttop::MttopConfig::apu_gpu(0);
+    let r = Machine::new(cfg, compile(&src)).run();
+    assert_eq!(r.outcome, Outcome::Completed, "lockstep");
+    digests.push(("lockstep.report".into(), fnv1a(&r.to_bytes())));
 
     let got: String = digests
         .iter()

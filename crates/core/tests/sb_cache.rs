@@ -85,8 +85,7 @@ fn cache_toggle_is_invisible_on_paper_default_machine() {
 #[test]
 fn cache_toggle_is_invisible_on_lockstep_warps() {
     // The APU baseline's 8-lane lockstep warps on the full-size machine: the
-    // warp path with min-PC reconvergence, the cursor's lagging-lane cap and
-    // the ALU sprint (`try_sprint` requires lockstep).
+    // warp path with min-PC reconvergence and the cursor's lagging-lane cap.
     let mut cfg = SystemConfig::paper_default();
     cfg.mttop = MttopConfig::apu_gpu(0);
     let r = differential(&cfg, &matmul_n16(), "matmul_n16 lockstep");

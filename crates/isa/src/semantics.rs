@@ -1,5 +1,5 @@
 //! Each instruction's architectural effect, written once for both timing
-//! cores (DESIGN §11.6).
+//! cores (DESIGN §11.5).
 //!
 //! The CPU and the MTTOP cores charge time differently but change
 //! architectural state the same way. [`Instr::step_regs`] applies a

@@ -42,7 +42,7 @@
 //! 4. **Reconvergence** is emergent, not stack-based: a lane group behind the
 //!    others keeps holding the minimum until its PC reaches another lane's
 //!    PC, at which point the recomputation in (1) merges them into one set.
-//!    Hence the batched superblock dispatcher may reuse a cached
+//!    Hence the superblock fast path may reuse a cached
 //!    participating set **only up to the smallest lagging live lane's PC** —
 //!    one micro-op short of it, the cursor dies and the next issue
 //!    recomputes, exactly as the per-instruction loop would.
@@ -66,13 +66,13 @@
 //! What an instruction does to a lane is written once, in `ccsvm_isa`
 //! ([`ccsvm_isa::Instr::step_regs`], [`ccsvm_isa::Instr::mem_operand`]), for
 //! this core and the CPU alike; this crate decides only when it happens and
-//! what it costs (DESIGN §11.6).
+//! what it costs (DESIGN §11.5).
 //!
 //! * `config`: [`MttopConfig`] and the batch types ([`TaskChunk`],
 //!   [`BatchOutcome`], [`MttopAction`], [`PageFaultReq`]).
 //! * `warp`: lane and warp state (registers, PC, the staged lane op, the
 //!   scheduling state and the decoded-run cursor).
-//! * `sched`: the scheduler (`run_batch`, the ALU sprint, `issue`,
+//! * `sched`: the scheduler (`run_batch`'s per-cycle loop, `issue`,
 //!   `issue_single`) and the issue charges.
 //! * `pipeline`: the memory pipeline (`Plan`, `Groups`, `Flight`, the
 //!   page-table walker, completions).

@@ -1,5 +1,5 @@
-//! The warp scheduler: the per-cycle ready-warp scan, the ALU sprint, and
-//! the issue of one warp-instruction, with each issue's time charge.
+//! The warp scheduler: the per-cycle ready-warp scan and the issue of one
+//! warp-instruction, with each issue's time charge.
 
 use ccsvm_engine::Time;
 use ccsvm_isa::{DecodedImage, Instr, MicroOp, Program};
@@ -24,30 +24,6 @@ fn exec_masked(op: MicroOp, lanes: &mut [Lane], mask: u8, full: u8) {
             let lane = &mut lanes[li];
             op.exec(&mut lane.regs);
             lane.pc += 1;
-        }
-    }
-}
-
-/// Sprint body: executes a whole run of micro-ops on the lanes selected by
-/// `mask` and advances their PCs by `ops.len()`. Full warps go op-outer so
-/// the enum dispatch happens once per op for all lanes; divergent warps go
-/// lane-outer so one lane's register file stays hot across the run.
-#[inline(always)]
-fn sprint_masked(ops: &[MicroOp], lanes: &mut [Lane], mask: u8, full: u8) {
-    if mask == full {
-        for op in ops {
-            op.exec_all(lanes.iter_mut().map(|l| &mut l.regs));
-        }
-        for lane in lanes {
-            lane.pc += ops.len();
-        }
-    } else {
-        for li in lanes_of(mask) {
-            let lane = &mut lanes[li];
-            for op in ops {
-                op.exec(&mut lane.regs);
-            }
-            lane.pc += ops.len();
         }
     }
 }
@@ -146,17 +122,6 @@ impl MttopCore {
                     poisoned: self.poisoned,
                 };
             }
-            // ALU sprint: when every warp that can issue right now is
-            // mid-superblock, whole rounds of the per-cycle rotation are pure
-            // ALU work with no port traffic, so they can be retired in
-            // per-warp blocks (see `try_sprint` for the equivalence argument).
-            if self.config.lockstep
-                && n <= 64
-                && chosen.len() == 1
-                && self.try_sprint(image, deadline)
-            {
-                continue;
-            }
             // Warp indices are below `n`: wrap with a compare, not a divide.
             let next = chosen[chosen.len() - 1] + 1;
             self.rr = if next == n { 0 } else { next };
@@ -171,98 +136,6 @@ impl MttopCore {
         };
         self.chosen = chosen;
         outcome
-    }
-
-    /// Attempts to retire several full rotation rounds of decoded ALU
-    /// micro-ops in one pass (lockstep mode, `warps <= 64`). Returns `true`
-    /// if it issued anything; the caller then rescans.
-    ///
-    /// # Equivalence
-    ///
-    /// The per-cycle lockstep loop, while the set `S` of warps eligible *now*
-    /// is stable and every member is mid-superblock, does exactly this each
-    /// round: visit `S` in rotation order from `rr`, issue one ALU micro-op
-    /// per warp, advance `local_time` by one ALU charge per issue. Those
-    /// issues touch no shared state — superblock ops are port-free and
-    /// branch-free, warp register files are private, and the instruction
-    /// counters are commutative sums — and intermediate `local_time` values
-    /// are unobservable because nothing else runs inside the window. So `k`
-    /// full rounds can be retired warp-by-warp instead of round-by-round,
-    /// provided `S` cannot change within the window:
-    ///
-    /// * nothing *leaves* `S` — a warp leaves only by exhausting its run,
-    ///   so `k` is clipped to the minimum remaining run length;
-    /// * nothing *joins* `S` — a parked warp with wake time `ta` joins at
-    ///   cycle `ceil((ta - t) / c)`, so `k*|S|` issues are clipped below
-    ///   that; the quantum deadline clips identically (`t + m*c < D`), the
-    ///   same comparisons the per-cycle loop performs at cycle granularity;
-    /// * `rr` ends one past the last warp of a rotation round, and the
-    ///   rotation order re-stabilizes after the first round, so the final
-    ///   `rr` equals `(last of round 1) + 1` — what the loop would leave;
-    /// * the attempt bails (returns `false`) unless EVERY eligible warp has
-    ///   a valid superblock cursor, so a slow-path warp in `S` forces the
-    ///   exact per-cycle interleaving instead.
-    fn try_sprint(&mut self, image: &DecodedImage, deadline: Time) -> bool {
-        let n = self.warps.len();
-        let t = self.local_time;
-        let ready = self.ready_mask;
-        let hi = ready & (!0u128 << self.rr);
-        let mut s_buf = [0usize; 64];
-        let mut s_len = 0usize;
-        let mut min_rem = u32::MAX;
-        let mut earliest_future: Option<Time> = None;
-        for mut bits in [hi, ready ^ hi] {
-            while bits != 0 {
-                let wi = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let at = self.ready_at[wi];
-                if at <= t {
-                    let cur = &self.sb_cur[wi];
-                    if cur.rem == 0
-                        || self.warps[wi].lanes[cur.mask.trailing_zeros() as usize].pc
-                            != cur.pc as usize
-                    {
-                        return false;
-                    }
-                    s_buf[s_len] = wi;
-                    s_len += 1;
-                    min_rem = min_rem.min(cur.rem);
-                } else {
-                    earliest_future = Some(earliest_future.map_or(at, |e| e.min(at)));
-                }
-            }
-        }
-        debug_assert!(s_len >= 1, "caller chose an eligible warp");
-        let c = self.alu_cost.as_ps().max(1);
-        // Cycle `m` (issue `m`) runs iff `t + m*c < deadline`, and a parked
-        // warp with wake time `ta` joins the eligible set from cycle
-        // `ceil((ta - t) / c)` on — identical to the per-cycle loop's
-        // comparisons.
-        let mut max_issues = (deadline.as_ps().saturating_sub(t.as_ps())).div_ceil(c);
-        if let Some(f) = earliest_future {
-            max_issues = max_issues.min((f.as_ps() - t.as_ps()).div_ceil(c));
-        }
-        let k = (min_rem as u64).min(max_issues / s_len as u64) as usize;
-        if k * s_len < 2 {
-            return false;
-        }
-        for &wi in &s_buf[..s_len] {
-            let cur = self.sb_cur[wi];
-            let ops = &image.run_at(cur.pc as usize)[..k];
-            let warp = &mut self.warps[wi];
-            sprint_masked(ops, &mut warp.lanes, cur.mask, self.full_lane_mask);
-            if cur.np < cur.live {
-                self.divergent_issues += k as u64;
-            }
-            self.warp_instrs += k as u64;
-            self.thread_instrs += k as u64 * cur.np as u64;
-            let cu = &mut self.sb_cur[wi];
-            cu.rem -= k as u32;
-            cu.pc += k as u32;
-        }
-        self.rr = (s_buf[s_len - 1] + 1) % n;
-        self.local_time = Time::from_ps(t.as_ps() + (k * s_len) as u64 * c);
-        true
     }
 
     /// Executes one warp-instruction for warp `wi`.
@@ -423,7 +296,7 @@ impl MttopCore {
         }
     }
 
-    /// The single-lane issue step (DESIGN §11.6): one issue slot for a
+    /// The single-lane issue step (DESIGN §11.5): one issue slot for a
     /// context of one lane while the decoded image is on. With one lane the
     /// min-PC participating set is that lane whenever it is live, so the
     /// step reads its PC once and dispatches on it directly: a run op from

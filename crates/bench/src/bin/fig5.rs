@@ -1,8 +1,13 @@
-//! Figure 5: dense matrix multiply — runtime relative to the AMD CPU core,
-//! for the APU (full), the APU without compilation/initialization, and
-//! CCSVM/xthreads. Lower is better; the paper's log-scale plot shows CCSVM
-//! winning by orders of magnitude at small sizes with the APU catching up
-//! at the largest size.
+//! Figures 5 and 9: dense matrix multiply, one simulated grid, two tables.
+//!
+//! Figure 5 is runtime relative to the AMD CPU core, for the APU (full), the
+//! APU without compilation/initialization, and CCSVM/xthreads. Lower is
+//! better; the paper's log-scale plot shows CCSVM winning by orders of
+//! magnitude at small sizes with the APU catching up at the largest size.
+//!
+//! Figure 9 is DRAM accesses (log scale in the paper): the APU's staged DMA
+//! plus GPU misses versus CCSVM's on-chip communication, with the single
+//! CPU's accesses growing as the working set outgrows its caches.
 
 #![forbid(unsafe_code)]
 
@@ -49,10 +54,12 @@ fn run() -> Result<(), BenchError> {
     );
     let mut rel_ccsvm_small = None;
     let mut last_ratio_noinit_over_ccsvm = 0.0;
+    // Figure 9's rows, printed after Figure 5's table: (n, CPU, APU, CCSVM).
+    let mut dram = Vec::with_capacity(sizes.len());
     for (&n, r) in sizes.iter().zip(reports.chunks(3)) {
         let p = params(n);
         let expect = wl::matmul::reference_checksum(&p);
-        let (t_cpu, _, cpu_code) = region_numbers(&r[0]);
+        let (t_cpu, cpu_dram, cpu_code) = region_numbers(&r[0]);
         check_eq(cpu_code, expect, format!("n={n}: CPU result"))?;
         let shape = OffloadShape {
             buffer_bytes: 3 * n * n * 8,
@@ -60,8 +67,9 @@ fn run() -> Result<(), BenchError> {
         };
         let a = ApuReport::offload(&apu, &r[1], shape);
         check_eq(a.exit_code, expect, format!("n={n}: APU result"))?;
-        let (t_ccsvm, _, ccsvm_code) = region_numbers(&r[2]);
+        let (t_ccsvm, ccsvm_dram, ccsvm_code) = region_numbers(&r[2]);
         check_eq(ccsvm_code, expect, format!("n={n}: CCSVM result"))?;
+        dram.push((n, cpu_dram, a.dram_accesses, ccsvm_dram));
 
         out.line(format!(
             "{n:4} | {} | {} | {} | {} | {} | {} | {}",
@@ -94,6 +102,21 @@ fn run() -> Result<(), BenchError> {
         claims.check(
             last_ratio_noinit_over_ccsvm < 5.0,
             "largest size: the no-init APU closes most of the gap (raw VLIW throughput)",
+        );
+    }
+
+    out.header(
+        "Figure 9: DRAM accesses for matmul",
+        &["   n", "      CPU", "      APU", "    CCSVM", "APU/CCSVM"],
+    );
+    for (n, cpu_dram, apu_dram, ccsvm_dram) in dram {
+        out.line(format!(
+            "{n:4} | {cpu_dram:8} | {apu_dram:8} | {ccsvm_dram:8} | {:8.2}",
+            apu_dram as f64 / ccsvm_dram as f64,
+        ));
+        claims.check(
+            apu_dram > ccsvm_dram,
+            &format!("n={n}: APU needs more DRAM accesses than CCSVM"),
         );
     }
     out.finish()?;
